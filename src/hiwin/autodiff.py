@@ -23,15 +23,14 @@ __all__ = [
     "as_tensor",
     "backward",
     "div",
-    "dotk",
     "exp",
+    "guided_mix",
     "interp2d",
     "log",
     "matmul",
     "mean",
     "mixk",
     "mul",
-    "neighborhood",
     "power",
     "reshape",
     "softmax",
@@ -302,56 +301,149 @@ def interp2d(a, row_mat: np.ndarray, col_mat: np.ndarray) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-def neighborhood(a, radius: int) -> Tensor:
-    """Stack the (2r+1)^2 edge-clamped spatial neighbors of every cell.
+_BLOCK_ELEMS = 1 << 15  # float64 entries per row block of guided_mix (256 KiB)
 
-    (H, W, D) -> (H, W, K, D); neighbor k corresponds to the row-major
-    offset (dy, dx) with dy, dx in [-radius, radius].  The adjoint folds the
-    edge padding back onto the border cells, which keeps the backward pass a
-    handful of dense slice additions instead of a scatter.
+
+def _row_blocks(a: np.ndarray) -> list[tuple[int, int]]:
+    """Row ranges of about ``_BLOCK_ELEMS`` entries of an (H, W, D) map.
+
+    The forward of :func:`guided_mix` loops over window offsets inside each
+    block, which keeps its per-offset operands in cache.  Each cell is still
+    computed by the same sequence of operations, so results do not depend on
+    the block size.
     """
-    a = as_tensor(a)
-    if a.data.ndim != 3:
-        raise ValueError("neighborhood expects an (H, W, D) array")
-    h, w, _ = a.data.shape
+    h = a.shape[0]
+    rows = max(1, _BLOCK_ELEMS // a[0].size)
+    return [(y0, min(y0 + rows, h)) for y0 in range(0, h, rows)]
+
+
+def _window_offsets(radius: int) -> list[tuple[int, int]]:
+    """Start corners, in an edge-padded map, of the (2r+1)^2 window offsets
+    (dy, dx) in row-major order; this is the order of the weight axis K."""
+    k = 2 * radius + 1
+    return [(dy, dx) for dy in range(k) for dx in range(k)]
+
+
+def _offset_dist2(radius: int) -> np.ndarray:
+    """Squared center distance of each window offset, in weight-axis order."""
+    return np.array(
+        [(dy - radius) ** 2 + (dx - radius) ** 2 for dy, dx in _window_offsets(radius)],
+        dtype=np.float64,
+    )
+
+
+def _edge_pad(a: np.ndarray, r: int) -> np.ndarray:
+    return np.pad(a, ((r, r), (r, r), (0, 0)), mode="edge")
+
+
+def _fold_edges(gp: np.ndarray, r: int, h: int, w: int) -> np.ndarray:
+    """Adjoint of :func:`_edge_pad`: fold a padded gradient onto its core.
+
+    Padding rows and columns copy the border cells, so their gradient lands
+    on those cells; on a one-row or one-column map both borders fold onto the
+    same cells, which the sequential in-place sums handle.
+    """
+    core = gp[r : r + h, r : r + w].copy()
+    if r > 0:
+        core[0] += gp[:r, r : r + w].sum(axis=0)
+        core[-1] += gp[r + h :, r : r + w].sum(axis=0)
+        core[:, 0] += gp[r : r + h, :r].sum(axis=1)
+        core[:, -1] += gp[r : r + h, r + w :].sum(axis=1)
+        core[0, 0] += gp[:r, :r].sum(axis=(0, 1))
+        core[0, -1] += gp[:r, r + w :].sum(axis=(0, 1))
+        core[-1, 0] += gp[r + h :, :r].sum(axis=(0, 1))
+        core[-1, -1] += gp[r + h :, r + w :].sum(axis=(0, 1))
+    return core
+
+
+def _guided_weights(proj: np.ndarray, log_sigma_dist, log_sigma_sim, radius: int):
+    """Window weights of the guided upsampler and what their VJP needs.
+
+    Returns ``(weights, sim, logits, spatial, norm, proj_pad)``: ``logits``
+    (H, W, K) are the projected dot products of each cell with its
+    edge-clamped neighbors over ``sigma_sim^2``, ``sim`` their softmax over
+    K, ``spatial`` (K,) the decay ``exp(-|dxy|^2 / (2 sigma_dist^2))`` and
+    ``weights = sim * spatial / norm`` with ``norm`` the per-cell sum.
+    """
+    h, w, _ = proj.shape
+    proj_pad = _edge_pad(proj, radius)
+    offsets = _window_offsets(radius)
+    logits = np.empty((h, w, len(offsets)), dtype=np.float64)
+    for y0, y1 in _row_blocks(proj):
+        for k, (dy, dx) in enumerate(offsets):
+            np.einsum(
+                "hwd,hwd->hw",
+                proj[y0:y1],
+                proj_pad[y0 + dy : y1 + dy, dx : dx + w],
+                out=logits[y0:y1, :, k],
+            )
+    sigma_sim = np.exp(log_sigma_sim)
+    logits /= sigma_sim * sigma_sim
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    sim = e / e.sum(axis=-1, keepdims=True)
+    sigma_dist = np.exp(log_sigma_dist)
+    spatial = np.exp((-0.5 * _offset_dist2(radius)) / (sigma_dist * sigma_dist))
+    u = sim * spatial
+    norm = u.sum(axis=-1, keepdims=True)
+    return u / norm, sim, logits, spatial, norm, proj_pad
+
+
+def guided_mix(proj, up, log_sigma_dist, log_sigma_sim, radius: int) -> Tensor:
+    """Guided window averaging of joint bilateral upsampling, fused.
+
+    ``proj`` (H, W, D) is the projected guidance image, ``up`` (H, W, C)
+    the lifted feature map and the two log-sigmas are scalars.  Output cell (y, x) is the weighted sum of
+    ``up`` over its (2r+1)^2 edge-clamped neighbors, with the weights of
+    :func:`_guided_weights` (similarity softmax times spatial decay,
+    renormalized to sum to 1).  Forward and VJP loop over the window
+    offsets of edge-padded maps and accumulate in place, so no (H, W, K, C)
+    neighbor array is built.  Gradients flow to all four operands.
+    """
+    proj, up = as_tensor(proj), as_tensor(up)
+    lsd, lss = as_tensor(log_sigma_dist), as_tensor(log_sigma_sim)
+    if proj.data.ndim != 3 or up.data.ndim != 3 or proj.data.shape[:2] != up.data.shape[:2]:
+        raise ValueError("guided_mix expects (H, W, D) and (H, W, C) maps of equal H, W")
     r = int(radius)
-    k = 2 * r + 1
-    offsets = [(dy, dx) for dy in range(k) for dx in range(k)]
-    pad = np.pad(a.data, ((r, r), (r, r), (0, 0)), mode="edge")
-    out = np.empty((h, w, k * k, a.data.shape[2]), dtype=np.float64)
-    for idx, (dy, dx) in enumerate(offsets):
-        out[:, :, idx, :] = pad[dy : dy + h, dx : dx + w]
+    h, w = up.data.shape[:2]
+    offsets = _window_offsets(r)
+    weights, sim, logits, spatial, norm, proj_pad = _guided_weights(
+        proj.data, lsd.data, lss.data, r
+    )
+    up_pad = _edge_pad(up.data, r)
+    out = np.zeros(up.data.shape, dtype=np.float64)
+    blocks = _row_blocks(up.data)
+    tmp = np.empty((blocks[0][1],) + up.data.shape[1:], dtype=np.float64)
+    for y0, y1 in blocks:
+        acc, term = out[y0:y1], tmp[: y1 - y0]
+        for k, (dy, dx) in enumerate(offsets):
+            np.multiply(weights[y0:y1, :, k, None], up_pad[y0 + dy : y1 + dy, dx : dx + w], out=term)
+            acc += term
 
     def vjp(g):
-        gp = np.zeros_like(pad)
-        for idx, (dy, dx) in enumerate(offsets):
-            gp[dy : dy + h, dx : dx + w] += g[:, :, idx, :]
-        core = gp[r : r + h, r : r + w].copy()
-        if r > 0:
-            core[0] += gp[:r, r : r + w].sum(axis=0)
-            core[-1] += gp[r + h :, r : r + w].sum(axis=0)
-            core[:, 0] += gp[r : r + h, :r].sum(axis=1)
-            core[:, -1] += gp[r : r + h, r + w :].sum(axis=1)
-            core[0, 0] += gp[:r, :r].sum(axis=(0, 1))
-            core[0, -1] += gp[:r, r + w :].sum(axis=(0, 1))
-            core[-1, 0] += gp[r + h :, :r].sum(axis=(0, 1))
-            core[-1, -1] += gp[r + h :, r + w :].sum(axis=(0, 1))
-        return (core,)
+        g_weights = np.empty_like(weights)
+        g_up_pad = np.zeros_like(up_pad)
+        for k, (dy, dx) in enumerate(offsets):
+            g_weights[:, :, k] = np.einsum("hwc,hwc->hw", g, up_pad[dy : dy + h, dx : dx + w])
+            g_up_pad[dy : dy + h, dx : dx + w] += weights[:, :, k, None] * g
+        # weights = u / norm with u = sim * spatial
+        g_u = (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True)) / norm
+        sigma_dist = np.exp(lsd.data)
+        g_lsd = (g_u * sim * spatial * _offset_dist2(r)).sum() / (sigma_dist * sigma_dist)
+        g_sim = g_u * spatial
+        g_logits = sim * (g_sim - (g_sim * sim).sum(axis=-1, keepdims=True))
+        g_lss = -2.0 * (g_logits * logits).sum()
+        sigma_sim = np.exp(lss.data)
+        g_dots = g_logits / (sigma_sim * sigma_sim)
+        g_proj = np.zeros_like(proj.data)
+        g_proj_pad = np.zeros_like(proj_pad)
+        for k, (dy, dx) in enumerate(offsets):
+            gk = g_dots[:, :, k, None]
+            g_proj += gk * proj_pad[dy : dy + h, dx : dx + w]
+            g_proj_pad[dy : dy + h, dx : dx + w] += gk * proj.data
+        g_proj += _fold_edges(g_proj_pad, r, h, w)
+        return g_proj, _fold_edges(g_up_pad, r, h, w), np.asarray(g_lsd), np.asarray(g_lss)
 
-    return _node(out, (a,), vjp)
-
-
-def dotk(a, b) -> Tensor:
-    """Per-site dot products: (..., D) x (..., K, D) -> (..., K)."""
-    a, b = as_tensor(a), as_tensor(b)
-    out = np.einsum("...d,...kd->...k", a.data, b.data)
-
-    def vjp(g):
-        ga = np.einsum("...k,...kd->...d", g, b.data)
-        gb = np.einsum("...k,...d->...kd", g, a.data)
-        return ga, gb
-
-    return _node(out, (a, b), vjp)
+    return _node(out, (proj, up, lsd, lss), vjp)
 
 
 def mixk(w, v) -> Tensor:

@@ -2,7 +2,8 @@
 
 Subcommands: ``pretrain-vdim``, ``build-isp``, ``compress``, ``pipeline``,
 ``visualize``, ``selftest``.  Configuration is flags-only; the single
-environment input is ``HIWIN_SEED``, overridden by ``--seed``.
+environment input is ``HIWIN_SEED``, overridden by ``--seed``; a value that
+is not an integer is a usage error.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numerical
 failure.  Diagnostics go to standard error.
@@ -30,19 +31,11 @@ from .window_attn import AttnParams, HiwinConfig
 __all__ = ["main", "main_entry"]
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("HIWIN_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
-
-
 def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--seed",
         type=int,
-        default=_default_seed(),
+        default=None,
         help="deterministic seed (default: HIWIN_SEED env var, else 0)",
     )
 
@@ -201,6 +194,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
+    if "seed" in vars(args) and args.seed is None:
+        raw = os.environ.get("HIWIN_SEED", "0")
+        try:
+            args.seed = int(raw)
+        except ValueError:
+            print(f"error: HIWIN_SEED must be an integer, got {raw!r}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except NumericalError as e:

@@ -2,14 +2,16 @@
 attention downsampler used for self-supervision, the multi-level
 reconstruction loss, and the training loop that fits both.
 
-Guided upsampling doubles a feature map's resolution by bilinearly lifting
-it to the target grid and re-averaging each output cell over its 7x7
-neighborhood.  Neighbor weights combine a Gaussian spatial decay
-``exp(-|dxy|^2 / (2 sigma_dist^2))`` with a guidance-similarity softmax over
-the window: pixels of the guidance image are projected by a learned linear
-map, and neighbor scores are the projected dot products scaled by
-``1 / sigma_sim^2``.  The combined weight is renormalized to sum to 1 per
-output cell, so constant inputs pass through exactly.
+Guided upsampling (joint bilateral upsampling) doubles a feature map's
+resolution by bilinearly lifting it to the target grid and re-averaging each
+output cell over its edge-clamped 7x7 neighborhood.  Neighbor weights combine
+a Gaussian spatial decay ``exp(-|dxy|^2 / (2 sigma_dist^2))`` with a
+guidance-similarity softmax over the window: pixels of the guidance image are
+projected by a learned linear map, and neighbor scores are the projected dot
+products scaled by ``1 / sigma_sim^2``.  The combined weight is renormalized
+to sum to 1 per output cell, so constant inputs pass through exactly.  The
+re-averaging is the single fused op ``autodiff.guided_mix``, which inference
+and training both run; it never builds a per-cell stack of neighbors.
 
 The downsampler inverts the scale change for training: the high level is
 bilinearly lifted to full image resolution, split into 14x14 windows (one
@@ -212,30 +214,12 @@ def _wrap_params(
     return kernels, downs, flat
 
 
-def _offset_dist2(radius: int) -> np.ndarray:
-    """Squared center offsets in the row-major order used by ad.neighborhood."""
-    k = 2 * radius + 1
-    d = np.arange(k, dtype=np.float64) - radius
-    dy, dx = np.meshgrid(d, d, indexing="ij")
-    return (dy * dy + dx * dx).reshape(-1)
-
-
-def _kernel_weights_graph(guide: np.ndarray, kern: _Kernel, radius: int) -> Tensor:
-    """Combined, renormalized neighbor weights (gh, gw, K) for one level."""
+def _guide_proj_graph(guide: np.ndarray, kern: _Kernel) -> Tensor:
+    """The learned linear projection (gh, gw, d_proj) of a guidance image."""
     gh, gw, _ = guide.shape
     d_proj = kern.proj_w.data.shape[1]
     proj = ad.add(ad.matmul(Tensor(guide.reshape(-1, 3)), kern.proj_w), kern.proj_b)
-    proj = ad.reshape(proj, (gh, gw, d_proj))
-    nb_proj = ad.neighborhood(proj, radius)
-    sigma_sim = ad.exp(kern.log_sigma_sim)
-    logits = ad.div(ad.dotk(proj, nb_proj), ad.mul(sigma_sim, sigma_sim))
-    sim_w = ad.softmax(logits, axis=-1)
-    sigma_dist = ad.exp(kern.log_sigma_dist)
-    spatial = ad.exp(
-        ad.div(Tensor(-0.5 * _offset_dist2(radius)), ad.mul(sigma_dist, sigma_dist))
-    )
-    w = ad.mul(sim_w, spatial)
-    return ad.div(w, ad.tsum(w, axis=-1, keepdims=True))
+    return ad.reshape(proj, (gh, gw, d_proj))
 
 
 def _guided_upsample_graph(
@@ -244,8 +228,9 @@ def _guided_upsample_graph(
     h, w = feats.data.shape[:2]
     gh, gw, _ = guide.shape
     up = ad.interp2d(feats, resize_matrix(h, gh), resize_matrix(w, gw))
-    weights = _kernel_weights_graph(guide, kern, radius)
-    return ad.mixk(weights, ad.neighborhood(up, radius))
+    return ad.guided_mix(
+        _guide_proj_graph(guide, kern), up, kern.log_sigma_dist, kern.log_sigma_sim, radius
+    )
 
 
 def _downsample_graph(
@@ -330,8 +315,9 @@ def _wrap_down(ld: LevelDown) -> _Down:
 
 def jbu_kernel_weights(guide: Image, params: VdimParams, level: int) -> np.ndarray:
     """The (gh, gw, K) renormalized neighbor weights for one level; rows sum to 1."""
-    kern = _wrap_kernel(params.levels[level])
-    return _kernel_weights_graph(guide.pixels.astype(np.float64), kern, params.radius).data
+    lk = params.levels[level]
+    proj = _guide_proj_graph(guide.pixels.astype(np.float64), _wrap_kernel(lk)).data
+    return ad._guided_weights(proj, lk.log_sigma_dist, lk.log_sigma_sim, params.radius)[0]
 
 
 def attention_downsample(

@@ -38,6 +38,61 @@ def scalar_resize(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return out
 
 
+def scalar_guided_mix(
+    proj: np.ndarray, up: np.ndarray, sigma_dist: float, sigma_sim: float, radius: int
+) -> np.ndarray:
+    """Per-cell guided window average over edge-clamped neighbors.
+
+    Neighbor weight: softmax over the window of the projected dot products
+    divided by sigma_sim^2, times exp(-|dxy|^2 / (2 sigma_dist^2)),
+    renormalized to sum to 1.
+    """
+    h, w = up.shape[:2]
+    out = np.zeros(up.shape, dtype=np.float64)
+    for y in range(h):
+        for x in range(w):
+            nbrs = []
+            for dy in range(-radius, radius + 1):
+                for dx in range(-radius, radius + 1):
+                    yy = min(max(y + dy, 0), h - 1)
+                    xx = min(max(x + dx, 0), w - 1)
+                    nbrs.append((dy * dy + dx * dx, yy, xx))
+            logits = [
+                float(np.dot(proj[y, x], proj[yy, xx])) / sigma_sim**2 for _, yy, xx in nbrs
+            ]
+            top = max(logits)
+            sims = [math.exp(v - top) for v in logits]
+            total = sum(sims)
+            ws = [
+                s / total * math.exp(-d2 / (2 * sigma_dist**2))
+                for s, (d2, _, _) in zip(sims, nbrs)
+            ]
+            norm = sum(ws)
+            for wk, (_, yy, xx) in zip(ws, nbrs):
+                out[y, x] += wk / norm * up[yy, xx]
+    return out
+
+
+def scalar_guided_upsample(
+    feats: np.ndarray,
+    guide: np.ndarray,
+    proj_w: np.ndarray,
+    proj_b: np.ndarray,
+    sigma_dist: float,
+    sigma_sim: float,
+    radius: int,
+) -> np.ndarray:
+    """Guided upsampling oracle: bilinear lift of ``feats`` to the guide's
+    dims, per-pixel linear projection of the guide, guided window average."""
+    gh, gw = guide.shape[:2]
+    up = scalar_resize(feats, gh, gw)
+    proj = np.zeros((gh, gw, proj_w.shape[1]), dtype=np.float64)
+    for y in range(gh):
+        for x in range(gw):
+            proj[y, x] = guide[y, x].astype(np.float64) @ proj_w + proj_b
+    return scalar_guided_mix(proj, up, sigma_dist, sigma_sim, radius)
+
+
 def scalar_roi_points(
     box, grid: tuple[int, int], map_w: int, map_h: int
 ) -> list[list[tuple[float, float]]]:

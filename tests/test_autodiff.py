@@ -6,6 +6,8 @@ import pytest
 from hiwin import autodiff as ad
 from hiwin.autodiff import NumericalError, Tensor
 
+from helpers import scalar_guided_mix
+
 
 def fd_grads(build, params, h=1e-6):
     """Central-difference gradients of build() w.r.t. every param entry."""
@@ -119,24 +121,36 @@ def test_interp2d_matches_plain_resize():
     np.testing.assert_allclose(out, bilinear_resize(x, 9, 4), atol=1e-12)
 
 
-def test_neighborhood_values_and_grad():
-    a = leaf((3, 4, 2), 13)
-    out = ad.neighborhood(a, 1)
-    assert out.data.shape == (3, 4, 9, 2)
-    # spot-check edge clamping: neighbor up-left of (0, 0) is (0, 0) itself
-    np.testing.assert_array_equal(out.data[0, 0, 0], a.data[0, 0])
-    np.testing.assert_array_equal(out.data[1, 1, 4], a.data[1, 1])  # center offset
-    check_op(lambda: to_scalar(ad.neighborhood(a, 1)), [a])
-    check_op(lambda: to_scalar(ad.neighborhood(a, 2)), [a])
-
-
-def test_dotk_mixk():
-    a = leaf((2, 3, 4), 14)
-    b = leaf((2, 3, 5, 4), 15)
-    check_op(lambda: to_scalar(ad.dotk(a, b)), [a, b])
+def test_mixk():
     w = leaf((2, 3, 5), 16)
     v = leaf((2, 3, 5, 4), 17)
     check_op(lambda: to_scalar(ad.mixk(w, v)), [w, v])
+
+
+@pytest.mark.parametrize(
+    "h, w, radius",
+    [
+        (3, 4, 1),
+        (4, 5, 2),
+        (1, 5, 1),  # one row: top and bottom padding fold onto the same cells
+        (5, 1, 2),  # one column: left and right padding likewise
+        (2, 3, 3),  # map smaller than the 7x7 window
+    ],
+)
+def test_guided_mix_values_and_grad(h, w, radius):
+    proj = leaf((h, w, 3), 13)
+    up = leaf((h, w, 2), 14)
+    log_sigma_dist = leaf((), 15, scale=0.3)
+    log_sigma_sim = leaf((), 18, scale=0.3)
+    out = ad.guided_mix(proj, up, log_sigma_dist, log_sigma_sim, radius)
+    want = scalar_guided_mix(
+        proj.data, up.data, np.exp(log_sigma_dist.item()), np.exp(log_sigma_sim.item()), radius
+    )
+    np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
+    params = [proj, up, log_sigma_dist, log_sigma_sim]
+    check_op(
+        lambda: to_scalar(ad.guided_mix(proj, up, log_sigma_dist, log_sigma_sim, radius)), params
+    )
 
 
 def test_leaf_reuse_accumulates():

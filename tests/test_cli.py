@@ -169,3 +169,13 @@ def test_env_seed_is_default(ckpt, image_336, tmp_path, capsys, monkeypatch):
     assert main(["compress", "--image", str(image_336), "--ckpt", str(ckpt), "--out", str(out_c), "--seed", "8"]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert out_a.read_bytes() != out_c.read_bytes()
+
+
+def test_unparsable_env_seed_is_usage_error(ckpt, image_336, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "a.toks"
+    monkeypatch.setenv("HIWIN_SEED", "nine")
+    assert main(["compress", "--image", str(image_336), "--ckpt", str(ckpt), "--out", str(out)]) == 2
+    assert "HIWIN_SEED" in capsys.readouterr().err
+    assert not out.exists()
+    # --seed overrides the environment, so the bad value is never read
+    assert main(["compress", "--image", str(image_336), "--ckpt", str(ckpt), "--out", str(out), "--seed", "9"]) == 0

@@ -1,6 +1,8 @@
 """Guided upsampling, the attention downsampler, the reconstruction loss,
 and the training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,14 @@ from hiwin.vdim import (
     trainable_arrays,
 )
 
-from helpers import scalar_resize
+from helpers import scalar_guided_upsample, scalar_resize
+
+
+def oracle_upsample(f0: FeatureMap, guide: Image, params: VdimParams) -> np.ndarray:
+    lk = params.levels[f0.level]
+    return scalar_guided_upsample(
+        f0.data, guide.pixels, lk.proj_w, lk.proj_b, lk.sigma_dist, lk.sigma_sim, params.radius
+    )
 
 
 def mean_downsampler(channels: int) -> DownsamplerParams:
@@ -65,20 +74,22 @@ class TestJbuUpsample:
         params = VdimParams.init(d_proj=8, seed=3)
         params.levels[0].log_sigma_dist[...] = np.log(1e8)
         out = jbu_upsample(f0, guide, params)
-
-        up = scalar_resize(f0.data, 10, 12)
-        want = np.zeros_like(up)
-        r = params.radius
-        for y in range(10):
-            for x in range(12):
-                acc = np.zeros(3)
-                for dy in range(-r, r + 1):
-                    for dx in range(-r, r + 1):
-                        yy = min(max(y + dy, 0), 9)
-                        xx = min(max(x + dx, 0), 11)
-                        acc += up[yy, xx]
-                want[y, x] = acc / (2 * r + 1) ** 2
+        want = oracle_upsample(f0, guide, params)
         np.testing.assert_allclose(out.data, want, atol=1e-5)
+        up = scalar_resize(f0.data, 10, 12)
+        for y, x in ((3, 3), (6, 8)):  # windows clear of the edges
+            window = up[y - 3 : y + 4, x - 3 : x + 4]
+            np.testing.assert_allclose(out.data[y, x], window.mean(axis=(0, 1)), atol=1e-5)
+
+    def test_matches_scalar_oracle(self):
+        rng = np.random.default_rng(7)
+        f0 = FeatureMap(rng.standard_normal((5, 6, 4)).astype(np.float32))
+        guide = Image(rng.uniform(0, 1, (10, 12, 3)).astype(np.float32))
+        params = VdimParams.init(d_proj=8, seed=6)
+        params.levels[0].log_sigma_dist[...] = 0.4
+        params.levels[0].log_sigma_sim[...] = -0.3
+        out = jbu_upsample(f0, guide, params)
+        np.testing.assert_allclose(out.data, oracle_upsample(f0, guide, params), atol=1e-5)
 
     def test_kernel_weights_sum_to_one(self):
         rng = np.random.default_rng(2)
@@ -195,6 +206,21 @@ class TestBuildIsp:
         f0 = encode(img, EncoderSpec(channels=4, seed=0))
         isp = build_isp(f0, pyramid, VdimParams.init(d_proj=8, seed=1))
         assert [(m.height, m.width) for m in isp.levels] == [(16, 24), (32, 48), (64, 96)]
+
+    def test_peak_memory_of_one_unit(self):
+        # guards against a per-cell neighbor stack: (96, 96, 49, 64) float64
+        # alone would be 231 MB at level 2
+        img = synth_corpus(0, 1, 336)[0]
+        pyramid = build_image_pyramid(img)
+        f0 = encode(img, EncoderSpec(channels=64, seed=0))
+        params = VdimParams.init(d_proj=32, seed=0)
+        tracemalloc.start()
+        try:
+            build_isp(f0, pyramid, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_constant_chain(self):
         img = Image(np.full((112, 112, 3), 0.5))
