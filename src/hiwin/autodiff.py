@@ -26,16 +26,13 @@ __all__ = [
     "exp",
     "guided_mix",
     "interp2d",
-    "log",
     "matmul",
     "mean",
     "mixk",
     "mul",
-    "power",
     "reshape",
     "softmax",
     "sub",
-    "tanh",
     "transpose",
     "tsum",
 ]
@@ -76,34 +73,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __pow__(self, p):
-        return power(self, p)
 
 
 def as_tensor(x) -> Tensor:
@@ -172,41 +141,12 @@ def div(a, b) -> Tensor:
     return _node(a.data / b.data, (a, b), vjp)
 
 
-def power(a, p: float) -> Tensor:
-    a = as_tensor(a)
-    p = float(p)
-
-    def vjp(g):
-        return (g * p * a.data ** (p - 1.0),)
-
-    return _node(a.data**p, (a,), vjp)
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.exp(a.data)
 
     def vjp(g):
         return (g * out_data,)
-
-    return _node(out_data, (a,), vjp)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-
-    def vjp(g):
-        return (g / a.data,)
-
-    return _node(np.log(a.data), (a,), vjp)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def vjp(g):
-        return (g * (1.0 - out_data * out_data),)
 
     return _node(out_data, (a,), vjp)
 

@@ -7,16 +7,23 @@ dims (u32 each), float32 payload.  An attention section may follow under the
 tag ``HATT``: u32 version=1, u32 N, u32 heads, u32 C, then queries, level
 embeddings, and the q/k/v/output projection weights and biases with the same
 tensor encoding.
+
+The loader builds every tensor's expected shape from the headers (two
+detail-injection levels, three pyramid levels for the level embeddings) and
+raises :class:`~hiwin.formats.DataFormatError` naming the first tensor that
+disagrees.  A checkpoint without an attention section implies N = 12.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
 from .formats import DataFormatError, read_array, read_u32, write_array, write_u32
-from .vdim import DownsamplerParams, LevelDown, LevelKernel, VdimParams
+from .vdim import DownsamplerParams, LevelDown, LevelKernel, VdimParams, trainable_arrays
 from .window_attn import AttnParams
 
 __all__ = ["Checkpoint", "load_checkpoint", "save_checkpoint"]
@@ -35,6 +42,7 @@ class Checkpoint:
     attn: AttnParams | None
     channels: int
     heads: int = 4
+    grid_side: int = 12
 
 
 def save_checkpoint(
@@ -49,12 +57,8 @@ def save_checkpoint(
         write_u32(f, VERSION)
         write_u32(f, vdim.d_proj)
         write_u32(f, down.channels)
-        for lk in vdim.levels:
-            for arr in (lk.proj_w, lk.proj_b, lk.log_sigma_dist, lk.log_sigma_sim):
-                write_array(f, arr)
-        for ld in down.levels:
-            for arr in (ld.gamma, ld.beta, ld.sal_w, ld.sal_b):
-                write_array(f, arr)
+        for _, arr in trainable_arrays(vdim, down):
+            write_array(f, arr)
         if attn is not None:
             f.write(HATT_MAGIC)
             write_u32(f, VERSION)
@@ -63,6 +67,44 @@ def save_checkpoint(
             write_u32(f, attn.queries.shape[2])
             for name in _ATTN_FIELDS:
                 write_array(f, getattr(attn, name))
+
+
+def _check_room(f: BinaryIO, floats: int, section: str) -> None:
+    """Refuse a header that implies more tensor data than the file holds,
+    before arrays of that size are allocated."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if 4 * floats > left:
+        raise DataFormatError(
+            f"truncated checkpoint: the {section} header implies at least "
+            f"{4 * floats} more bytes, {left} remain"
+        )
+
+
+def _vdim_template(d_proj: int, channels: int, levels: int) -> tuple[VdimParams, DownsamplerParams]:
+    """Uninitialized header-shaped parameters for the VDIM section to fill."""
+    e = np.empty
+    kernels = [LevelKernel(e((3, d_proj)), e(d_proj), e(()), e(())) for _ in range(levels)]
+    downs = [LevelDown(e(channels), e(channels), e(channels), e(())) for _ in range(levels)]
+    return VdimParams(levels=kernels), DownsamplerParams(levels=downs)
+
+
+def _attn_template(n: int, c: int, pyramid_levels: int) -> AttnParams:
+    """Uninitialized header-shaped parameters for the HATT section to fill."""
+    # queries, level_emb, then (weight, bias) for q, k, v and the output
+    shapes = [(n, n, c), (pyramid_levels, c)] + [(c, c), (c,)] * 4
+    return AttnParams(*(np.empty(shape) for shape in shapes))
+
+
+def _read_into(f: BinaryIO, fields: Iterable[tuple[str, np.ndarray]]) -> None:
+    """Read each named tensor into its template array, whose shape the
+    header fixed."""
+    for name, target in fields:
+        arr = read_array(f, name)
+        if arr.shape != target.shape:
+            raise DataFormatError(
+                f"checkpoint tensor {name} has shape {arr.shape}, header implies {target.shape}"
+            )
+        target[...] = arr
 
 
 def load_checkpoint(path, levels: int = 2) -> Checkpoint:
@@ -75,50 +117,33 @@ def load_checkpoint(path, levels: int = 2) -> Checkpoint:
             raise DataFormatError(f"unsupported checkpoint version {version}")
         d_proj = read_u32(f, "d_proj")
         channels = read_u32(f, "channels")
-        kernels = []
-        for i in range(levels):
-            proj_w = read_array(f, f"upsample{i + 1}.proj_w").astype(np.float64)
-            proj_b = read_array(f, f"upsample{i + 1}.proj_b").astype(np.float64)
-            sd = read_array(f, f"upsample{i + 1}.log_sigma_dist").astype(np.float64)
-            ss = read_array(f, f"upsample{i + 1}.log_sigma_sim").astype(np.float64)
-            if proj_w.shape != (3, d_proj) or proj_b.shape != (d_proj,):
-                raise DataFormatError("upsampling kernel shape mismatch")
-            kernels.append(
-                LevelKernel(
-                    proj_w=proj_w,
-                    proj_b=proj_b,
-                    log_sigma_dist=sd.reshape(()),
-                    log_sigma_sim=ss.reshape(()),
-                )
-            )
-        downs = []
-        for i in range(levels):
-            gamma = read_array(f, f"down{i + 1}.gamma").astype(np.float64)
-            beta = read_array(f, f"down{i + 1}.beta").astype(np.float64)
-            sal_w = read_array(f, f"down{i + 1}.sal_w").astype(np.float64)
-            sal_b = read_array(f, f"down{i + 1}.sal_b").astype(np.float64)
-            if gamma.shape != (channels,):
-                raise DataFormatError("downsampler shape mismatch")
-            downs.append(
-                LevelDown(gamma=gamma, beta=beta, sal_w=sal_w, sal_b=sal_b.reshape(()))
-            )
-        vdim = VdimParams(levels=kernels)
-        down = DownsamplerParams(levels=downs)
+        _check_room(f, d_proj + channels, "VDIM")
+        vdim, down = _vdim_template(d_proj, channels, levels)
+        _read_into(f, trainable_arrays(vdim, down))
 
         attn = None
-        heads = 4
+        heads, grid_side = 4, 12
         tag = f.read(4)
         if tag == HATT_MAGIC:
             aversion = read_u32(f, "attention version")
             if aversion != VERSION:
                 raise DataFormatError(f"unsupported attention section version {aversion}")
-            read_u32(f, "N")
+            grid_side = read_u32(f, "N")
             heads = read_u32(f, "heads")
-            read_u32(f, "attention channels")
-            fields = {
-                name: read_array(f, name).astype(np.float64) for name in _ATTN_FIELDS
-            }
-            attn = AttnParams(**fields)
+            attn_channels = read_u32(f, "attention channels")
+            if attn_channels != channels:
+                raise DataFormatError(
+                    f"attention channels {attn_channels} != detail-injection channels {channels}"
+                )
+            if grid_side == 0 or heads == 0 or channels % heads:
+                raise DataFormatError(
+                    f"bad attention header: N={grid_side}, heads={heads}, C={channels}"
+                )
+            _check_room(f, grid_side * grid_side * channels + channels * channels, "HATT")
+            attn = _attn_template(grid_side, channels, levels + 1)
+            _read_into(f, ((name, getattr(attn, name)) for name in _ATTN_FIELDS))
         elif tag != b"":
             raise DataFormatError(f"unexpected trailing section {tag!r}")
-    return Checkpoint(vdim=vdim, down=down, attn=attn, channels=channels, heads=heads)
+    return Checkpoint(
+        vdim=vdim, down=down, attn=attn, channels=channels, heads=heads, grid_side=grid_side
+    )

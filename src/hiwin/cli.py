@@ -125,7 +125,7 @@ def _load_setup(args):
     ckpt = load_checkpoint(args.ckpt)
     config = PipelineConfig(
         encoder=EncoderSpec(channels=ckpt.channels, seed=args.seed),
-        hiwin=HiwinConfig(channels=ckpt.channels, heads=ckpt.heads),
+        hiwin=HiwinConfig(grid_side=ckpt.grid_side, channels=ckpt.channels, heads=ckpt.heads),
         threads=getattr(args, "threads", 1),
     )
     attn = ckpt.attn

@@ -4,9 +4,12 @@ checks, and the PCA feature renderer.
 Everything here works on plain ndarrays; interop with the differentiation
 graph happens through :func:`grad_check` and the shared
 :func:`resize_matrix` sampling convention (align-corners=false, clamp to
-edge), which is the single source of truth for every bilinear lookup in the
-package.  Accumulation is done in float64; results are cast back to the
-caller's dtype.
+edge), which every whole-map resize in the package uses, in training as in
+inference.  The RoI point lookups of window attention are separate
+(``window_attn._bilinear_sample``); they follow the same half-pixel
+convention and are checked against :func:`hiwin.selfcheck.scalar_bilinear_at`.
+Accumulation is done in float64; results are cast back to the caller's
+dtype.
 """
 
 from __future__ import annotations

@@ -1,13 +1,17 @@
-"""Built-in consistency checks backing the ``selftest`` CLI command.
+"""Built-in consistency checks backing the ``selftest`` CLI command, and the
+scalar reference implementations they use.
 
 Each check pits a vectorized library path against a small, independently
 written scalar reference, or against finite differences.  They are cheap
-enough to run on every install.
+enough to run on every install.  The references (:func:`scalar_bilinear_at`,
+:func:`scalar_roi_align`, :func:`scalar_grid_choice`) are plain per-element
+loops; the test suite compares the library against these same functions.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -18,13 +22,23 @@ from .vdim import DownsamplerParams, VdimParams, mlr_objective
 from .window_attn import DEFAULT_PROPOSALS, roi_align, select_grid
 from . import image_io
 
-__all__ = ["check_grid_selection", "check_gradients", "check_roi_align", "run_all"]
+__all__ = [
+    "check_grid_selection",
+    "check_gradients",
+    "check_roi_align",
+    "run_all",
+    "scalar_bilinear_at",
+    "scalar_grid_choice",
+    "scalar_roi_align",
+]
 
 
-def _scalar_grid_choice(width: float, height: float) -> tuple[int, int]:
-    # plain-math argmax over the proposals, first maximum wins
+def scalar_grid_choice(
+    width: float, height: float, proposals: Sequence[tuple[int, int]] = DEFAULT_PROPOSALS
+) -> tuple[int, int]:
+    """Plain-math argmax of ``-|log(W/H) - log(r_w/r_h)|``; first maximum wins."""
     best, best_score = None, None
-    for rw, rh in DEFAULT_PROPOSALS:
+    for rw, rh in proposals:
         score = -abs(math.log(width / height) - math.log(rw / rh))
         if best_score is None or score > best_score:
             best, best_score = (rw, rh), score
@@ -36,13 +50,15 @@ def check_grid_selection(trials: int = 1000, seed: int = 0) -> tuple[bool, str]:
     for _ in range(trials):
         w = int(rng.integers(8, 513))
         h = int(rng.integers(8, 513))
-        if select_grid(w, h) != _scalar_grid_choice(w, h):
+        if select_grid(w, h) != scalar_grid_choice(w, h):
             return False, f"grid mismatch at {w}x{h}"
     return True, f"{trials} random map dims match the reference argmax"
 
 
-def _scalar_bilinear(data: np.ndarray, x: float, y: float) -> np.ndarray:
-    h, w, _ = data.shape
+def scalar_bilinear_at(data: np.ndarray, x: float, y: float) -> np.ndarray:
+    """One bilinear lookup on an (H, W, ...) map at a continuous (x, y)
+    coordinate with half-pixel centers, clamped to the map."""
+    h, w = data.shape[:2]
     xf = min(max(x - 0.5, 0.0), w - 1.0)
     yf = min(max(y - 0.5, 0.0), h - 1.0)
     x0, y0 = int(math.floor(xf)), int(math.floor(yf))
@@ -53,7 +69,10 @@ def _scalar_bilinear(data: np.ndarray, x: float, y: float) -> np.ndarray:
     return (1 - fy) * top + fy * bot
 
 
-def _scalar_roi(data: np.ndarray, box, grid) -> np.ndarray:
+def scalar_roi_align(data: np.ndarray, box, grid: tuple[int, int]) -> np.ndarray:
+    """RoI-align of one box on an (H, W, C) map, one bin at a time: the box
+    is clamped to the map, each bin center is inset-clamped half a cell
+    inside the box (sub-cell spans use the midpoint) and read bilinearly."""
     h, w, c = data.shape
     x0 = min(max(box[0], 0.0), float(w))
     y0 = min(max(box[1], 0.0), float(h))
@@ -67,7 +86,7 @@ def _scalar_roi(data: np.ndarray, box, grid) -> np.ndarray:
             cy = y0 + (u + 0.5) * (y1 - y0) / rh
             cx = min(max(cx, x0 + 0.5), x1 - 0.5) if x1 - x0 >= 1 else (x0 + x1) / 2
             cy = min(max(cy, y0 + 0.5), y1 - 0.5) if y1 - y0 >= 1 else (y0 + y1) / 2
-            out[u, v] = _scalar_bilinear(data, cx, cy)
+            out[u, v] = scalar_bilinear_at(data, cx, cy)
     return out
 
 
@@ -85,7 +104,7 @@ def check_roi_align(trials: int = 50, seed: int = 0) -> tuple[bool, str]:
         box = (xs[0], ys[0], xs[1], ys[1])
         grid = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
         got = roi_align(data, box, grid)
-        want = _scalar_roi(data, box, grid)
+        want = scalar_roi_align(data, box, grid)
         worst = max(worst, float(np.abs(got - want).max()))
     ok = worst <= 1e-6
     return ok, f"max deviation {worst:.2e} from the scalar reference"

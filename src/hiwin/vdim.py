@@ -177,40 +177,23 @@ def trainable_arrays(
     """All trainable parameters in their canonical (checkpoint) order."""
     out = []
     for i, lk in enumerate(vdim.levels, start=1):
-        out += [
-            (f"upsample{i}.proj_w", lk.proj_w),
-            (f"upsample{i}.proj_b", lk.proj_b),
-            (f"upsample{i}.log_sigma_dist", lk.log_sigma_dist),
-            (f"upsample{i}.log_sigma_sim", lk.log_sigma_sim),
-        ]
+        out += [(f"upsample{i}.{name}", getattr(lk, name)) for name in _Kernel._fields]
     for i, ld in enumerate(down.levels, start=1):
-        out += [
-            (f"down{i}.gamma", ld.gamma),
-            (f"down{i}.beta", ld.beta),
-            (f"down{i}.sal_w", ld.sal_w),
-            (f"down{i}.sal_b", ld.sal_b),
-        ]
+        out += [(f"down{i}.{name}", getattr(ld, name)) for name in _Down._fields]
     return out
+
+
+def _wrap_level(level: LevelKernel | LevelDown, kind: type, trainable: bool = False):
+    """One level's parameters as graph leaves: a ``_Kernel`` or ``_Down``."""
+    return kind(*(Tensor(getattr(level, name), requires_grad=trainable) for name in kind._fields))
 
 
 def _wrap_params(
     vdim: VdimParams, down: DownsamplerParams, trainable: bool
 ) -> tuple[list[_Kernel], list[_Down], list[Tensor]]:
-    kernels, downs, flat = [], [], []
-    for lk in vdim.levels:
-        ts = tuple(
-            Tensor(a, requires_grad=trainable)
-            for a in (lk.proj_w, lk.proj_b, lk.log_sigma_dist, lk.log_sigma_sim)
-        )
-        kernels.append(_Kernel(*ts))
-        flat.extend(ts)
-    for ld in down.levels:
-        ts = tuple(
-            Tensor(a, requires_grad=trainable)
-            for a in (ld.gamma, ld.beta, ld.sal_w, ld.sal_b)
-        )
-        downs.append(_Down(*ts))
-        flat.extend(ts)
+    kernels = [_wrap_level(lk, _Kernel, trainable) for lk in vdim.levels]
+    downs = [_wrap_level(ld, _Down, trainable) for ld in down.levels]
+    flat = [t for level in kernels + downs for t in level]
     return kernels, downs, flat
 
 
@@ -256,6 +239,23 @@ def _downsample_graph(
     return ad.mixk(att, yw)
 
 
+def _recon_loss(
+    base: Tensor,
+    levels: Sequence[Tensor],
+    image_hw: tuple[int, int],
+    downs: Sequence[_Down],
+    patch: int,
+) -> Tensor:
+    """Half the sum over ``levels`` of the mean squared difference between
+    each level's downsampled reconstruction and ``base``."""
+    total = None
+    for feats, dp in zip(levels, downs):
+        diff = ad.sub(_downsample_graph(feats, image_hw, dp, patch), base)
+        term = ad.mean(ad.mul(diff, diff))
+        total = term if total is None else ad.add(total, term)
+    return ad.mul(total, 0.5)
+
+
 def _pyramid_loss_graph(
     f0: np.ndarray,
     guides: Sequence[np.ndarray],
@@ -266,15 +266,10 @@ def _pyramid_loss_graph(
     patch: int,
 ) -> Tensor:
     base = Tensor(f0)
-    cur = base
-    total = None
-    for kern, dp, guide in zip(kernels, downs, guides):
-        cur = _guided_upsample_graph(cur, guide, kern, radius)
-        rec = _downsample_graph(cur, image_hw, dp, patch)
-        diff = ad.sub(rec, base)
-        term = ad.mean(ad.mul(diff, diff))
-        total = term if total is None else ad.add(total, term)
-    return ad.mul(total, 0.5)
+    levels = [base]
+    for kern, guide in zip(kernels, guides):
+        levels.append(_guided_upsample_graph(levels[-1], guide, kern, radius))
+    return _recon_loss(base, levels[1:], image_hw, downs, patch)
 
 
 def jbu_upsample(
@@ -293,7 +288,7 @@ def jbu_upsample(
             f"guide dims {guide.width}x{guide.height} do not match 2x feature dims "
             f"{2 * f_level.width}x{2 * f_level.height}"
         )
-    kern = _wrap_kernel(params.levels[lvl])
+    kern = _wrap_level(params.levels[lvl], _Kernel)
     out = _guided_upsample_graph(
         Tensor(f_level.data.astype(np.float64)),
         guide.pixels.astype(np.float64),
@@ -303,20 +298,10 @@ def jbu_upsample(
     return FeatureMap(out.data.astype(np.float32), level=lvl + 1, origin=f_level.origin)
 
 
-def _wrap_kernel(lk: LevelKernel) -> _Kernel:
-    return _Kernel(
-        Tensor(lk.proj_w), Tensor(lk.proj_b), Tensor(lk.log_sigma_dist), Tensor(lk.log_sigma_sim)
-    )
-
-
-def _wrap_down(ld: LevelDown) -> _Down:
-    return _Down(Tensor(ld.gamma), Tensor(ld.beta), Tensor(ld.sal_w), Tensor(ld.sal_b))
-
-
 def jbu_kernel_weights(guide: Image, params: VdimParams, level: int) -> np.ndarray:
     """The (gh, gw, K) renormalized neighbor weights for one level; rows sum to 1."""
     lk = params.levels[level]
-    proj = _guide_proj_graph(guide.pixels.astype(np.float64), _wrap_kernel(lk)).data
+    proj = _guide_proj_graph(guide.pixels.astype(np.float64), _wrap_level(lk, _Kernel)).data
     return ad._guided_weights(proj, lk.log_sigma_dist, lk.log_sigma_sim, params.radius)[0]
 
 
@@ -330,7 +315,7 @@ def attention_downsample(
     """
     if f_high.level < 1 or f_high.level - 1 >= len(params.levels):
         raise ValueError(f"no downsampler for level {f_high.level}")
-    dp = _wrap_down(params.levels[f_high.level - 1])
+    dp = _wrap_level(params.levels[f_high.level - 1], _Down)
     out = _downsample_graph(
         Tensor(f_high.data.astype(np.float64)), tuple(image_dims), dp, params.patch
     )
@@ -344,17 +329,15 @@ def mlr_loss(
     of the per-element mean squared difference to the base map."""
     if len(isp.levels) < 2:
         raise ValueError("mlr_loss needs the full pyramid")
-    base = Tensor(isp.levels[0].data.astype(np.float64))
-    total = None
-    for fmap in isp.levels[1:]:
-        dp = _wrap_down(down.levels[fmap.level - 1])
-        rec = _downsample_graph(
-            Tensor(fmap.data.astype(np.float64)), tuple(image_dims), dp, down.patch
-        )
-        diff = ad.sub(rec, base)
-        term = ad.mean(ad.mul(diff, diff))
-        total = term if total is None else ad.add(total, term)
-    return 0.5 * total.item()
+    uppers = isp.levels[1:]
+    loss = _recon_loss(
+        Tensor(isp.levels[0].data.astype(np.float64)),
+        [Tensor(fmap.data.astype(np.float64)) for fmap in uppers],
+        tuple(image_dims),
+        [_wrap_level(down.levels[fmap.level - 1], _Down) for fmap in uppers],
+        down.patch,
+    )
+    return loss.item()
 
 
 def build_isp(

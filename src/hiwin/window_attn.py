@@ -10,13 +10,14 @@ matches the map.  Each learnable query attends only to the RoI samples of
 its own window set, concatenated across levels, so a token depends on
 exactly its window's content.
 
-RoI sampling convention (shared with the test oracles): boxes are clamped to
-map bounds and split into r_h x r_w bins; one bilinear sample is taken per
-bin at the bin center, with the sample coordinate clamped half a cell inside
-the box so the interpolation support never crosses the window boundary
-(boxes narrower than one cell sample at their midpoint).  Coordinates are
-continuous with half-pixel centers: cell (p, q) is centered at
-(q + 0.5, p + 0.5).
+RoI sampling convention: boxes are clamped to map bounds and split into
+r_h x r_w bins; one bilinear sample is taken per bin at the bin center, with
+the sample coordinate clamped half a cell inside the box so the
+interpolation support never crosses the window boundary (boxes narrower
+than one cell sample at their midpoint).  Coordinates are continuous with
+half-pixel centers: cell (p, q) is centered at (q + 0.5, p + 0.5).  The
+scalar reference for this rule and for the grid choice is in
+:mod:`hiwin.selfcheck`, which ``selftest`` and the tests both use.
 """
 
 from __future__ import annotations
@@ -159,32 +160,27 @@ def generate_windows(level_dims: Sequence[tuple[int, int]], n: int) -> WindowSet
     return WindowSet(boxes=boxes)
 
 
-def _inset_clamp(coords: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    # keep the two-cell bilinear support inside [lo, hi]; sub-cell spans
-    # collapse to the midpoint
-    if hi - lo >= 1.0:
-        return np.clip(coords, lo + 0.5, hi - 0.5)
-    return np.full_like(coords, (lo + hi) / 2.0)
-
-
 def _roi_points(
-    box: Sequence[float], grid: tuple[int, int], map_w: int, map_h: int
+    boxes: np.ndarray | Sequence[float], grid: tuple[int, int], map_w: int, map_h: int
 ) -> np.ndarray:
-    """Sample coordinates (r_h, r_w, 2) as (x, y) for one box."""
+    """Sample coordinates (..., r_h, r_w, 2) as (x, y) for boxes (..., 4)."""
     rw, rh = grid
-    x0 = float(np.clip(box[0], 0.0, map_w))
-    y0 = float(np.clip(box[1], 0.0, map_h))
-    x1 = float(np.clip(box[2], 0.0, map_w))
-    y1 = float(np.clip(box[3], 0.0, map_h))
-    if x1 <= x0 or y1 <= y0:
-        raise ValueError(f"zero-area box {tuple(box)}")
-    cx = x0 + (np.arange(rw, dtype=np.float64) + 0.5) * (x1 - x0) / rw
-    cy = y0 + (np.arange(rh, dtype=np.float64) + 0.5) * (y1 - y0) / rh
-    cx = _inset_clamp(cx, x0, x1)
-    cy = _inset_clamp(cy, y0, y1)
-    pts = np.empty((rh, rw, 2), dtype=np.float64)
-    pts[:, :, 0] = cx[None, :]
-    pts[:, :, 1] = cy[:, None]
+    raw = np.asarray(boxes, dtype=np.float64)
+    b = np.clip(raw, 0.0, (map_w, map_h, map_w, map_h))
+    empty = (b[..., 2] <= b[..., 0]) | (b[..., 3] <= b[..., 1])
+    if empty.any():
+        raise ValueError(f"zero-area box {tuple(raw.reshape(-1, 4)[np.argmax(empty)].tolist())}")
+
+    def centers(lo: np.ndarray, hi: np.ndarray, r: int) -> np.ndarray:
+        lo, hi = lo[..., None], hi[..., None]
+        c = lo + (np.arange(r, dtype=np.float64) + 0.5) * (hi - lo) / r
+        # keep the two-cell bilinear support inside [lo, hi]; sub-cell spans
+        # collapse to the midpoint
+        return np.where(hi - lo >= 1.0, np.clip(c, lo + 0.5, hi - 0.5), (lo + hi) / 2.0)
+
+    pts = np.empty(b.shape[:-1] + (rh, rw, 2), dtype=np.float64)
+    pts[..., 0] = centers(b[..., 0], b[..., 2], rw)[..., None, :]
+    pts[..., 1] = centers(b[..., 1], b[..., 3], rh)[..., :, None]
     return pts
 
 
@@ -256,13 +252,14 @@ def _nominal_sample_coords(n: int, grid: tuple[int, int]) -> np.ndarray:
     return pts.reshape(n * n, rh * rw, 2)
 
 
-def _assemble_all(
+def assemble_kv(
     isp: FeaturePyramid,
     windows: WindowSet,
     grid: tuple[int, int],
     params: AttnParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Keys and values for every window: (n^2, levels*S, C) each.
+    """Keys and values for every window: (n^2, levels*S, C) each, rows in
+    window order ``i * n + j``.
 
     Keys carry the level embedding per level block plus the positional
     embedding of each sample point's normalized coordinate; values are the
@@ -273,9 +270,7 @@ def _assemble_all(
     s = rw * rh
     keys, vals = [], []
     for lvl, fmap in enumerate(isp.levels):
-        h, w = fmap.height, fmap.width
-        boxes = windows.boxes[lvl].reshape(-1, 4)
-        pts = np.stack([_roi_points(b, grid, w, h) for b in boxes])  # (n^2, rh, rw, 2)
+        pts = _roi_points(windows.boxes[lvl], grid, fmap.width, fmap.height)  # (n, n, rh, rw, 2)
         samples = _bilinear_sample(fmap.data, pts.reshape(n * n, s, 2))
         keys.append(samples + params.level_emb[lvl])
         vals.append(samples)
@@ -283,20 +278,6 @@ def _assemble_all(
     k = np.concatenate(keys, axis=1) + np.concatenate([zeta] * len(isp.levels), axis=1)
     v = np.concatenate(vals, axis=1)
     return k, v
-
-
-def assemble_kv(
-    isp: FeaturePyramid,
-    windows: WindowSet,
-    grid: tuple[int, int],
-    params: AttnParams,
-    index: tuple[int, int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Key and value stacks (levels*S, C) for window (i, j)."""
-    i, j = index
-    k, v = _assemble_all(isp, windows, grid, params)
-    flat = i * windows.grid_side + j
-    return k[flat], v[flat]
 
 
 def cross_attention(
@@ -346,7 +327,7 @@ def compress(isp: FeaturePyramid, params: AttnParams, config: HiwinConfig) -> To
     base = isp.levels[0]
     grid = select_grid(base.width, base.height, config.proposals)
     windows = generate_windows([(f.height, f.width) for f in isp.levels], n)
-    k, v = _assemble_all(isp, windows, grid, params)
+    k, v = assemble_kv(isp, windows, grid, params)
     ij = (np.arange(n, dtype=np.float64) + 0.5) / n
     centers = np.stack(np.meshgrid(ij, ij, indexing="xy"), axis=-1).reshape(n * n, 2)
     q = params.queries.reshape(n * n, -1) + position_embedding_2d(centers, base.channels)

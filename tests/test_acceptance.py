@@ -14,6 +14,7 @@ from hiwin.encoder import EncoderSpec, FeatureMap, encode, load_features
 from hiwin.image_io import Image, build_image_pyramid, load_ppm, save_ppm, synth_corpus
 from hiwin.numerics import grad_check
 from hiwin.pipeline import PipelineConfig, baseline_resampler, run_pipeline
+from hiwin.selfcheck import scalar_grid_choice, scalar_roi_align
 from hiwin.slicing import compute_slice_layout
 from hiwin.vdim import (
     DownsamplerParams,
@@ -35,8 +36,6 @@ from hiwin.window_attn import (
     roi_align,
     select_grid,
 )
-
-from helpers import scalar_grid_choice, scalar_roi_align
 
 
 def criterion(name):

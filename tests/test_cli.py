@@ -1,11 +1,15 @@
 """Command-line surface: outputs, file artifacts, exit codes, seeding."""
 
+import numpy as np
 import pytest
 
+from hiwin.checkpoint import save_checkpoint
 from hiwin.cli import main
 from hiwin.image_io import Image, load_ppm, save_ppm, synth_corpus
 from hiwin.numerics import bilinear_resize
 from hiwin.token_org import load_tokens
+from hiwin.vdim import DownsamplerParams, VdimParams
+from hiwin.window_attn import AttnParams, HiwinConfig
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +183,52 @@ def test_unparsable_env_seed_is_usage_error(ckpt, image_336, tmp_path, capsys, m
     assert not out.exists()
     # --seed overrides the environment, so the bad value is never read
     assert main(["compress", "--image", str(image_336), "--ckpt", str(ckpt), "--out", str(out), "--seed", "9"]) == 0
+
+
+def small_params(grid_side=12, attn_channels=8):
+    vdim = VdimParams.init(d_proj=4, seed=5)
+    down = DownsamplerParams.init(8, seed=5)
+    attn = AttnParams.init(HiwinConfig(grid_side=grid_side, channels=attn_channels), seed=5)
+    return vdim, down, attn
+
+
+def test_checkpoint_grid_side_sets_tokens_per_unit(image_336, tmp_path, capsys):
+    vdim, down, attn = small_params(grid_side=8)
+    path = tmp_path / "n8.ckpt"
+    save_checkpoint(path, vdim, down, attn=attn)
+    out = tmp_path / "n8.toks"
+    assert main(["compress", "--image", str(image_336), "--ckpt", str(path), "--out", str(out)]) == 0
+    assert "tokens: 128" in capsys.readouterr().out  # overview + one slice, 8x8 each
+    assert load_tokens(out).overview.shape == (8, 8, 8)
+
+
+def _mis_shape(vdim, down, attn, field):
+    if field == "down1.beta":
+        down.levels[0].beta = np.zeros(5)
+    elif field == "upsample2.log_sigma_sim":
+        vdim.levels[1].log_sigma_sim = np.zeros(1)
+    elif field == "level_emb":
+        attn.level_emb = np.zeros((2, 8))
+    else:
+        setattr(attn, field, np.zeros((8, 5)))
+
+
+@pytest.mark.parametrize("field", ["down1.beta", "upsample2.log_sigma_sim", "level_emb", "wq"])
+def test_mis_shaped_checkpoint_tensor_exits_3_naming_it(field, image_336, tmp_path, capsys):
+    vdim, down, attn = small_params()
+    _mis_shape(vdim, down, attn, field)
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, vdim, down, attn=attn)
+    out = tmp_path / "bad.toks"
+    assert main(["compress", "--image", str(image_336), "--ckpt", str(path), "--out", str(out)]) == 3
+    assert f"checkpoint tensor {field} has shape" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_attention_channels_must_match_checkpoint_channels(image_336, tmp_path, capsys):
+    vdim, down, attn = small_params(attn_channels=4)
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, vdim, down, attn=attn)
+    out = tmp_path / "bad.toks"
+    assert main(["compress", "--image", str(image_336), "--ckpt", str(path), "--out", str(out)]) == 3
+    assert "attention channels 4" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 
 from hiwin.checkpoint import load_checkpoint, save_checkpoint
 from hiwin.encoder import EncoderSpec, FeatureMap
+from hiwin.formats import DataFormatError
 from hiwin.image_io import Image, synth_corpus
 from hiwin.numerics import bilinear_resize
 from hiwin.pipeline import (
@@ -163,6 +164,30 @@ class TestCheckpoint:
         save_checkpoint(path, vdim, down)
         ckpt = load_checkpoint(path)
         assert ckpt.attn is None
+
+    def test_attention_header_heads_must_divide_channels(self, tmp_path):
+        vdim = VdimParams.init(d_proj=6, seed=12)
+        down = DownsamplerParams.init(8, seed=12)
+        attn = AttnParams.init(HiwinConfig(channels=8), seed=12)
+        for heads in (0, 3):
+            path = tmp_path / f"h{heads}.ckpt"
+            save_checkpoint(path, vdim, down, attn=attn, heads=heads)
+            with pytest.raises(DataFormatError, match=f"heads={heads}"):
+                load_checkpoint(path)
+
+    def test_header_larger_than_the_file_is_refused(self, tmp_path):
+        vdim = VdimParams.init(d_proj=6, seed=13)
+        down = DownsamplerParams.init(8, seed=13)
+        attn = AttnParams.init(HiwinConfig(channels=8), seed=13)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, vdim, down, attn=attn)
+        good = path.read_bytes()
+        hatt = good.index(b"HATT")
+        # u32 d_proj, then u32 N of the attention section
+        for offset in (8, hatt + 8):
+            path.write_bytes(good[:offset] + (2**31).to_bytes(4, "little") + good[offset + 4 :])
+            with pytest.raises(DataFormatError, match="truncated checkpoint"):
+                load_checkpoint(path)
 
     def test_save_is_deterministic(self, tmp_path):
         vdim = VdimParams.init(d_proj=6, seed=11)

@@ -6,6 +6,7 @@ import pytest
 
 from hiwin.encoder import FeatureMap
 from hiwin.numerics import softmax
+from hiwin.selfcheck import scalar_grid_choice, scalar_roi_align
 from hiwin.vdim import FeaturePyramid
 from hiwin.window_attn import (
     AttnParams,
@@ -19,8 +20,6 @@ from hiwin.window_attn import (
     roi_align,
     select_grid,
 )
-
-from helpers import scalar_grid_choice, scalar_roi_align
 
 
 def random_pyramid(seed, base_h=24, base_w=24, channels=8, origin="overview"):
@@ -128,9 +127,22 @@ class TestAssembleKv:
         isp = random_pyramid(0)
         ws = generate_windows([(m.height, m.width) for m in isp.levels], 12)
         params = AttnParams.init(HiwinConfig(channels=8), seed=0)
-        k, v = assemble_kv(isp, ws, (3, 3), params, (4, 7))
-        assert k.shape == (27, 8)
-        assert v.shape == (27, 8)
+        k, v = assemble_kv(isp, ws, (3, 3), params)
+        assert k.shape == (144, 27, 8)
+        assert v.shape == (144, 27, 8)
+
+    def test_value_rows_equal_roi_align_of_each_window(self):
+        isp = random_pyramid(14, base_h=10, base_w=14, channels=4)
+        n = 5
+        ws = generate_windows([(m.height, m.width) for m in isp.levels], n)
+        grid = select_grid(14, 10)
+        s = grid[0] * grid[1]
+        _, v = assemble_kv(isp, ws, grid, AttnParams.init(HiwinConfig(grid_side=n, channels=4)))
+        for lvl, fmap in enumerate(isp.levels):
+            for i in range(n):
+                for j in range(n):
+                    want = roi_align(fmap, ws.boxes[lvl][i, j], grid).reshape(s, 4)
+                    assert np.array_equal(v[i * n + j, lvl * s : (lvl + 1) * s], want)
 
     def test_zero_level_embeddings_make_blocks_identical(self):
         # constant features at every level sample to the same values
@@ -142,8 +154,8 @@ class TestAssembleKv:
         ws = generate_windows([(m.height, m.width) for m in isp.levels], 3)
         params = AttnParams.init(HiwinConfig(grid_side=3, channels=4), seed=1)
         params.level_emb[:] = 0.0
-        k, _ = assemble_kv(isp, ws, (2, 2), params, (1, 2))
-        blocks = k.reshape(3, 4, 4)
+        k, _ = assemble_kv(isp, ws, (2, 2), params)
+        blocks = k[1 * 3 + 2].reshape(3, 4, 4)
         np.testing.assert_allclose(blocks[1], blocks[0], atol=1e-6)
         np.testing.assert_allclose(blocks[2], blocks[0], atol=1e-6)
 
@@ -151,10 +163,10 @@ class TestAssembleKv:
         isp = random_pyramid(3, base_h=6, base_w=6, channels=4)
         ws = generate_windows([(m.height, m.width) for m in isp.levels], 3)
         params = AttnParams.init(HiwinConfig(grid_side=3, channels=4), seed=2)
-        k1, _ = assemble_kv(isp, ws, (2, 2), params, (0, 0))
+        k1 = assemble_kv(isp, ws, (2, 2), params)[0][0]
         swapped = AttnParams.init(HiwinConfig(grid_side=3, channels=4), seed=2)
         swapped.level_emb[[1, 2]] = params.level_emb[[2, 1]]
-        k2, _ = assemble_kv(isp, ws, (2, 2), swapped, (0, 0))
+        k2 = assemble_kv(isp, ws, (2, 2), swapped)[0][0]
         s = 4  # samples per level
         np.testing.assert_allclose(
             k2[s : 2 * s] - k1[s : 2 * s],
@@ -199,7 +211,7 @@ class TestCompress:
         params = AttnParams.init(config, seed=5)
         ws = generate_windows([(m.height, m.width) for m in isp.levels], 1)
         grid = select_grid(1, 1, config.proposals)
-        k, v = assemble_kv(isp, ws, grid, params, (0, 0))
+        k, v = (a[0] for a in assemble_kv(isp, ws, grid, params))
 
         q = params.queries.reshape(1, 4) + position_embedding_2d(np.array([[0.5, 0.5]]), 4)
         qp = q @ params.wq + params.bq
