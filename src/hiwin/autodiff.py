@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .numerics import NumericalError, softmax as _softmax
+
 __all__ = [
     "NumericalError",
     "Tensor",
     "add",
     "as_tensor",
     "backward",
-    "div",
-    "exp",
     "guided_mix",
     "interp2d",
     "matmul",
@@ -36,10 +36,6 @@ __all__ = [
     "transpose",
     "tsum",
 ]
-
-
-class NumericalError(ArithmeticError):
-    """A computation that must stay finite produced NaN or inf."""
 
 
 class Tensor:
@@ -129,28 +125,6 @@ def mul(a, b) -> Tensor:
     return _node(a.data * b.data, (a, b), vjp)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def vjp(g):
-        return (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        )
-
-    return _node(a.data / b.data, (a, b), vjp)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def vjp(g):
-        return (g * out_data,)
-
-    return _node(out_data, (a,), vjp)
-
-
 def matmul(a, b) -> Tensor:
     """2-D matrix product with gradients for both operands."""
     a, b = as_tensor(a), as_tensor(b)
@@ -176,14 +150,10 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _node(data, (a,), vjp)
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a) -> Tensor:
+    """Mean over every entry."""
     a = as_tensor(a)
-    if axis is None:
-        n = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([a.data.shape[i] for i in axes]))
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(tsum(a), 1.0 / a.data.size)
 
 
 def reshape(a, shape) -> Tensor:
@@ -210,9 +180,7 @@ def transpose(a, axes) -> Tensor:
 def softmax(a, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis`` (max subtraction)."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(a.data, axis)
 
     def vjp(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
@@ -319,8 +287,7 @@ def _guided_weights(proj: np.ndarray, log_sigma_dist, log_sigma_sim, radius: int
             )
     sigma_sim = np.exp(log_sigma_sim)
     logits /= sigma_sim * sigma_sim
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    sim = e / e.sum(axis=-1, keepdims=True)
+    sim = _softmax(logits)
     sigma_dist = np.exp(log_sigma_dist)
     spatial = np.exp((-0.5 * _offset_dist2(radius)) / (sigma_dist * sigma_dist))
     u = sim * spatial

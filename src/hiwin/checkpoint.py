@@ -16,13 +16,12 @@ disagrees.  A checkpoint without an attention section implies N = 12.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable
 
 import numpy as np
 
-from .formats import DataFormatError, read_array, read_u32, write_array, write_u32
+from .formats import DataFormatError, check_room, read_array, read_u32, write_array, write_u32
 from .vdim import DownsamplerParams, LevelDown, LevelKernel, VdimParams, trainable_arrays
 from .window_attn import AttnParams
 
@@ -69,17 +68,6 @@ def save_checkpoint(
                 write_array(f, getattr(attn, name))
 
 
-def _check_room(f: BinaryIO, floats: int, section: str) -> None:
-    """Refuse a header that implies more tensor data than the file holds,
-    before arrays of that size are allocated."""
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if 4 * floats > left:
-        raise DataFormatError(
-            f"truncated checkpoint: the {section} header implies at least "
-            f"{4 * floats} more bytes, {left} remain"
-        )
-
-
 def _vdim_template(d_proj: int, channels: int, levels: int) -> tuple[VdimParams, DownsamplerParams]:
     """Uninitialized header-shaped parameters for the VDIM section to fill."""
     e = np.empty
@@ -117,7 +105,9 @@ def load_checkpoint(path, levels: int = 2) -> Checkpoint:
             raise DataFormatError(f"unsupported checkpoint version {version}")
         d_proj = read_u32(f, "d_proj")
         channels = read_u32(f, "channels")
-        _check_room(f, d_proj + channels, "VDIM")
+        # the header's tensors hold at least these floats; refuse a header
+        # the file cannot back before allocating them
+        check_room(f, 4 * (d_proj + channels), "checkpoint VDIM tensors")
         vdim, down = _vdim_template(d_proj, channels, levels)
         _read_into(f, trainable_arrays(vdim, down))
 
@@ -139,7 +129,8 @@ def load_checkpoint(path, levels: int = 2) -> Checkpoint:
                 raise DataFormatError(
                     f"bad attention header: N={grid_side}, heads={heads}, C={channels}"
                 )
-            _check_room(f, grid_side * grid_side * channels + channels * channels, "HATT")
+            attn_floats = grid_side * grid_side * channels + channels * channels
+            check_room(f, 4 * attn_floats, "checkpoint HATT tensors")
             attn = _attn_template(grid_side, channels, levels + 1)
             _read_into(f, ((name, getattr(attn, name)) for name in _ATTN_FIELDS))
         elif tag != b"":

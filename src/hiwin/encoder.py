@@ -4,7 +4,8 @@ The synthetic encoder stands in for a frozen patch transformer: it flattens
 non-overlapping 14x14 patches, applies a fixed seeded linear map, and
 squashes with tanh.  It is a pure function of (pixels, seed, channels), so a
 constant image yields a spatially constant map.  Real features exported from
-elsewhere can be loaded from ISPF files and driven through the same pipeline.
+elsewhere come in as ISPF files: :func:`load_features` reads each level, and
+a :class:`~hiwin.vdim.FeaturePyramid` of them goes straight to compression.
 
 ISPF file format (little-endian): magic ``ISPF``, u32 version=1, u32 level,
 u32 h, u32 w, u32 C, then h*w*C float32 values row-major, channel-fastest.
@@ -62,17 +63,11 @@ class FeatureMap:
 
 @dataclass
 class EncoderSpec:
-    """Configuration for the feature source.
+    """Configuration of the seeded synthetic patch encoder."""
 
-    ``kind`` is "synthetic" (seeded patch projection) or "file" (features
-    read from ``feature_path``, validated against the image dims).
-    """
-
-    kind: str = "synthetic"
     patch: int = 14
     channels: int = 64
     seed: int = 0
-    feature_path: str | None = None
 
 
 def _patch_projection(spec: EncoderSpec) -> np.ndarray:
@@ -87,18 +82,6 @@ def encode(image: Image, spec: EncoderSpec, origin: str = "overview") -> Feature
         raise ValueError(
             f"image dims {image.width}x{image.height} are not multiples of patch {p}"
         )
-    if spec.kind == "file":
-        if spec.feature_path is None:
-            raise ValueError("file-backed encoder needs feature_path")
-        fmap = load_features(spec.feature_path)
-        if (fmap.height, fmap.width) != (image.height // p, image.width // p):
-            raise DataFormatError(
-                f"feature dims {fmap.height}x{fmap.width} do not match image "
-                f"{image.height // p}x{image.width // p}"
-            )
-        return FeatureMap(fmap.data, level=0, origin=origin)
-    if spec.kind != "synthetic":
-        raise ValueError(f"unknown encoder kind {spec.kind!r}")
     nh, nw = image.height // p, image.width // p
     patches = (
         image.pixels.astype(np.float64)

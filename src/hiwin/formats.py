@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from typing import BinaryIO
 
@@ -9,6 +11,7 @@ import numpy as np
 
 __all__ = [
     "DataFormatError",
+    "check_room",
     "expect_magic",
     "read_array",
     "read_exact",
@@ -22,11 +25,20 @@ class DataFormatError(ValueError):
     """A file does not match its declared binary format."""
 
 
+def check_room(f: BinaryIO, n: int, what: str) -> None:
+    """Refuse ``n`` more bytes of ``what`` when fewer are left in the file,
+    before anything of that size is allocated or read."""
+    here = f.tell()
+    left = f.seek(0, os.SEEK_END) - here
+    f.seek(here)
+    if n > left:
+        raise DataFormatError(f"truncated {what}: expected {n} bytes, got {left}")
+
+
 def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise DataFormatError(f"truncated {what}: expected {n} bytes, got {len(buf)}")
-    return buf
+    """The next ``n`` bytes; a length the file cannot hold is refused first."""
+    check_room(f, n, what)
+    return f.read(n)
 
 
 def write_u32(f: BinaryIO, value: int) -> None:
@@ -55,6 +67,6 @@ def write_array(f: BinaryIO, arr: np.ndarray) -> None:
 def read_array(f: BinaryIO, what: str = "tensor") -> np.ndarray:
     rank = read_u32(f, f"{what} rank")
     dims = tuple(read_u32(f, f"{what} dim") for _ in range(rank))
-    count = int(np.prod(dims)) if dims else 1
+    count = math.prod(dims)
     payload = read_exact(f, count * 4, f"{what} payload")
     return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()

@@ -30,6 +30,7 @@ __all__ = [
     "resize_image",
     "resize_to_patch_multiple",
     "save_ppm",
+    "snap_to_patch",
     "strokes_image",
     "synth_corpus",
 ]
@@ -127,13 +128,12 @@ def load_ppm(path) -> Image:
         raise PpmError("missing single whitespace after maxval", pos)
     pos += 1
     expected = width * height * 3
-    payload = data[pos : pos + expected]
-    if len(payload) != expected:
+    if len(data) - pos < expected:
         raise PpmError(
-            f"truncated pixel data: expected {expected} bytes, got {len(payload)}",
-            pos + len(payload),
+            f"truncated pixel data: expected {expected} bytes, got {len(data) - pos}",
+            len(data),
         )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+    pixels = np.frombuffer(data, np.uint8, count=expected, offset=pos).reshape(height, width, 3)
     return Image(pixels.astype(np.float32) / 255.0)
 
 
@@ -148,17 +148,15 @@ def resize_image(image: Image, out_w: int, out_h: int) -> Image:
     return Image(bilinear_resize(image.pixels, out_h, out_w))
 
 
-def resize_to_patch_multiple(
-    image: Image, patch: int = 14, min_side: int = 56, max_side: int = 336
-) -> Image:
-    """Resize so each side is the nearest multiple of ``patch`` within bounds."""
-    lo = max(1, int(np.ceil(min_side / patch)))
-    hi = max_side // patch
-    out = []
-    for side in (image.width, image.height):
-        cells = int(np.clip(round(side / patch), lo, hi))
-        out.append(cells * patch)
-    return resize_image(image, out[0], out[1])
+def snap_to_patch(side: int) -> int:
+    """The multiple of the 14-pixel encoder patch nearest to ``side``,
+    clamped to [56, 336]."""
+    return int(np.clip(round(side / 14), 4, 24)) * 14
+
+
+def resize_to_patch_multiple(image: Image) -> Image:
+    """Resize so each side is :func:`snap_to_patch` of itself."""
+    return resize_image(image, snap_to_patch(image.width), snap_to_patch(image.height))
 
 
 def build_image_pyramid(image: Image, patch: int = 14, levels: int = 3) -> ImagePyramid:

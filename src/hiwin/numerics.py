@@ -1,31 +1,36 @@
-"""Dense-array numerics: resampling, stable softmax, optimizer, gradient
-checks, and the PCA feature renderer.
+"""Dense-array numerics: the bilinear sampling rule, stable softmax,
+optimizer, gradient checks, and the PCA feature renderer.
 
-Everything here works on plain ndarrays; interop with the differentiation
-graph happens through :func:`grad_check` and the shared
-:func:`resize_matrix` sampling convention (align-corners=false, clamp to
-edge), which every whole-map resize in the package uses, in training as in
-inference.  The RoI point lookups of window attention are separate
-(``window_attn._bilinear_sample``); they follow the same half-pixel
-convention and are checked against :func:`hiwin.selfcheck.scalar_bilinear_at`.
-Accumulation is done in float64; results are cast back to the caller's
-dtype.
+Everything here works on plain ndarrays.  Every bilinear lookup in the
+package, in whole-map resizes as in RoI samples, takes its taps from
+:func:`bilinear_taps` (half-pixel centers, clamped to the edge, two taps per
+axis).  :func:`bilinear_resize` and the RoI sampler of
+:mod:`hiwin.window_attn` apply them with :func:`lerp`, one axis at a time;
+:func:`resize_matrix` writes them into the dense matrices with which
+``autodiff.interp2d`` lifts feature maps, in training as in inference.  The
+scalar references are :func:`hiwin.selfcheck.scalar_bilinear_at` and
+``tests/helpers.scalar_resize``.  Interpolation runs in float64; results are
+cast back to the caller's dtype.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .autodiff import NumericalError, Tensor
+if TYPE_CHECKING:
+    from .autodiff import Tensor
 
 __all__ = [
     "AdamState",
+    "NumericalError",
     "adam_step",
     "bilinear_resize",
+    "bilinear_taps",
     "grad_check",
+    "lerp",
     "pca_rgb",
     "power_iteration_components",
     "resize_matrix",
@@ -33,20 +38,51 @@ __all__ = [
 ]
 
 
+class NumericalError(ArithmeticError):
+    """A computation that must stay finite produced NaN or inf."""
+
+
+_Taps = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def bilinear_taps(coords, size: int) -> _Taps:
+    """The two taps ``(i0, i1, frac)`` of linear lookups along one axis.
+
+    ``coords`` are continuous positions in cells with half-pixel centers
+    (cell q is centered at q + 0.5) on an axis of ``size`` cells.  A
+    position is clamped to the outer cell centers; it reads
+    ``(1 - frac) * a[i0] + frac * a[i1]``.  Where ``frac == 0``, ``i1 == i0``,
+    so a zero-weight tap never reads a cell outside the sampled span.
+    """
+    x = np.clip(np.asarray(coords, dtype=np.float64) - 0.5, 0.0, size - 1.0)
+    i0 = np.floor(x).astype(np.int64)
+    frac = x - i0
+    return i0, np.where(frac > 0, i0 + 1, i0), frac
+
+
+def lerp(a: np.ndarray, taps: _Taps, axis: int) -> np.ndarray:
+    """Apply 1-D :func:`bilinear_taps` along ``axis`` of ``a``, in float64."""
+    i0, i1, frac = taps
+    f = frac.reshape(frac.shape + (1,) * (a.ndim - axis - 1))
+    return (1 - f) * np.take(a, i0, axis=axis) + f * np.take(a, i1, axis=axis)
+
+
+def _resize_taps(n_in: int, n_out: int) -> _Taps:
+    """Taps of an align-corners=false resize: output sample i reads the
+    source at ``(i + 0.5) * n_in / n_out`` in half-pixel coordinates."""
+    return bilinear_taps((np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out), n_in)
+
+
 def resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     """1-D bilinear interpolation matrix of shape (n_out, n_in).
 
-    Output sample i reads the source at ``(i + 0.5) * n_in / n_out - 0.5``
-    clamped to ``[0, n_in - 1]`` (align-corners=false), so constant inputs
-    are preserved exactly and ``n_out == n_in`` yields the identity.
+    Row i holds the two taps of :func:`_resize_taps`, so constant inputs
+    are preserved exactly and ``n_out == n_in`` yields the identity.  It is
+    dense because ``autodiff.interp2d`` applies its transpose in the VJP.
     """
     if n_in < 1 or n_out < 1:
         raise ValueError("resize_matrix requires positive sizes")
-    src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
-    src = np.clip(src, 0.0, n_in - 1.0)
-    i0 = np.floor(src).astype(np.int64)
-    frac = src - i0
-    i1 = np.minimum(i0 + 1, n_in - 1)
+    i0, i1, frac = _resize_taps(n_in, n_out)
     m = np.zeros((n_out, n_in), dtype=np.float64)
     rows = np.arange(n_out)
     np.add.at(m, (rows, i0), 1.0 - frac)
@@ -57,7 +93,10 @@ def resize_matrix(n_in: int, n_out: int) -> np.ndarray:
 def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resample an (H, W, C) or (H, W) array to (out_h, out_w).
 
-    Identical input and output dims return an exact copy.
+    Two :func:`lerp` passes, columns then rows, read only the source cells
+    their taps name, so no resampling matrix and no float64 copy of the
+    whole input are built.  Identical input and output dims return an exact
+    copy.
     """
     src = np.asarray(src)
     if src.ndim == 2:
@@ -71,11 +110,8 @@ def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         raise ValueError("bilinear_resize: output dims must be positive")
     if (out_h, out_w) == (h, w):
         return src.copy()
-    rm = resize_matrix(h, out_h)
-    cm = resize_matrix(w, out_w)
-    tmp = np.tensordot(rm, src.astype(np.float64), axes=(1, 0))
-    out = np.tensordot(cm, tmp, axes=(1, 1)).transpose(1, 0, 2)
-    return np.ascontiguousarray(out).astype(src.dtype)
+    cols = lerp(src, _resize_taps(w, out_w), axis=1)
+    return lerp(cols, _resize_taps(h, out_h), axis=0).astype(src.dtype, copy=False)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -13,14 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .image_io import Image, resize_image
+from .image_io import Image, resize_image, snap_to_patch
 
 __all__ = ["SliceLayout", "compute_slice_layout", "extract_slices"]
 
 OVERVIEW_SIDE = 336
-PATCH = 14
 MIN_SLICE_SIDE = 56
 
 
@@ -42,11 +39,6 @@ class SliceLayout:
     @property
     def count(self) -> int:
         return self.rows * self.cols
-
-
-def _snap_side(side: int) -> int:
-    cells = int(np.clip(round(side / PATCH), MIN_SLICE_SIDE // PATCH, OVERVIEW_SIDE // PATCH))
-    return cells * PATCH
 
 
 def compute_slice_layout(width: int, height: int, max_slices: int = 6) -> SliceLayout:
@@ -80,7 +72,7 @@ def compute_slice_layout(width: int, height: int, max_slices: int = 6) -> SliceL
         for j in range(cols):
             rect = (xs[j], ys[i], xs[j + 1], ys[i + 1])
             rects.append(rect)
-            dims.append((_snap_side(rect[2] - rect[0]), _snap_side(rect[3] - rect[1])))
+            dims.append((snap_to_patch(rect[2] - rect[0]), snap_to_patch(rect[3] - rect[1])))
     return SliceLayout(rows=rows, cols=cols, rects=rects, slice_dims=dims)
 
 

@@ -16,7 +16,11 @@ the sample coordinate clamped half a cell inside the box so the
 interpolation support never crosses the window boundary (boxes narrower
 than one cell sample at their midpoint).  Coordinates are continuous with
 half-pixel centers: cell (p, q) is centered at (q + 0.5, p + 0.5).  The
-scalar reference for this rule and for the grid choice is in
+lookups use the package's one bilinear rule, :func:`hiwin.numerics.bilinear_taps`
+applied by :func:`hiwin.numerics.lerp` along x, then y.  Bin centers are
+separable, and the windows of a :class:`WindowSet` form a grid, so each
+level is sampled in one pass over the sample columns and rows of all its
+windows.  The scalar reference for this rule and for the grid choice is in
 :mod:`hiwin.selfcheck`, which ``selftest`` and the tests both use.
 """
 
@@ -28,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .encoder import FeatureMap
-from .numerics import softmax
+from .numerics import bilinear_taps, lerp, softmax
 from .vdim import FeaturePyramid
 
 __all__ = [
@@ -60,15 +64,33 @@ class HiwinConfig:
     channels: int = 64
 
 
-@dataclass
-class WindowSet:
-    """Per-level (n, n, 4) boxes (x0, y0, x1, y1) in level cell coordinates."""
+def _spans(extent: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the n uniform float spans that tile ``[0, extent]``."""
+    lo = np.arange(n, dtype=np.float64) * extent / n
+    return lo, lo + extent / n
 
-    boxes: list[np.ndarray]
+
+@dataclass(frozen=True)
+class WindowSet:
+    """The N x N window grid of every level, kept as the levels' (h, w)
+    extents: window (i, j) spans column ``j`` and row ``i`` of the uniform
+    N-way split of each axis, so every window set is a grid."""
+
+    level_dims: tuple[tuple[int, int], ...]
+    grid_side: int
 
     @property
-    def grid_side(self) -> int:
-        return self.boxes[0].shape[0]
+    def boxes(self) -> list[np.ndarray]:
+        """Per-level (n, n, 4) boxes (x0, y0, x1, y1) in level cell coordinates."""
+        n = self.grid_side
+        out = []
+        for h, w in self.level_dims:
+            (x0, x1), (y0, y1) = _spans(w, n), _spans(h, n)
+            b = np.empty((n, n, 4), dtype=np.float64)
+            b[..., 0], b[..., 2] = x0, x1
+            b[..., 1], b[..., 3] = y0[:, None], y1[:, None]
+            out.append(b)
+        return out
 
 
 @dataclass
@@ -151,60 +173,33 @@ def select_grid(
 def generate_windows(level_dims: Sequence[tuple[int, int]], n: int) -> WindowSet:
     """Uniform N x N float tiling of every level; box (i, j) at level l is
     ``(j*W/n, i*H/n, (j+1)*W/n, (i+1)*H/n)``."""
-    boxes = []
-    for h, w in level_dims:
-        i = np.arange(n, dtype=np.float64)
-        x0 = np.tile(i * w / n, (n, 1))
-        y0 = np.tile((i * h / n)[:, None], (1, n))
-        boxes.append(np.stack([x0, y0, x0 + w / n, y0 + h / n], axis=-1))
-    return WindowSet(boxes=boxes)
+    return WindowSet(tuple((h, w) for h, w in level_dims), n)
 
 
-def _roi_points(
-    boxes: np.ndarray | Sequence[float], grid: tuple[int, int], map_w: int, map_h: int
-) -> np.ndarray:
-    """Sample coordinates (..., r_h, r_w, 2) as (x, y) for boxes (..., 4)."""
-    rw, rh = grid
-    raw = np.asarray(boxes, dtype=np.float64)
-    b = np.clip(raw, 0.0, (map_w, map_h, map_w, map_h))
-    empty = (b[..., 2] <= b[..., 0]) | (b[..., 3] <= b[..., 1])
-    if empty.any():
-        raise ValueError(f"zero-area box {tuple(raw.reshape(-1, 4)[np.argmax(empty)].tolist())}")
-
-    def centers(lo: np.ndarray, hi: np.ndarray, r: int) -> np.ndarray:
-        lo, hi = lo[..., None], hi[..., None]
-        c = lo + (np.arange(r, dtype=np.float64) + 0.5) * (hi - lo) / r
-        # keep the two-cell bilinear support inside [lo, hi]; sub-cell spans
-        # collapse to the midpoint
-        return np.where(hi - lo >= 1.0, np.clip(c, lo + 0.5, hi - 0.5), (lo + hi) / 2.0)
-
-    pts = np.empty(b.shape[:-1] + (rh, rw, 2), dtype=np.float64)
-    pts[..., 0] = centers(b[..., 0], b[..., 2], rw)[..., None, :]
-    pts[..., 1] = centers(b[..., 1], b[..., 3], rh)[..., :, None]
-    return pts
+def _bin_centers(lo: np.ndarray, hi: np.ndarray, r: int, size: int) -> np.ndarray:
+    """RoI sample coordinates (..., r) along one axis of ``size`` cells for
+    spans ``[lo, hi]`` (...,): the spans are clamped to the axis and their
+    r bin centers clamped half a cell inside them."""
+    lo = np.clip(np.asarray(lo, dtype=np.float64), 0.0, size)[..., None]
+    hi = np.clip(np.asarray(hi, dtype=np.float64), 0.0, size)[..., None]
+    empty = np.flatnonzero(hi <= lo)
+    if empty.size:
+        k = empty[0]
+        raise ValueError(
+            f"zero-area box: span [{lo.flat[k]}, {hi.flat[k]}] of a {size}-cell axis is empty"
+        )
+    c = lo + (np.arange(r, dtype=np.float64) + 0.5) * (hi - lo) / r
+    # keep the two-cell bilinear support inside [lo, hi]; sub-cell spans
+    # collapse to the midpoint
+    return np.where(hi - lo >= 1.0, np.clip(c, lo + 0.5, hi - 0.5), (lo + hi) / 2.0)
 
 
-def _bilinear_sample(data: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Bilinear lookups on an (H, W, C) map at (..., 2) (x, y) coordinates."""
-    h, w, c = data.shape
-    x = np.clip(points[..., 0] - 0.5, 0.0, w - 1.0)
-    y = np.clip(points[..., 1] - 0.5, 0.0, h - 1.0)
-    x0 = np.floor(x).astype(np.int64)
-    y0 = np.floor(y).astype(np.int64)
-    fx = x - x0
-    fy = y - y0
-    # zero-weight taps collapse onto the inside cell, so they never read
-    # (and never depend on) cells outside the sampled region
-    x1 = np.where(fx > 0, x0 + 1, x0)
-    y1 = np.where(fy > 0, y0 + 1, y0)
-    flat = data.reshape(-1, c).astype(np.float64)
-    v00 = flat[y0 * w + x0]
-    v01 = flat[y0 * w + x1]
-    v10 = flat[y1 * w + x0]
-    v11 = flat[y1 * w + x1]
-    wx = fx[..., None]
-    wy = fy[..., None]
-    return (1 - wy) * ((1 - wx) * v00 + wx * v01) + wy * ((1 - wx) * v10 + wx * v11)
+def _sample_grid(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Bilinear samples (len(ys), len(xs), C) of an (H, W, C) map at every
+    pair of the sample columns ``xs`` and rows ``ys``."""
+    h, w = data.shape[:2]
+    cols = lerp(data, bilinear_taps(xs, w), axis=1)
+    return lerp(cols, bilinear_taps(ys, h), axis=0)
 
 
 def roi_align(
@@ -214,8 +209,10 @@ def roi_align(
     data = feature.data if isinstance(feature, FeatureMap) else np.asarray(feature)
     if data.ndim != 3:
         raise ValueError("roi_align expects an (H, W, C) map")
-    pts = _roi_points(box, grid, data.shape[1], data.shape[0])
-    return _bilinear_sample(data, pts)
+    h, w = data.shape[:2]
+    x0, y0, x1, y1 = box
+    rw, rh = grid
+    return _sample_grid(data, _bin_centers(x0, x1, rw, w), _bin_centers(y0, y1, rh, h))
 
 
 def position_embedding_2d(coords: np.ndarray, channels: int, scale: float = 16.0) -> np.ndarray:
@@ -267,11 +264,14 @@ def assemble_kv(
     """
     n = windows.grid_side
     rw, rh = grid
-    s = rw * rh
+    c = isp.channels
     keys, vals = [], []
     for lvl, fmap in enumerate(isp.levels):
-        pts = _roi_points(windows.boxes[lvl], grid, fmap.width, fmap.height)  # (n, n, rh, rw, 2)
-        samples = _bilinear_sample(fmap.data, pts.reshape(n * n, s, 2))
+        h, w = windows.level_dims[lvl]
+        xs = _bin_centers(*_spans(w, n), rw, fmap.width).reshape(-1)  # column j, bin v
+        ys = _bin_centers(*_spans(h, n), rh, fmap.height).reshape(-1)  # row i, bin u
+        grid_samples = _sample_grid(fmap.data, xs, ys).reshape(n, rh, n, rw, c)
+        samples = grid_samples.transpose(0, 2, 1, 3, 4).reshape(n * n, rw * rh, c)
         keys.append(samples + params.level_emb[lvl])
         vals.append(samples)
     zeta = position_embedding_2d(_nominal_sample_coords(n, grid), isp.channels)

@@ -1,5 +1,7 @@
 """Command-line surface: outputs, file artifacts, exit codes, seeding."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,14 @@ def test_visualize_emits_valid_ppm(ckpt, image_336, tmp_path):
     assert main(["visualize", "--features", f"{prefix}.l2.ispf", "--out", str(out)]) == 0
     rendered = load_ppm(out)
     assert (rendered.height, rendered.width) == (96, 96)
+
+
+def test_feature_header_larger_than_the_file_exits_3(tmp_path, capsys):
+    # h = w = C = 2^32 - 1 asks for about 2^98 payload bytes
+    path = tmp_path / "huge.ispf"
+    path.write_bytes(b"ISPF" + struct.pack("<5I", 1, 0, *[2**32 - 1] * 3) + bytes(16))
+    assert main(["visualize", "--features", str(path), "--out", str(tmp_path / "o.ppm")]) == 3
+    assert "truncated feature payload" in capsys.readouterr().err
 
 
 def test_selftest_passes(capsys):

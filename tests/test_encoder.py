@@ -78,13 +78,3 @@ class TestFeatureFiles:
         path.write_bytes(b"NOPE" + bytes(32))
         with pytest.raises(DataFormatError):
             load_features(path)
-
-    def test_file_backed_encode_checks_dims(self, tmp_path):
-        fmap = FeatureMap(np.ones((4, 4, 8), dtype=np.float32))
-        path = tmp_path / "feat.ispf"
-        save_features(fmap, path)
-        spec = EncoderSpec(kind="file", channels=8, feature_path=str(path))
-        out = encode(Image(np.zeros((56, 56, 3))), spec)
-        np.testing.assert_array_equal(out.data, fmap.data)
-        with pytest.raises(DataFormatError):
-            encode(Image(np.zeros((112, 112, 3))), spec)

@@ -46,6 +46,13 @@ class TestBilinearResize:
                 bilinear_resize(src, oh, ow), scalar_resize(src, oh, ow), atol=1e-6
             )
 
+    def test_large_float32_downscale_matches_scalar_oracle(self):
+        rng = np.random.default_rng(5)
+        src = rng.uniform(0, 1, (200, 300, 3)).astype(np.float32)
+        out = bilinear_resize(src, 5, 7)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, scalar_resize(src, 5, 7), rtol=0, atol=1e-6)
+
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError):
             bilinear_resize(np.zeros((0, 2, 1)), 2, 2)

@@ -1,6 +1,7 @@
 """Slice-grid selection, cropping, and tiling invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,20 @@ class TestExtractSlices:
         for x0, y0, x1, y1 in layout.rects:
             rebuilt[y0:y1, x0:x1] = img.pixels[y0:y1, x0:x1]
         np.testing.assert_array_equal(rebuilt, img.pixels)
+
+    def test_peak_memory_of_a_large_image(self):
+        # holds only if no resize makes a float64 copy of a whole crop or
+        # of the image
+        rng = np.random.default_rng(4)
+        img = Image(rng.uniform(0, 1, (1512, 2016, 3)).astype(np.float32))
+        layout = compute_slice_layout(2016, 1512)
+        tracemalloc.start()
+        try:
+            extract_slices(img, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_horizontal_gradient_orders_slices(self):
         ramp = np.linspace(0, 1, 1008, dtype=np.float32)

@@ -1,5 +1,7 @@
 """Token-map stitching, flattening order, and the TOKS dump format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,13 @@ class TestToksFormat:
         save_tokens(out, path)
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(DataFormatError):
+            load_tokens(path)
+
+    def test_header_larger_than_the_file_is_refused(self, tmp_path):
+        # rows = cols = N = 2^32 - 1, C = 1
+        path = tmp_path / "huge.toks"
+        path.write_bytes(b"TOKS" + struct.pack("<5I", 1, *[2**32 - 1] * 3, 1) + bytes(16))
+        with pytest.raises(DataFormatError, match="truncated overview payload"):
             load_tokens(path)
 
     def test_index_file_format(self, tmp_path):
