@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import NumericalError, softmax as _softmax
+from .numerics import NumericalError, resize_matrix, softmax as _softmax
 
 __all__ = [
     "NumericalError",
@@ -28,13 +28,11 @@ __all__ = [
     "interp2d",
     "matmul",
     "mean",
-    "mixk",
     "mul",
     "reshape",
-    "softmax",
     "sub",
-    "transpose",
     "tsum",
+    "window_pool",
 ]
 
 
@@ -137,17 +135,14 @@ def matmul(a, b) -> Tensor:
     return _node(a.data @ b.data, (a, b), vjp)
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a) -> Tensor:
+    """Sum over every entry."""
     a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
+        return (np.broadcast_to(g, a.data.shape).copy(),)
 
-    return _node(data, (a,), vjp)
+    return _node(a.data.sum(), (a,), vjp)
 
 
 def mean(a) -> Tensor:
@@ -164,29 +159,6 @@ def reshape(a, shape) -> Tensor:
         return (g.reshape(old),)
 
     return _node(a.data.reshape(shape), (a,), vjp)
-
-
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def vjp(g):
-        return (g.transpose(inverse),)
-
-    return _node(np.ascontiguousarray(a.data.transpose(axes)), (a,), vjp)
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis`` (max subtraction)."""
-    a = as_tensor(a)
-    y = _softmax(a.data, axis)
-
-    def vjp(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        return ((g - inner) * y,)
-
-    return _node(y, (a,), vjp)
 
 
 def interp2d(a, row_mat: np.ndarray, col_mat: np.ndarray) -> Tensor:
@@ -353,17 +325,72 @@ def guided_mix(proj, up, log_sigma_dist, log_sigma_sim, radius: int) -> Tensor:
     return _node(out, (proj, up, lsd, lss), vjp)
 
 
-def mixk(w, v) -> Tensor:
-    """Per-site weighted sums: (..., K) x (..., K, C) -> (..., C)."""
-    w, v = as_tensor(w), as_tensor(v)
-    out = np.einsum("...k,...kc->...c", w.data, v.data)
+def _band(rows: np.ndarray) -> tuple[int, int]:
+    """The span [lo, hi) of source cells that some row of a resize matrix reads."""
+    cols = np.flatnonzero(rows.any(axis=0))
+    return int(cols[0]), int(cols[-1]) + 1
+
+
+def window_pool(f, gamma, beta, sal_w, sal_b, image_hw: tuple[int, int], patch: int) -> Tensor:
+    """Saliency-weighted window pooling of a bilinearly lifted map, fused.
+
+    Lifting ``f`` (h, w, C) to ``image_hw`` (ih, iw) with ``interp2d``, applying
+    ``y = up * gamma + beta``, scoring each pixel by ``y @ sal_w + sal_b``
+    and averaging ``y`` over each ``patch`` x ``patch`` window under the
+    softmax of its scores gives the (ih/patch, iw/patch, C) output.  It is
+    computed without the (ih, iw, C) lift.  The scores are linear in the
+    lift, so they are the lift of the one-channel map ``f @ (gamma * sal_w)``
+    plus ``beta @ sal_w + sal_b``, a constant the window softmax ignores.
+    The output is ``gamma * (M f) + beta``, where window (a, b) of ``M``
+    holds its softmax weights pushed back through the resize taps.  A
+    window row reads a band of a few source rows, so ``M`` is kept per
+    window row as an (iw/patch, band, w) block and applied with one matmul.
+    ``sal_b`` cannot change the output; its gradient is exactly zero.
+    """
+    f, gamma, beta, sal_w, sal_b = (as_tensor(t) for t in (f, gamma, beta, sal_w, sal_b))
+    h, w, c = f.data.shape
+    ih, iw = image_hw
+    if ih % patch or iw % patch:
+        raise ValueError(f"image dims {iw}x{ih} are not multiples of patch {patch}")
+    nh, nw = ih // patch, iw // patch
+    rm, cm = resize_matrix(h, ih), resize_matrix(w, iw)
+    cm3 = cm.reshape(nw, patch, w)  # column taps of each window column
+    rows = []  # per window row: its band [lo, hi) of source rows and row taps
+    for a in range(nh):
+        taps = rm[a * patch : (a + 1) * patch]
+        lo, hi = _band(taps)
+        rows.append((lo, hi, taps[:, lo:hi]))
+    v = gamma.data * sal_w.data
+    scores = rm @ (f.data @ v) @ cm.T
+    att = _softmax(scores.reshape(nh, patch, nw, patch), axis=(1, 3))
+    mats = []  # per window row: M restricted to its band, (nw, hi - lo, w)
+    pooled = np.empty((nh, nw, c), dtype=np.float64)
+    for a, (lo, hi, taps) in enumerate(rows):
+        # t[b, j, p]: column j of window (a, b) pushed back through row taps
+        t = np.tensordot(att[a], taps, axes=(0, 0))
+        mat = np.matmul(t.transpose(0, 2, 1), cm3)
+        mats.append(mat)
+        pooled[a] = mat.reshape(nw, -1) @ f.data[lo:hi].reshape(-1, c)
+    out = gamma.data * pooled + beta.data
 
     def vjp(g):
-        gw = np.einsum("...c,...kc->...k", g, v.data)
-        gv = np.einsum("...k,...c->...kc", w.data, g)
-        return gw, gv
+        g_pooled = g * gamma.data
+        g_f = np.zeros_like(f.data)
+        g_att = np.empty_like(att)
+        for a, (lo, hi, taps) in enumerate(rows):
+            mat = mats[a]
+            g_f[lo:hi] += (mat.reshape(nw, -1).T @ g_pooled[a]).reshape(hi - lo, w, c)
+            g_mat = (g_pooled[a] @ f.data[lo:hi].reshape(-1, c).T).reshape(mat.shape)
+            g_t = np.matmul(cm3, g_mat.transpose(0, 2, 1))  # (nw, patch, hi - lo)
+            g_att[a] = np.tensordot(taps, g_t, axes=(1, 2))
+        g_scores = att * (g_att - (g_att * att).sum(axis=(1, 3), keepdims=True))
+        g_s = rm.T @ g_scores.reshape(ih, iw) @ cm
+        g_v = f.data.reshape(-1, c).T @ g_s.reshape(-1)
+        g_f += g_s[:, :, None] * v
+        g_gamma = (g * pooled).sum(axis=(0, 1)) + g_v * sal_w.data
+        return g_f, g_gamma, g.sum(axis=(0, 1)), g_v * gamma.data, np.zeros_like(sal_b.data)
 
-    return _node(out, (w, v), vjp)
+    return _node(out, (f, gamma, beta, sal_w, sal_b), vjp)
 
 
 def backward(out: Tensor) -> None:

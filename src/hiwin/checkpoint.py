@@ -11,7 +11,10 @@ tensor encoding.
 The loader builds every tensor's expected shape from the headers (two
 detail-injection levels, three pyramid levels for the level embeddings) and
 raises :class:`~hiwin.formats.DataFormatError` naming the first tensor that
-disagrees.  A checkpoint without an attention section implies N = 12.
+disagrees.  A checkpoint without an attention section implies N = 12.  A
+tensor holding NaN or inf is refused by name with
+:class:`~hiwin.numerics.NumericalError`, on save before anything is written
+and on load.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import BinaryIO, Iterable
 import numpy as np
 
 from .formats import DataFormatError, check_room, read_array, read_u32, write_array, write_u32
+from .numerics import NumericalError
 from .vdim import DownsamplerParams, LevelDown, LevelKernel, VdimParams, trainable_arrays
 from .window_attn import AttnParams
 
@@ -51,12 +55,16 @@ def save_checkpoint(
     attn: AttnParams | None = None,
     heads: int = 4,
 ) -> None:
+    vdim_fields = trainable_arrays(vdim, down)
+    attn_fields = [] if attn is None else [(name, getattr(attn, name)) for name in _ATTN_FIELDS]
+    for name, arr in vdim_fields + attn_fields:
+        _check_finite(name, np.asarray(arr, dtype="<f4"))  # as written
     with open(path, "wb") as f:
         f.write(VDIM_MAGIC)
         write_u32(f, VERSION)
         write_u32(f, vdim.d_proj)
         write_u32(f, down.channels)
-        for _, arr in trainable_arrays(vdim, down):
+        for _, arr in vdim_fields:
             write_array(f, arr)
         if attn is not None:
             f.write(HATT_MAGIC)
@@ -64,8 +72,13 @@ def save_checkpoint(
             write_u32(f, attn.queries.shape[0])
             write_u32(f, heads)
             write_u32(f, attn.queries.shape[2])
-            for name in _ATTN_FIELDS:
-                write_array(f, getattr(attn, name))
+            for _, arr in attn_fields:
+                write_array(f, arr)
+
+
+def _check_finite(name: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise NumericalError(f"checkpoint tensor {name} holds non-finite values")
 
 
 def _vdim_template(d_proj: int, channels: int, levels: int) -> tuple[VdimParams, DownsamplerParams]:
@@ -92,6 +105,7 @@ def _read_into(f: BinaryIO, fields: Iterable[tuple[str, np.ndarray]]) -> None:
             raise DataFormatError(
                 f"checkpoint tensor {name} has shape {arr.shape}, header implies {target.shape}"
             )
+        _check_finite(name, arr)
         target[...] = arr
 
 

@@ -52,7 +52,10 @@ class PpmDepthError(PpmError):
 
 @dataclass
 class Image:
-    """One RGB image; values are clamped to [0, 1] on construction."""
+    """One RGB image; values are clamped to [0, 1] on construction.
+
+    A float32 array already in range is kept as given, not copied.
+    """
 
     pixels: np.ndarray
 
@@ -60,7 +63,9 @@ class Image:
         p = np.asarray(self.pixels, dtype=np.float32)
         if p.ndim != 3 or p.shape[2] != 3 or p.shape[0] < 1 or p.shape[1] < 1:
             raise ValueError("Image requires an (H, W, 3) array with H, W >= 1")
-        self.pixels = np.clip(p, 0.0, 1.0)
+        if p.min() < 0.0 or p.max() > 1.0:
+            p = np.clip(p, 0.0, 1.0)
+        self.pixels = p
 
     @property
     def height(self) -> int:
@@ -134,7 +139,9 @@ def load_ppm(path) -> Image:
             len(data),
         )
     pixels = np.frombuffer(data, np.uint8, count=expected, offset=pos).reshape(height, width, 3)
-    return Image(pixels.astype(np.float32) / 255.0)
+    scaled = pixels.astype(np.float32)
+    scaled /= 255.0
+    return Image(scaled)
 
 
 def save_ppm(image: Image, path) -> None:

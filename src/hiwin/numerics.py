@@ -7,10 +7,10 @@ package, in whole-map resizes as in RoI samples, takes its taps from
 axis).  :func:`bilinear_resize` and the RoI sampler of
 :mod:`hiwin.window_attn` apply them with :func:`lerp`, one axis at a time;
 :func:`resize_matrix` writes them into the dense matrices with which
-``autodiff.interp2d`` lifts feature maps, in training as in inference.  The
-scalar references are :func:`hiwin.selfcheck.scalar_bilinear_at` and
-``tests/helpers.scalar_resize``.  Interpolation runs in float64; results are
-cast back to the caller's dtype.
+``autodiff.interp2d`` lifts feature maps and ``autodiff.window_pool`` lifts
+saliency scores, in training as in inference.  The scalar references are
+:func:`hiwin.selfcheck.scalar_bilinear_at` and ``tests/helpers.scalar_resize``.
+Interpolation runs in float64; results are cast back to the caller's dtype.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return lerp(cols, _resize_taps(h, out_h), axis=0).astype(src.dtype, copy=False)
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+def softmax(x: np.ndarray, axis: int | tuple[int, ...] = -1) -> np.ndarray:
     """Stable softmax (max subtraction); slices along ``axis`` sum to 1."""
     x = np.asarray(x, dtype=np.float64)
     shifted = x - x.max(axis=axis, keepdims=True)

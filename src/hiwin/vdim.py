@@ -13,13 +13,20 @@ to sum to 1 per output cell, so constant inputs pass through exactly.  The
 re-averaging is the single fused op ``autodiff.guided_mix``, which inference
 and training both run; it never builds a per-cell stack of neighbors.
 
-The downsampler inverts the scale change for training: the high level is
-bilinearly lifted to full image resolution, split into 14x14 windows (one
-per base-level cell), and each window is reduced by a saliency-weighted
-average (1x1 conv saliency, softmax over the window, learnable per-channel
-affine on the features).  The reconstruction loss is half the sum over
-levels of the mean squared difference between each level's reduction and the
-base map.
+The downsampler inverts the scale change for training.  It is defined on
+the high level bilinearly lifted to full image resolution and split into
+14x14 windows (one per base-level cell): each window is reduced by a
+saliency-weighted average (1x1 conv saliency, softmax over the window,
+learnable per-channel affine on the features).  The single fused op
+``autodiff.window_pool`` computes it without the lift.  The saliency is
+linear in the features, so only a one-channel score map is lifted, and each
+window's softmax weights are pushed back through the resize taps onto the
+few source rows they read.  The saliency bias ``sal_b`` shifts every score
+of a window alike, which the softmax ignores: its gradient is exactly zero,
+so training leaves it at its initial 0.  It stays a parameter so that the
+checkpoint format does not change.  The reconstruction loss is half the sum
+over levels of the mean squared difference between each level's reduction
+and the base map.
 
 Both sigma parameters are stored in log space so their effective values stay
 strictly positive.  Training runs entirely in float64; stored feature maps
@@ -219,24 +226,7 @@ def _guided_upsample_graph(
 def _downsample_graph(
     feats: Tensor, image_hw: tuple[int, int], dp: _Down, patch: int
 ) -> Tensor:
-    h, w, c = feats.data.shape
-    ih, iw = image_hw
-    if ih % patch or iw % patch:
-        raise ValueError(f"image dims {iw}x{ih} are not multiples of patch {patch}")
-    up = ad.interp2d(feats, resize_matrix(h, ih), resize_matrix(w, iw))
-    y = ad.add(ad.mul(up, dp.gamma), dp.beta)
-    logits = ad.add(ad.tsum(ad.mul(y, dp.sal_w), axis=-1), dp.sal_b)
-    nh, nw = ih // patch, iw // patch
-    yw = ad.reshape(
-        ad.transpose(ad.reshape(y, (nh, patch, nw, patch, c)), (0, 2, 1, 3, 4)),
-        (nh, nw, patch * patch, c),
-    )
-    lw = ad.reshape(
-        ad.transpose(ad.reshape(logits, (nh, patch, nw, patch)), (0, 2, 1, 3)),
-        (nh, nw, patch * patch),
-    )
-    att = ad.softmax(lw, axis=-1)
-    return ad.mixk(att, yw)
+    return ad.window_pool(feats, *dp, image_hw, patch)
 
 
 def _recon_loss(

@@ -1,5 +1,5 @@
-"""Scalar reference implementations of the resize and guided-upsampling
-paths, shared by the test modules.
+"""Scalar reference implementations of the resize, guided-upsampling and
+attention-downsampling paths, shared by the test modules.
 
 These are written as plain per-element loops, independent of the vectorized
 library paths they check.  The bilinear-lookup, RoI-align and grid-choice
@@ -81,3 +81,32 @@ def scalar_guided_upsample(
         for x in range(gw):
             proj[y, x] = guide[y, x].astype(np.float64) @ proj_w + proj_b
     return scalar_guided_mix(proj, up, sigma_dist, sigma_sim, radius)
+
+
+def scalar_attention_downsample(
+    feats: np.ndarray,
+    image_hw: tuple[int, int],
+    gamma: np.ndarray,
+    beta: np.ndarray,
+    sal_w: np.ndarray,
+    sal_b: float,
+    patch: int,
+) -> np.ndarray:
+    """Attention-downsampler oracle: bilinear lift of ``feats`` to
+    ``image_hw``, per-pixel affine ``y = up * gamma + beta`` and saliency
+    ``y @ sal_w + sal_b``, then a softmax-weighted average of ``y`` over each
+    ``patch`` x ``patch`` window."""
+    ih, iw = image_hw
+    up = scalar_resize(feats, ih, iw)
+    out = np.zeros((ih // patch, iw // patch, feats.shape[2]), dtype=np.float64)
+    for wy in range(ih // patch):
+        for wx in range(iw // patch):
+            ys = [up[y, x] * gamma + beta for y in range(wy * patch, (wy + 1) * patch)
+                  for x in range(wx * patch, (wx + 1) * patch)]
+            logits = [float(y @ sal_w) + sal_b for y in ys]
+            top = max(logits)
+            weights = [math.exp(v - top) for v in logits]
+            total = sum(weights)
+            for wk, y in zip(weights, ys):
+                out[wy, wx] += wk / total * y
+    return out

@@ -235,6 +235,26 @@ def test_mis_shaped_checkpoint_tensor_exits_3_naming_it(field, image_336, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, bad", [("wq", np.nan), ("upsample1.proj_w", np.inf)])
+def test_non_finite_checkpoint_tensor_exits_4_naming_it(field, bad, image_336, tmp_path, capsys):
+    vdim, down, attn = small_params()
+    marker = np.float32(1234.5)  # a value no seeded init produces
+    if field == "wq":
+        attn.wq[0, 0] = marker
+    else:
+        vdim.levels[0].proj_w[0, 0] = marker
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, vdim, down, attn=attn)
+    data = path.read_bytes()
+    assert data.count(marker.tobytes()) == 1
+    # save_checkpoint refuses non-finite tensors, so patch the bytes
+    path.write_bytes(data.replace(marker.tobytes(), np.float32(bad).tobytes()))
+    out = tmp_path / "bad.toks"
+    assert main(["pipeline", "--image", str(image_336), "--ckpt", str(path), "--out", str(out)]) == 4
+    assert f"checkpoint tensor {field} holds non-finite values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_attention_channels_must_match_checkpoint_channels(image_336, tmp_path, capsys):
     vdim, down, attn = small_params(attn_channels=4)
     path = tmp_path / "bad.ckpt"

@@ -1,6 +1,7 @@
 """PPM parsing/writing, image pyramids, and the synthetic corpus."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,23 @@ class TestPpm:
         with pytest.raises(PpmError) as err:
             load_ppm(path)
         assert "expected 12 bytes, got 3" in str(err.value)
+
+    def test_peak_memory_of_a_large_photo(self, tmp_path):
+        # the file bytes (9.1 MB) plus one float32 image (36.6 MB); a second
+        # float32 copy (dividing into a new array, or clipping one already in
+        # range) would push the peak past 70 MiB
+        w, h = 2016, 1512
+        raw = np.random.default_rng(2).integers(0, 256, (h, w, 3), dtype=np.uint8)
+        path = tmp_path / "big.ppm"
+        path.write_bytes(f"P6\n{w} {h}\n255\n".encode() + raw.tobytes())
+        tracemalloc.start()
+        try:
+            img = load_ppm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 56 * 2**20
+        np.testing.assert_array_equal(img.pixels, raw.astype(np.float32) / 255.0)
 
     @given(
         h=st.integers(1, 6), w=st.integers(1, 6), seed=st.integers(0, 2**32 - 1)

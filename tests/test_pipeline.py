@@ -7,7 +7,7 @@ from hiwin.checkpoint import load_checkpoint, save_checkpoint
 from hiwin.encoder import EncoderSpec, FeatureMap
 from hiwin.formats import DataFormatError
 from hiwin.image_io import Image, synth_corpus
-from hiwin.numerics import bilinear_resize
+from hiwin.numerics import NumericalError, bilinear_resize
 from hiwin.pipeline import (
     PipelineConfig,
     baseline_mlp,
@@ -156,6 +156,21 @@ class TestCheckpoint:
         np.testing.assert_allclose(ckpt.vdim.levels[0].proj_w, vdim.levels[0].proj_w, atol=1e-7)
         np.testing.assert_allclose(ckpt.down.levels[1].gamma, down.levels[1].gamma, atol=1e-7)
         np.testing.assert_allclose(ckpt.attn.queries, attn.queries, atol=1e-7)
+
+    def test_non_finite_tensor_is_not_saved(self, tmp_path):
+        config = HiwinConfig(channels=8)
+        for field in ("down2.sal_w", "bo"):
+            vdim = VdimParams.init(d_proj=6, seed=13)
+            down = DownsamplerParams.init(8, seed=13)
+            attn = AttnParams.init(config, seed=13)
+            if field == "bo":
+                attn.bo[3] = np.inf
+            else:
+                down.levels[1].sal_w[0] = np.nan
+            path = tmp_path / "bad.ckpt"
+            with pytest.raises(NumericalError, match=f"checkpoint tensor {field} holds non-finite"):
+                save_checkpoint(path, vdim, down, attn=attn, heads=config.heads)
+            assert not path.exists()
 
     def test_attention_section_optional(self, tmp_path):
         vdim = VdimParams.init(d_proj=6, seed=10)

@@ -134,6 +134,21 @@ class TestAttentionDownsample:
                 want[wy, wx] = flat[np.argmax(flat[:, 0])]
         np.testing.assert_allclose(out.data, want, atol=1e-5)
 
+    def test_peak_memory_at_full_resolution(self):
+        # guards against lifting the map to image resolution: one (336, 336,
+        # 64) float64 array is 55 MiB
+        rng = np.random.default_rng(9)
+        fmap = FeatureMap(rng.standard_normal((96, 96, 64)).astype(np.float32), level=2)
+        params = DownsamplerParams.init(64, seed=9)
+        tracemalloc.start()
+        try:
+            out = attention_downsample(fmap, (336, 336), params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.shape == (24, 24, 64)
+        assert peak < 64 * 2**20
+
     def test_level_and_dims_validated(self):
         fmap = FeatureMap(np.zeros((8, 8, 4), dtype=np.float32), level=0)
         with pytest.raises(ValueError):
@@ -261,6 +276,15 @@ class TestPretrain:
         )
         assert r1.losses == r2.losses
         assert len(r1.losses) == 6
+
+    def test_saliency_bias_stays_zero(self):
+        # a shift of every score in a window leaves its softmax unchanged, so
+        # sal_b gets an exactly zero gradient and Adam never moves it
+        corpus, spec, vdim, down = self.small_setup()
+        pretrain_vdim(corpus, spec, vdim, down, steps=3, lr=1e-2, batch=2)
+        for name, arr in trainable_arrays(vdim, down):
+            if name.endswith(".sal_b"):
+                assert arr == 0.0, name
 
     def test_loss_decreases_on_short_run(self):
         corpus, spec, vdim, down = self.small_setup()
