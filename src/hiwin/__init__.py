@@ -1,6 +1,18 @@
 """Desk-scale vision-language projector: builds a detail-injected feature
 pyramid from patch-encoder features and compresses it into a fixed grid of
-visual tokens via hierarchical window attention."""
+visual tokens via hierarchical window attention.
+
+Importing the package pins the BLAS pools of numpy to one thread, unless the
+variable is already set: ``--threads`` and ``PipelineConfig.threads`` own
+parallelism, and a BLAS pool per worker would oversubscribe the cores.  It
+takes effect only if numpy was not imported before ``hiwin``.
+"""
+
+import os
+
+# before the first numpy import, which starts the BLAS thread pool
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .autodiff import NumericalError, Tensor
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint

@@ -182,18 +182,19 @@ def interp2d(a, row_mat: np.ndarray, col_mat: np.ndarray) -> Tensor:
 
 
 _BLOCK_ELEMS = 1 << 15  # float64 entries per row block of guided_mix (256 KiB)
+_TILE = 8  # output columns per banded block of guided_mix (widened to 2r if smaller)
 
 
-def _row_blocks(a: np.ndarray) -> list[tuple[int, int]]:
-    """Row ranges of about ``_BLOCK_ELEMS`` entries of an (H, W, D) map.
+def _row_blocks(h: int, row_elems: int) -> list[tuple[int, int]]:
+    """Ranges of the h rows of a map, each about ``_BLOCK_ELEMS`` entries of
+    an operand that holds ``row_elems`` entries per row.
 
-    The forward of :func:`guided_mix` loops over window offsets inside each
-    block, which keeps its per-offset operands in cache.  Each cell is still
-    computed by the same sequence of operations, so results do not depend on
-    the block size.
+    :func:`guided_mix` loops over these blocks so that each block's operands
+    stay in cache: the window gathers size them by the gathered map, the
+    banded products by their per-row patches.  Every cell is computed by the
+    same operations in any block, so results do not depend on the block size.
     """
-    h = a.shape[0]
-    rows = max(1, _BLOCK_ELEMS // a[0].size)
+    rows = max(1, _BLOCK_ELEMS // row_elems)
     return [(y0, min(y0 + rows, h)) for y0 in range(0, h, rows)]
 
 
@@ -236,6 +237,106 @@ def _fold_edges(gp: np.ndarray, r: int, h: int, w: int) -> np.ndarray:
     return core
 
 
+def _window_dots(a: np.ndarray, src_pad: np.ndarray, radius: int) -> np.ndarray:
+    """(H, W, K) dot products of each cell of ``a`` with the cells of its
+    window in ``src_pad``: ``out[y, x, k] = a[y, x] . src_pad[y + dy, x + dx]``.
+
+    One einsum per offset and row block; this gather is the one step of
+    :func:`guided_mix` that is not a banded product.
+    """
+    h, w, d = a.shape
+    offsets = _window_offsets(radius)
+    out = np.empty((h, w, len(offsets)), dtype=np.float64)
+    for y0, y1 in _row_blocks(h, w * d):
+        for k, (dy, dx) in enumerate(offsets):
+            np.einsum(
+                "hwd,hwd->hw", a[y0:y1], src_pad[y0 + dy : y1 + dy, dx : dx + w], out=out[y0:y1, :, k]
+            )
+    return out
+
+
+class _Tiles:
+    """The banded tile layout of :func:`guided_mix` for one map width.
+
+    Output columns are cut into tiles of ``t`` cells (``t >= 2r``; the last
+    tile is zero-padded).  A tile's cells read the ``(k, t + 2r)`` source
+    window ``src_pad[y : y + k, x0 : x0 + t + 2r]``, flattened into a patch
+    of ``k * (t + 2r)`` rows.  Cell ``x`` weighs patch row
+    ``dy * (t + 2r) + x + dx`` by its weight for offset (dy, dx), so a tile's
+    weights scatter, by the one flat index ``index``, into a banded
+    ``(t, k * (t + 2r))`` block ``B`` and the window sum is ``B @ patch``.
+    """
+
+    def __init__(self, w: int, radius: int):
+        self.w = w
+        self.r = radius
+        self.k = 2 * radius + 1
+        self.t = max(_TILE, 2 * radius)
+        self.span = self.t + 2 * radius
+        self.n = -(-w // self.t)  # tiles per row
+        self.width = self.n * self.t  # tiled output width
+        cell = np.arange(self.t)[:, None]
+        dy, dx = np.divmod(np.arange(self.k * self.k), self.k)
+        self.index = (cell * self.k * self.span + dy * self.span + cell + dx).reshape(-1)
+
+    def _pad(self, a: np.ndarray) -> np.ndarray:
+        """``a`` zero-padded on the right by the missing cells of the last tile."""
+        if self.width == self.w:
+            return a
+        return np.pad(a, ((0, 0), (0, self.width - self.w), (0, 0)))
+
+    def _blocks(self, h: int, c: int) -> list[tuple[int, int]]:
+        """Row blocks sized by the larger per-row operand: the (n, k * span, c)
+        patches or the (n, t, k * span) bands."""
+        return _row_blocks(h, self.n * self.k * self.span * max(c, self.t))
+
+    def _bands(self, weights: np.ndarray) -> np.ndarray:
+        """(rows, n, t, k * span) banded blocks of padded (rows, width, K) weights."""
+        rows = weights.shape[0]
+        b = np.zeros((rows, self.n, self.t * self.k * self.span), dtype=np.float64)
+        b[:, :, self.index] = weights.reshape(rows, self.n, -1)
+        return b.reshape(rows, self.n, self.t, self.k * self.span)
+
+    def mix(self, weights: np.ndarray, src_pad: np.ndarray) -> np.ndarray:
+        """(H, W, C) ``out[y, x] = sum_k weights[y, x, k] * src_pad[y + dy, x + dx]``
+        for (H, W, K) weights and an edge-padded (H + 2r, W + 2r, C) source."""
+        h, c = weights.shape[0], src_pad.shape[-1]
+        weights = self._pad(weights)
+        # (H, n, C, k, span) view of every tile's source window
+        windows = np.lib.stride_tricks.sliding_window_view(
+            self._pad(src_pad), (self.k, self.span), axis=(0, 1)
+        )[:, :: self.t]
+        out = np.empty((h, self.n, self.t, c), dtype=np.float64)
+        for y0, y1 in self._blocks(h, c):
+            patches = windows[y0:y1].transpose(0, 1, 3, 4, 2).reshape(y1 - y0, self.n, -1, c)
+            np.matmul(self._bands(weights[y0:y1]), patches, out=out[y0:y1])
+        return np.ascontiguousarray(out.reshape(h, self.width, c)[:, : self.w])
+
+    def mix_adjoint(self, weights: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`mix` in its source: the (H + 2r, W + 2r, C)
+        padded map with ``g[y, x] * weights[y, x, k]`` added at
+        ``(y + dy, x + dx)``, as ``B.T @ g`` per tile.
+
+        Each ``dy`` row of a tile's result is added back with two strided
+        slice-adds, the tile's first ``t`` columns and its ``2r`` overhang
+        into the next tile, which do not overlap since ``2r <= t``.
+        """
+        h, c = g.shape[0], g.shape[-1]
+        t, span = self.t, self.span
+        weights = self._pad(weights)
+        g_tiles = self._pad(g).reshape(h, self.n, t, c)
+        g_pad = np.zeros((h + 2 * self.r, self.n + 1, t, c), dtype=np.float64)
+        for y0, y1 in self._blocks(h, c):
+            b = self._bands(weights[y0:y1])
+            res = np.matmul(b.transpose(0, 1, 3, 2), g_tiles[y0:y1])
+            res = res.reshape(y1 - y0, self.n, self.k, span, c)
+            for dy in range(self.k):
+                rows = g_pad[y0 + dy : y1 + dy]
+                rows[:, :-1] += res[:, :, dy, :t]
+                rows[:, 1:, : span - t] += res[:, :, dy, t:]
+        return g_pad.reshape(h + 2 * self.r, -1, c)[:, : self.w + 2 * self.r]
+
+
 def _guided_weights(proj: np.ndarray, log_sigma_dist, log_sigma_sim, radius: int):
     """Window weights of the guided upsampler and what their VJP needs.
 
@@ -245,18 +346,8 @@ def _guided_weights(proj: np.ndarray, log_sigma_dist, log_sigma_sim, radius: int
     K, ``spatial`` (K,) the decay ``exp(-|dxy|^2 / (2 sigma_dist^2))`` and
     ``weights = sim * spatial / norm`` with ``norm`` the per-cell sum.
     """
-    h, w, _ = proj.shape
     proj_pad = _edge_pad(proj, radius)
-    offsets = _window_offsets(radius)
-    logits = np.empty((h, w, len(offsets)), dtype=np.float64)
-    for y0, y1 in _row_blocks(proj):
-        for k, (dy, dx) in enumerate(offsets):
-            np.einsum(
-                "hwd,hwd->hw",
-                proj[y0:y1],
-                proj_pad[y0 + dy : y1 + dy, dx : dx + w],
-                out=logits[y0:y1, :, k],
-            )
+    logits = _window_dots(proj, proj_pad, radius)
     sigma_sim = np.exp(log_sigma_sim)
     logits /= sigma_sim * sigma_sim
     sim = _softmax(logits)
@@ -271,12 +362,19 @@ def guided_mix(proj, up, log_sigma_dist, log_sigma_sim, radius: int) -> Tensor:
     """Guided window averaging of joint bilateral upsampling, fused.
 
     ``proj`` (H, W, D) is the projected guidance image, ``up`` (H, W, C)
-    the lifted feature map and the two log-sigmas are scalars.  Output cell (y, x) is the weighted sum of
-    ``up`` over its (2r+1)^2 edge-clamped neighbors, with the weights of
-    :func:`_guided_weights` (similarity softmax times spatial decay,
-    renormalized to sum to 1).  Forward and VJP loop over the window
-    offsets of edge-padded maps and accumulate in place, so no (H, W, K, C)
-    neighbor array is built.  Gradients flow to all four operands.
+    the lifted feature map and the two log-sigmas are scalars.  Output cell
+    (y, x) is the weighted sum of ``up`` over its (2r+1)^2 edge-clamped
+    neighbors, with the weights of :func:`_guided_weights` (similarity
+    softmax times spatial decay, renormalized to sum to 1).
+
+    Every weighted window sum is a banded matrix product over column tiles
+    (:class:`_Tiles`): the forward output and the ``proj`` gradient through
+    the neighbor side of the logits are ``B @ patch``, and the gradients
+    that land on padded neighbors (of ``up``, and of ``proj`` through the
+    logits) are ``B.T @ g``.  Only the two dot-product gathers, the logits
+    and the weight gradient, stay one elementwise pass per window offset.
+    No (H, W, K, C) neighbor array is built.  Gradients flow to all four
+    operands.
     """
     proj, up = as_tensor(proj), as_tensor(up)
     lsd, lss = as_tensor(log_sigma_dist), as_tensor(log_sigma_sim)
@@ -284,26 +382,16 @@ def guided_mix(proj, up, log_sigma_dist, log_sigma_sim, radius: int) -> Tensor:
         raise ValueError("guided_mix expects (H, W, D) and (H, W, C) maps of equal H, W")
     r = int(radius)
     h, w = up.data.shape[:2]
-    offsets = _window_offsets(r)
+    tiles = _Tiles(w, r)
     weights, sim, logits, spatial, norm, proj_pad = _guided_weights(
         proj.data, lsd.data, lss.data, r
     )
     up_pad = _edge_pad(up.data, r)
-    out = np.zeros(up.data.shape, dtype=np.float64)
-    blocks = _row_blocks(up.data)
-    tmp = np.empty((blocks[0][1],) + up.data.shape[1:], dtype=np.float64)
-    for y0, y1 in blocks:
-        acc, term = out[y0:y1], tmp[: y1 - y0]
-        for k, (dy, dx) in enumerate(offsets):
-            np.multiply(weights[y0:y1, :, k, None], up_pad[y0 + dy : y1 + dy, dx : dx + w], out=term)
-            acc += term
+    out = tiles.mix(weights, up_pad)
 
     def vjp(g):
-        g_weights = np.empty_like(weights)
-        g_up_pad = np.zeros_like(up_pad)
-        for k, (dy, dx) in enumerate(offsets):
-            g_weights[:, :, k] = np.einsum("hwc,hwc->hw", g, up_pad[dy : dy + h, dx : dx + w])
-            g_up_pad[dy : dy + h, dx : dx + w] += weights[:, :, k, None] * g
+        g_weights = _window_dots(g, up_pad, r)
+        g_up_pad = tiles.mix_adjoint(weights, g)
         # weights = u / norm with u = sim * spatial
         g_u = (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True)) / norm
         sigma_dist = np.exp(lsd.data)
@@ -313,12 +401,8 @@ def guided_mix(proj, up, log_sigma_dist, log_sigma_sim, radius: int) -> Tensor:
         g_lss = -2.0 * (g_logits * logits).sum()
         sigma_sim = np.exp(lss.data)
         g_dots = g_logits / (sigma_sim * sigma_sim)
-        g_proj = np.zeros_like(proj.data)
-        g_proj_pad = np.zeros_like(proj_pad)
-        for k, (dy, dx) in enumerate(offsets):
-            gk = g_dots[:, :, k, None]
-            g_proj += gk * proj_pad[dy : dy + h, dx : dx + w]
-            g_proj_pad[dy : dy + h, dx : dx + w] += gk * proj.data
+        g_proj = tiles.mix(g_dots, proj_pad)
+        g_proj_pad = tiles.mix_adjoint(g_dots, proj.data)
         g_proj += _fold_edges(g_proj_pad, r, h, w)
         return g_proj, _fold_edges(g_up_pad, r, h, w), np.asarray(g_lsd), np.asarray(g_lss)
 

@@ -8,9 +8,11 @@ tag ``HATT``: u32 version=1, u32 N, u32 heads, u32 C, then queries, level
 embeddings, and the q/k/v/output projection weights and biases with the same
 tensor encoding.
 
-The loader builds every tensor's expected shape from the headers (two
-detail-injection levels, three pyramid levels for the level embeddings) and
-raises :class:`~hiwin.formats.DataFormatError` naming the first tensor that
+The format holds exactly two detail-injection levels (three pyramid levels
+for the level embeddings): the header does not record the depth, so
+``save_checkpoint`` refuses any other depth before it writes anything.  The
+loader builds every tensor's expected shape from the headers and raises
+:class:`~hiwin.formats.DataFormatError` naming the first tensor that
 disagrees.  A checkpoint without an attention section implies N = 12.  A
 tensor holding NaN or inf is refused by name with
 :class:`~hiwin.numerics.NumericalError`, on save before anything is written
@@ -34,6 +36,7 @@ __all__ = ["Checkpoint", "load_checkpoint", "save_checkpoint"]
 VDIM_MAGIC = b"VDIM"
 HATT_MAGIC = b"HATT"
 VERSION = 1
+LEVELS = 2  # detail-injection levels of every checkpoint
 
 _ATTN_FIELDS = ("queries", "level_emb", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
 
@@ -55,6 +58,9 @@ def save_checkpoint(
     attn: AttnParams | None = None,
     heads: int = 4,
 ) -> None:
+    for part, depth in (("detail-injection", len(vdim.levels)), ("downsampler", len(down.levels))):
+        if depth != LEVELS:
+            raise ValueError(f"checkpoints hold {LEVELS} levels; the {part} model has {depth}")
     vdim_fields = trainable_arrays(vdim, down)
     attn_fields = [] if attn is None else [(name, getattr(attn, name)) for name in _ATTN_FIELDS]
     for name, arr in vdim_fields + attn_fields:
@@ -81,11 +87,11 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise NumericalError(f"checkpoint tensor {name} holds non-finite values")
 
 
-def _vdim_template(d_proj: int, channels: int, levels: int) -> tuple[VdimParams, DownsamplerParams]:
+def _vdim_template(d_proj: int, channels: int) -> tuple[VdimParams, DownsamplerParams]:
     """Uninitialized header-shaped parameters for the VDIM section to fill."""
     e = np.empty
-    kernels = [LevelKernel(e((3, d_proj)), e(d_proj), e(()), e(())) for _ in range(levels)]
-    downs = [LevelDown(e(channels), e(channels), e(channels), e(())) for _ in range(levels)]
+    kernels = [LevelKernel(e((3, d_proj)), e(d_proj), e(()), e(())) for _ in range(LEVELS)]
+    downs = [LevelDown(e(channels), e(channels), e(channels), e(())) for _ in range(LEVELS)]
     return VdimParams(levels=kernels), DownsamplerParams(levels=downs)
 
 
@@ -109,7 +115,7 @@ def _read_into(f: BinaryIO, fields: Iterable[tuple[str, np.ndarray]]) -> None:
         target[...] = arr
 
 
-def load_checkpoint(path, levels: int = 2) -> Checkpoint:
+def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != VDIM_MAGIC:
@@ -122,7 +128,7 @@ def load_checkpoint(path, levels: int = 2) -> Checkpoint:
         # the header's tensors hold at least these floats; refuse a header
         # the file cannot back before allocating them
         check_room(f, 4 * (d_proj + channels), "checkpoint VDIM tensors")
-        vdim, down = _vdim_template(d_proj, channels, levels)
+        vdim, down = _vdim_template(d_proj, channels)
         _read_into(f, trainable_arrays(vdim, down))
 
         attn = None
@@ -145,7 +151,7 @@ def load_checkpoint(path, levels: int = 2) -> Checkpoint:
                 )
             attn_floats = grid_side * grid_side * channels + channels * channels
             check_room(f, 4 * attn_floats, "checkpoint HATT tensors")
-            attn = _attn_template(grid_side, channels, levels + 1)
+            attn = _attn_template(grid_side, channels, LEVELS + 1)
             _read_into(f, ((name, getattr(attn, name)) for name in _ATTN_FIELDS))
         elif tag != b"":
             raise DataFormatError(f"unexpected trailing section {tag!r}")

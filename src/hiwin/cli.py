@@ -3,7 +3,8 @@
 Subcommands: ``pretrain-vdim``, ``build-isp``, ``compress``, ``pipeline``,
 ``visualize``, ``selftest``.  Configuration is flags-only; the single
 environment input is ``HIWIN_SEED``, overridden by ``--seed``; a value that
-is not an integer is a usage error.
+is not an integer is a usage error.  ``--threads`` owns parallelism: the
+package import pins BLAS to one thread unless the environment sets it.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numerical
 failure.  Diagnostics go to standard error.

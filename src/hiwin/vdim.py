@@ -11,7 +11,12 @@ projected by a learned linear map, and neighbor scores are the projected dot
 products scaled by ``1 / sigma_sim^2``.  The combined weight is renormalized
 to sum to 1 per output cell, so constant inputs pass through exactly.  The
 re-averaging is the single fused op ``autodiff.guided_mix``, which inference
-and training both run; it never builds a per-cell stack of neighbors.
+and training both run.  It applies the window weights as banded matrix
+products: each short tile of output cells of a row scatters its weights into
+one banded block and multiplies the tile's 7-row source window by it (``B @
+patch``; the VJP scatters back with ``B.T @ g``).  Only the two neighbor
+dot-product gathers, the logits and the gradient of the weights, run one
+window offset at a time.  No per-cell stack of neighbors is built.
 
 The downsampler inverts the scale change for training.  It is defined on
 the high level bilinearly lifted to full image resolution and split into

@@ -1,12 +1,21 @@
 """Finite-difference checks for every differentiation-graph operation."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hiwin
 from hiwin import autodiff as ad
 from hiwin.autodiff import NumericalError, Tensor
 
 from helpers import scalar_attention_downsample, scalar_guided_mix
+
+T = ad._TILE  # output columns per banded tile of guided_mix
 
 
 def fd_grads(build, params, h=1e-6):
@@ -110,6 +119,11 @@ def test_interp2d_matches_plain_resize():
         (1, 5, 1),  # one row: top and bottom padding fold onto the same cells
         (5, 1, 2),  # one column: left and right padding likewise
         (2, 3, 3),  # map smaller than the 7x7 window
+        (2, 2 * T, 3),  # two whole tiles
+        (2, 2 * T + 5, 3),  # a ragged last tile
+        (3, 2 * T + 1, 1),  # radius 1: a 2-column overhang into the next tile
+        (2, T + 3, T // 2),  # 2r = T: the overhang spans a whole tile
+        (1, T + 5, T // 2 + 1),  # 2r > T: tiles widen to 2r
     ],
 )
 def test_guided_mix_values_and_grad(h, w, radius):
@@ -126,6 +140,41 @@ def test_guided_mix_values_and_grad(h, w, radius):
     check_op(
         lambda: to_scalar(ad.guided_mix(proj, up, log_sigma_dist, log_sigma_sim, radius)), params
     )
+
+
+_BLAS_PROBE = textwrap.dedent(
+    """
+    import hashlib
+    import numpy as np
+    from hiwin import autodiff as ad
+
+    rng = np.random.default_rng(5)
+    proj = ad.Tensor(rng.standard_normal((20, 40, 8)), requires_grad=True)
+    up = ad.Tensor(rng.standard_normal((20, 40, 16)), requires_grad=True)
+    lsd = ad.Tensor(np.array(0.3), requires_grad=True)
+    lss = ad.Tensor(np.array(-0.2), requires_grad=True)
+    out = ad.guided_mix(proj, up, lsd, lss, 3)
+    ad.tsum(ad.mul(out, rng.uniform(0.5, 1.5, out.shape))).backward()
+    digest = hashlib.sha256(out.data.tobytes())
+    for t in (proj, up, lsd, lss):
+        digest.update(t.grad.tobytes())
+    print(digest.hexdigest())
+    """
+)
+
+
+def test_guided_mix_bits_do_not_depend_on_blas_threads():
+    # a 40-column map spans several tiles, so the banded products run on BLAS
+    src = str(Path(hiwin.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,15 @@
 """Command-line surface: outputs, file artifacts, exit codes, seeding."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hiwin
 from hiwin.checkpoint import save_checkpoint
 from hiwin.cli import main
 from hiwin.image_io import Image, load_ppm, save_ppm, synth_corpus
@@ -233,6 +238,24 @@ def test_mis_shaped_checkpoint_tensor_exits_3_naming_it(field, image_336, tmp_pa
     assert main(["compress", "--image", str(image_336), "--ckpt", str(path), "--out", str(out)]) == 3
     assert f"checkpoint tensor {field} has shape" in capsys.readouterr().err
     assert not out.exists()
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "user, want", [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])]
+)
+def test_import_pins_blas_threads_unless_set(user, want):
+    # --threads owns parallelism: a fresh process that imports hiwin first
+    # gets single-threaded BLAS, and a value the user set is kept
+    src = str(Path(hiwin.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env.update(user, PYTHONPATH=src)
+    probe = f"import os, hiwin; print(*(os.environ[v] for v in {_BLAS_VARS!r}))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == want
 
 
 @pytest.mark.parametrize("field, bad", [("wq", np.nan), ("upsample1.proj_w", np.inf)])

@@ -212,3 +212,25 @@ class TestCheckpoint:
         save_checkpoint(a, vdim, down)
         save_checkpoint(b, vdim, down)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        vdim = VdimParams.init(d_proj=6, seed=15)
+        down = DownsamplerParams.init(8, seed=15)
+        attn = AttnParams.init(HiwinConfig(channels=8), seed=15)
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(a, vdim, down, attn=attn)
+        ckpt = load_checkpoint(a)
+        save_checkpoint(b, ckpt.vdim, ckpt.down, attn=ckpt.attn, heads=ckpt.heads)
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("levels", [1, 3])
+    def test_other_depths_are_not_saved(self, tmp_path, levels):
+        # the header does not record the depth, so the loader could not
+        # read such a file back
+        path = tmp_path / "depth.ckpt"
+        for vdim_levels, down_levels, part in ((levels, 2, "detail-injection"), (2, levels, "downsampler")):
+            vdim = VdimParams.init(d_proj=6, seed=16, levels=vdim_levels)
+            down = DownsamplerParams.init(8, seed=16, levels=down_levels)
+            with pytest.raises(ValueError, match=f"the {part} model has {levels}"):
+                save_checkpoint(path, vdim, down)
+            assert not path.exists()
