@@ -6,13 +6,29 @@ Importing the package pins the BLAS pools of numpy to one thread, unless the
 variable is already set: ``--threads`` and ``PipelineConfig.threads`` own
 parallelism, and a BLAS pool per worker would oversubscribe the cores.  It
 takes effect only if numpy was not imported before ``hiwin``.
+
+On glibc it also fixes the allocator's mmap threshold at 32 MiB and its trim
+threshold at 64 MiB, unless ``MALLOC_MMAP_THRESHOLD_`` or
+``MALLOC_TRIM_THRESHOLD_`` is set.  Every unit allocates and frees arrays of
+a few MB; with glibc's adaptive thresholds they are often handed back to the
+kernel and faulted in again for the next unit.
 """
 
+import ctypes
 import os
+import sys
 
 # before the first numpy import, which starts the BLAS thread pool
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+if sys.platform == "linux" and not {"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"} & set(os.environ):
+    _mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if _mallopt is not None:
+        _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        _mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 from .autodiff import NumericalError, Tensor
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint

@@ -112,13 +112,13 @@ def cmd_pretrain(args) -> int:
     spec = EncoderSpec(channels=args.channels, seed=args.seed)
     vdim = VdimParams.init(d_proj=args.d_proj, seed=args.seed)
     down = DownsamplerParams.init(args.channels, seed=args.seed)
-    result = pretrain_vdim(corpus, spec, vdim, down, steps=args.steps, lr=args.lr, batch=args.batch)
+    result = pretrain_vdim(
+        corpus, spec, vdim, down, steps=args.steps, lr=args.lr, batch=args.batch,
+        on_step=lambda step, loss: print(f"{step} {loss:.10g}", flush=True),
+    )
     config = HiwinConfig(channels=args.channels)
     attn = AttnParams.init(config, seed=args.seed)
     save_checkpoint(args.out, result.vdim, result.down, attn=attn, heads=config.heads)
-    start = 1 if args.steps > 0 else 0
-    for i, loss in enumerate(result.losses, start=start):
-        print(f"{i} {loss:.10g}")
     return 0
 
 

@@ -84,7 +84,8 @@ def encode(image: Image, spec: EncoderSpec, origin: str = "overview") -> Feature
         )
     nh, nw = image.height // p, image.width // p
     patches = (
-        image.pixels.astype(np.float64)
+        image.decoded()
+        .astype(np.float64)
         .reshape(nh, p, nw, p, 3)
         .transpose(0, 2, 1, 3, 4)
         .reshape(nh, nw, p * p * 3)

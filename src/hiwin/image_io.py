@@ -1,6 +1,12 @@
 """Image loading/saving, the synthetic training corpus, and image pyramids.
 
-Images are RGB float32 in [0, 1].  The only required on-disk format is
+An image holds either float32 values in [0, 1] or 8-bit codes (uint8).
+:func:`load_ppm` keeps a file's codes as a view on its bytes, and
+:func:`save_ppm` writes codes unchanged.  Codes become values by one rule,
+``float32(code) / 255`` (:func:`hiwin.numerics.decode_codes`): resizes decode
+only the cells their taps read, and :meth:`Image.decoded` decodes a whole
+image for arithmetic that wants values (the encoder and the guided
+upsampler take their pixels through it).  The only required on-disk format is
 binary PPM (P6, maxval 255), chosen because round trips are bit-exact and
 need no dependencies.  The image pyramid resamples every level from the
 original image rather than cascading, which avoids compounding interpolation
@@ -15,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .formats import DataFormatError
-from .numerics import bilinear_resize
+from .numerics import bilinear_resize, decode_codes
 
 __all__ = [
     "Image",
@@ -52,20 +58,28 @@ class PpmDepthError(PpmError):
 
 @dataclass
 class Image:
-    """One RGB image; values are clamped to [0, 1] on construction.
+    """One RGB image of float32 values in [0, 1] or of 8-bit codes.
 
-    A float32 array already in range is kept as given, not copied.
+    A uint8 array holds codes and is kept as given, with no scan.  Any other
+    array becomes float32 clamped to [0, 1]; a float32 array already in
+    range is kept as given, not copied.
     """
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.pixels, dtype=np.float32)
+        p = np.asarray(self.pixels)
+        if p.dtype != np.uint8:
+            p = np.asarray(p, dtype=np.float32)
         if p.ndim != 3 or p.shape[2] != 3 or p.shape[0] < 1 or p.shape[1] < 1:
             raise ValueError("Image requires an (H, W, 3) array with H, W >= 1")
-        if p.min() < 0.0 or p.max() > 1.0:
+        if p.dtype == np.float32 and (p.min() < 0.0 or p.max() > 1.0):
             p = np.clip(p, 0.0, 1.0)
         self.pixels = p
+
+    def decoded(self) -> np.ndarray:
+        """The float32 values: the pixels themselves, or the decoded codes."""
+        return decode_codes(self.pixels)
 
     @property
     def height(self) -> int:
@@ -116,7 +130,8 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
 
 
 def load_ppm(path) -> Image:
-    """Read a binary P6 PPM with 8-bit channels."""
+    """Read a binary P6 PPM with 8-bit channels; the image holds its codes,
+    a view on the file's bytes."""
     data = Path(path).read_bytes()
     magic, start, pos = _next_token(data, 0)
     if magic != b"P6":
@@ -138,17 +153,17 @@ def load_ppm(path) -> Image:
             f"truncated pixel data: expected {expected} bytes, got {len(data) - pos}",
             len(data),
         )
-    pixels = np.frombuffer(data, np.uint8, count=expected, offset=pos).reshape(height, width, 3)
-    scaled = pixels.astype(np.float32)
-    scaled /= 255.0
-    return Image(scaled)
+    return Image(np.frombuffer(data, np.uint8, count=expected, offset=pos).reshape(height, width, 3))
 
 
 def save_ppm(image: Image, path) -> None:
-    """Write a canonical binary P6 PPM (8-bit, no comments)."""
+    """Write a canonical binary P6 PPM (8-bit, no comments); codes are
+    written unchanged, values rounded to the nearest code."""
     header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    quantized = np.rint(np.clip(image.pixels, 0.0, 1.0) * 255.0).astype(np.uint8)
-    Path(path).write_bytes(header + quantized.tobytes())
+    codes = image.pixels
+    if codes.dtype != np.uint8:
+        codes = np.rint(np.clip(codes, 0.0, 1.0) * 255.0).astype(np.uint8)
+    Path(path).write_bytes(header + codes.tobytes())
 
 
 def resize_image(image: Image, out_w: int, out_h: int) -> Image:

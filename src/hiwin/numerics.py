@@ -10,7 +10,9 @@ axis).  :func:`bilinear_resize` and the RoI sampler of
 ``autodiff.interp2d`` lifts feature maps and ``autodiff.window_pool`` lifts
 saliency scores, in training as in inference.  The scalar references are
 :func:`hiwin.selfcheck.scalar_bilinear_at` and ``tests/helpers.scalar_resize``.
-Interpolation runs in float64; results are cast back to the caller's dtype.
+Interpolation runs in float64; results are cast back to the caller's dtype,
+except that 8-bit image codes resize to float32 values through
+:func:`decode_codes`, the one rule that turns a code into a value.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ __all__ = [
     "adam_step",
     "bilinear_resize",
     "bilinear_taps",
+    "decode_codes",
     "grad_check",
     "lerp",
     "pca_rgb",
-    "power_iteration_components",
     "resize_matrix",
     "softmax",
 ]
@@ -90,13 +92,39 @@ def resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     return m
 
 
+def decode_codes(a: np.ndarray) -> np.ndarray:
+    """Values in [0, 1] of a pixel array: uint8 codes become the float32
+    ``float32(code) / 255``; any other array is returned as given."""
+    if a.dtype != np.uint8:
+        return a
+    out = a.astype(np.float32)
+    out /= 255.0
+    return out
+
+
+def _tapped(src: np.ndarray, taps: _Taps, axis: int) -> tuple[np.ndarray, _Taps]:
+    """The cells of ``src`` along ``axis`` that ``taps`` read, and the taps
+    remapped to them; ``src`` and ``taps`` as given if every cell is read."""
+    i0, i1, frac = taps
+    read = np.zeros(src.shape[axis], dtype=bool)
+    read[i0] = read[i1] = True
+    if read.all():
+        return src, taps
+    new_index = np.cumsum(read) - 1
+    return np.take(src, np.flatnonzero(read), axis=axis), (new_index[i0], new_index[i1], frac)
+
+
 def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resample an (H, W, C) or (H, W) array to (out_h, out_w).
 
-    Two :func:`lerp` passes, columns then rows, read only the source cells
-    their taps name, so no resampling matrix and no float64 copy of the
-    whole input are built.  Identical input and output dims return an exact
-    copy.
+    The source rows and columns that the taps name are gathered first (a
+    downscale by more than 2 skips cells), then :func:`decode_codes` turns
+    them into values, then two :func:`lerp` passes, columns then rows, read
+    them.  No resampling matrix and no float copy of the whole input are
+    built, and every output cell sees the same float64 arithmetic whichever
+    cells were gathered.  A uint8 input holds 8-bit image codes and resizes
+    to float32; any other dtype is kept.  Identical input and output dims
+    return an exact copy of the values.
     """
     src = np.asarray(src)
     if src.ndim == 2:
@@ -109,9 +137,12 @@ def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     if out_h < 1 or out_w < 1:
         raise ValueError("bilinear_resize: output dims must be positive")
     if (out_h, out_w) == (h, w):
-        return src.copy()
-    cols = lerp(src, _resize_taps(w, out_w), axis=1)
-    return lerp(cols, _resize_taps(h, out_h), axis=0).astype(src.dtype, copy=False)
+        values = decode_codes(src)
+        return values.copy() if values is src else values
+    src, rows = _tapped(src, _resize_taps(h, out_h), axis=0)
+    src, cols = _tapped(src, _resize_taps(w, out_w), axis=1)
+    values = decode_codes(src)
+    return lerp(lerp(values, cols, axis=1), rows, axis=0).astype(values.dtype, copy=False)
 
 
 def softmax(x: np.ndarray, axis: int | tuple[int, ...] = -1) -> np.ndarray:
@@ -131,7 +162,11 @@ def grad_check(
 
     ``f`` is re-evaluated with each parameter entry nudged by ±h, so it must
     be a pure function of the params' current values.  The relative error for
-    one entry is ``|analytic - fd| / max(|analytic|, |fd|, 1e-12)``.
+    one entry is ``|analytic - fd| / max(|analytic|, |fd|, floor)``, where
+    ``floor`` is 1e-3 times the largest analytic gradient magnitude over all
+    params (at least 1e-12): an entry a thousand times smaller than the
+    largest is judged against that scale, not against its own finite-
+    difference rounding noise.
     """
     if h <= 0:
         raise ValueError("grad_check requires h > 0")
@@ -142,10 +177,13 @@ def grad_check(
         p.grad = None
     out.backward()
 
+    analytics = [
+        np.zeros(p.data.size) if p.grad is None else np.asarray(p.grad, dtype=np.float64).reshape(-1)
+        for p in params
+    ]
+    floor = max([1e-12] + [1e-3 * float(np.abs(a).max()) for a in analytics if a.size])
     worst = 0.0
-    for p in params:
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        analytic = np.asarray(analytic, dtype=np.float64).reshape(-1)
+    for p, analytic in zip(params, analytics):
         flat = p.data.reshape(-1)
         for i in range(flat.size):
             keep = flat[i]
@@ -157,7 +195,7 @@ def grad_check(
             if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
                 raise NumericalError("grad_check: perturbed objective is not finite")
             fd = (f_hi - f_lo) / (2.0 * h)
-            denom = max(abs(analytic[i]), abs(fd), 1e-12)
+            denom = max(abs(analytic[i]), abs(fd), floor)
             worst = max(worst, abs(analytic[i] - fd) / denom)
     return worst
 
@@ -223,48 +261,15 @@ def adam_step(
     return out
 
 
-def power_iteration_components(
-    cov: np.ndarray, k: int, iters: int = 500, tol: float = 1e-7
-) -> tuple[np.ndarray, np.ndarray]:
-    """Leading eigenpairs of a symmetric PSD matrix by deflated power iteration.
-
-    Returns ``(values, vectors)`` with vectors in columns; components whose
-    eigenvalue is negligible relative to the trace come back as zero vectors.
-    """
-    cov = np.asarray(cov, dtype=np.float64)
-    dim = cov.shape[0]
-    rng = np.random.default_rng(0)
-    floor = 1e-12 * max(float(np.trace(cov)), 1.0)
-    values = np.zeros(k)
-    vectors = np.zeros((dim, k))
-    work = cov.copy()
-    for c in range(k):
-        v = rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        for _ in range(max(iters, 50)):
-            w = work @ v
-            norm = np.linalg.norm(w)
-            if norm <= 1e-30:
-                break
-            w /= norm
-            if np.linalg.norm(w - v) < tol:
-                v = w
-                break
-            v = w
-        lam = float(v @ work @ v)
-        if lam <= floor:
-            break
-        values[c] = lam
-        vectors[:, c] = v
-        work = work - lam * np.outer(v, v)
-    return values, vectors
-
-
 def pca_rgb(features: np.ndarray) -> np.ndarray:
     """Project an (H, W, C) map onto its top-3 principal components as RGB.
 
+    The components are the leading eigenvectors of the channel covariance
+    (``np.linalg.eigh``), each signed to have a positive dot product with a
+    fixed probe, the c-th row of ``default_rng(0).standard_normal((3, C))``.
     Channels are min-max scaled to [0, 1].  A map with no variance renders
-    mid-gray; components beyond the input's rank render black.
+    mid-gray; components whose eigenvalue is below 1e-12 of the trace (those
+    beyond the input's rank) render black.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 3:
@@ -277,8 +282,14 @@ def pca_rgb(features: np.ndarray) -> np.ndarray:
     if float((x * x).sum()) <= 1e-24:
         return np.full((h, w, 3), 0.5, dtype=np.float32)
     cov = (x.T @ x) / max(x.shape[0] - 1, 1)
-    _, vectors = power_iteration_components(cov, 3)
-    proj = x @ vectors  # (n, 3)
+    values, vectors = np.linalg.eigh(cov)  # ascending
+    k = min(c, 3)
+    keep = values[::-1][:k] > 1e-12 * max(float(np.trace(cov)), 1.0)
+    top = np.zeros((c, 3))
+    top[:, :k] = vectors[:, ::-1][:, :k] * keep
+    probes = np.random.default_rng(0).standard_normal((3, c))
+    top *= np.where((probes.T * top).sum(axis=0) < 0, -1.0, 1.0)
+    proj = x @ top  # (n, 3)
     out = np.zeros_like(proj)
     for ch in range(3):
         lo = proj[:, ch].min()

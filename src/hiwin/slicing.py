@@ -77,7 +77,12 @@ def compute_slice_layout(width: int, height: int, max_slices: int = 6) -> SliceL
 
 
 def extract_slices(image: Image, layout: SliceLayout) -> tuple[list[Image], Image]:
-    """Crop and resize every slice; also produce the 336x336 overview."""
+    """Crop and resize every slice; also produce the 336x336 overview.
+
+    Crops are views.  Slices and overview are float32 whichever kind of
+    pixels ``image`` holds; 8-bit codes are decoded only where a resize
+    tap reads them.
+    """
     if layout.rects[-1][2] != image.width or layout.rects[-1][3] != image.height:
         raise ValueError("layout was computed for different image dims")
     slices = []

@@ -41,7 +41,7 @@ remain float32.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -286,7 +286,7 @@ def jbu_upsample(
     kern = _wrap_level(params.levels[lvl], _Kernel)
     out = _guided_upsample_graph(
         Tensor(f_level.data.astype(np.float64)),
-        guide.pixels.astype(np.float64),
+        guide.decoded().astype(np.float64),
         kern,
         params.radius,
     )
@@ -296,7 +296,7 @@ def jbu_upsample(
 def jbu_kernel_weights(guide: Image, params: VdimParams, level: int) -> np.ndarray:
     """The (gh, gw, K) renormalized neighbor weights for one level; rows sum to 1."""
     lk = params.levels[level]
-    proj = _guide_proj_graph(guide.pixels.astype(np.float64), _wrap_level(lk, _Kernel)).data
+    proj = _guide_proj_graph(guide.decoded().astype(np.float64), _wrap_level(lk, _Kernel)).data
     return ad._guided_weights(proj, lk.log_sigma_dist, lk.log_sigma_sim, params.radius)[0]
 
 
@@ -363,7 +363,7 @@ def mlr_objective(
     from the returned parameter tensors on every invocation.
     """
     kernels, downs, flat = _wrap_params(vdim, down, trainable=True)
-    guides = [lvl.pixels.astype(np.float64) for lvl in pyramid.levels[1 : len(vdim.levels) + 1]]
+    guides = [lvl.decoded().astype(np.float64) for lvl in pyramid.levels[1 : len(vdim.levels) + 1]]
     base_img = pyramid.levels[0]
     image_hw = (base_img.height * down.patch, base_img.width * down.patch)
     f0_data = f0.data.astype(np.float64)
@@ -391,13 +391,16 @@ def pretrain_vdim(
     steps: int,
     lr: float = 1e-3,
     batch: int = 4,
+    on_step: Callable[[int, float], None] | None = None,
 ) -> TrainResult:
     """Jointly fit the upsampling kernels and downsamplers on a frozen encoder.
 
     Batches cycle through the corpus in order, so the run is a pure function
     of its inputs.  ``losses[k]`` is the batch loss observed at step k+1
     before its update; with ``steps == 0`` the single entry is the initial
-    loss.  Parameters are updated in place and also returned.
+    loss, reported as step 0.  ``on_step(step, loss)``, if given, is called
+    with each entry as soon as it is known.  Parameters are updated in place
+    and also returned.
     """
     if not corpus:
         raise ValueError("pretrain_vdim requires a non-empty corpus")
@@ -412,7 +415,7 @@ def pretrain_vdim(
         prepared.append(
             (
                 fmap.data.astype(np.float64),
-                [lvl.pixels.astype(np.float64) for lvl in pyr.levels[1:]],
+                [lvl.decoded().astype(np.float64) for lvl in pyr.levels[1:]],
                 (img.height, img.width),
             )
         )
@@ -431,6 +434,8 @@ def pretrain_vdim(
             kernels, downs_t, _ = _wrap_params(vdim, down, trainable=False)
             loss = _pyramid_loss_graph(f0, guides, hw, kernels, downs_t, vdim.radius, down.patch)
             total += loss.item()
+        if on_step is not None:
+            on_step(0, total / batch)
         return TrainResult(vdim=vdim, down=down, losses=[total / batch])
 
     for step in range(1, steps + 1):
@@ -450,5 +455,7 @@ def pretrain_vdim(
         for target, updated in zip(arrays, adam_step(arrays, grads, state)):
             target[...] = updated
         losses.append(loss_sum / batch)
+        if on_step is not None:
+            on_step(step, losses[-1])
 
     return TrainResult(vdim=vdim, down=down, losses=losses)

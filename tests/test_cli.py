@@ -1,9 +1,11 @@
 """Command-line surface: outputs, file artifacts, exit codes, seeding."""
 
+import ctypes
 import os
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,27 @@ def test_pretrain_prints_step_loss_lines(ckpt, capsys):
         step, loss = line.split()
         assert int(step) == i
         assert float(loss) > 0
+
+
+def test_pretrain_prints_each_loss_when_its_step_ends(tmp_path):
+    # the first line arrives while the remaining steps still run
+    src = str(Path(hiwin.__file__).resolve().parents[1])
+    argv = [
+        sys.executable, "-m", "hiwin.cli", "pretrain-vdim", "--corpus", "synthetic",
+        "--count", "2", "--size", "56", "--channels", "4", "--d-proj", "4",
+        "--steps", "100000", "--batch", "2", "--seed", "1", "--out", str(tmp_path / "s.ckpt"),
+    ]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src})
+    watchdog = threading.Timer(60, proc.kill)  # a held-back line reads as EOF
+    watchdog.start()
+    try:
+        first = proc.stdout.readline()
+        assert proc.poll() is None
+    finally:
+        watchdog.cancel()
+        proc.kill()
+        proc.communicate(timeout=60)
+    assert first.split()[0] == "1"
 
 
 def test_zero_step_pretrain_prints_initial_loss(tmp_path, capsys):
@@ -256,6 +279,39 @@ def test_import_pins_blas_threads_unless_set(user, want):
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == want
+
+
+_MALLINFO2 = """
+import ctypes, hiwin, numpy
+class Info(ctypes.Structure):
+    _fields_ = [(n, ctypes.c_size_t) for n in
+                "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks fordblks keepcost".split()]
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = Info
+a = numpy.ones(20 << 20, numpy.uint8)
+mapped = libc.mallinfo2().hblkhd
+del a
+print(mapped >> 20, libc.mallinfo2().fordblks >> 20)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+    reason="glibc allocator only",
+)
+@pytest.mark.parametrize("user, mapped", [({}, False), ({"MALLOC_MMAP_THRESHOLD_": "131072"}, True)])
+def test_import_keeps_unit_sized_arrays_in_the_heap_unless_set(user, mapped):
+    # a freed 20 MiB array stays in the heap for the next unit instead of
+    # going back to the kernel; a threshold the user set is kept
+    src = str(Path(hiwin.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env.update(user, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _MALLINFO2], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    mapped_mib, free_mib = map(int, done.stdout.split())
+    assert (mapped_mib >= 20) == mapped
+    if not mapped:
+        assert free_mib >= 20
 
 
 @pytest.mark.parametrize("field, bad", [("wq", np.nan), ("upsample1.proj_w", np.inf)])

@@ -277,6 +277,21 @@ class TestPretrain:
         assert r1.losses == r2.losses
         assert len(r1.losses) == 6
 
+    def test_on_step_reports_each_loss_when_its_step_ends(self):
+        corpus, spec, vdim, down = self.small_setup()
+        seen = []
+
+        def on_step(step, loss):
+            # parameters already hold this step's update when it is reported
+            seen.append((step, loss, [a.copy() for _, a in trainable_arrays(vdim, down)]))
+
+        result = pretrain_vdim(corpus, spec, vdim, down, steps=3, batch=2, on_step=on_step)
+        assert [(step, loss) for step, loss, _ in seen] == list(enumerate(result.losses, start=1))
+        assert not all(np.array_equal(a, b) for a, b in zip(seen[0][2], seen[1][2]))
+        zero = []
+        result = pretrain_vdim(corpus, spec, vdim, down, steps=0, batch=2, on_step=lambda *e: zero.append(e))
+        assert zero == [(0, result.losses[0])]
+
     def test_saliency_bias_stays_zero(self):
         # a shift of every score in a window leaves its softmax unchanged, so
         # sal_b gets an exactly zero gradient and Adam never moves it
