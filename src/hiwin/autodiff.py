@@ -255,8 +255,9 @@ def _window_dots(a: np.ndarray, src_pad: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
-class _Tiles:
-    """The banded tile layout of :func:`guided_mix` for one map width.
+def _banded_mix(weights: np.ndarray, src_pad: np.ndarray, radius: int) -> np.ndarray:
+    """(H, W, C) ``out[y, x] = sum_k weights[y, x, k] * src_pad[y + dy, x + dx]``
+    for (H, W, K) weights and a padded (H + 2r, W + 2r, C) source.
 
     Output columns are cut into tiles of ``t`` cells (``t >= 2r``; the last
     tile is zero-padded).  A tile's cells read the ``(k, t + 2r)`` source
@@ -266,75 +267,49 @@ class _Tiles:
     weights scatter, by the one flat index ``index``, into a banded
     ``(t, k * (t + 2r))`` block ``B`` and the window sum is ``B @ patch``.
     """
+    h, w, _ = weights.shape
+    c = src_pad.shape[-1]
+    k = 2 * radius + 1
+    t = max(_TILE, 2 * radius)
+    span = t + 2 * radius
+    n = -(-w // t)  # tiles per row
+    if n * t > w:
+        weights = np.pad(weights, ((0, 0), (0, n * t - w), (0, 0)))
+        src_pad = np.pad(src_pad, ((0, 0), (0, n * t - w), (0, 0)))
+    cell = np.arange(t)[:, None]
+    dy, dx = np.divmod(np.arange(k * k), k)
+    index = (cell * k * span + dy * span + cell + dx).reshape(-1)
+    # (H, n, C, k, span) view of every tile's source window
+    windows = np.lib.stride_tricks.sliding_window_view(src_pad, (k, span), axis=(0, 1))[:, ::t]
+    out = np.empty((h, n, t, c), dtype=np.float64)
+    # row blocks sized by the larger per-row operand: the patches or the bands
+    for y0, y1 in _row_blocks(h, n * k * span * max(c, t)):
+        rows = y1 - y0
+        bands = np.zeros((rows, n, t * k * span), dtype=np.float64)
+        bands[:, :, index] = weights[y0:y1].reshape(rows, n, -1)
+        patches = windows[y0:y1].transpose(0, 1, 3, 4, 2).reshape(rows, n, -1, c)
+        np.matmul(bands.reshape(rows, n, t, k * span), patches, out=out[y0:y1])
+        del bands, patches  # the next block's operands reuse this memory
+    return np.ascontiguousarray(out.reshape(h, n * t, c)[:, :w])
 
-    def __init__(self, w: int, radius: int):
-        self.w = w
-        self.r = radius
-        self.k = 2 * radius + 1
-        self.t = max(_TILE, 2 * radius)
-        self.span = self.t + 2 * radius
-        self.n = -(-w // self.t)  # tiles per row
-        self.width = self.n * self.t  # tiled output width
-        cell = np.arange(self.t)[:, None]
-        dy, dx = np.divmod(np.arange(self.k * self.k), self.k)
-        self.index = (cell * self.k * self.span + dy * self.span + cell + dx).reshape(-1)
 
-    def _pad(self, a: np.ndarray) -> np.ndarray:
-        """``a`` zero-padded on the right by the missing cells of the last tile."""
-        if self.width == self.w:
-            return a
-        return np.pad(a, ((0, 0), (0, self.width - self.w), (0, 0)))
+def _flipped(weights: np.ndarray, radius: int) -> np.ndarray:
+    """Weights of the adjoint of :func:`_banded_mix` in its padded source.
 
-    def _blocks(self, h: int, c: int) -> list[tuple[int, int]]:
-        """Row blocks sized by the larger per-row operand: the (n, k * span, c)
-        patches or the (n, t, k * span) bands."""
-        return _row_blocks(h, self.n * self.k * self.span * max(c, self.t))
-
-    def _bands(self, weights: np.ndarray) -> np.ndarray:
-        """(rows, n, t, k * span) banded blocks of padded (rows, width, K) weights."""
-        rows = weights.shape[0]
-        b = np.zeros((rows, self.n, self.t * self.k * self.span), dtype=np.float64)
-        b[:, :, self.index] = weights.reshape(rows, self.n, -1)
-        return b.reshape(rows, self.n, self.t, self.k * self.span)
-
-    def mix(self, weights: np.ndarray, src_pad: np.ndarray) -> np.ndarray:
-        """(H, W, C) ``out[y, x] = sum_k weights[y, x, k] * src_pad[y + dy, x + dx]``
-        for (H, W, K) weights and an edge-padded (H + 2r, W + 2r, C) source."""
-        h, c = weights.shape[0], src_pad.shape[-1]
-        weights = self._pad(weights)
-        # (H, n, C, k, span) view of every tile's source window
-        windows = np.lib.stride_tricks.sliding_window_view(
-            self._pad(src_pad), (self.k, self.span), axis=(0, 1)
-        )[:, :: self.t]
-        out = np.empty((h, self.n, self.t, c), dtype=np.float64)
-        for y0, y1 in self._blocks(h, c):
-            patches = windows[y0:y1].transpose(0, 1, 3, 4, 2).reshape(y1 - y0, self.n, -1, c)
-            np.matmul(self._bands(weights[y0:y1]), patches, out=out[y0:y1])
-        return np.ascontiguousarray(out.reshape(h, self.width, c)[:, : self.w])
-
-    def mix_adjoint(self, weights: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Adjoint of :meth:`mix` in its source: the (H + 2r, W + 2r, C)
-        padded map with ``g[y, x] * weights[y, x, k]`` added at
-        ``(y + dy, x + dx)``, as ``B.T @ g`` per tile.
-
-        Each ``dy`` row of a tile's result is added back with two strided
-        slice-adds, the tile's first ``t`` columns and its ``2r`` overhang
-        into the next tile, which do not overlap since ``2r <= t``.
-        """
-        h, c = g.shape[0], g.shape[-1]
-        t, span = self.t, self.span
-        weights = self._pad(weights)
-        g_tiles = self._pad(g).reshape(h, self.n, t, c)
-        g_pad = np.zeros((h + 2 * self.r, self.n + 1, t, c), dtype=np.float64)
-        for y0, y1 in self._blocks(h, c):
-            b = self._bands(weights[y0:y1])
-            res = np.matmul(b.transpose(0, 1, 3, 2), g_tiles[y0:y1])
-            res = res.reshape(y1 - y0, self.n, self.k, span, c)
-            for dy in range(self.k):
-                rows = g_pad[y0 + dy : y1 + dy]
-                rows[:, :-1] += res[:, :, dy, :t]
-                rows[:, 1:, : span - t] += res[:, :, dy, t:]
-        return g_pad.reshape(h + 2 * self.r, -1, c)[:, : self.w + 2 * self.r]
+    The padded-source gradient adds ``g[y, x] * weights[y, x, k]`` at
+    ``(y + dy, x + dx)``.  Read from the receiving cell (Y, X), that is
+    itself a window sum on the (H + 2r, W + 2r) padded grid over ``g``
+    zero-padded by 2r: its offset K-1-k reads ``g[Y - dy, X - dx]`` and
+    weighs it by ``weights[Y - dy, X - dx, k]``, zero off the map.  These
+    (H + 2r, W + 2r, K) flipped weights take one (H, W) slice copy per
+    offset, so the adjoint is a forward :func:`_banded_mix` with no
+    overlapping adds.
+    """
+    h, w, kk = weights.shape
+    out = np.zeros((h + 2 * radius, w + 2 * radius, kk), dtype=np.float64)
+    for k, (dy, dx) in enumerate(_window_offsets(radius)):
+        out[dy : dy + h, dx : dx + w, kk - 1 - k] = weights[:, :, k]
+    return out
 
 
 def _guided_weights(proj: np.ndarray, log_sigma_dist, log_sigma_sim, radius: int):
@@ -367,12 +342,15 @@ def guided_mix(proj, up, log_sigma_dist, log_sigma_sim, radius: int) -> Tensor:
     neighbors, with the weights of :func:`_guided_weights` (similarity
     softmax times spatial decay, renormalized to sum to 1).
 
-    Every weighted window sum is a banded matrix product over column tiles
-    (:class:`_Tiles`): the forward output and the ``proj`` gradient through
-    the neighbor side of the logits are ``B @ patch``, and the gradients
+    Every weighted window sum is one banded kernel, :func:`_banded_mix`
+    (``B @ patch`` over column tiles): the forward output, the ``proj``
+    gradient through the centre side of the logits, and the two gradients
     that land on padded neighbors (of ``up``, and of ``proj`` through the
-    logits) are ``B.T @ g``.  Only the two dot-product gathers, the logits
-    and the weight gradient, stay one elementwise pass per window offset.
+    logits).  Those two adjoints are forward mixes of the zero-padded
+    gradient over :func:`_flipped` weights on the padded grid, which
+    :func:`_fold_edges` then folds onto the core.  Only the two dot-product
+    gathers, the logits and the weight gradient, stay one elementwise pass
+    per window offset.
     No (H, W, K, C) neighbor array is built.  Gradients flow to all four
     operands.
     """
@@ -382,16 +360,16 @@ def guided_mix(proj, up, log_sigma_dist, log_sigma_sim, radius: int) -> Tensor:
         raise ValueError("guided_mix expects (H, W, D) and (H, W, C) maps of equal H, W")
     r = int(radius)
     h, w = up.data.shape[:2]
-    tiles = _Tiles(w, r)
     weights, sim, logits, spatial, norm, proj_pad = _guided_weights(
         proj.data, lsd.data, lss.data, r
     )
     up_pad = _edge_pad(up.data, r)
-    out = tiles.mix(weights, up_pad)
+    out = _banded_mix(weights, up_pad, r)
+    pad = ((2 * r, 2 * r), (2 * r, 2 * r), (0, 0))  # source of the adjoint mixes
 
     def vjp(g):
         g_weights = _window_dots(g, up_pad, r)
-        g_up_pad = tiles.mix_adjoint(weights, g)
+        g_up_pad = _banded_mix(_flipped(weights, r), np.pad(g, pad), r)
         # weights = u / norm with u = sim * spatial
         g_u = (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True)) / norm
         sigma_dist = np.exp(lsd.data)
@@ -401,8 +379,8 @@ def guided_mix(proj, up, log_sigma_dist, log_sigma_sim, radius: int) -> Tensor:
         g_lss = -2.0 * (g_logits * logits).sum()
         sigma_sim = np.exp(lss.data)
         g_dots = g_logits / (sigma_sim * sigma_sim)
-        g_proj = tiles.mix(g_dots, proj_pad)
-        g_proj_pad = tiles.mix_adjoint(g_dots, proj.data)
+        g_proj = _banded_mix(g_dots, proj_pad, r)
+        g_proj_pad = _banded_mix(_flipped(g_dots, r), np.pad(proj.data, pad), r)
         g_proj += _fold_edges(g_proj_pad, r, h, w)
         return g_proj, _fold_edges(g_up_pad, r, h, w), np.asarray(g_lsd), np.asarray(g_lss)
 

@@ -10,11 +10,14 @@ tensor encoding.
 
 The format holds exactly two detail-injection levels (three pyramid levels
 for the level embeddings): the header does not record the depth, so
-``save_checkpoint`` refuses any other depth before it writes anything.  The
-loader builds every tensor's expected shape from the headers and raises
-:class:`~hiwin.formats.DataFormatError` naming the first tensor that
-disagrees.  A checkpoint without an attention section implies N = 12.  A
-tensor holding NaN or inf is refused by name with
+``save_checkpoint`` refuses any other depth before it writes anything.  It
+records no geometry either: the guided-upsampling radius 3 (a 7x7 window)
+and the patch side 14 are fixed by the format, as the class constants
+``VdimParams.radius``, ``DownsamplerParams.patch`` and
+``EncoderSpec.patch``.  The loader builds every tensor's expected shape
+from the headers and raises :class:`~hiwin.formats.DataFormatError` naming
+the first tensor that disagrees.  A checkpoint without an attention section
+implies N = 12.  A tensor holding NaN or inf is refused by name with
 :class:`~hiwin.numerics.NumericalError`, on save before anything is written
 and on load.
 """

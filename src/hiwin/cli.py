@@ -32,6 +32,21 @@ from .window_attn import AttnParams, HiwinConfig
 __all__ = ["main", "main_entry"]
 
 
+def _int_flag(least: int, multiple_of: int = 1):
+    """argparse type: an integer of at least ``least`` that ``multiple_of``
+    divides; any other value is a usage error naming the flag."""
+    rule = f"at least {least}" + (f" and a multiple of {multiple_of}" if multiple_of > 1 else "")
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least or value % multiple_of:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse's message for a non-integer: "invalid integer value"
+    return parse
+
+
 def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--seed",
@@ -50,13 +65,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain-vdim", help="train the detail-injection weights")
     p.add_argument("--corpus", required=True, help='"synthetic" or a directory of .ppm files')
-    p.add_argument("--steps", type=int, default=300)
+    p.add_argument("--steps", type=_int_flag(0), default=300, help="optimizer steps (>= 0)")
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--count", type=int, default=32, help="synthetic corpus size")
-    p.add_argument("--size", type=int, default=112, help="synthetic image side")
-    p.add_argument("--channels", type=int, default=64)
-    p.add_argument("--d-proj", type=int, default=32)
+    p.add_argument("--batch", type=_int_flag(1), default=4, help="images per step (>= 1)")
+    p.add_argument("--count", type=_int_flag(1), default=32, help="synthetic corpus size (>= 1)")
+    p.add_argument("--size", type=_int_flag(1), default=112, help="synthetic image side (>= 1)")
+    heads = HiwinConfig.heads  # the attention heads split the channels evenly
+    p.add_argument(
+        "--channels", type=_int_flag(1, heads), default=64, help=f"feature channels (a positive multiple of {heads})"
+    )
+    p.add_argument("--d-proj", type=_int_flag(1), default=32, help="guidance projection width (>= 1)")
     p.add_argument("--out", required=True, help="checkpoint path")
     _add_seed(p)
     p.set_defaults(func=cmd_pretrain)
@@ -73,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--projector", choices=PROJECTORS, default="hiwin")
     p.add_argument("--out", required=True, help="TOKS output path")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_int_flag(1), default=1, help="worker threads (>= 1)")
     _add_seed(p)
     p.set_defaults(func=cmd_compress)
 
@@ -81,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True, help="TOKS output path")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_int_flag(1), default=1, help="worker threads (>= 1)")
     _add_seed(p)
     p.set_defaults(func=cmd_pipeline)
 
@@ -150,9 +168,11 @@ def cmd_build_isp(args) -> int:
 
 def _run_and_save(args, projector: str) -> int:
     ckpt, config, attn = _load_setup(args)
-    image = load_ppm(args.image)
     mlp_weight = init_mlp_weight(config.hiwin.channels, seed=args.seed)
-    result = run_pipeline(image, ckpt.vdim, attn, config, projector=projector, mlp_weight=mlp_weight)
+    # no local keeps the image, so run_pipeline frees the file bytes after slicing
+    result = run_pipeline(
+        load_ppm(args.image), ckpt.vdim, attn, config, projector=projector, mlp_weight=mlp_weight
+    )
     save_tokens(result.tokens, args.out)
     sequence = flatten(result.tokens)
     save_index(sequence, f"{args.out}.idx")

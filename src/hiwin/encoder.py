@@ -14,6 +14,7 @@ u32 h, u32 w, u32 C, then h*w*C float32 values row-major, channel-fastest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -65,7 +66,7 @@ class FeatureMap:
 class EncoderSpec:
     """Configuration of the seeded synthetic patch encoder."""
 
-    patch: int = 14
+    patch: ClassVar[int] = 14  # pixels per side of a patch; checkpoints do not record it
     channels: int = 64
     seed: int = 0
 

@@ -121,9 +121,14 @@ def run_pipeline(
     projector: str = "hiwin",
     mlp_weight: np.ndarray | None = None,
 ) -> PipelineResult:
-    """Slice, encode, build pyramids, compress, and assemble one image."""
+    """Slice, encode, build pyramids, compress, and assemble one image.
+
+    A caller that keeps no reference to ``image`` lets its pixels go once
+    slicing is done, before the units run.
+    """
     layout = compute_slice_layout(image.width, image.height, config.max_slices)
     slices, overview = extract_slices(image, layout)
+    del image
     units = [("overview", overview)] + [
         (f"slice:{i}", img) for i, img in enumerate(slices)
     ]

@@ -12,11 +12,14 @@ products scaled by ``1 / sigma_sim^2``.  The combined weight is renormalized
 to sum to 1 per output cell, so constant inputs pass through exactly.  The
 re-averaging is the single fused op ``autodiff.guided_mix``, which inference
 and training both run.  It applies the window weights as banded matrix
-products: each short tile of output cells of a row scatters its weights into
-one banded block and multiplies the tile's 7-row source window by it (``B @
-patch``; the VJP scatters back with ``B.T @ g``).  Only the two neighbor
-dot-product gathers, the logits and the gradient of the weights, run one
-window offset at a time.  No per-cell stack of neighbors is built.
+products, all through one banded kernel: each short tile of output cells of
+a row scatters its weights into one banded block and multiplies the tile's
+7-row source window by it (``B @ patch``).  The VJP's gradients onto
+neighbors are the same kernel run forward on the padded grid, over the
+zero-padded gradient and the window weights flipped to the receiving cell.
+Only the two neighbor dot-product gathers, the logits and the gradient of the
+weights, run one window offset at a time.  No per-cell stack of neighbors is
+built.
 
 The downsampler inverts the scale change for training.  It is defined on
 the high level bilinearly lifted to full image resolution and split into
@@ -41,7 +44,7 @@ remain float32.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,14 +95,14 @@ class VdimParams:
     """Per-level guided-upsampling kernels; ``levels[l]`` produces level l+1."""
 
     levels: list[LevelKernel]
-    radius: int = 3  # 7x7 neighborhood
+    radius: ClassVar[int] = 3  # 7x7 neighborhood; checkpoints do not record it
 
     @property
     def d_proj(self) -> int:
         return self.levels[0].proj_w.shape[1]
 
     @classmethod
-    def init(cls, d_proj: int = 32, seed: int = 0, radius: int = 3, levels: int = 2) -> "VdimParams":
+    def init(cls, d_proj: int = 32, seed: int = 0, levels: int = 2) -> "VdimParams":
         rng = np.random.default_rng(seed)
         kernels = [
             LevelKernel(
@@ -110,7 +113,7 @@ class VdimParams:
             )
             for _ in range(levels)
         ]
-        return cls(levels=kernels, radius=radius)
+        return cls(levels=kernels)
 
 
 @dataclass
@@ -129,14 +132,14 @@ class DownsamplerParams:
     """Per-level downsampler weights; ``levels[l-1]`` reduces level l."""
 
     levels: list[LevelDown]
-    patch: int = 14
+    patch: ClassVar[int] = EncoderSpec.patch  # one window per encoder patch
 
     @property
     def channels(self) -> int:
         return self.levels[0].gamma.shape[0]
 
     @classmethod
-    def init(cls, channels: int, seed: int = 0, levels: int = 2, patch: int = 14) -> "DownsamplerParams":
+    def init(cls, channels: int, seed: int = 0, levels: int = 2) -> "DownsamplerParams":
         rng = np.random.default_rng(seed)
         downs = [
             LevelDown(
@@ -147,7 +150,7 @@ class DownsamplerParams:
             )
             for _ in range(levels)
         ]
-        return cls(levels=downs, patch=patch)
+        return cls(levels=downs)
 
 
 @dataclass
@@ -217,21 +220,12 @@ def _guide_proj_graph(guide: np.ndarray, kern: _Kernel) -> Tensor:
     return ad.reshape(proj, (gh, gw, d_proj))
 
 
-def _guided_upsample_graph(
-    feats: Tensor, guide: np.ndarray, kern: _Kernel, radius: int
-) -> Tensor:
+def _guided_upsample_graph(feats: Tensor, guide: np.ndarray, kern: _Kernel) -> Tensor:
     h, w = feats.data.shape[:2]
     gh, gw, _ = guide.shape
     up = ad.interp2d(feats, resize_matrix(h, gh), resize_matrix(w, gw))
-    return ad.guided_mix(
-        _guide_proj_graph(guide, kern), up, kern.log_sigma_dist, kern.log_sigma_sim, radius
-    )
-
-
-def _downsample_graph(
-    feats: Tensor, image_hw: tuple[int, int], dp: _Down, patch: int
-) -> Tensor:
-    return ad.window_pool(feats, *dp, image_hw, patch)
+    proj = _guide_proj_graph(guide, kern)
+    return ad.guided_mix(proj, up, kern.log_sigma_dist, kern.log_sigma_sim, VdimParams.radius)
 
 
 def _recon_loss(
@@ -239,13 +233,12 @@ def _recon_loss(
     levels: Sequence[Tensor],
     image_hw: tuple[int, int],
     downs: Sequence[_Down],
-    patch: int,
 ) -> Tensor:
     """Half the sum over ``levels`` of the mean squared difference between
     each level's downsampled reconstruction and ``base``."""
     total = None
     for feats, dp in zip(levels, downs):
-        diff = ad.sub(_downsample_graph(feats, image_hw, dp, patch), base)
+        diff = ad.sub(ad.window_pool(feats, *dp, image_hw, DownsamplerParams.patch), base)
         term = ad.mean(ad.mul(diff, diff))
         total = term if total is None else ad.add(total, term)
     return ad.mul(total, 0.5)
@@ -257,14 +250,12 @@ def _pyramid_loss_graph(
     image_hw: tuple[int, int],
     kernels: Sequence[_Kernel],
     downs: Sequence[_Down],
-    radius: int,
-    patch: int,
 ) -> Tensor:
     base = Tensor(f0)
     levels = [base]
     for kern, guide in zip(kernels, guides):
-        levels.append(_guided_upsample_graph(levels[-1], guide, kern, radius))
-    return _recon_loss(base, levels[1:], image_hw, downs, patch)
+        levels.append(_guided_upsample_graph(levels[-1], guide, kern))
+    return _recon_loss(base, levels[1:], image_hw, downs)
 
 
 def jbu_upsample(
@@ -285,10 +276,7 @@ def jbu_upsample(
         )
     kern = _wrap_level(params.levels[lvl], _Kernel)
     out = _guided_upsample_graph(
-        Tensor(f_level.data.astype(np.float64)),
-        guide.decoded().astype(np.float64),
-        kern,
-        params.radius,
+        Tensor(f_level.data.astype(np.float64)), guide.decoded().astype(np.float64), kern
     )
     return FeatureMap(out.data.astype(np.float32), level=lvl + 1, origin=f_level.origin)
 
@@ -311,9 +299,7 @@ def attention_downsample(
     if f_high.level < 1 or f_high.level - 1 >= len(params.levels):
         raise ValueError(f"no downsampler for level {f_high.level}")
     dp = _wrap_level(params.levels[f_high.level - 1], _Down)
-    out = _downsample_graph(
-        Tensor(f_high.data.astype(np.float64)), tuple(image_dims), dp, params.patch
-    )
+    out = ad.window_pool(Tensor(f_high.data.astype(np.float64)), *dp, tuple(image_dims), params.patch)
     return FeatureMap(out.data.astype(np.float32), level=0, origin=f_high.origin)
 
 
@@ -330,7 +316,6 @@ def mlr_loss(
         [Tensor(fmap.data.astype(np.float64)) for fmap in uppers],
         tuple(image_dims),
         [_wrap_level(down.levels[fmap.level - 1], _Down) for fmap in uppers],
-        down.patch,
     )
     return loss.item()
 
@@ -369,9 +354,7 @@ def mlr_objective(
     f0_data = f0.data.astype(np.float64)
 
     def objective(_params):
-        return _pyramid_loss_graph(
-            f0_data, guides, image_hw, kernels, downs, vdim.radius, down.patch
-        )
+        return _pyramid_loss_graph(f0_data, guides, image_hw, kernels, downs)
 
     return flat, objective
 
@@ -404,6 +387,8 @@ def pretrain_vdim(
     """
     if not corpus:
         raise ValueError("pretrain_vdim requires a non-empty corpus")
+    if batch < 1 or steps < 0:
+        raise ValueError(f"pretrain_vdim needs batch >= 1 and steps >= 0, got {batch} and {steps}")
     if encoder_spec.channels != down.channels:
         raise ValueError(
             f"encoder channels {encoder_spec.channels} != downsampler channels {down.channels}"
@@ -432,7 +417,7 @@ def pretrain_vdim(
         total = 0.0
         for f0, guides, hw in batch_items(0):
             kernels, downs_t, _ = _wrap_params(vdim, down, trainable=False)
-            loss = _pyramid_loss_graph(f0, guides, hw, kernels, downs_t, vdim.radius, down.patch)
+            loss = _pyramid_loss_graph(f0, guides, hw, kernels, downs_t)
             total += loss.item()
         if on_step is not None:
             on_step(0, total / batch)
@@ -443,7 +428,7 @@ def pretrain_vdim(
         loss_sum = 0.0
         for f0, guides, hw in batch_items(step - 1):
             kernels, downs_t, flat = _wrap_params(vdim, down, trainable=True)
-            loss = _pyramid_loss_graph(f0, guides, hw, kernels, downs_t, vdim.radius, down.patch)
+            loss = _pyramid_loss_graph(f0, guides, hw, kernels, downs_t)
             if not np.isfinite(loss.data):
                 raise NumericalError(f"non-finite training loss at step {step}")
             ad.backward(loss)

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,63 @@ def test_unparsable_env_seed_is_usage_error(ckpt, image_336, tmp_path, capsys, m
     assert not out.exists()
     # --seed overrides the environment, so the bad value is never read
     assert main(["compress", "--image", str(image_336), "--ckpt", str(ckpt), "--out", str(out), "--seed", "9"]) == 0
+
+
+_PRETRAIN = [
+    "pretrain-vdim", "--corpus", "synthetic", "--count", "2", "--size", "56",
+    "--channels", "4", "--d-proj", "4", "--steps", "1", "--batch", "2",
+]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--batch", "0"),  # a ZeroDivisionError traceback before the check
+        ("--d-proj", "0"),  # likewise
+        ("--steps", "-3"),  # trained nothing and exited 0
+        ("--channels", "0"),  # a raw numpy reshape error
+        ("--channels", "6"),  # a checkpoint that pipeline refuses: 4 heads
+        ("--count", "0"),
+        ("--size", "0"),
+    ],
+)
+def test_out_of_range_pretrain_flag_is_usage_error_naming_it(flag, value, tmp_path, capsys):
+    out = tmp_path / "m.ckpt"
+    assert main(_PRETRAIN + [flag, value, "--out", str(out)]) == 2
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compress", "pipeline"])
+def test_zero_threads_is_usage_error(command, ckpt, image_336, tmp_path, capsys):
+    out = tmp_path / "t.toks"
+    argv = [command, "--image", str(image_336), "--ckpt", str(ckpt), "--out", str(out), "--threads", "0"]
+    assert main(argv) == 2
+    assert "argument --threads: must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_peak_memory_of_a_large_photo(tmp_path, capsys):
+    # the 36.6 MB of file bytes are freed once slicing is done, so a unit's
+    # work does not stack on them: measured peak 61.3 MiB, set by slicing;
+    # 77.2 MiB while the caller kept the image through the units
+    w, h = 4032, 3024
+    raw = np.random.default_rng(2).integers(0, 256, (h, w, 3), dtype=np.uint8)
+    image = tmp_path / "big.ppm"
+    image.write_bytes(f"P6\n{w} {h}\n255\n".encode() + raw.tobytes())
+    del raw
+    path = tmp_path / "c64.ckpt"
+    attn = AttnParams.init(HiwinConfig(channels=64), seed=0)
+    save_checkpoint(path, VdimParams.init(d_proj=32, seed=0), DownsamplerParams.init(64, seed=0), attn=attn)
+    tracemalloc.start()
+    try:
+        code = main(["pipeline", "--image", str(image), "--ckpt", str(path), "--out", str(tmp_path / "o.toks")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "tokens: 1008" in capsys.readouterr().out
+    assert peak < 66 * 2**20
 
 
 def small_params(grid_side=12, attn_channels=8):

@@ -311,6 +311,12 @@ class TestPretrain:
         with pytest.raises(ValueError):
             pretrain_vdim([], spec, vdim, down, steps=1)
 
+    @pytest.mark.parametrize("steps, batch", [(-3, 2), (1, 0)])
+    def test_negative_steps_or_empty_batch_rejected(self, steps, batch):
+        corpus, spec, vdim, down = self.small_setup()
+        with pytest.raises(ValueError, match="batch >= 1 and steps >= 0"):
+            pretrain_vdim(corpus, spec, vdim, down, steps=steps, batch=batch)
+
     def test_channel_mismatch_rejected(self):
         corpus, spec, vdim, _ = self.small_setup()
         with pytest.raises(ValueError):
