@@ -26,10 +26,8 @@ __all__ = [
     "backward",
     "guided_mix",
     "interp2d",
-    "matmul",
     "mean",
     "mul",
-    "reshape",
     "sub",
     "tsum",
     "window_pool",
@@ -123,18 +121,6 @@ def mul(a, b) -> Tensor:
     return _node(a.data * b.data, (a, b), vjp)
 
 
-def matmul(a, b) -> Tensor:
-    """2-D matrix product with gradients for both operands."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-
-    def vjp(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return _node(a.data @ b.data, (a, b), vjp)
-
-
 def tsum(a) -> Tensor:
     """Sum over every entry."""
     a = as_tensor(a)
@@ -149,16 +135,6 @@ def mean(a) -> Tensor:
     """Mean over every entry."""
     a = as_tensor(a)
     return mul(tsum(a), 1.0 / a.data.size)
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    old = a.data.shape
-
-    def vjp(g):
-        return (g.reshape(old),)
-
-    return _node(a.data.reshape(shape), (a,), vjp)
 
 
 def interp2d(a, row_mat: np.ndarray, col_mat: np.ndarray) -> Tensor:
@@ -214,7 +190,18 @@ def _offset_dist2(radius: int) -> np.ndarray:
 
 
 def _edge_pad(a: np.ndarray, r: int) -> np.ndarray:
-    return np.pad(a, ((r, r), (r, r), (0, 0)), mode="edge")
+    """``a`` with r edge-clamped cells added on each side of its (H, W) grid."""
+    h, w = a.shape[:2]
+    rows = np.clip(np.arange(-r, h + r), 0, h - 1)
+    cols = np.clip(np.arange(-r, w + r), 0, w - 1)
+    return a.take(rows, axis=0).take(cols, axis=1)
+
+
+def _zero_pad(a: np.ndarray, at: int, hw: tuple[int, int]) -> np.ndarray:
+    """``a`` placed at row and column ``at`` of a zero map of (H', W') ``hw``."""
+    out = np.zeros(hw + a.shape[2:], dtype=np.float64)
+    out[at : at + a.shape[0], at : at + a.shape[1]] = a
+    return out
 
 
 def _fold_edges(gp: np.ndarray, r: int, h: int, w: int) -> np.ndarray:
@@ -237,60 +224,78 @@ def _fold_edges(gp: np.ndarray, r: int, h: int, w: int) -> np.ndarray:
     return core
 
 
-def _window_dots(a: np.ndarray, src_pad: np.ndarray, radius: int) -> np.ndarray:
-    """(H, W, K) dot products of each cell of ``a`` with the cells of its
-    window in ``src_pad``: ``out[y, x, k] = a[y, x] . src_pad[y + dy, x + dx]``.
+def _tiled(a: np.ndarray, src_pad: np.ndarray, radius: int, out_c: int, product) -> np.ndarray:
+    """One window operation of :func:`guided_mix` as banded products over
+    column tiles; returns its (H, W, ``out_c``) result as a view on the
+    tile-aligned output, so that a ragged last tile adds no output copy.
 
-    One einsum per offset and row block; this gather is the one step of
-    :func:`guided_mix` that is not a banded product.
+    ``a`` (H, W, .) holds each cell's operand and ``src_pad`` the padded
+    (H + 2r, W + 2r, C) source.  Output columns are cut into tiles of ``t``
+    cells (``t >= 2r``; the last tile is zero-padded).  A tile's cells read
+    the ``(k, t + 2r)`` source window ``src_pad[y : y + k, x0 : x0 + t + 2r]``,
+    flattened into a patch of ``k * (t + 2r)`` rows, and cell ``x`` meets
+    its offset (dy, dx) at patch row ``dy * (t + 2r) + x + dx``.  In the
+    tile's flattened ``(t, k * (t + 2r))`` band those K entries per cell
+    are the one flat ``index``.  ``product(a_tiles, patches, index, out)``
+    fills a row block's (rows, n, t, out_c) ``out`` from its (rows, n, t, .)
+    tiles of ``a`` and (rows, n, k * (t + 2r), C) patches.
     """
-    h, w, d = a.shape
-    offsets = _window_offsets(radius)
-    out = np.empty((h, w, len(offsets)), dtype=np.float64)
-    for y0, y1 in _row_blocks(h, w * d):
-        for k, (dy, dx) in enumerate(offsets):
-            np.einsum(
-                "hwd,hwd->hw", a[y0:y1], src_pad[y0 + dy : y1 + dy, dx : dx + w], out=out[y0:y1, :, k]
-            )
-    return out
-
-
-def _banded_mix(weights: np.ndarray, src_pad: np.ndarray, radius: int) -> np.ndarray:
-    """(H, W, C) ``out[y, x] = sum_k weights[y, x, k] * src_pad[y + dy, x + dx]``
-    for (H, W, K) weights and a padded (H + 2r, W + 2r, C) source.
-
-    Output columns are cut into tiles of ``t`` cells (``t >= 2r``; the last
-    tile is zero-padded).  A tile's cells read the ``(k, t + 2r)`` source
-    window ``src_pad[y : y + k, x0 : x0 + t + 2r]``, flattened into a patch
-    of ``k * (t + 2r)`` rows.  Cell ``x`` weighs patch row
-    ``dy * (t + 2r) + x + dx`` by its weight for offset (dy, dx), so a tile's
-    weights scatter, by the one flat index ``index``, into a banded
-    ``(t, k * (t + 2r))`` block ``B`` and the window sum is ``B @ patch``.
-    """
-    h, w, _ = weights.shape
+    h, w = a.shape[:2]
     c = src_pad.shape[-1]
     k = 2 * radius + 1
     t = max(_TILE, 2 * radius)
     span = t + 2 * radius
     n = -(-w // t)  # tiles per row
     if n * t > w:
-        weights = np.pad(weights, ((0, 0), (0, n * t - w), (0, 0)))
-        src_pad = np.pad(src_pad, ((0, 0), (0, n * t - w), (0, 0)))
+        a = _zero_pad(a, 0, (h, n * t))
+        src_pad = _zero_pad(src_pad, 0, (h + 2 * radius, n * t + 2 * radius))
     cell = np.arange(t)[:, None]
     dy, dx = np.divmod(np.arange(k * k), k)
     index = (cell * k * span + dy * span + cell + dx).reshape(-1)
     # (H, n, C, k, span) view of every tile's source window
     windows = np.lib.stride_tricks.sliding_window_view(src_pad, (k, span), axis=(0, 1))[:, ::t]
-    out = np.empty((h, n, t, c), dtype=np.float64)
+    out = np.empty((h, n, t, out_c), dtype=np.float64)
     # row blocks sized by the larger per-row operand: the patches or the bands
     for y0, y1 in _row_blocks(h, n * k * span * max(c, t)):
         rows = y1 - y0
-        bands = np.zeros((rows, n, t * k * span), dtype=np.float64)
-        bands[:, :, index] = weights[y0:y1].reshape(rows, n, -1)
         patches = windows[y0:y1].transpose(0, 1, 3, 4, 2).reshape(rows, n, -1, c)
-        np.matmul(bands.reshape(rows, n, t, k * span), patches, out=out[y0:y1])
-        del bands, patches  # the next block's operands reuse this memory
-    return np.ascontiguousarray(out.reshape(h, n * t, c)[:, :w])
+        product(a[y0:y1].reshape(rows, n, t, -1), patches, index, out[y0:y1])
+        del patches  # the next block's patches reuse this memory
+    return out.reshape(h, n * t, out_c)[:, :w]
+
+
+def _banded_mix(weights: np.ndarray, src_pad: np.ndarray, radius: int) -> np.ndarray:
+    """(H, W, C) ``out[y, x] = sum_k weights[y, x, k] * src_pad[y + dy, x + dx]``
+    for (H, W, K) weights and a padded (H + 2r, W + 2r, C) source.
+
+    A tile's weights scatter by :func:`_tiled`'s ``index`` into its banded
+    block ``B`` and the window sum is ``B @ patch``.
+    """
+
+    def product(tiles, patches, index, out):
+        rows, n, t, _ = tiles.shape
+        bands = np.zeros((rows, n, t * patches.shape[2]), dtype=np.float64)
+        bands[:, :, index] = tiles.reshape(rows, n, -1)
+        np.matmul(bands.reshape(rows, n, t, -1), patches, out=out)
+
+    return _tiled(weights, src_pad, radius, src_pad.shape[-1], product)
+
+
+def _window_dots(a: np.ndarray, src_pad: np.ndarray, radius: int) -> np.ndarray:
+    """(H, W, K) dot products of each cell of ``a`` (H, W, C) with the cells
+    of its window in ``src_pad``: ``out[y, x, k] = a[y, x] . src_pad[y + dy, x + dx]``.
+
+    The transpose of :func:`_banded_mix`: a tile's products with every row
+    of its patch, ``a_tile @ patch.T``, fill its band, and gathering
+    :func:`_tiled`'s ``index`` from the band picks each cell's K offsets.
+    """
+
+    def product(tiles, patches, index, out):
+        rows, n = tiles.shape[:2]
+        bands = np.matmul(tiles, patches.swapaxes(-1, -2)).reshape(rows, n, -1)
+        out[...] = bands[:, :, index].reshape(out.shape)
+
+    return _tiled(a, src_pad, radius, (2 * radius + 1) ** 2, product)
 
 
 def _flipped(weights: np.ndarray, radius: int) -> np.ndarray:
@@ -312,17 +317,23 @@ def _flipped(weights: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
-def _guided_weights(proj: np.ndarray, log_sigma_dist, log_sigma_sim, radius: int):
+def _guided_weights(guide: np.ndarray, proj_w, proj_b, log_sigma_dist, log_sigma_sim, radius: int):
     """Window weights of the guided upsampler and what their VJP needs.
 
-    Returns ``(weights, sim, logits, spatial, norm, proj_pad)``: ``logits``
-    (H, W, K) are the projected dot products of each cell with its
-    edge-clamped neighbors over ``sigma_sim^2``, ``sim`` their softmax over
-    K, ``spatial`` (K,) the decay ``exp(-|dxy|^2 / (2 sigma_dist^2))`` and
-    ``weights = sim * spatial / norm`` with ``norm`` the per-cell sum.
+    Returns ``(weights, sim, logits, spatial, norm, g_hat, g_hat_pad)``.
+    ``logits`` (H, W, K) are the dot products of each cell's projected
+    guide pixel ``g_hat @ M`` with those of its edge-clamped neighbors, over
+    ``sigma_sim^2``; ``g_hat`` = [r, g, b, 1] is the (H, W, 4) homogeneous
+    guide, ``g_hat_pad`` its edge pad and ``M = [proj_w; proj_b]``, so the
+    logits are ``g_hat A g_hat_pad^T`` with the 4x4 Gram ``A = M M^T``.
+    ``sim`` is their softmax over K, ``spatial`` (K,) the decay
+    ``exp(-|dxy|^2 / (2 sigma_dist^2))`` and ``weights = sim * spatial /
+    norm`` with ``norm`` the per-cell sum.
     """
-    proj_pad = _edge_pad(proj, radius)
-    logits = _window_dots(proj, proj_pad, radius)
+    g_hat = np.concatenate([guide, np.ones(guide.shape[:2] + (1,))], axis=-1)
+    m = np.vstack([proj_w, proj_b])
+    g_hat_pad = _edge_pad(g_hat, radius)
+    logits = _window_dots(g_hat @ (m @ m.T), g_hat_pad, radius)
     sigma_sim = np.exp(log_sigma_sim)
     logits /= sigma_sim * sigma_sim
     sim = _softmax(logits)
@@ -330,46 +341,53 @@ def _guided_weights(proj: np.ndarray, log_sigma_dist, log_sigma_sim, radius: int
     spatial = np.exp((-0.5 * _offset_dist2(radius)) / (sigma_dist * sigma_dist))
     u = sim * spatial
     norm = u.sum(axis=-1, keepdims=True)
-    return u / norm, sim, logits, spatial, norm, proj_pad
+    return u / norm, sim, logits, spatial, norm, g_hat, g_hat_pad
 
 
-def guided_mix(proj, up, log_sigma_dist, log_sigma_sim, radius: int) -> Tensor:
+def guided_mix(guide, proj_w, proj_b, up, log_sigma_dist, log_sigma_sim, radius: int) -> Tensor:
     """Guided window averaging of joint bilateral upsampling, fused.
 
-    ``proj`` (H, W, D) is the projected guidance image, ``up`` (H, W, C)
-    the lifted feature map and the two log-sigmas are scalars.  Output cell
+    ``guide`` (H, W, 3) is the guidance image, a constant; ``proj_w``
+    (3, D) and ``proj_b`` (D,) project its pixels, ``up`` (H, W, C) is the
+    lifted feature map and the two log-sigmas are scalars.  Output cell
     (y, x) is the weighted sum of ``up`` over its (2r+1)^2 edge-clamped
     neighbors, with the weights of :func:`_guided_weights` (similarity
     softmax times spatial decay, renormalized to sum to 1).
 
-    Every weighted window sum is one banded kernel, :func:`_banded_mix`
-    (``B @ patch`` over column tiles): the forward output, the ``proj``
-    gradient through the centre side of the logits, and the two gradients
-    that land on padded neighbors (of ``up``, and of ``proj`` through the
-    logits).  Those two adjoints are forward mixes of the zero-padded
-    gradient over :func:`_flipped` weights on the padded grid, which
-    :func:`_fold_edges` then folds onto the core.  Only the two dot-product
-    gathers, the logits and the weight gradient, stay one elementwise pass
-    per window offset.
-    No (H, W, K, C) neighbor array is built.  Gradients flow to all four
-    operands.
+    The projection is linear in the pixel, so the similarity logits go
+    through the 4x4 Gram ``A = M M^T`` of ``M = [proj_w; proj_b]`` and only
+    4-channel guide maps are built, never the (H, W, D) projection.  Every
+    window operation is one banded product over column tiles
+    (:func:`_tiled`): the logits and the weight gradient are
+    :func:`_window_dots` (``a_tile @ patch.T``), and the forward output,
+    the Gram gradient and the ``up`` gradient are :func:`_banded_mix`
+    (``B @ patch``).  The ``up`` gradient lands on padded neighbors; it is
+    a forward mix of the zero-padded gradient over :func:`_flipped` weights
+    on the padded grid, which :func:`_fold_edges` then folds onto the core.
+    No (H, W, K, C) neighbor array is built.  Gradients flow to every
+    operand but ``guide``.
     """
-    proj, up = as_tensor(proj), as_tensor(up)
+    proj_w, proj_b, up = as_tensor(proj_w), as_tensor(proj_b), as_tensor(up)
     lsd, lss = as_tensor(log_sigma_dist), as_tensor(log_sigma_sim)
-    if proj.data.ndim != 3 or up.data.ndim != 3 or proj.data.shape[:2] != up.data.shape[:2]:
-        raise ValueError("guided_mix expects (H, W, D) and (H, W, C) maps of equal H, W")
+    guide = np.asarray(guide, dtype=np.float64)
+    if guide.ndim != 3 or guide.shape[2] != 3 or up.data.ndim != 3 or guide.shape[:2] != up.data.shape[:2]:
+        raise ValueError("guided_mix expects (H, W, 3) guide and (H, W, C) maps of equal H, W")
+    if proj_b.data.ndim != 1 or proj_w.data.shape != (3, proj_b.data.size):
+        raise ValueError("guided_mix expects a (3, D) proj_w and a (D,) proj_b")
     r = int(radius)
     h, w = up.data.shape[:2]
-    weights, sim, logits, spatial, norm, proj_pad = _guided_weights(
-        proj.data, lsd.data, lss.data, r
+    weights, sim, logits, spatial, norm, g_hat, g_hat_pad = _guided_weights(
+        guide, proj_w.data, proj_b.data, lsd.data, lss.data, r
     )
     up_pad = _edge_pad(up.data, r)
-    out = _banded_mix(weights, up_pad, r)
-    pad = ((2 * r, 2 * r), (2 * r, 2 * r), (0, 0))  # source of the adjoint mixes
+    out = np.ascontiguousarray(_banded_mix(weights, up_pad, r))
 
     def vjp(g):
+        # the up gradient first, so that its padded-grid temporaries are gone
+        # before the weight gradients are built
+        g_pad = _zero_pad(g, 2 * r, (h + 4 * r, w + 4 * r))
+        g_up = _fold_edges(_banded_mix(_flipped(weights, r), g_pad, r), r, h, w)
         g_weights = _window_dots(g, up_pad, r)
-        g_up_pad = _banded_mix(_flipped(weights, r), np.pad(g, pad), r)
         # weights = u / norm with u = sim * spatial
         g_u = (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True)) / norm
         sigma_dist = np.exp(lsd.data)
@@ -379,12 +397,13 @@ def guided_mix(proj, up, log_sigma_dist, log_sigma_sim, radius: int) -> Tensor:
         g_lss = -2.0 * (g_logits * logits).sum()
         sigma_sim = np.exp(lss.data)
         g_dots = g_logits / (sigma_sim * sigma_sim)
-        g_proj = _banded_mix(g_dots, proj_pad, r)
-        g_proj_pad = _banded_mix(_flipped(g_dots, r), np.pad(proj.data, pad), r)
-        g_proj += _fold_edges(g_proj_pad, r, h, w)
-        return g_proj, _fold_edges(g_up_pad, r, h, w), np.asarray(g_lsd), np.asarray(g_lss)
+        # dots = g_hat A g_hat_pad^T, so dA = g_hat^T (window sum of g_dots
+        # over g_hat_pad) and, with A = M M^T, dM = (dA + dA^T) M
+        g_gram = g_hat.reshape(-1, 4).T @ _banded_mix(g_dots, g_hat_pad, r).reshape(-1, 4)
+        g_m = (g_gram + g_gram.T) @ np.vstack([proj_w.data, proj_b.data])
+        return g_m[:3], g_m[3], g_up, np.asarray(g_lsd), np.asarray(g_lss)
 
-    return _node(out, (proj, up, lsd, lss), vjp)
+    return _node(out, (proj_w, proj_b, up, lsd, lss), vjp)
 
 
 def _band(rows: np.ndarray) -> tuple[int, int]:

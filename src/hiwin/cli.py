@@ -47,6 +47,18 @@ def _int_flag(least: int, multiple_of: int = 1):
     return parse
 
 
+def _learning_rate(text: str) -> float:
+    """argparse type of ``--lr``: a finite value in (0, 1]; any other value
+    is a usage error naming the flag."""
+    value = float(text)
+    if not 0 < value <= 1:  # NaN fails every comparison
+        raise argparse.ArgumentTypeError(f"must be a finite value in (0, 1], got {text}")
+    return value
+
+
+_learning_rate.__name__ = "float"  # argparse's message for a non-number: "invalid float value"
+
+
 def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--seed",
@@ -66,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain-vdim", help="train the detail-injection weights")
     p.add_argument("--corpus", required=True, help='"synthetic" or a directory of .ppm files')
     p.add_argument("--steps", type=_int_flag(0), default=300, help="optimizer steps (>= 0)")
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=_learning_rate, default=1e-3, help="Adam learning rate, in (0, 1]")
     p.add_argument("--batch", type=_int_flag(1), default=4, help="images per step (>= 1)")
     p.add_argument("--count", type=_int_flag(1), default=32, help="synthetic corpus size (>= 1)")
     p.add_argument("--size", type=_int_flag(1), default=112, help="synthetic image side (>= 1)")

@@ -11,14 +11,19 @@ projected by a learned linear map, and neighbor scores are the projected dot
 products scaled by ``1 / sigma_sim^2``.  The combined weight is renormalized
 to sum to 1 per output cell, so constant inputs pass through exactly.  The
 re-averaging is the single fused op ``autodiff.guided_mix``, which inference
-and training both run.  It applies the window weights as banded matrix
-products, all through one banded kernel: each short tile of output cells of
-a row scatters its weights into one banded block and multiplies the tile's
-7-row source window by it (``B @ patch``).  The VJP's gradients onto
-neighbors are the same kernel run forward on the padded grid, over the
-zero-padded gradient and the window weights flipped to the receiving cell.
-Only the two neighbor dot-product gathers, the logits and the gradient of the
-weights, run one window offset at a time.  No per-cell stack of neighbors is
+and training both run.  The projection is linear in the RGB pixel, so the
+projected dot products are ``g_a (M M^T) g_b^T`` for homogeneous pixels
+``g = [r, g, b, 1]`` and ``M = [proj_w; proj_b]``: the op takes the guide
+and the projection weights and scores neighbors through that 4x4 Gram,
+never building a map of projected pixels.  Every window operation of the op
+is a banded matrix product over short tiles of output cells of a row, which
+read the tile's 7-row source window as one patch.  The window sums scatter
+each tile's weights into one banded block (``B @ patch``); the dot-product
+gathers, the logits and the gradient of the weights, take the transposed
+product (``a_tile @ patch^T``) and pick each cell's 49 offsets from it.  The
+VJP's gradient onto neighbors of the lifted map is the window sum run
+forward on the padded grid, over the zero-padded gradient and the window
+weights flipped to the receiving cell.  No per-cell stack of neighbors is
 built.
 
 The downsampler inverts the scale change for training.  It is defined on
@@ -212,20 +217,13 @@ def _wrap_params(
     return kernels, downs, flat
 
 
-def _guide_proj_graph(guide: np.ndarray, kern: _Kernel) -> Tensor:
-    """The learned linear projection (gh, gw, d_proj) of a guidance image."""
-    gh, gw, _ = guide.shape
-    d_proj = kern.proj_w.data.shape[1]
-    proj = ad.add(ad.matmul(Tensor(guide.reshape(-1, 3)), kern.proj_w), kern.proj_b)
-    return ad.reshape(proj, (gh, gw, d_proj))
-
-
 def _guided_upsample_graph(feats: Tensor, guide: np.ndarray, kern: _Kernel) -> Tensor:
     h, w = feats.data.shape[:2]
     gh, gw, _ = guide.shape
     up = ad.interp2d(feats, resize_matrix(h, gh), resize_matrix(w, gw))
-    proj = _guide_proj_graph(guide, kern)
-    return ad.guided_mix(proj, up, kern.log_sigma_dist, kern.log_sigma_sim, VdimParams.radius)
+    return ad.guided_mix(
+        guide, kern.proj_w, kern.proj_b, up, kern.log_sigma_dist, kern.log_sigma_sim, VdimParams.radius
+    )
 
 
 def _recon_loss(
@@ -284,8 +282,10 @@ def jbu_upsample(
 def jbu_kernel_weights(guide: Image, params: VdimParams, level: int) -> np.ndarray:
     """The (gh, gw, K) renormalized neighbor weights for one level; rows sum to 1."""
     lk = params.levels[level]
-    proj = _guide_proj_graph(guide.decoded().astype(np.float64), _wrap_level(lk, _Kernel)).data
-    return ad._guided_weights(proj, lk.log_sigma_dist, lk.log_sigma_sim, params.radius)[0]
+    return ad._guided_weights(
+        guide.decoded().astype(np.float64), lk.proj_w, lk.proj_b, lk.log_sigma_dist, lk.log_sigma_sim,
+        params.radius,
+    )[0]
 
 
 def attention_downsample(
@@ -389,6 +389,8 @@ def pretrain_vdim(
         raise ValueError("pretrain_vdim requires a non-empty corpus")
     if batch < 1 or steps < 0:
         raise ValueError(f"pretrain_vdim needs batch >= 1 and steps >= 0, got {batch} and {steps}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"pretrain_vdim needs a finite positive lr, got {lr}")
     if encoder_spec.channels != down.channels:
         raise ValueError(
             f"encoder channels {encoder_spec.channels} != downsampler channels {down.channels}"

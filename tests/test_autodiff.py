@@ -75,22 +75,11 @@ def test_scalar_broadcast_against_array():
     check_op(lambda: to_scalar(ad.sub(a, ad.mul(s, s))), [a, s])
 
 
-def test_matmul():
-    a = leaf((3, 4), 7)
-    b = leaf((4, 2), 8)
-    check_op(lambda: to_scalar(ad.matmul(a, b)), [a, b])
-
-
 def test_sum_and_mean_axes():
     a = leaf((2, 3, 4), 9)
     check_op(lambda: ad.tsum(a), [a])
     check_op(lambda: ad.mean(a), [a])
     check_op(lambda: ad.mean(ad.mul(a, a)), [a])
-
-
-def test_reshape_transpose():
-    a = leaf((2, 3, 4), 10)
-    check_op(lambda: to_scalar(ad.reshape(a, (6, 4))), [a])
 
 
 def test_interp2d():
@@ -127,19 +116,25 @@ def test_interp2d_matches_plain_resize():
     ],
 )
 def test_guided_mix_values_and_grad(h, w, radius):
-    proj = leaf((h, w, 3), 13)
+    guide = np.random.default_rng(13).uniform(-1, 1, (h, w, 3))  # a constant of the op
     up = leaf((h, w, 2), 14)
     log_sigma_dist = leaf((), 15, scale=0.3)
     log_sigma_sim = leaf((), 18, scale=0.3)
-    out = ad.guided_mix(proj, up, log_sigma_dist, log_sigma_sim, radius)
-    want = scalar_guided_mix(
-        proj.data, up.data, np.exp(log_sigma_dist.item()), np.exp(log_sigma_sim.item()), radius
-    )
-    np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
-    params = [proj, up, log_sigma_dist, log_sigma_sim]
-    check_op(
-        lambda: to_scalar(ad.guided_mix(proj, up, log_sigma_dist, log_sigma_sim, radius)), params
-    )
+    # projection widths below, at and above the rank 4 of the 4x4 Gram
+    for d_proj in (1, 3, 8):
+        proj_w = leaf((3, d_proj), 16)
+        proj_b = leaf((d_proj,), 17, scale=0.5)
+        params = [proj_w, proj_b, up, log_sigma_dist, log_sigma_sim]
+        out = ad.guided_mix(guide, *params, radius)
+        want = scalar_guided_mix(
+            guide @ proj_w.data + proj_b.data,
+            up.data,
+            np.exp(log_sigma_dist.item()),
+            np.exp(log_sigma_sim.item()),
+            radius,
+        )
+        np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
+        check_op(lambda: to_scalar(ad.guided_mix(guide, *params, radius)), params)
 
 
 _BLAS_PROBE = textwrap.dedent(
@@ -149,14 +144,17 @@ _BLAS_PROBE = textwrap.dedent(
     from hiwin import autodiff as ad
 
     rng = np.random.default_rng(5)
-    proj = ad.Tensor(rng.standard_normal((20, 40, 8)), requires_grad=True)
+    guide = rng.uniform(0, 1, (20, 40, 3))
+    proj_w = ad.Tensor(rng.standard_normal((3, 8)), requires_grad=True)
+    proj_b = ad.Tensor(rng.standard_normal(8), requires_grad=True)
     up = ad.Tensor(rng.standard_normal((20, 40, 16)), requires_grad=True)
     lsd = ad.Tensor(np.array(0.3), requires_grad=True)
     lss = ad.Tensor(np.array(-0.2), requires_grad=True)
-    out = ad.guided_mix(proj, up, lsd, lss, 3)
+    params = (proj_w, proj_b, up, lsd, lss)
+    out = ad.guided_mix(guide, *params, 3)
     ad.tsum(ad.mul(out, rng.uniform(0.5, 1.5, out.shape))).backward()
     digest = hashlib.sha256(out.data.tobytes())
-    for t in (proj, up, lsd, lss):
+    for t in params:
         digest.update(t.grad.tobytes())
     print(digest.hexdigest())
     """

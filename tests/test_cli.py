@@ -249,6 +249,23 @@ def test_out_of_range_pretrain_flag_is_usage_error_naming_it(flag, value, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        "-1",  # trained uphill and exited 0
+        "0",
+        "nan",  # a non-finite loss after one step, exit 4
+        "inf",
+        "1e6",  # raw numpy overflow warnings, then exit 4
+    ],
+)
+def test_out_of_range_lr_is_usage_error_naming_it(value, tmp_path, capsys):
+    out = tmp_path / "m.ckpt"
+    assert main(_PRETRAIN + ["--lr", value, "--out", str(out)]) == 2
+    assert f"argument --lr: must be a finite value in (0, 1], got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["compress", "pipeline"])
 def test_zero_threads_is_usage_error(command, ckpt, image_336, tmp_path, capsys):
     out = tmp_path / "t.toks"

@@ -144,8 +144,10 @@ class TestGradCheck:
 
     def test_a_wrong_guided_mix_gradient_entry_is_caught(self):
         rng = np.random.default_rng(3)
+        guide = rng.uniform(0, 1, (5, 6, 3))
         params = [
-            Tensor(rng.standard_normal((5, 6, 3)), requires_grad=True),
+            Tensor(rng.standard_normal((3, 4)), requires_grad=True),
+            Tensor(rng.standard_normal(4), requires_grad=True),
             Tensor(rng.standard_normal((5, 6, 2)), requires_grad=True),
             Tensor(np.array(0.2), requires_grad=True),
             Tensor(np.array(-0.3), requires_grad=True),
@@ -154,17 +156,17 @@ class TestGradCheck:
 
         def objective(wrong: bool):
             def f(ps):
-                out = ad.guided_mix(*ps, radius=1)
+                out = ad.guided_mix(guide, *ps, radius=1)
                 if wrong:
                     # scale the up-map gradient entry of median magnitude
                     right = out._vjp
 
                     def vjp(g):
                         grads = list(right(g))
-                        g_up = grads[1].copy()
+                        g_up = grads[2].copy()
                         k = np.argsort(np.abs(g_up), axis=None)[g_up.size // 2]
                         g_up.flat[k] *= 1 + 1e-3
-                        grads[1] = g_up
+                        grads[2] = g_up
                         return tuple(grads)
 
                     out._vjp = vjp
