@@ -183,18 +183,13 @@ def _window_offsets(radius: int) -> list[tuple[int, int]]:
 
 def _offset_dist2(radius: int) -> np.ndarray:
     """Squared center distance of each window offset, in weight-axis order."""
-    return np.array(
-        [(dy - radius) ** 2 + (dx - radius) ** 2 for dy, dx in _window_offsets(radius)],
-        dtype=np.float64,
-    )
+    d2 = np.arange(-radius, radius + 1, dtype=np.float64) ** 2
+    return (d2[:, None] + d2).reshape(-1)
 
 
-def _edge_pad(a: np.ndarray, r: int) -> np.ndarray:
-    """``a`` with r edge-clamped cells added on each side of its (H, W) grid."""
-    h, w = a.shape[:2]
-    rows = np.clip(np.arange(-r, h + r), 0, h - 1)
-    cols = np.clip(np.arange(-r, w + r), 0, w - 1)
-    return a.take(rows, axis=0).take(cols, axis=1)
+def _edge_index(n: int, r: int) -> np.ndarray:
+    """Source cells of the n + 2r cells of an axis edge-padded by r."""
+    return np.clip(np.arange(-r, n + r), 0, n - 1)
 
 
 def _zero_pad(a: np.ndarray, at: int, hw: tuple[int, int]) -> np.ndarray:
@@ -204,50 +199,38 @@ def _zero_pad(a: np.ndarray, at: int, hw: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def _fold_edges(gp: np.ndarray, r: int, h: int, w: int) -> np.ndarray:
-    """Adjoint of :func:`_edge_pad`: fold a padded gradient onto its core.
-
-    Padding rows and columns copy the border cells, so their gradient lands
-    on those cells; on a one-row or one-column map both borders fold onto the
-    same cells, which the sequential in-place sums handle.
-    """
-    core = gp[r : r + h, r : r + w].copy()
-    if r > 0:
-        core[0] += gp[:r, r : r + w].sum(axis=0)
-        core[-1] += gp[r + h :, r : r + w].sum(axis=0)
-        core[:, 0] += gp[r : r + h, :r].sum(axis=1)
-        core[:, -1] += gp[r : r + h, r + w :].sum(axis=1)
-        core[0, 0] += gp[:r, :r].sum(axis=(0, 1))
-        core[0, -1] += gp[:r, r + w :].sum(axis=(0, 1))
-        core[-1, 0] += gp[r + h :, :r].sum(axis=(0, 1))
-        core[-1, -1] += gp[r + h :, r + w :].sum(axis=(0, 1))
-    return core
+def _aligned(w: int, radius: int) -> int:
+    """``w`` output columns rounded up to whole tiles of :func:`_tiled`."""
+    t = max(_TILE, 2 * radius)
+    return -(-w // t) * t
 
 
-def _tiled(a: np.ndarray, src_pad: np.ndarray, radius: int, out_c: int, product) -> np.ndarray:
+def _tiled(a: np.ndarray, src_pad: np.ndarray, radius: int, w: int, out_c: int, product) -> np.ndarray:
     """One window operation of :func:`guided_mix` as banded products over
-    column tiles; returns its (H, W, ``out_c``) result as a view on the
+    column tiles; returns its (H, ``w``, ``out_c``) result as a view on the
     tile-aligned output, so that a ragged last tile adds no output copy.
 
-    ``a`` (H, W, .) holds each cell's operand and ``src_pad`` the padded
-    (H + 2r, W + 2r, C) source.  Output columns are cut into tiles of ``t``
-    cells (``t >= 2r``; the last tile is zero-padded).  A tile's cells read
-    the ``(k, t + 2r)`` source window ``src_pad[y : y + k, x0 : x0 + t + 2r]``,
-    flattened into a patch of ``k * (t + 2r)`` rows, and cell ``x`` meets
-    its offset (dy, dx) at patch row ``dy * (t + 2r) + x + dx``.  In the
-    tile's flattened ``(t, k * (t + 2r))`` band those K entries per cell
-    are the one flat ``index``.  ``product(a_tiles, patches, index, out)``
-    fills a row block's (rows, n, t, out_c) ``out`` from its (rows, n, t, .)
-    tiles of ``a`` and (rows, n, k * (t + 2r), C) patches.
+    ``a`` (H, ., .) holds each cell's operand and ``src_pad`` the padded
+    (H + 2r, ., C) source of the ``w`` output columns, cut into tiles of
+    ``t >= 2r`` cells; an operand narrower than the tile-aligned width is
+    zero-padded to it.  A tile's cells read the ``(k, t + 2r)`` source window
+    ``src_pad[y : y + k, x0 : x0 + t + 2r]``, flattened into a patch of
+    ``k * (t + 2r)`` rows, and cell ``x`` meets its offset (dy, dx) at patch
+    row ``dy * (t + 2r) + x + dx``.  In the tile's flattened
+    ``(t, k * (t + 2r))`` band those K entries per cell are the one flat
+    ``index``.  ``product(a_tiles, patches, index, out)`` fills a row
+    block's (rows, n, t, out_c) ``out`` from its (rows, n, t, .) tiles of
+    ``a`` and (rows, n, k * (t + 2r), C) patches.
     """
-    h, w = a.shape[:2]
+    h = a.shape[0]
     c = src_pad.shape[-1]
     k = 2 * radius + 1
     t = max(_TILE, 2 * radius)
     span = t + 2 * radius
     n = -(-w // t)  # tiles per row
-    if n * t > w:
+    if a.shape[1] < n * t:
         a = _zero_pad(a, 0, (h, n * t))
+    if src_pad.shape[1] < n * t + 2 * radius:
         src_pad = _zero_pad(src_pad, 0, (h + 2 * radius, n * t + 2 * radius))
     cell = np.arange(t)[:, None]
     dy, dx = np.divmod(np.arange(k * k), k)
@@ -264,9 +247,9 @@ def _tiled(a: np.ndarray, src_pad: np.ndarray, radius: int, out_c: int, product)
     return out.reshape(h, n * t, out_c)[:, :w]
 
 
-def _banded_mix(weights: np.ndarray, src_pad: np.ndarray, radius: int) -> np.ndarray:
-    """(H, W, C) ``out[y, x] = sum_k weights[y, x, k] * src_pad[y + dy, x + dx]``
-    for (H, W, K) weights and a padded (H + 2r, W + 2r, C) source.
+def _banded_mix(weights: np.ndarray, src_pad: np.ndarray, radius: int, w: int) -> np.ndarray:
+    """(H, w, C) ``out[y, x] = sum_k weights[y, x, k] * src_pad[y + dy, x + dx]``
+    for (H, ., K) weights and a padded (H + 2r, ., C) source.
 
     A tile's weights scatter by :func:`_tiled`'s ``index`` into its banded
     block ``B`` and the window sum is ``B @ patch``.
@@ -278,7 +261,7 @@ def _banded_mix(weights: np.ndarray, src_pad: np.ndarray, radius: int) -> np.nda
         bands[:, :, index] = tiles.reshape(rows, n, -1)
         np.matmul(bands.reshape(rows, n, t, -1), patches, out=out)
 
-    return _tiled(weights, src_pad, radius, src_pad.shape[-1], product)
+    return _tiled(weights, src_pad, radius, w, src_pad.shape[-1], product)
 
 
 def _window_dots(a: np.ndarray, src_pad: np.ndarray, radius: int) -> np.ndarray:
@@ -295,23 +278,23 @@ def _window_dots(a: np.ndarray, src_pad: np.ndarray, radius: int) -> np.ndarray:
         bands = np.matmul(tiles, patches.swapaxes(-1, -2)).reshape(rows, n, -1)
         out[...] = bands[:, :, index].reshape(out.shape)
 
-    return _tiled(a, src_pad, radius, (2 * radius + 1) ** 2, product)
+    return _tiled(a, src_pad, radius, a.shape[1], (2 * radius + 1) ** 2, product)
 
 
 def _flipped(weights: np.ndarray, radius: int) -> np.ndarray:
-    """Weights of the adjoint of :func:`_banded_mix` in its padded source.
+    """Weights of the adjoint of :func:`_banded_mix` in its padded source,
+    at the tile-aligned width of the (H + 2r, W + 2r) padded grid.
 
     The padded-source gradient adds ``g[y, x] * weights[y, x, k]`` at
     ``(y + dy, x + dx)``.  Read from the receiving cell (Y, X), that is
-    itself a window sum on the (H + 2r, W + 2r) padded grid over ``g``
-    zero-padded by 2r: its offset K-1-k reads ``g[Y - dy, X - dx]`` and
-    weighs it by ``weights[Y - dy, X - dx, k]``, zero off the map.  These
-    (H + 2r, W + 2r, K) flipped weights take one (H, W) slice copy per
-    offset, so the adjoint is a forward :func:`_banded_mix` with no
-    overlapping adds.
+    itself a window sum on the padded grid over ``g`` zero-padded by 2r:
+    its offset K-1-k reads ``g[Y - dy, X - dx]`` and weighs it by
+    ``weights[Y - dy, X - dx, k]``, zero off the map.  These flipped weights
+    take one (H, W) slice copy per offset, so the adjoint is a forward
+    :func:`_banded_mix` with no overlapping adds.
     """
     h, w, kk = weights.shape
-    out = np.zeros((h + 2 * radius, w + 2 * radius, kk), dtype=np.float64)
+    out = np.zeros((h + 2 * radius, _aligned(w + 2 * radius, radius), kk), dtype=np.float64)
     for k, (dy, dx) in enumerate(_window_offsets(radius)):
         out[dy : dy + h, dx : dx + w, kk - 1 - k] = weights[:, :, k]
     return out
@@ -320,39 +303,41 @@ def _flipped(weights: np.ndarray, radius: int) -> np.ndarray:
 def _guided_weights(guide: np.ndarray, proj_w, proj_b, log_sigma_dist, log_sigma_sim, radius: int):
     """Window weights of the guided upsampler and what their VJP needs.
 
-    Returns ``(weights, sim, logits, spatial, norm, g_hat, g_hat_pad)``.
-    ``logits`` (H, W, K) are the dot products of each cell's projected
-    guide pixel ``g_hat @ M`` with those of its edge-clamped neighbors, over
-    ``sigma_sim^2``; ``g_hat`` = [r, g, b, 1] is the (H, W, 4) homogeneous
-    guide, ``g_hat_pad`` its edge pad and ``M = [proj_w; proj_b]``, so the
-    logits are ``g_hat A g_hat_pad^T`` with the 4x4 Gram ``A = M M^T``.
-    ``sim`` is their softmax over K, ``spatial`` (K,) the decay
-    ``exp(-|dxy|^2 / (2 sigma_dist^2))`` and ``weights = sim * spatial /
-    norm`` with ``norm`` the per-cell sum.
+    Returns ``(weights, logits, g_hat, g_hat_pad)``.  ``logits`` (H, W, K)
+    are the dot products of each cell's projected guide pixel ``g_hat @ M``
+    with those of its edge-clamped neighbors, over ``sigma_sim^2``;
+    ``g_hat`` = [r, g, b, 1] is the (H, W, 4) homogeneous guide,
+    ``g_hat_pad`` its edge pad and ``M = [proj_w; proj_b]``, so the logits
+    are ``g_hat A g_hat_pad^T`` with the 4x4 Gram ``A = M M^T``.  The
+    joint-bilateral kernel, a similarity softmax times the spatial decay
+    ``exp(-|dxy|^2 / (2 sigma_dist^2))`` renormalized per cell, is built
+    in place as one softmax over K, since the similarity normalizer cancels:
+    ``weights = softmax(logits - |dxy|^2 / (2 sigma_dist^2))``.
     """
-    g_hat = np.concatenate([guide, np.ones(guide.shape[:2] + (1,))], axis=-1)
+    h, w = guide.shape[:2]
+    g_hat = np.concatenate([guide, np.ones((h, w, 1))], axis=-1)
     m = np.vstack([proj_w, proj_b])
-    g_hat_pad = _edge_pad(g_hat, radius)
+    g_hat_pad = g_hat[_edge_index(h, radius)][:, _edge_index(w, radius)]
     logits = _window_dots(g_hat @ (m @ m.T), g_hat_pad, radius)
     sigma_sim = np.exp(log_sigma_sim)
     logits /= sigma_sim * sigma_sim
-    sim = _softmax(logits)
     sigma_dist = np.exp(log_sigma_dist)
-    spatial = np.exp((-0.5 * _offset_dist2(radius)) / (sigma_dist * sigma_dist))
-    u = sim * spatial
-    norm = u.sum(axis=-1, keepdims=True)
-    return u / norm, sim, logits, spatial, norm, g_hat, g_hat_pad
+    weights = logits - (0.5 * _offset_dist2(radius)) / (sigma_dist * sigma_dist)
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights, logits, g_hat, g_hat_pad
 
 
-def guided_mix(guide, proj_w, proj_b, up, log_sigma_dist, log_sigma_sim, radius: int) -> Tensor:
+def guided_mix(guide, proj_w, proj_b, up_pad, log_sigma_dist, log_sigma_sim, radius: int) -> Tensor:
     """Guided window averaging of joint bilateral upsampling, fused.
 
     ``guide`` (H, W, 3) is the guidance image, a constant; ``proj_w``
-    (3, D) and ``proj_b`` (D,) project its pixels, ``up`` (H, W, C) is the
-    lifted feature map and the two log-sigmas are scalars.  Output cell
-    (y, x) is the weighted sum of ``up`` over its (2r+1)^2 edge-clamped
-    neighbors, with the weights of :func:`_guided_weights` (similarity
-    softmax times spatial decay, renormalized to sum to 1).
+    (3, D) and ``proj_b`` (D,) project its pixels, ``up_pad``
+    (H + 2r, W + 2r, C) is the lifted feature map on the edge-padded grid
+    and the two log-sigmas are scalars.  Output cell (y, x) is the weighted
+    sum of ``up_pad`` over its (2r+1)^2 window, the cell's edge-clamped
+    neighbors, with the joint-bilateral weights of :func:`_guided_weights`.
 
     The projection is linear in the pixel, so the similarity logits go
     through the 4x4 Gram ``A = M M^T`` of ``M = [proj_w; proj_b]`` and only
@@ -360,50 +345,52 @@ def guided_mix(guide, proj_w, proj_b, up, log_sigma_dist, log_sigma_sim, radius:
     window operation is one banded product over column tiles
     (:func:`_tiled`): the logits and the weight gradient are
     :func:`_window_dots` (``a_tile @ patch.T``), and the forward output,
-    the Gram gradient and the ``up`` gradient are :func:`_banded_mix`
-    (``B @ patch``).  The ``up`` gradient lands on padded neighbors; it is
-    a forward mix of the zero-padded gradient over :func:`_flipped` weights
-    on the padded grid, which :func:`_fold_edges` then folds onto the core.
-    No (H, W, K, C) neighbor array is built.  Gradients flow to every
-    operand but ``guide``.
+    the Gram gradient and the ``up_pad`` gradient are :func:`_banded_mix`
+    (``B @ patch``).  The ``up_pad`` gradient is a forward mix of the
+    zero-padded gradient over :func:`_flipped` weights on the padded grid,
+    which the lift folds onto the map.  No (H, W, K, C) neighbor array is
+    built.  Gradients flow to every operand but ``guide``; without one that
+    requires grad, the logits are dropped before the mix and no VJP recorded.
     """
-    proj_w, proj_b, up = as_tensor(proj_w), as_tensor(proj_b), as_tensor(up)
+    proj_w, proj_b, up_pad = as_tensor(proj_w), as_tensor(proj_b), as_tensor(up_pad)
     lsd, lss = as_tensor(log_sigma_dist), as_tensor(log_sigma_sim)
     guide = np.asarray(guide, dtype=np.float64)
-    if guide.ndim != 3 or guide.shape[2] != 3 or up.data.ndim != 3 or guide.shape[:2] != up.data.shape[:2]:
-        raise ValueError("guided_mix expects (H, W, 3) guide and (H, W, C) maps of equal H, W")
+    r = int(radius)
+    padded = tuple(n + 2 * r for n in guide.shape[:2])
+    if guide.ndim != 3 or guide.shape[2] != 3 or up_pad.data.ndim != 3 or up_pad.data.shape[:2] != padded:
+        raise ValueError("guided_mix expects an (H, W, 3) guide and an (H + 2r, W + 2r, C) padded map")
+    h, w = guide.shape[:2]
     if proj_b.data.ndim != 1 or proj_w.data.shape != (3, proj_b.data.size):
         raise ValueError("guided_mix expects a (3, D) proj_w and a (D,) proj_b")
-    r = int(radius)
-    h, w = up.data.shape[:2]
-    weights, sim, logits, spatial, norm, g_hat, g_hat_pad = _guided_weights(
+    operands = (proj_w, proj_b, up_pad, lsd, lss)
+    weights, logits, g_hat, g_hat_pad = _guided_weights(
         guide, proj_w.data, proj_b.data, lsd.data, lss.data, r
     )
-    up_pad = _edge_pad(up.data, r)
-    out = np.ascontiguousarray(_banded_mix(weights, up_pad, r))
+    if not any(p.requires_grad for p in operands):
+        logits = g_hat = g_hat_pad = None  # inference keeps only the weights through the mix
+    out = np.ascontiguousarray(_banded_mix(weights, up_pad.data, r, w))
 
     def vjp(g):
-        # the up gradient first, so that its padded-grid temporaries are gone
-        # before the weight gradients are built
-        g_pad = _zero_pad(g, 2 * r, (h + 4 * r, w + 4 * r))
-        g_up = _fold_edges(_banded_mix(_flipped(weights, r), g_pad, r), r, h, w)
-        g_weights = _window_dots(g, up_pad, r)
-        # weights = u / norm with u = sim * spatial
-        g_u = (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True)) / norm
+        # the up_pad gradient first, so that its padded-grid temporaries are
+        # gone before the weight gradients are built
+        g_pad = _zero_pad(g, 2 * r, (h + 4 * r, _aligned(w + 2 * r, r) + 2 * r))
+        g_up = _banded_mix(_flipped(weights, r), g_pad, r, w + 2 * r)
+        del g_pad
+        g_weights = _window_dots(g, up_pad.data, r)
+        # weights = softmax(logits - |dxy|^2 / (2 sigma_dist^2))
+        g_logits = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
         sigma_dist = np.exp(lsd.data)
-        g_lsd = (g_u * sim * spatial * _offset_dist2(r)).sum() / (sigma_dist * sigma_dist)
-        g_sim = g_u * spatial
-        g_logits = sim * (g_sim - (g_sim * sim).sum(axis=-1, keepdims=True))
+        g_lsd = (g_logits * _offset_dist2(r)).sum() / (sigma_dist * sigma_dist)
         g_lss = -2.0 * (g_logits * logits).sum()
         sigma_sim = np.exp(lss.data)
         g_dots = g_logits / (sigma_sim * sigma_sim)
         # dots = g_hat A g_hat_pad^T, so dA = g_hat^T (window sum of g_dots
         # over g_hat_pad) and, with A = M M^T, dM = (dA + dA^T) M
-        g_gram = g_hat.reshape(-1, 4).T @ _banded_mix(g_dots, g_hat_pad, r).reshape(-1, 4)
+        g_gram = g_hat.reshape(-1, 4).T @ _banded_mix(g_dots, g_hat_pad, r, w).reshape(-1, 4)
         g_m = (g_gram + g_gram.T) @ np.vstack([proj_w.data, proj_b.data])
         return g_m[:3], g_m[3], g_up, np.asarray(g_lsd), np.asarray(g_lss)
 
-    return _node(out, (proj_w, proj_b, up, lsd, lss), vjp)
+    return _node(out, operands, vjp)
 
 
 def _band(rows: np.ndarray) -> tuple[int, int]:

@@ -29,8 +29,7 @@ from typing import BinaryIO, Iterable
 
 import numpy as np
 
-from .formats import DataFormatError, check_room, read_array, read_u32, write_array, write_u32
-from .numerics import NumericalError
+from .formats import DataFormatError, check_room, finite_f4, read_array, read_u32, write_array, write_u32
 from .vdim import DownsamplerParams, LevelDown, LevelKernel, VdimParams, trainable_arrays
 from .window_attn import AttnParams
 
@@ -67,7 +66,7 @@ def save_checkpoint(
     vdim_fields = trainable_arrays(vdim, down)
     attn_fields = [] if attn is None else [(name, getattr(attn, name)) for name in _ATTN_FIELDS]
     for name, arr in vdim_fields + attn_fields:
-        _check_finite(name, np.asarray(arr, dtype="<f4"))  # as written
+        finite_f4(arr, f"checkpoint tensor {name}")
     with open(path, "wb") as f:
         f.write(VDIM_MAGIC)
         write_u32(f, VERSION)
@@ -83,11 +82,6 @@ def save_checkpoint(
             write_u32(f, attn.queries.shape[2])
             for _, arr in attn_fields:
                 write_array(f, arr)
-
-
-def _check_finite(name: str, arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
-        raise NumericalError(f"checkpoint tensor {name} holds non-finite values")
 
 
 def _vdim_template(d_proj: int, channels: int) -> tuple[VdimParams, DownsamplerParams]:
@@ -114,8 +108,7 @@ def _read_into(f: BinaryIO, fields: Iterable[tuple[str, np.ndarray]]) -> None:
             raise DataFormatError(
                 f"checkpoint tensor {name} has shape {arr.shape}, header implies {target.shape}"
             )
-        _check_finite(name, arr)
-        target[...] = arr
+        target[...] = finite_f4(arr, f"checkpoint tensor {name}")
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -9,6 +9,7 @@ a :class:`~hiwin.vdim.FeaturePyramid` of them goes straight to compression.
 
 ISPF file format (little-endian): magic ``ISPF``, u32 version=1, u32 level,
 u32 h, u32 w, u32 C, then h*w*C float32 values row-major, channel-fastest.
+NaN or inf is refused with ``NumericalError`` before the file is opened.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .formats import DataFormatError, expect_magic, read_exact, read_u32, write_u32
+from .formats import DataFormatError, expect_magic, finite_f4, read_exact, read_u32, write_u32
 from .image_io import Image
 
 __all__ = [
@@ -96,6 +97,7 @@ def encode(image: Image, spec: EncoderSpec, origin: str = "overview") -> Feature
 
 
 def save_features(fmap: FeatureMap, path) -> None:
+    data = finite_f4(fmap.data, f"ISPF level-{fmap.level} map")
     with open(path, "wb") as f:
         f.write(ISPF_MAGIC)
         write_u32(f, ISPF_VERSION)
@@ -103,7 +105,7 @@ def save_features(fmap: FeatureMap, path) -> None:
         write_u32(f, fmap.height)
         write_u32(f, fmap.width)
         write_u32(f, fmap.channels)
-        f.write(fmap.data.astype("<f4").tobytes())
+        f.write(data.tobytes())
 
 
 def load_features(path) -> FeatureMap:

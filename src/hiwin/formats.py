@@ -9,10 +9,13 @@ from typing import BinaryIO
 
 import numpy as np
 
+from .numerics import NumericalError
+
 __all__ = [
     "DataFormatError",
     "check_room",
     "expect_magic",
+    "finite_f4",
     "read_array",
     "read_exact",
     "read_u32",
@@ -53,6 +56,15 @@ def expect_magic(f: BinaryIO, magic: bytes) -> None:
     got = read_exact(f, len(magic), "magic")
     if got != magic:
         raise DataFormatError(f"bad magic: expected {magic!r}, got {got!r}")
+
+
+def finite_f4(arr, what: str) -> np.ndarray:
+    """``arr`` as the little-endian float32 a file stores; NaN or inf there
+    raises :class:`~hiwin.numerics.NumericalError` naming ``what``."""
+    out = np.asarray(arr, dtype="<f4")
+    if not np.isfinite(out).all():
+        raise NumericalError(f"{what} holds non-finite values")
+    return out
 
 
 def write_array(f: BinaryIO, arr: np.ndarray) -> None:

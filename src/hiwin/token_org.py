@@ -9,6 +9,7 @@ used; the index map carries the structure instead.
 TOKS file format (little-endian): magic ``TOKS``, u32 version=1, u32 rows,
 u32 cols, u32 N, u32 C, then the overview (N*N*C float32) and the stitched
 global map (N*rows * N*cols * C float32), both row-major channel-fastest.
+NaN or inf is refused with ``NumericalError`` before the file is opened.
 The optional plain-text index map has one ``seq_idx row col origin`` line
 per token.
 """
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .formats import DataFormatError, expect_magic, read_exact, read_u32, write_u32
+from .formats import DataFormatError, expect_magic, finite_f4, read_exact, read_u32, write_u32
 from .slicing import SliceLayout
 from .window_attn import TokenMap
 
@@ -103,6 +104,8 @@ def flatten(assembled: AssembledTokens) -> TokenSequence:
 
 
 def save_tokens(assembled: AssembledTokens, path) -> None:
+    overview = finite_f4(assembled.overview, "TOKS overview")
+    global_map = finite_f4(assembled.global_map, "TOKS global map")
     with open(path, "wb") as f:
         f.write(TOKS_MAGIC)
         write_u32(f, TOKS_VERSION)
@@ -110,8 +113,8 @@ def save_tokens(assembled: AssembledTokens, path) -> None:
         write_u32(f, assembled.cols)
         write_u32(f, assembled.side)
         write_u32(f, assembled.channels)
-        f.write(assembled.overview.astype("<f4").tobytes())
-        f.write(assembled.global_map.astype("<f4").tobytes())
+        f.write(overview.tobytes())
+        f.write(global_map.tobytes())
 
 
 def load_tokens(path) -> AssembledTokens:

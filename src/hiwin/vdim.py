@@ -4,27 +4,28 @@ reconstruction loss, and the training loop that fits both.
 
 Guided upsampling (joint bilateral upsampling) doubles a feature map's
 resolution by bilinearly lifting it to the target grid and re-averaging each
-output cell over its edge-clamped 7x7 neighborhood.  Neighbor weights combine
-a Gaussian spatial decay ``exp(-|dxy|^2 / (2 sigma_dist^2))`` with a
-guidance-similarity softmax over the window: pixels of the guidance image are
-projected by a learned linear map, and neighbor scores are the projected dot
-products scaled by ``1 / sigma_sim^2``.  The combined weight is renormalized
-to sum to 1 per output cell, so constant inputs pass through exactly.  The
-re-averaging is the single fused op ``autodiff.guided_mix``, which inference
-and training both run.  The projection is linear in the RGB pixel, so the
-projected dot products are ``g_a (M M^T) g_b^T`` for homogeneous pixels
-``g = [r, g, b, 1]`` and ``M = [proj_w; proj_b]``: the op takes the guide
-and the projection weights and scores neighbors through that 4x4 Gram,
-never building a map of projected pixels.  Every window operation of the op
-is a banded matrix product over short tiles of output cells of a row, which
-read the tile's 7-row source window as one patch.  The window sums scatter
-each tile's weights into one banded block (``B @ patch``); the dot-product
-gathers, the logits and the gradient of the weights, take the transposed
-product (``a_tile @ patch^T``) and pick each cell's 49 offsets from it.  The
-VJP's gradient onto neighbors of the lifted map is the window sum run
-forward on the padded grid, over the zero-padded gradient and the window
-weights flipped to the receiving cell.  No per-cell stack of neighbors is
-built.
+output cell over its edge-clamped 7x7 neighborhood.  The joint-bilateral
+kernel is one softmax over the window: a neighbor's score is the dot product
+of the two guidance pixels under a learned linear projection, over
+``sigma_sim^2``, minus the spatial term ``|dxy|^2 / (2 sigma_dist^2)``: a
+similarity softmax times a Gaussian decay, renormalized to sum to 1 per
+cell.  The re-averaging is the single fused op ``autodiff.guided_mix``,
+which inference and training both run.  The lift lands straight on the op's
+edge-padded grid: a padding row or column of the resize matrices repeats the
+taps of the border cell it copies, and the lift's VJP folds the padding's
+gradient back onto the border.  The projection is linear in the RGB pixel,
+so the scores are ``g_a (M M^T) g_b^T`` for homogeneous pixels
+``g = [r, g, b, 1]`` and ``M = [proj_w; proj_b]``: the op scores neighbors
+through that 4x4 Gram, never building a map of projected pixels.  Every
+window operation of the op is a banded matrix product over short tiles of
+output cells of a row, which read the tile's 7-row source window as one
+patch.  The window sums scatter each tile's weights into one banded block
+(``B @ patch``); the dot-product gathers, the scores and the gradient of the
+weights, take the transposed product (``a_tile @ patch^T``) and pick each
+cell's 49 offsets from it.  The VJP's gradient onto the padded lift is the
+window sum run forward on the padded grid, over the zero-padded gradient and
+the window weights flipped to the receiving cell.  No per-cell stack of
+neighbors is built.
 
 The downsampler inverts the scale change for training.  It is defined on
 the high level bilinearly lifted to full image resolution and split into
@@ -220,10 +221,11 @@ def _wrap_params(
 def _guided_upsample_graph(feats: Tensor, guide: np.ndarray, kern: _Kernel) -> Tensor:
     h, w = feats.data.shape[:2]
     gh, gw, _ = guide.shape
-    up = ad.interp2d(feats, resize_matrix(h, gh), resize_matrix(w, gw))
-    return ad.guided_mix(
-        guide, kern.proj_w, kern.proj_b, up, kern.log_sigma_dist, kern.log_sigma_sim, VdimParams.radius
-    )
+    r = VdimParams.radius
+    rows = resize_matrix(h, gh)[ad._edge_index(gh, r)]
+    cols = resize_matrix(w, gw)[ad._edge_index(gw, r)]
+    up_pad = ad.interp2d(feats, rows, cols)
+    return ad.guided_mix(guide, kern.proj_w, kern.proj_b, up_pad, kern.log_sigma_dist, kern.log_sigma_sim, r)
 
 
 def _recon_loss(

@@ -100,13 +100,21 @@ def test_interp2d_matches_plain_resize():
     np.testing.assert_allclose(out, bilinear_resize(x, 9, 4), atol=1e-12)
 
 
+def edge_padded_leaf(shape, seed, radius):
+    """A leaf holding a random (h, w, C) map edge-padded by ``radius``: the
+    padded lift ``guided_mix`` takes."""
+    core = np.random.default_rng(seed).uniform(-1, 1, shape)
+    pad = ((radius, radius), (radius, radius), (0, 0))
+    return Tensor(np.pad(core, pad, mode="edge"), requires_grad=True)
+
+
 @pytest.mark.parametrize(
     "h, w, radius",
     [
         (3, 4, 1),
         (4, 5, 2),
-        (1, 5, 1),  # one row: top and bottom padding fold onto the same cells
-        (5, 1, 2),  # one column: left and right padding likewise
+        (1, 5, 1),  # one row: every window row but the middle reads padding
+        (5, 1, 2),  # one column: every window column but the middle likewise
         (2, 3, 3),  # map smaller than the 7x7 window
         (2, 2 * T, 3),  # two whole tiles
         (2, 2 * T + 5, 3),  # a ragged last tile
@@ -117,24 +125,51 @@ def test_interp2d_matches_plain_resize():
 )
 def test_guided_mix_values_and_grad(h, w, radius):
     guide = np.random.default_rng(13).uniform(-1, 1, (h, w, 3))  # a constant of the op
-    up = leaf((h, w, 2), 14)
+    up_pad = edge_padded_leaf((h, w, 2), 14, radius)
     log_sigma_dist = leaf((), 15, scale=0.3)
     log_sigma_sim = leaf((), 18, scale=0.3)
     # projection widths below, at and above the rank 4 of the 4x4 Gram
     for d_proj in (1, 3, 8):
         proj_w = leaf((3, d_proj), 16)
         proj_b = leaf((d_proj,), 17, scale=0.5)
-        params = [proj_w, proj_b, up, log_sigma_dist, log_sigma_sim]
+        params = [proj_w, proj_b, up_pad, log_sigma_dist, log_sigma_sim]
         out = ad.guided_mix(guide, *params, radius)
         want = scalar_guided_mix(
             guide @ proj_w.data + proj_b.data,
-            up.data,
+            up_pad.data[radius : radius + h, radius : radius + w],
             np.exp(log_sigma_dist.item()),
             np.exp(log_sigma_sim.item()),
             radius,
         )
         np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
+        # every padded cell is an operand of its own; the lift folds them
         check_op(lambda: to_scalar(ad.guided_mix(guide, *params, radius)), params)
+
+
+def test_guided_mix_output_does_not_depend_on_requires_grad():
+    # inference drops the logits and records no VJP, but runs the same kernels
+    rng = np.random.default_rng(7)
+    guide = rng.uniform(0, 1, (6, 2 * T + 3, 3))
+    arrays = [
+        rng.standard_normal((3, 5)),
+        rng.standard_normal(5),
+        rng.standard_normal((12, 2 * T + 9, 4)),
+        np.array(0.4),
+        np.array(-0.1),
+    ]
+    outs = []
+    for trainable in (True, False):
+        params = [Tensor(a, requires_grad=trainable) for a in arrays]
+        out = ad.guided_mix(guide, *params, 3)
+        assert out.requires_grad is trainable and (out._vjp is not None) is trainable
+        outs.append(out.data.tobytes())
+    assert outs[0] == outs[1]
+
+
+def test_guided_mix_rejects_an_unpadded_map():
+    guide = np.zeros((4, 5, 3))
+    with pytest.raises(ValueError, match=r"\(H \+ 2r, W \+ 2r, C\)"):
+        ad.guided_mix(guide, np.zeros((3, 2)), np.zeros(2), np.zeros((4, 5, 2)), 0.0, 0.0, 1)
 
 
 _BLAS_PROBE = textwrap.dedent(
@@ -147,10 +182,11 @@ _BLAS_PROBE = textwrap.dedent(
     guide = rng.uniform(0, 1, (20, 40, 3))
     proj_w = ad.Tensor(rng.standard_normal((3, 8)), requires_grad=True)
     proj_b = ad.Tensor(rng.standard_normal(8), requires_grad=True)
-    up = ad.Tensor(rng.standard_normal((20, 40, 16)), requires_grad=True)
+    up = np.pad(rng.standard_normal((20, 40, 16)), ((3, 3), (3, 3), (0, 0)), mode="edge")
+    up_pad = ad.Tensor(up, requires_grad=True)
     lsd = ad.Tensor(np.array(0.3), requires_grad=True)
     lss = ad.Tensor(np.array(-0.2), requires_grad=True)
-    params = (proj_w, proj_b, up, lsd, lss)
+    params = (proj_w, proj_b, up_pad, lsd, lss)
     out = ad.guided_mix(guide, *params, 3)
     ad.tsum(ad.mul(out, rng.uniform(0.5, 1.5, out.shape))).backward()
     digest = hashlib.sha256(out.data.tobytes())

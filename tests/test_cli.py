@@ -409,6 +409,18 @@ def test_non_finite_checkpoint_tensor_exits_4_naming_it(field, bad, image_336, t
     assert not out.exists()
 
 
+def test_tokens_that_overflow_float32_exit_4_and_write_nothing(image_336, tmp_path, capsys):
+    # every wo entry is finite in float32, but most projected tokens overflow
+    attn = AttnParams.init(HiwinConfig(channels=64), seed=0)
+    attn.wo[...] = 3e38
+    path = tmp_path / "huge.ckpt"
+    save_checkpoint(path, VdimParams.init(d_proj=32, seed=0), DownsamplerParams.init(64, seed=0), attn=attn)
+    out = tmp_path / "huge.toks"
+    assert main(["pipeline", "--image", str(image_336), "--ckpt", str(path), "--out", str(out)]) == 4
+    assert "TOKS overview holds non-finite values" in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.idx").exists()
+
+
 def test_attention_channels_must_match_checkpoint_channels(image_336, tmp_path, capsys):
     vdim, down, attn = small_params(attn_channels=4)
     path = tmp_path / "bad.ckpt"

@@ -148,7 +148,10 @@ class TestGradCheck:
         params = [
             Tensor(rng.standard_normal((3, 4)), requires_grad=True),
             Tensor(rng.standard_normal(4), requires_grad=True),
-            Tensor(rng.standard_normal((5, 6, 2)), requires_grad=True),
+            Tensor(  # the edge-padded lift of a (5, 6, 2) map at radius 1
+                np.pad(rng.standard_normal((5, 6, 2)), ((1, 1), (1, 1), (0, 0)), mode="edge"),
+                requires_grad=True,
+            ),
             Tensor(np.array(0.2), requires_grad=True),
             Tensor(np.array(-0.3), requires_grad=True),
         ]
@@ -158,7 +161,7 @@ class TestGradCheck:
             def f(ps):
                 out = ad.guided_mix(guide, *ps, radius=1)
                 if wrong:
-                    # scale the up-map gradient entry of median magnitude
+                    # scale the padded-lift gradient entry of median magnitude
                     right = out._vjp
 
                     def vjp(g):
