@@ -1,12 +1,14 @@
 """Checkpoint serialization for the trainable modules.
 
 Layout (little-endian): magic ``VDIM``, u32 version=1, u32 d_proj, u32 C,
-then the upsampling and downsampler tensors in their canonical declaration
-order (see :func:`hiwin.vdim.trainable_arrays`), each stored as rank (u32),
-dims (u32 each), float32 payload.  An attention section may follow under the
-tag ``HATT``: u32 version=1, u32 N, u32 heads, u32 C, then queries, level
-embeddings, and the q/k/v/output projection weights and biases with the same
-tensor encoding.
+then the tensors of :func:`hiwin.vdim.trainable_arrays`: for each
+upsampling level the fields of ``LevelKernel`` in declaration order, then
+for each downsampler level those of ``LevelDown``.  Each is stored as rank
+(u32), dims (u32 each), float32 payload.  An attention section may follow
+under the tag ``HATT``: u32 version=1, u32 N, u32 heads, u32 C, then the
+fields of ``AttnParams`` in declaration order (queries, level embeddings,
+and the q/k/v/output projection weights and biases) with the same tensor
+encoding.  Reordering a field of these dataclasses changes the format.
 
 The format holds exactly two detail-injection levels (three pyramid levels
 for the level embeddings): the header does not record the depth, so
@@ -14,9 +16,10 @@ for the level embeddings): the header does not record the depth, so
 records no geometry either: the guided-upsampling radius 3 (a 7x7 window)
 and the patch side 14 are fixed by the format, as the class constants
 ``VdimParams.radius``, ``DownsamplerParams.patch`` and
-``EncoderSpec.patch``.  The loader builds every tensor's expected shape
-from the headers and raises :class:`~hiwin.formats.DataFormatError` naming
-the first tensor that disagrees.  A checkpoint without an attention section
+``EncoderSpec.patch``.  The loader refuses a header with 0 channels, builds
+header-shaped parameters with the classes' own ``init``, fills them in
+place, and raises :class:`~hiwin.formats.DataFormatError` naming the first
+tensor whose shape disagrees.  A checkpoint without an attention section
 implies N = 12.  A tensor holding NaN or inf is refused by name with
 :class:`~hiwin.numerics.NumericalError`, on save before anything is written
 and on load.
@@ -24,14 +27,14 @@ and on load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import BinaryIO, Iterable
 
 import numpy as np
 
 from .formats import DataFormatError, check_room, finite_f4, read_array, read_u32, write_array, write_u32
-from .vdim import DownsamplerParams, LevelDown, LevelKernel, VdimParams, trainable_arrays
-from .window_attn import AttnParams
+from .vdim import DownsamplerParams, VdimParams, trainable_arrays
+from .window_attn import AttnParams, HiwinConfig
 
 __all__ = ["Checkpoint", "load_checkpoint", "save_checkpoint"]
 
@@ -39,8 +42,6 @@ VDIM_MAGIC = b"VDIM"
 HATT_MAGIC = b"HATT"
 VERSION = 1
 LEVELS = 2  # detail-injection levels of every checkpoint
-
-_ATTN_FIELDS = ("queries", "level_emb", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
 
 
 @dataclass
@@ -64,7 +65,7 @@ def save_checkpoint(
         if depth != LEVELS:
             raise ValueError(f"checkpoints hold {LEVELS} levels; the {part} model has {depth}")
     vdim_fields = trainable_arrays(vdim, down)
-    attn_fields = [] if attn is None else [(name, getattr(attn, name)) for name in _ATTN_FIELDS]
+    attn_fields = [] if attn is None else _attn_arrays(attn)
     for name, arr in vdim_fields + attn_fields:
         finite_f4(arr, f"checkpoint tensor {name}")
     with open(path, "wb") as f:
@@ -84,25 +85,15 @@ def save_checkpoint(
                 write_array(f, arr)
 
 
-def _vdim_template(d_proj: int, channels: int) -> tuple[VdimParams, DownsamplerParams]:
-    """Uninitialized header-shaped parameters for the VDIM section to fill."""
-    e = np.empty
-    kernels = [LevelKernel(e((3, d_proj)), e(d_proj), e(()), e(())) for _ in range(LEVELS)]
-    downs = [LevelDown(e(channels), e(channels), e(channels), e(())) for _ in range(LEVELS)]
-    return VdimParams(levels=kernels), DownsamplerParams(levels=downs)
+def _attn_arrays(attn: AttnParams) -> list[tuple[str, np.ndarray]]:
+    """The attention tensors in checkpoint order: ``AttnParams``' fields."""
+    return [(f.name, getattr(attn, f.name)) for f in fields(attn)]
 
 
-def _attn_template(n: int, c: int, pyramid_levels: int) -> AttnParams:
-    """Uninitialized header-shaped parameters for the HATT section to fill."""
-    # queries, level_emb, then (weight, bias) for q, k, v and the output
-    shapes = [(n, n, c), (pyramid_levels, c)] + [(c, c), (c,)] * 4
-    return AttnParams(*(np.empty(shape) for shape in shapes))
-
-
-def _read_into(f: BinaryIO, fields: Iterable[tuple[str, np.ndarray]]) -> None:
+def _read_into(f: BinaryIO, tensors: Iterable[tuple[str, np.ndarray]]) -> None:
     """Read each named tensor into its template array, whose shape the
     header fixed."""
-    for name, target in fields:
+    for name, target in tensors:
         arr = read_array(f, name)
         if arr.shape != target.shape:
             raise DataFormatError(
@@ -121,10 +112,13 @@ def load_checkpoint(path) -> Checkpoint:
             raise DataFormatError(f"unsupported checkpoint version {version}")
         d_proj = read_u32(f, "d_proj")
         channels = read_u32(f, "channels")
+        if channels == 0:
+            raise DataFormatError("checkpoint header has 0 channels")
         # the header's tensors hold at least these floats; refuse a header
         # the file cannot back before allocating them
         check_room(f, 4 * (d_proj + channels), "checkpoint VDIM tensors")
-        vdim, down = _vdim_template(d_proj, channels)
+        vdim = VdimParams.init(d_proj, levels=LEVELS)
+        down = DownsamplerParams.init(channels, levels=LEVELS)
         _read_into(f, trainable_arrays(vdim, down))
 
         attn = None
@@ -147,8 +141,8 @@ def load_checkpoint(path) -> Checkpoint:
                 )
             attn_floats = grid_side * grid_side * channels + channels * channels
             check_room(f, 4 * attn_floats, "checkpoint HATT tensors")
-            attn = _attn_template(grid_side, channels, LEVELS + 1)
-            _read_into(f, ((name, getattr(attn, name)) for name in _ATTN_FIELDS))
+            attn = AttnParams.init(HiwinConfig(grid_side=grid_side, channels=channels), levels=LEVELS + 1)
+            _read_into(f, _attn_arrays(attn))
         elif tag != b"":
             raise DataFormatError(f"unexpected trailing section {tag!r}")
     return Checkpoint(

@@ -3,8 +3,9 @@
 Subcommands: ``pretrain-vdim``, ``build-isp``, ``compress``, ``pipeline``,
 ``visualize``, ``selftest``.  Configuration is flags-only; the single
 environment input is ``HIWIN_SEED``, overridden by ``--seed``; a value that
-is not an integer is a usage error.  ``--threads`` owns parallelism: the
-package import pins BLAS to one thread unless the environment sets it.
+is not an integer of at least 0 is a usage error.  ``--threads`` owns
+parallelism: the package import pins BLAS to one thread unless the
+environment sets it.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numerical
 failure.  Diagnostics go to standard error.
@@ -19,14 +20,14 @@ from pathlib import Path
 
 from .autodiff import NumericalError
 from .checkpoint import load_checkpoint, save_checkpoint
-from .encoder import EncoderSpec, encode, load_features, save_features
+from .encoder import EncoderSpec, load_features, save_features
 from .formats import DataFormatError
-from .image_io import Image, build_image_pyramid, load_ppm, resize_to_patch_multiple, save_ppm, synth_corpus
+from .image_io import Image, load_ppm, resize_to_patch_multiple, save_ppm, synth_corpus
 from .numerics import pca_rgb
-from .pipeline import PROJECTORS, PipelineConfig, init_mlp_weight, run_pipeline
+from .pipeline import PROJECTORS, PipelineConfig, _unit_pyramid, init_mlp_weight, run_pipeline
 from .selfcheck import run_all
 from .token_org import flatten, save_index, save_tokens
-from .vdim import DownsamplerParams, VdimParams, build_isp, pretrain_vdim
+from .vdim import DownsamplerParams, VdimParams, pretrain_vdim
 from .window_attn import AttnParams, HiwinConfig
 
 __all__ = ["main", "main_entry"]
@@ -62,9 +63,9 @@ _learning_rate.__name__ = "float"  # argparse's message for a non-number: "inval
 def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--seed",
-        type=int,
+        type=_int_flag(0),
         default=None,
-        help="deterministic seed (default: HIWIN_SEED env var, else 0)",
+        help="deterministic seed, >= 0 (default: HIWIN_SEED env var, else 0)",
     )
 
 
@@ -81,7 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=_learning_rate, default=1e-3, help="Adam learning rate, in (0, 1]")
     p.add_argument("--batch", type=_int_flag(1), default=4, help="images per step (>= 1)")
     p.add_argument("--count", type=_int_flag(1), default=32, help="synthetic corpus size (>= 1)")
-    p.add_argument("--size", type=_int_flag(1), default=112, help="synthetic image side (>= 1)")
+    patch = EncoderSpec.patch  # the guidance pyramid needs whole patches
+    p.add_argument(
+        "--size", type=_int_flag(patch, patch), default=112, help=f"synthetic image side (a positive multiple of {patch})"
+    )
     heads = HiwinConfig.heads  # the attention heads split the channels evenly
     p.add_argument(
         "--channels", type=_int_flag(1, heads), default=64, help=f"feature channels (a positive multiple of {heads})"
@@ -167,10 +171,7 @@ def _load_setup(args):
 
 def cmd_build_isp(args) -> int:
     ckpt, config, _ = _load_setup(args)
-    image = resize_to_patch_multiple(load_ppm(args.image))
-    pyramid = build_image_pyramid(image, patch=config.encoder.patch)
-    f0 = encode(image, config.encoder)
-    isp = build_isp(f0, pyramid, ckpt.vdim)
+    isp = _unit_pyramid(resize_to_patch_multiple(load_ppm(args.image)), "overview", ckpt.vdim, config)
     for level, fmap in enumerate(isp.levels):
         path = f"{args.out_prefix}.l{level}.ispf"
         save_features(fmap, path)
@@ -230,9 +231,9 @@ def main(argv=None) -> int:
     if "seed" in vars(args) and args.seed is None:
         raw = os.environ.get("HIWIN_SEED", "0")
         try:
-            args.seed = int(raw)
-        except ValueError:
-            print(f"error: HIWIN_SEED must be an integer, got {raw!r}", file=sys.stderr)
+            args.seed = _int_flag(0)(raw)
+        except (ValueError, argparse.ArgumentTypeError):
+            print(f"error: HIWIN_SEED must be an integer of at least 0, got {raw!r}", file=sys.stderr)
             return 2
     try:
         return args.func(args)

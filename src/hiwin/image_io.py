@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .formats import DataFormatError
+from .formats import DataFormatError, finite_f4
 from .numerics import bilinear_resize, decode_codes
 
 __all__ = [
@@ -158,11 +158,13 @@ def load_ppm(path) -> Image:
 
 def save_ppm(image: Image, path) -> None:
     """Write a canonical binary P6 PPM (8-bit, no comments); codes are
-    written unchanged, values rounded to the nearest code."""
+    written unchanged, values rounded to the nearest code.  NaN or inf
+    values raise :class:`~hiwin.numerics.NumericalError` before the file is
+    opened."""
     header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
     codes = image.pixels
     if codes.dtype != np.uint8:
-        codes = np.rint(np.clip(codes, 0.0, 1.0) * 255.0).astype(np.uint8)
+        codes = np.rint(np.clip(finite_f4(codes, "PPM image"), 0.0, 1.0) * 255.0).astype(np.uint8)
     Path(path).write_bytes(header + codes.tobytes())
 
 

@@ -49,8 +49,8 @@ remain float32.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, ClassVar, NamedTuple, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -178,61 +178,40 @@ class FeaturePyramid:
         return self.levels[0].channels
 
 
-class _Kernel(NamedTuple):
-    proj_w: Tensor
-    proj_b: Tensor
-    log_sigma_dist: Tensor
-    log_sigma_sim: Tensor
-
-
-class _Down(NamedTuple):
-    gamma: Tensor
-    beta: Tensor
-    sal_w: Tensor
-    sal_b: Tensor
+def _leaves(level: LevelKernel | LevelDown, trainable: bool = False) -> list[Tensor]:
+    """One level's parameters as graph leaves, in field order."""
+    return [Tensor(getattr(level, f.name), requires_grad=trainable) for f in fields(level)]
 
 
 def trainable_arrays(
     vdim: VdimParams, down: DownsamplerParams
 ) -> list[tuple[str, np.ndarray]]:
-    """All trainable parameters in their canonical (checkpoint) order."""
+    """All trainable parameters in their canonical (checkpoint) order: the
+    field order of ``LevelKernel`` per upsampling level, then of
+    ``LevelDown`` per downsampler level."""
     out = []
-    for i, lk in enumerate(vdim.levels, start=1):
-        out += [(f"upsample{i}.{name}", getattr(lk, name)) for name in _Kernel._fields]
-    for i, ld in enumerate(down.levels, start=1):
-        out += [(f"down{i}.{name}", getattr(ld, name)) for name in _Down._fields]
+    for prefix, levels in (("upsample", vdim.levels), ("down", down.levels)):
+        for i, level in enumerate(levels, start=1):
+            out += [(f"{prefix}{i}.{f.name}", getattr(level, f.name)) for f in fields(level)]
     return out
 
 
-def _wrap_level(level: LevelKernel | LevelDown, kind: type, trainable: bool = False):
-    """One level's parameters as graph leaves: a ``_Kernel`` or ``_Down``."""
-    return kind(*(Tensor(getattr(level, name), requires_grad=trainable) for name in kind._fields))
-
-
-def _wrap_params(
-    vdim: VdimParams, down: DownsamplerParams, trainable: bool
-) -> tuple[list[_Kernel], list[_Down], list[Tensor]]:
-    kernels = [_wrap_level(lk, _Kernel, trainable) for lk in vdim.levels]
-    downs = [_wrap_level(ld, _Down, trainable) for ld in down.levels]
-    flat = [t for level in kernels + downs for t in level]
-    return kernels, downs, flat
-
-
-def _guided_upsample_graph(feats: Tensor, guide: np.ndarray, kern: _Kernel) -> Tensor:
+def _guided_upsample_graph(feats: Tensor, guide: np.ndarray, kern: Sequence[Tensor]) -> Tensor:
+    proj_w, proj_b, log_sigma_dist, log_sigma_sim = kern
     h, w = feats.data.shape[:2]
     gh, gw, _ = guide.shape
     r = VdimParams.radius
     rows = resize_matrix(h, gh)[ad._edge_index(gh, r)]
     cols = resize_matrix(w, gw)[ad._edge_index(gw, r)]
     up_pad = ad.interp2d(feats, rows, cols)
-    return ad.guided_mix(guide, kern.proj_w, kern.proj_b, up_pad, kern.log_sigma_dist, kern.log_sigma_sim, r)
+    return ad.guided_mix(guide, proj_w, proj_b, up_pad, log_sigma_dist, log_sigma_sim, r)
 
 
 def _recon_loss(
     base: Tensor,
     levels: Sequence[Tensor],
     image_hw: tuple[int, int],
-    downs: Sequence[_Down],
+    downs: Sequence[Sequence[Tensor]],
 ) -> Tensor:
     """Half the sum over ``levels`` of the mean squared difference between
     each level's downsampled reconstruction and ``base``."""
@@ -242,20 +221,6 @@ def _recon_loss(
         term = ad.mean(ad.mul(diff, diff))
         total = term if total is None else ad.add(total, term)
     return ad.mul(total, 0.5)
-
-
-def _pyramid_loss_graph(
-    f0: np.ndarray,
-    guides: Sequence[np.ndarray],
-    image_hw: tuple[int, int],
-    kernels: Sequence[_Kernel],
-    downs: Sequence[_Down],
-) -> Tensor:
-    base = Tensor(f0)
-    levels = [base]
-    for kern, guide in zip(kernels, guides):
-        levels.append(_guided_upsample_graph(levels[-1], guide, kern))
-    return _recon_loss(base, levels[1:], image_hw, downs)
 
 
 def jbu_upsample(
@@ -274,7 +239,7 @@ def jbu_upsample(
             f"guide dims {guide.width}x{guide.height} do not match 2x feature dims "
             f"{2 * f_level.width}x{2 * f_level.height}"
         )
-    kern = _wrap_level(params.levels[lvl], _Kernel)
+    kern = _leaves(params.levels[lvl])
     out = _guided_upsample_graph(
         Tensor(f_level.data.astype(np.float64)), guide.decoded().astype(np.float64), kern
     )
@@ -300,7 +265,7 @@ def attention_downsample(
     """
     if f_high.level < 1 or f_high.level - 1 >= len(params.levels):
         raise ValueError(f"no downsampler for level {f_high.level}")
-    dp = _wrap_level(params.levels[f_high.level - 1], _Down)
+    dp = _leaves(params.levels[f_high.level - 1])
     out = ad.window_pool(Tensor(f_high.data.astype(np.float64)), *dp, tuple(image_dims), params.patch)
     return FeatureMap(out.data.astype(np.float32), level=0, origin=f_high.origin)
 
@@ -317,7 +282,7 @@ def mlr_loss(
         Tensor(isp.levels[0].data.astype(np.float64)),
         [Tensor(fmap.data.astype(np.float64)) for fmap in uppers],
         tuple(image_dims),
-        [_wrap_level(down.levels[fmap.level - 1], _Down) for fmap in uppers],
+        [_leaves(down.levels[fmap.level - 1]) for fmap in uppers],
     )
     return loss.item()
 
@@ -343,20 +308,28 @@ def mlr_objective(
     pyramid: ImagePyramid,
     vdim: VdimParams,
     down: DownsamplerParams,
-) -> tuple[list[Tensor], "callable"]:
-    """Parameters and callable for gradient-checking the training loss.
+) -> tuple[list[Tensor], Callable[[list[Tensor]], Tensor]]:
+    """One image's training loss: its parameter leaves, in
+    :func:`trainable_arrays` order, and a callable building the loss graph.
 
-    The callable rebuilds the whole loss graph (pyramid construction included)
-    from the returned parameter tensors on every invocation.
+    The callable rebuilds the whole graph (pyramid construction included)
+    from the returned leaves on every invocation; ``pretrain_vdim`` calls it
+    once per batch item, and the gradient checks call it repeatedly.
     """
-    kernels, downs, flat = _wrap_params(vdim, down, trainable=True)
+    kernels = [_leaves(lk, trainable=True) for lk in vdim.levels]
+    downs = [_leaves(ld, trainable=True) for ld in down.levels]
+    flat = [t for level in kernels + downs for t in level]
     guides = [lvl.decoded().astype(np.float64) for lvl in pyramid.levels[1 : len(vdim.levels) + 1]]
     base_img = pyramid.levels[0]
     image_hw = (base_img.height * down.patch, base_img.width * down.patch)
     f0_data = f0.data.astype(np.float64)
 
     def objective(_params):
-        return _pyramid_loss_graph(f0_data, guides, image_hw, kernels, downs)
+        base = Tensor(f0_data)
+        levels = [base]
+        for kern, guide in zip(kernels, guides):
+            levels.append(_guided_upsample_graph(levels[-1], guide, kern))
+        return _recon_loss(base, levels[1:], image_hw, downs)
 
     return flat, objective
 
@@ -384,8 +357,9 @@ def pretrain_vdim(
     of its inputs.  ``losses[k]`` is the batch loss observed at step k+1
     before its update; with ``steps == 0`` the single entry is the initial
     loss, reported as step 0.  ``on_step(step, loss)``, if given, is called
-    with each entry as soon as it is known.  Parameters are updated in place
-    and also returned.
+    with each entry as soon as it is known; a non-finite batch item loss
+    raises :class:`NumericalError` naming its step.  Parameters are updated
+    in place and also returned.
     """
     if not corpus:
         raise ValueError("pretrain_vdim requires a non-empty corpus")
@@ -397,42 +371,24 @@ def pretrain_vdim(
         raise ValueError(
             f"encoder channels {encoder_spec.channels} != downsampler channels {down.channels}"
         )
-    prepared = []
-    for i, img in enumerate(corpus):
-        fmap = encode(img, encoder_spec, origin=f"corpus:{i}")
-        pyr = build_image_pyramid(img, patch=encoder_spec.patch, levels=len(vdim.levels) + 1)
-        prepared.append(
-            (
-                fmap.data.astype(np.float64),
-                [lvl.decoded().astype(np.float64) for lvl in pyr.levels[1:]],
-                (img.height, img.width),
-            )
+    prepared = [
+        (
+            encode(img, encoder_spec, origin=f"corpus:{i}"),
+            build_image_pyramid(img, patch=encoder_spec.patch, levels=len(vdim.levels) + 1),
         )
-
-    def batch_items(step_index: int):
-        start = step_index * batch
-        return [prepared[(start + k) % len(prepared)] for k in range(batch)]
-
+        for i, img in enumerate(corpus)
+    ]
     arrays = [a for _, a in trainable_arrays(vdim, down)]
     state = AdamState.for_params(arrays, lr=lr)
     losses: list[float] = []
-
-    if steps == 0:
-        total = 0.0
-        for f0, guides, hw in batch_items(0):
-            kernels, downs_t, _ = _wrap_params(vdim, down, trainable=False)
-            loss = _pyramid_loss_graph(f0, guides, hw, kernels, downs_t)
-            total += loss.item()
-        if on_step is not None:
-            on_step(0, total / batch)
-        return TrainResult(vdim=vdim, down=down, losses=[total / batch])
-
-    for step in range(1, steps + 1):
+    for i in range(max(steps, 1)):
+        step = i + 1 if steps else 0
         grad_sum = [np.zeros_like(a) for a in arrays]
         loss_sum = 0.0
-        for f0, guides, hw in batch_items(step - 1):
-            kernels, downs_t, flat = _wrap_params(vdim, down, trainable=True)
-            loss = _pyramid_loss_graph(f0, guides, hw, kernels, downs_t)
+        for k in range(batch):
+            f0, pyramid = prepared[(i * batch + k) % len(prepared)]
+            flat, objective = mlr_objective(f0, pyramid, vdim, down)
+            loss = objective(flat)
             if not np.isfinite(loss.data):
                 raise NumericalError(f"non-finite training loss at step {step}")
             ad.backward(loss)
@@ -440,9 +396,10 @@ def pretrain_vdim(
             for acc, t in zip(grad_sum, flat):
                 if t.grad is not None:
                     acc += t.grad
-        grads = [g / batch for g in grad_sum]
-        for target, updated in zip(arrays, adam_step(arrays, grads, state)):
-            target[...] = updated
+        if steps:
+            grads = [g / batch for g in grad_sum]
+            for target, updated in zip(arrays, adam_step(arrays, grads, state)):
+                target[...] = updated
         losses.append(loss_sum / batch)
         if on_step is not None:
             on_step(step, losses[-1])

@@ -224,6 +224,15 @@ def test_unparsable_env_seed_is_usage_error(ckpt, image_336, tmp_path, capsys, m
     assert main(["compress", "--image", str(image_336), "--ckpt", str(ckpt), "--out", str(out), "--seed", "9"]) == 0
 
 
+def test_negative_env_seed_is_usage_error(ckpt, image_336, tmp_path, capsys, monkeypatch):
+    # exited 3 with numpy's "expected non-negative integer"
+    out = tmp_path / "a.toks"
+    monkeypatch.setenv("HIWIN_SEED", "-3")
+    assert main(["compress", "--image", str(image_336), "--ckpt", str(ckpt), "--out", str(out)]) == 2
+    assert "HIWIN_SEED" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _PRETRAIN = [
     "pretrain-vdim", "--corpus", "synthetic", "--count", "2", "--size", "56",
     "--channels", "4", "--d-proj", "4", "--steps", "1", "--batch", "2",
@@ -240,6 +249,8 @@ _PRETRAIN = [
         ("--channels", "6"),  # a checkpoint that pipeline refuses: 4 heads
         ("--count", "0"),
         ("--size", "0"),
+        ("--size", "100"),  # exit 3 naming the patch, not the flag
+        ("--seed", "-1"),  # exit 3 with numpy's "expected non-negative integer"
     ],
 )
 def test_out_of_range_pretrain_flag_is_usage_error_naming_it(flag, value, tmp_path, capsys):

@@ -19,6 +19,7 @@ from hiwin.image_io import (
     save_ppm,
     synth_corpus,
 )
+from hiwin.numerics import NumericalError
 
 
 class TestPpm:
@@ -38,6 +39,13 @@ class TestPpm:
         save_ppm(img, first)
         save_ppm(load_ppm(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_non_finite_values_are_not_written(self, tmp_path):
+        # wrote black pixels after a raw RuntimeWarning from the cast
+        path = tmp_path / "nan.ppm"
+        with pytest.raises(NumericalError, match="non-finite"):
+            save_ppm(Image(np.full((4, 4, 3), np.nan)), path)
+        assert not path.exists()
 
     def test_canonical_file_roundtrips_byte_exact(self, tmp_path):
         payload = bytes(range(2 * 3 * 3 * 1))[: 2 * 3 * 3]

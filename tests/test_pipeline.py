@@ -5,7 +5,7 @@ import pytest
 
 from hiwin.checkpoint import load_checkpoint, save_checkpoint
 from hiwin.encoder import EncoderSpec, FeatureMap
-from hiwin.formats import DataFormatError
+from hiwin.formats import DataFormatError, read_array
 from hiwin.image_io import Image, synth_corpus
 from hiwin.numerics import NumericalError, bilinear_resize
 from hiwin.pipeline import (
@@ -17,7 +17,7 @@ from hiwin.pipeline import (
     run_pipeline,
 )
 from hiwin.token_org import flatten
-from hiwin.vdim import DownsamplerParams, FeaturePyramid, VdimParams
+from hiwin.vdim import DownsamplerParams, FeaturePyramid, VdimParams, trainable_arrays
 from hiwin.window_attn import AttnParams, HiwinConfig
 
 
@@ -142,7 +142,51 @@ class TestBaselines:
         np.testing.assert_allclose(out.data.reshape(1, 4), want, atol=1e-5)
 
 
+# The checkpoint stores no tensor names, so its tensor order is the format.
+VDIM_TENSORS = [
+    "upsample1.proj_w", "upsample1.proj_b", "upsample1.log_sigma_dist", "upsample1.log_sigma_sim",
+    "upsample2.proj_w", "upsample2.proj_b", "upsample2.log_sigma_dist", "upsample2.log_sigma_sim",
+    "down1.gamma", "down1.beta", "down1.sal_w", "down1.sal_b",
+    "down2.gamma", "down2.beta", "down2.sal_w", "down2.sal_b",
+]
+ATTN_TENSORS = ["queries", "level_emb", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"]
+
+
+def named_tensor(name, vdim, down, attn):
+    """The array behind one name of ``VDIM_TENSORS + ATTN_TENSORS``."""
+    if "." not in name:
+        return getattr(attn, name)
+    group, field = name.split(".")
+    params = vdim if group.startswith("upsample") else down
+    return getattr(params.levels[int(group[-1]) - 1], field)
+
+
 class TestCheckpoint:
+    def test_tensor_order_is_pinned(self, tmp_path):
+        # reordering a field of LevelKernel, LevelDown or AttnParams must
+        # fail here rather than silently change the file format
+        vdim = VdimParams.init(d_proj=6, seed=17)
+        down = DownsamplerParams.init(8, seed=17)
+        attn = AttnParams.init(HiwinConfig(channels=8), seed=17)
+        assert [name for name, _ in trainable_arrays(vdim, down)] == VDIM_TENSORS
+        names = VDIM_TENSORS + ATTN_TENSORS
+        for k, name in enumerate(names):
+            named_tensor(name, vdim, down, attn)[...] = k
+        path = tmp_path / "order.ckpt"
+        save_checkpoint(path, vdim, down, attn=attn)
+        with open(path, "rb") as f:
+            f.seek(16)  # magic, version, d_proj, C
+            stored = [read_array(f) for _ in VDIM_TENSORS]
+            assert f.read(4) == b"HATT"
+            f.seek(16, 1)  # version, N, heads, C
+            stored += [read_array(f) for _ in ATTN_TENSORS]
+            assert f.read() == b""
+        ckpt = load_checkpoint(path)
+        for k, (name, arr) in enumerate(zip(names, stored)):
+            assert arr.shape == named_tensor(name, vdim, down, attn).shape, name
+            assert (arr == k).all(), name
+            assert (named_tensor(name, ckpt.vdim, ckpt.down, ckpt.attn) == k).all(), name
+
     def test_roundtrip_preserves_params(self, tmp_path):
         vdim = VdimParams.init(d_proj=6, seed=9)
         down = DownsamplerParams.init(8, seed=9)
@@ -203,6 +247,15 @@ class TestCheckpoint:
             path.write_bytes(good[:offset] + (2**31).to_bytes(4, "little") + good[offset + 4 :])
             with pytest.raises(DataFormatError, match="truncated checkpoint"):
                 load_checkpoint(path)
+
+    def test_header_with_no_channels_is_refused(self, tmp_path):
+        # a C=0 header loaded, then made an OverflowError traceback
+        # when the attention weights were drawn
+        vdim = VdimParams.init(d_proj=6, seed=14)
+        path = tmp_path / "empty.ckpt"
+        save_checkpoint(path, vdim, DownsamplerParams.init(0, seed=14))
+        with pytest.raises(DataFormatError, match="0 channels"):
+            load_checkpoint(path)
 
     def test_save_is_deterministic(self, tmp_path):
         vdim = VdimParams.init(d_proj=6, seed=11)
