@@ -20,12 +20,13 @@ from .numerics import NumericalError, resize_matrix, softmax as _softmax
 
 __all__ = [
     "NumericalError",
+    "RADIUS",
     "Tensor",
     "add",
     "as_tensor",
     "backward",
-    "guided_mix",
-    "interp2d",
+    "guided_upsample",
+    "guided_weights",
     "mean",
     "mul",
     "sub",
@@ -137,59 +138,38 @@ def mean(a) -> Tensor:
     return mul(tsum(a), 1.0 / a.data.size)
 
 
-def interp2d(a, row_mat: np.ndarray, col_mat: np.ndarray) -> Tensor:
-    """Separable linear resampling of an (H, W, C) map.
-
-    ``out[i, j, c] = sum_pq row_mat[i, p] * col_mat[j, q] * a[p, q, c]``.
-    The matrices are constants; the gradient flows only through ``a``.
-    """
-    a = as_tensor(a)
-    rm = np.asarray(row_mat, dtype=np.float64)
-    cm = np.asarray(col_mat, dtype=np.float64)
-    tmp = np.tensordot(rm, a.data, axes=(1, 0))  # (oh, W, C)
-    out = np.ascontiguousarray(np.tensordot(cm, tmp, axes=(1, 1)).transpose(1, 0, 2))
-
-    def vjp(g):
-        t1 = np.tensordot(rm.T, g, axes=(1, 0))  # (H, ow, C)
-        ga = np.tensordot(cm.T, t1, axes=(1, 1)).transpose(1, 0, 2)
-        return (np.ascontiguousarray(ga),)
-
-    return _node(out, (a,), vjp)
-
-
-_BLOCK_ELEMS = 1 << 15  # float64 entries per row block of guided_mix (256 KiB)
-_TILE = 8  # output columns per banded block of guided_mix (widened to 2r if smaller)
+RADIUS = 3  # guided-upsampling window radius (7x7); checkpoints do not record it
+_K = 2 * RADIUS + 1
+_TILE = 8  # output columns per banded block of guided_upsample
+_SPAN = _TILE + 2 * RADIUS  # source columns of one tile's windows
+_BLOCK_ELEMS = 1 << 15  # float64 entries per row block of guided_upsample (256 KiB)
+# the window offsets (dy, dx), as start corners in an edge-padded map, in
+# row-major order: the order of the weight axis K
+_DY, _DX = np.divmod(np.arange(_K * _K), _K)
+_DIST2 = ((_DY - RADIUS) ** 2 + (_DX - RADIUS) ** 2).astype(np.float64)  # from the window center
+# cell x of a tile meets offset (dy, dx) at row dy * _SPAN + x + dx of its
+# patch: the flat positions of each cell's K entries in the tile's
+# flattened (_TILE, _K * _SPAN) band
+_INDEX = (np.arange(_TILE)[:, None] * (_K * _SPAN + 1) + _DY * _SPAN + _DX).reshape(-1)
 
 
 def _row_blocks(h: int, row_elems: int) -> list[tuple[int, int]]:
     """Ranges of the h rows of a map, each about ``_BLOCK_ELEMS`` entries of
     an operand that holds ``row_elems`` entries per row.
 
-    :func:`guided_mix` loops over these blocks so that each block's operands
-    stay in cache: the window gathers size them by the gathered map, the
-    banded products by their per-row patches.  Every cell is computed by the
-    same operations in any block, so results do not depend on the block size.
+    :func:`guided_upsample` loops over these blocks so that each block's
+    operands stay in cache: the window gathers size them by the gathered
+    map, the banded products by their per-row patches.  Every cell is
+    computed by the same operations in any block, so results do not depend
+    on the block size.
     """
     rows = max(1, _BLOCK_ELEMS // row_elems)
     return [(y0, min(y0 + rows, h)) for y0 in range(0, h, rows)]
 
 
-def _window_offsets(radius: int) -> list[tuple[int, int]]:
-    """Start corners, in an edge-padded map, of the (2r+1)^2 window offsets
-    (dy, dx) in row-major order; this is the order of the weight axis K."""
-    k = 2 * radius + 1
-    return [(dy, dx) for dy in range(k) for dx in range(k)]
-
-
-def _offset_dist2(radius: int) -> np.ndarray:
-    """Squared center distance of each window offset, in weight-axis order."""
-    d2 = np.arange(-radius, radius + 1, dtype=np.float64) ** 2
-    return (d2[:, None] + d2).reshape(-1)
-
-
-def _edge_index(n: int, r: int) -> np.ndarray:
-    """Source cells of the n + 2r cells of an axis edge-padded by r."""
-    return np.clip(np.arange(-r, n + r), 0, n - 1)
+def _edge_index(n: int) -> np.ndarray:
+    """Source cells of the n + 2r cells of an axis edge-padded by ``RADIUS``."""
+    return np.clip(np.arange(-RADIUS, n + RADIUS), 0, n - 1)
 
 
 def _zero_pad(a: np.ndarray, at: int, hw: tuple[int, int]) -> np.ndarray:
@@ -199,89 +179,80 @@ def _zero_pad(a: np.ndarray, at: int, hw: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def _aligned(w: int, radius: int) -> int:
+def _aligned(w: int) -> int:
     """``w`` output columns rounded up to whole tiles of :func:`_tiled`."""
-    t = max(_TILE, 2 * radius)
-    return -(-w // t) * t
+    return -(-w // _TILE) * _TILE
 
 
-def _tiled(a: np.ndarray, src_pad: np.ndarray, radius: int, w: int, out_c: int, product) -> np.ndarray:
-    """One window operation of :func:`guided_mix` as banded products over
-    column tiles; returns its (H, ``w``, ``out_c``) result as a view on the
-    tile-aligned output, so that a ragged last tile adds no output copy.
+def _tiled(a: np.ndarray, src_pad: np.ndarray, w: int, out_c: int, product) -> np.ndarray:
+    """One window operation of :func:`guided_upsample` as banded products
+    over column tiles; returns its (H, ``w``, ``out_c``) result as a view on
+    the tile-aligned output, so that a ragged last tile adds no output copy.
 
     ``a`` (H, ., .) holds each cell's operand and ``src_pad`` the padded
     (H + 2r, ., C) source of the ``w`` output columns, cut into tiles of
-    ``t >= 2r`` cells; an operand narrower than the tile-aligned width is
-    zero-padded to it.  A tile's cells read the ``(k, t + 2r)`` source window
-    ``src_pad[y : y + k, x0 : x0 + t + 2r]``, flattened into a patch of
-    ``k * (t + 2r)`` rows, and cell ``x`` meets its offset (dy, dx) at patch
-    row ``dy * (t + 2r) + x + dx``.  In the tile's flattened
-    ``(t, k * (t + 2r))`` band those K entries per cell are the one flat
-    ``index``.  ``product(a_tiles, patches, index, out)`` fills a row
-    block's (rows, n, t, out_c) ``out`` from its (rows, n, t, .) tiles of
-    ``a`` and (rows, n, k * (t + 2r), C) patches.
+    ``_TILE`` cells; an operand narrower than the tile-aligned width is
+    zero-padded to it.  A tile's cells read the ``(_K, _SPAN)`` source
+    window ``src_pad[y : y + _K, x0 : x0 + _SPAN]``, flattened into a patch
+    of ``_K * _SPAN`` rows; ``_INDEX`` places each cell's K offsets in the
+    tile's band.  ``product(a_tiles, patches, out)`` fills a row block's
+    (rows, n, _TILE, out_c) ``out`` from its (rows, n, _TILE, .) tiles of
+    ``a`` and (rows, n, _K * _SPAN, C) patches.
     """
     h = a.shape[0]
     c = src_pad.shape[-1]
-    k = 2 * radius + 1
-    t = max(_TILE, 2 * radius)
-    span = t + 2 * radius
-    n = -(-w // t)  # tiles per row
-    if a.shape[1] < n * t:
-        a = _zero_pad(a, 0, (h, n * t))
-    if src_pad.shape[1] < n * t + 2 * radius:
-        src_pad = _zero_pad(src_pad, 0, (h + 2 * radius, n * t + 2 * radius))
-    cell = np.arange(t)[:, None]
-    dy, dx = np.divmod(np.arange(k * k), k)
-    index = (cell * k * span + dy * span + cell + dx).reshape(-1)
-    # (H, n, C, k, span) view of every tile's source window
-    windows = np.lib.stride_tricks.sliding_window_view(src_pad, (k, span), axis=(0, 1))[:, ::t]
-    out = np.empty((h, n, t, out_c), dtype=np.float64)
+    n = -(-w // _TILE)  # tiles per row
+    if a.shape[1] < n * _TILE:
+        a = _zero_pad(a, 0, (h, n * _TILE))
+    if src_pad.shape[1] < n * _TILE + 2 * RADIUS:
+        src_pad = _zero_pad(src_pad, 0, (h + 2 * RADIUS, n * _TILE + 2 * RADIUS))
+    # (H, n, C, k, _SPAN) view of every tile's source window
+    windows = np.lib.stride_tricks.sliding_window_view(src_pad, (_K, _SPAN), axis=(0, 1))[:, ::_TILE]
+    out = np.empty((h, n, _TILE, out_c), dtype=np.float64)
     # row blocks sized by the larger per-row operand: the patches or the bands
-    for y0, y1 in _row_blocks(h, n * k * span * max(c, t)):
+    for y0, y1 in _row_blocks(h, n * _K * _SPAN * max(c, _TILE)):
         rows = y1 - y0
         patches = windows[y0:y1].transpose(0, 1, 3, 4, 2).reshape(rows, n, -1, c)
-        product(a[y0:y1].reshape(rows, n, t, -1), patches, index, out[y0:y1])
+        product(a[y0:y1].reshape(rows, n, _TILE, -1), patches, out[y0:y1])
         del patches  # the next block's patches reuse this memory
-    return out.reshape(h, n * t, out_c)[:, :w]
+    return out.reshape(h, n * _TILE, out_c)[:, :w]
 
 
-def _banded_mix(weights: np.ndarray, src_pad: np.ndarray, radius: int, w: int) -> np.ndarray:
+def _banded_mix(weights: np.ndarray, src_pad: np.ndarray, w: int) -> np.ndarray:
     """(H, w, C) ``out[y, x] = sum_k weights[y, x, k] * src_pad[y + dy, x + dx]``
     for (H, ., K) weights and a padded (H + 2r, ., C) source.
 
-    A tile's weights scatter by :func:`_tiled`'s ``index`` into its banded
-    block ``B`` and the window sum is ``B @ patch``.
+    A tile's weights scatter by ``_INDEX`` into its banded block ``B`` and
+    the window sum is ``B @ patch``.
     """
 
-    def product(tiles, patches, index, out):
-        rows, n, t, _ = tiles.shape
-        bands = np.zeros((rows, n, t * patches.shape[2]), dtype=np.float64)
-        bands[:, :, index] = tiles.reshape(rows, n, -1)
-        np.matmul(bands.reshape(rows, n, t, -1), patches, out=out)
+    def product(tiles, patches, out):
+        rows, n = tiles.shape[:2]
+        bands = np.zeros((rows, n, _TILE * patches.shape[2]), dtype=np.float64)
+        bands[:, :, _INDEX] = tiles.reshape(rows, n, -1)
+        np.matmul(bands.reshape(rows, n, _TILE, -1), patches, out=out)
 
-    return _tiled(weights, src_pad, radius, w, src_pad.shape[-1], product)
+    return _tiled(weights, src_pad, w, src_pad.shape[-1], product)
 
 
-def _window_dots(a: np.ndarray, src_pad: np.ndarray, radius: int) -> np.ndarray:
+def _window_dots(a: np.ndarray, src_pad: np.ndarray) -> np.ndarray:
     """(H, W, K) dot products of each cell of ``a`` (H, W, C) with the cells
     of its window in ``src_pad``: ``out[y, x, k] = a[y, x] . src_pad[y + dy, x + dx]``.
 
     The transpose of :func:`_banded_mix`: a tile's products with every row
     of its patch, ``a_tile @ patch.T``, fill its band, and gathering
-    :func:`_tiled`'s ``index`` from the band picks each cell's K offsets.
+    ``_INDEX`` from the band picks each cell's K offsets.
     """
 
-    def product(tiles, patches, index, out):
+    def product(tiles, patches, out):
         rows, n = tiles.shape[:2]
         bands = np.matmul(tiles, patches.swapaxes(-1, -2)).reshape(rows, n, -1)
-        out[...] = bands[:, :, index].reshape(out.shape)
+        out[...] = bands[:, :, _INDEX].reshape(out.shape)
 
-    return _tiled(a, src_pad, radius, a.shape[1], (2 * radius + 1) ** 2, product)
+    return _tiled(a, src_pad, a.shape[1], _K * _K, product)
 
 
-def _flipped(weights: np.ndarray, radius: int) -> np.ndarray:
+def _flipped(weights: np.ndarray) -> np.ndarray:
     """Weights of the adjoint of :func:`_banded_mix` in its padded source,
     at the tile-aligned width of the (H + 2r, W + 2r) padded grid.
 
@@ -294,50 +265,55 @@ def _flipped(weights: np.ndarray, radius: int) -> np.ndarray:
     :func:`_banded_mix` with no overlapping adds.
     """
     h, w, kk = weights.shape
-    out = np.zeros((h + 2 * radius, _aligned(w + 2 * radius, radius), kk), dtype=np.float64)
-    for k, (dy, dx) in enumerate(_window_offsets(radius)):
+    out = np.zeros((h + 2 * RADIUS, _aligned(w + 2 * RADIUS), kk), dtype=np.float64)
+    for k, (dy, dx) in enumerate(zip(_DY, _DX)):
         out[dy : dy + h, dx : dx + w, kk - 1 - k] = weights[:, :, k]
     return out
 
 
-def _guided_weights(guide: np.ndarray, proj_w, proj_b, log_sigma_dist, log_sigma_sim, radius: int):
+def guided_weights(guide: np.ndarray, proj_w, proj_b, log_sigma_dist, log_sigma_sim):
     """Window weights of the guided upsampler and what their VJP needs.
 
-    Returns ``(weights, logits, g_hat, g_hat_pad)``.  ``logits`` (H, W, K)
-    are the dot products of each cell's projected guide pixel ``g_hat @ M``
-    with those of its edge-clamped neighbors, over ``sigma_sim^2``;
-    ``g_hat`` = [r, g, b, 1] is the (H, W, 4) homogeneous guide,
-    ``g_hat_pad`` its edge pad and ``M = [proj_w; proj_b]``, so the logits
-    are ``g_hat A g_hat_pad^T`` with the 4x4 Gram ``A = M M^T``.  The
-    joint-bilateral kernel, a similarity softmax times the spatial decay
-    ``exp(-|dxy|^2 / (2 sigma_dist^2))`` renormalized per cell, is built
-    in place as one softmax over K, since the similarity normalizer cancels:
+    Returns ``(weights, logits, g_hat, g_hat_pad)``.  ``weights`` (H, W, K)
+    sum to 1 over each cell's 7x7 window of edge-clamped neighbors, in
+    row-major offset order.  ``logits`` (H, W, K) are the dot products of
+    each cell's projected guide pixel ``g_hat @ M`` with those of its
+    neighbors, over ``sigma_sim^2``; ``g_hat`` = [r, g, b, 1] is the
+    (H, W, 4) homogeneous guide, ``g_hat_pad`` its edge pad and
+    ``M = [proj_w; proj_b]``, so the logits are ``g_hat A g_hat_pad^T`` with
+    the 4x4 Gram ``A = M M^T``.  The joint-bilateral kernel, a similarity
+    softmax times the spatial decay ``exp(-|dxy|^2 / (2 sigma_dist^2))``
+    renormalized per cell, is built in place as one softmax over K, since
+    the similarity normalizer cancels:
     ``weights = softmax(logits - |dxy|^2 / (2 sigma_dist^2))``.
     """
     h, w = guide.shape[:2]
     g_hat = np.concatenate([guide, np.ones((h, w, 1))], axis=-1)
     m = np.vstack([proj_w, proj_b])
-    g_hat_pad = g_hat[_edge_index(h, radius)][:, _edge_index(w, radius)]
-    logits = _window_dots(g_hat @ (m @ m.T), g_hat_pad, radius)
+    g_hat_pad = g_hat[_edge_index(h)][:, _edge_index(w)]
+    logits = _window_dots(g_hat @ (m @ m.T), g_hat_pad)
     sigma_sim = np.exp(log_sigma_sim)
     logits /= sigma_sim * sigma_sim
     sigma_dist = np.exp(log_sigma_dist)
-    weights = logits - (0.5 * _offset_dist2(radius)) / (sigma_dist * sigma_dist)
+    weights = logits - (0.5 * _DIST2) / (sigma_dist * sigma_dist)
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
     return weights, logits, g_hat, g_hat_pad
 
 
-def guided_mix(guide, proj_w, proj_b, up_pad, log_sigma_dist, log_sigma_sim, radius: int) -> Tensor:
-    """Guided window averaging of joint bilateral upsampling, fused.
+def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim) -> Tensor:
+    """Joint bilateral upsampling of a feature map to its guide's grid, fused.
 
-    ``guide`` (H, W, 3) is the guidance image, a constant; ``proj_w``
-    (3, D) and ``proj_b`` (D,) project its pixels, ``up_pad``
-    (H + 2r, W + 2r, C) is the lifted feature map on the edge-padded grid
-    and the two log-sigmas are scalars.  Output cell (y, x) is the weighted
-    sum of ``up_pad`` over its (2r+1)^2 window, the cell's edge-clamped
-    neighbors, with the joint-bilateral weights of :func:`_guided_weights`.
+    ``feats`` (h', w', C) is the feature map and ``guide`` (H, W, 3) the
+    guidance image, a constant; ``proj_w`` (3, D) and ``proj_b`` (D,)
+    project its pixels and the two log-sigmas are scalars.  ``feats`` is
+    lifted bilinearly (align-corners false) straight onto the grid
+    edge-padded by ``RADIUS``: a padding row or column of the resize
+    matrices repeats the taps of the border cell it copies.  Output cell
+    (y, x) is the weighted sum of the lift over its 7x7 window, the cell's
+    edge-clamped neighbors, with the joint-bilateral weights of
+    :func:`guided_weights`.
 
     The projection is linear in the pixel, so the similarity logits go
     through the 4x4 Gram ``A = M M^T`` of ``M = [proj_w; proj_b]`` and only
@@ -345,50 +321,55 @@ def guided_mix(guide, proj_w, proj_b, up_pad, log_sigma_dist, log_sigma_sim, rad
     window operation is one banded product over column tiles
     (:func:`_tiled`): the logits and the weight gradient are
     :func:`_window_dots` (``a_tile @ patch.T``), and the forward output,
-    the Gram gradient and the ``up_pad`` gradient are :func:`_banded_mix`
-    (``B @ patch``).  The ``up_pad`` gradient is a forward mix of the
+    the Gram gradient and the lift's gradient are :func:`_banded_mix`
+    (``B @ patch``).  The lift's gradient is a forward mix of the
     zero-padded gradient over :func:`_flipped` weights on the padded grid,
-    which the lift folds onto the map.  No (H, W, K, C) neighbor array is
-    built.  Gradients flow to every operand but ``guide``; without one that
-    requires grad, the logits are dropped before the mix and no VJP recorded.
+    which the transposed resize matrices fold back onto ``feats``.  No
+    (H, W, K, C) neighbor array is built.  Gradients flow to every operand
+    but ``guide``; without one that requires grad, the logits are dropped
+    before the mix and no VJP recorded.
     """
-    proj_w, proj_b, up_pad = as_tensor(proj_w), as_tensor(proj_b), as_tensor(up_pad)
+    feats, proj_w, proj_b = as_tensor(feats), as_tensor(proj_w), as_tensor(proj_b)
     lsd, lss = as_tensor(log_sigma_dist), as_tensor(log_sigma_sim)
     guide = np.asarray(guide, dtype=np.float64)
-    r = int(radius)
-    padded = tuple(n + 2 * r for n in guide.shape[:2])
-    if guide.ndim != 3 or guide.shape[2] != 3 or up_pad.data.ndim != 3 or up_pad.data.shape[:2] != padded:
-        raise ValueError("guided_mix expects an (H, W, 3) guide and an (H + 2r, W + 2r, C) padded map")
-    h, w = guide.shape[:2]
+    if guide.ndim != 3 or guide.shape[2] != 3 or feats.data.ndim != 3:
+        raise ValueError("guided_upsample expects an (h', w', C) map and an (H, W, 3) guide")
     if proj_b.data.ndim != 1 or proj_w.data.shape != (3, proj_b.data.size):
-        raise ValueError("guided_mix expects a (3, D) proj_w and a (D,) proj_b")
-    operands = (proj_w, proj_b, up_pad, lsd, lss)
-    weights, logits, g_hat, g_hat_pad = _guided_weights(
-        guide, proj_w.data, proj_b.data, lsd.data, lss.data, r
-    )
+        raise ValueError("guided_upsample expects a (3, D) proj_w and a (D,) proj_b")
+    h, w = guide.shape[:2]
+    rows = resize_matrix(feats.data.shape[0], h)[_edge_index(h)]
+    cols = resize_matrix(feats.data.shape[1], w)[_edge_index(w)]
+    lift = np.tensordot(rows, feats.data, axes=(1, 0))  # (H + 2r, w', C)
+    up_pad = np.ascontiguousarray(np.tensordot(cols, lift, axes=(1, 1)).transpose(1, 0, 2))
+    del lift
+    operands = (feats, proj_w, proj_b, lsd, lss)
+    weights, logits, g_hat, g_hat_pad = guided_weights(guide, proj_w.data, proj_b.data, lsd.data, lss.data)
     if not any(p.requires_grad for p in operands):
         logits = g_hat = g_hat_pad = None  # inference keeps only the weights through the mix
-    out = np.ascontiguousarray(_banded_mix(weights, up_pad.data, r, w))
+    out = np.ascontiguousarray(_banded_mix(weights, up_pad, w))
 
     def vjp(g):
-        # the up_pad gradient first, so that its padded-grid temporaries are
+        # the lift's gradient first, so that its padded-grid temporaries are
         # gone before the weight gradients are built
-        g_pad = _zero_pad(g, 2 * r, (h + 4 * r, _aligned(w + 2 * r, r) + 2 * r))
-        g_up = _banded_mix(_flipped(weights, r), g_pad, r, w + 2 * r)
+        g_pad = _zero_pad(g, 2 * RADIUS, (h + 4 * RADIUS, _aligned(w + 2 * RADIUS) + 2 * RADIUS))
+        g_up = _banded_mix(_flipped(weights), g_pad, w + 2 * RADIUS)
         del g_pad
-        g_weights = _window_dots(g, up_pad.data, r)
+        g_lift = np.tensordot(rows.T, g_up, axes=(1, 0))  # (h', W + 2r, C)
+        g_feats = np.ascontiguousarray(np.tensordot(cols.T, g_lift, axes=(1, 1)).transpose(1, 0, 2))
+        del g_up, g_lift
+        g_weights = _window_dots(g, up_pad)
         # weights = softmax(logits - |dxy|^2 / (2 sigma_dist^2))
         g_logits = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
         sigma_dist = np.exp(lsd.data)
-        g_lsd = (g_logits * _offset_dist2(r)).sum() / (sigma_dist * sigma_dist)
+        g_lsd = (g_logits * _DIST2).sum() / (sigma_dist * sigma_dist)
         g_lss = -2.0 * (g_logits * logits).sum()
         sigma_sim = np.exp(lss.data)
         g_dots = g_logits / (sigma_sim * sigma_sim)
         # dots = g_hat A g_hat_pad^T, so dA = g_hat^T (window sum of g_dots
         # over g_hat_pad) and, with A = M M^T, dM = (dA + dA^T) M
-        g_gram = g_hat.reshape(-1, 4).T @ _banded_mix(g_dots, g_hat_pad, r, w).reshape(-1, 4)
+        g_gram = g_hat.reshape(-1, 4).T @ _banded_mix(g_dots, g_hat_pad, w).reshape(-1, 4)
         g_m = (g_gram + g_gram.T) @ np.vstack([proj_w.data, proj_b.data])
-        return g_m[:3], g_m[3], g_up, np.asarray(g_lsd), np.asarray(g_lss)
+        return g_feats, g_m[:3], g_m[3], np.asarray(g_lsd), np.asarray(g_lss)
 
     return _node(out, operands, vjp)
 
@@ -402,7 +383,7 @@ def _band(rows: np.ndarray) -> tuple[int, int]:
 def window_pool(f, gamma, beta, sal_w, sal_b, image_hw: tuple[int, int], patch: int) -> Tensor:
     """Saliency-weighted window pooling of a bilinearly lifted map, fused.
 
-    Lifting ``f`` (h, w, C) to ``image_hw`` (ih, iw) with ``interp2d``, applying
+    Lifting ``f`` (h, w, C) bilinearly to ``image_hw`` (ih, iw), applying
     ``y = up * gamma + beta``, scoring each pixel by ``y @ sal_w + sal_b``
     and averaging ``y`` over each ``patch`` x ``patch`` window under the
     softmax of its scores gives the (ih/patch, iw/patch, C) output.  It is

@@ -12,10 +12,10 @@ encoding.  Reordering a field of these dataclasses changes the format.
 
 The format holds exactly two detail-injection levels (three pyramid levels
 for the level embeddings): the header does not record the depth, so
-``save_checkpoint`` refuses any other depth before it writes anything.  It
-records no geometry either: the guided-upsampling radius 3 (a 7x7 window)
-and the patch side 14 are fixed by the format, as the class constants
-``VdimParams.radius``, ``DownsamplerParams.patch`` and
+``save_checkpoint`` refuses any other depth, and 0 channels, before it
+writes anything.  It records no geometry either: the guided-upsampling
+radius 3 (a 7x7 window) and the patch side 14 are fixed by the format, as
+the constants ``autodiff.RADIUS``, ``DownsamplerParams.patch`` and
 ``EncoderSpec.patch``.  The loader refuses a header with 0 channels, builds
 header-shaped parameters with the classes' own ``init``, fills them in
 place, and raises :class:`~hiwin.formats.DataFormatError` naming the first
@@ -64,6 +64,8 @@ def save_checkpoint(
     for part, depth in (("detail-injection", len(vdim.levels)), ("downsampler", len(down.levels))):
         if depth != LEVELS:
             raise ValueError(f"checkpoints hold {LEVELS} levels; the {part} model has {depth}")
+    if down.channels < 1:
+        raise ValueError(f"checkpoints need at least 1 channel; the downsampler has {down.channels}")
     vdim_fields = trainable_arrays(vdim, down)
     attn_fields = [] if attn is None else _attn_arrays(attn)
     for name, arr in vdim_fields + attn_fields:

@@ -8,7 +8,10 @@ parallelism: the package import pins BLAS to one thread unless the
 environment sets it.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numerical
-failure.  Diagnostics go to standard error.
+failure.  Each command runs with numpy's overflow, invalid-value and
+divide-by-zero warnings raised as errors, so such a failure exits 4 naming
+the command instead of printing a warning.  Diagnostics go to standard
+error.
 """
 
 from __future__ import annotations
@@ -18,13 +21,15 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .autodiff import NumericalError
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncoderSpec, load_features, save_features
 from .formats import DataFormatError
 from .image_io import Image, load_ppm, resize_to_patch_multiple, save_ppm, synth_corpus
 from .numerics import pca_rgb
-from .pipeline import PROJECTORS, PipelineConfig, _unit_pyramid, init_mlp_weight, run_pipeline
+from .pipeline import PROJECTORS, PipelineConfig, init_mlp_weight, run_pipeline, unit_pyramid
 from .selfcheck import run_all
 from .token_org import flatten, save_index, save_tokens
 from .vdim import DownsamplerParams, VdimParams, pretrain_vdim
@@ -171,7 +176,7 @@ def _load_setup(args):
 
 def cmd_build_isp(args) -> int:
     ckpt, config, _ = _load_setup(args)
-    isp = _unit_pyramid(resize_to_patch_multiple(load_ppm(args.image)), "overview", ckpt.vdim, config)
+    isp = unit_pyramid(resize_to_patch_multiple(load_ppm(args.image)), "overview", ckpt.vdim, config)
     for level, fmap in enumerate(isp.levels):
         path = f"{args.out_prefix}.l{level}.ispf"
         save_features(fmap, path)
@@ -236,7 +241,12 @@ def main(argv=None) -> int:
             print(f"error: HIWIN_SEED must be an integer of at least 0, got {raw!r}", file=sys.stderr)
             return 2
     try:
-        return args.func(args)
+        # a NaN or inf that numpy would only warn about fails the command
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            return args.func(args)
+    except FloatingPointError as e:
+        print(f"numerical failure in {args.command}: {e}", file=sys.stderr)
+        return 4
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4

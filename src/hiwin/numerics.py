@@ -7,8 +7,8 @@ package, in whole-map resizes as in RoI samples, takes its taps from
 axis).  :func:`bilinear_resize` and the RoI sampler of
 :mod:`hiwin.window_attn` apply them with :func:`lerp`, one axis at a time;
 :func:`resize_matrix` writes them into the dense matrices with which
-``autodiff.interp2d`` lifts feature maps and ``autodiff.window_pool`` lifts
-saliency scores, in training as in inference.  The scalar references are
+``autodiff.guided_upsample`` lifts feature maps and ``autodiff.window_pool``
+lifts saliency scores, in training as in inference.  The scalar references are
 :func:`hiwin.selfcheck.scalar_bilinear_at` and ``tests/helpers.scalar_resize``.
 Interpolation runs in float64; results are cast back to the caller's dtype,
 except that 8-bit image codes resize to float32 values through
@@ -80,7 +80,8 @@ def resize_matrix(n_in: int, n_out: int) -> np.ndarray:
 
     Row i holds the two taps of :func:`_resize_taps`, so constant inputs
     are preserved exactly and ``n_out == n_in`` yields the identity.  It is
-    dense because ``autodiff.interp2d`` applies its transpose in the VJP.
+    dense because ``autodiff.guided_upsample`` applies its transpose in the
+    VJP.
     """
     if n_in < 1 or n_out < 1:
         raise ValueError("resize_matrix requires positive sizes")
@@ -213,19 +214,9 @@ class AdamState:
     v: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def for_params(
-        cls,
-        params: Sequence[np.ndarray],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> "AdamState":
+    def for_params(cls, params: Sequence[np.ndarray], lr: float = 1e-3) -> "AdamState":
         return cls(
             lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
             m=[np.zeros_like(p, dtype=np.float64) for p in params],
             v=[np.zeros_like(p, dtype=np.float64) for p in params],
         )

@@ -39,6 +39,7 @@ __all__ = [
     "init_mlp_weight",
     "project_tokens",
     "run_pipeline",
+    "unit_pyramid",
 ]
 
 PROJECTORS = ("hiwin", "mlp", "resampler")
@@ -107,7 +108,9 @@ def project_tokens(
     raise ValueError(f"unknown projector {projector!r}; expected one of {PROJECTORS}")
 
 
-def _unit_pyramid(image: Image, origin: str, vdim: VdimParams, config: PipelineConfig) -> FeaturePyramid:
+def unit_pyramid(image: Image, origin: str, vdim: VdimParams, config: PipelineConfig) -> FeaturePyramid:
+    """One unit's feature pyramid: its encoding grown by ``build_isp`` under
+    the unit's guidance pyramid."""
     pyramid = build_image_pyramid(image, patch=config.encoder.patch, levels=len(vdim.levels) + 1)
     f0 = encode(image, config.encoder, origin=origin)
     return build_isp(f0, pyramid, vdim)
@@ -133,10 +136,13 @@ def run_pipeline(
         (f"slice:{i}", img) for i, img in enumerate(slices)
     ]
 
+    errstate = np.geterr()  # pool threads start from numpy's default policy, not the caller's
+
     def work(item: tuple[str, Image]) -> TokenMap:
         origin, img = item
-        isp = _unit_pyramid(img, origin, vdim, config)
-        return project_tokens(isp, projector, attn, config.hiwin, mlp_weight)
+        with np.errstate(**errstate):
+            isp = unit_pyramid(img, origin, vdim, config)
+            return project_tokens(isp, projector, attn, config.hiwin, mlp_weight)
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:

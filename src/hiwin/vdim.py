@@ -9,23 +9,17 @@ kernel is one softmax over the window: a neighbor's score is the dot product
 of the two guidance pixels under a learned linear projection, over
 ``sigma_sim^2``, minus the spatial term ``|dxy|^2 / (2 sigma_dist^2)``: a
 similarity softmax times a Gaussian decay, renormalized to sum to 1 per
-cell.  The re-averaging is the single fused op ``autodiff.guided_mix``,
-which inference and training both run.  The lift lands straight on the op's
-edge-padded grid: a padding row or column of the resize matrices repeats the
-taps of the border cell it copies, and the lift's VJP folds the padding's
-gradient back onto the border.  The projection is linear in the RGB pixel,
-so the scores are ``g_a (M M^T) g_b^T`` for homogeneous pixels
+cell.  Lift and re-averaging are the single fused op
+``autodiff.guided_upsample``, which inference and training both run; its
+window radius is the constant ``autodiff.RADIUS``.  The lift lands straight
+on the edge-padded grid of the window sums, and the op's VJP folds the
+padding's gradient back onto the map.  The projection is linear in the RGB
+pixel, so the scores are ``g_a (M M^T) g_b^T`` for homogeneous pixels
 ``g = [r, g, b, 1]`` and ``M = [proj_w; proj_b]``: the op scores neighbors
 through that 4x4 Gram, never building a map of projected pixels.  Every
 window operation of the op is a banded matrix product over short tiles of
 output cells of a row, which read the tile's 7-row source window as one
-patch.  The window sums scatter each tile's weights into one banded block
-(``B @ patch``); the dot-product gathers, the scores and the gradient of the
-weights, take the transposed product (``a_tile @ patch^T``) and pick each
-cell's 49 offsets from it.  The VJP's gradient onto the padded lift is the
-window sum run forward on the padded grid, over the zero-padded gradient and
-the window weights flipped to the receiving cell.  No per-cell stack of
-neighbors is built.
+patch.  No per-cell stack of neighbors is built.
 
 The downsampler inverts the scale change for training.  It is defined on
 the high level bilinearly lifted to full image resolution and split into
@@ -58,7 +52,7 @@ from . import autodiff as ad
 from .autodiff import NumericalError, Tensor
 from .encoder import EncoderSpec, FeatureMap, encode
 from .image_io import Image, ImagePyramid, build_image_pyramid
-from .numerics import AdamState, adam_step, resize_matrix
+from .numerics import AdamState, adam_step
 
 __all__ = [
     "DownsamplerParams",
@@ -101,7 +95,6 @@ class VdimParams:
     """Per-level guided-upsampling kernels; ``levels[l]`` produces level l+1."""
 
     levels: list[LevelKernel]
-    radius: ClassVar[int] = 3  # 7x7 neighborhood; checkpoints do not record it
 
     @property
     def d_proj(self) -> int:
@@ -196,17 +189,6 @@ def trainable_arrays(
     return out
 
 
-def _guided_upsample_graph(feats: Tensor, guide: np.ndarray, kern: Sequence[Tensor]) -> Tensor:
-    proj_w, proj_b, log_sigma_dist, log_sigma_sim = kern
-    h, w = feats.data.shape[:2]
-    gh, gw, _ = guide.shape
-    r = VdimParams.radius
-    rows = resize_matrix(h, gh)[ad._edge_index(gh, r)]
-    cols = resize_matrix(w, gw)[ad._edge_index(gw, r)]
-    up_pad = ad.interp2d(feats, rows, cols)
-    return ad.guided_mix(guide, proj_w, proj_b, up_pad, log_sigma_dist, log_sigma_sim, r)
-
-
 def _recon_loss(
     base: Tensor,
     levels: Sequence[Tensor],
@@ -226,7 +208,8 @@ def _recon_loss(
 def jbu_upsample(
     f_level: FeatureMap, guide: Image, params: VdimParams, level: int | None = None
 ) -> FeatureMap:
-    """Double a feature map's resolution under guidance-image control.
+    """Double a feature map's resolution under guidance-image control with
+    ``autodiff.guided_upsample``.
 
     ``guide`` must have exactly twice the feature map's dims (it is the
     pyramid image at the target resolution).
@@ -239,9 +222,8 @@ def jbu_upsample(
             f"guide dims {guide.width}x{guide.height} do not match 2x feature dims "
             f"{2 * f_level.width}x{2 * f_level.height}"
         )
-    kern = _leaves(params.levels[lvl])
-    out = _guided_upsample_graph(
-        Tensor(f_level.data.astype(np.float64)), guide.decoded().astype(np.float64), kern
+    out = ad.guided_upsample(
+        f_level.data.astype(np.float64), guide.decoded().astype(np.float64), *_leaves(params.levels[lvl])
     )
     return FeatureMap(out.data.astype(np.float32), level=lvl + 1, origin=f_level.origin)
 
@@ -249,9 +231,8 @@ def jbu_upsample(
 def jbu_kernel_weights(guide: Image, params: VdimParams, level: int) -> np.ndarray:
     """The (gh, gw, K) renormalized neighbor weights for one level; rows sum to 1."""
     lk = params.levels[level]
-    return ad._guided_weights(
-        guide.decoded().astype(np.float64), lk.proj_w, lk.proj_b, lk.log_sigma_dist, lk.log_sigma_sim,
-        params.radius,
+    return ad.guided_weights(
+        guide.decoded().astype(np.float64), lk.proj_w, lk.proj_b, lk.log_sigma_dist, lk.log_sigma_sim
     )[0]
 
 
@@ -328,7 +309,7 @@ def mlr_objective(
         base = Tensor(f0_data)
         levels = [base]
         for kern, guide in zip(kernels, guides):
-            levels.append(_guided_upsample_graph(levels[-1], guide, kern))
+            levels.append(ad.guided_upsample(levels[-1], guide, *kern))
         return _recon_loss(base, levels[1:], image_hw, downs)
 
     return flat, objective

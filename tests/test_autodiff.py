@@ -13,9 +13,9 @@ import hiwin
 from hiwin import autodiff as ad
 from hiwin.autodiff import NumericalError, Tensor
 
-from helpers import scalar_attention_downsample, scalar_guided_mix
+from helpers import scalar_attention_downsample, scalar_guided_upsample
 
-T = ad._TILE  # output columns per banded tile of guided_mix
+T = ad._TILE  # output columns per banded tile of guided_upsample
 
 
 def fd_grads(build, params, h=1e-6):
@@ -82,68 +82,40 @@ def test_sum_and_mean_axes():
     check_op(lambda: ad.mean(ad.mul(a, a)), [a])
 
 
-def test_interp2d():
-    from hiwin.numerics import resize_matrix
-
-    a = leaf((3, 4, 2), 12)
-    rm = resize_matrix(3, 5)
-    cm = resize_matrix(4, 7)
-    check_op(lambda: to_scalar(ad.interp2d(a, rm, cm)), [a])
-
-
-def test_interp2d_matches_plain_resize():
-    from hiwin.numerics import bilinear_resize, resize_matrix
-
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((5, 6, 3))
-    out = ad.interp2d(Tensor(x), resize_matrix(5, 9), resize_matrix(6, 4)).data
-    np.testing.assert_allclose(out, bilinear_resize(x, 9, 4), atol=1e-12)
-
-
-def edge_padded_leaf(shape, seed, radius):
-    """A leaf holding a random (h, w, C) map edge-padded by ``radius``: the
-    padded lift ``guided_mix`` takes."""
-    core = np.random.default_rng(seed).uniform(-1, 1, shape)
-    pad = ((radius, radius), (radius, radius), (0, 0))
-    return Tensor(np.pad(core, pad, mode="edge"), requires_grad=True)
-
-
 @pytest.mark.parametrize(
-    "h, w, radius",
+    "feats_hw, guide_hw",
     [
-        (3, 4, 1),
-        (4, 5, 2),
-        (1, 5, 1),  # one row: every window row but the middle reads padding
-        (5, 1, 2),  # one column: every window column but the middle likewise
-        (2, 3, 3),  # map smaller than the 7x7 window
-        (2, 2 * T, 3),  # two whole tiles
-        (2, 2 * T + 5, 3),  # a ragged last tile
-        (3, 2 * T + 1, 1),  # radius 1: a 2-column overhang into the next tile
-        (2, T + 3, T // 2),  # 2r = T: the overhang spans a whole tile
-        (1, T + 5, T // 2 + 1),  # 2r > T: tiles widen to 2r
+        pytest.param((1, 3), (1, 5), id="one-row"),  # every window row but the middle reads padding
+        pytest.param((3, 1), (5, 1), id="one-column"),  # every window column but the middle likewise
+        pytest.param((1, 2), (2, 3), id="smaller-than-window"),
+        pytest.param((2, T), (2, 2 * T), id="two-tiles"),
+        pytest.param((1, T + 2), (2, 2 * T + 5), id="ragged-last-tile"),
+        pytest.param((2, 5), (3, T + 1), id="overhang"),  # the last tile holds one cell
+        pytest.param((3, 4), (6, 8), id="doubling"),  # the 2x step of the pyramid
     ],
 )
-def test_guided_mix_values_and_grad(h, w, radius):
-    guide = np.random.default_rng(13).uniform(-1, 1, (h, w, 3))  # a constant of the op
-    up_pad = edge_padded_leaf((h, w, 2), 14, radius)
+def test_guided_upsample_values_and_grad(feats_hw, guide_hw):
+    guide = np.random.default_rng(13).uniform(-1, 1, guide_hw + (3,))  # a constant of the op
+    feats = leaf(feats_hw + (2,), 14)
     log_sigma_dist = leaf((), 15, scale=0.3)
     log_sigma_sim = leaf((), 18, scale=0.3)
     # projection widths below, at and above the rank 4 of the 4x4 Gram
     for d_proj in (1, 3, 8):
         proj_w = leaf((3, d_proj), 16)
         proj_b = leaf((d_proj,), 17, scale=0.5)
-        params = [proj_w, proj_b, up_pad, log_sigma_dist, log_sigma_sim]
-        out = ad.guided_mix(guide, *params, radius)
-        want = scalar_guided_mix(
-            guide @ proj_w.data + proj_b.data,
-            up_pad.data[radius : radius + h, radius : radius + w],
+        params = [feats, proj_w, proj_b, log_sigma_dist, log_sigma_sim]
+        out = ad.guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
+        want = scalar_guided_upsample(
+            feats.data,
+            guide,
+            proj_w.data,
+            proj_b.data,
             np.exp(log_sigma_dist.item()),
             np.exp(log_sigma_sim.item()),
-            radius,
+            ad.RADIUS,
         )
         np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
-        # every padded cell is an operand of its own; the lift folds them
-        check_op(lambda: to_scalar(ad.guided_mix(guide, *params, radius)), params)
+        check_op(lambda: to_scalar(ad.guided_upsample(feats, guide, *params[1:])), params)
 
 
 def test_guided_mix_output_does_not_depend_on_requires_grad():
@@ -151,25 +123,25 @@ def test_guided_mix_output_does_not_depend_on_requires_grad():
     rng = np.random.default_rng(7)
     guide = rng.uniform(0, 1, (6, 2 * T + 3, 3))
     arrays = [
+        rng.standard_normal((3, T + 2, 4)),
         rng.standard_normal((3, 5)),
         rng.standard_normal(5),
-        rng.standard_normal((12, 2 * T + 9, 4)),
         np.array(0.4),
         np.array(-0.1),
     ]
     outs = []
     for trainable in (True, False):
-        params = [Tensor(a, requires_grad=trainable) for a in arrays]
-        out = ad.guided_mix(guide, *params, 3)
+        feats, *params = [Tensor(a, requires_grad=trainable) for a in arrays]
+        out = ad.guided_upsample(feats, guide, *params)
         assert out.requires_grad is trainable and (out._vjp is not None) is trainable
         outs.append(out.data.tobytes())
     assert outs[0] == outs[1]
 
 
-def test_guided_mix_rejects_an_unpadded_map():
-    guide = np.zeros((4, 5, 3))
-    with pytest.raises(ValueError, match=r"\(H \+ 2r, W \+ 2r, C\)"):
-        ad.guided_mix(guide, np.zeros((3, 2)), np.zeros(2), np.zeros((4, 5, 2)), 0.0, 0.0, 1)
+@pytest.mark.parametrize("shape", [(4, 5), (4, 5, 4)], ids=["grey", "four-channel"])
+def test_guided_upsample_rejects_a_guide_that_is_not_rgb(shape):
+    with pytest.raises(ValueError, match=r"\(H, W, 3\) guide"):
+        ad.guided_upsample(np.zeros((2, 3, 2)), np.zeros(shape), np.zeros((3, 2)), np.zeros(2), 0.0, 0.0)
 
 
 _BLAS_PROBE = textwrap.dedent(
@@ -180,14 +152,13 @@ _BLAS_PROBE = textwrap.dedent(
 
     rng = np.random.default_rng(5)
     guide = rng.uniform(0, 1, (20, 40, 3))
+    feats = ad.Tensor(rng.standard_normal((10, 20, 16)), requires_grad=True)
     proj_w = ad.Tensor(rng.standard_normal((3, 8)), requires_grad=True)
     proj_b = ad.Tensor(rng.standard_normal(8), requires_grad=True)
-    up = np.pad(rng.standard_normal((20, 40, 16)), ((3, 3), (3, 3), (0, 0)), mode="edge")
-    up_pad = ad.Tensor(up, requires_grad=True)
     lsd = ad.Tensor(np.array(0.3), requires_grad=True)
     lss = ad.Tensor(np.array(-0.2), requires_grad=True)
-    params = (proj_w, proj_b, up_pad, lsd, lss)
-    out = ad.guided_mix(guide, *params, 3)
+    params = (feats, proj_w, proj_b, lsd, lss)
+    out = ad.guided_upsample(feats, guide, proj_w, proj_b, lsd, lss)
     ad.tsum(ad.mul(out, rng.uniform(0.5, 1.5, out.shape))).backward()
     digest = hashlib.sha256(out.data.tobytes())
     for t in params:

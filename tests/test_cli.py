@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -427,8 +428,30 @@ def test_tokens_that_overflow_float32_exit_4_and_write_nothing(image_336, tmp_pa
     path = tmp_path / "huge.ckpt"
     save_checkpoint(path, VdimParams.init(d_proj=32, seed=0), DownsamplerParams.init(64, seed=0), attn=attn)
     out = tmp_path / "huge.toks"
-    assert main(["pipeline", "--image", str(image_336), "--ckpt", str(path), "--out", str(out)]) == 4
-    assert "TOKS overview holds non-finite values" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning numpy still printed would fail here
+        assert main(["pipeline", "--image", str(image_336), "--ckpt", str(path), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure in pipeline: overflow encountered in cast" in err
+    assert "RuntimeWarning" not in err
+    assert not out.exists() and not Path(f"{out}.idx").exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_diverged_similarity_width_exits_4_and_writes_nothing(threads, image_336, tmp_path, capsys):
+    # it printed two raw RuntimeWarnings, then exited 3 on a non-finite
+    # FeatureMap; a pool thread does not inherit the command's errstate
+    vdim = VdimParams.init(d_proj=32, seed=0)
+    vdim.levels[1].log_sigma_sim[...] = -400.0  # sigma_sim^2 underflows to 0
+    attn = AttnParams.init(HiwinConfig(channels=64), seed=0)
+    path = tmp_path / "narrow.ckpt"
+    save_checkpoint(path, vdim, DownsamplerParams.init(64, seed=0), attn=attn)
+    out = tmp_path / "narrow.toks"
+    argv = ["pipeline", "--image", str(image_336), "--ckpt", str(path), "--out", str(out), "--threads", threads]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning numpy still printed would fail here
+        assert main(argv) == 4
+    assert "numerical failure in pipeline: divide by zero encountered in divide" in capsys.readouterr().err
     assert not out.exists() and not Path(f"{out}.idx").exists()
 
 

@@ -1,9 +1,12 @@
-"""Every exported name resolves, so a deletion cannot leave a dangling export."""
+"""Every exported name resolves, so a deletion cannot leave a dangling
+export, and no module reads another module's private names."""
 
+import ast
 import importlib
 import pkgutil
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +30,39 @@ def test_module_all_resolves(module):
     assert mod.__all__, f"{module} declares no __all__"
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names undefined {missing}"
+
+
+def _private_reads(tree: ast.Module) -> list[str]:
+    """``from .mod import _name`` and ``alias._name`` reads, where ``alias``
+    is a hiwin module bound by an import; a public name imported under a
+    private alias (``softmax as _softmax``) is not one."""
+    submodules = {name.rsplit(".", 1)[1] for name in MODULES}
+    aliases, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("hiwin")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"from {'.' * node.level}{node.module or ''} import {alias.name}")
+                if node.module in (None, "hiwin") and alias.name in submodules:
+                    aliases.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            aliases.update(a.asname for a in node.names if a.name.startswith("hiwin.") and a.asname)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and node.attr.startswith("_")
+        ):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a decision that two modules must know belongs behind one public name
+    offenders = [
+        f"{path.name}: {read}"
+        for path in sorted(Path(hiwin.__file__).parent.glob("*.py"))
+        for read in _private_reads(ast.parse(path.read_text()))
+    ]
+    assert not offenders, offenders

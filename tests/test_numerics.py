@@ -146,12 +146,9 @@ class TestGradCheck:
         rng = np.random.default_rng(3)
         guide = rng.uniform(0, 1, (5, 6, 3))
         params = [
+            Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True),
             Tensor(rng.standard_normal((3, 4)), requires_grad=True),
             Tensor(rng.standard_normal(4), requires_grad=True),
-            Tensor(  # the edge-padded lift of a (5, 6, 2) map at radius 1
-                np.pad(rng.standard_normal((5, 6, 2)), ((1, 1), (1, 1), (0, 0)), mode="edge"),
-                requires_grad=True,
-            ),
             Tensor(np.array(0.2), requires_grad=True),
             Tensor(np.array(-0.3), requires_grad=True),
         ]
@@ -159,17 +156,17 @@ class TestGradCheck:
 
         def objective(wrong: bool):
             def f(ps):
-                out = ad.guided_mix(guide, *ps, radius=1)
+                out = ad.guided_upsample(ps[0], guide, *ps[1:])
                 if wrong:
-                    # scale the padded-lift gradient entry of median magnitude
+                    # scale the feature-map gradient entry of median magnitude
                     right = out._vjp
 
                     def vjp(g):
                         grads = list(right(g))
-                        g_up = grads[2].copy()
-                        k = np.argsort(np.abs(g_up), axis=None)[g_up.size // 2]
-                        g_up.flat[k] *= 1 + 1e-3
-                        grads[2] = g_up
+                        g_feats = grads[0].copy()
+                        k = np.argsort(np.abs(g_feats), axis=None)[g_feats.size // 2]
+                        g_feats.flat[k] *= 1 + 1e-3
+                        grads[0] = g_feats
                         return tuple(grads)
 
                     out._vjp = vjp

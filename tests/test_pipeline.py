@@ -251,11 +251,17 @@ class TestCheckpoint:
     def test_header_with_no_channels_is_refused(self, tmp_path):
         # a C=0 header loaded, then made an OverflowError traceback
         # when the attention weights were drawn
-        vdim = VdimParams.init(d_proj=6, seed=14)
         path = tmp_path / "empty.ckpt"
-        save_checkpoint(path, vdim, DownsamplerParams.init(0, seed=14))
+        path.write_bytes(b"VDIM" + np.array([1, 6, 0], dtype="<u4").tobytes())  # version, d_proj, C
         with pytest.raises(DataFormatError, match="0 channels"):
             load_checkpoint(path)
+
+    def test_save_refuses_no_channels(self, tmp_path):
+        # it wrote a file that load_checkpoint refuses
+        path = tmp_path / "empty.ckpt"
+        with pytest.raises(ValueError, match="the downsampler has 0"):
+            save_checkpoint(path, VdimParams.init(d_proj=6, seed=14), DownsamplerParams.init(0, seed=14))
+        assert not path.exists()
 
     def test_save_is_deterministic(self, tmp_path):
         vdim = VdimParams.init(d_proj=6, seed=11)

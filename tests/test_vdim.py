@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hiwin.autodiff import RADIUS
 from hiwin.encoder import EncoderSpec, FeatureMap, encode
 from hiwin.image_io import Image, build_image_pyramid, synth_corpus
 from hiwin.numerics import NumericalError, grad_check
@@ -29,7 +30,7 @@ from helpers import scalar_guided_upsample, scalar_resize
 def oracle_upsample(f0: FeatureMap, guide: Image, params: VdimParams) -> np.ndarray:
     lk = params.levels[f0.level]
     return scalar_guided_upsample(
-        f0.data, guide.pixels, lk.proj_w, lk.proj_b, lk.sigma_dist, lk.sigma_sim, params.radius
+        f0.data, guide.pixels, lk.proj_w, lk.proj_b, lk.sigma_dist, lk.sigma_sim, RADIUS
     )
 
 
@@ -340,7 +341,7 @@ class TestPretrain:
     def test_peak_memory_of_two_ac4_steps(self):
         # the AC-4 configuration: 32 images of 112x112, C=64, d_proj=32,
         # batch 4; guards against the (H, W, d_proj) projection maps, the
-        # padded-grid temporaries of the guided_mix VJP and float64 copies
+        # padded-grid temporaries of the guided_upsample VJP and float64 copies
         # of the prepared corpus piling up: measured peak 7.92 MiB; 8.76 MiB
         # while the corpus was kept as float64 features and guides, 11.02 MiB
         # with a separate similarity softmax and tile-width copies of the
