@@ -340,7 +340,7 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     rows = resize_matrix(feats.data.shape[0], h)[_edge_index(h)]
     cols = resize_matrix(feats.data.shape[1], w)[_edge_index(w)]
     lift = np.tensordot(rows, feats.data, axes=(1, 0))  # (H + 2r, w', C)
-    up_pad = np.ascontiguousarray(np.tensordot(cols, lift, axes=(1, 1)).transpose(1, 0, 2))
+    up_pad = np.matmul(cols, lift)  # (H + 2r, W + 2r, C)
     del lift
     operands = (feats, proj_w, proj_b, lsd, lss)
     weights, logits, g_hat, g_hat_pad = guided_weights(guide, proj_w.data, proj_b.data, lsd.data, lss.data)
@@ -355,7 +355,7 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
         g_up = _banded_mix(_flipped(weights), g_pad, w + 2 * RADIUS)
         del g_pad
         g_lift = np.tensordot(rows.T, g_up, axes=(1, 0))  # (h', W + 2r, C)
-        g_feats = np.ascontiguousarray(np.tensordot(cols.T, g_lift, axes=(1, 1)).transpose(1, 0, 2))
+        g_feats = np.matmul(cols.T, g_lift)  # (h', w', C)
         del g_up, g_lift
         g_weights = _window_dots(g, up_pad)
         # weights = softmax(logits - |dxy|^2 / (2 sigma_dist^2))

@@ -32,6 +32,7 @@ __all__ = [
     "bilinear_resize",
     "bilinear_taps",
     "decode_codes",
+    "gather_taps",
     "grad_check",
     "lerp",
     "pca_rgb",
@@ -63,10 +64,17 @@ def bilinear_taps(coords, size: int) -> _Taps:
 
 
 def lerp(a: np.ndarray, taps: _Taps, axis: int) -> np.ndarray:
-    """Apply 1-D :func:`bilinear_taps` along ``axis`` of ``a``, in float64."""
+    """Apply 1-D :func:`bilinear_taps` along ``axis`` of ``a``, in float64:
+    ``(1 - frac) * a[i0] + frac * a[i1]``, each tap cast to float64 once
+    and weighted in place."""
     i0, i1, frac = taps
     f = frac.reshape(frac.shape + (1,) * (a.ndim - axis - 1))
-    return (1 - f) * np.take(a, i0, axis=axis) + f * np.take(a, i1, axis=axis)
+    out = np.take(a, i0, axis=axis).astype(np.float64, copy=False)
+    out *= 1 - f
+    upper = np.take(a, i1, axis=axis).astype(np.float64, copy=False)
+    upper *= f
+    out += upper
+    return out
 
 
 def _resize_taps(n_in: int, n_out: int) -> _Taps:
@@ -103,7 +111,7 @@ def decode_codes(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tapped(src: np.ndarray, taps: _Taps, axis: int) -> tuple[np.ndarray, _Taps]:
+def gather_taps(src: np.ndarray, taps: _Taps, axis: int) -> tuple[np.ndarray, _Taps]:
     """The cells of ``src`` along ``axis`` that ``taps`` read, and the taps
     remapped to them; ``src`` and ``taps`` as given if every cell is read."""
     i0, i1, frac = taps
@@ -115,24 +123,29 @@ def _tapped(src: np.ndarray, taps: _Taps, axis: int) -> tuple[np.ndarray, _Taps]
     return np.take(src, np.flatnonzero(read), axis=axis), (new_index[i0], new_index[i1], frac)
 
 
+_BLOCK = 1 << 15  # output entries per block of bilinear_resize
+
+
 def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resample an (H, W, C) or (H, W) array to (out_h, out_w).
 
-    The source rows and columns that the taps name are gathered first (a
-    downscale by more than 2 skips cells), then :func:`decode_codes` turns
-    them into values, then two :func:`lerp` passes, columns then rows, read
-    them.  No resampling matrix and no float copy of the whole input are
-    built, and every output cell sees the same float64 arithmetic whichever
-    cells were gathered.  A uint8 input holds 8-bit image codes and resizes
-    to float32; any other dtype is kept.  Identical input and output dims
-    return an exact copy of the values.
+    The output is filled in blocks of whole rows, about ``_BLOCK`` entries
+    each.  A block reads the span of source rows its taps name; of those,
+    the rows and columns the taps read are gathered first (a downscale by
+    more than 2 skips cells), then :func:`decode_codes` turns them into
+    values, then two :func:`lerp` passes, columns then rows, read them.  No
+    resampling matrix and no float copy of the whole input are built, and
+    every output cell sees the same float64 arithmetic whichever cells were
+    gathered.  A uint8 input holds 8-bit image codes and resizes to float32;
+    any other dtype is kept.  Identical input and output dims return an
+    exact copy of the values.
     """
     src = np.asarray(src)
     if src.ndim == 2:
         return bilinear_resize(src[:, :, None], out_h, out_w)[:, :, 0]
     if src.ndim != 3:
         raise ValueError("bilinear_resize expects an (H, W, C) array")
-    h, w, _ = src.shape
+    h, w, c = src.shape
     if src.size == 0 or h < 1 or w < 1:
         raise ValueError("bilinear_resize: zero-size input")
     if out_h < 1 or out_w < 1:
@@ -140,18 +153,26 @@ def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     if (out_h, out_w) == (h, w):
         values = decode_codes(src)
         return values.copy() if values is src else values
-    src, rows = _tapped(src, _resize_taps(h, out_h), axis=0)
-    src, cols = _tapped(src, _resize_taps(w, out_w), axis=1)
-    values = decode_codes(src)
-    return lerp(lerp(values, cols, axis=1), rows, axis=0).astype(values.dtype, copy=False)
+    i0, i1, frac = _resize_taps(h, out_h)
+    cols = _resize_taps(w, out_w)
+    out = np.empty((out_h, out_w, c), dtype=decode_codes(src[:0, :0]).dtype)  # the values' dtype
+    step = max(1, _BLOCK // (out_w * c))
+    for a in range(0, out_h, step):
+        b = min(a + step, out_h)
+        lo, hi = i0[a], i1[b - 1] + 1  # the taps of a resize never decrease
+        block, rows = gather_taps(src[lo:hi], (i0[a:b] - lo, i1[a:b] - lo, frac[a:b]), axis=0)
+        block, block_cols = gather_taps(block, cols, axis=1)
+        out[a:b] = lerp(lerp(decode_codes(block), block_cols, axis=1), rows, axis=0)
+    return out
 
 
 def softmax(x: np.ndarray, axis: int | tuple[int, ...] = -1) -> np.ndarray:
     """Stable softmax (max subtraction); slices along ``axis`` sum to 1."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def grad_check(

@@ -127,7 +127,8 @@ def run_pipeline(
     """Slice, encode, build pyramids, compress, and assemble one image.
 
     A caller that keeps no reference to ``image`` lets its pixels go once
-    slicing is done, before the units run.
+    slicing is done, before the units run.  A ``FloatingPointError`` raised
+    under the caller's ``np.errstate`` names the unit it came from.
     """
     layout = compute_slice_layout(image.width, image.height, config.max_slices)
     slices, overview = extract_slices(image, layout)
@@ -141,8 +142,11 @@ def run_pipeline(
     def work(item: tuple[str, Image]) -> TokenMap:
         origin, img = item
         with np.errstate(**errstate):
-            isp = unit_pyramid(img, origin, vdim, config)
-            return project_tokens(isp, projector, attn, config.hiwin, mlp_weight)
+            try:
+                isp = unit_pyramid(img, origin, vdim, config)
+                return project_tokens(isp, projector, attn, config.hiwin, mlp_weight)
+            except FloatingPointError as e:
+                raise FloatingPointError(f"{e} in unit {origin}") from e
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:

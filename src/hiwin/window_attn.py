@@ -27,12 +27,13 @@ windows.  The scalar reference for this rule and for the grid choice is in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .encoder import FeatureMap
-from .numerics import bilinear_taps, lerp, softmax
+from .numerics import bilinear_taps, gather_taps, lerp, softmax
 from .vdim import FeaturePyramid
 
 __all__ = [
@@ -196,10 +197,11 @@ def _bin_centers(lo: np.ndarray, hi: np.ndarray, r: int, size: int) -> np.ndarra
 
 def _sample_grid(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Bilinear samples (len(ys), len(xs), C) of an (H, W, C) map at every
-    pair of the sample columns ``xs`` and rows ``ys``."""
+    pair of the sample columns ``xs`` and rows ``ys``.  Only the rows the
+    y-taps read go through the column pass (:func:`hiwin.numerics.gather_taps`)."""
     h, w = data.shape[:2]
-    cols = lerp(data, bilinear_taps(xs, w), axis=1)
-    return lerp(cols, bilinear_taps(ys, h), axis=0)
+    rows, row_taps = gather_taps(data, bilinear_taps(ys, h), axis=0)
+    return lerp(lerp(rows, bilinear_taps(xs, w), axis=1), row_taps, axis=0)
 
 
 def roi_align(
@@ -249,6 +251,16 @@ def _nominal_sample_coords(n: int, grid: tuple[int, int]) -> np.ndarray:
     return pts.reshape(n * n, rh * rw, 2)
 
 
+@lru_cache(maxsize=8)
+def _sample_embedding(n: int, grid: tuple[int, int], channels: int) -> np.ndarray:
+    """zeta: the read-only (n^2, S, C) positional embedding of the nominal
+    sample points, the same at every level.  At a 1x1 grid the one sample
+    point of a window is its centre, where its query sits."""
+    zeta = position_embedding_2d(_nominal_sample_coords(n, grid), channels)
+    zeta.flags.writeable = False
+    return zeta
+
+
 def assemble_kv(
     isp: FeaturePyramid,
     windows: WindowSet,
@@ -258,26 +270,42 @@ def assemble_kv(
     """Keys and values for every window: (n^2, levels*S, C) each, rows in
     window order ``i * n + j``.
 
-    Keys carry the level embedding per level block plus the positional
-    embedding of each sample point's normalized coordinate; values are the
-    raw samples.
+    Values are the raw samples: each level is sampled in one pass and
+    written once, through a transposed view, into its block of one value
+    array.  Keys are ``(value + level embedding) + zeta``, built on that
+    array, where zeta is the positional embedding of each sample point's
+    normalized coordinate; it depends only on (n, grid, C), so it is
+    computed once per geometry.
     """
     n = windows.grid_side
     rw, rh = grid
     c = isp.channels
-    keys, vals = [], []
+    levels = len(isp.levels)
+    emb = params.level_emb
+    if emb.ndim != 2 or emb.shape[0] < levels or emb.shape[1] != c:
+        raise ValueError(
+            f"AttnParams.level_emb has shape {emb.shape}; a {levels}-level pyramid of {c} channels "
+            f"needs {levels} or more rows of {c}"
+        )
+    v = np.empty((n, n, levels, rh, rw, c), dtype=np.float64)
     for lvl, fmap in enumerate(isp.levels):
         h, w = windows.level_dims[lvl]
         xs = _bin_centers(*_spans(w, n), rw, fmap.width).reshape(-1)  # column j, bin v
         ys = _bin_centers(*_spans(h, n), rh, fmap.height).reshape(-1)  # row i, bin u
-        grid_samples = _sample_grid(fmap.data, xs, ys).reshape(n, rh, n, rw, c)
-        samples = grid_samples.transpose(0, 2, 1, 3, 4).reshape(n * n, rw * rh, c)
-        keys.append(samples + params.level_emb[lvl])
-        vals.append(samples)
-    zeta = position_embedding_2d(_nominal_sample_coords(n, grid), isp.channels)
-    k = np.concatenate(keys, axis=1) + np.concatenate([zeta] * len(isp.levels), axis=1)
-    v = np.concatenate(vals, axis=1)
-    return k, v
+        samples = _sample_grid(fmap.data, xs, ys).reshape(n, rh, n, rw, c)  # (i, u, j, v)
+        v[:, :, lvl].transpose(0, 2, 1, 3, 4)[...] = samples
+    v = v.reshape(n * n, levels, rh * rw, c)
+    k = v + emb[:levels, None]
+    k += _sample_embedding(n, tuple(grid), c)[:, None]
+    return k.reshape(n * n, -1, c), v.reshape(n * n, -1, c)
+
+
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` over the rows of ``x`` flattened to 2-D, as one GEMM
+    with the bias added in place."""
+    out = x.reshape(-1, x.shape[-1]) @ w
+    out += b
+    return out
 
 
 def cross_attention(
@@ -298,20 +326,16 @@ def cross_attention(
         raise ValueError(f"channels {c} not divisible by heads {heads}")
     dk = c // heads
     nq = q.shape[0]
-    qh = (q @ params.wq + params.bq).reshape(nq, heads, dk)
+    qh = _linear(q, params.wq, params.bq).reshape(nq, heads, dk)
     shared = k.ndim == 2
-    kh = (k @ params.wk + params.bk).reshape((-1, heads, dk) if shared else (nq, -1, heads, dk))
-    vh = (v @ params.wv + params.bv).reshape((-1, heads, dk) if shared else (nq, -1, heads, dk))
-    if shared:
-        scores = np.einsum("qhd,lhd->qhl", qh, kh) / np.sqrt(dk)
-    else:
-        scores = np.einsum("qhd,qlhd->qhl", qh, kh) / np.sqrt(dk)
+    kv_shape = (-1, heads, dk) if shared else (nq, -1, heads, dk)
+    kh = _linear(k, params.wk, params.bk).reshape(kv_shape)
+    vh = _linear(v, params.wv, params.bv).reshape(kv_shape)
+    scores = np.einsum("qhd,lhd->qhl" if shared else "qhd,qlhd->qhl", qh, kh)
+    scores /= np.sqrt(dk)
     att = softmax(scores, axis=-1)
-    if shared:
-        ctx = np.einsum("qhl,lhd->qhd", att, vh)
-    else:
-        ctx = np.einsum("qhl,qlhd->qhd", att, vh)
-    out = ctx.reshape(nq, c) @ params.wo + params.bo
+    ctx = np.einsum("qhl,lhd->qhd" if shared else "qhl,qlhd->qhd", att, vh)
+    out = _linear(ctx.reshape(nq, c), params.wo, params.bo)
     if return_weights:
         return out, att
     return out
@@ -321,15 +345,22 @@ def compress(isp: FeaturePyramid, params: AttnParams, config: HiwinConfig) -> To
     """Condense a feature pyramid into the N x N token map.
 
     One pooling grid is selected from the level-0 dims; each query token
-    attends only to the cross-level RoI samples of its own window.
+    attends only to the cross-level RoI samples of its own window.  The
+    queries carry the positional embedding of their window centres, which,
+    like the keys' zeta, is computed once per geometry.  Queries that are
+    not (N, N, C), or fewer level embeddings than the pyramid has levels,
+    raise a ``ValueError`` naming the field.
     """
     n = config.grid_side
     base = isp.levels[0]
+    if params.queries.shape != (n, n, base.channels):
+        raise ValueError(
+            f"AttnParams.queries has shape {params.queries.shape}, expected "
+            f"({n}, {n}, {base.channels}) for grid side {n} and {base.channels} channels"
+        )
     grid = select_grid(base.width, base.height, config.proposals)
     windows = generate_windows([(f.height, f.width) for f in isp.levels], n)
     k, v = assemble_kv(isp, windows, grid, params)
-    ij = (np.arange(n, dtype=np.float64) + 0.5) / n
-    centers = np.stack(np.meshgrid(ij, ij, indexing="xy"), axis=-1).reshape(n * n, 2)
-    q = params.queries.reshape(n * n, -1) + position_embedding_2d(centers, base.channels)
+    q = params.queries.reshape(n * n, -1) + _sample_embedding(n, (1, 1), base.channels)[:, 0]
     out = cross_attention(q, k, v, params, config.heads)
     return TokenMap(out.reshape(n, n, -1).astype(np.float32), origin=isp.origin)

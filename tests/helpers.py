@@ -21,9 +21,11 @@ def scalar_resize(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     out = np.zeros((out_h, out_w) + data.shape[2:], dtype=np.float64)
     for i in range(out_h):
         for j in range(out_w):
-            # sample position of the output pixel center in source cells
-            x = (j + 0.5) * w / out_w
-            y = (i + 0.5) * h / out_h
+            # sample position of the output pixel center in source cells; the
+            # scale is rounded once, as the library rounds it, so that the two
+            # agree to the bit
+            x = (j + 0.5) * (w / out_w)
+            y = (i + 0.5) * (h / out_h)
             out[i, j] = scalar_bilinear_at(data, x, y)
     return out
 

@@ -156,6 +156,20 @@ def test_pipeline_reports_layout_and_grid(ckpt, tmp_path, capsys):
     assert "tokens: 1008" in printed
 
 
+def test_two_threads_write_the_tokens_one_thread_writes(ckpt, tmp_path):
+    # the units share the cached attention embeddings across the pool
+    img = synth_corpus(4, 1, 336)[0]
+    path = tmp_path / "big.ppm"
+    save_ppm(Image(bilinear_resize(img.pixels, 672, 1008)), path)
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.toks"
+        argv = ["pipeline", "--image", str(path), "--ckpt", str(ckpt), "--out", str(out), "--threads", threads]
+        assert main(argv) == 0
+        written.append((out.read_bytes(), Path(f"{out}.idx").read_bytes()))
+    assert written[0] == written[1]
+
+
 def test_visualize_emits_valid_ppm(ckpt, image_336, tmp_path):
     prefix = tmp_path / "viz"
     assert main(["build-isp", "--image", str(image_336), "--ckpt", str(ckpt), "--out-prefix", str(prefix)]) == 0
@@ -289,8 +303,9 @@ def test_zero_threads_is_usage_error(command, ckpt, image_336, tmp_path, capsys)
 
 def test_pipeline_peak_memory_of_a_large_photo(tmp_path, capsys):
     # the 36.6 MB of file bytes are freed once slicing is done, so a unit's
-    # work does not stack on them: measured peak 61.3 MiB, set by slicing;
-    # 77.2 MiB while the caller kept the image through the units
+    # work does not stack on them: measured peak 45.3 MiB, set by slicing,
+    # which resizes in blocks of rows (61.3 MiB when each crop was resized
+    # whole; 77.2 MiB while the caller kept the image through the units)
     w, h = 4032, 3024
     raw = np.random.default_rng(2).integers(0, 256, (h, w, 3), dtype=np.uint8)
     image = tmp_path / "big.ppm"
@@ -307,7 +322,7 @@ def test_pipeline_peak_memory_of_a_large_photo(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 0
     assert "tokens: 1008" in capsys.readouterr().out
-    assert peak < 66 * 2**20
+    assert peak < 50 * 2**20
 
 
 def small_params(grid_side=12, attn_channels=8):
@@ -433,6 +448,7 @@ def test_tokens_that_overflow_float32_exit_4_and_write_nothing(image_336, tmp_pa
         assert main(["pipeline", "--image", str(image_336), "--ckpt", str(path), "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert "numerical failure in pipeline: overflow encountered in cast" in err
+    assert err.rstrip().endswith("in unit overview")
     assert "RuntimeWarning" not in err
     assert not out.exists() and not Path(f"{out}.idx").exists()
 
@@ -451,7 +467,10 @@ def test_a_diverged_similarity_width_exits_4_and_writes_nothing(threads, image_3
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning numpy still printed would fail here
         assert main(argv) == 4
-    assert "numerical failure in pipeline: divide by zero encountered in divide" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure in pipeline: divide by zero encountered in divide" in err
+    # pool.map raises the first failing unit in unit order, whatever the thread count
+    assert err.rstrip().endswith("in unit overview")
     assert not out.exists() and not Path(f"{out}.idx").exists()
 
 

@@ -1,11 +1,14 @@
 """Resampling, softmax, gradient-check, Adam, and PCA behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiwin import autodiff as ad
+from hiwin import numerics
 from hiwin.autodiff import Tensor
 from hiwin.numerics import (
     AdamState,
@@ -73,6 +76,47 @@ class TestBilinearResize:
             got = bilinear_resize(src, oh, ow)
             assert got.dtype == np.float32
             assert got.tobytes() == want.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize(
+        "src_hw, view, out_hw, block",
+        [
+            ((40, 50), np.s_[3:37, 5:47:2], (9, 8), numerics._BLOCK),  # strided crop view
+            ((7, 9), np.s_[:, :], (23, 31), numerics._BLOCK),  # upscale
+            ((30, 20), np.s_[:, :], (17, 13), 100),  # blocks of 2 rows, the last one short
+            ((30, 20), np.s_[:, :], (13, 45), 100),  # a row wider than a block
+        ],
+        ids=["strided-crop", "upscale", "ragged-last-block", "row-wider-than-block"],
+    )
+    def test_codes_match_the_scalar_oracle_exactly(self, src_hw, view, out_hw, block, monkeypatch):
+        monkeypatch.setattr(numerics, "_BLOCK", block)
+        codes = np.random.default_rng(sum(src_hw)).integers(0, 256, src_hw + (3,), dtype=np.uint8)[view]
+        values = (codes.astype(np.float32) / np.float32(255.0)).astype(np.float64)  # the oracle runs in float64
+        want = scalar_resize(values, *out_hw).astype(np.float32)
+        assert np.array_equal(bilinear_resize(codes, *out_hw), want)
+
+    @pytest.mark.parametrize("shape, dtype", [((11, 6), np.float64), ((11, 6, 2), np.float32)], ids=["2-D", "float32"])
+    def test_floats_match_the_scalar_oracle_exactly(self, shape, dtype, monkeypatch):
+        monkeypatch.setattr(numerics, "_BLOCK", 20)
+        src = np.random.default_rng(9).standard_normal(shape).astype(dtype)
+        out = bilinear_resize(src, 8, 5)
+        assert out.dtype == dtype
+        want = scalar_resize(src.astype(np.float64).reshape(shape[:2] + (-1,)), 8, 5)
+        assert np.array_equal(out, want.reshape(out.shape).astype(dtype))
+
+    def test_a_slice_sized_crop_resizes_in_little_memory(self):
+        # a 12 MP photo's slice crop, a strided view, to its 336x336 slice:
+        # the whole-crop row gather, decode and lerp passes peaked at 20.5 MB
+        # above the input; blocks of rows hold about 3.5 MB
+        photo = np.random.default_rng(0).integers(0, 256, (1600, 1500, 3), dtype=np.uint8)
+        crop = photo[40:1552, 100:1444]
+        tracemalloc.start()
+        try:
+            out = bilinear_resize(crop, 336, 336)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (336, 336, 3) and out.dtype == np.float32
+        assert peak < 6 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ window-restricted cross-attention."""
 import numpy as np
 import pytest
 
+from hiwin import window_attn
 from hiwin.encoder import FeatureMap
 from hiwin.numerics import softmax
 from hiwin.selfcheck import scalar_grid_choice, scalar_roi_align
@@ -144,6 +145,41 @@ class TestAssembleKv:
                     want = roi_align(fmap, ws.boxes[lvl][i, j], grid).reshape(s, 4)
                     assert np.array_equal(v[i * n + j, lvl * s : (lvl + 1) * s], want)
 
+    @pytest.mark.parametrize("base_hw", [(24, 24), (18, 24), (7, 9), (24, 4)])
+    @pytest.mark.parametrize("grid", [(3, 3), (2, 4)])
+    def test_keys_are_values_plus_level_and_position_embeddings(self, base_hw, grid):
+        n, c = 5, 8
+        isp = random_pyramid(sum(base_hw), *base_hw, channels=c)
+        ws = generate_windows([(m.height, m.width) for m in isp.levels], n)
+        params = AttnParams.init(HiwinConfig(grid_side=n, channels=c), seed=3)
+        k, v = assemble_kv(isp, ws, grid, params)
+        rw, rh = grid
+        s = rw * rh
+        # zeta: the embedding of each window's nominal bin centres in [0, 1]^2
+        cell = np.arange(n, dtype=np.float64)
+        bx = (np.arange(rw, dtype=np.float64) + 0.5) / rw
+        by = (np.arange(rh, dtype=np.float64) + 0.5) / rh
+        coords = np.empty((n, n, rh, rw, 2))
+        coords[..., 0] = (cell[None, :, None, None] + bx) / n
+        coords[..., 1] = (cell[:, None, None, None] + by[:, None]) / n
+        zeta = position_embedding_2d(coords.reshape(n * n, s, 2), c)
+        for lvl in range(3):
+            block = np.s_[:, lvl * s : (lvl + 1) * s]
+            assert np.array_equal(k[block], v[block] + params.level_emb[lvl] + zeta)
+
+    @pytest.mark.parametrize("emb_shape", [(2, 4), (3, 8), (12,)], ids=["too-few-rows", "channels", "flat"])
+    def test_level_embeddings_that_do_not_fit_are_named(self, emb_shape):
+        isp = random_pyramid(0, 6, 6, channels=4)
+        ws = generate_windows([(m.height, m.width) for m in isp.levels], 3)
+        config = HiwinConfig(grid_side=3, channels=4)
+        params = AttnParams.init(config)
+        params.level_emb = np.zeros(emb_shape)
+        want = rf"AttnParams.level_emb has shape \({emb_shape[0]},.*3-level pyramid of 4 channels"
+        with pytest.raises(ValueError, match=want):
+            assemble_kv(isp, ws, (3, 3), params)
+        with pytest.raises(ValueError, match=want):
+            compress(isp, params, config)
+
     def test_zero_level_embeddings_make_blocks_identical(self):
         # constant features at every level sample to the same values
         levels = [
@@ -246,6 +282,37 @@ class TestCompress:
         for base in (8, 16, 24):
             isp = random_pyramid(base, base_h=base, base_w=base)
             assert compress(isp, params, config).data.shape == (12, 12, 8)
+
+    @pytest.mark.parametrize(
+        "queries_shape", [(4, 4, 4), (3, 3, 8), (3, 4, 4), (9, 4)], ids=["side", "channels", "ragged", "flat"]
+    )
+    def test_queries_of_the_wrong_shape_are_named(self, queries_shape):
+        config = HiwinConfig(grid_side=3, channels=4, heads=2)
+        params = AttnParams.init(config)
+        params.queries = np.zeros(queries_shape)
+        with pytest.raises(ValueError, match=r"AttnParams.queries has shape .* expected \(3, 3, 4\)"):
+            compress(random_pyramid(0, 6, 6, channels=4), params, config)
+
+    def test_interleaved_geometries_match_fresh_calls(self):
+        # the per-geometry embeddings are cached; a cache filled by other
+        # geometries must give the bits a cold cache gives
+        cases = [
+            (HiwinConfig(grid_side=n, channels=c, heads=2), random_pyramid(seed, h, w, channels=c))
+            for seed, (n, c, h, w) in enumerate([(4, 8, 8, 8), (3, 8, 6, 12), (4, 4, 12, 8), (2, 8, 8, 8)])
+        ]
+        fresh = []
+        for config, isp in cases:
+            window_attn._sample_embedding.cache_clear()
+            fresh.append(compress(isp, AttnParams.init(config, seed=1), config).data)
+        for index in (0, 1, 2, 3, 1, 0, 3, 2, 0):
+            config, isp = cases[index]
+            assert np.array_equal(compress(isp, AttnParams.init(config, seed=1), config).data, fresh[index])
+
+    def test_cached_embeddings_are_read_only(self):
+        cached = window_attn._sample_embedding(3, (3, 3), 4)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cached += 1.0
 
 
 def zero_outside_window(isp, windows, index):
