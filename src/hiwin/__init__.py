@@ -75,7 +75,6 @@ from .vdim import (
     build_isp,
     jbu_kernel_weights,
     jbu_upsample,
-    mlr_loss,
     mlr_objective,
     pretrain_vdim,
 )

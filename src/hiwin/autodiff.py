@@ -5,11 +5,13 @@ closure mapping the output gradient back onto the operands (define-by-run).
 ``backward()`` walks the recorded graph once in reverse topological order and
 accumulates gradients into every leaf created with ``requires_grad=True``.
 
-Only the operations the training path needs are provided.  All of them are
-vectorized and rely on numpy's fixed reduction order, so repeated runs on the
-same inputs produce bit-identical values and gradients.  Data is promoted to
-float64 on entry; loss evaluation and finite-difference checks need 64-bit
-accumulation to reach their tolerances.
+The training graph is three fused ops with hand-written VJPs:
+:func:`guided_upsample` per pyramid step, :func:`window_pool` per upper
+level, and :func:`recon_loss`, the multi-level reconstruction loss over the
+pooled maps.  All of them are vectorized and rely on numpy's fixed reduction
+order, so repeated runs on the same inputs produce bit-identical values and
+gradients.  Data is promoted to float64 on entry; loss evaluation and
+finite-difference checks need 64-bit accumulation to reach their tolerances.
 """
 
 from __future__ import annotations
@@ -22,15 +24,11 @@ __all__ = [
     "NumericalError",
     "RADIUS",
     "Tensor",
-    "add",
     "as_tensor",
     "backward",
     "guided_upsample",
     "guided_weights",
-    "mean",
-    "mul",
-    "sub",
-    "tsum",
+    "recon_loss",
     "window_pool",
 ]
 
@@ -79,63 +77,6 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
         out._parents = parents
         out._vjp = vjp
     return out
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a broadcast gradient back to the operand's shape."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _node(a.data + b.data, (a, b), vjp)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _node(a.data - b.data, (a, b), vjp)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def vjp(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
-
-    return _node(a.data * b.data, (a, b), vjp)
-
-
-def tsum(a) -> Tensor:
-    """Sum over every entry."""
-    a = as_tensor(a)
-
-    def vjp(g):
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return _node(a.data.sum(), (a,), vjp)
-
-
-def mean(a) -> Tensor:
-    """Mean over every entry."""
-    a = as_tensor(a)
-    return mul(tsum(a), 1.0 / a.data.size)
 
 
 RADIUS = 3  # guided-upsampling window radius (7x7); checkpoints do not record it
@@ -440,6 +381,33 @@ def window_pool(f, gamma, beta, sal_w, sal_b, image_hw: tuple[int, int], patch: 
         return g_f, g_gamma, g.sum(axis=(0, 1)), g_v * gamma.data, np.zeros_like(sal_b.data)
 
     return _node(out, (f, gamma, beta, sal_w, sal_b), vjp)
+
+
+def recon_loss(pooled, base) -> Tensor:
+    """Multi-level reconstruction loss ``0.5 * sum_l mean((pooled[l] - base)^2)``.
+
+    ``pooled`` is a sequence of maps, each of ``base``'s shape; ``base`` is a
+    constant.  Each level's mean is its sum of squares times ``1 / N``, the
+    levels are added in order and the total halved.  The VJP gives map l
+    ``c * d_l + c * d_l``, with ``d_l = pooled[l] - base`` and
+    ``c = (g * 0.5) * (1 / N)``: the square's gradient as the sum of its two
+    factors' shares.
+    """
+    pooled = [as_tensor(p) for p in pooled]
+    base = np.asarray(base, dtype=np.float64)
+    if not pooled or any(p.data.shape != base.shape for p in pooled):
+        raise ValueError(f"recon_loss expects one or more maps of the base's shape {base.shape}")
+    diffs = [p.data - base for p in pooled]
+    total = None
+    for d in diffs:
+        term = (d * d).sum() * (1.0 / base.size)
+        total = term if total is None else total + term
+
+    def vjp(g):
+        c = (g * 0.5) * (1.0 / base.size)
+        return tuple(c * d + c * d for d in diffs)
+
+    return _node(np.asarray(total * 0.5), tuple(pooled), vjp)
 
 
 def backward(out: Tensor) -> None:

@@ -57,15 +57,16 @@ def check_grid_selection(trials: int = 1000, seed: int = 0) -> tuple[bool, str]:
 
 def scalar_bilinear_at(data: np.ndarray, x: float, y: float) -> np.ndarray:
     """One bilinear lookup on an (H, W, ...) map at a continuous (x, y)
-    coordinate with half-pixel centers, clamped to the map."""
+    coordinate with half-pixel centers, clamped to the map; all four taps
+    are widened, so the lookup is float64 whatever the map's dtype."""
     h, w = data.shape[:2]
     xf = min(max(x - 0.5, 0.0), w - 1.0)
     yf = min(max(y - 0.5, 0.0), h - 1.0)
     x0, y0 = int(math.floor(xf)), int(math.floor(yf))
     x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
     fx, fy = xf - x0, yf - y0
-    top = (1 - fx) * data[y0, x0].astype(np.float64) + fx * data[y0, x1]
-    bot = (1 - fx) * data[y1, x0].astype(np.float64) + fx * data[y1, x1]
+    top = (1 - fx) * data[y0, x0].astype(np.float64) + fx * data[y0, x1].astype(np.float64)
+    bot = (1 - fx) * data[y1, x0].astype(np.float64) + fx * data[y1, x1].astype(np.float64)
     return (1 - fy) * top + fy * bot
 
 

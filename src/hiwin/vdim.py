@@ -34,7 +34,8 @@ of a window alike, which the softmax ignores: its gradient is exactly zero,
 so training leaves it at its initial 0.  It stays a parameter so that the
 checkpoint format does not change.  The reconstruction loss is half the sum
 over levels of the mean squared difference between each level's reduction
-and the base map.
+and the base map; it is the fused op ``autodiff.recon_loss``, whose graph
+:func:`mlr_objective` builds after the pyramid and the reductions.
 
 Both sigma parameters are stored in log space so their effective values stay
 strictly positive.  Training runs entirely in float64; stored feature maps
@@ -65,7 +66,6 @@ __all__ = [
     "build_isp",
     "jbu_kernel_weights",
     "jbu_upsample",
-    "mlr_loss",
     "mlr_objective",
     "pretrain_vdim",
     "trainable_arrays",
@@ -189,22 +189,6 @@ def trainable_arrays(
     return out
 
 
-def _recon_loss(
-    base: Tensor,
-    levels: Sequence[Tensor],
-    image_hw: tuple[int, int],
-    downs: Sequence[Sequence[Tensor]],
-) -> Tensor:
-    """Half the sum over ``levels`` of the mean squared difference between
-    each level's downsampled reconstruction and ``base``."""
-    total = None
-    for feats, dp in zip(levels, downs):
-        diff = ad.sub(ad.window_pool(feats, *dp, image_hw, DownsamplerParams.patch), base)
-        term = ad.mean(ad.mul(diff, diff))
-        total = term if total is None else ad.add(total, term)
-    return ad.mul(total, 0.5)
-
-
 def jbu_upsample(
     f_level: FeatureMap, guide: Image, params: VdimParams, level: int | None = None
 ) -> FeatureMap:
@@ -251,23 +235,6 @@ def attention_downsample(
     return FeatureMap(out.data.astype(np.float32), level=0, origin=f_high.origin)
 
 
-def mlr_loss(
-    isp: FeaturePyramid, down: DownsamplerParams, image_dims: tuple[int, int]
-) -> float:
-    """Reconstruction loss of a built pyramid: half the sum over upper levels
-    of the per-element mean squared difference to the base map."""
-    if len(isp.levels) < 2:
-        raise ValueError("mlr_loss needs the full pyramid")
-    uppers = isp.levels[1:]
-    loss = _recon_loss(
-        Tensor(isp.levels[0].data.astype(np.float64)),
-        [Tensor(fmap.data.astype(np.float64)) for fmap in uppers],
-        tuple(image_dims),
-        [_leaves(down.levels[fmap.level - 1]) for fmap in uppers],
-    )
-    return loss.item()
-
-
 def build_isp(
     f0: FeatureMap, pyramid: ImagePyramid, params: VdimParams
 ) -> FeaturePyramid:
@@ -306,11 +273,11 @@ def mlr_objective(
     f0_data = f0.data.astype(np.float64)
 
     def objective(_params):
-        base = Tensor(f0_data)
-        levels = [base]
-        for kern, guide in zip(kernels, guides):
-            levels.append(ad.guided_upsample(levels[-1], guide, *kern))
-        return _recon_loss(base, levels[1:], image_hw, downs)
+        level, pooled = f0_data, []
+        for kern, guide, dp in zip(kernels, guides, downs):
+            level = ad.guided_upsample(level, guide, *kern)
+            pooled.append(ad.window_pool(level, *dp, image_hw, down.patch))
+        return ad.recon_loss(pooled, f0_data)
 
     return flat, objective
 

@@ -1,5 +1,6 @@
-"""Scalar reference implementations of the resize, guided-upsampling and
-attention-downsampling paths, shared by the test modules.
+"""Scalar reference implementations of the resize, guided-upsampling,
+attention-downsampling and reconstruction-loss paths, shared by the test
+modules, and the weighted sum that reduces an op's output to a scalar.
 
 These are written as plain per-element loops, independent of the vectorized
 library paths they check.  The bilinear-lookup, RoI-align and grid-choice
@@ -12,7 +13,17 @@ import math
 
 import numpy as np
 
+from hiwin import autodiff as ad
 from hiwin.selfcheck import scalar_bilinear_at
+
+
+def weighted_sum(t, w) -> ad.Tensor:
+    """``sum(t * w)`` for a constant array ``w`` of ``t``'s shape, as one
+    graph node with VJP ``g * w``: distinct weights keep every entry's
+    gradient distinct when a test reduces an op's output to a scalar."""
+    t = ad.as_tensor(t)
+    w = np.asarray(w, dtype=np.float64)
+    return ad._node(np.asarray((t.data * w).sum()), (t,), lambda g: (g * w,))
 
 
 def scalar_resize(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -112,3 +123,15 @@ def scalar_attention_downsample(
             for wk, y in zip(weights, ys):
                 out[wy, wx] += wk / total * y
     return out
+
+
+def scalar_recon_loss(pooled, base: np.ndarray) -> float:
+    """Reconstruction-loss oracle: half the sum over maps of the mean squared
+    difference to ``base``, one entry at a time."""
+    total = 0.0
+    for p in pooled:
+        squares = 0.0
+        for a, b in zip(np.ravel(p), np.ravel(base)):
+            squares += (float(a) - float(b)) ** 2
+        total += squares / base.size
+    return 0.5 * total

@@ -13,7 +13,7 @@ import hiwin
 from hiwin import autodiff as ad
 from hiwin.autodiff import NumericalError, Tensor
 
-from helpers import scalar_attention_downsample, scalar_guided_upsample
+from helpers import scalar_attention_downsample, scalar_guided_upsample, scalar_recon_loss, weighted_sum
 
 T = ad._TILE  # output columns per banded tile of guided_upsample
 
@@ -55,31 +55,7 @@ def leaf(shape, seed, scale=1.0, offset=0.0):
 def to_scalar(t):
     # weighted reduction keeps every entry's gradient distinct
     rng = np.random.default_rng(99)
-    w = Tensor(rng.uniform(0.5, 1.5, t.data.shape))
-    return ad.tsum(ad.mul(t, w))
-
-
-def test_add_sub_mul_div_broadcast():
-    a = leaf((2, 3), 1)
-    b = leaf((3,), 2)
-    check_op(lambda: to_scalar(ad.add(a, b)), [a, b])
-    check_op(lambda: to_scalar(ad.sub(a, b)), [a, b])
-    check_op(lambda: to_scalar(ad.mul(a, b)), [a, b])
-    check_op(lambda: to_scalar(ad.mul(ad.sub(a, b), b)), [a, b])
-
-
-def test_scalar_broadcast_against_array():
-    a = leaf((4,), 3)
-    s = leaf((), 4, offset=1.5)
-    check_op(lambda: to_scalar(ad.mul(a, s)), [a, s])
-    check_op(lambda: to_scalar(ad.sub(a, ad.mul(s, s))), [a, s])
-
-
-def test_sum_and_mean_axes():
-    a = leaf((2, 3, 4), 9)
-    check_op(lambda: ad.tsum(a), [a])
-    check_op(lambda: ad.mean(a), [a])
-    check_op(lambda: ad.mean(ad.mul(a, a)), [a])
+    return weighted_sum(t, rng.uniform(0.5, 1.5, t.data.shape))
 
 
 @pytest.mark.parametrize(
@@ -149,6 +125,7 @@ _BLAS_PROBE = textwrap.dedent(
     import hashlib
     import numpy as np
     from hiwin import autodiff as ad
+    from helpers import weighted_sum
 
     rng = np.random.default_rng(5)
     guide = rng.uniform(0, 1, (20, 40, 3))
@@ -159,7 +136,7 @@ _BLAS_PROBE = textwrap.dedent(
     lss = ad.Tensor(np.array(-0.2), requires_grad=True)
     params = (feats, proj_w, proj_b, lsd, lss)
     out = ad.guided_upsample(feats, guide, proj_w, proj_b, lsd, lss)
-    ad.tsum(ad.mul(out, rng.uniform(0.5, 1.5, out.shape))).backward()
+    weighted_sum(out, rng.uniform(0.5, 1.5, out.shape)).backward()
     digest = hashlib.sha256(out.data.tobytes())
     for t in params:
         digest.update(t.grad.tobytes())
@@ -170,10 +147,10 @@ _BLAS_PROBE = textwrap.dedent(
 
 def test_guided_mix_bits_do_not_depend_on_blas_threads():
     # a 40-column map spans several tiles, so the banded products run on BLAS
-    src = str(Path(hiwin.__file__).resolve().parents[1])
+    path = os.pathsep.join([str(Path(hiwin.__file__).resolve().parents[1]), str(Path(__file__).parent)])
     digests = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=path)
         done = subprocess.run(
             [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, timeout=120
         )
@@ -207,21 +184,37 @@ def test_window_pool_values_and_grad(h, w, image_hw, patch):
     assert np.array_equal(sal_b.grad, 0.0)
 
 
+@pytest.mark.parametrize("maps", [1, 2, 3])
+def test_recon_loss_values_and_grad(maps):
+    base = np.random.default_rng(24).uniform(-1, 1, (3, 2, 4))  # a constant of the op
+    pooled = [leaf((3, 2, 4), 25 + k, scale=1.0 + k, offset=0.5 * k) for k in range(maps)]
+    out = ad.recon_loss(pooled, base)
+    assert out.item() == pytest.approx(scalar_recon_loss([p.data for p in pooled], base), rel=1e-12, abs=1e-12)
+    check_op(lambda: ad.recon_loss(pooled, base), pooled)
+
+
+@pytest.mark.parametrize("pooled", [[np.zeros((2, 3))], []], ids=["transposed", "none"])
+def test_recon_loss_rejects_maps_not_of_the_base_shape(pooled):
+    with pytest.raises(ValueError, match=r"base's shape \(3, 2\)"):
+        ad.recon_loss(pooled, np.zeros((3, 2)))
+
+
 def test_leaf_reuse_accumulates():
     a = Tensor(np.array(3.0), requires_grad=True)
-    out = ad.add(ad.mul(a, a), a)  # a^2 + a -> grad 2a + 1 = 7
+    out = ad.recon_loss([a, a], np.zeros(()))  # 0.5 * (a^2 + a^2) = a^2 -> grad 2a = 6
     out.backward()
-    assert a.grad == pytest.approx(7.0)
+    assert a.grad == pytest.approx(6.0)
 
 
 def test_backward_requires_scalar():
-    a = Tensor(np.ones(3), requires_grad=True)
+    f = Tensor(np.ones((1, 1, 3)), requires_grad=True)
+    out = ad.window_pool(f, np.ones(3), np.zeros(3), np.zeros(3), 0.0, (4, 4), 4)
     with pytest.raises(ValueError):
-        ad.mul(a, 2.0).backward()
+        out.backward()
 
 
 def test_backward_rejects_nonfinite():
     a = Tensor(np.array(1.0), requires_grad=True)
-    out = ad.mul(a, np.inf)
+    out = ad.recon_loss([a], np.array(np.inf))
     with pytest.raises(NumericalError):
         out.backward()

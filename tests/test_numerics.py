@@ -21,7 +21,7 @@ from hiwin.numerics import (
     softmax,
 )
 
-from helpers import scalar_resize
+from helpers import scalar_resize, weighted_sum
 
 
 class TestBilinearResize:
@@ -46,16 +46,15 @@ class TestBilinearResize:
             h, w = rng.integers(1, 9, 2)
             oh, ow = rng.integers(1, 13, 2)
             src = rng.standard_normal((h, w, 3))
-            np.testing.assert_allclose(
-                bilinear_resize(src, oh, ow), scalar_resize(src, oh, ow), atol=1e-6
-            )
+            np.testing.assert_array_equal(bilinear_resize(src, oh, ow), scalar_resize(src, oh, ow))
 
     def test_large_float32_downscale_matches_scalar_oracle(self):
         rng = np.random.default_rng(5)
         src = rng.uniform(0, 1, (200, 300, 3)).astype(np.float32)
         out = bilinear_resize(src, 5, 7)
         assert out.dtype == np.float32
-        np.testing.assert_allclose(out, scalar_resize(src, 5, 7), rtol=0, atol=1e-6)
+        # float64 arithmetic rounded once to float32, as the float64 oracle
+        np.testing.assert_array_equal(out, scalar_resize(src, 5, 7).astype(np.float32))
 
     @given(
         st.integers(1, 40), st.integers(1, 40), st.integers(1, 40), st.integers(1, 40),
@@ -162,27 +161,33 @@ class TestGradCheck:
         x = Tensor(np.array(3.0), requires_grad=True)
 
         def f(params):
-            return ad.mul(params[0], params[0])
+            return ad.recon_loss([params[0], params[0]], np.zeros(()))  # x^2
 
         assert grad_check(f, [x], h=1e-5) < 1e-8
         assert x.grad == pytest.approx(6.0)
 
     def test_constant_function(self):
-        x = Tensor(np.array(1.0), requires_grad=True)
+        # window_pool's output does not depend on the saliency bias
+        rng = np.random.default_rng(4)
+        f, sal_w, base = rng.standard_normal((2, 3, 2)), rng.standard_normal(2), rng.standard_normal((2, 3, 2))
+        x = Tensor(np.array(1.0), requires_grad=True)  # the saliency bias
 
-        def f(params):
-            return ad.mul(params[0], 0.0)
+        def loss(params):
+            pooled = ad.window_pool(f, np.ones(2), np.zeros(2), sal_w, params[0], (8, 12), 4)
+            return ad.recon_loss([pooled], base)
 
-        assert grad_check(f, [x], h=1e-5) < 1e-8
+        assert grad_check(loss, [x], h=1e-5) < 1e-8
 
     def test_tiny_entry_is_judged_against_the_largest_gradient(self):
-        # d/dx1 = 1e-12 next to a loss near 1e4: its central difference is
-        # all rounding noise (it reads 0), a relative error of 1 on its own
-        # scale but 1e-9 on the 1e-3 floor of the largest gradient
+        # d/dx1 = 1e-12 next to d/dx0 = 1 and a loss near 1: its central
+        # difference is all rounding noise (it reads 0), a relative error of
+        # 1 on its own scale but 1e-9 on the 1e-3 floor of the largest
+        # gradient
         x = Tensor(np.array([0.5, 0.5]), requires_grad=True)
+        base = np.array([0.5 - 2.0, 0.5 - 2e-12])
 
         def f(params):
-            return ad.add(ad.tsum(ad.mul(params[0], np.array([1.0, 1e-12]))), 1e4)
+            return ad.recon_loss([params[0]], base)  # gradient (x - base) / 2
 
         assert grad_check(f, [x], h=1e-5) < 1e-6
 
@@ -214,7 +219,7 @@ class TestGradCheck:
                         return tuple(grads)
 
                     out._vjp = vjp
-                return ad.tsum(ad.mul(out, target))
+                return weighted_sum(out, target)
 
             return f
 
