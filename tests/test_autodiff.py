@@ -193,6 +193,14 @@ def test_recon_loss_values_and_grad(maps):
     check_op(lambda: ad.recon_loss(pooled, base), pooled)
 
 
+def test_recon_loss_scales_each_sum_of_squares_by_one_over_n():
+    # integer differences make the sum of squares (5) exact in any order, so the
+    # value pins how it is scaled: 5 * (1 / 7) and 5 / 7 differ in the last bit
+    assert 5 * (1.0 / 7) != 5 / 7
+    pooled = np.array([1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert ad.recon_loss([pooled], np.zeros(7)).item() == 0.5 * (5 * (1.0 / 7))
+
+
 @pytest.mark.parametrize("pooled", [[np.zeros((2, 3))], []], ids=["transposed", "none"])
 def test_recon_loss_rejects_maps_not_of_the_base_shape(pooled):
     with pytest.raises(ValueError, match=r"base's shape \(3, 2\)"):

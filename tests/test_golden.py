@@ -1,16 +1,31 @@
-"""Golden digests of one fixed training run.
+"""Golden digests of fixed training and inference runs.
 
-``hiwin pretrain-vdim --corpus synthetic --steps 24 --seed 7`` is pinned by
-the sha256 of the checkpoint it writes and of its stdout loss lines, so a
-change that alters a training bit anywhere fails here.  BLAS kernels may
-round differently on another CPU or build, so ``golden.json`` keys its
-entries by numpy version, BLAS name and version, and ``platform.machine()``.
-On a key the table lacks the test skips.  Run this file as a script to write
-the entry of the running machine:
+Two training runs are pinned by the sha256 of the checkpoint each writes and
+of its stdout loss lines:
+
+- ``hiwin pretrain-vdim --corpus synthetic --steps 24 --seed 7``, the AC-4
+  configuration (an 8x8x64 base map);
+- the same at ``--size 98 --steps 3``: a 7x7x64 base map, whose odd sides
+  the 8x8 run does not reach.
+
+The 24-step checkpoint then drives the inference commands on seeded PPMs,
+each pinned by the sha256 of every file it writes and of its stdout where
+that names no path: ``pipeline`` TOKS, ``.idx`` and stdout on three image
+sizes (``--threads 1`` and ``2`` must write the same bytes), ``compress`` with
+the two baseline projectors, ``build-isp``'s three ISPF files and the
+``visualize`` PPM of level 2.  So a change that alters an output bit
+anywhere fails here.
+
+BLAS kernels may round differently on another CPU or build, so
+``golden.json`` keys its entries by numpy version, BLAS name and version, and
+``platform.machine()``.  On a key or a field the table lacks the test skips.
+Run this file as a script to write the entry of the running machine:
 
     PYTHONPATH=src python tests/test_golden.py [--replace]
 
-It refuses to overwrite an existing entry unless given ``--replace``.
+It adds the fields an entry lacks and prints each one.  A field already
+there that the run would change is printed too, and the script then refuses
+to write anything unless given ``--replace``.
 """
 
 from __future__ import annotations
@@ -31,8 +46,14 @@ import pytest
 import hiwin
 
 GOLDEN = Path(__file__).with_name("golden.json")
-ARGS = ["pretrain-vdim", "--corpus", "synthetic", "--steps", "24", "--seed", "7"]
 WRITE = "PYTHONPATH=src python tests/test_golden.py"
+# field prefix -> pretrain-vdim arguments; the first run's checkpoint drives inference
+TRAINING = {
+    "": ["--steps", "24", "--seed", "7"],
+    "size98_": ["--size", "98", "--steps", "3", "--seed", "7"],
+}
+PHOTOS = {"1008x672": (1008, 672), "700x500": (700, 500), "336x336": (336, 336)}
+TRAINING_FIELDS = [f"{p}{f}_sha256" for p in TRAINING for f in ("checkpoint", "stdout")]
 
 
 def machine_key() -> str:
@@ -43,45 +64,140 @@ def machine_key() -> str:
     return f"numpy {np.__version__} | {blas.get('name')} {blas.get('version')} | {platform.machine()}"
 
 
-def training_digests() -> dict[str, str]:
-    """sha256 of the checkpoint and of stdout of the pinned run, in a fresh process."""
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# runs each JSON argv list read from stdin through ``hiwin.cli.main`` and
+# writes each command's stdout as one JSON string line
+_BATCH = """
+import contextlib, io, json, sys
+from hiwin.cli import main
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    if code:
+        sys.exit(f"hiwin {' '.join(argv)} exited {code}")
+    print(json.dumps(out.getvalue()))
+"""
+
+
+def _hiwin(commands: list[list[str]]) -> list[bytes]:
+    """The stdout of each ``hiwin`` command, run in order in one fresh
+    process, so that the BLAS pool is pinned as the CLI pins it."""
     src = str(Path(hiwin.__file__).resolve().parents[1])
-    with tempfile.TemporaryDirectory() as tmp:
-        ckpt = Path(tmp) / "golden.ckpt"
-        done = subprocess.run(
-            [sys.executable, "-m", "hiwin.cli", *ARGS, "--out", str(ckpt)],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            timeout=600,
-        )
-        if done.returncode != 0:
-            raise RuntimeError(f"hiwin {' '.join(ARGS)} exited {done.returncode}: {done.stderr.decode()}")
-        return {
-            "checkpoint_sha256": hashlib.sha256(ckpt.read_bytes()).hexdigest(),
-            "stdout_sha256": hashlib.sha256(done.stdout).hexdigest(),
-        }
+    done = subprocess.run(
+        [sys.executable, "-c", _BATCH],
+        input=json.dumps(commands).encode(),
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        timeout=600,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(done.stderr.decode())
+    return [json.loads(line).encode() for line in done.stdout.splitlines()]
 
 
-def test_training_run_matches_its_golden_digests():
+def write_photo(path: Path, width: int, height: int) -> None:
+    """A seeded P6 PPM of 16-pixel flat blocks, made without the library."""
+    rng = np.random.default_rng([7, width, height])
+    blocks = rng.integers(0, 256, (-(-height // 16), -(-width // 16), 3), dtype=np.uint8)
+    pixels = blocks.repeat(16, axis=0).repeat(16, axis=1)[:height, :width]
+    path.write_bytes(f"P6\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes())
+
+
+def digests(tmp: Path) -> dict[str, str]:
+    """sha256 of every pinned output, by field name.  Raises
+    ``AssertionError`` if ``pipeline --threads 2`` writes other bytes than
+    ``--threads 1``."""
+    ckpt = tmp / "golden.ckpt"
+    photos = {size: tmp / f"photo-{size}.ppm" for size in PHOTOS}
+    for size, path in photos.items():
+        write_photo(path, *PHOTOS[size])
+    runs = []  # (argv, {field: file it writes}, field of its stdout or None)
+    for prefix, args in TRAINING.items():
+        out = tmp / f"{prefix}golden.ckpt"
+        argv = ["pretrain-vdim", "--corpus", "synthetic", *args, "--out", str(out)]
+        runs.append((argv, {f"{prefix}checkpoint": out}, f"{prefix}stdout"))
+    tokens = [(f"pipeline_{size}{t}", ["pipeline", "--image", str(photos[size]), "--threads", t]) for size in PHOTOS for t in "12"]
+    tokens += [(f"compress_{p}", ["compress", "--projector", p, "--image", str(photos["1008x672"])]) for p in ("mlp", "resampler")]
+    for name, argv in tokens:
+        toks = tmp / f"{name}.toks"
+        files = {f"{name}_toks": toks, f"{name}_idx": Path(f"{toks}.idx")}
+        runs.append(([*argv, "--ckpt", str(ckpt), "--out", str(toks)], files, f"{name}_stdout"))
+    isp = tmp / "isp"
+    levels = {f"build_isp_l{level}": Path(f"{isp}.l{level}.ispf") for level in range(3)}
+    runs.append((["build-isp", "--image", str(photos["700x500"]), "--ckpt", str(ckpt), "--out-prefix", str(isp)], levels, None))
+    rendered = tmp / "l2.ppm"
+    runs.append((["visualize", "--features", str(levels["build_isp_l2"]), "--out", str(rendered)], {"visualize_l2": rendered}, None))
+
+    out = {}
+    for (_, files, stdout_field), stdout in zip(runs, _hiwin([argv for argv, _, _ in runs])):
+        if stdout_field:  # build-isp and visualize print the paths they write
+            out[stdout_field] = stdout
+        out.update((field, path.read_bytes()) for field, path in files.items())
+    for size in PHOTOS:
+        for f in ("toks", "idx", "stdout"):
+            one, two = out.pop(f"pipeline_{size}1_{f}"), out.pop(f"pipeline_{size}2_{f}")
+            assert one == two, f"pipeline on {size} writes another {f} with --threads 2 than with 1"
+            out[f"pipeline_{size}_{f}"] = one
+    return {f"{field}_sha256": _sha(data) for field, data in out.items()}
+
+
+@pytest.fixture(scope="module")
+def entry() -> dict[str, str]:
     key = machine_key()
     entries = json.loads(GOLDEN.read_text())
     if key not in entries:
         pytest.skip(f"golden.json has no entry for {key!r}; `{WRITE}` writes it")
-    assert training_digests() == entries[key]
+    return entries[key]
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory) -> dict[str, str]:
+    return digests(tmp_path_factory.mktemp("golden"))
+
+
+def _compare(entry: dict[str, str], written: dict[str, str], fields: list[str]) -> None:
+    missing = [f for f in fields if f not in entry]
+    if missing:
+        pytest.skip(f"golden.json's entry for this machine lacks {missing}; `{WRITE}` adds them")
+    assert {f: written[f] for f in fields} == {f: entry[f] for f in fields}
+
+
+def test_training_run_matches_its_golden_digests(entry, written):
+    _compare(entry, written, ["checkpoint_sha256", "stdout_sha256"])
+
+
+def test_training_run_at_a_7x7_base_matches_its_golden_digests(entry, written):
+    _compare(entry, written, ["size98_checkpoint_sha256", "size98_stdout_sha256"])
+
+
+def test_inference_outputs_match_their_golden_digests(entry, written):
+    _compare(entry, written, [f for f in written if f not in TRAINING_FIELDS])
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Write this machine's entry of golden.json.")
-    parser.add_argument("--replace", action="store_true", help="overwrite an existing entry")
+    parser.add_argument("--replace", action="store_true", help="overwrite fields whose digests changed")
     args = parser.parse_args(argv)
     key = machine_key()
     entries = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    if key in entries and not args.replace:
-        print(f"golden.json already has an entry for {key!r}; pass --replace to overwrite it", file=sys.stderr)
+    old = entries.get(key, {})
+    with tempfile.TemporaryDirectory() as tmp:
+        new = digests(Path(tmp))
+    changed = [f for f in new if f in old and old[f] != new[f]]
+    for f in new:
+        if f not in old:
+            print(f"{key}: add {f} = {new[f]}")
+        elif f in changed:
+            print(f"{key}: change {f} from {old[f]} to {new[f]}")
+    if changed and not args.replace:
+        print(f"{len(changed)} existing field(s) would change; pass --replace to overwrite them", file=sys.stderr)
         return 1
-    entries[key] = training_digests()
+    entries[key] = {**old, **new}
     GOLDEN.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
-    print(f"{key}: {entries[key]}")
     return 0
 
 
