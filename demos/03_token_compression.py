@@ -29,7 +29,6 @@ from hiwin import (
     bilinear_resize,
     compress,
     flatten,
-    generate_windows,
     init_mlp_weight,
     run_pipeline,
     synth_corpus,
@@ -62,13 +61,15 @@ levels = [
     for l in range(3)
 ]
 isp = FeaturePyramid(levels=levels)
-windows = generate_windows([(m.height, m.width) for m in isp.levels], 12)
 full = compress(isp, attn, config.hiwin)
 
+# window (i, j) of an H x W level spans column j and row i of the uniform
+# 12-way split of each axis: the same normalized region at every level
 i, j = 4, 9
 masked_levels = []
-for lvl, fmap in enumerate(isp.levels):
-    x0, y0, x1, y1 = windows.boxes[lvl][i, j]
+for fmap in isp.levels:
+    h, w = fmap.height, fmap.width
+    x0, y0, x1, y1 = j * w / 12, i * h / 12, (j + 1) * w / 12, (i + 1) * h / 12
     data = np.zeros_like(fmap.data)
     data[int(y0) : int(np.ceil(y1)), int(x0) : int(np.ceil(x1))] = fmap.data[
         int(y0) : int(np.ceil(y1)), int(x0) : int(np.ceil(x1))

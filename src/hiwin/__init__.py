@@ -82,11 +82,9 @@ from .window_attn import (
     AttnParams,
     HiwinConfig,
     TokenMap,
-    WindowSet,
     assemble_kv,
     compress,
     cross_attention,
-    generate_windows,
     position_embedding_2d,
     roi_align,
     select_grid,

@@ -119,5 +119,5 @@ def load_features(path) -> FeatureMap:
         w = read_u32(f, "width")
         c = read_u32(f, "channels")
         payload = read_exact(f, h * w * c * 4, "feature payload")
-    data = np.frombuffer(payload, dtype="<f4").reshape(h, w, c).copy()
-    return FeatureMap(data, level=level, origin="file")
+    data = finite_f4(np.frombuffer(payload, dtype="<f4"), f"ISPF level-{level} map")
+    return FeatureMap(data.reshape(h, w, c).copy(), level=level, origin="file")

@@ -157,11 +157,7 @@ def run_pipeline(
     overview_map, slice_maps = maps[0], maps[1:]
     tokens = assemble(slice_maps, layout, overview_map)
     first = slices[0]
-    grid = select_grid(
-        first.width // config.encoder.patch,
-        first.height // config.encoder.patch,
-        config.hiwin.proposals,
-    )
+    grid = select_grid(first.width // config.encoder.patch, first.height // config.encoder.patch)
     return PipelineResult(
         tokens=tokens,
         layout=layout,

@@ -11,7 +11,6 @@ loops; the test suite compares the library against these same functions.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .encoder import FeatureMap
 from .image_io import synth_corpus
 from .numerics import grad_check
 from .vdim import DownsamplerParams, VdimParams, mlr_objective
-from .window_attn import DEFAULT_PROPOSALS, roi_align, select_grid
+from .window_attn import PROPOSALS, roi_align, select_grid
 from . import image_io
 
 __all__ = [
@@ -33,12 +32,11 @@ __all__ = [
 ]
 
 
-def scalar_grid_choice(
-    width: float, height: float, proposals: Sequence[tuple[int, int]] = DEFAULT_PROPOSALS
-) -> tuple[int, int]:
-    """Plain-math argmax of ``-|log(W/H) - log(r_w/r_h)|``; first maximum wins."""
+def scalar_grid_choice(width: float, height: float) -> tuple[int, int]:
+    """Plain-math argmax of ``-|log(W/H) - log(r_w/r_h)|`` over
+    :data:`~hiwin.window_attn.PROPOSALS`; first maximum wins."""
     best, best_score = None, None
-    for rw, rh in proposals:
+    for rw, rh in PROPOSALS:
         score = -abs(math.log(width / height) - math.log(rw / rh))
         if best_score is None or score > best_score:
             best, best_score = (rw, rh), score

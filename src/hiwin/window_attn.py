@@ -1,14 +1,17 @@
-"""Hierarchical window attention: grid-size selection, window generation,
-RoI sampling, cross-scale key/value assembly, and the per-window
-cross-attention that compresses a feature pyramid into an N x N token map.
+"""Hierarchical window attention: grid-size selection, RoI sampling,
+cross-scale key/value assembly, and the per-window cross-attention that
+compresses a feature pyramid into an N x N token map.
 
-Every level of the pyramid is tiled into N x N float-coordinate windows; the
-windows sharing a 2D index cover the same normalized image region at every
-level.  One pooling grid (r_w, r_h) per map is chosen from five proposals by
-maximizing ``-|log(W/H) - log(r_w/r_h)|``, i.e. the grid whose aspect best
-matches the map.  Each learnable query attends only to the RoI samples of
-its own window set, concatenated across levels, so a token depends on
-exactly its window's content.
+Every level of the pyramid is cut into the same N x N float-coordinate
+windows: window (i, j) of an H x W level is the box
+``(j*W/N, i*H/N, (j+1)*W/N, (i+1)*H/N)``, so the windows sharing a 2D index
+cover the same normalized image region at every level, and a level's windows
+follow from its dims and N alone.  One pooling grid (r_w, r_h) per map is
+chosen from the five :data:`PROPOSALS` by maximizing
+``-|log(W/H) - log(r_w/r_h)|``, i.e. the grid whose aspect best matches the
+map.  Each learnable query attends only to the RoI samples of its own
+window, concatenated across levels, so a token depends on exactly its
+window's content.
 
 RoI sampling convention: boxes are clamped to map bounds and split into
 r_h x r_w bins; one bilinear sample is taken per bin at the bin center, with
@@ -18,10 +21,10 @@ than one cell sample at their midpoint).  Coordinates are continuous with
 half-pixel centers: cell (p, q) is centered at (q + 0.5, p + 0.5).  The
 lookups use the package's one bilinear rule, :func:`hiwin.numerics.bilinear_taps`
 applied by :func:`hiwin.numerics.lerp` along x, then y.  Bin centers are
-separable, and the windows of a :class:`WindowSet` form a grid, so each
-level is sampled in one pass over the sample columns and rows of all its
-windows.  The scalar reference for this rule and for the grid choice is in
-:mod:`hiwin.selfcheck`, which ``selftest`` and the tests both use.
+separable, and each level's windows form a grid, so each level is sampled
+in one pass over the sample columns and rows of all its windows.  The scalar
+reference for this rule and for the grid choice is in :mod:`hiwin.selfcheck`,
+which ``selftest`` and the tests both use.
 """
 
 from __future__ import annotations
@@ -38,29 +41,27 @@ from .vdim import FeaturePyramid
 
 __all__ = [
     "AttnParams",
-    "DEFAULT_PROPOSALS",
     "HiwinConfig",
+    "PROPOSALS",
     "TokenMap",
-    "WindowSet",
     "assemble_kv",
     "compress",
     "cross_attention",
-    "generate_windows",
     "position_embedding_2d",
     "roi_align",
     "select_grid",
 ]
 
-DEFAULT_PROPOSALS: tuple[tuple[int, int], ...] = ((3, 3), (2, 3), (3, 2), (2, 4), (4, 2))
+# the pooling grids (r_w, r_h) that select_grid chooses from
+PROPOSALS: tuple[tuple[int, int], ...] = ((3, 3), (2, 3), (3, 2), (2, 4), (4, 2))
 
 
 @dataclass(frozen=True)
 class HiwinConfig:
-    """Projector configuration: query grid side N, pooling-grid proposals,
-    attention heads, and feature channels."""
+    """Projector configuration: query grid side N, attention heads, and
+    feature channels."""
 
     grid_side: int = 12
-    proposals: tuple[tuple[int, int], ...] = DEFAULT_PROPOSALS
     heads: int = 4
     channels: int = 64
 
@@ -69,29 +70,6 @@ def _spans(extent: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) of the n uniform float spans that tile ``[0, extent]``."""
     lo = np.arange(n, dtype=np.float64) * extent / n
     return lo, lo + extent / n
-
-
-@dataclass(frozen=True)
-class WindowSet:
-    """The N x N window grid of every level, kept as the levels' (h, w)
-    extents: window (i, j) spans column ``j`` and row ``i`` of the uniform
-    N-way split of each axis, so every window set is a grid."""
-
-    level_dims: tuple[tuple[int, int], ...]
-    grid_side: int
-
-    @property
-    def boxes(self) -> list[np.ndarray]:
-        """Per-level (n, n, 4) boxes (x0, y0, x1, y1) in level cell coordinates."""
-        n = self.grid_side
-        out = []
-        for h, w in self.level_dims:
-            (x0, x1), (y0, y1) = _spans(w, n), _spans(h, n)
-            b = np.empty((n, n, 4), dtype=np.float64)
-            b[..., 0], b[..., 2] = x0, x1
-            b[..., 1], b[..., 3] = y0[:, None], y1[:, None]
-            out.append(b)
-        return out
 
 
 @dataclass
@@ -152,10 +130,9 @@ class AttnParams:
         )
 
 
-def select_grid(
-    width: float, height: float, proposals: Sequence[tuple[int, int]] = DEFAULT_PROPOSALS
-) -> tuple[int, int]:
-    """Pick the pooling grid whose aspect ratio best matches the map.
+def select_grid(width: float, height: float) -> tuple[int, int]:
+    """Pick the pooling grid of :data:`PROPOSALS` whose aspect ratio best
+    matches the map.
 
     Score is ``-|log(width/height) - log(r_w/r_h)|``; ties keep the earliest
     proposal in list order.
@@ -164,17 +141,11 @@ def select_grid(
         raise ValueError("select_grid requires positive dims")
     target = np.log(width / height)
     best_score, best = None, None
-    for rw, rh in proposals:
+    for rw, rh in PROPOSALS:
         score = -abs(target - np.log(rw / rh))
         if best_score is None or score > best_score:
             best_score, best = score, (rw, rh)
     return best
-
-
-def generate_windows(level_dims: Sequence[tuple[int, int]], n: int) -> WindowSet:
-    """Uniform N x N float tiling of every level; box (i, j) at level l is
-    ``(j*W/n, i*H/n, (j+1)*W/n, (i+1)*H/n)``."""
-    return WindowSet(tuple((h, w) for h, w in level_dims), n)
 
 
 def _bin_centers(lo: np.ndarray, hi: np.ndarray, r: int, size: int) -> np.ndarray:
@@ -217,18 +188,18 @@ def roi_align(
     return _sample_grid(data, _bin_centers(x0, x1, rw, w), _bin_centers(y0, y1, rh, h))
 
 
-def position_embedding_2d(coords: np.ndarray, channels: int, scale: float = 16.0) -> np.ndarray:
+def position_embedding_2d(coords: np.ndarray, channels: int) -> np.ndarray:
     """Fixed sinusoidal embedding of normalized (x, y) coordinates.
 
-    Quarter blocks: sin/cos over x, then sin/cos over y, at geometrically
-    spaced frequencies.
+    Quarter blocks: sin/cos over x, then sin/cos over y, of the coordinates
+    times 16 at geometrically spaced frequencies.
     """
     if channels % 4:
         raise ValueError("position embedding needs channels divisible by 4")
     q = channels // 4
     freqs = 1.0 / (10000.0 ** (np.arange(q, dtype=np.float64) / max(q - 1, 1)))
-    ax = coords[..., 0:1] * scale * freqs
-    ay = coords[..., 1:2] * scale * freqs
+    ax = coords[..., 0:1] * 16.0 * freqs
+    ay = coords[..., 1:2] * 16.0 * freqs
     return np.concatenate([np.sin(ax), np.cos(ax), np.sin(ay), np.cos(ay)], axis=-1)
 
 
@@ -262,22 +233,19 @@ def _sample_embedding(n: int, grid: tuple[int, int], channels: int) -> np.ndarra
 
 
 def assemble_kv(
-    isp: FeaturePyramid,
-    windows: WindowSet,
-    grid: tuple[int, int],
-    params: AttnParams,
+    isp: FeaturePyramid, n: int, grid: tuple[int, int], params: AttnParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Keys and values for every window: (n^2, levels*S, C) each, rows in
-    window order ``i * n + j``.
+    """Keys and values for the n x n windows of every level: (n^2, levels*S, C)
+    each, rows in window order ``i * n + j``.
 
-    Values are the raw samples: each level is sampled in one pass and
-    written once, through a transposed view, into its block of one value
-    array.  Keys are ``(value + level embedding) + zeta``, built on that
-    array, where zeta is the positional embedding of each sample point's
-    normalized coordinate; it depends only on (n, grid, C), so it is
-    computed once per geometry.
+    Window (i, j) of each level spans column ``j`` and row ``i`` of the
+    uniform n-way split of that level's own width and height.  Values are
+    the raw samples: each level is sampled in one pass and written once,
+    through a transposed view, into its block of one value array.  Keys are
+    ``(value + level embedding) + zeta``, built on that array, where zeta is
+    the positional embedding of each sample point's normalized coordinate;
+    it depends only on (n, grid, C), so it is computed once per geometry.
     """
-    n = windows.grid_side
     rw, rh = grid
     c = isp.channels
     levels = len(isp.levels)
@@ -289,9 +257,8 @@ def assemble_kv(
         )
     v = np.empty((n, n, levels, rh, rw, c), dtype=np.float64)
     for lvl, fmap in enumerate(isp.levels):
-        h, w = windows.level_dims[lvl]
-        xs = _bin_centers(*_spans(w, n), rw, fmap.width).reshape(-1)  # column j, bin v
-        ys = _bin_centers(*_spans(h, n), rh, fmap.height).reshape(-1)  # row i, bin u
+        xs = _bin_centers(*_spans(fmap.width, n), rw, fmap.width).reshape(-1)  # column j, bin v
+        ys = _bin_centers(*_spans(fmap.height, n), rh, fmap.height).reshape(-1)  # row i, bin u
         samples = _sample_grid(fmap.data, xs, ys).reshape(n, rh, n, rw, c)  # (i, u, j, v)
         v[:, :, lvl].transpose(0, 2, 1, 3, 4)[...] = samples
     v = v.reshape(n * n, levels, rh * rw, c)
@@ -345,9 +312,10 @@ def compress(isp: FeaturePyramid, params: AttnParams, config: HiwinConfig) -> To
     """Condense a feature pyramid into the N x N token map.
 
     One pooling grid is selected from the level-0 dims; each query token
-    attends only to the cross-level RoI samples of its own window.  The
-    queries carry the positional embedding of their window centres, which,
-    like the keys' zeta, is computed once per geometry.  Queries that are
+    attends only to the cross-level RoI samples of its own window, the same
+    normalized region of every level.  The queries carry the positional
+    embedding of their window centres, which, like the keys' zeta, is
+    computed once per geometry.  Queries that are
     not (N, N, C), or fewer level embeddings than the pyramid has levels,
     raise a ``ValueError`` naming the field.
     """
@@ -358,9 +326,8 @@ def compress(isp: FeaturePyramid, params: AttnParams, config: HiwinConfig) -> To
             f"AttnParams.queries has shape {params.queries.shape}, expected "
             f"({n}, {n}, {base.channels}) for grid side {n} and {base.channels} channels"
         )
-    grid = select_grid(base.width, base.height, config.proposals)
-    windows = generate_windows([(f.height, f.width) for f in isp.levels], n)
-    k, v = assemble_kv(isp, windows, grid, params)
+    grid = select_grid(base.width, base.height)
+    k, v = assemble_kv(isp, n, grid, params)
     q = params.queries.reshape(n * n, -1) + _sample_embedding(n, (1, 1), base.channels)[:, 0]
     out = cross_attention(q, k, v, params, config.heads)
     return TokenMap(out.reshape(n, n, -1).astype(np.float32), origin=isp.origin)

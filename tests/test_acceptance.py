@@ -28,14 +28,14 @@ from hiwin.vdim import (
 )
 from hiwin.window_attn import (
     AttnParams,
-    DEFAULT_PROPOSALS,
     HiwinConfig,
     compress,
     cross_attention,
-    generate_windows,
     roi_align,
     select_grid,
 )
+
+from helpers import window_box
 
 
 def criterion(name):
@@ -71,7 +71,7 @@ def test_ac1_grid_selection_oracle():
     for _ in range(1000):
         w = int(rng.integers(8, 513))
         h = int(rng.integers(8, 513))
-        assert select_grid(w, h) == scalar_grid_choice(w, h, DEFAULT_PROPOSALS)
+        assert select_grid(w, h) == scalar_grid_choice(w, h)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     return f"1000 dims exact, {elapsed:.3f}s"
@@ -169,13 +169,12 @@ def test_ac6_locality():
     isp = FeaturePyramid(levels=levels)
     config = HiwinConfig(channels=8)
     params = AttnParams.init(config, seed=64)
-    windows = generate_windows([(m.height, m.width) for m in isp.levels], 12)
     full = compress(isp, params, config)
     for _ in range(20):
         i, j = int(rng.integers(0, 12)), int(rng.integers(0, 12))
         masked_levels = []
-        for lvl, fmap in enumerate(isp.levels):
-            x0, y0, x1, y1 = windows.boxes[lvl][i, j]
+        for fmap in isp.levels:
+            x0, y0, x1, y1 = window_box(fmap.height, fmap.width, 12, i, j)
             data = np.zeros_like(fmap.data)
             ys, ye = int(np.floor(y0)), int(np.ceil(y1))
             xs, xe = int(np.floor(x0)), int(np.ceil(x1))

@@ -187,6 +187,17 @@ def test_feature_header_larger_than_the_file_exits_3(tmp_path, capsys):
     assert "truncated feature payload" in capsys.readouterr().err
 
 
+def test_feature_file_holding_nan_exits_4_naming_its_level(tmp_path, capsys):
+    path = tmp_path / "nan.ispf"
+    payload = np.ones((2, 3, 4), dtype="<f4")
+    payload[1, 2, 3] = np.nan
+    path.write_bytes(b"ISPF" + struct.pack("<5I", 1, 2, 2, 3, 4) + payload.tobytes())
+    out = tmp_path / "o.ppm"
+    assert main(["visualize", "--features", str(path), "--out", str(out)]) == 4
+    assert "ISPF level-2 map holds non-finite values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     printed = capsys.readouterr().out

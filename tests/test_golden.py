@@ -120,17 +120,26 @@ def digests(tmp: Path) -> dict[str, str]:
         out = tmp / f"{prefix}golden.ckpt"
         argv = ["pretrain-vdim", "--corpus", "synthetic", *args, "--out", str(out)]
         runs.append((argv, {f"{prefix}checkpoint": out}, f"{prefix}stdout"))
-    tokens = [(f"pipeline_{size}{t}", ["pipeline", "--image", str(photos[size]), "--threads", t]) for size in PHOTOS for t in "12"]
-    tokens += [(f"compress_{p}", ["compress", "--projector", p, "--image", str(photos["1008x672"])]) for p in ("mlp", "resampler")]
+    tokens = [
+        (f"pipeline_{size}{t}", ["pipeline", "--image", str(photos[size]), "--threads", t])
+        for size in PHOTOS
+        for t in "12"
+    ]
+    tokens += [
+        (f"compress_{p}", ["compress", "--projector", p, "--image", str(photos["1008x672"])])
+        for p in ("mlp", "resampler")
+    ]
     for name, argv in tokens:
         toks = tmp / f"{name}.toks"
         files = {f"{name}_toks": toks, f"{name}_idx": Path(f"{toks}.idx")}
         runs.append(([*argv, "--ckpt", str(ckpt), "--out", str(toks)], files, f"{name}_stdout"))
     isp = tmp / "isp"
     levels = {f"build_isp_l{level}": Path(f"{isp}.l{level}.ispf") for level in range(3)}
-    runs.append((["build-isp", "--image", str(photos["700x500"]), "--ckpt", str(ckpt), "--out-prefix", str(isp)], levels, None))
+    argv = ["build-isp", "--image", str(photos["700x500"]), "--ckpt", str(ckpt), "--out-prefix", str(isp)]
+    runs.append((argv, levels, None))
     rendered = tmp / "l2.ppm"
-    runs.append((["visualize", "--features", str(levels["build_isp_l2"]), "--out", str(rendered)], {"visualize_l2": rendered}, None))
+    argv = ["visualize", "--features", str(levels["build_isp_l2"]), "--out", str(rendered)]
+    runs.append((argv, {"visualize_l2": rendered}, None))
 
     out = {}
     for (_, files, stdout_field), stdout in zip(runs, _hiwin([argv for argv, _, _ in runs])):

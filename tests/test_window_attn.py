@@ -1,5 +1,5 @@
-"""Grid selection, window generation, RoI sampling, key assembly, and the
-window-restricted cross-attention."""
+"""Grid selection, RoI sampling, key assembly over each level's windows, and
+the window-restricted cross-attention."""
 
 import numpy as np
 import pytest
@@ -11,16 +11,16 @@ from hiwin.selfcheck import scalar_grid_choice, scalar_roi_align
 from hiwin.vdim import FeaturePyramid
 from hiwin.window_attn import (
     AttnParams,
-    DEFAULT_PROPOSALS,
     HiwinConfig,
     assemble_kv,
     compress,
     cross_attention,
-    generate_windows,
     position_embedding_2d,
     roi_align,
     select_grid,
 )
+
+from helpers import window_box
 
 
 def random_pyramid(seed, base_h=24, base_w=24, channels=8, origin="overview"):
@@ -52,34 +52,52 @@ class TestSelectGrid:
         for _ in range(500):
             w = int(rng.integers(8, 513))
             h = int(rng.integers(8, 513))
-            assert select_grid(w, h) == scalar_grid_choice(w, h, DEFAULT_PROPOSALS)
+            assert select_grid(w, h) == scalar_grid_choice(w, h)
 
 
-class TestGenerateWindows:
+def value_rows_and_oracle(isp, n, grid):
+    """assemble_kv's values, and the same rows from scalar_roi_align of each
+    window's written-out box, both (n^2, levels*S, C)."""
+    c = isp.channels
+    _, v = assemble_kv(isp, n, grid, AttnParams.init(HiwinConfig(grid_side=n, channels=c)))
+    want = np.stack([
+        np.concatenate([
+            scalar_roi_align(f.data, window_box(f.height, f.width, n, i, j), grid).reshape(-1, c)
+            for f in isp.levels
+        ])
+        for i in range(n)
+        for j in range(n)
+    ])
+    return v, want
+
+
+class TestWindows:
+    """Window (i, j) of every level is the box window_box writes out: the
+    value rows of assemble_kv are scalar_roi_align of those boxes."""
+
     def test_exact_two_cell_windows(self):
-        ws = generate_windows([(24, 24)], 12)
-        boxes = ws.boxes[0]
-        np.testing.assert_allclose(boxes[:, :, 2] - boxes[:, :, 0], 2.0)
-        np.testing.assert_allclose(boxes[:, :, 3] - boxes[:, :, 1], 2.0)
-        np.testing.assert_allclose(boxes[3, 5], [10.0, 6.0, 12.0, 8.0])
+        # 24x24 at n=12: a 2x2 grid in a two-cell window samples its four cell centres
+        isp = FeaturePyramid(levels=random_pyramid(20, 24, 24).levels[:1])
+        v, want = value_rows_and_oracle(isp, 12, (2, 2))
+        np.testing.assert_array_equal(v, want)
+        cells = isp.levels[0].data.reshape(12, 2, 12, 2, 8).transpose(0, 2, 1, 3, 4)
+        np.testing.assert_array_equal(v, cells.reshape(144, 4, 8))
 
     def test_levels_cover_same_normalized_region(self):
-        ws = generate_windows([(24, 24), (48, 48), (96, 96)], 12)
-        for lvl, side in enumerate((24, 48, 96)):
-            np.testing.assert_allclose(ws.boxes[lvl] / side, ws.boxes[0] / 24)
+        # 24/48/96 at n=12: each level's box is the same region at its own scale
+        v, want = value_rows_and_oracle(random_pyramid(21, 24, 24), 12, (3, 3))
+        np.testing.assert_array_equal(v, want)
 
     def test_fractional_boundaries(self):
-        ws = generate_windows([(24, 30)], 12)
-        boxes = ws.boxes[0]
-        np.testing.assert_allclose(boxes[:, :, 2] - boxes[:, :, 0], 2.5)
-        np.testing.assert_allclose(boxes[0, :, 0], np.arange(12) * 2.5)
+        # 24x30 at n=12: 2.5-cell-wide windows
+        v, want = value_rows_and_oracle(random_pyramid(22, 24, 30), 12, (2, 3))
+        np.testing.assert_array_equal(v, want)
 
     def test_tiling_is_exact(self):
-        ws = generate_windows([(17, 23)], 5)
-        boxes = ws.boxes[0]
-        np.testing.assert_allclose(boxes[0, 0, :2], [0.0, 0.0])
-        np.testing.assert_allclose(boxes[-1, -1, 2:], [23.0, 17.0])
-        np.testing.assert_allclose(boxes[0, 1:, 0], boxes[0, :-1, 2])
+        # 17x23 at n=5: the library computes a far edge as j*W/n + W/n, which
+        # may differ from (j+1)*W/n in the last bit (4.2e-14 here)
+        v, want = value_rows_and_oracle(random_pyramid(23, 17, 23), 5, (4, 2))
+        np.testing.assert_allclose(v, want, rtol=0, atol=1e-12)
 
 
 class TestRoiAlign:
@@ -124,33 +142,31 @@ class TestRoiAlign:
 class TestAssembleKv:
     def test_key_stack_length(self):
         isp = random_pyramid(0)
-        ws = generate_windows([(m.height, m.width) for m in isp.levels], 12)
         params = AttnParams.init(HiwinConfig(channels=8), seed=0)
-        k, v = assemble_kv(isp, ws, (3, 3), params)
+        k, v = assemble_kv(isp, 12, (3, 3), params)
         assert k.shape == (144, 27, 8)
         assert v.shape == (144, 27, 8)
 
     def test_value_rows_equal_roi_align_of_each_window(self):
         isp = random_pyramid(14, base_h=10, base_w=14, channels=4)
         n = 5
-        ws = generate_windows([(m.height, m.width) for m in isp.levels], n)
         grid = select_grid(14, 10)
         s = grid[0] * grid[1]
-        _, v = assemble_kv(isp, ws, grid, AttnParams.init(HiwinConfig(grid_side=n, channels=4)))
+        _, v = assemble_kv(isp, n, grid, AttnParams.init(HiwinConfig(grid_side=n, channels=4)))
         for lvl, fmap in enumerate(isp.levels):
             for i in range(n):
                 for j in range(n):
-                    want = roi_align(fmap, ws.boxes[lvl][i, j], grid).reshape(s, 4)
-                    assert np.array_equal(v[i * n + j, lvl * s : (lvl + 1) * s], want)
+                    want = roi_align(fmap, window_box(fmap.height, fmap.width, n, i, j), grid).reshape(s, 4)
+                    # written far edges may differ from the library's in the last bit
+                    np.testing.assert_allclose(v[i * n + j, lvl * s : (lvl + 1) * s], want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("base_hw", [(24, 24), (18, 24), (7, 9), (24, 4)])
     @pytest.mark.parametrize("grid", [(3, 3), (2, 4)])
     def test_keys_are_values_plus_level_and_position_embeddings(self, base_hw, grid):
         n, c = 5, 8
         isp = random_pyramid(sum(base_hw), *base_hw, channels=c)
-        ws = generate_windows([(m.height, m.width) for m in isp.levels], n)
         params = AttnParams.init(HiwinConfig(grid_side=n, channels=c), seed=3)
-        k, v = assemble_kv(isp, ws, grid, params)
+        k, v = assemble_kv(isp, n, grid, params)
         rw, rh = grid
         s = rw * rh
         # zeta: the embedding of each window's nominal bin centres in [0, 1]^2
@@ -168,13 +184,12 @@ class TestAssembleKv:
     @pytest.mark.parametrize("emb_shape", [(2, 4), (3, 8), (12,)], ids=["too-few-rows", "channels", "flat"])
     def test_level_embeddings_that_do_not_fit_are_named(self, emb_shape):
         isp = random_pyramid(0, 6, 6, channels=4)
-        ws = generate_windows([(m.height, m.width) for m in isp.levels], 3)
         config = HiwinConfig(grid_side=3, channels=4)
         params = AttnParams.init(config)
         params.level_emb = np.zeros(emb_shape)
         want = rf"AttnParams.level_emb has shape \({emb_shape[0]},.*3-level pyramid of 4 channels"
         with pytest.raises(ValueError, match=want):
-            assemble_kv(isp, ws, (3, 3), params)
+            assemble_kv(isp, 3, (3, 3), params)
         with pytest.raises(ValueError, match=want):
             compress(isp, params, config)
 
@@ -185,22 +200,20 @@ class TestAssembleKv:
             for l in range(3)
         ]
         isp = FeaturePyramid(levels=levels)
-        ws = generate_windows([(m.height, m.width) for m in isp.levels], 3)
         params = AttnParams.init(HiwinConfig(grid_side=3, channels=4), seed=1)
         params.level_emb[:] = 0.0
-        k, _ = assemble_kv(isp, ws, (2, 2), params)
+        k, _ = assemble_kv(isp, 3, (2, 2), params)
         blocks = k[1 * 3 + 2].reshape(3, 4, 4)
         np.testing.assert_allclose(blocks[1], blocks[0], atol=1e-6)
         np.testing.assert_allclose(blocks[2], blocks[0], atol=1e-6)
 
     def test_swapping_level_embeddings_swaps_block_offsets(self):
         isp = random_pyramid(3, base_h=6, base_w=6, channels=4)
-        ws = generate_windows([(m.height, m.width) for m in isp.levels], 3)
         params = AttnParams.init(HiwinConfig(grid_side=3, channels=4), seed=2)
-        k1 = assemble_kv(isp, ws, (2, 2), params)[0][0]
+        k1 = assemble_kv(isp, 3, (2, 2), params)[0][0]
         swapped = AttnParams.init(HiwinConfig(grid_side=3, channels=4), seed=2)
         swapped.level_emb[[1, 2]] = params.level_emb[[2, 1]]
-        k2 = assemble_kv(isp, ws, (2, 2), swapped)[0][0]
+        k2 = assemble_kv(isp, 3, (2, 2), swapped)[0][0]
         s = 4  # samples per level
         np.testing.assert_allclose(
             k2[s : 2 * s] - k1[s : 2 * s],
@@ -243,9 +256,7 @@ class TestCompress:
         ]
         isp = FeaturePyramid(levels=levels)
         params = AttnParams.init(config, seed=5)
-        ws = generate_windows([(m.height, m.width) for m in isp.levels], 1)
-        grid = select_grid(1, 1, config.proposals)
-        k, v = (a[0] for a in assemble_kv(isp, ws, grid, params))
+        k, v = (a[0] for a in assemble_kv(isp, 1, select_grid(1, 1), params))
 
         q = params.queries.reshape(1, 4) + position_embedding_2d(np.array([[0.5, 0.5]]), 4)
         qp = q @ params.wq + params.bq
@@ -313,12 +324,13 @@ class TestCompress:
             cached += 1.0
 
 
-def zero_outside_window(isp, windows, index):
-    """Copy of the pyramid with features zeroed outside window (i, j)."""
+def zero_outside_window(isp, n, index):
+    """Copy of the pyramid with features zeroed outside window (i, j) of the
+    n x n windows of every level."""
     i, j = index
     levels = []
-    for lvl, fmap in enumerate(isp.levels):
-        x0, y0, x1, y1 = windows.boxes[lvl][i, j]
+    for fmap in isp.levels:
+        x0, y0, x1, y1 = window_box(fmap.height, fmap.width, n, i, j)
         masked = np.zeros_like(fmap.data)
         ys, ye = int(np.floor(y0)), int(np.ceil(y1))
         xs, xe = int(np.floor(x0)), int(np.ceil(x1))
@@ -332,12 +344,11 @@ class TestLocality:
         isp = random_pyramid(9)
         config = HiwinConfig(channels=8)
         params = AttnParams.init(config, seed=9)
-        windows = generate_windows([(m.height, m.width) for m in isp.levels], 12)
         full = compress(isp, params, config)
         rng = np.random.default_rng(10)
         for _ in range(5):
             i, j = int(rng.integers(0, 12)), int(rng.integers(0, 12))
-            masked = compress(zero_outside_window(isp, windows, (i, j)), params, config)
+            masked = compress(zero_outside_window(isp, 12, (i, j)), params, config)
             assert np.array_equal(full.data[i, j], masked.data[i, j])
 
     def test_inside_perturbation_changes_the_token(self):
