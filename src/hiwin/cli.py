@@ -7,11 +7,11 @@ is not an integer of at least 0 is a usage error.  ``--threads`` owns
 parallelism: the package import pins BLAS to one thread unless the
 environment sets it.
 
-Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numerical
-failure.  Each command runs with numpy's overflow, invalid-value and
-divide-by-zero warnings raised as errors, so such a failure exits 4 naming
-the command instead of printing a warning.  Diagnostics go to standard
-error.
+Exit codes: 0 success, 2 usage error, 3 data/format error or an input too
+large for memory, 4 numerical failure.  Each command runs with numpy's
+overflow, invalid-value and divide-by-zero warnings raised as errors, so
+such a failure exits 4 naming the command instead of printing a warning.
+Diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -244,12 +244,12 @@ def main(argv=None) -> int:
         # a NaN or inf that numpy would only warn about fails the command
         with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
             return args.func(args)
-    except FloatingPointError as e:
+    except (FloatingPointError, NumericalError) as e:
         print(f"numerical failure in {args.command}: {e}", file=sys.stderr)
         return 4
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 4
+    except MemoryError as e:
+        print(f"error: out of memory in {args.command}: {e}", file=sys.stderr)
+        return 3
     except (DataFormatError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -222,14 +222,14 @@ def grad_check(
     return worst
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator floor
+
+
 @dataclass
 class AdamState:
-    """Per-parameter moment accumulators plus hyperparameters."""
+    """Learning rate, step count and per-parameter moment accumulators."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -257,19 +257,19 @@ def adam_step(
         raise ValueError("adam_step: parameter/gradient/state length mismatch")
     state.step += 1
     t = state.step
-    correct1 = 1.0 - state.beta1**t
-    correct2 = 1.0 - state.beta2**t
+    correct1 = 1.0 - ADAM_BETA1**t
+    correct2 = 1.0 - ADAM_BETA2**t
     out = []
     for i, (p, g) in enumerate(zip(params, grads)):
         p = np.asarray(p, dtype=np.float64)
         g = np.asarray(g, dtype=np.float64)
         if p.shape != g.shape or p.shape != state.m[i].shape:
             raise ValueError(f"adam_step: shape mismatch at parameter {i}")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = state.m[i] / correct1
         v_hat = state.v[i] / correct2
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
     return out
 
 

@@ -13,6 +13,10 @@ map.  Each learnable query attends only to the RoI samples of its own
 window, concatenated across levels, so a token depends on exactly its
 window's content.
 
+:func:`cross_attention` serves both attention projectors, one batched GEMM
+per head product: :func:`compress` passes one group of one query per window,
+the resampler baseline one group of all N*N queries over every pyramid feature.
+
 RoI sampling convention: boxes are clamped to map bounds and split into
 r_h x r_w bins; one bilinear sample is taken per bin at the bin center, with
 the sample coordinate clamped half a cell inside the box so the
@@ -283,29 +287,25 @@ def cross_attention(
     heads: int,
     return_weights: bool = False,
 ):
-    """Multi-head scaled dot-product attention with output projection.
-
-    ``q`` is (Q, C).  ``k``/``v`` are (Q, L, C) for per-query key sets or
-    (L, C) for one key set shared by all queries.
+    """Multi-head scaled dot-product attention with output projection, over
+    groups: ``q`` is (G, Q, C) and ``k``/``v`` are (G, L, C), and the Q
+    queries of group g attend over the L keys of group g.  Returns the
+    (G, Q, C) outputs and, with ``return_weights``, the (G, heads, Q, L)
+    attention weights.  Both head products are one batched GEMM each.
     """
-    c = q.shape[-1]
+    g, nq, c = q.shape
     if c % heads:
         raise ValueError(f"channels {c} not divisible by heads {heads}")
     dk = c // heads
-    nq = q.shape[0]
-    qh = _linear(q, params.wq, params.bq).reshape(nq, heads, dk)
-    shared = k.ndim == 2
-    kv_shape = (-1, heads, dk) if shared else (nq, -1, heads, dk)
-    kh = _linear(k, params.wk, params.bk).reshape(kv_shape)
-    vh = _linear(v, params.wv, params.bv).reshape(kv_shape)
-    scores = np.einsum("qhd,lhd->qhl" if shared else "qhd,qlhd->qhl", qh, kh)
+    qh = _linear(q, params.wq, params.bq).reshape(g, nq, heads, dk).transpose(0, 2, 1, 3)
+    kh = _linear(k, params.wk, params.bk).reshape(g, -1, heads, dk).transpose(0, 2, 3, 1)
+    vh = _linear(v, params.wv, params.bv).reshape(g, -1, heads, dk).transpose(0, 2, 1, 3)
+    scores = qh @ kh  # (G, heads, Q, L)
     scores /= np.sqrt(dk)
     att = softmax(scores, axis=-1)
-    ctx = np.einsum("qhl,lhd->qhd" if shared else "qhl,qlhd->qhd", att, vh)
-    out = _linear(ctx.reshape(nq, c), params.wo, params.bo)
-    if return_weights:
-        return out, att
-    return out
+    ctx = (att @ vh).transpose(0, 2, 1, 3).reshape(g, nq, c)
+    out = _linear(ctx, params.wo, params.bo).reshape(g, nq, c)
+    return (out, att) if return_weights else out
 
 
 def compress(isp: FeaturePyramid, params: AttnParams, config: HiwinConfig) -> TokenMap:
@@ -329,5 +329,5 @@ def compress(isp: FeaturePyramid, params: AttnParams, config: HiwinConfig) -> To
     grid = select_grid(base.width, base.height)
     k, v = assemble_kv(isp, n, grid, params)
     q = params.queries.reshape(n * n, -1) + _sample_embedding(n, (1, 1), base.channels)[:, 0]
-    out = cross_attention(q, k, v, params, config.heads)
+    out = cross_attention(q[:, None], k, v, params, config.heads)
     return TokenMap(out.reshape(n, n, -1).astype(np.float32), origin=isp.origin)

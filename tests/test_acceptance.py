@@ -218,7 +218,7 @@ def test_ac8_normalization():
     # attention rows
     config = HiwinConfig(channels=8)
     params = AttnParams.init(config, seed=8)
-    q = rng.standard_normal((20, 8))
+    q = rng.standard_normal((20, 1, 8))
     k = rng.standard_normal((20, 9, 8))
     _, att = cross_attention(q, k, k, params, config.heads, return_weights=True)
     assert np.abs(att.sum(axis=-1) - 1.0).max() <= 1e-6

@@ -194,7 +194,20 @@ def test_feature_file_holding_nan_exits_4_naming_its_level(tmp_path, capsys):
     path.write_bytes(b"ISPF" + struct.pack("<5I", 1, 2, 2, 3, 4) + payload.tobytes())
     out = tmp_path / "o.ppm"
     assert main(["visualize", "--features", str(path), "--out", str(out)]) == 4
-    assert "ISPF level-2 map holds non-finite values" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure in visualize:" in err
+    assert "ISPF level-2 map holds non-finite values" in err
+    assert not out.exists()
+
+
+def test_an_input_too_large_for_memory_exits_3_and_writes_nothing(tmp_path, capsys):
+    # numpy refuses the 14e6 x 14e6 gradient image after two 112 MB linspaces
+    out = tmp_path / "x.ckpt"
+    argv = ["pretrain-vdim", "--corpus", "synthetic", "--size", "14000000", "--count", "1"]
+    assert main(argv + ["--steps", "0", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory in pretrain-vdim: Unable to allocate")
+    assert "Traceback" not in err
     assert not out.exists()
 
 

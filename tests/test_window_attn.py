@@ -372,19 +372,22 @@ class TestAttentionWeights:
         rng = np.random.default_rng(12)
         config = HiwinConfig(channels=8, heads=4)
         params = AttnParams.init(config, seed=12)
-        q = rng.standard_normal((10, 8))
+        q = rng.standard_normal((10, 1, 8))
         k = rng.standard_normal((10, 6, 8))
         v = rng.standard_normal((10, 6, 8))
         _, att = cross_attention(q, k, v, params, config.heads, return_weights=True)
         np.testing.assert_allclose(att.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_shared_key_attention_matches_per_query(self):
+        # one group of 5 queries over 7 shared keys equals 5 groups of one
+        # query over the same keys tiled
         rng = np.random.default_rng(13)
         config = HiwinConfig(channels=8, heads=2)
         params = AttnParams.init(config, seed=13)
         q = rng.standard_normal((5, 8))
         shared = rng.standard_normal((7, 8))
         tiled = np.broadcast_to(shared, (5, 7, 8))
-        a = cross_attention(q, shared, shared, params, config.heads)
-        b = cross_attention(q, tiled, tiled, params, config.heads)
-        np.testing.assert_allclose(a, b, atol=1e-10)
+        a = cross_attention(q[None], shared[None], shared[None], params, config.heads)
+        b = cross_attention(q[:, None], tiled, tiled, params, config.heads)
+        assert a.shape == (1, 5, 8) and b.shape == (5, 1, 8)
+        np.testing.assert_allclose(a[0], b[:, 0], atol=1e-10)
