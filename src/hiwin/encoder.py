@@ -10,6 +10,8 @@ a :class:`~hiwin.vdim.FeaturePyramid` of them goes straight to compression.
 ISPF file format (little-endian): magic ``ISPF``, u32 version=1, u32 level,
 u32 h, u32 w, u32 C, then h*w*C float32 values row-major, channel-fastest.
 NaN or inf is refused with ``NumericalError`` before the file is opened.
+A header with a height, width or channel count of 0 is refused with
+``DataFormatError`` naming the field.
 """
 
 from __future__ import annotations
@@ -118,6 +120,9 @@ def load_features(path) -> FeatureMap:
         h = read_u32(f, "height")
         w = read_u32(f, "width")
         c = read_u32(f, "channels")
+        for name, dim in (("height", h), ("width", w), ("channels", c)):
+            if dim == 0:
+                raise DataFormatError(f"ISPF header has 0 {name}")
         payload = read_exact(f, h * w * c * 4, "feature payload")
     data = finite_f4(np.frombuffer(payload, dtype="<f4"), f"ISPF level-{level} map")
     return FeatureMap(data.reshape(h, w, c).copy(), level=level, origin="file")

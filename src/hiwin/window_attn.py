@@ -13,9 +13,12 @@ map.  Each learnable query attends only to the RoI samples of its own
 window, concatenated across levels, so a token depends on exactly its
 window's content.
 
-:func:`cross_attention` serves both attention projectors, one batched GEMM
-per head product: :func:`compress` passes one group of one query per window,
-the resampler baseline one group of all N*N queries over every pyramid feature.
+:func:`cross_attention` serves both attention projectors: :func:`compress`
+passes one group of one query per window, the resampler baseline one group
+of all N*N queries over every pyramid feature.  Where each key and value is
+read by one query, as in every window, the key and value projections are
+folded into the query and the weighted sum instead of being applied to each
+sample; the resampler's shared keys and values are projected once.
 
 RoI sampling convention: boxes are clamped to map bounds and split into
 r_h x r_w bins; one bilinear sample is taken per bin at the bin center, with
@@ -291,19 +294,45 @@ def cross_attention(
     groups: ``q`` is (G, Q, C) and ``k``/``v`` are (G, L, C), and the Q
     queries of group g attend over the L keys of group g.  Returns the
     (G, Q, C) outputs and, with ``return_weights``, the (G, heads, Q, L)
-    attention weights.  Both head products are one batched GEMM each.
+    attention weights.  A ``heads`` below 1, or one that does not divide C,
+    raises ``ValueError``.
+
+    The operand shapes choose the order of the products.  Projecting every
+    key and value costs ``2 L C^2 + 2 Q L C`` multiply-adds per group;
+    folding the key and value projections into the queries costs
+    ``2 Q C^2 + 2 heads Q L C``, and is done when that is less, i.e. when
+    ``Q * (C + (heads - 1) * L) < L * C``.  Folded, head h scores key k as
+    ``(qh W_k,h^T) . k``: the ``qh . b_k,h`` term of ``qh . (k W_k,h + b_k,h)``
+    is the same for every key of a row, and the softmax cancels it.  The
+    weights sum the raw values, the sum goes through ``W_v,h``, and ``b_v,h``
+    is added once, since each row of weights sums to 1.  :func:`compress`
+    (one query per window) folds; the resampler baseline (N^2 queries over
+    every pyramid feature) projects.  Each product is one batched GEMM.
     """
     g, nq, c = q.shape
+    if heads < 1:
+        raise ValueError(f"heads must be a positive integer, got {heads}")
     if c % heads:
         raise ValueError(f"channels {c} not divisible by heads {heads}")
-    dk = c // heads
+    dk, l = c // heads, k.shape[1]
     qh = _linear(q, params.wq, params.bq).reshape(g, nq, heads, dk).transpose(0, 2, 1, 3)
-    kh = _linear(k, params.wk, params.bk).reshape(g, -1, heads, dk).transpose(0, 2, 3, 1)
-    vh = _linear(v, params.wv, params.bv).reshape(g, -1, heads, dk).transpose(0, 2, 1, 3)
-    scores = qh @ kh  # (G, heads, Q, L)
+    fold = nq * (c + (heads - 1) * l) < l * c
+    if fold:
+        u = qh @ params.wk.reshape(c, heads, dk).transpose(1, 2, 0)  # (G, heads, Q, C)
+        scores = (u.reshape(g, heads * nq, c) @ k.transpose(0, 2, 1)).reshape(g, heads, nq, l)
+    else:
+        kh = _linear(k, params.wk, params.bk).reshape(g, l, heads, dk).transpose(0, 2, 3, 1)
+        vh = _linear(v, params.wv, params.bv).reshape(g, l, heads, dk).transpose(0, 2, 1, 3)
+        scores = qh @ kh  # (G, heads, Q, L)
     scores /= np.sqrt(dk)
     att = softmax(scores, axis=-1)
-    ctx = (att @ vh).transpose(0, 2, 1, 3).reshape(g, nq, c)
+    if fold:
+        a = (att.reshape(g, heads * nq, l) @ v).reshape(g, heads, nq, c)
+        ctx = a @ params.wv.reshape(c, heads, dk).transpose(1, 0, 2)
+        ctx += params.bv.reshape(heads, 1, dk)
+    else:
+        ctx = att @ vh
+    ctx = ctx.transpose(0, 2, 1, 3).reshape(g, nq, c)
     out = _linear(ctx, params.wo, params.bo).reshape(g, nq, c)
     return (out, att) if return_weights else out
 

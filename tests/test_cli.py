@@ -187,6 +187,17 @@ def test_feature_header_larger_than_the_file_exits_3(tmp_path, capsys):
     assert "truncated feature payload" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["height", "width", "channels"])
+def test_feature_header_with_a_zero_dim_exits_3_naming_it(tmp_path, capsys, field):
+    dims = {"height": 4, "width": 4, "channels": 2, field: 0}
+    path = tmp_path / "empty.ispf"
+    path.write_bytes(b"ISPF" + struct.pack("<5I", 1, 0, *dims.values()) + bytes(4 * 4 * 4 * 2))
+    out = tmp_path / "o.ppm"
+    assert main(["visualize", "--features", str(path), "--out", str(out)]) == 3
+    assert f"ISPF header has 0 {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_feature_file_holding_nan_exits_4_naming_its_level(tmp_path, capsys):
     path = tmp_path / "nan.ispf"
     payload = np.ones((2, 3, 4), dtype="<f4")

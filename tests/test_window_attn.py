@@ -20,7 +20,7 @@ from hiwin.window_attn import (
     select_grid,
 )
 
-from helpers import window_box
+from helpers import scalar_cross_attention, window_box
 
 
 def random_pyramid(seed, base_h=24, base_w=24, channels=8, origin="overview"):
@@ -377,6 +377,35 @@ class TestAttentionWeights:
         v = rng.standard_normal((10, 6, 8))
         _, att = cross_attention(q, k, v, params, config.heads, return_weights=True)
         np.testing.assert_allclose(att.sum(axis=-1), 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "g, nq, l, c, heads",
+        [
+            (6, 1, 27, 16, 4),  # folds: one query per window, as in compress
+            (2, 12, 40, 8, 4),  # projects: many queries share each key
+            (3, 2, 9, 8, 1),  # folds, one head
+        ],
+    )
+    def test_matches_scalar_oracle(self, g, nq, l, c, heads):
+        rng = np.random.default_rng(14)
+        params = AttnParams.init(HiwinConfig(channels=c, heads=heads), seed=14)
+        for name in ("bq", "bk", "bv", "bo"):
+            setattr(params, name, rng.uniform(-0.5, 0.5, c))
+        q = rng.standard_normal((g, nq, c))
+        k = rng.standard_normal((g, l, c))
+        v = rng.standard_normal((g, l, c))
+        out, att = cross_attention(q, k, v, params, heads, return_weights=True)
+        want_out, want_att = scalar_cross_attention(q, k, v, params, heads)
+        np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(att, want_att, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("heads", [0, -2])
+    def test_heads_below_one_are_named(self, heads):
+        q = np.zeros((2, 1, 8))
+        k = np.zeros((2, 3, 8))
+        params = AttnParams.init(HiwinConfig(channels=8))
+        with pytest.raises(ValueError, match=rf"heads must be a positive integer, got {heads}"):
+            cross_attention(q, k, k, params, heads)
 
     def test_shared_key_attention_matches_per_query(self):
         # one group of 5 queries over 7 shared keys equals 5 groups of one
