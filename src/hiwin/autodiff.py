@@ -16,6 +16,8 @@ finite-difference checks need 64-bit accumulation to reach their tolerances.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .numerics import NumericalError, resize_matrix, softmax as _softmax
@@ -81,17 +83,69 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
 
 RADIUS = 3  # guided-upsampling window radius (7x7); checkpoints do not record it
 _K = 2 * RADIUS + 1
-_TILE = 8  # output columns per banded block of guided_upsample
-_SPAN = _TILE + 2 * RADIUS  # source columns of one tile's windows
+_TILE = 8  # cells per banded tile of guided_upsample
 _BLOCK_ELEMS = 1 << 15  # float64 entries per row block of guided_upsample (256 KiB)
 # the window offsets (dy, dx), as start corners in an edge-padded map, in
 # row-major order: the order of the weight axis K
 _DY, _DX = np.divmod(np.arange(_K * _K), _K)
 _DIST2 = ((_DY - RADIUS) ** 2 + (_DX - RADIUS) ** 2).astype(np.float64)  # from the window center
-# cell x of a tile meets offset (dy, dx) at row dy * _SPAN + x + dx of its
-# patch: the flat positions of each cell's K entries in the tile's
-# flattened (_TILE, _K * _SPAN) band
-_INDEX = (np.arange(_TILE)[:, None] * (_K * _SPAN + 1) + _DY * _SPAN + _DX).reshape(-1)
+# The 2x lift.  The window rows y - r .. y + r of output row y = 2i + p read
+# the coarse rows i - _PAD .. i + _PAD, with the (K, _CK) taps
+# _LIFT[p : p + K]: rows of a 2x resize matrix whose taps are never clamped.
+_PAD = (RADIUS + 1) // 2  # edge padding of the coarse map
+_CK = 2 * _PAD + 1  # coarse cells per window axis
+_LIFT = resize_matrix(_CK, 2 * _CK)[2 * _PAD - RADIUS :]
+# the composite weights of an output cell of row and column parity (p, q)
+# are its (K, K) weights w mapped to (_CK, _CK) coarse ones Ry[p]^T w Rx[q]:
+# row-major flattened, w @ _COMPOSE[p][q]
+_COMPOSE = [[np.kron(_LIFT[p : p + _K], _LIFT[q : q + _K]) for q in (0, 1)] for p in (0, 1)]
+_CA, _CB = np.divmod(np.arange(_CK * _CK), _CK)  # the coarse offsets (a, b) of a composite weight
+
+
+class _Bands(NamedTuple):
+    """Layout of one banded window operation of :func:`guided_upsample`.
+
+    Output row y is cut into tiles of ``cells`` cells; in the 2x mix, two
+    output rows (phases) share each window row.  Tile t reads the source
+    window of ``window`` (rows, columns) cells that starts at row
+    ``y * step[0]`` and column ``t * step[1]``, flattened row-major into a
+    patch.  ``index`` holds the flat position of each cell's taps, in tap
+    order, in a tile's (``cells``, patch rows) band.
+    """
+
+    window: tuple[int, int]
+    step: tuple[int, int]
+    cells: int
+    index: np.ndarray
+
+
+def _bands(window, step, cells, rows, cols) -> _Bands:
+    """The layout whose cell x reads its taps at patch rows ``rows`` and
+    columns ``cols[x]``, (taps,) and (cells, taps) integer arrays."""
+    index = (np.arange(cells)[:, None] * window[0] + rows) * window[1] + cols
+    return _Bands(window, step, cells, index.reshape(-1))
+
+
+# the 7x7 window sums on the guide's grid: cell x reads (dy, x + dx) of
+# its tile's window, rows y .. y + 2r of the map edge-padded by r
+_FINE = _bands((_K, _TILE + 2 * RADIUS), (1, _TILE), _TILE, _DY, np.arange(_TILE)[:, None] + _DX)
+# the 2x mix: output rows 2i and 2i + 1, columns 2j .. 2j + 2T - 1 of a tile
+# read the coarse rows i .. i + 2 * _PAD and columns j .. j + T + 2 * _PAD - 1
+# of the map edge-padded by _PAD; cell x reads (a, x // 2 + b)
+_COARSE = _bands(
+    (_CK, _TILE + 2 * _PAD), (1, _TILE), 2 * _TILE, _CA, np.arange(2 * _TILE)[:, None] // 2 + _CB
+)
+# its adjoint: padded coarse cell (I, J) gets g[2(I - a) + p, 2(J - b) + q]
+# times that cell's composite weight (a, b), taps in (a, b, p, q) order; the
+# window of row I is rows 2I .. 2I + 2 * _CK - 1 of g zero-padded by 4 * _PAD
+_AB, _P, _Q = np.unravel_index(np.arange(4 * _CK * _CK), (_CK * _CK, 2, 2))
+_ADJOINT = _bands(
+    (2 * _CK, 2 * _TILE + 4 * _PAD),
+    (2, 2 * _TILE),
+    _TILE,
+    2 * (2 * _PAD - _CA[_AB]) + _P,
+    2 * (np.arange(_TILE)[:, None] + 2 * _PAD - _CB[_AB]) + _Q,
+)
 
 
 def _row_blocks(h: int, row_elems: int) -> list[tuple[int, int]]:
@@ -99,18 +153,30 @@ def _row_blocks(h: int, row_elems: int) -> list[tuple[int, int]]:
     an operand that holds ``row_elems`` entries per row.
 
     :func:`guided_upsample` loops over these blocks so that each block's
-    operands stay in cache: the window gathers size them by the gathered
-    map, the banded products by their per-row patches.  Every cell is
-    computed by the same operations in any block, so results do not depend
-    on the block size.
+    operands stay in cache: the banded products size them by their per-row
+    patches or bands, the composite weights by the weights they read.
+    Every cell is computed by the same operations in any block, so results
+    do not depend on the block size.
     """
     rows = max(1, _BLOCK_ELEMS // row_elems)
     return [(y0, min(y0 + rows, h)) for y0 in range(0, h, rows)]
 
 
-def _edge_index(n: int) -> np.ndarray:
-    """Source cells of the n + 2r cells of an axis edge-padded by ``RADIUS``."""
-    return np.clip(np.arange(-RADIUS, n + RADIUS), 0, n - 1)
+def _edge_index(n: int, pad: int) -> np.ndarray:
+    """Source cells of the n + 2 * ``pad`` cells of an axis edge-padded by ``pad``."""
+    return np.clip(np.arange(-pad, n + pad), 0, n - 1)
+
+
+def _fold_edges(a: np.ndarray, pad: int) -> np.ndarray:
+    """The adjoint of edge padding by ``pad``: each cell of the map gets the
+    sum of ``a`` over the padded cells that copy it."""
+    rows = a[pad:-pad].copy()
+    rows[0] += a[:pad].sum(axis=0)
+    rows[-1] += a[-pad:].sum(axis=0)
+    out = rows[:, pad:-pad].copy()
+    out[:, 0] += rows[:, :pad].sum(axis=1)
+    out[:, -1] += rows[:, -pad:].sum(axis=1)
+    return out
 
 
 def _zero_pad(a: np.ndarray, at: int, hw: tuple[int, int]) -> np.ndarray:
@@ -120,96 +186,115 @@ def _zero_pad(a: np.ndarray, at: int, hw: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def _aligned(w: int) -> int:
-    """``w`` output columns rounded up to whole tiles of :func:`_tiled`."""
-    return -(-w // _TILE) * _TILE
+def _tiled(src: np.ndarray, bands: _Bands, h: int, n: int, product) -> None:
+    """Call ``product(y0, y1, patches)`` over row blocks of h output rows
+    of n tiles each, as laid out by ``bands``; ``patches`` (rows, 1, n,
+    patch rows, C) holds each tile's source window of ``src``, zero past
+    its right edge, with a phase axis to broadcast over.
 
-
-def _tiled(a: np.ndarray, src_pad: np.ndarray, w: int, out_c: int, product) -> np.ndarray:
-    """One window operation of :func:`guided_upsample` as banded products
-    over column tiles; returns its (H, ``w``, ``out_c``) result as a view on
-    the tile-aligned output, so that a ragged last tile adds no output copy.
-
-    ``a`` (H, ., .) holds each cell's operand and ``src_pad`` the padded
-    (H + 2r, ., C) source of the ``w`` output columns, cut into tiles of
-    ``_TILE`` cells; an operand narrower than the tile-aligned width is
-    zero-padded to it.  A tile's cells read the ``(_K, _SPAN)`` source
-    window ``src_pad[y : y + _K, x0 : x0 + _SPAN]``, flattened into a patch
-    of ``_K * _SPAN`` rows; ``_INDEX`` places each cell's K offsets in the
-    tile's band.  ``product(a_tiles, patches, out)`` fills a row block's
-    (rows, n, _TILE, out_c) ``out`` from its (rows, n, _TILE, .) tiles of
-    ``a`` and (rows, n, _K * _SPAN, C) patches.
+    Blocks are sized by the larger per-row operand of a product: the
+    patches or the bands.
     """
-    h = a.shape[0]
-    c = src_pad.shape[-1]
-    n = -(-w // _TILE)  # tiles per row
-    if a.shape[1] < n * _TILE:
-        a = _zero_pad(a, 0, (h, n * _TILE))
-    if src_pad.shape[1] < n * _TILE + 2 * RADIUS:
-        src_pad = _zero_pad(src_pad, 0, (h + 2 * RADIUS, n * _TILE + 2 * RADIUS))
-    # (H, n, C, k, _SPAN) view of every tile's source window
-    windows = np.lib.stride_tricks.sliding_window_view(src_pad, (_K, _SPAN), axis=(0, 1))[:, ::_TILE]
-    out = np.empty((h, n, _TILE, out_c), dtype=np.float64)
-    # row blocks sized by the larger per-row operand: the patches or the bands
-    for y0, y1 in _row_blocks(h, n * _K * _SPAN * max(c, _TILE)):
-        rows = y1 - y0
-        patches = windows[y0:y1].transpose(0, 1, 3, 4, 2).reshape(rows, n, -1, c)
-        product(a[y0:y1].reshape(rows, n, _TILE, -1), patches, out[y0:y1])
+    (kh, kw), (sy, sx) = bands.window, bands.step
+    c = src.shape[-1]
+    if src.shape[1] < (n - 1) * sx + kw:
+        src = _zero_pad(src, 0, (src.shape[0], (n - 1) * sx + kw))
+    # (., ., C, kh, kw) view of every tile's source window
+    windows = np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(0, 1))[::sy, ::sx]
+    for y0, y1 in _row_blocks(h, n * kh * kw * max(c, bands.cells)):
+        patches = windows[y0:y1, :n].transpose(0, 1, 3, 4, 2).reshape(y1 - y0, 1, n, kh * kw, c)
+        product(y0, y1, patches)
         del patches  # the next block's patches reuse this memory
-    return out.reshape(h, n * _TILE, out_c)[:, :w]
 
 
-def _banded_mix(weights: np.ndarray, src_pad: np.ndarray, w: int) -> np.ndarray:
-    """(H, w, C) ``out[y, x] = sum_k weights[y, x, k] * src_pad[y + dy, x + dx]``
-    for (H, ., K) weights and a padded (H + 2r, ., C) source.
+def _mix(tiles_of, src: np.ndarray, bands: _Bands, out: np.ndarray) -> None:
+    """Fill ``out`` (h, P, n, cells, C) with the window sums ``B @ patch``
+    of every tile over ``src``.  ``tiles_of(y0, y1)`` gives a row block's
+    (rows, P, n, cells * taps) tap weights, which scatter by
+    ``bands.index`` into each tile's zero band ``B``."""
 
-    A tile's weights scatter by ``_INDEX`` into its banded block ``B`` and
-    the window sum is ``B @ patch``.
-    """
+    def product(y0, y1, patches):
+        tiles = tiles_of(y0, y1)
+        band = np.zeros(tiles.shape[:3] + (bands.cells * patches.shape[-2],), dtype=np.float64)
+        band[..., bands.index] = tiles
+        np.matmul(band.reshape(band.shape[:3] + (bands.cells, -1)), patches, out=out[y0:y1])
 
-    def product(tiles, patches, out):
-        rows, n = tiles.shape[:2]
-        bands = np.zeros((rows, n, _TILE * patches.shape[2]), dtype=np.float64)
-        bands[:, :, _INDEX] = tiles.reshape(rows, n, -1)
-        np.matmul(bands.reshape(rows, n, _TILE, -1), patches, out=out)
+    _tiled(src, bands, out.shape[0], out.shape[2], product)
 
-    return _tiled(weights, src_pad, w, src_pad.shape[-1], product)
+
+def _dots(a: np.ndarray, src: np.ndarray, bands: _Bands, put) -> None:
+    """The transpose of :func:`_mix`: ``put(y0, y1, dots)`` gets a row
+    block's (rows, P, n, cells * taps) dot products of each cell of ``a``
+    (h, P, n, cells, C) with the source cells of its taps.  ``a_tile @
+    patch.T`` fills each tile's band, and gathering ``bands.index`` from
+    it picks each cell's taps."""
+
+    def product(y0, y1, patches):
+        band = np.matmul(a[y0:y1], patches.swapaxes(-1, -2))
+        put(y0, y1, band.reshape(band.shape[:3] + (-1,))[..., bands.index])
+
+    _tiled(src, bands, a.shape[0], a.shape[2], product)
+
+
+def _fine_tiles(a: np.ndarray, n: int) -> np.ndarray:
+    """(H, 1, n, _TILE, .) tiles of the cells of an (H, W, .) map, zero past W."""
+    if a.shape[1] < n * _TILE:
+        a = _zero_pad(a, 0, (a.shape[0], n * _TILE))
+    return a.reshape(a.shape[0], 1, n, _TILE, -1)
+
+
+def _banded_mix(weights: np.ndarray, src_pad: np.ndarray) -> np.ndarray:
+    """(H, W, C) ``out[y, x] = sum_k weights[y, x, k] * src_pad[y + dy, x + dx]``
+    for (H, W, K) weights and a source (H + 2r, W + 2r, C) edge-padded by r."""
+    h, w = weights.shape[:2]
+    n = -(-w // _TILE)
+    tiles = _fine_tiles(weights, n).reshape(h, 1, n, -1)
+    out = np.empty((h, 1, n, _TILE, src_pad.shape[-1]), dtype=np.float64)
+    _mix(lambda y0, y1: tiles[y0:y1], src_pad, _FINE, out)
+    return out.reshape(h, n * _TILE, -1)[:, :w]
 
 
 def _window_dots(a: np.ndarray, src_pad: np.ndarray) -> np.ndarray:
     """(H, W, K) dot products of each cell of ``a`` (H, W, C) with the cells
-    of its window in ``src_pad``: ``out[y, x, k] = a[y, x] . src_pad[y + dy, x + dx]``.
+    of its window in ``src_pad``: ``out[y, x, k] = a[y, x] . src_pad[y + dy, x + dx]``."""
+    h, w = a.shape[:2]
+    n = -(-w // _TILE)
+    out = np.empty((h, 1, n, _TILE * _K * _K), dtype=np.float64)
 
-    The transpose of :func:`_banded_mix`: a tile's products with every row
-    of its patch, ``a_tile @ patch.T``, fill its band, and gathering
-    ``_INDEX`` from the band picks each cell's K offsets.
-    """
+    def put(y0, y1, dots):
+        out[y0:y1] = dots
 
-    def product(tiles, patches, out):
-        rows, n = tiles.shape[:2]
-        bands = np.matmul(tiles, patches.swapaxes(-1, -2)).reshape(rows, n, -1)
-        out[...] = bands[:, :, _INDEX].reshape(out.shape)
-
-    return _tiled(a, src_pad, a.shape[1], _K * _K, product)
+    _dots(_fine_tiles(a, n), src_pad, _FINE, put)
+    return out.reshape(h, n * _TILE, -1)[:, :w]
 
 
-def _flipped(weights: np.ndarray) -> np.ndarray:
-    """Weights of the adjoint of :func:`_banded_mix` in its padded source,
-    at the tile-aligned width of the (H + 2r, W + 2r) padded grid.
-
-    The padded-source gradient adds ``g[y, x] * weights[y, x, k]`` at
-    ``(y + dy, x + dx)``.  Read from the receiving cell (Y, X), that is
-    itself a window sum on the padded grid over ``g`` zero-padded by 2r:
-    its offset K-1-k reads ``g[Y - dy, X - dx]`` and weighs it by
-    ``weights[Y - dy, X - dx, k]``, zero off the map.  These flipped weights
-    take one (H, W) slice copy per offset, so the adjoint is a forward
-    :func:`_banded_mix` with no overlapping adds.
-    """
-    h, w, kk = weights.shape
-    out = np.zeros((h + 2 * RADIUS, _aligned(w + 2 * RADIUS), kk), dtype=np.float64)
-    for k, (dy, dx) in enumerate(zip(_DY, _DX)):
-        out[dy : dy + h, dx : dx + w, kk - 1 - k] = weights[:, :, k]
+def _composite(weights: np.ndarray, y0: int, y1: int, width: int) -> np.ndarray:
+    """(rows, 2, ``width``, _CK^2) composite weights of output rows
+    2 * y0 .. 2 * y1 - 1, their row parity on axis 1, from the (H, W, K)
+    ``weights``; zero past column W."""
+    rows, w = y1 - y0, weights.shape[1] // 2
+    out = np.zeros((rows, 2, width, _CK * _CK), dtype=np.float64)
+    cells = weights[2 * y0 : 2 * y1].reshape(rows, 2, w, 2, -1)
+    for p in (0, 1):
+        for q in (0, 1):
+            np.matmul(cells[:, p, :, q], _COMPOSE[p][q], out=out[:, p, q : 2 * w : 2])
     return out
+
+
+def _flipped(weights: np.ndarray, width: int) -> np.ndarray:
+    """The taps of the adjoint of the 2x mix: the (h + 2 * _PAD, 1, .,
+    _TILE * 4 * _CK^2) tiles, ``width`` cells wide, of the composite
+    weights of (H, W, K) ``weights`` read from the cells of the padded map
+    that receive them.  Padded cell (i + a, j + b) gets output cell
+    (2i + p, 2j + q)'s weight (a, b) as its tap (a, b, p, q); one slice
+    copy per (a, b) places them."""
+    h, w = weights.shape[0] // 2, weights.shape[1] // 2
+    out = np.zeros((h + 2 * _PAD, width, _CK * _CK, 2, 2), dtype=np.float64)
+    for y0, y1 in _row_blocks(h, 4 * w * _K * _K):
+        wc = _composite(weights, y0, y1, 2 * w).reshape(y1 - y0, 2, w, 2, -1)
+        for k, (a, b) in enumerate(zip(_CA, _CB)):
+            out[y0 + a : y1 + a, b : b + w, k] = wc[..., k].transpose(0, 2, 1, 3)
+    return out.reshape(h + 2 * _PAD, 1, width // _TILE, -1)
 
 
 def guided_weights(guide: np.ndarray, proj_w, proj_b, log_sigma_dist, log_sigma_sim):
@@ -231,7 +316,7 @@ def guided_weights(guide: np.ndarray, proj_w, proj_b, log_sigma_dist, log_sigma_
     h, w = guide.shape[:2]
     g_hat = np.concatenate([guide, np.ones((h, w, 1))], axis=-1)
     m = np.vstack([proj_w, proj_b])
-    g_hat_pad = g_hat[_edge_index(h)][:, _edge_index(w)]
+    g_hat_pad = g_hat[_edge_index(h, RADIUS)][:, _edge_index(w, RADIUS)]
     logits = _window_dots(g_hat @ (m @ m.T), g_hat_pad)
     sigma_sim = np.exp(log_sigma_sim)
     logits /= sigma_sim * sigma_sim
@@ -244,30 +329,38 @@ def guided_weights(guide: np.ndarray, proj_w, proj_b, log_sigma_dist, log_sigma_
 
 
 def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim) -> Tensor:
-    """Joint bilateral upsampling of a feature map to its guide's grid, fused.
+    """Joint bilateral 2x upsampling of a feature map to its guide's grid, fused.
 
-    ``feats`` (h', w', C) is the feature map and ``guide`` (H, W, 3) the
+    ``feats`` (h, w, C) is the feature map and ``guide`` (2h, 2w, 3) the
     guidance image, a constant; ``proj_w`` (3, D) and ``proj_b`` (D,)
-    project its pixels and the two log-sigmas are scalars.  ``feats`` is
-    lifted bilinearly (align-corners false) straight onto the grid
-    edge-padded by ``RADIUS``: a padding row or column of the resize
-    matrices repeats the taps of the border cell it copies.  Output cell
-    (y, x) is the weighted sum of the lift over its 7x7 window, the cell's
-    edge-clamped neighbors, with the joint-bilateral weights of
-    :func:`guided_weights`.
+    project its pixels and the two log-sigmas are scalars.  Output cell
+    (y, x) is the weighted sum over its 7x7 window, the cell's edge-clamped
+    neighbors, of the bilinear 2x lift of ``feats`` (align-corners false),
+    with the joint-bilateral weights ``w`` of :func:`guided_weights`.  Any
+    other ratio of guide to map raises ``ValueError``.
+
+    The lift is never built.  Both steps are linear, so the mix reads the
+    map edge-padded by 2 through the (5, 5) composite weights
+    ``Ry[p]^T w[y, x] Rx[q]``, where ``Ry[p]`` and ``Rx[q]`` are the lift
+    taps of the window rows and columns of an output cell of row and column
+    parity p and q: constants taken from ``resize_matrix``.  Every window
+    operation is a banded product over tiles of cells (:func:`_tiled`).
+    Output rows 2i and 2i + 1 and the 2T columns of a tile read one
+    (5, T + 4) coarse patch, and each row block builds the composite
+    weights it mixes.  In the VJP, the composite weights' gradient ``dWc``
+    is the window dots of ``g`` with the coarse patches, and it goes back
+    as ``dw = Ry dWc Rx^T``.  The map's gradient is the adjoint mix: a
+    forward banded mix of ``g`` over the composite weights flipped onto
+    the padded map's cells (:func:`_flipped`), whose padding is then folded
+    back.
 
     The projection is linear in the pixel, so the similarity logits go
     through the 4x4 Gram ``A = M M^T`` of ``M = [proj_w; proj_b]`` and only
-    4-channel guide maps are built, never the (H, W, D) projection.  Every
-    window operation is one banded product over column tiles
-    (:func:`_tiled`): the logits and the weight gradient are
-    :func:`_window_dots` (``a_tile @ patch.T``), and the forward output,
-    the Gram gradient and the lift's gradient are :func:`_banded_mix`
-    (``B @ patch``).  The lift's gradient is a forward mix of the
-    zero-padded gradient over :func:`_flipped` weights on the padded grid,
-    which the transposed resize matrices fold back onto ``feats``.  No
-    (H, W, K, C) neighbor array is built.  Gradients flow to every operand
-    but ``guide``; without one that requires grad, the logits are dropped
+    4-channel guide maps are built, never the (H, W, D) projection: the
+    logits are window dots (``a_tile @ patch.T``) and the Gram gradient a
+    banded mix (``B @ patch``) on the guide's grid.  No (H, W, K, C)
+    neighbor array is built.  Gradients flow to every operand but
+    ``guide``; without one that requires grad, the logits are dropped
     before the mix and no VJP recorded.
     """
     feats, proj_w, proj_b = as_tensor(feats), as_tensor(proj_w), as_tensor(proj_b)
@@ -277,28 +370,53 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
         raise ValueError("guided_upsample expects an (h', w', C) map and an (H, W, 3) guide")
     if proj_b.data.ndim != 1 or proj_w.data.shape != (3, proj_b.data.size):
         raise ValueError("guided_upsample expects a (3, D) proj_w and a (D,) proj_b")
-    h, w = guide.shape[:2]
-    rows = resize_matrix(feats.data.shape[0], h)[_edge_index(h)]
-    cols = resize_matrix(feats.data.shape[1], w)[_edge_index(w)]
-    lift = np.tensordot(rows, feats.data, axes=(1, 0))  # (H + 2r, w', C)
-    up_pad = np.matmul(cols, lift)  # (H + 2r, W + 2r, C)
-    del lift
+    h, w, c = feats.data.shape
+    if guide.shape[:2] != (2 * h, 2 * w):
+        raise ValueError(
+            f"guide dims {guide.shape[1]}x{guide.shape[0]} do not match 2x feature dims "
+            f"{2 * w}x{2 * h} of the {w}x{h} map"
+        )
+    n = -(-w // _TILE)  # tiles per row: _TILE map, 2 * _TILE output columns
+    f_pad = feats.data[_edge_index(h, _PAD)][:, _edge_index(w, _PAD)]
     operands = (feats, proj_w, proj_b, lsd, lss)
     weights, logits, g_hat, g_hat_pad = guided_weights(guide, proj_w.data, proj_b.data, lsd.data, lss.data)
     if not any(p.requires_grad for p in operands):
         logits = g_hat = g_hat_pad = None  # inference keeps only the weights through the mix
-    out = np.ascontiguousarray(_banded_mix(weights, up_pad, w))
+    out = np.empty((h, 2, n, 2 * _TILE, c), dtype=np.float64)
+
+    def tiles_of(y0, y1):  # each row block builds the composite weights it mixes
+        return _composite(weights, y0, y1, n * 2 * _TILE).reshape(y1 - y0, 2, n, -1)
+
+    _mix(tiles_of, f_pad, _COARSE, out)
+    out = np.ascontiguousarray(out.reshape(2 * h, -1, c)[:, : 2 * w])
 
     def vjp(g):
-        # the lift's gradient first, so that its padded-grid temporaries are
-        # gone before the weight gradients are built
-        g_pad = _zero_pad(g, 2 * RADIUS, (h + 4 * RADIUS, _aligned(w + 2 * RADIUS) + 2 * RADIUS))
-        g_up = _banded_mix(_flipped(weights), g_pad, w + 2 * RADIUS)
+        # the map's gradient first, so that the flipped weights are gone
+        # before the weight gradients are built: the adjoint mix onto the
+        # padded map, whose row I reads rows 2I .. of g zero-padded by 4 * _PAD
+        hp, wp = h + 2 * _PAD, w + 2 * _PAD
+        nf = -(-wp // _TILE)
+        flipped = _flipped(weights, nf * _TILE)
+        g_zero = _zero_pad(g, 4 * _PAD, (2 * hp + 4 * _PAD, 2 * nf * _TILE + 4 * _PAD))
+        g_pad = np.empty((hp, 1, nf, _TILE, c), dtype=np.float64)
+        _mix(lambda y0, y1: flipped[y0:y1], g_zero, _ADJOINT, g_pad)
+        del flipped, g_zero
+        g_feats = _fold_edges(g_pad.reshape(hp, -1, c)[:, :wp], _PAD)
         del g_pad
-        g_lift = np.tensordot(rows.T, g_up, axes=(1, 0))  # (h', W + 2r, C)
-        g_feats = np.matmul(cols.T, g_lift)  # (h', w', C)
-        del g_up, g_lift
-        g_weights = _window_dots(g, up_pad)
+        # the composite weights' gradient, window dots of g with the map's
+        # patches, and from it the weights' own, dw = Ry dWc Rx^T
+        g_weights = np.empty_like(weights)
+
+        def put(y0, y1, dots):
+            dots = dots.reshape(y1 - y0, 2, -1, _CK * _CK)
+            cells = g_weights[2 * y0 : 2 * y1].reshape(y1 - y0, 2, w, 2, -1)
+            for p in (0, 1):
+                for q in (0, 1):
+                    np.matmul(dots[:, p, q : 2 * w : 2], _COMPOSE[p][q].T, out=cells[:, p, :, q])
+
+        g_tiles = _zero_pad(g, 0, (2 * h, n * 2 * _TILE)).reshape(h, 2, n, 2 * _TILE, c)
+        _dots(g_tiles, f_pad, _COARSE, put)
+        del g_tiles
         # weights = softmax(logits - |dxy|^2 / (2 sigma_dist^2))
         g_logits = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
         sigma_dist = np.exp(lsd.data)
@@ -308,7 +426,7 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
         g_dots = g_logits / (sigma_sim * sigma_sim)
         # dots = g_hat A g_hat_pad^T, so dA = g_hat^T (window sum of g_dots
         # over g_hat_pad) and, with A = M M^T, dM = (dA + dA^T) M
-        g_gram = g_hat.reshape(-1, 4).T @ _banded_mix(g_dots, g_hat_pad, w).reshape(-1, 4)
+        g_gram = g_hat.reshape(-1, 4).T @ _banded_mix(g_dots, g_hat_pad).reshape(-1, 4)
         g_m = (g_gram + g_gram.T) @ np.vstack([proj_w.data, proj_b.data])
         return g_feats, g_m[:3], g_m[3], np.asarray(g_lsd), np.asarray(g_lss)
 

@@ -12,11 +12,12 @@ encoding.  Reordering a field of these dataclasses changes the format.
 
 The format holds exactly two detail-injection levels (three pyramid levels
 for the level embeddings): the header does not record the depth, so
-``save_checkpoint`` refuses any other depth, and 0 channels, before it
-writes anything.  It records no geometry either: the guided-upsampling
-radius 3 (a 7x7 window) and the patch side 14 are fixed by the format, as
-the constants ``autodiff.RADIUS``, ``DownsamplerParams.patch`` and
-``EncoderSpec.patch``.  The loader refuses a header with 0 channels, builds
+``save_checkpoint`` refuses any other depth before it writes anything, as
+it does 0 channels and any attention header or tensor shape that the
+loader's own checks would refuse.  It records no geometry either: the
+guided-upsampling radius 3 (a 7x7 window) and the patch side 14 are fixed
+by the format, as the constants ``autodiff.RADIUS``,
+``DownsamplerParams.patch`` and ``EncoderSpec.patch``.  The loader refuses a header with 0 channels, builds
 header-shaped parameters with the classes' own ``init``, fills them in
 place, and raises :class:`~hiwin.formats.DataFormatError` naming the first
 tensor whose shape disagrees.  A checkpoint without an attention section
@@ -67,8 +68,15 @@ def save_checkpoint(
     if down.channels < 1:
         raise ValueError(f"checkpoints need at least 1 channel; the downsampler has {down.channels}")
     vdim_fields = trainable_arrays(vdim, down)
-    attn_fields = [] if attn is None else _attn_arrays(attn)
-    for name, arr in vdim_fields + attn_fields:
+    templates = trainable_arrays(*_vdim_template(vdim.d_proj, down.channels))
+    attn_fields = []
+    if attn is not None:
+        grid_side, channels = attn.queries.shape[0], attn.queries.shape[-1]
+        _check_attn_header(grid_side, heads, channels, down.channels, ValueError)
+        attn_fields = _attn_arrays(attn)
+        templates += _attn_arrays(_attn_template(grid_side, channels))
+    for (name, arr), (_, target) in zip(vdim_fields + attn_fields, templates):
+        _check_shape(name, np.shape(arr), target, ValueError)
         finite_f4(arr, f"checkpoint tensor {name}")
     with open(path, "wb") as f:
         f.write(VDIM_MAGIC)
@@ -92,15 +100,36 @@ def _attn_arrays(attn: AttnParams) -> list[tuple[str, np.ndarray]]:
     return [(f.name, getattr(attn, f.name)) for f in fields(attn)]
 
 
-def _read_into(f: BinaryIO, tensors: Iterable[tuple[str, np.ndarray]]) -> None:
-    """Read each named tensor into its template array, whose shape the
+def _vdim_template(d_proj: int, channels: int) -> tuple[VdimParams, DownsamplerParams]:
+    """Parameters of the shapes that a VDIM header of d_proj and C fixes."""
+    return VdimParams.init(d_proj, levels=LEVELS), DownsamplerParams.init(channels, levels=LEVELS)
+
+
+def _attn_template(grid_side: int, channels: int) -> AttnParams:
+    """Parameters of the shapes that an HATT header of N and C fixes."""
+    return AttnParams.init(HiwinConfig(grid_side=grid_side, channels=channels), levels=LEVELS + 1)
+
+
+def _check_attn_header(grid_side: int, heads: int, channels: int, vdim_channels: int, error) -> None:
+    """Refuse with ``error`` an attention header that the model cannot use."""
+    if channels != vdim_channels:
+        raise error(f"attention channels {channels} != detail-injection channels {vdim_channels}")
+    if grid_side == 0 or heads < 1 or channels % heads:
+        raise error(f"bad attention header: N={grid_side}, heads={heads}, C={channels}")
+
+
+def _check_shape(name: str, shape: tuple[int, ...], target: np.ndarray, error) -> None:
+    """Refuse with ``error`` a tensor not of its template's shape, which the
     header fixed."""
+    if shape != target.shape:
+        raise error(f"checkpoint tensor {name} has shape {shape}, header implies {target.shape}")
+
+
+def _read_into(f: BinaryIO, tensors: Iterable[tuple[str, np.ndarray]]) -> None:
+    """Read each named tensor into its template array."""
     for name, target in tensors:
         arr = read_array(f, name)
-        if arr.shape != target.shape:
-            raise DataFormatError(
-                f"checkpoint tensor {name} has shape {arr.shape}, header implies {target.shape}"
-            )
+        _check_shape(name, arr.shape, target, DataFormatError)
         target[...] = finite_f4(arr, f"checkpoint tensor {name}")
 
 
@@ -119,8 +148,7 @@ def load_checkpoint(path) -> Checkpoint:
         # the header's tensors hold at least these floats; refuse a header
         # the file cannot back before allocating them
         check_room(f, 4 * (d_proj + channels), "checkpoint VDIM tensors")
-        vdim = VdimParams.init(d_proj, levels=LEVELS)
-        down = DownsamplerParams.init(channels, levels=LEVELS)
+        vdim, down = _vdim_template(d_proj, channels)
         _read_into(f, trainable_arrays(vdim, down))
 
         attn = None
@@ -133,17 +161,10 @@ def load_checkpoint(path) -> Checkpoint:
             grid_side = read_u32(f, "N")
             heads = read_u32(f, "heads")
             attn_channels = read_u32(f, "attention channels")
-            if attn_channels != channels:
-                raise DataFormatError(
-                    f"attention channels {attn_channels} != detail-injection channels {channels}"
-                )
-            if grid_side == 0 or heads == 0 or channels % heads:
-                raise DataFormatError(
-                    f"bad attention header: N={grid_side}, heads={heads}, C={channels}"
-                )
+            _check_attn_header(grid_side, heads, attn_channels, channels, DataFormatError)
             attn_floats = grid_side * grid_side * channels + channels * channels
             check_room(f, 4 * attn_floats, "checkpoint HATT tensors")
-            attn = AttnParams.init(HiwinConfig(grid_side=grid_side, channels=channels), levels=LEVELS + 1)
+            attn = _attn_template(grid_side, channels)
             _read_into(f, _attn_arrays(attn))
         elif tag != b"":
             raise DataFormatError(f"unexpected trailing section {tag!r}")

@@ -10,8 +10,9 @@ a :class:`~hiwin.vdim.FeaturePyramid` of them goes straight to compression.
 ISPF file format (little-endian): magic ``ISPF``, u32 version=1, u32 level,
 u32 h, u32 w, u32 C, then h*w*C float32 values row-major, channel-fastest.
 NaN or inf is refused with ``NumericalError`` before the file is opened.
-A header with a height, width or channel count of 0 is refused with
-``DataFormatError`` naming the field.
+A height, width or channel count of 0 is refused naming the field: by
+:func:`save_features` with ``ValueError`` before the file is opened, and in
+a header with ``DataFormatError``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .formats import DataFormatError, expect_magic, finite_f4, read_exact, read_u32, write_u32
+from .formats import DataFormatError, expect_magic, finite_f4, nonzero_dims, read_exact, read_u32, write_u32
 from .image_io import Image
 
 __all__ = [
@@ -99,7 +100,9 @@ def encode(image: Image, spec: EncoderSpec, origin: str = "overview") -> Feature
 
 
 def save_features(fmap: FeatureMap, path) -> None:
-    data = finite_f4(fmap.data, f"ISPF level-{fmap.level} map")
+    what = f"ISPF level-{fmap.level} map"
+    nonzero_dims(what, ValueError, height=fmap.height, width=fmap.width, channels=fmap.channels)
+    data = finite_f4(fmap.data, what)
     with open(path, "wb") as f:
         f.write(ISPF_MAGIC)
         write_u32(f, ISPF_VERSION)
@@ -120,9 +123,7 @@ def load_features(path) -> FeatureMap:
         h = read_u32(f, "height")
         w = read_u32(f, "width")
         c = read_u32(f, "channels")
-        for name, dim in (("height", h), ("width", w), ("channels", c)):
-            if dim == 0:
-                raise DataFormatError(f"ISPF header has 0 {name}")
+        nonzero_dims("ISPF header", DataFormatError, height=h, width=w, channels=c)
         payload = read_exact(f, h * w * c * 4, "feature payload")
     data = finite_f4(np.frombuffer(payload, dtype="<f4"), f"ISPF level-{level} map")
     return FeatureMap(data.reshape(h, w, c).copy(), level=level, origin="file")

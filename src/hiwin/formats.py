@@ -16,6 +16,7 @@ __all__ = [
     "check_room",
     "expect_magic",
     "finite_f4",
+    "nonzero_dims",
     "read_array",
     "read_exact",
     "read_u32",
@@ -65,6 +66,14 @@ def finite_f4(arr, what: str) -> np.ndarray:
     if not np.isfinite(out).all():
         raise NumericalError(f"{what} holds non-finite values")
     return out
+
+
+def nonzero_dims(what: str, error: type[Exception], **dims: int) -> None:
+    """Refuse, with ``error`` naming it, the first of ``dims`` that is 0: no
+    format here holds an empty map, so writers and readers share this rule."""
+    for name, dim in dims.items():
+        if dim == 0:
+            raise error(f"{what} has 0 {name}")
 
 
 def write_array(f: BinaryIO, arr: np.ndarray) -> None:

@@ -6,9 +6,10 @@ package, in whole-map resizes as in RoI samples, takes its taps from
 :func:`bilinear_taps` (half-pixel centers, clamped to the edge, two taps per
 axis).  :func:`bilinear_resize` and the RoI sampler of
 :mod:`hiwin.window_attn` apply them with :func:`lerp`, one axis at a time;
-:func:`resize_matrix` writes them into the dense matrices with which
-``autodiff.guided_upsample`` lifts feature maps and ``autodiff.window_pool``
-lifts saliency scores, in training as in inference.  The scalar references are
+:func:`resize_matrix` writes them into dense matrices: those with which
+``autodiff.window_pool`` lifts saliency scores, and the one from which
+``autodiff.guided_upsample`` takes the taps of its 2x lift, in training as
+in inference.  The scalar references are
 :func:`hiwin.selfcheck.scalar_bilinear_at` and ``tests/helpers.scalar_resize``.
 Interpolation runs in float64; results are cast back to the caller's dtype,
 except that 8-bit image codes resize to float32 values through
@@ -88,8 +89,9 @@ def resize_matrix(n_in: int, n_out: int) -> np.ndarray:
 
     Row i holds the two taps of :func:`_resize_taps`, so constant inputs
     are preserved exactly and ``n_out == n_in`` yields the identity.  It is
-    dense because ``autodiff.guided_upsample`` applies its transpose in the
-    VJP.
+    dense because ``autodiff.window_pool`` applies it and its transpose to
+    whole score maps, and ``autodiff.guided_upsample`` reads its 2x taps
+    off a small one.
     """
     if n_in < 1 or n_out < 1:
         raise ValueError("resize_matrix requires positive sizes")

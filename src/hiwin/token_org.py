@@ -9,7 +9,10 @@ used; the index map carries the structure instead.
 TOKS file format (little-endian): magic ``TOKS``, u32 version=1, u32 rows,
 u32 cols, u32 N, u32 C, then the overview (N*N*C float32) and the stitched
 global map (N*rows * N*cols * C float32), both row-major channel-fastest.
-NaN or inf is refused with ``NumericalError`` before the file is opened.
+NaN or inf is refused with ``NumericalError``, by :func:`save_tokens`
+before the file is opened and by :func:`load_tokens`.  A rows, cols, N or
+C of 0 is refused naming the field, by the writer with ``ValueError`` and
+in a header with ``DataFormatError``.
 The optional plain-text index map has one ``seq_idx row col origin`` line
 per token.
 """
@@ -22,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .formats import DataFormatError, expect_magic, finite_f4, read_exact, read_u32, write_u32
+from .formats import DataFormatError, expect_magic, finite_f4, nonzero_dims, read_exact, read_u32, write_u32
 from .slicing import SliceLayout
 from .window_attn import TokenMap
 
@@ -104,6 +107,13 @@ def flatten(assembled: AssembledTokens) -> TokenSequence:
 
 
 def save_tokens(assembled: AssembledTokens, path) -> None:
+    n, c, rows, cols = assembled.side, assembled.channels, assembled.rows, assembled.cols
+    nonzero_dims("TOKS tokens", ValueError, rows=rows, cols=cols, N=n, C=c)
+    if assembled.global_map.shape != (n * rows, n * cols, c):
+        raise ValueError(
+            f"TOKS global map has shape {assembled.global_map.shape}, "
+            f"header implies {(n * rows, n * cols, c)}"
+        )
     overview = finite_f4(assembled.overview, "TOKS overview")
     global_map = finite_f4(assembled.global_map, "TOKS global map")
     with open(path, "wb") as f:
@@ -127,14 +137,16 @@ def load_tokens(path) -> AssembledTokens:
         cols = read_u32(f, "cols")
         n = read_u32(f, "N")
         c = read_u32(f, "C")
-        overview = np.frombuffer(
-            read_exact(f, n * n * c * 4, "overview payload"), dtype="<f4"
-        ).reshape(n, n, c)
-        global_map = np.frombuffer(
-            read_exact(f, n * rows * n * cols * c * 4, "global payload"), dtype="<f4"
-        ).reshape(n * rows, n * cols, c)
+        nonzero_dims("TOKS header", DataFormatError, rows=rows, cols=cols, N=n, C=c)
+        overview = read_exact(f, n * n * c * 4, "overview payload")
+        global_map = read_exact(f, n * rows * n * cols * c * 4, "global payload")
+    overview = finite_f4(np.frombuffer(overview, dtype="<f4"), "TOKS overview")
+    global_map = finite_f4(np.frombuffer(global_map, dtype="<f4"), "TOKS global map")
     return AssembledTokens(
-        global_map=global_map.copy(), overview=overview.copy(), rows=rows, cols=cols
+        global_map=global_map.reshape(n * rows, n * cols, c).copy(),
+        overview=overview.reshape(n, n, c).copy(),
+        rows=rows,
+        cols=cols,
     )
 
 

@@ -3,23 +3,25 @@ attention downsampler used for self-supervision, the multi-level
 reconstruction loss, and the training loop that fits both.
 
 Guided upsampling (joint bilateral upsampling) doubles a feature map's
-resolution by bilinearly lifting it to the target grid and re-averaging each
-output cell over its edge-clamped 7x7 neighborhood.  The joint-bilateral
-kernel is one softmax over the window: a neighbor's score is the dot product
-of the two guidance pixels under a learned linear projection, over
-``sigma_sim^2``, minus the spatial term ``|dxy|^2 / (2 sigma_dist^2)``: a
-similarity softmax times a Gaussian decay, renormalized to sum to 1 per
-cell.  Lift and re-averaging are the single fused op
-``autodiff.guided_upsample``, which inference and training both run; its
-window radius is the constant ``autodiff.RADIUS``.  The lift lands straight
-on the edge-padded grid of the window sums, and the op's VJP folds the
-padding's gradient back onto the map.  The projection is linear in the RGB
-pixel, so the scores are ``g_a (M M^T) g_b^T`` for homogeneous pixels
-``g = [r, g, b, 1]`` and ``M = [proj_w; proj_b]``: the op scores neighbors
-through that 4x4 Gram, never building a map of projected pixels.  Every
-window operation of the op is a banded matrix product over short tiles of
-output cells of a row, which read the tile's 7-row source window as one
-patch.  No per-cell stack of neighbors is built.
+resolution: each output cell averages the bilinear 2x lift of the map over
+its edge-clamped 7x7 neighborhood.  The joint-bilateral kernel is one
+softmax over the window: a neighbor's score is the dot product of the two
+guidance pixels under a learned linear projection, over ``sigma_sim^2``,
+minus the spatial term ``|dxy|^2 / (2 sigma_dist^2)``: a similarity softmax
+times a Gaussian decay, renormalized to sum to 1 per cell.  Lift and
+average are the single fused op ``autodiff.guided_upsample``, which
+inference and training both run; its window radius is the constant
+``autodiff.RADIUS``.  The lift is never built: both steps are linear, so
+each output cell's 7x7 weights fold through the lift taps into 5x5 weights
+on the map itself, edge-padded by 2, as Kopf et al.'s joint bilateral
+upsampling sums over the low-resolution pixels.  The projection is linear
+in the RGB pixel, so the scores are ``g_a (M M^T) g_b^T`` for homogeneous
+pixels ``g = [r, g, b, 1]`` and ``M = [proj_w; proj_b]``: the op scores
+neighbors through that 4x4 Gram, never building a map of projected pixels.
+Every window operation of the op is a banded matrix product over short
+tiles of cells of a row, which read the tile's source window as one patch;
+in the mix, two output rows and 16 output columns read one 5-row patch of
+the map.  No per-cell stack of neighbors is built.
 
 The downsampler inverts the scale change for training.  It is defined on
 the high level bilinearly lifted to full image resolution and split into
@@ -196,16 +198,11 @@ def jbu_upsample(
     ``autodiff.guided_upsample``.
 
     ``guide`` must have exactly twice the feature map's dims (it is the
-    pyramid image at the target resolution).
+    pyramid image at the target resolution); the op refuses any other.
     """
     lvl = f_level.level if level is None else level
     if lvl < 0 or lvl >= len(params.levels):
         raise ValueError(f"no upsampling kernel for source level {lvl}")
-    if (guide.height, guide.width) != (2 * f_level.height, 2 * f_level.width):
-        raise ValueError(
-            f"guide dims {guide.width}x{guide.height} do not match 2x feature dims "
-            f"{2 * f_level.width}x{2 * f_level.height}"
-        )
     out = ad.guided_upsample(
         f_level.data.astype(np.float64), guide.decoded().astype(np.float64), *_leaves(params.levels[lvl])
     )

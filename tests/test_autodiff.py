@@ -15,7 +15,7 @@ from hiwin.autodiff import NumericalError, Tensor
 
 from helpers import scalar_attention_downsample, scalar_guided_upsample, scalar_recon_loss, weighted_sum
 
-T = ad._TILE  # output columns per banded tile of guided_upsample
+T = ad._TILE  # map columns per banded tile of guided_upsample (2T output columns)
 
 
 def fd_grads(build, params, h=1e-6):
@@ -61,13 +61,13 @@ def to_scalar(t):
 @pytest.mark.parametrize(
     "feats_hw, guide_hw",
     [
-        pytest.param((1, 3), (1, 5), id="one-row"),  # every window row but the middle reads padding
-        pytest.param((3, 1), (5, 1), id="one-column"),  # every window column but the middle likewise
-        pytest.param((1, 2), (2, 3), id="smaller-than-window"),
-        pytest.param((2, T), (2, 2 * T), id="two-tiles"),
-        pytest.param((1, T + 2), (2, 2 * T + 5), id="ragged-last-tile"),
-        pytest.param((2, 5), (3, T + 1), id="overhang"),  # the last tile holds one cell
-        pytest.param((3, 4), (6, 8), id="doubling"),  # the 2x step of the pyramid
+        pytest.param((1, 3), (2, 6), id="one-row"),  # every map row of a window but the middle reads padding
+        pytest.param((3, 1), (6, 2), id="one-column"),  # every map column but the middle likewise
+        pytest.param((1, 2), (2, 4), id="smaller-than-window"),
+        pytest.param((2, 2 * T), (4, 4 * T), id="two-tiles"),
+        pytest.param((1, T + 3), (2, 2 * T + 6), id="ragged-last-tile"),
+        pytest.param((2, T + 1), (4, 2 * T + 2), id="overhang"),  # the last tile holds one map column
+        pytest.param((3, 4), (6, 8), id="doubling"),
     ],
 )
 def test_guided_upsample_values_and_grad(feats_hw, guide_hw):
@@ -97,9 +97,9 @@ def test_guided_upsample_values_and_grad(feats_hw, guide_hw):
 def test_guided_mix_output_does_not_depend_on_requires_grad():
     # inference drops the logits and records no VJP, but runs the same kernels
     rng = np.random.default_rng(7)
-    guide = rng.uniform(0, 1, (6, 2 * T + 3, 3))
+    guide = rng.uniform(0, 1, (6, 2 * T + 6, 3))
     arrays = [
-        rng.standard_normal((3, T + 2, 4)),
+        rng.standard_normal((3, T + 3, 4)),
         rng.standard_normal((3, 5)),
         rng.standard_normal(5),
         np.array(0.4),
@@ -118,6 +118,15 @@ def test_guided_mix_output_does_not_depend_on_requires_grad():
 def test_guided_upsample_rejects_a_guide_that_is_not_rgb(shape):
     with pytest.raises(ValueError, match=r"\(H, W, 3\) guide"):
         ad.guided_upsample(np.zeros((2, 3, 2)), np.zeros(shape), np.zeros((3, 2)), np.zeros(2), 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "guide_hw", [(3, 4), (9, 12), (6, 7), (5, 8)], ids=["same-size", "3x", "one-column-off", "one-row-off"]
+)
+def test_guided_upsample_rejects_any_ratio_but_2x(guide_hw):
+    gh, gw = guide_hw
+    with pytest.raises(ValueError, match=rf"guide dims {gw}x{gh} do not match 2x feature dims 8x6 of the 4x3 map"):
+        ad.guided_upsample(np.zeros((3, 4, 2)), np.zeros(guide_hw + (3,)), np.zeros((3, 2)), np.zeros(2), 0.0, 0.0)
 
 
 _BLAS_PROBE = textwrap.dedent(

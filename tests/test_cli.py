@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import hiwin
+from hiwin import checkpoint
 from hiwin.checkpoint import save_checkpoint
 from hiwin.cli import main
 from hiwin.image_io import Image, load_ppm, save_ppm, synth_corpus
@@ -377,6 +378,15 @@ def test_checkpoint_grid_side_sets_tokens_per_unit(image_336, tmp_path, capsys):
     assert load_tokens(out).overview.shape == (8, 8, 8)
 
 
+def save_unchecked(monkeypatch, path, vdim, down, attn):
+    """``save_checkpoint`` without the header and shape rules that it shares
+    with the loader: it writes a file that the loader must refuse."""
+    with monkeypatch.context() as m:
+        m.setattr(checkpoint, "_check_shape", lambda *args: None)
+        m.setattr(checkpoint, "_check_attn_header", lambda *args: None)
+        save_checkpoint(path, vdim, down, attn=attn)
+
+
 def _mis_shape(vdim, down, attn, field):
     if field == "down1.beta":
         down.levels[0].beta = np.zeros(5)
@@ -389,11 +399,11 @@ def _mis_shape(vdim, down, attn, field):
 
 
 @pytest.mark.parametrize("field", ["down1.beta", "upsample2.log_sigma_sim", "level_emb", "wq"])
-def test_mis_shaped_checkpoint_tensor_exits_3_naming_it(field, image_336, tmp_path, capsys):
+def test_mis_shaped_checkpoint_tensor_exits_3_naming_it(field, image_336, tmp_path, capsys, monkeypatch):
     vdim, down, attn = small_params()
     _mis_shape(vdim, down, attn, field)
     path = tmp_path / "bad.ckpt"
-    save_checkpoint(path, vdim, down, attn=attn)
+    save_unchecked(monkeypatch, path, vdim, down, attn)
     out = tmp_path / "bad.toks"
     assert main(["compress", "--image", str(image_336), "--ckpt", str(path), "--out", str(out)]) == 3
     assert f"checkpoint tensor {field} has shape" in capsys.readouterr().err
@@ -509,10 +519,10 @@ def test_a_diverged_similarity_width_exits_4_and_writes_nothing(threads, image_3
     assert not out.exists() and not Path(f"{out}.idx").exists()
 
 
-def test_attention_channels_must_match_checkpoint_channels(image_336, tmp_path, capsys):
+def test_attention_channels_must_match_checkpoint_channels(image_336, tmp_path, capsys, monkeypatch):
     vdim, down, attn = small_params(attn_channels=4)
     path = tmp_path / "bad.ckpt"
-    save_checkpoint(path, vdim, down, attn=attn)
+    save_unchecked(monkeypatch, path, vdim, down, attn)
     out = tmp_path / "bad.toks"
     assert main(["compress", "--image", str(image_336), "--ckpt", str(path), "--out", str(out)]) == 3
     assert "attention channels 4" in capsys.readouterr().err

@@ -73,6 +73,14 @@ class TestFeatureFiles:
             load_features(path)
         assert "expected 72 bytes, got 64" in str(err.value)
 
+    @pytest.mark.parametrize("field, shape", [("height", (0, 3, 2)), ("width", (3, 0, 2)), ("channels", (3, 3, 0))])
+    def test_save_refuses_a_zero_dim(self, tmp_path, field, shape):
+        # it wrote a file that load_features refuses
+        path = tmp_path / "empty.ispf"
+        with pytest.raises(ValueError, match=f"ISPF level-1 map has 0 {field}"):
+            save_features(FeatureMap(np.zeros(shape, dtype=np.float32), level=1), path)
+        assert not path.exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ispf"
         path.write_bytes(b"NOPE" + bytes(32))

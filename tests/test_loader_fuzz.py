@@ -1,5 +1,6 @@
 """Mutation fuzz of every loader: a damaged file ends in an exit code with a
-message (or ``DataFormatError`` for TOKS), never in a traceback.
+message (or, for TOKS, ``DataFormatError`` or ``NumericalError`` for a
+non-finite payload), never in a traceback.
 
 The mutations are the ones that break binary readers: truncation, a flipped
 byte, a u32 written over the header, and an inserted byte.  Examples are
@@ -20,6 +21,7 @@ from hiwin.cli import main
 from hiwin.encoder import FeatureMap, save_features
 from hiwin.formats import DataFormatError
 from hiwin.image_io import save_ppm, synth_corpus
+from hiwin.numerics import NumericalError
 from hiwin.token_org import AssembledTokens, load_tokens, save_tokens
 from hiwin.vdim import DownsamplerParams, VdimParams
 from hiwin.window_attn import AttnParams, HiwinConfig
@@ -138,7 +140,7 @@ def test_mutated_tokens_load_or_raise_data_format_error(files, mutation):
     path = mutated(files, "toks", mutation)
     try:
         tokens = load_tokens(path)
-    except DataFormatError as e:
+    except (DataFormatError, NumericalError) as e:  # NumericalError: a payload flipped to NaN or inf
         assert str(e)
     else:
         assert tokens.global_map.shape[2] == tokens.overview.shape[2]

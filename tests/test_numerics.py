@@ -193,7 +193,7 @@ class TestGradCheck:
 
     def test_a_wrong_guided_mix_gradient_entry_is_caught(self):
         rng = np.random.default_rng(3)
-        guide = rng.uniform(0, 1, (5, 6, 3))
+        guide = rng.uniform(0, 1, (6, 8, 3))
         params = [
             Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True),
             Tensor(rng.standard_normal((3, 4)), requires_grad=True),
@@ -201,7 +201,7 @@ class TestGradCheck:
             Tensor(np.array(0.2), requires_grad=True),
             Tensor(np.array(-0.3), requires_grad=True),
         ]
-        target = rng.standard_normal((5, 6, 2))
+        target = rng.standard_normal((6, 8, 2))
 
         def objective(wrong: bool):
             def f(ps):

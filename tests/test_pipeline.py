@@ -1,5 +1,8 @@
 """End-to-end runs, the reference projectors, and checkpoint round trips."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -225,14 +228,51 @@ class TestCheckpoint:
         assert ckpt.attn is None
 
     def test_attention_header_heads_must_divide_channels(self, tmp_path):
+        # save_checkpoint refuses such heads, so they are patched into a file
         vdim = VdimParams.init(d_proj=6, seed=12)
         down = DownsamplerParams.init(8, seed=12)
         attn = AttnParams.init(HiwinConfig(channels=8), seed=12)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, vdim, down, attn=attn)
+        good = path.read_bytes()
+        at = good.index(b"HATT") + 12  # the tag, u32 version and u32 N come first
         for heads in (0, 3):
-            path = tmp_path / f"h{heads}.ckpt"
-            save_checkpoint(path, vdim, down, attn=attn, heads=heads)
+            path.write_bytes(good[:at] + struct.pack("<I", heads) + good[at + 4 :])
             with pytest.raises(DataFormatError, match=f"heads={heads}"):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("heads", [0, 3])
+    def test_save_refuses_heads_that_do_not_divide_channels(self, tmp_path, heads):
+        # it wrote a file that load_checkpoint refuses
+        path = tmp_path / "heads.ckpt"
+        attn = AttnParams.init(HiwinConfig(channels=8), seed=12)
+        with pytest.raises(ValueError, match=f"bad attention header: N=12, heads={heads}, C=8"):
+            save_checkpoint(path, VdimParams.init(d_proj=6, seed=12), DownsamplerParams.init(8, seed=12), attn, heads)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("queries", (12, 11, 8)), ("level_emb", (4, 8)), ("wo", (8, 6)), ("upsample2.proj_w", (3, 5))],
+    )
+    def test_save_refuses_a_shape_the_header_does_not_imply(self, tmp_path, name, shape):
+        vdim = VdimParams.init(d_proj=6, seed=12)
+        down = DownsamplerParams.init(8, seed=12)
+        attn = AttnParams.init(HiwinConfig(channels=8), seed=12)
+        if "." in name:
+            vdim.levels[1].proj_w = np.zeros(shape)
+        else:
+            setattr(attn, name, np.zeros(shape))
+        path = tmp_path / "shape.ckpt"
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint tensor {name} has shape {shape}, header implies")):
+            save_checkpoint(path, vdim, down, attn=attn)
+        assert not path.exists()
+
+    def test_save_refuses_attention_of_other_channels(self, tmp_path):
+        path = tmp_path / "channels.ckpt"
+        attn = AttnParams.init(HiwinConfig(channels=16), seed=12)
+        with pytest.raises(ValueError, match="attention channels 16 != detail-injection channels 8"):
+            save_checkpoint(path, VdimParams.init(d_proj=6, seed=12), DownsamplerParams.init(8, seed=12), attn)
+        assert not path.exists()
 
     def test_header_larger_than_the_file_is_refused(self, tmp_path):
         vdim = VdimParams.init(d_proj=6, seed=13)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from hiwin.formats import DataFormatError
+from hiwin.numerics import NumericalError
 from hiwin.slicing import compute_slice_layout
-from hiwin.token_org import assemble, flatten, load_tokens, save_index, save_tokens
+from hiwin.token_org import AssembledTokens, assemble, flatten, load_tokens, save_index, save_tokens
 from hiwin.window_attn import TokenMap
 
 
@@ -139,6 +140,53 @@ class TestToksFormat:
         path.write_bytes(b"TOKS" + struct.pack("<5I", 1, *[2**32 - 1] * 3, 1) + bytes(16))
         with pytest.raises(DataFormatError, match="truncated overview payload"):
             load_tokens(path)
+
+    @pytest.mark.parametrize("field", ["rows", "cols", "N", "C"])
+    def test_header_with_a_zero_dim_is_refused(self, tmp_path, field):
+        header = {"rows": 1, "cols": 1, "N": 2, "C": 2, field: 0}
+        path = tmp_path / "empty.toks"
+        path.write_bytes(b"TOKS" + struct.pack("<5I", 1, *header.values()) + bytes(64))
+        with pytest.raises(DataFormatError, match=f"TOKS header has 0 {field}$"):
+            load_tokens(path)
+
+    @pytest.mark.parametrize("payload", ["overview", "global map"])
+    def test_non_finite_payload_is_refused(self, tmp_path, payload):
+        # save_tokens refuses NaN, so it is patched into the file
+        out = assemble([TokenMap(np.zeros((2, 2, 2), dtype=np.float32))], compute_slice_layout(336, 336),
+                       TokenMap(np.zeros((2, 2, 2), dtype=np.float32)))
+        path = tmp_path / "nan.toks"
+        save_tokens(out, path)
+        blob = bytearray(path.read_bytes())
+        at = 24 + (0 if payload == "overview" else 2 * 2 * 2 * 4)  # magic and five u32, then the overview
+        blob[at : at + 4] = struct.pack("<f", np.nan)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(NumericalError, match=f"TOKS {payload} holds non-finite"):
+            load_tokens(path)
+
+    @pytest.mark.parametrize("field", ["rows", "cols", "N", "C"])
+    def test_save_refuses_a_zero_dim(self, tmp_path, field):
+        # it wrote a file that load_tokens refuses
+        dims = {"rows": 1, "cols": 1, "N": 2, "C": 2, field: 0}
+        n, c = dims["N"], dims["C"]
+        tokens = AssembledTokens(
+            global_map=np.zeros((n * dims["rows"], n * dims["cols"], c), dtype=np.float32),
+            overview=np.zeros((n, n, c), dtype=np.float32),
+            rows=dims["rows"],
+            cols=dims["cols"],
+        )
+        path = tmp_path / "empty.toks"
+        with pytest.raises(ValueError, match=f"TOKS tokens has 0 {field}$"):
+            save_tokens(tokens, path)
+        assert not path.exists()
+
+    def test_save_refuses_a_global_map_the_header_does_not_imply(self, tmp_path):
+        tokens = AssembledTokens(
+            global_map=np.zeros((2, 4, 2), dtype=np.float32), overview=np.zeros((2, 2, 2), dtype=np.float32), rows=1, cols=1
+        )
+        path = tmp_path / "shape.toks"
+        with pytest.raises(ValueError, match=r"TOKS global map has shape \(2, 4, 2\), header implies \(2, 2, 2\)"):
+            save_tokens(tokens, path)
+        assert not path.exists()
 
     def test_index_file_format(self, tmp_path):
         layout = compute_slice_layout(336, 336)

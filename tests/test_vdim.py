@@ -61,9 +61,27 @@ class TestJbuUpsample:
         out = jbu_upsample(f0, guide, VdimParams.init(d_proj=8, seed=0))
         assert out.data.shape == (16, 16, 4)
 
+    def test_peak_memory_of_a_level_2_upsample(self):
+        # one inference step of the pyramid, 48x48x64 to 96x96x64: guards
+        # against a lift of the map, or a whole map of composite weights,
+        # coming back: measured peak 10.91 MiB; 15.09 MiB while the map was
+        # lifted onto the padded 102x102 grid and 49 lifted cells mixed
+        rng = np.random.default_rng(0)
+        f1 = FeatureMap(rng.standard_normal((48, 48, 64)).astype(np.float32), level=1)
+        guide = Image(rng.uniform(0, 1, (96, 96, 3)).astype(np.float32))
+        params = VdimParams.init(d_proj=32, seed=0)
+        tracemalloc.start()
+        try:
+            out = jbu_upsample(f1, guide, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.shape == (96, 96, 64)
+        assert peak < 11.5 * 2**20
+
     def test_dim_mismatch_rejected(self):
         f0 = FeatureMap(np.zeros((8, 8, 4), dtype=np.float32))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="guide dims 16x20 do not match 2x feature dims 16x16"):
             jbu_upsample(f0, Image(np.zeros((20, 16, 3))), VdimParams.init(seed=0))
 
     def test_wide_spatial_kernel_on_uniform_guide_is_local_mean(self):
@@ -352,8 +370,9 @@ class TestPretrain:
     def test_peak_memory_of_two_ac4_steps(self):
         # the AC-4 configuration: 32 images of 112x112, C=64, d_proj=32,
         # batch 4; guards against the (H, W, d_proj) projection maps, the
-        # padded-grid temporaries of the guided_upsample VJP and float64 copies
-        # of the prepared corpus piling up: measured peak 7.92 MiB; 8.76 MiB
+        # temporaries of the guided_upsample VJP and float64 copies of the
+        # prepared corpus piling up: measured peak 6.55 MiB; 7.76 MiB while
+        # the VJP ran on the padded grid of the lifted map; 8.76 MiB
         # while the corpus was kept as float64 features and guides, 11.02 MiB
         # with a separate similarity softmax and tile-width copies of the
         # flipped weights and padded gradient, 13.02 MiB while the
