@@ -86,7 +86,6 @@ from .window_attn import (
     compress,
     cross_attention,
     position_embedding_2d,
-    roi_align,
     select_grid,
 )
 

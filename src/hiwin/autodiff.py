@@ -107,45 +107,32 @@ class _Bands(NamedTuple):
 
     Output row y is cut into tiles of ``cells`` cells; in the 2x mix, two
     output rows (phases) share each window row.  Tile t reads the source
-    window of ``window`` (rows, columns) cells that starts at row
-    ``y * step[0]`` and column ``t * step[1]``, flattened row-major into a
-    patch.  ``index`` holds the flat position of each cell's taps, in tap
-    order, in a tile's (``cells``, patch rows) band.
+    window of ``window`` (rows, columns) cells that starts at row y and
+    column ``t * _TILE``, flattened row-major into a patch, and its
+    (``cells``, patch rows) band ``B`` gives ``B @ patch``.  ``index``
+    holds the flat position of each cell's taps, in tap order, in ``B``.
     """
 
     window: tuple[int, int]
-    step: tuple[int, int]
     cells: int
     index: np.ndarray
 
 
-def _bands(window, step, cells, rows, cols) -> _Bands:
+def _bands(window, cells, rows, cols) -> _Bands:
     """The layout whose cell x reads its taps at patch rows ``rows`` and
     columns ``cols[x]``, (taps,) and (cells, taps) integer arrays."""
     index = (np.arange(cells)[:, None] * window[0] + rows) * window[1] + cols
-    return _Bands(window, step, cells, index.reshape(-1))
+    return _Bands(window, cells, index.reshape(-1))
 
 
 # the 7x7 window sums on the guide's grid: cell x reads (dy, x + dx) of
 # its tile's window, rows y .. y + 2r of the map edge-padded by r
-_FINE = _bands((_K, _TILE + 2 * RADIUS), (1, _TILE), _TILE, _DY, np.arange(_TILE)[:, None] + _DX)
+_FINE = _bands((_K, _TILE + 2 * RADIUS), _TILE, _DY, np.arange(_TILE)[:, None] + _DX)
 # the 2x mix: output rows 2i and 2i + 1, columns 2j .. 2j + 2T - 1 of a tile
 # read the coarse rows i .. i + 2 * _PAD and columns j .. j + T + 2 * _PAD - 1
-# of the map edge-padded by _PAD; cell x reads (a, x // 2 + b)
-_COARSE = _bands(
-    (_CK, _TILE + 2 * _PAD), (1, _TILE), 2 * _TILE, _CA, np.arange(2 * _TILE)[:, None] // 2 + _CB
-)
-# its adjoint: padded coarse cell (I, J) gets g[2(I - a) + p, 2(J - b) + q]
-# times that cell's composite weight (a, b), taps in (a, b, p, q) order; the
-# window of row I is rows 2I .. 2I + 2 * _CK - 1 of g zero-padded by 4 * _PAD
-_AB, _P, _Q = np.unravel_index(np.arange(4 * _CK * _CK), (_CK * _CK, 2, 2))
-_ADJOINT = _bands(
-    (2 * _CK, 2 * _TILE + 4 * _PAD),
-    (2, 2 * _TILE),
-    _TILE,
-    2 * (2 * _PAD - _CA[_AB]) + _P,
-    2 * (np.arange(_TILE)[:, None] + 2 * _PAD - _CB[_AB]) + _Q,
-)
+# of the map edge-padded by _PAD; cell x reads (a, x // 2 + b).  Its VJP
+# takes both transposes of the same product B @ patch
+_COARSE = _bands((_CK, _TILE + 2 * _PAD), 2 * _TILE, _CA, np.arange(2 * _TILE)[:, None] // 2 + _CB)
 
 
 def _row_blocks(h: int, row_elems: int) -> list[tuple[int, int]]:
@@ -153,10 +140,10 @@ def _row_blocks(h: int, row_elems: int) -> list[tuple[int, int]]:
     an operand that holds ``row_elems`` entries per row.
 
     :func:`guided_upsample` loops over these blocks so that each block's
-    operands stay in cache: the banded products size them by their per-row
-    patches or bands, the composite weights by the weights they read.
-    Every cell is computed by the same operations in any block, so results
-    do not depend on the block size.
+    operands stay in cache, sized by the banded products' per-row patches
+    or bands.  Every cell is computed by the same operations in any block,
+    and the VJP's overlap-add sums each cell's source rows in the same
+    order, so results do not depend on the block size.
     """
     rows = max(1, _BLOCK_ELEMS // row_elems)
     return [(y0, min(y0 + rows, h)) for y0 in range(0, h, rows)]
@@ -179,10 +166,12 @@ def _fold_edges(a: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
-def _zero_pad(a: np.ndarray, at: int, hw: tuple[int, int]) -> np.ndarray:
-    """``a`` placed at row and column ``at`` of a zero map of (H', W') ``hw``."""
-    out = np.zeros(hw + a.shape[2:], dtype=np.float64)
-    out[at : at + a.shape[0], at : at + a.shape[1]] = a
+def _zero_pad(a: np.ndarray, width: int) -> np.ndarray:
+    """``a`` (H, W, ...) with zero columns appended up to ``width``."""
+    if a.shape[1] >= width:
+        return a
+    out = np.zeros((a.shape[0], width) + a.shape[2:], dtype=np.float64)
+    out[:, : a.shape[1]] = a
     return out
 
 
@@ -190,57 +179,51 @@ def _tiled(src: np.ndarray, bands: _Bands, h: int, n: int, product) -> None:
     """Call ``product(y0, y1, patches)`` over row blocks of h output rows
     of n tiles each, as laid out by ``bands``; ``patches`` (rows, 1, n,
     patch rows, C) holds each tile's source window of ``src``, zero past
-    its right edge, with a phase axis to broadcast over.
+    its right edge, with a phase axis to broadcast over.  A product may
+    take ``B @ patch`` and either of its transposes.
 
     Blocks are sized by the larger per-row operand of a product: the
     patches or the bands.
     """
-    (kh, kw), (sy, sx) = bands.window, bands.step
+    kh, kw = bands.window
     c = src.shape[-1]
-    if src.shape[1] < (n - 1) * sx + kw:
-        src = _zero_pad(src, 0, (src.shape[0], (n - 1) * sx + kw))
+    src = _zero_pad(src, (n - 1) * _TILE + kw)
     # (., ., C, kh, kw) view of every tile's source window
-    windows = np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(0, 1))[::sy, ::sx]
+    windows = np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(0, 1))[:, ::_TILE]
     for y0, y1 in _row_blocks(h, n * kh * kw * max(c, bands.cells)):
         patches = windows[y0:y1, :n].transpose(0, 1, 3, 4, 2).reshape(y1 - y0, 1, n, kh * kw, c)
         product(y0, y1, patches)
         del patches  # the next block's patches reuse this memory
 
 
+def _scatter(tiles: np.ndarray, bands: _Bands, taps: int) -> np.ndarray:
+    """Each tile's (cells, ``taps``) band ``B``: a row block's (rows, P, n,
+    cells * taps) tap weights ``tiles`` scattered by ``bands.index`` into zeros."""
+    band = np.zeros(tiles.shape[:3] + (bands.cells * taps,), dtype=np.float64)
+    band[..., bands.index] = tiles
+    return band.reshape(tiles.shape[:3] + (bands.cells, taps))
+
+
+def _gather(band: np.ndarray, bands: _Bands) -> np.ndarray:
+    """The transpose of :func:`_scatter`: each cell's taps, (rows, P, n,
+    cells * taps), picked from the (rows, P, n, cells, patch rows) ``band``."""
+    return band.reshape(band.shape[:3] + (-1,))[..., bands.index]
+
+
 def _mix(tiles_of, src: np.ndarray, bands: _Bands, out: np.ndarray) -> None:
     """Fill ``out`` (h, P, n, cells, C) with the window sums ``B @ patch``
-    of every tile over ``src``.  ``tiles_of(y0, y1)`` gives a row block's
-    (rows, P, n, cells * taps) tap weights, which scatter by
-    ``bands.index`` into each tile's zero band ``B``."""
+    of every tile over ``src``; ``tiles_of(y0, y1)`` gives a row block's
+    tap weights for :func:`_scatter`."""
 
     def product(y0, y1, patches):
-        tiles = tiles_of(y0, y1)
-        band = np.zeros(tiles.shape[:3] + (bands.cells * patches.shape[-2],), dtype=np.float64)
-        band[..., bands.index] = tiles
-        np.matmul(band.reshape(band.shape[:3] + (bands.cells, -1)), patches, out=out[y0:y1])
+        np.matmul(_scatter(tiles_of(y0, y1), bands, patches.shape[-2]), patches, out=out[y0:y1])
 
     _tiled(src, bands, out.shape[0], out.shape[2], product)
 
 
-def _dots(a: np.ndarray, src: np.ndarray, bands: _Bands, put) -> None:
-    """The transpose of :func:`_mix`: ``put(y0, y1, dots)`` gets a row
-    block's (rows, P, n, cells * taps) dot products of each cell of ``a``
-    (h, P, n, cells, C) with the source cells of its taps.  ``a_tile @
-    patch.T`` fills each tile's band, and gathering ``bands.index`` from
-    it picks each cell's taps."""
-
-    def product(y0, y1, patches):
-        band = np.matmul(a[y0:y1], patches.swapaxes(-1, -2))
-        put(y0, y1, band.reshape(band.shape[:3] + (-1,))[..., bands.index])
-
-    _tiled(src, bands, a.shape[0], a.shape[2], product)
-
-
 def _fine_tiles(a: np.ndarray, n: int) -> np.ndarray:
     """(H, 1, n, _TILE, .) tiles of the cells of an (H, W, .) map, zero past W."""
-    if a.shape[1] < n * _TILE:
-        a = _zero_pad(a, 0, (a.shape[0], n * _TILE))
-    return a.reshape(a.shape[0], 1, n, _TILE, -1)
+    return _zero_pad(a, n * _TILE).reshape(a.shape[0], 1, n, _TILE, -1)
 
 
 def _banded_mix(weights: np.ndarray, src_pad: np.ndarray) -> np.ndarray:
@@ -256,15 +239,18 @@ def _banded_mix(weights: np.ndarray, src_pad: np.ndarray) -> np.ndarray:
 
 def _window_dots(a: np.ndarray, src_pad: np.ndarray) -> np.ndarray:
     """(H, W, K) dot products of each cell of ``a`` (H, W, C) with the cells
-    of its window in ``src_pad``: ``out[y, x, k] = a[y, x] . src_pad[y + dy, x + dx]``."""
+    of its window in ``src_pad``: ``out[y, x, k] = a[y, x] . src_pad[y + dy, x + dx]``.
+    The transpose of :func:`_banded_mix`: ``a_tile @ patch.T`` fills each
+    tile's band, and :func:`_gather` picks each cell's taps from it."""
     h, w = a.shape[:2]
     n = -(-w // _TILE)
+    tiles = _fine_tiles(a, n)
     out = np.empty((h, 1, n, _TILE * _K * _K), dtype=np.float64)
 
-    def put(y0, y1, dots):
-        out[y0:y1] = dots
+    def product(y0, y1, patches):
+        out[y0:y1] = _gather(np.matmul(tiles[y0:y1], patches.swapaxes(-1, -2)), _FINE)
 
-    _dots(_fine_tiles(a, n), src_pad, _FINE, put)
+    _tiled(src_pad, _FINE, h, n, product)
     return out.reshape(h, n * _TILE, -1)[:, :w]
 
 
@@ -279,22 +265,6 @@ def _composite(weights: np.ndarray, y0: int, y1: int, width: int) -> np.ndarray:
         for q in (0, 1):
             np.matmul(cells[:, p, :, q], _COMPOSE[p][q], out=out[:, p, q : 2 * w : 2])
     return out
-
-
-def _flipped(weights: np.ndarray, width: int) -> np.ndarray:
-    """The taps of the adjoint of the 2x mix: the (h + 2 * _PAD, 1, .,
-    _TILE * 4 * _CK^2) tiles, ``width`` cells wide, of the composite
-    weights of (H, W, K) ``weights`` read from the cells of the padded map
-    that receive them.  Padded cell (i + a, j + b) gets output cell
-    (2i + p, 2j + q)'s weight (a, b) as its tap (a, b, p, q); one slice
-    copy per (a, b) places them."""
-    h, w = weights.shape[0] // 2, weights.shape[1] // 2
-    out = np.zeros((h + 2 * _PAD, width, _CK * _CK, 2, 2), dtype=np.float64)
-    for y0, y1 in _row_blocks(h, 4 * w * _K * _K):
-        wc = _composite(weights, y0, y1, 2 * w).reshape(y1 - y0, 2, w, 2, -1)
-        for k, (a, b) in enumerate(zip(_CA, _CB)):
-            out[y0 + a : y1 + a, b : b + w, k] = wc[..., k].transpose(0, 2, 1, 3)
-    return out.reshape(h + 2 * _PAD, 1, width // _TILE, -1)
 
 
 def guided_weights(guide: np.ndarray, proj_w, proj_b, log_sigma_dist, log_sigma_sim):
@@ -347,12 +317,13 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     operation is a banded product over tiles of cells (:func:`_tiled`).
     Output rows 2i and 2i + 1 and the 2T columns of a tile read one
     (5, T + 4) coarse patch, and each row block builds the composite
-    weights it mixes.  In the VJP, the composite weights' gradient ``dWc``
-    is the window dots of ``g`` with the coarse patches, and it goes back
-    as ``dw = Ry dWc Rx^T``.  The map's gradient is the adjoint mix: a
-    forward banded mix of ``g`` over the composite weights flipped onto
-    the padded map's cells (:func:`_flipped`), whose padding is then folded
-    back.
+    weights it mixes.  The VJP makes one more pass over the same patches,
+    rebuilds each tile's band ``B`` and takes both transposes of the
+    forward's ``out = B @ patch``.  ``g_tile @ patch.T`` gives the
+    composite weights' gradient ``dWc``, which goes back as
+    ``dw = Ry dWc Rx^T``.  ``B^T @ g_tile`` gives the patch's gradient,
+    which is overlap-added onto the padded map, whose padding is then
+    folded back.
 
     The projection is linear in the pixel, so the similarity logits go
     through the 4x4 Gram ``A = M M^T`` of ``M = [proj_w; proj_b]`` and only
@@ -391,32 +362,39 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     out = np.ascontiguousarray(out.reshape(2 * h, -1, c)[:, : 2 * w])
 
     def vjp(g):
-        # the map's gradient first, so that the flipped weights are gone
-        # before the weight gradients are built: the adjoint mix onto the
-        # padded map, whose row I reads rows 2I .. of g zero-padded by 4 * _PAD
-        hp, wp = h + 2 * _PAD, w + 2 * _PAD
-        nf = -(-wp // _TILE)
-        flipped = _flipped(weights, nf * _TILE)
-        g_zero = _zero_pad(g, 4 * _PAD, (2 * hp + 4 * _PAD, 2 * nf * _TILE + 4 * _PAD))
-        g_pad = np.empty((hp, 1, nf, _TILE, c), dtype=np.float64)
-        _mix(lambda y0, y1: flipped[y0:y1], g_zero, _ADJOINT, g_pad)
-        del flipped, g_zero
-        g_feats = _fold_edges(g_pad.reshape(hp, -1, c)[:, :wp], _PAD)
-        del g_pad
-        # the composite weights' gradient, window dots of g with the map's
-        # patches, and from it the weights' own, dw = Ry dWc Rx^T
+        # one pass over the forward's patches takes both transposes of each
+        # tile's out = B @ patch.  g_tile @ patch.T holds the composite
+        # weights' gradient dWc, which goes back as dw = Ry dWc Rx^T
+        g_tiles = _zero_pad(g, n * 2 * _TILE).reshape(h, 2, n, 2 * _TILE, c)
         g_weights = np.empty_like(weights)
+        # B^T @ g_tile is the patch's gradient, overlap-added onto the padded
+        # map: a tile's _TILE main columns, then its 2 * _PAD overhang
+        # columns, which are the next tile's first ones
+        g_pad = np.zeros((h + 2 * _PAD, n + 1, _TILE, c), dtype=np.float64)
 
-        def put(y0, y1, dots):
-            dots = dots.reshape(y1 - y0, 2, -1, _CK * _CK)
-            cells = g_weights[2 * y0 : 2 * y1].reshape(y1 - y0, 2, w, 2, -1)
+        def product(y0, y1, patches):
+            rows, g_tile = y1 - y0, g_tiles[y0:y1]
+            dots = _gather(np.matmul(g_tile, patches.swapaxes(-1, -2)), _COARSE)
+            dots = dots.reshape(rows, 2, -1, _CK * _CK)
+            cells = g_weights[2 * y0 : 2 * y1].reshape(rows, 2, w, 2, -1)
             for p in (0, 1):
                 for q in (0, 1):
                     np.matmul(dots[:, p, q : 2 * w : 2], _COMPOSE[p][q].T, out=cells[:, p, :, q])
+            del dots
+            band = _scatter(tiles_of(y0, y1), _COARSE, patches.shape[-2]).swapaxes(-1, -2)
+            g_patch = np.matmul(band[:, 0], g_tile[:, 0])  # one phase at a time: no (2, ...) product
+            g_patch += np.matmul(band[:, 1], g_tile[:, 1])
+            g_patch = g_patch.reshape(rows, n, _CK, _TILE + 2 * _PAD, c)
+            # patch rows in descending order, so that each cell sums its
+            # source rows in ascending order whatever the block size
+            for a in reversed(range(_CK)):
+                g_pad[y0 + a : y1 + a, :n] += g_patch[:, :, a, :_TILE]
+                g_pad[y0 + a : y1 + a, 1:, : 2 * _PAD] += g_patch[:, :, a, _TILE:]
 
-        g_tiles = _zero_pad(g, 0, (2 * h, n * 2 * _TILE)).reshape(h, 2, n, 2 * _TILE, c)
-        _dots(g_tiles, f_pad, _COARSE, put)
+        _tiled(f_pad, _COARSE, h, n, product)
         del g_tiles
+        g_feats = _fold_edges(g_pad.reshape(h + 2 * _PAD, -1, c)[:, : w + 2 * _PAD], _PAD)
+        del g_pad
         # weights = softmax(logits - |dxy|^2 / (2 sigma_dist^2))
         g_logits = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
         sigma_dist = np.exp(lsd.data)

@@ -4,8 +4,12 @@ scalar reference implementations they use.
 Each check pits a vectorized library path against a small, independently
 written scalar reference, or against finite differences.  They are cheap
 enough to run on every install.  The references (:func:`scalar_bilinear_at`,
-:func:`scalar_roi_align`, :func:`scalar_grid_choice`) are plain per-element
-loops; the test suite compares the library against these same functions.
+:func:`scalar_roi_align`, :func:`scalar_window_box`,
+:func:`scalar_grid_choice`) are plain per-element loops or written-out
+formulas; the test suite compares the library against these same functions.
+The window-sampling check compares the value rows of
+:func:`~hiwin.window_attn.assemble_kv`, the RoI samples of every window of
+every level, with :func:`scalar_roi_align` of each written-out window box.
 """
 
 from __future__ import annotations
@@ -17,18 +21,19 @@ import numpy as np
 from .encoder import FeatureMap
 from .image_io import synth_corpus
 from .numerics import grad_check
-from .vdim import DownsamplerParams, VdimParams, mlr_objective
-from .window_attn import PROPOSALS, roi_align, select_grid
+from .vdim import DownsamplerParams, FeaturePyramid, VdimParams, mlr_objective
+from .window_attn import PROPOSALS, AttnParams, HiwinConfig, assemble_kv, select_grid
 from . import image_io
 
 __all__ = [
     "check_grid_selection",
     "check_gradients",
-    "check_roi_align",
+    "check_window_sampling",
     "run_all",
     "scalar_bilinear_at",
     "scalar_grid_choice",
     "scalar_roi_align",
+    "scalar_window_box",
 ]
 
 
@@ -89,24 +94,33 @@ def scalar_roi_align(data: np.ndarray, box, grid: tuple[int, int]) -> np.ndarray
     return out
 
 
-def check_roi_align(trials: int = 50, seed: int = 0) -> tuple[bool, str]:
+def scalar_window_box(height: int, width: int, n: int, i: int, j: int) -> tuple[float, ...]:
+    """Box (x0, y0, x1, y1) of window (i, j) when an H x W map is cut into
+    n x n windows: column j and row i of the uniform n-way split of each axis."""
+    return (j * width / n, i * height / n, (j + 1) * width / n, (i + 1) * height / n)
+
+
+def check_window_sampling(trials: int = 50, seed: int = 0) -> tuple[bool, str]:
+    """``assemble_kv``'s value rows against :func:`scalar_roi_align` of each
+    window's box, over random level dims, window counts n and grids; n
+    above a level's side gives windows narrower than one cell."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst, boxes = 0.0, 0
     for _ in range(trials):
-        h = int(rng.integers(2, 33))
-        w = int(rng.integers(2, 33))
-        data = rng.standard_normal((h, w, 4)).astype(np.float32)
-        xs = np.sort(rng.uniform(0, w, 2))
-        ys = np.sort(rng.uniform(0, h, 2))
-        if xs[1] - xs[0] < 1e-3 or ys[1] - ys[0] < 1e-3:
-            continue
-        box = (xs[0], ys[0], xs[1], ys[1])
+        h, w = (int(d) for d in rng.integers(1, 17, 2))
+        n = int(rng.integers(1, 9))
         grid = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-        got = roi_align(data, box, grid)
-        want = scalar_roi_align(data, box, grid)
-        worst = max(worst, float(np.abs(got - want).max()))
+        levels = [FeatureMap(rng.standard_normal((h << l, w << l, 4)), level=l) for l in range(2)]
+        params = AttnParams.init(HiwinConfig(grid_side=n, channels=4), levels=2)
+        _, got = assemble_kv(FeaturePyramid(levels), n, grid, params)
+        for i in range(n):
+            for j in range(n):
+                boxes_ij = [scalar_window_box(f.height, f.width, n, i, j) for f in levels]
+                want = np.concatenate([scalar_roi_align(f.data, b, grid) for f, b in zip(levels, boxes_ij)])
+                worst = max(worst, float(np.abs(got[i * n + j] - want.reshape(-1, 4)).max()))
+        boxes += n * n * len(levels)
     ok = worst <= 1e-6
-    return ok, f"max deviation {worst:.2e} from the scalar reference"
+    return ok, f"{boxes} window boxes, max deviation {worst:.2e} from the scalar reference"
 
 
 def check_gradients(seed: int = 0) -> tuple[bool, str]:
@@ -128,6 +142,6 @@ def check_gradients(seed: int = 0) -> tuple[bool, str]:
 def run_all(seed: int = 0) -> list[tuple[str, bool, str]]:
     return [
         ("grid-selection", *check_grid_selection(seed=seed)),
-        ("roi-align", *check_roi_align(seed=seed)),
+        ("window-sampling", *check_window_sampling(seed=seed)),
         ("gradients", *check_gradients(seed=seed)),
     ]

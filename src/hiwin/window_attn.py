@@ -20,29 +20,30 @@ read by one query, as in every window, the key and value projections are
 folded into the query and the weighted sum instead of being applied to each
 sample; the resampler's shared keys and values are projected once.
 
-RoI sampling convention: boxes are clamped to map bounds and split into
-r_h x r_w bins; one bilinear sample is taken per bin at the bin center, with
-the sample coordinate clamped half a cell inside the box so the
-interpolation support never crosses the window boundary (boxes narrower
-than one cell sample at their midpoint).  Coordinates are continuous with
+RoI sampling convention: each window box is clamped to map bounds and split
+into r_h x r_w bins; one bilinear sample is taken per bin at the bin center,
+with the sample coordinate clamped half a cell inside the box so the
+interpolation support never crosses the window boundary (windows narrower
+than one cell, where N exceeds a level's side, sample at their midpoint).  Coordinates are continuous with
 half-pixel centers: cell (p, q) is centered at (q + 0.5, p + 0.5).  The
 lookups use the package's one bilinear rule, :func:`hiwin.numerics.bilinear_taps`
 applied by :func:`hiwin.numerics.lerp` along x, then y.  Bin centers are
 separable, and each level's windows form a grid, so each level is sampled
-in one pass over the sample columns and rows of all its windows.  The scalar
-reference for this rule and for the grid choice is in :mod:`hiwin.selfcheck`,
-which ``selftest`` and the tests both use.
+in one pass over the sample columns and rows of all its windows
+(:func:`assemble_kv`); no single-box sampler is kept.  The scalar references
+for this rule, the window boxes and the grid choice are in
+:mod:`hiwin.selfcheck`, whose ``window-sampling`` check compares
+:func:`assemble_kv`'s value rows with them; ``selftest`` and the tests both
+use them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .encoder import FeatureMap
 from .numerics import bilinear_taps, gather_taps, lerp, softmax
 from .vdim import FeaturePyramid
 
@@ -55,7 +56,6 @@ __all__ = [
     "compress",
     "cross_attention",
     "position_embedding_2d",
-    "roi_align",
     "select_grid",
 ]
 
@@ -180,19 +180,6 @@ def _sample_grid(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
     h, w = data.shape[:2]
     rows, row_taps = gather_taps(data, bilinear_taps(ys, h), axis=0)
     return lerp(lerp(rows, bilinear_taps(xs, w), axis=1), row_taps, axis=0)
-
-
-def roi_align(
-    feature: FeatureMap | np.ndarray, box: Sequence[float], grid: tuple[int, int]
-) -> np.ndarray:
-    """Pool one box into an (r_h, r_w, C) grid of bilinear samples."""
-    data = feature.data if isinstance(feature, FeatureMap) else np.asarray(feature)
-    if data.ndim != 3:
-        raise ValueError("roi_align expects an (H, W, C) map")
-    h, w = data.shape[:2]
-    x0, y0, x1, y1 = box
-    rw, rh = grid
-    return _sample_grid(data, _bin_centers(x0, x1, rw, w), _bin_centers(y0, y1, rh, h))
 
 
 def position_embedding_2d(coords: np.ndarray, channels: int) -> np.ndarray:

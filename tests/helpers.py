@@ -1,11 +1,12 @@
 """Scalar reference implementations of the resize, guided-upsampling,
 attention-downsampling, window cross-attention and reconstruction-loss paths,
-shared by the test modules, the window boxes of the window attention, and the weighted sum that
-reduces an op's output to a scalar.
+shared by the test modules, and the weighted sum that reduces an op's output
+to a scalar.
 
 These are written as plain per-element loops, independent of the vectorized
-library paths they check.  The bilinear-lookup, RoI-align and grid-choice
-references live in :mod:`hiwin.selfcheck`, where ``selftest`` uses them too.
+library paths they check.  The bilinear-lookup, RoI-align, window-box and
+grid-choice references live in :mod:`hiwin.selfcheck`, where ``selftest``
+uses them too.
 """
 
 from __future__ import annotations
@@ -25,12 +26,6 @@ def weighted_sum(t, w) -> ad.Tensor:
     t = ad.as_tensor(t)
     w = np.asarray(w, dtype=np.float64)
     return ad._node(np.asarray((t.data * w).sum()), (t,), lambda g: (g * w,))
-
-
-def window_box(height: int, width: int, n: int, i: int, j: int) -> tuple[float, float, float, float]:
-    """Box (x0, y0, x1, y1) of window (i, j) when an H x W map is cut into
-    n x n windows: column j and row i of the uniform n-way split of each axis."""
-    return (j * width / n, i * height / n, (j + 1) * width / n, (i + 1) * height / n)
 
 
 def scalar_resize(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -114,6 +114,35 @@ def test_guided_mix_output_does_not_depend_on_requires_grad():
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("hwc", [(13, 19, 16), (20, 27, 64)])
+def test_guided_upsample_bits_do_not_depend_on_the_block_size(hwc, monkeypatch):
+    # several row blocks at the default size, several tiles and a ragged last
+    # tile; one row per block takes every block boundary there is
+    h, w, c = hwc
+    rng = np.random.default_rng(21)
+    guide = rng.uniform(0, 1, (2 * h, 2 * w, 3))
+    arrays = [rng.standard_normal((h, w, c)), rng.standard_normal((3, 8)), rng.standard_normal(8), 0.3, -0.2]
+    weights = rng.uniform(0.5, 1.5, (2 * h, 2 * w, c))
+    blocks, row_blocks = [], ad._row_blocks
+
+    def counted_row_blocks(*args):
+        blocks.append(row_blocks(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(ad, "_row_blocks", counted_row_blocks)
+    runs = []
+    for block_elems in (ad._BLOCK_ELEMS, 1):
+        monkeypatch.setattr(ad, "_BLOCK_ELEMS", block_elems)
+        params = [Tensor(a, requires_grad=True) for a in arrays]
+        out = ad.guided_upsample(params[0], guide, *params[1:])
+        weighted_sum(out, weights).backward()
+        runs.append([out.data] + [p.grad for p in params])
+        if block_elems > 1:  # every banded pass cuts the map into several blocks
+            assert all(len(b) > 1 for b in blocks) and w % T
+    for default, one_row in zip(*runs):
+        np.testing.assert_array_equal(default, one_row)
+
+
 @pytest.mark.parametrize("shape", [(4, 5), (4, 5, 4)], ids=["grey", "four-channel"])
 def test_guided_upsample_rejects_a_guide_that_is_not_rgb(shape):
     with pytest.raises(ValueError, match=r"\(H, W, 3\) guide"):

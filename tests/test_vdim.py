@@ -371,8 +371,9 @@ class TestPretrain:
         # the AC-4 configuration: 32 images of 112x112, C=64, d_proj=32,
         # batch 4; guards against the (H, W, d_proj) projection maps, the
         # temporaries of the guided_upsample VJP and float64 copies of the
-        # prepared corpus piling up: measured peak 6.55 MiB; 7.76 MiB while
-        # the VJP ran on the padded grid of the lifted map; 8.76 MiB
+        # prepared corpus piling up: measured peak 6.38 MiB; 6.55 MiB while
+        # the VJP mixed g through a whole map of flipped composite weights;
+        # 7.76 MiB while the VJP ran on the padded grid of the lifted map; 8.76 MiB
         # while the corpus was kept as float64 features and guides, 11.02 MiB
         # with a separate similarity softmax and tile-width copies of the
         # flipped weights and padded gradient, 13.02 MiB while the

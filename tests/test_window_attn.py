@@ -7,7 +7,7 @@ import pytest
 from hiwin import window_attn
 from hiwin.encoder import FeatureMap
 from hiwin.numerics import softmax
-from hiwin.selfcheck import scalar_grid_choice, scalar_roi_align
+from hiwin.selfcheck import scalar_grid_choice, scalar_roi_align, scalar_window_box
 from hiwin.vdim import FeaturePyramid
 from hiwin.window_attn import (
     AttnParams,
@@ -16,11 +16,10 @@ from hiwin.window_attn import (
     compress,
     cross_attention,
     position_embedding_2d,
-    roi_align,
     select_grid,
 )
 
-from helpers import scalar_cross_attention, window_box
+from helpers import scalar_cross_attention
 
 
 def random_pyramid(seed, base_h=24, base_w=24, channels=8, origin="overview"):
@@ -62,7 +61,7 @@ def value_rows_and_oracle(isp, n, grid):
     _, v = assemble_kv(isp, n, grid, AttnParams.init(HiwinConfig(grid_side=n, channels=c)))
     want = np.stack([
         np.concatenate([
-            scalar_roi_align(f.data, window_box(f.height, f.width, n, i, j), grid).reshape(-1, c)
+            scalar_roi_align(f.data, scalar_window_box(f.height, f.width, n, i, j), grid).reshape(-1, c)
             for f in isp.levels
         ])
         for i in range(n)
@@ -72,7 +71,7 @@ def value_rows_and_oracle(isp, n, grid):
 
 
 class TestWindows:
-    """Window (i, j) of every level is the box window_box writes out: the
+    """Window (i, j) of every level is the box scalar_window_box writes out: the
     value rows of assemble_kv are scalar_roi_align of those boxes."""
 
     def test_exact_two_cell_windows(self):
@@ -100,43 +99,51 @@ class TestWindows:
         np.testing.assert_allclose(v, want, rtol=0, atol=1e-12)
 
 
+def one_level(data):
+    return FeaturePyramid(levels=[FeatureMap(data)])
+
+
 class TestRoiAlign:
+    """RoI samples of assemble_kv's windows: hand values, and random windows
+    against scalar_roi_align.  Keys need channels divisible by 4."""
+
     def test_constant_map(self):
-        out = roi_align(np.full((6, 6, 2), 3.5), (0.7, 1.1, 5.3, 5.9), (3, 2))
-        assert out.shape == (2, 3, 2)
-        np.testing.assert_allclose(out, 3.5, atol=1e-12)
+        v, _ = value_rows_and_oracle(one_level(np.full((6, 6, 4), 3.5)), 2, (3, 2))
+        assert v.shape == (4, 6, 4)
+        np.testing.assert_allclose(v, 3.5, atol=1e-12)
 
     def test_integer_box_on_ramp_matches_hand_values(self):
-        ramp = (np.arange(16, dtype=np.float64).reshape(4, 4))[:, :, None]
-        out = roi_align(ramp, (0, 0, 4, 4), (2, 2))
-        want = scalar_roi_align(ramp, (0, 0, 4, 4), (2, 2))
-        np.testing.assert_allclose(out, want, atol=1e-6)
+        # one window: the box (0, 0, 4, 4) of a 4x4 ramp
+        ramp = np.broadcast_to(np.arange(16.0).reshape(4, 4, 1), (4, 4, 4))
+        v, want = value_rows_and_oracle(one_level(ramp), 1, (2, 2))
+        np.testing.assert_allclose(v, want, atol=1e-6)
         # bin centers at (1, 1), (3, 1), ... read exact 2x2 cell averages
-        np.testing.assert_allclose(out[:, :, 0], [[2.5, 4.5], [10.5, 12.5]])
+        np.testing.assert_allclose(v[0, :, 0].reshape(2, 2), [[2.5, 4.5], [10.5, 12.5]])
 
     def test_full_map_box_with_matching_grid_recovers_map(self):
         rng = np.random.default_rng(1)
-        data = rng.standard_normal((5, 7, 3))
-        out = roi_align(data, (0, 0, 7, 5), (7, 5))
-        np.testing.assert_allclose(out, data, atol=1e-12)
+        data = rng.standard_normal((5, 7, 4)).astype(np.float32)
+        v, _ = value_rows_and_oracle(one_level(data), 1, (7, 5))
+        np.testing.assert_allclose(v[0].reshape(5, 7, 4), data, atol=1e-12)
 
     def test_zero_area_rejected(self):
-        with pytest.raises(ValueError):
-            roi_align(np.zeros((4, 4, 1)), (2.0, 1.0, 2.0, 3.0), (2, 2))
+        # an empty level is the one way to a zero-area window
+        with pytest.raises(ValueError, match="zero-area box"):
+            value_rows_and_oracle(one_level(np.zeros((4, 0, 4))), 2, (2, 2))
 
     def test_random_boxes_match_scalar_oracle(self):
+        # random level dims, n and grid; n above a side gives sub-cell windows
         rng = np.random.default_rng(2)
-        for _ in range(100):
-            h = int(rng.integers(2, 20))
-            w = int(rng.integers(2, 20))
-            data = rng.standard_normal((h, w, 3)).astype(np.float32)
-            xs = np.sort(rng.uniform(0, w, 2))
-            ys = np.sort(rng.uniform(0, h, 2))
-            if xs[1] - xs[0] < 1e-3 or ys[1] - ys[0] < 1e-3:
-                continue
+        for _ in range(40):
+            h, w = (int(d) for d in rng.integers(1, 20, 2))
+            n = int(rng.integers(1, 9))
             grid = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-            box = (xs[0], ys[0], xs[1], ys[1])
-            np.testing.assert_array_equal(roi_align(data, box, grid), scalar_roi_align(data, box, grid))
+            isp = FeaturePyramid(levels=[
+                FeatureMap(rng.standard_normal((h << l, w << l, 4)), level=l) for l in range(2)
+            ])
+            v, want = value_rows_and_oracle(isp, n, grid)
+            # written far edges may differ from the library's in the last bit
+            np.testing.assert_allclose(v, want, rtol=0, atol=1e-12)
 
 
 class TestAssembleKv:
@@ -147,18 +154,11 @@ class TestAssembleKv:
         assert k.shape == (144, 27, 8)
         assert v.shape == (144, 27, 8)
 
-    def test_value_rows_equal_roi_align_of_each_window(self):
+    def test_value_rows_equal_scalar_roi_align_of_each_window(self):
         isp = random_pyramid(14, base_h=10, base_w=14, channels=4)
-        n = 5
-        grid = select_grid(14, 10)
-        s = grid[0] * grid[1]
-        _, v = assemble_kv(isp, n, grid, AttnParams.init(HiwinConfig(grid_side=n, channels=4)))
-        for lvl, fmap in enumerate(isp.levels):
-            for i in range(n):
-                for j in range(n):
-                    want = roi_align(fmap, window_box(fmap.height, fmap.width, n, i, j), grid).reshape(s, 4)
-                    # written far edges may differ from the library's in the last bit
-                    np.testing.assert_allclose(v[i * n + j, lvl * s : (lvl + 1) * s], want, rtol=0, atol=1e-12)
+        v, want = value_rows_and_oracle(isp, 5, select_grid(14, 10))
+        # written far edges may differ from the library's in the last bit
+        np.testing.assert_allclose(v, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("base_hw", [(24, 24), (18, 24), (7, 9), (24, 4)])
     @pytest.mark.parametrize("grid", [(3, 3), (2, 4)])
@@ -330,7 +330,7 @@ def zero_outside_window(isp, n, index):
     i, j = index
     levels = []
     for fmap in isp.levels:
-        x0, y0, x1, y1 = window_box(fmap.height, fmap.width, n, i, j)
+        x0, y0, x1, y1 = scalar_window_box(fmap.height, fmap.width, n, i, j)
         masked = np.zeros_like(fmap.data)
         ys, ye = int(np.floor(y0)), int(np.ceil(y1))
         xs, xe = int(np.floor(x0)), int(np.ceil(x1))
