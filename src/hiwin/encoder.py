@@ -7,12 +7,13 @@ constant image yields a spatially constant map.  Real features exported from
 elsewhere come in as ISPF files: :func:`load_features` reads each level, and
 a :class:`~hiwin.vdim.FeaturePyramid` of them goes straight to compression.
 
-ISPF file format (little-endian): magic ``ISPF``, u32 version=1, u32 level,
-u32 h, u32 w, u32 C, then h*w*C float32 values row-major, channel-fastest.
-NaN or inf is refused with ``NumericalError`` before the file is opened.
-A height, width or channel count of 0 is refused naming the field: by
-:func:`save_features` with ``ValueError`` before the file is opened, and in
-a header with ``DataFormatError``.
+ISPF file format (little-endian), the header ``ISPF``: magic ``ISPF``, u32
+version=1, u32 level, u32 h, u32 w, u32 C; then h*w*C float32 values
+row-major, channel-fastest, and nothing more.  NaN or inf is refused with
+``NumericalError``.  :func:`save_features` refuses with ``ValueError``,
+before it opens the file, a 0 dim or a level that is not a u32, naming it;
+:func:`load_features` refuses with ``DataFormatError`` a 0 dim and any byte
+after the payload.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .formats import DataFormatError, expect_magic, finite_f4, nonzero_dims, read_exact, read_u32, write_u32
+from .formats import DataFormatError, Header, expect_end, finite_f4, nonzero_dims, read_f4
 from .image_io import Image
 
 __all__ = [
@@ -33,8 +34,7 @@ __all__ = [
     "save_features",
 ]
 
-ISPF_MAGIC = b"ISPF"
-ISPF_VERSION = 1
+ISPF = Header(b"ISPF", "level", "height", "width", "channels")
 
 
 @dataclass
@@ -100,30 +100,20 @@ def encode(image: Image, spec: EncoderSpec, origin: str = "overview") -> Feature
 
 
 def save_features(fmap: FeatureMap, path) -> None:
+    dims = dict(height=fmap.height, width=fmap.width, channels=fmap.channels)
+    header = ISPF.pack(level=fmap.level, **dims)
     what = f"ISPF level-{fmap.level} map"
-    nonzero_dims(what, ValueError, height=fmap.height, width=fmap.width, channels=fmap.channels)
+    nonzero_dims(what, ValueError, **dims)
     data = finite_f4(fmap.data, what)
     with open(path, "wb") as f:
-        f.write(ISPF_MAGIC)
-        write_u32(f, ISPF_VERSION)
-        write_u32(f, fmap.level)
-        write_u32(f, fmap.height)
-        write_u32(f, fmap.width)
-        write_u32(f, fmap.channels)
+        f.write(header)
         f.write(data.tobytes())
 
 
 def load_features(path) -> FeatureMap:
     with open(path, "rb") as f:
-        expect_magic(f, ISPF_MAGIC)
-        version = read_u32(f, "version")
-        if version != ISPF_VERSION:
-            raise DataFormatError(f"unsupported ISPF version {version}")
-        level = read_u32(f, "level")
-        h = read_u32(f, "height")
-        w = read_u32(f, "width")
-        c = read_u32(f, "channels")
+        level, h, w, c = ISPF.read(f)
         nonzero_dims("ISPF header", DataFormatError, height=h, width=w, channels=c)
-        payload = read_exact(f, h * w * c * 4, "feature payload")
-    data = finite_f4(np.frombuffer(payload, dtype="<f4"), f"ISPF level-{level} map")
-    return FeatureMap(data.reshape(h, w, c).copy(), level=level, origin="file")
+        data = read_f4(f, (h, w, c), f"ISPF level-{level} map")
+        expect_end(f, "ISPF")
+    return FeatureMap(data, level=level, origin="file")

@@ -1,10 +1,13 @@
-"""Shared helpers for the package's little-endian binary file formats."""
+"""Shared helpers for the package's little-endian binary file formats: one
+:class:`Header` per format, which its writer and its reader both use, and
+the payload rules that both ends apply."""
 
 from __future__ import annotations
 
 import math
 import os
 import struct
+from collections import namedtuple
 from typing import BinaryIO
 
 import numpy as np
@@ -13,50 +16,90 @@ from .numerics import NumericalError
 
 __all__ = [
     "DataFormatError",
+    "Header",
     "check_room",
-    "expect_magic",
+    "check_shape",
+    "expect_end",
+    "f4_bytes",
     "finite_f4",
     "nonzero_dims",
-    "read_array",
-    "read_exact",
-    "read_u32",
-    "write_array",
-    "write_u32",
+    "read_f4",
+    "read_tensor",
+    "tensor_record",
 ]
+
+VERSION = 1  # the version of every header
 
 
 class DataFormatError(ValueError):
     """A file does not match its declared binary format."""
 
 
+def _left(f: BinaryIO) -> int:
+    """Bytes between the file position and the end, counted by a seek."""
+    here = f.tell()
+    end = f.seek(0, os.SEEK_END)
+    f.seek(here)
+    return end - here
+
+
 def check_room(f: BinaryIO, n: int, what: str) -> None:
     """Refuse ``n`` more bytes of ``what`` when fewer are left in the file,
     before anything of that size is allocated or read."""
-    here = f.tell()
-    left = f.seek(0, os.SEEK_END) - here
-    f.seek(here)
+    left = _left(f)
     if n > left:
         raise DataFormatError(f"truncated {what}: expected {n} bytes, got {left}")
 
 
-def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
+def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     """The next ``n`` bytes; a length the file cannot hold is refused first."""
     check_room(f, n, what)
     return f.read(n)
 
 
-def write_u32(f: BinaryIO, value: int) -> None:
-    f.write(struct.pack("<I", value))
+def expect_end(f: BinaryIO, fmt: str) -> None:
+    """Refuse a ``fmt`` file with bytes left after its last section."""
+    left = _left(f)
+    if left:
+        raise DataFormatError(f"{fmt} file has {left} trailing bytes")
 
 
-def read_u32(f: BinaryIO, what: str = "field") -> int:
-    return struct.unpack("<I", read_exact(f, 4, what))[0]
+class Header:
+    """One binary header: ``magic``, u32 version 1, then the u32 ``fields``
+    in order.  :meth:`pack` and :meth:`read` both follow this declaration,
+    so a writer and its reader cannot disagree on the layout."""
 
+    def __init__(self, magic: bytes, *fields: str):
+        self.magic = magic
+        self.format = magic.decode("ascii")
+        self._row = namedtuple(f"{self.format}Header", fields)
+        self._struct = struct.Struct(f"<{len(magic)}s{1 + len(fields)}I")
 
-def expect_magic(f: BinaryIO, magic: bytes) -> None:
-    got = read_exact(f, len(magic), "magic")
-    if got != magic:
-        raise DataFormatError(f"bad magic: expected {magic!r}, got {got!r}")
+    def pack(self, **values: int) -> bytes:
+        """The header's bytes; a value that is not a u32 integer is refused
+        with ``ValueError`` naming the format and the field."""
+        row = self._row(**values)
+        for name, value in row._asdict().items():
+            if not (isinstance(value, (int, np.integer)) and 0 <= value < 2**32):
+                raise ValueError(f"{self.format} header field {name} = {value!r} is not a u32")
+        return self._struct.pack(self.magic, VERSION, *row)
+
+    def read(self, f: BinaryIO):
+        """The fields, as a named tuple, after checking magic and version."""
+        raw = _read_exact(f, self._struct.size, f"{self.format} header")
+        magic, version, *values = self._struct.unpack(raw)
+        if magic != self.magic:
+            raise DataFormatError(f"bad magic: expected {self.magic!r}, got {magic!r}")
+        if version != VERSION:
+            raise DataFormatError(f"unsupported {self.format} version {version}")
+        return self._row(*values)
+
+    def follows(self, f: BinaryIO) -> bool:
+        """Whether this header's magic is next in ``f``; nothing is consumed."""
+        here = f.tell()
+        found = f.read(len(self.magic)) == self.magic
+        f.seek(here)
+        return found
 
 
 def finite_f4(arr, what: str) -> np.ndarray:
@@ -76,18 +119,36 @@ def nonzero_dims(what: str, error: type[Exception], **dims: int) -> None:
             raise error(f"{what} has 0 {name}")
 
 
-def write_array(f: BinaryIO, arr: np.ndarray) -> None:
-    """Tensor record: rank (u32), dims (u32 each), float32 payload."""
-    arr = np.asarray(arr)
-    write_u32(f, arr.ndim)
-    for d in arr.shape:
-        write_u32(f, d)
-    f.write(arr.astype("<f4").tobytes())
+def check_shape(what: str, shape: tuple[int, ...], implied: tuple[int, ...], error: type[Exception]) -> None:
+    """Refuse, with ``error`` naming ``what``, an array whose shape is not
+    the one its header implies."""
+    if tuple(shape) != tuple(implied):
+        raise error(f"{what} has shape {tuple(shape)}, header implies {tuple(implied)}")
 
 
-def read_array(f: BinaryIO, what: str = "tensor") -> np.ndarray:
-    rank = read_u32(f, f"{what} rank")
-    dims = tuple(read_u32(f, f"{what} dim") for _ in range(rank))
-    count = math.prod(dims)
-    payload = read_exact(f, count * 4, f"{what} payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+def f4_bytes(arr, shape: tuple[int, ...], what: str) -> bytes:
+    """``arr`` as the float32 payload of the ``shape`` a header implies,
+    refused naming ``what`` when it has another shape or holds NaN or inf."""
+    check_shape(what, np.shape(arr), shape, ValueError)
+    return finite_f4(arr, what).tobytes()
+
+
+def read_f4(f: BinaryIO, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The float32 payload of ``shape``, refused naming ``what`` when the
+    file is too short for it or it holds NaN or inf."""
+    payload = _read_exact(f, 4 * math.prod(shape), f"{what} payload")
+    return finite_f4(np.frombuffer(payload, dtype="<f4"), what).reshape(shape).copy()
+
+
+def tensor_record(arr, shape: tuple[int, ...], what: str) -> bytes:
+    """Tensor record: rank (u32), dims (u32 each), then :func:`f4_bytes`."""
+    payload = f4_bytes(arr, shape, what)
+    return struct.pack(f"<{1 + np.ndim(arr)}I", np.ndim(arr), *np.shape(arr)) + payload
+
+
+def read_tensor(f: BinaryIO, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The tensor record of ``what``, refused unless it holds ``shape``."""
+    (rank,) = struct.unpack("<I", _read_exact(f, 4, f"{what} rank"))
+    dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, f"{what} dims"))
+    check_shape(what, dims, shape, DataFormatError)
+    return read_f4(f, shape, what)

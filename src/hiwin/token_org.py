@@ -6,13 +6,14 @@ the flattened sequence regardless of which slice they came from.  The
 overview map is kept separate and emitted first.  No separator tokens are
 used; the index map carries the structure instead.
 
-TOKS file format (little-endian): magic ``TOKS``, u32 version=1, u32 rows,
-u32 cols, u32 N, u32 C, then the overview (N*N*C float32) and the stitched
-global map (N*rows * N*cols * C float32), both row-major channel-fastest.
-NaN or inf is refused with ``NumericalError``, by :func:`save_tokens`
-before the file is opened and by :func:`load_tokens`.  A rows, cols, N or
-C of 0 is refused naming the field, by the writer with ``ValueError`` and
-in a header with ``DataFormatError``.
+TOKS file format (little-endian), the header ``TOKS``: magic ``TOKS``, u32
+version=1, u32 rows, u32 cols, u32 N, u32 C; then the overview (N*N*C
+float32) and the stitched global map (N*rows * N*cols * C float32), both
+row-major channel-fastest, and nothing more.  NaN or inf is refused with
+``NumericalError``.  :func:`save_tokens` refuses with ``ValueError``, before
+it opens the file, a field that is 0 or not a u32 and an array not of the
+shape the header implies, naming it; :func:`load_tokens` refuses with
+``DataFormatError`` a field of 0 and any byte after the global map.
 The optional plain-text index map has one ``seq_idx row col origin`` line
 per token.
 """
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .formats import DataFormatError, expect_magic, finite_f4, nonzero_dims, read_exact, read_u32, write_u32
+from .formats import DataFormatError, Header, expect_end, f4_bytes, nonzero_dims, read_f4
 from .slicing import SliceLayout
 from .window_attn import TokenMap
 
@@ -39,8 +40,7 @@ __all__ = [
     "save_tokens",
 ]
 
-TOKS_MAGIC = b"TOKS"
-TOKS_VERSION = 1
+TOKS = Header(b"TOKS", "rows", "cols", "N", "C")
 
 
 @dataclass
@@ -106,48 +106,31 @@ def flatten(assembled: AssembledTokens) -> TokenSequence:
     return TokenSequence(tokens=tokens, entries=entries)
 
 
+def _payload_shapes(rows: int, cols: int, N: int, C: int) -> dict[str, tuple[int, int, int]]:
+    """The overview and global-map shapes that a TOKS header implies."""
+    return {"overview": (N, N, C), "global map": (N * rows, N * cols, C)}
+
+
 def save_tokens(assembled: AssembledTokens, path) -> None:
-    n, c, rows, cols = assembled.side, assembled.channels, assembled.rows, assembled.cols
-    nonzero_dims("TOKS tokens", ValueError, rows=rows, cols=cols, N=n, C=c)
-    if assembled.global_map.shape != (n * rows, n * cols, c):
-        raise ValueError(
-            f"TOKS global map has shape {assembled.global_map.shape}, "
-            f"header implies {(n * rows, n * cols, c)}"
-        )
-    overview = finite_f4(assembled.overview, "TOKS overview")
-    global_map = finite_f4(assembled.global_map, "TOKS global map")
+    dims = dict(rows=assembled.rows, cols=assembled.cols, N=assembled.side, C=assembled.channels)
+    header = TOKS.pack(**dims)
+    nonzero_dims("TOKS tokens", ValueError, **dims)
+    shapes = _payload_shapes(**dims).items()
+    arrays = (assembled.overview, assembled.global_map)
+    payloads = [f4_bytes(arr, shape, f"TOKS {name}") for (name, shape), arr in zip(shapes, arrays)]
     with open(path, "wb") as f:
-        f.write(TOKS_MAGIC)
-        write_u32(f, TOKS_VERSION)
-        write_u32(f, assembled.rows)
-        write_u32(f, assembled.cols)
-        write_u32(f, assembled.side)
-        write_u32(f, assembled.channels)
-        f.write(overview.tobytes())
-        f.write(global_map.tobytes())
+        f.write(header)
+        f.writelines(payloads)
 
 
 def load_tokens(path) -> AssembledTokens:
     with open(path, "rb") as f:
-        expect_magic(f, TOKS_MAGIC)
-        version = read_u32(f, "version")
-        if version != TOKS_VERSION:
-            raise DataFormatError(f"unsupported TOKS version {version}")
-        rows = read_u32(f, "rows")
-        cols = read_u32(f, "cols")
-        n = read_u32(f, "N")
-        c = read_u32(f, "C")
-        nonzero_dims("TOKS header", DataFormatError, rows=rows, cols=cols, N=n, C=c)
-        overview = read_exact(f, n * n * c * 4, "overview payload")
-        global_map = read_exact(f, n * rows * n * cols * c * 4, "global payload")
-    overview = finite_f4(np.frombuffer(overview, dtype="<f4"), "TOKS overview")
-    global_map = finite_f4(np.frombuffer(global_map, dtype="<f4"), "TOKS global map")
-    return AssembledTokens(
-        global_map=global_map.reshape(n * rows, n * cols, c).copy(),
-        overview=overview.reshape(n, n, c).copy(),
-        rows=rows,
-        cols=cols,
-    )
+        header = TOKS.read(f)
+        nonzero_dims("TOKS header", DataFormatError, **header._asdict())
+        shapes = _payload_shapes(*header).items()
+        overview, global_map = (read_f4(f, shape, f"TOKS {name}") for name, shape in shapes)
+        expect_end(f, "TOKS")
+    return AssembledTokens(global_map=global_map, overview=overview, rows=header.rows, cols=header.cols)
 
 
 def save_index(sequence: TokenSequence, path) -> None:

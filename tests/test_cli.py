@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import hiwin
-from hiwin import checkpoint
+from hiwin import checkpoint, formats
 from hiwin.checkpoint import save_checkpoint
 from hiwin.cli import main
+from hiwin.encoder import FeatureMap, save_features
 from hiwin.image_io import Image, load_ppm, save_ppm, synth_corpus
 from hiwin.numerics import bilinear_resize
 from hiwin.token_org import load_tokens
@@ -185,7 +186,7 @@ def test_feature_header_larger_than_the_file_exits_3(tmp_path, capsys):
     path = tmp_path / "huge.ispf"
     path.write_bytes(b"ISPF" + struct.pack("<5I", 1, 0, *[2**32 - 1] * 3) + bytes(16))
     assert main(["visualize", "--features", str(path), "--out", str(tmp_path / "o.ppm")]) == 3
-    assert "truncated feature payload" in capsys.readouterr().err
+    assert "truncated ISPF level-0 map payload" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["height", "width", "channels"])
@@ -209,6 +210,23 @@ def test_feature_file_holding_nan_exits_4_naming_its_level(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure in visualize:" in err
     assert "ISPF level-2 map holds non-finite values" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["ISPF", "checkpoint"])
+def test_file_with_trailing_bytes_exits_3_naming_its_format(ckpt, image_336, tmp_path, capsys, fmt):
+    # both loaders read back files like these unchanged before
+    features, model = tmp_path / "f.ispf", tmp_path / "m.ckpt"
+    save_features(FeatureMap(np.ones((2, 3, 4), dtype=np.float32)), features)
+    model.write_bytes(ckpt.read_bytes())
+    with open(features if fmt == "ISPF" else model, "ab") as f:
+        f.write(bytes(8))
+    out = tmp_path / "o.ppm"
+    if fmt == "ISPF":
+        assert main(["visualize", "--features", str(features), "--out", str(out)]) == 3
+    else:
+        assert main(["compress", "--image", str(image_336), "--ckpt", str(model), "--out", str(out)]) == 3
+    assert f"{fmt} file has 8 trailing bytes" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -382,7 +400,7 @@ def save_unchecked(monkeypatch, path, vdim, down, attn):
     """``save_checkpoint`` without the header and shape rules that it shares
     with the loader: it writes a file that the loader must refuse."""
     with monkeypatch.context() as m:
-        m.setattr(checkpoint, "_check_shape", lambda *args: None)
+        m.setattr(formats, "check_shape", lambda *args: None)
         m.setattr(checkpoint, "_check_attn_header", lambda *args: None)
         save_checkpoint(path, vdim, down, attn=attn)
 

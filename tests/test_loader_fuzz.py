@@ -3,8 +3,10 @@ message (or, for TOKS, ``DataFormatError`` or ``NumericalError`` for a
 non-finite payload), never in a traceback.
 
 The mutations are the ones that break binary readers: truncation, a flipped
-byte, a u32 written over the header, and an inserted byte.  Examples are
-derandomized, so every run tries the same files.
+byte, a u32 written over the header, an inserted byte, and bytes appended
+after the end, which the ISPF, checkpoint and TOKS readers refuse (a PPM
+file may hold more than one image).  Examples are derandomized, so every
+run tries the same files.
 """
 
 import contextlib
@@ -37,11 +39,14 @@ mutations = st.one_of(
         st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1)),
     ),
     st.tuples(st.just("insert"), st.integers(0, 2**20), st.integers(0, 255)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=64)),
 )
 
 
 def mutate(data: bytes, mutation) -> bytes:
     kind, pos, *arg = mutation
+    if kind == "append":
+        return data + pos
     if kind == "truncate":
         return data[: pos % len(data)]
     if kind == "u32":
@@ -96,6 +101,11 @@ def assert_clean_exit(code: int, err: str) -> None:
         assert err.strip(), "a failing exit must print a message"
 
 
+def assert_refused_if_appended(mutation, code: int, err: str, fmt: str) -> None:
+    if mutation[0] == "append":
+        assert code == 3 and f"{fmt} file has {len(mutation[1])} trailing bytes" in err, err
+
+
 def mutated(files, name: str, mutation):
     path = files["root"] / f"mutated-{name}"
     path.write_bytes(mutate(files[name].read_bytes(), mutation))
@@ -123,7 +133,9 @@ def test_mutated_ppm_exits_cleanly(files, mutation):
 def test_mutated_ispf_exits_cleanly(files, mutation):
     path = mutated(files, "ispf", mutation)
     out = files["root"] / "ispf-out.ppm"
-    assert_clean_exit(*run_cli(["visualize", "--features", str(path), "--out", str(out)]))
+    code, err = run_cli(["visualize", "--features", str(path), "--out", str(out)])
+    assert_clean_exit(code, err)
+    assert_refused_if_appended(mutation, code, err, "ISPF")
 
 
 @settings(fuzz, max_examples=40)
@@ -131,7 +143,9 @@ def test_mutated_ispf_exits_cleanly(files, mutation):
 def test_mutated_checkpoint_exits_cleanly(files, mutation):
     path = mutated(files, "ckpt", mutation)
     out = files["root"] / "ckpt-out"
-    assert_clean_exit(*run_cli(["build-isp", "--image", str(files["ppm"]), "--ckpt", str(path), "--out-prefix", str(out)]))
+    code, err = run_cli(["build-isp", "--image", str(files["ppm"]), "--ckpt", str(path), "--out-prefix", str(out)])
+    assert_clean_exit(code, err)
+    assert_refused_if_appended(mutation, code, err, "checkpoint")
 
 
 @settings(fuzz, max_examples=60)
@@ -143,4 +157,5 @@ def test_mutated_tokens_load_or_raise_data_format_error(files, mutation):
     except (DataFormatError, NumericalError) as e:  # NumericalError: a payload flipped to NaN or inf
         assert str(e)
     else:
+        assert mutation[0] != "append", "a TOKS file with bytes appended loaded"
         assert tokens.global_map.shape[2] == tokens.overview.shape[2]

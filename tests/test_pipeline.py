@@ -8,7 +8,7 @@ import pytest
 
 from hiwin.checkpoint import load_checkpoint, save_checkpoint
 from hiwin.encoder import EncoderSpec, FeatureMap
-from hiwin.formats import DataFormatError, read_array
+from hiwin.formats import DataFormatError, read_tensor
 from hiwin.image_io import Image, synth_corpus
 from hiwin.numerics import NumericalError, bilinear_resize
 from hiwin.pipeline import (
@@ -179,10 +179,10 @@ class TestCheckpoint:
         save_checkpoint(path, vdim, down, attn=attn)
         with open(path, "rb") as f:
             f.seek(16)  # magic, version, d_proj, C
-            stored = [read_array(f) for _ in VDIM_TENSORS]
+            stored = [read_tensor(f, named_tensor(name, vdim, down, attn).shape, name) for name in VDIM_TENSORS]
             assert f.read(4) == b"HATT"
             f.seek(16, 1)  # version, N, heads, C
-            stored += [read_array(f) for _ in ATTN_TENSORS]
+            stored += [read_tensor(f, named_tensor(name, vdim, down, attn).shape, name) for name in ATTN_TENSORS]
             assert f.read() == b""
         ckpt = load_checkpoint(path)
         for k, (name, arr) in enumerate(zip(names, stored)):

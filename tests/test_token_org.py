@@ -138,7 +138,7 @@ class TestToksFormat:
         # rows = cols = N = 2^32 - 1, C = 1
         path = tmp_path / "huge.toks"
         path.write_bytes(b"TOKS" + struct.pack("<5I", 1, *[2**32 - 1] * 3, 1) + bytes(16))
-        with pytest.raises(DataFormatError, match="truncated overview payload"):
+        with pytest.raises(DataFormatError, match="truncated TOKS overview payload"):
             load_tokens(path)
 
     @pytest.mark.parametrize("field", ["rows", "cols", "N", "C"])
