@@ -4,8 +4,10 @@ The synthetic encoder stands in for a frozen patch transformer: it flattens
 non-overlapping 14x14 patches, applies a fixed seeded linear map, and
 squashes with tanh.  It is a pure function of (pixels, seed, channels), so a
 constant image yields a spatially constant map.  Real features exported from
-elsewhere come in as ISPF files: :func:`load_features` reads each level, and
-a :class:`~hiwin.vdim.FeaturePyramid` of them goes straight to compression.
+elsewhere come in as ISPF files: :func:`load_features` reads each level once,
+straight into its array, and scans it for NaN once; a
+:class:`~hiwin.vdim.FeaturePyramid` of them goes straight to compression.
+The patch projection is drawn once per (seed, channels) and kept read-only.
 
 ISPF file format (little-endian), the header ``ISPF``: magic ``ISPF``, u32
 version=1, u32 level, u32 h, u32 w, u32 C; then h*w*C float32 values
@@ -19,6 +21,7 @@ after the payload.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -53,6 +56,14 @@ class FeatureMap:
             raise ValueError("FeatureMap values must be finite")
         self.data = d
 
+    @classmethod
+    def _of_checked(cls, data: np.ndarray, level: int, origin: str) -> "FeatureMap":
+        """A map of an (h, w, C) float32 array whose reader has already
+        refused non-finite values, built without scanning it again."""
+        fmap = cls.__new__(cls)
+        fmap.data, fmap.level, fmap.origin = data, level, origin
+        return fmap
+
     @property
     def height(self) -> int:
         return self.data.shape[0]
@@ -75,9 +86,13 @@ class EncoderSpec:
     seed: int = 0
 
 
-def _patch_projection(spec: EncoderSpec) -> np.ndarray:
-    rng = np.random.default_rng(spec.seed)
-    return rng.uniform(-0.1, 0.1, (spec.patch * spec.patch * 3, spec.channels))
+@lru_cache(maxsize=8)
+def _patch_projection(seed: int, channels: int) -> np.ndarray:
+    """The read-only (588, C) patch projection, drawn once per (seed, C)."""
+    p = EncoderSpec.patch
+    w = np.random.default_rng(seed).uniform(-0.1, 0.1, (p * p * 3, channels))
+    w.flags.writeable = False
+    return w
 
 
 def encode(image: Image, spec: EncoderSpec, origin: str = "overview") -> FeatureMap:
@@ -95,7 +110,7 @@ def encode(image: Image, spec: EncoderSpec, origin: str = "overview") -> Feature
         .transpose(0, 2, 1, 3, 4)
         .reshape(nh, nw, p * p * 3)
     )
-    feats = np.tanh(patches @ _patch_projection(spec))
+    feats = np.tanh(patches @ _patch_projection(spec.seed, spec.channels))
     return FeatureMap(feats.astype(np.float32), level=0, origin=origin)
 
 
@@ -116,4 +131,4 @@ def load_features(path) -> FeatureMap:
         nonzero_dims("ISPF header", DataFormatError, height=h, width=w, channels=c)
         data = read_f4(f, (h, w, c), f"ISPF level-{level} map")
         expect_end(f, "ISPF")
-    return FeatureMap(data, level=level, origin="file")
+    return FeatureMap._of_checked(data, level, "file")

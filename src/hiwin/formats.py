@@ -134,10 +134,16 @@ def f4_bytes(arr, shape: tuple[int, ...], what: str) -> bytes:
 
 
 def read_f4(f: BinaryIO, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """The float32 payload of ``shape``, refused naming ``what`` when the
-    file is too short for it or it holds NaN or inf."""
-    payload = _read_exact(f, 4 * math.prod(shape), f"{what} payload")
-    return finite_f4(np.frombuffer(payload, dtype="<f4"), what).reshape(shape).copy()
+    """The float32 payload of ``shape`` as a new writable array, refused
+    naming ``what`` when the file is too short for it or it holds NaN or
+    inf.  The room is checked first, then the bytes are read once, straight
+    into the array."""
+    check_room(f, 4 * math.prod(shape), f"{what} payload")
+    out = np.empty(shape, dtype="<f4")
+    got = f.readinto(out.reshape(-1).view(np.uint8))
+    if got != out.nbytes:
+        raise DataFormatError(f"truncated {what} payload: expected {out.nbytes} bytes, got {got}")
+    return finite_f4(out, what)
 
 
 def tensor_record(arr, shape: tuple[int, ...], what: str) -> bytes:

@@ -5,11 +5,14 @@ Each check pits a vectorized library path against a small, independently
 written scalar reference, or against finite differences.  They are cheap
 enough to run on every install.  The references (:func:`scalar_bilinear_at`,
 :func:`scalar_roi_align`, :func:`scalar_window_box`,
-:func:`scalar_grid_choice`) are plain per-element loops or written-out
-formulas; the test suite compares the library against these same functions.
-The window-sampling check compares the value rows of
-:func:`~hiwin.window_attn.assemble_kv`, the RoI samples of every window of
-every level, with :func:`scalar_roi_align` of each written-out window box.
+:func:`scalar_grid_choice`, :func:`scalar_cross_attention`) are plain
+per-element loops or written-out formulas; the test suite compares the
+library against these same functions.  The window-sampling check compares
+the value rows of :func:`~hiwin.window_attn.assemble_kv`, the RoI samples of
+every window of every level, with :func:`scalar_roi_align` of each
+written-out window box.  The window-attention check compares the tokens of
+:func:`~hiwin.window_attn.compress` with :func:`scalar_cross_attention` of
+each window over keys written out as values + level embedding + zeta.
 """
 
 from __future__ import annotations
@@ -22,15 +25,25 @@ from .encoder import FeatureMap
 from .image_io import synth_corpus
 from .numerics import grad_check
 from .vdim import DownsamplerParams, FeaturePyramid, VdimParams, mlr_objective
-from .window_attn import PROPOSALS, AttnParams, HiwinConfig, assemble_kv, select_grid
+from .window_attn import (
+    PROPOSALS,
+    AttnParams,
+    HiwinConfig,
+    assemble_kv,
+    compress,
+    position_embedding_2d,
+    select_grid,
+)
 from . import image_io
 
 __all__ = [
     "check_grid_selection",
     "check_gradients",
+    "check_window_attention",
     "check_window_sampling",
     "run_all",
     "scalar_bilinear_at",
+    "scalar_cross_attention",
     "scalar_grid_choice",
     "scalar_roi_align",
     "scalar_window_box",
@@ -123,6 +136,75 @@ def check_window_sampling(trials: int = 50, seed: int = 0) -> tuple[bool, str]:
     return ok, f"{boxes} window boxes, max deviation {worst:.2e} from the scalar reference"
 
 
+def scalar_cross_attention(q, k, v, params, heads: int):
+    """Grouped multi-head attention oracle: for each group, query and head,
+    the query, every key and every value are projected one row at a time,
+    the scaled scores pass through a per-row softmax, and the weighted sum
+    of the projected values goes through the output projection.  Returns
+    the (G, Q, C) outputs and the (G, heads, Q, L) weights."""
+    g, nq, c = q.shape
+    l = k.shape[1]
+    dk = c // heads
+    out = np.zeros((g, nq, c))
+    att = np.zeros((g, heads, nq, l))
+    for gi in range(g):
+        for qi in range(nq):
+            qp = q[gi, qi] @ params.wq + params.bq
+            ctx = np.zeros(c)
+            for h in range(heads):
+                cols = slice(h * dk, (h + 1) * dk)
+                logits = []
+                for li in range(l):
+                    kp = k[gi, li] @ params.wk[:, cols] + params.bk[cols]
+                    logits.append(float(qp[cols] @ kp) / math.sqrt(dk))
+                top = max(logits)
+                sims = [math.exp(s - top) for s in logits]
+                total = sum(sims)
+                for li in range(l):
+                    att[gi, h, qi, li] = sims[li] / total
+                    ctx[cols] += att[gi, h, qi, li] * (v[gi, li] @ params.wv[:, cols] + params.bv[cols])
+            out[gi, qi] = ctx @ params.wo + params.bo
+    return out, att
+
+
+def check_window_attention(trials: int = 20, seed: int = 0) -> tuple[bool, str]:
+    """``compress``'s tokens against :func:`scalar_cross_attention` of each
+    window's query over keys written out as values + level embedding + zeta:
+    the values are :func:`scalar_roi_align` of the window's box at every
+    level, zeta the positional embedding of each sample's nominal bin
+    centre.  Level dims, n, heads, biases and level embeddings are random;
+    n above a level's side gives windows narrower than one cell, and
+    non-square maps choose non-square grids."""
+    rng = np.random.default_rng(seed)
+    worst, windows, c = 0.0, 0, 8
+    for _ in range(trials):
+        h, w = (int(d) for d in rng.integers(1, 13, 2))
+        n = int(rng.integers(1, 7))
+        heads = int(rng.choice([1, 2, 4]))
+        config = HiwinConfig(grid_side=n, heads=heads, channels=c)
+        params = AttnParams.init(config, seed=int(rng.integers(2**31)))
+        for name in ("bq", "bk", "bv", "bo"):
+            setattr(params, name, rng.uniform(-0.5, 0.5, c))
+        params.level_emb = rng.uniform(-1.0, 1.0, (3, c))
+        levels = [FeatureMap(rng.standard_normal((h << l, w << l, c)), level=l) for l in range(3)]
+        got = compress(FeaturePyramid(levels), params, config).data
+        rw, rh = scalar_grid_choice(w, h)
+        for i in range(n):
+            for j in range(n):
+                boxes = [scalar_window_box(f.height, f.width, n, i, j) for f in levels]
+                values = [scalar_roi_align(f.data, b, (rw, rh)).reshape(-1, c) for f, b in zip(levels, boxes)]
+                points = [((j + (v + 0.5) / rw) / n, (i + (u + 0.5) / rh) / n) for u in range(rh) for v in range(rw)]
+                zeta = position_embedding_2d(np.array(points), c)
+                keys = np.concatenate([vals + emb + zeta for vals, emb in zip(values, params.level_emb)])
+                centre = position_embedding_2d(np.array([[(j + 0.5) / n, (i + 0.5) / n]]), c)
+                q = params.queries[i, j] + centre
+                want, _ = scalar_cross_attention(q[None], keys[None], np.concatenate(values)[None], params, heads)
+                worst = max(worst, float(np.abs(got[i, j] - want[0, 0]).max()))
+        windows += n * n
+    ok = worst <= 1e-6
+    return ok, f"{windows} windows, max deviation {worst:.2e} from attention over written-out keys"
+
+
 def check_gradients(seed: int = 0) -> tuple[bool, str]:
     image = synth_corpus(seed, 1, 56)[0]
     pyramid = image_io.build_image_pyramid(image)
@@ -143,5 +225,6 @@ def run_all(seed: int = 0) -> list[tuple[str, bool, str]]:
     return [
         ("grid-selection", *check_grid_selection(seed=seed)),
         ("window-sampling", *check_window_sampling(seed=seed)),
+        ("window-attention", *check_window_attention(seed=seed)),
         ("gradients", *check_gradients(seed=seed)),
     ]

@@ -18,7 +18,13 @@ passes one group of one query per window, the resampler baseline one group
 of all N*N queries over every pyramid feature.  Where each key and value is
 read by one query, as in every window, the key and value projections are
 folded into the query and the weighted sum instead of being applied to each
-sample; the resampler's shared keys and values are projected once.
+sample; the resampler's shared keys and values are projected once.  A
+window's keys are its values plus two additive terms, the level embedding
+and zeta, the positional embedding of each sample point; :func:`assemble_kv`
+hands them over as those three addends and never builds their sum, and the
+folded query scores each addend on its own, so the level and position terms
+cost one product over L levels and one over S sample points, not a pass
+over a key array.
 
 RoI sampling convention: each window box is clamped to map bounds and split
 into r_h x r_w bins; one bilinear sample is taken per bin at the bin center,
@@ -29,18 +35,21 @@ half-pixel centers: cell (p, q) is centered at (q + 0.5, p + 0.5).  The
 lookups use the package's one bilinear rule, :func:`hiwin.numerics.bilinear_taps`
 applied by :func:`hiwin.numerics.lerp` along x, then y.  Bin centers are
 separable, and each level's windows form a grid, so each level is sampled
-in one pass over the sample columns and rows of all its windows
-(:func:`assemble_kv`); no single-box sampler is kept.  The scalar references
+over the sample columns and rows of all its windows, in blocks of whole
+window rows written straight into the value array (:func:`assemble_kv`);
+no single-box sampler is kept.  The scalar references
 for this rule, the window boxes and the grid choice are in
-:mod:`hiwin.selfcheck`, whose ``window-sampling`` check compares
-:func:`assemble_kv`'s value rows with them; ``selftest`` and the tests both
-use them.
+:mod:`hiwin.selfcheck`, with the attention reference: its
+``window-sampling`` check compares :func:`assemble_kv`'s value rows with
+them, and its ``window-attention`` check compares :func:`compress` with
+attention over written-out keys; ``selftest`` and the tests both use them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -173,15 +182,6 @@ def _bin_centers(lo: np.ndarray, hi: np.ndarray, r: int, size: int) -> np.ndarra
     return np.where(hi - lo >= 1.0, np.clip(c, lo + 0.5, hi - 0.5), (lo + hi) / 2.0)
 
 
-def _sample_grid(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Bilinear samples (len(ys), len(xs), C) of an (H, W, C) map at every
-    pair of the sample columns ``xs`` and rows ``ys``.  Only the rows the
-    y-taps read go through the column pass (:func:`hiwin.numerics.gather_taps`)."""
-    h, w = data.shape[:2]
-    rows, row_taps = gather_taps(data, bilinear_taps(ys, h), axis=0)
-    return lerp(lerp(rows, bilinear_taps(xs, w), axis=1), row_taps, axis=0)
-
-
 def position_embedding_2d(coords: np.ndarray, channels: int) -> np.ndarray:
     """Fixed sinusoidal embedding of normalized (x, y) coordinates.
 
@@ -226,17 +226,25 @@ def _sample_embedding(n: int, grid: tuple[int, int], channels: int) -> np.ndarra
     return zeta
 
 
+_BLOCK = 1 << 15  # sampled entries per block of assemble_kv
+
+
 def assemble_kv(
     isp: FeaturePyramid, n: int, grid: tuple[int, int], params: AttnParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Keys and values for the n x n windows of every level: (n^2, levels*S, C)
-    each, rows in window order ``i * n + j``.
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Keys and values for the n x n windows of every level, rows in window
+    order ``i * n + j``: the (n^2, levels*S, C) values, and the keys as the
+    three addends whose broadcast sum they are, ``(values, level embedding,
+    zeta)`` of shapes (n^2, levels, S, C), (1, levels, 1, C) and
+    (n^2, 1, S, C).  The first addend is a view of the value array; their
+    sum is never built (:func:`cross_attention` scores each addend).
 
     Window (i, j) of each level spans column ``j`` and row ``i`` of the
     uniform n-way split of that level's own width and height.  Values are
-    the raw samples: each level is sampled in one pass and written once,
-    through a transposed view, into its block of one value array.  Keys are
-    ``(value + level embedding) + zeta``, built on that array, where zeta is
+    the raw samples.  Each level is sampled in blocks of whole window rows,
+    about ``_BLOCK`` sampled entries each: a block gathers only the map rows
+    its taps read, lerps them along x, then along y, and writes the result,
+    through a transposed view, into its place in the value array.  Zeta is
     the positional embedding of each sample point's normalized coordinate;
     it depends only on (n, grid, C), so it is computed once per geometry.
     """
@@ -250,15 +258,20 @@ def assemble_kv(
             f"needs {levels} or more rows of {c}"
         )
     v = np.empty((n, n, levels, rh, rw, c), dtype=np.float64)
+    step = max(1, _BLOCK // (rh * n * rw * c))  # window rows per block
     for lvl, fmap in enumerate(isp.levels):
-        xs = _bin_centers(*_spans(fmap.width, n), rw, fmap.width).reshape(-1)  # column j, bin v
-        ys = _bin_centers(*_spans(fmap.height, n), rh, fmap.height).reshape(-1)  # row i, bin u
-        samples = _sample_grid(fmap.data, xs, ys).reshape(n, rh, n, rw, c)  # (i, u, j, v)
-        v[:, :, lvl].transpose(0, 2, 1, 3, 4)[...] = samples
+        h, w = fmap.height, fmap.width
+        cols = bilinear_taps(_bin_centers(*_spans(w, n), rw, w).reshape(-1), w)  # column j, bin v
+        i0, i1, frac = bilinear_taps(_bin_centers(*_spans(h, n), rh, h), h)  # (row i, bin u)
+        out = v[:, :, lvl].transpose(0, 2, 1, 3, 4)  # (i, u, j, v, C)
+        for a in range(0, n, step):
+            b = min(a + step, n)
+            block_taps = (i0[a:b].ravel(), i1[a:b].ravel(), frac[a:b].ravel())
+            rows, row_taps = gather_taps(fmap.data, block_taps, axis=0)
+            out[a:b] = lerp(lerp(rows, cols, axis=1), row_taps, axis=0).reshape(b - a, rh, n, rw, c)
     v = v.reshape(n * n, levels, rh * rw, c)
-    k = v + emb[:levels, None]
-    k += _sample_embedding(n, tuple(grid), c)[:, None]
-    return k.reshape(n * n, -1, c), v.reshape(n * n, -1, c)
+    keys = (v, emb[None, :levels, None], _sample_embedding(n, tuple(grid), c)[:, None])
+    return keys, v.reshape(n * n, -1, c)
 
 
 def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -269,45 +282,63 @@ def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _addend_scores(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``u`` (G, M, C) dotted with every row of a (G or 1, L1, ..., C) key
+    addend, (G, M, L1, ...), in one product; an addend of one group takes
+    every group's rows of ``u`` at once."""
+    g, m, c = u.shape
+    part = u.reshape(t.shape[0], -1, c) @ t.reshape(t.shape[0], -1, c).transpose(0, 2, 1)
+    return part.reshape((g, m) + t.shape[1:-1])
+
+
 def cross_attention(
     q: np.ndarray,
-    k: np.ndarray,
+    k: np.ndarray | tuple[np.ndarray, ...],
     v: np.ndarray,
     params: AttnParams,
     heads: int,
     return_weights: bool = False,
 ):
     """Multi-head scaled dot-product attention with output projection, over
-    groups: ``q`` is (G, Q, C) and ``k``/``v`` are (G, L, C), and the Q
-    queries of group g attend over the L keys of group g.  Returns the
-    (G, Q, C) outputs and, with ``return_weights``, the (G, heads, Q, L)
-    attention weights.  A ``heads`` below 1, or one that does not divide C,
-    raises ``ValueError``.
+    groups: ``q`` is (G, Q, C) and ``v`` is (G, L, C), and the Q queries of
+    group g attend over the L keys of group g.  ``k`` is the (G, L, C) keys,
+    or a tuple of addends whose broadcast sum they are, each of shape
+    (G or 1, L1, ..., C) with ``L1 * ... = L`` in the values' order, as
+    :func:`assemble_kv` gives them.  Returns the (G, Q, C) outputs and, with
+    ``return_weights``, the (G, heads, Q, L) attention weights.  A ``heads``
+    below 1, or one that does not divide C, raises ``ValueError``.
 
     The operand shapes choose the order of the products.  Projecting every
-    key and value costs ``2 L C^2 + 2 Q L C`` multiply-adds per group;
-    folding the key and value projections into the queries costs
-    ``2 Q C^2 + 2 heads Q L C``, and is done when that is less, i.e. when
-    ``Q * (C + (heads - 1) * L) < L * C``.  Folded, head h scores key k as
-    ``(qh W_k,h^T) . k``: the ``qh . b_k,h`` term of ``qh . (k W_k,h + b_k,h)``
-    is the same for every key of a row, and the softmax cancels it.  The
-    weights sum the raw values, the sum goes through ``W_v,h``, and ``b_v,h``
-    is added once, since each row of weights sums to 1.  :func:`compress`
-    (one query per window) folds; the resampler baseline (N^2 queries over
-    every pyramid feature) projects.  Each product is one batched GEMM.
+    key and value costs ``2 L C^2 + 2 Q L C`` multiply-adds per group (the
+    addends are summed first).  Folding the key and value projections into
+    the queries costs ``2 Q C^2 + heads Q C (L + K)``, where K counts the key
+    rows scored per group: L for a key array, and for addends the sum of
+    their L1 * ... (values, L levels and S points for :func:`assemble_kv`'s).
+    Folding is done when that is less, i.e. when
+    ``Q * (2 C + heads (L + K) - 2 L) < 2 L C``.  Folded, head h scores key k
+    as ``(qh W_k,h^T) . k``, addend by addend: the ``qh . b_k,h`` term of
+    ``qh . (k W_k,h + b_k,h)`` is the same for every key of a row, and the
+    softmax cancels it.  The weights sum the raw values, the sum goes
+    through ``W_v,h``, and ``b_v,h`` is added once, since each row of
+    weights sums to 1.  :func:`compress` (one query per window) folds; the
+    resampler baseline (N^2 queries over every pyramid feature) projects.
+    Each product is one batched GEMM.
     """
     g, nq, c = q.shape
     if heads < 1:
         raise ValueError(f"heads must be a positive integer, got {heads}")
     if c % heads:
         raise ValueError(f"channels {c} not divisible by heads {heads}")
-    dk, l = c // heads, k.shape[1]
+    dk, l = c // heads, v.shape[1]
     qh = _linear(q, params.wq, params.bq).reshape(g, nq, heads, dk).transpose(0, 2, 1, 3)
-    fold = nq * (c + (heads - 1) * l) < l * c
+    addends = (k,) if isinstance(k, np.ndarray) else k
+    key_rows = sum(math.prod(t.shape[1:-1]) for t in addends)
+    fold = nq * (2 * c + heads * (l + key_rows) - 2 * l) < 2 * l * c
     if fold:
-        u = qh @ params.wk.reshape(c, heads, dk).transpose(1, 2, 0)  # (G, heads, Q, C)
-        scores = (u.reshape(g, heads * nq, c) @ k.transpose(0, 2, 1)).reshape(g, heads, nq, l)
+        u = (qh @ params.wk.reshape(c, heads, dk).transpose(1, 2, 0)).reshape(g, heads * nq, c)
+        scores = reduce(np.add, (_addend_scores(u, t) for t in addends)).reshape(g, heads, nq, l)
     else:
+        k = reduce(np.add, addends).reshape(g, l, c)
         kh = _linear(k, params.wk, params.bk).reshape(g, l, heads, dk).transpose(0, 2, 3, 1)
         vh = _linear(v, params.wv, params.bv).reshape(g, l, heads, dk).transpose(0, 2, 1, 3)
         scores = qh @ kh  # (G, heads, Q, L)
@@ -343,7 +374,7 @@ def compress(isp: FeaturePyramid, params: AttnParams, config: HiwinConfig) -> To
             f"({n}, {n}, {base.channels}) for grid side {n} and {base.channels} channels"
         )
     grid = select_grid(base.width, base.height)
-    k, v = assemble_kv(isp, n, grid, params)
+    keys, v = assemble_kv(isp, n, grid, params)
     q = params.queries.reshape(n * n, -1) + _sample_embedding(n, (1, 1), base.channels)[:, 0]
-    out = cross_attention(q[:, None], k, v, params, config.heads)
+    out = cross_attention(q[:, None], keys, v, params, config.heads)
     return TokenMap(out.reshape(n, n, -1).astype(np.float32), origin=isp.origin)

@@ -1,12 +1,11 @@
 """Scalar reference implementations of the resize, guided-upsampling,
-attention-downsampling, window cross-attention and reconstruction-loss paths,
-shared by the test modules, and the weighted sum that reduces an op's output
-to a scalar.
+attention-downsampling and reconstruction-loss paths, shared by the test
+modules, and the weighted sum that reduces an op's output to a scalar.
 
 These are written as plain per-element loops, independent of the vectorized
-library paths they check.  The bilinear-lookup, RoI-align, window-box and
-grid-choice references live in :mod:`hiwin.selfcheck`, where ``selftest``
-uses them too.
+library paths they check.  The bilinear-lookup, RoI-align, window-box,
+grid-choice and cross-attention references live in :mod:`hiwin.selfcheck`,
+where ``selftest`` uses them too.
 """
 
 from __future__ import annotations
@@ -125,37 +124,6 @@ def scalar_attention_downsample(
             for wk, y in zip(weights, ys):
                 out[wy, wx] += wk / total * y
     return out
-
-
-def scalar_cross_attention(q, k, v, params, heads: int):
-    """Grouped multi-head attention oracle: for each group, query and head,
-    the query, every key and every value are projected one row at a time,
-    the scaled scores pass through a per-row softmax, and the weighted sum
-    of the projected values goes through the output projection.  Returns
-    the (G, Q, C) outputs and the (G, heads, Q, L) weights."""
-    g, nq, c = q.shape
-    l = k.shape[1]
-    dk = c // heads
-    out = np.zeros((g, nq, c))
-    att = np.zeros((g, heads, nq, l))
-    for gi in range(g):
-        for qi in range(nq):
-            qp = q[gi, qi] @ params.wq + params.bq
-            ctx = np.zeros(c)
-            for h in range(heads):
-                cols = slice(h * dk, (h + 1) * dk)
-                logits = []
-                for li in range(l):
-                    kp = k[gi, li] @ params.wk[:, cols] + params.bk[cols]
-                    logits.append(float(qp[cols] @ kp) / math.sqrt(dk))
-                top = max(logits)
-                sims = [math.exp(s - top) for s in logits]
-                total = sum(sims)
-                for li in range(l):
-                    att[gi, h, qi, li] = sims[li] / total
-                    ctx[cols] += att[gi, h, qi, li] * (v[gi, li] @ params.wv[:, cols] + params.bv[cols])
-            out[gi, qi] = ctx @ params.wo + params.bo
-    return out, att
 
 
 def scalar_recon_loss(pooled, base: np.ndarray) -> float:

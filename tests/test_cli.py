@@ -244,7 +244,8 @@ def test_an_input_too_large_for_memory_exits_3_and_writes_nothing(tmp_path, caps
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     printed = capsys.readouterr().out
-    assert printed.count("ok ") == 3
+    assert printed.count("ok ") == 4
+    assert "ok window-attention: " in printed
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,8 +1,11 @@
 """Synthetic encoder behavior and the ISPF feature-file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hiwin import encoder
 from hiwin.encoder import EncoderSpec, FeatureMap, encode, load_features, save_features
 from hiwin.formats import DataFormatError
 from hiwin.image_io import Image
@@ -43,6 +46,21 @@ class TestEncode:
         b = encode(img, EncoderSpec(channels=8, seed=2))
         assert not np.array_equal(a.data, b.data)
 
+    def test_projection_is_drawn_once_with_the_seeded_bits(self):
+        # cached per (seed, channels), read-only, and the draw it replaced
+        encoder._patch_projection.cache_clear()
+        w = encoder._patch_projection(7, 8)
+        assert encoder._patch_projection(7, 8) is w
+        assert not w.flags.writeable
+        want = np.random.default_rng(7).uniform(-0.1, 0.1, (14 * 14 * 3, 8))
+        assert np.array_equal(w, want)
+
+    def test_feature_map_refuses_non_finite_values(self):
+        data = np.ones((2, 3, 4), dtype=np.float32)
+        data[1, 2, 3] = np.inf
+        with pytest.raises(ValueError, match="FeatureMap values must be finite"):
+            FeatureMap(data)
+
 
 class TestFeatureFiles:
     def test_roundtrip_bit_identical(self, tmp_path):
@@ -56,6 +74,21 @@ class TestFeatureFiles:
         again = tmp_path / "g.ispf"
         save_features(loaded, again)
         assert path.read_bytes() == again.read_bytes()
+
+    def test_load_holds_one_writable_copy_of_the_payload(self, tmp_path):
+        # a 96x96x64 level is a 2.36 MB payload, read straight into its array
+        data = np.random.default_rng(10).standard_normal((96, 96, 64)).astype(np.float32)
+        path = tmp_path / "l2.ispf"
+        save_features(FeatureMap(data, level=2), path)
+        tracemalloc.start()
+        try:
+            loaded = load_features(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * data.nbytes, f"peak {peak / 1e6:.2f} MB"
+        assert loaded.data.flags.writeable and loaded.data.flags.owndata
+        np.testing.assert_array_equal(loaded.data, data)
 
     def test_level_retained(self, tmp_path):
         fmap = FeatureMap(np.zeros((2, 2, 4), dtype=np.float32), level=1)

@@ -1,5 +1,9 @@
 """Grid selection, RoI sampling, key assembly over each level's windows, and
-the window-restricted cross-attention."""
+the window-restricted cross-attention.  The keys are checked through the
+attention that scores them, against the scalar oracle over keys written out
+as values + level embedding + zeta."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ import pytest
 from hiwin import window_attn
 from hiwin.encoder import FeatureMap
 from hiwin.numerics import softmax
-from hiwin.selfcheck import scalar_grid_choice, scalar_roi_align, scalar_window_box
+from hiwin.selfcheck import scalar_cross_attention, scalar_grid_choice, scalar_roi_align, scalar_window_box
 from hiwin.vdim import FeaturePyramid
 from hiwin.window_attn import (
     AttnParams,
@@ -18,8 +22,6 @@ from hiwin.window_attn import (
     position_embedding_2d,
     select_grid,
 )
-
-from helpers import scalar_cross_attention
 
 
 def random_pyramid(seed, base_h=24, base_w=24, channels=8, origin="overview"):
@@ -146,13 +148,50 @@ class TestRoiAlign:
             np.testing.assert_allclose(v, want, rtol=0, atol=1e-12)
 
 
+def written_out_keys(v, params, n, grid):
+    """The (n^2, levels*S, C) keys of value rows ``v``: each level block plus
+    that level's embedding plus zeta, the embedding of each window's nominal
+    bin centres in [0, 1]^2."""
+    rw, rh = grid
+    s, c = rw * rh, v.shape[-1]
+    cell = np.arange(n, dtype=np.float64)
+    bx = (np.arange(rw, dtype=np.float64) + 0.5) / rw
+    by = (np.arange(rh, dtype=np.float64) + 0.5) / rh
+    coords = np.empty((n, n, rh, rw, 2))
+    coords[..., 0] = (cell[None, :, None, None] + bx) / n
+    coords[..., 1] = (cell[:, None, None, None] + by[:, None]) / n
+    zeta = position_embedding_2d(coords.reshape(n * n, s, 2), c)
+    blocks = [v[:, lvl * s : (lvl + 1) * s] + params.level_emb[lvl] + zeta for lvl in range(v.shape[1] // s)]
+    return np.concatenate(blocks, axis=1)
+
+
+def window_queries(params, n):
+    """compress's (n^2, 1, C) queries: each window's learnable query plus the
+    embedding of its centre."""
+    c = params.queries.shape[-1]
+    centres = [((j + 0.5) / n, (i + 0.5) / n) for i in range(n) for j in range(n)]
+    return (params.queries.reshape(n * n, c) + position_embedding_2d(np.array(centres), c))[:, None]
+
+
+def random_biases(params, seed):
+    """Nonzero biases, so that the folded scores must cancel the key bias."""
+    rng = np.random.default_rng(seed)
+    for name in ("bq", "bk", "bv", "bo"):
+        setattr(params, name, rng.uniform(-0.5, 0.5, params.bq.shape))
+    return params
+
+
 class TestAssembleKv:
     def test_key_stack_length(self):
         isp = random_pyramid(0)
-        params = AttnParams.init(HiwinConfig(channels=8), seed=0)
-        k, v = assemble_kv(isp, 12, (3, 3), params)
-        assert k.shape == (144, 27, 8)
+        config = HiwinConfig(channels=8)
+        params = AttnParams.init(config, seed=0)
+        keys, v = assemble_kv(isp, 12, (3, 3), params)
+        assert [t.shape for t in keys] == [(144, 3, 9, 8), (1, 3, 1, 8), (144, 1, 9, 8)]
         assert v.shape == (144, 27, 8)
+        assert np.shares_memory(keys[0], v)
+        _, att = cross_attention(window_queries(params, 12), keys, v, params, config.heads, return_weights=True)
+        assert att.shape == (144, 4, 1, 27)
 
     def test_value_rows_equal_scalar_roi_align_of_each_window(self):
         isp = random_pyramid(14, base_h=10, base_w=14, channels=4)
@@ -165,21 +204,17 @@ class TestAssembleKv:
     def test_keys_are_values_plus_level_and_position_embeddings(self, base_hw, grid):
         n, c = 5, 8
         isp = random_pyramid(sum(base_hw), *base_hw, channels=c)
-        params = AttnParams.init(HiwinConfig(grid_side=n, channels=c), seed=3)
-        k, v = assemble_kv(isp, n, grid, params)
-        rw, rh = grid
-        s = rw * rh
-        # zeta: the embedding of each window's nominal bin centres in [0, 1]^2
-        cell = np.arange(n, dtype=np.float64)
-        bx = (np.arange(rw, dtype=np.float64) + 0.5) / rw
-        by = (np.arange(rh, dtype=np.float64) + 0.5) / rh
-        coords = np.empty((n, n, rh, rw, 2))
-        coords[..., 0] = (cell[None, :, None, None] + bx) / n
-        coords[..., 1] = (cell[:, None, None, None] + by[:, None]) / n
-        zeta = position_embedding_2d(coords.reshape(n * n, s, 2), c)
-        for lvl in range(3):
-            block = np.s_[:, lvl * s : (lvl + 1) * s]
-            assert np.array_equal(k[block], v[block] + params.level_emb[lvl] + zeta)
+        params = random_biases(AttnParams.init(HiwinConfig(grid_side=n, channels=c), seed=3), 3)
+        keys, v = assemble_kv(isp, n, grid, params)
+        k = written_out_keys(v, params, n, grid)
+        # the addends sum, bit for bit, to the written-out keys
+        assert np.array_equal(sum(keys).reshape(k.shape), k)
+        # scored addend by addend, they give the oracle's attention over those keys
+        q = window_queries(params, n)
+        out, att = cross_attention(q, keys, v, params, 4, return_weights=True)
+        want_out, want_att = scalar_cross_attention(q, k, v, params, 4)
+        np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(att, want_att, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("emb_shape", [(2, 4), (3, 8), (12,)], ids=["too-few-rows", "channels", "flat"])
     def test_level_embeddings_that_do_not_fit_are_named(self, emb_shape):
@@ -194,38 +229,80 @@ class TestAssembleKv:
             compress(isp, params, config)
 
     def test_zero_level_embeddings_make_blocks_identical(self):
-        # constant features at every level sample to the same values
+        # constant features at every level sample to the same values, so
+        # with no level embedding each level block scores alike
         levels = [
             FeatureMap(np.full((6 * 2**l, 6 * 2**l, 4), 0.8, dtype=np.float32), level=l)
             for l in range(3)
         ]
         isp = FeaturePyramid(levels=levels)
-        params = AttnParams.init(HiwinConfig(grid_side=3, channels=4), seed=1)
+        config = HiwinConfig(grid_side=3, channels=4)
+        params = AttnParams.init(config, seed=1)
         params.level_emb[:] = 0.0
-        k, _ = assemble_kv(isp, 3, (2, 2), params)
-        blocks = k[1 * 3 + 2].reshape(3, 4, 4)
-        np.testing.assert_allclose(blocks[1], blocks[0], atol=1e-6)
-        np.testing.assert_allclose(blocks[2], blocks[0], atol=1e-6)
+        keys, v = assemble_kv(isp, 3, (2, 2), params)
+        q = window_queries(params, 3)
+        _, att = cross_attention(q, keys, v, params, config.heads, return_weights=True)
+        _, want = scalar_cross_attention(q, written_out_keys(v, params, 3, (2, 2)), v, params, config.heads)
+        np.testing.assert_allclose(att, want, rtol=0, atol=1e-12)
+        blocks = att[1 * 3 + 2, :, 0].reshape(config.heads, 3, 4)
+        np.testing.assert_allclose(blocks[:, 1], blocks[:, 0], atol=1e-6)
+        np.testing.assert_allclose(blocks[:, 2], blocks[:, 0], atol=1e-6)
 
     def test_swapping_level_embeddings_swaps_block_offsets(self):
+        # head h scores a key of level l with u_h . emb_l added, so swapping
+        # the embeddings of levels 1 and 2 moves every log weight of level 1
+        # by u_h . (emb_2 - emb_1) / sqrt(d_k), of level 2 by the opposite, and
+        # of level 0 not at all, up to the softmax's shared shift
         isp = random_pyramid(3, base_h=6, base_w=6, channels=4)
-        params = AttnParams.init(HiwinConfig(grid_side=3, channels=4), seed=2)
-        k1 = assemble_kv(isp, 3, (2, 2), params)[0][0]
-        swapped = AttnParams.init(HiwinConfig(grid_side=3, channels=4), seed=2)
+        config = HiwinConfig(grid_side=3, channels=4, heads=2)
+        params = AttnParams.init(config, seed=2)
+        swapped = AttnParams.init(config, seed=2)
         swapped.level_emb[[1, 2]] = params.level_emb[[2, 1]]
-        k2 = assemble_kv(isp, 3, (2, 2), swapped)[0][0]
-        s = 4  # samples per level
-        np.testing.assert_allclose(
-            k2[s : 2 * s] - k1[s : 2 * s],
-            np.broadcast_to(params.level_emb[2] - params.level_emb[1], (s, 4)),
-            atol=1e-6,
-        )
-        np.testing.assert_allclose(
-            k2[2 * s :] - k1[2 * s :],
-            np.broadcast_to(params.level_emb[1] - params.level_emb[2], (s, 4)),
-            atol=1e-6,
-        )
-        np.testing.assert_allclose(k2[:s], k1[:s], atol=1e-12)
+        q = window_queries(params, 3)
+        logs = []
+        for p in (params, swapped):
+            keys, v = assemble_kv(isp, 3, (2, 2), p)
+            _, att = cross_attention(q, keys, v, p, config.heads, return_weights=True)
+            _, want = scalar_cross_attention(q, written_out_keys(v, p, 3, (2, 2)), v, p, config.heads)
+            np.testing.assert_allclose(att, want, rtol=0, atol=1e-12)
+            logs.append(np.log(att[0, :, 0]).reshape(config.heads, 3, 4))  # window 0: (head, level, sample)
+        shift = logs[1] - logs[0]
+        offsets = shift - shift[:, :1, :1]  # relative to level 0's
+        np.testing.assert_allclose(offsets[:, 0], 0.0, atol=1e-12)
+        qp = q[0, 0] @ params.wq + params.bq
+        delta = params.level_emb[2] - params.level_emb[1]
+        u_delta = [qp[h * 2 : h * 2 + 2] @ params.wk[:, h * 2 : h * 2 + 2].T @ delta / np.sqrt(2) for h in range(2)]
+        want = np.broadcast_to(np.array(u_delta)[:, None], (2, 4))
+        np.testing.assert_allclose(offsets[:, 1], want, atol=1e-6)
+        np.testing.assert_allclose(offsets[:, 2], -want, atol=1e-6)
+
+    @pytest.mark.parametrize("base_hw", [(7, 9), (24, 4), (17, 23)])
+    def test_value_bits_do_not_depend_on_the_block_size(self, base_hw, monkeypatch):
+        n, c = 12, 64
+        isp = random_pyramid(sum(base_hw), *base_hw, channels=c)
+        grid = select_grid(base_hw[1], base_hw[0])
+        params = AttnParams.init(HiwinConfig(channels=c))
+        step = window_attn._BLOCK // (grid[0] * grid[1] * n * c)  # window rows per block
+        assert 1 < step < n and n % step, "the default blocks must end in a ragged one"
+        _, default = assemble_kv(isp, n, grid, params)
+        monkeypatch.setattr(window_attn, "_BLOCK", 1)
+        _, one_row = assemble_kv(isp, n, grid, params)
+        assert np.array_equal(one_row, default)
+
+    def test_one_compress_stays_under_5_mib(self):
+        # 24/48/96 x 64: the value array is 2 MB; scoring the key addends
+        # builds no key array, and no level's rows are gathered whole
+        isp = random_pyramid(15, channels=64)
+        config = HiwinConfig(channels=64)
+        params = AttnParams.init(config, seed=15)
+        compress(isp, params, config)  # the per-geometry embeddings are cached
+        tracemalloc.start()
+        try:
+            compress(isp, params, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestCompress:
@@ -256,7 +333,14 @@ class TestCompress:
         ]
         isp = FeaturePyramid(levels=levels)
         params = AttnParams.init(config, seed=5)
-        k, v = (a[0] for a in assemble_kv(isp, 1, select_grid(1, 1), params))
+        grid = select_grid(1, 1)
+        assert grid == (3, 3)
+        # the one window is each whole level: values are its RoI samples, and
+        # keys add the level's embedding and the embedding of each bin centre
+        v = np.concatenate([scalar_roi_align(f.data, (0, 0, f.width, f.height), grid).reshape(9, 4) for f in levels])
+        centres = [((b + 0.5) / 3, (a + 0.5) / 3) for a in range(3) for b in range(3)]
+        zeta = position_embedding_2d(np.array(centres), 4)
+        k = v + np.repeat(params.level_emb, 9, axis=0) + np.tile(zeta, (3, 1))
 
         q = params.queries.reshape(1, 4) + position_embedding_2d(np.array([[0.5, 0.5]]), 4)
         qp = q @ params.wq + params.bq
