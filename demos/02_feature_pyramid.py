@@ -19,11 +19,11 @@ from hiwin import (
     build_image_pyramid,
     build_isp,
     encode,
-    jbu_kernel_weights,
     pca_rgb,
     save_ppm,
     synth_corpus,
 )
+from hiwin.autodiff import guided_weights
 
 image = synth_corpus(seed=21, count=3, size=336)[2]  # a rectangle collage
 spec = EncoderSpec(channels=32, seed=21)
@@ -45,7 +45,8 @@ print("wrote /tmp/pyramid_input.ppm and /tmp/pyramid_level{0,1,2}.ppm")
 
 # the upsampling kernel adapts to the guidance image: weights spread wide in
 # flat regions and concentrate near edges
-weights = jbu_kernel_weights(pyramid.levels[1], vdim, level=0)
+lk = vdim.levels[0]
+weights = guided_weights(pyramid.levels[1].decoded(), lk.proj_w, lk.proj_b, lk.log_sigma_dist, lk.log_sigma_sim)[0]
 entropy = -(weights * np.log(weights + 1e-12)).sum(axis=-1)
 print(f"kernel entropy over the image: min {entropy.min():.2f}, "
       f"max {entropy.max():.2f} (uniform would be {np.log(49):.2f})")

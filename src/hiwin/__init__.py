@@ -73,7 +73,6 @@ from .vdim import (
     VdimParams,
     attention_downsample,
     build_isp,
-    jbu_kernel_weights,
     jbu_upsample,
     mlr_objective,
     pretrain_vdim,

@@ -175,12 +175,13 @@ def _zero_pad(a: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _tiled(src: np.ndarray, bands: _Bands, h: int, n: int, product) -> None:
-    """Call ``product(y0, y1, patches)`` over row blocks of h output rows
-    of n tiles each, as laid out by ``bands``; ``patches`` (rows, 1, n,
-    patch rows, C) holds each tile's source window of ``src``, zero past
-    its right edge, with a phase axis to broadcast over.  A product may
-    take ``B @ patch`` and either of its transposes.
+def _tiled(src: np.ndarray, bands: _Bands, h: int, n: int):
+    """Yield ``(y0, y1, patches)`` for the row blocks of h output rows of n
+    tiles each, as laid out by ``bands``; ``patches`` (rows, 1, n, patch
+    rows, C) holds each tile's source window of ``src``, zero past its right
+    edge, with a phase axis to broadcast over.  A caller may take
+    ``B @ patch`` and either of its transposes, and drops ``patches`` before
+    it asks for the next block, whose patches then reuse that memory.
 
     Blocks are sized by the larger per-row operand of a product: the
     patches or the bands.
@@ -191,14 +192,14 @@ def _tiled(src: np.ndarray, bands: _Bands, h: int, n: int, product) -> None:
     # (., ., C, kh, kw) view of every tile's source window
     windows = np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(0, 1))[:, ::_TILE]
     for y0, y1 in _row_blocks(h, n * kh * kw * max(c, bands.cells)):
-        patches = windows[y0:y1, :n].transpose(0, 1, 3, 4, 2).reshape(y1 - y0, 1, n, kh * kw, c)
-        product(y0, y1, patches)
-        del patches  # the next block's patches reuse this memory
+        yield y0, y1, windows[y0:y1, :n].transpose(0, 1, 3, 4, 2).reshape(y1 - y0, 1, n, kh * kw, c)
 
 
-def _scatter(tiles: np.ndarray, bands: _Bands, taps: int) -> np.ndarray:
-    """Each tile's (cells, ``taps``) band ``B``: a row block's (rows, P, n,
-    cells * taps) tap weights ``tiles`` scattered by ``bands.index`` into zeros."""
+def _scatter(tiles: np.ndarray, bands: _Bands) -> np.ndarray:
+    """Each tile's (cells, patch rows) band ``B``: a row block's (rows, P,
+    n, cells * patch rows) tap weights ``tiles`` scattered by ``bands.index``
+    into zeros."""
+    taps = bands.window[0] * bands.window[1]
     band = np.zeros(tiles.shape[:3] + (bands.cells * taps,), dtype=np.float64)
     band[..., bands.index] = tiles
     return band.reshape(tiles.shape[:3] + (bands.cells, taps))
@@ -210,30 +211,16 @@ def _gather(band: np.ndarray, bands: _Bands) -> np.ndarray:
     return band.reshape(band.shape[:3] + (-1,))[..., bands.index]
 
 
-def _mix(tiles_of, src: np.ndarray, bands: _Bands, out: np.ndarray) -> None:
-    """Fill ``out`` (h, P, n, cells, C) with the window sums ``B @ patch``
-    of every tile over ``src``; ``tiles_of(y0, y1)`` gives a row block's
-    tap weights for :func:`_scatter`."""
-
-    def product(y0, y1, patches):
-        np.matmul(_scatter(tiles_of(y0, y1), bands, patches.shape[-2]), patches, out=out[y0:y1])
-
-    _tiled(src, bands, out.shape[0], out.shape[2], product)
-
-
-def _fine_tiles(a: np.ndarray, n: int) -> np.ndarray:
-    """(H, 1, n, _TILE, .) tiles of the cells of an (H, W, .) map, zero past W."""
-    return _zero_pad(a, n * _TILE).reshape(a.shape[0], 1, n, _TILE, -1)
-
-
 def _banded_mix(weights: np.ndarray, src_pad: np.ndarray) -> np.ndarray:
     """(H, W, C) ``out[y, x] = sum_k weights[y, x, k] * src_pad[y + dy, x + dx]``
     for (H, W, K) weights and a source (H + 2r, W + 2r, C) edge-padded by r."""
     h, w = weights.shape[:2]
     n = -(-w // _TILE)
-    tiles = _fine_tiles(weights, n).reshape(h, 1, n, -1)
+    tiles = _zero_pad(weights, n * _TILE).reshape(h, 1, n, -1)
     out = np.empty((h, 1, n, _TILE, src_pad.shape[-1]), dtype=np.float64)
-    _mix(lambda y0, y1: tiles[y0:y1], src_pad, _FINE, out)
+    for y0, y1, patches in _tiled(src_pad, _FINE, h, n):
+        np.matmul(_scatter(tiles[y0:y1], _FINE), patches, out=out[y0:y1])
+        del patches
     return out.reshape(h, n * _TILE, -1)[:, :w]
 
 
@@ -244,13 +231,11 @@ def _window_dots(a: np.ndarray, src_pad: np.ndarray) -> np.ndarray:
     tile's band, and :func:`_gather` picks each cell's taps from it."""
     h, w = a.shape[:2]
     n = -(-w // _TILE)
-    tiles = _fine_tiles(a, n)
+    tiles = _zero_pad(a, n * _TILE).reshape(h, 1, n, _TILE, -1)
     out = np.empty((h, 1, n, _TILE * _K * _K), dtype=np.float64)
-
-    def product(y0, y1, patches):
+    for y0, y1, patches in _tiled(src_pad, _FINE, h, n):
         out[y0:y1] = _gather(np.matmul(tiles[y0:y1], patches.swapaxes(-1, -2)), _FINE)
-
-    _tiled(src_pad, _FINE, h, n, product)
+        del patches
     return out.reshape(h, n * _TILE, -1)[:, :w]
 
 
@@ -314,16 +299,15 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     ``Ry[p]^T w[y, x] Rx[q]``, where ``Ry[p]`` and ``Rx[q]`` are the lift
     taps of the window rows and columns of an output cell of row and column
     parity p and q: constants taken from ``resize_matrix``.  Every window
-    operation is a banded product over tiles of cells (:func:`_tiled`).
-    Output rows 2i and 2i + 1 and the 2T columns of a tile read one
-    (5, T + 4) coarse patch, and each row block builds the composite
-    weights it mixes.  The VJP makes one more pass over the same patches,
-    rebuilds each tile's band ``B`` and takes both transposes of the
-    forward's ``out = B @ patch``.  ``g_tile @ patch.T`` gives the
-    composite weights' gradient ``dWc``, which goes back as
-    ``dw = Ry dWc Rx^T``.  ``B^T @ g_tile`` gives the patch's gradient,
-    which is overlap-added onto the padded map, whose padding is then
-    folded back.
+    operation loops over the row blocks of :func:`_tiled`, with a banded
+    product per tile of cells.  Output rows 2i and 2i + 1 and the 2T
+    columns of a tile read one (5, T + 4) coarse patch, and each row block
+    builds the composite weights it mixes.  The VJP makes one more pass
+    over the same patches, rebuilds each tile's band ``B`` and takes both
+    transposes of the forward's ``out = B @ patch``: ``g_tile @ patch.T``
+    gives the composite weights' gradient ``dWc``, which goes back as
+    ``dw = Ry dWc Rx^T``, and ``B^T @ g_tile`` the patch's gradient, which
+    is overlap-added onto the padded map, whose padding is then folded back.
 
     The projection is linear in the pixel, so the similarity logits go
     through the 4x4 Gram ``A = M M^T`` of ``M = [proj_w; proj_b]`` and only
@@ -355,10 +339,12 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
         logits = g_hat = g_hat_pad = None  # inference keeps only the weights through the mix
     out = np.empty((h, 2, n, 2 * _TILE, c), dtype=np.float64)
 
-    def tiles_of(y0, y1):  # each row block builds the composite weights it mixes
-        return _composite(weights, y0, y1, n * 2 * _TILE).reshape(y1 - y0, 2, n, -1)
+    def band_of(y0, y1):  # each row block builds the composite weights it mixes, as bands
+        return _scatter(_composite(weights, y0, y1, n * 2 * _TILE).reshape(y1 - y0, 2, n, -1), _COARSE)
 
-    _mix(tiles_of, f_pad, _COARSE, out)
+    for y0, y1, patches in _tiled(f_pad, _COARSE, h, n):
+        np.matmul(band_of(y0, y1), patches, out=out[y0:y1])
+        del patches
     out = np.ascontiguousarray(out.reshape(2 * h, -1, c)[:, : 2 * w])
 
     def vjp(g):
@@ -371,8 +357,7 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
         # map: a tile's _TILE main columns, then its 2 * _PAD overhang
         # columns, which are the next tile's first ones
         g_pad = np.zeros((h + 2 * _PAD, n + 1, _TILE, c), dtype=np.float64)
-
-        def product(y0, y1, patches):
+        for y0, y1, patches in _tiled(f_pad, _COARSE, h, n):
             rows, g_tile = y1 - y0, g_tiles[y0:y1]
             dots = _gather(np.matmul(g_tile, patches.swapaxes(-1, -2)), _COARSE)
             dots = dots.reshape(rows, 2, -1, _CK * _CK)
@@ -380,8 +365,8 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
             for p in (0, 1):
                 for q in (0, 1):
                     np.matmul(dots[:, p, q : 2 * w : 2], _COMPOSE[p][q].T, out=cells[:, p, :, q])
-            del dots
-            band = _scatter(tiles_of(y0, y1), _COARSE, patches.shape[-2]).swapaxes(-1, -2)
+            del dots, patches
+            band = band_of(y0, y1).swapaxes(-1, -2)
             g_patch = np.matmul(band[:, 0], g_tile[:, 0])  # one phase at a time: no (2, ...) product
             g_patch += np.matmul(band[:, 1], g_tile[:, 1])
             g_patch = g_patch.reshape(rows, n, _CK, _TILE + 2 * _PAD, c)
@@ -390,8 +375,7 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
             for a in reversed(range(_CK)):
                 g_pad[y0 + a : y1 + a, :n] += g_patch[:, :, a, :_TILE]
                 g_pad[y0 + a : y1 + a, 1:, : 2 * _PAD] += g_patch[:, :, a, _TILE:]
-
-        _tiled(f_pad, _COARSE, h, n, product)
+            del band, g_patch  # before the next block's patches are cut
         del g_tiles
         g_feats = _fold_edges(g_pad.reshape(h + 2 * _PAD, -1, c)[:, : w + 2 * _PAD], _PAD)
         del g_pad
@@ -441,21 +425,19 @@ def window_pool(f, gamma, beta, sal_w, sal_b, image_hw: tuple[int, int], patch: 
     nh, nw = ih // patch, iw // patch
     rm, cm = resize_matrix(h, ih), resize_matrix(w, iw)
     cm3 = cm.reshape(nw, patch, w)  # column taps of each window column
-    rows = []  # per window row: its band [lo, hi) of source rows and row taps
-    for a in range(nh):
-        taps = rm[a * patch : (a + 1) * patch]
-        lo, hi = _band(taps)
-        rows.append((lo, hi, taps[:, lo:hi]))
     v = gamma.data * sal_w.data
     scores = rm @ (f.data @ v) @ cm.T
     att = _softmax(scores.reshape(nh, patch, nw, patch), axis=(1, 3))
-    mats = []  # per window row: M restricted to its band, (nw, hi - lo, w)
+    rows = []  # per window row: its band [lo, hi) of source rows, row taps and M there, (nw, hi - lo, w)
     pooled = np.empty((nh, nw, c), dtype=np.float64)
-    for a, (lo, hi, taps) in enumerate(rows):
+    for a in range(nh):
+        taps = rm[a * patch : (a + 1) * patch]
+        lo, hi = _band(taps)
+        taps = taps[:, lo:hi]
         # t[b, j, p]: column j of window (a, b) pushed back through row taps
         t = np.tensordot(att[a], taps, axes=(0, 0))
         mat = np.matmul(t.transpose(0, 2, 1), cm3)
-        mats.append(mat)
+        rows.append((lo, hi, taps, mat))
         pooled[a] = mat.reshape(nw, -1) @ f.data[lo:hi].reshape(-1, c)
     out = gamma.data * pooled + beta.data
 
@@ -463,8 +445,7 @@ def window_pool(f, gamma, beta, sal_w, sal_b, image_hw: tuple[int, int], patch: 
         g_pooled = g * gamma.data
         g_f = np.zeros_like(f.data)
         g_att = np.empty_like(att)
-        for a, (lo, hi, taps) in enumerate(rows):
-            mat = mats[a]
+        for a, (lo, hi, taps, mat) in enumerate(rows):
             g_f[lo:hi] += (mat.reshape(nw, -1).T @ g_pooled[a]).reshape(hi - lo, w, c)
             g_mat = (g_pooled[a] @ f.data[lo:hi].reshape(-1, c).T).reshape(mat.shape)
             g_t = np.matmul(cm3, g_mat.transpose(0, 2, 1))  # (nw, patch, hi - lo)

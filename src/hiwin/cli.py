@@ -29,7 +29,7 @@ from .encoder import EncoderSpec, load_features, save_features
 from .formats import DataFormatError
 from .image_io import Image, load_ppm, resize_to_patch_multiple, save_ppm, synth_corpus
 from .numerics import pca_rgb
-from .pipeline import PROJECTORS, PipelineConfig, init_mlp_weight, run_pipeline, unit_pyramid
+from .pipeline import PROJECTORS, PipelineConfig, run_pipeline, unit_pyramid
 from .selfcheck import run_all
 from .token_org import flatten, save_index, save_tokens
 from .vdim import DownsamplerParams, VdimParams, pretrain_vdim
@@ -186,11 +186,8 @@ def cmd_build_isp(args) -> int:
 
 def _run_and_save(args, projector: str) -> int:
     ckpt, config, attn = _load_setup(args)
-    mlp_weight = init_mlp_weight(config.hiwin.channels, seed=args.seed)
     # no local keeps the image, so run_pipeline frees the file bytes after slicing
-    result = run_pipeline(
-        load_ppm(args.image), ckpt.vdim, attn, config, projector=projector, mlp_weight=mlp_weight
-    )
+    result = run_pipeline(load_ppm(args.image), ckpt.vdim, attn, config, projector=projector)
     save_tokens(result.tokens, args.out)
     sequence = flatten(result.tokens)
     save_index(sequence, f"{args.out}.idx")

@@ -104,9 +104,11 @@ class Header:
 
 def finite_f4(arr, what: str) -> np.ndarray:
     """``arr`` as the little-endian float32 a file stores; NaN or inf there
-    raises :class:`~hiwin.numerics.NumericalError` naming ``what``."""
+    raises :class:`~hiwin.numerics.NumericalError` naming ``what``.  The
+    check builds no mask: ``min`` and ``max`` both propagate NaN, and an inf
+    is one of them."""
     out = np.asarray(arr, dtype="<f4")
-    if not np.isfinite(out).all():
+    if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
         raise NumericalError(f"{what} holds non-finite values")
     return out
 

@@ -122,13 +122,14 @@ def run_pipeline(
     attn: AttnParams,
     config: PipelineConfig,
     projector: str = "hiwin",
-    mlp_weight: np.ndarray | None = None,
 ) -> PipelineResult:
     """Slice, encode, build pyramids, compress, and assemble one image.
 
-    A caller that keeps no reference to ``image`` lets its pixels go once
-    slicing is done, before the units run.  A ``FloatingPointError`` raised
-    under the caller's ``np.errstate`` names the unit it came from.
+    The ``mlp`` projector's weight is :func:`init_mlp_weight` drawn from the
+    encoder's seed.  A caller that keeps no reference to ``image`` lets its
+    pixels go once slicing is done, before the units run.  A
+    ``FloatingPointError`` raised under the caller's ``np.errstate`` names
+    the unit it came from.
     """
     layout = compute_slice_layout(image.width, image.height, config.max_slices)
     slices, overview = extract_slices(image, layout)
@@ -137,6 +138,7 @@ def run_pipeline(
         (f"slice:{i}", img) for i, img in enumerate(slices)
     ]
 
+    mlp_weight = init_mlp_weight(config.hiwin.channels, seed=config.encoder.seed) if projector == "mlp" else None
     errstate = np.geterr()  # pool threads start from numpy's default policy, not the caller's
 
     def work(item: tuple[str, Image]) -> TokenMap:

@@ -34,7 +34,6 @@ class SliceLayout:
     cols: int
     rects: list[tuple[int, int, int, int]]
     slice_dims: list[tuple[int, int]]
-    overview_dims: tuple[int, int] = (OVERVIEW_SIDE, OVERVIEW_SIDE)
 
     @property
     def count(self) -> int:
@@ -90,5 +89,5 @@ def extract_slices(image: Image, layout: SliceLayout) -> tuple[list[Image], Imag
         x0, y0, x1, y1 = rect
         crop = Image(image.pixels[y0:y1, x0:x1])
         slices.append(resize_image(crop, w, h))
-    overview = resize_image(image, *layout.overview_dims)
+    overview = resize_image(image, OVERVIEW_SIDE, OVERVIEW_SIDE)
     return slices, overview

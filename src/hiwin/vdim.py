@@ -8,19 +8,21 @@ its edge-clamped 7x7 neighborhood.  The joint-bilateral kernel is one
 softmax over the window: a neighbor's score is the dot product of the two
 guidance pixels under a learned linear projection, over ``sigma_sim^2``,
 minus the spatial term ``|dxy|^2 / (2 sigma_dist^2)``: a similarity softmax
-times a Gaussian decay, renormalized to sum to 1 per cell.  Lift and
-average are the single fused op ``autodiff.guided_upsample``, which
-inference and training both run; its window radius is the constant
-``autodiff.RADIUS``.  The lift is never built: both steps are linear, so
-each output cell's 7x7 weights fold through the lift taps into 5x5 weights
-on the map itself, edge-padded by 2, as Kopf et al.'s joint bilateral
-upsampling sums over the low-resolution pixels.  The projection is linear
-in the RGB pixel, so the scores are ``g_a (M M^T) g_b^T`` for homogeneous
-pixels ``g = [r, g, b, 1]`` and ``M = [proj_w; proj_b]``: the op scores
-neighbors through that 4x4 Gram, never building a map of projected pixels.
-Every window operation of the op is a banded matrix product over short
-tiles of cells of a row, which read the tile's source window as one patch;
-in the mix, two output rows and 16 output columns read one 5-row patch of
+times a Gaussian decay, renormalized to sum to 1 per cell.  A level's
+weights are ``autodiff.guided_weights`` of its guide and its
+:class:`LevelKernel` fields.  Lift and average are the single fused op
+``autodiff.guided_upsample``, which inference and training both run; its
+window radius is the constant ``autodiff.RADIUS``.  The lift is never
+built: both steps are linear, so each output cell's 7x7 weights fold
+through the lift taps into 5x5 weights on the map itself, edge-padded by 2,
+as Kopf et al.'s joint bilateral upsampling sums over the low-resolution
+pixels.  The projection is linear in the RGB pixel, so the scores are
+``g_a (M M^T) g_b^T`` for homogeneous pixels ``g = [r, g, b, 1]`` and
+``M = [proj_w; proj_b]``: the op scores neighbors through that 4x4 Gram,
+never building a map of projected pixels.  Every window operation of the
+op is a loop over row blocks of short tiles of cells; each tile reads its
+source window as one patch and takes a banded matrix product with it.  In
+the mix, two output rows and 16 output columns read one 5-row patch of
 the map.  No per-cell stack of neighbors is built.
 
 The downsampler inverts the scale change for training.  It is defined on
@@ -66,7 +68,6 @@ __all__ = [
     "VdimParams",
     "attention_downsample",
     "build_isp",
-    "jbu_kernel_weights",
     "jbu_upsample",
     "mlr_objective",
     "pretrain_vdim",
@@ -207,14 +208,6 @@ def jbu_upsample(
         f_level.data.astype(np.float64), guide.decoded().astype(np.float64), *_leaves(params.levels[lvl])
     )
     return FeatureMap(out.data.astype(np.float32), level=lvl + 1, origin=f_level.origin)
-
-
-def jbu_kernel_weights(guide: Image, params: VdimParams, level: int) -> np.ndarray:
-    """The (gh, gw, K) renormalized neighbor weights for one level; rows sum to 1."""
-    lk = params.levels[level]
-    return ad.guided_weights(
-        guide.decoded().astype(np.float64), lk.proj_w, lk.proj_b, lk.log_sigma_dist, lk.log_sigma_sim
-    )[0]
 
 
 def attention_downsample(

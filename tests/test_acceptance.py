@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from hiwin.autodiff import guided_weights
 from hiwin.cli import main as cli_main
 from hiwin.encoder import EncoderSpec, FeatureMap, encode, load_features
 from hiwin.image_io import Image, build_image_pyramid, load_ppm, save_ppm, synth_corpus
@@ -22,7 +23,6 @@ from hiwin.vdim import (
     VdimParams,
     attention_downsample,
     build_isp,
-    jbu_kernel_weights,
     mlr_objective,
     pretrain_vdim,
 )
@@ -212,7 +212,8 @@ def test_ac8_normalization():
     guide = Image(rng.uniform(0, 1, (16, 16, 3)).astype(np.float32))
     vdim = VdimParams.init(d_proj=8, seed=8)
     for level in range(2):
-        w = jbu_kernel_weights(guide, vdim, level)
+        lk = vdim.levels[level]
+        w = guided_weights(guide.decoded(), lk.proj_w, lk.proj_b, lk.log_sigma_dist, lk.log_sigma_sim)[0]
         assert np.abs(w.sum(axis=-1) - 1.0).max() <= 1e-6
 
     # downsampler window softmax: with identity affine, a constant-one input

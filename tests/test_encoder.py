@@ -77,6 +77,8 @@ class TestFeatureFiles:
 
     def test_load_holds_one_writable_copy_of_the_payload(self, tmp_path):
         # a 96x96x64 level is a 2.36 MB payload, read straight into its array
+        # and checked for NaN and inf without a mask: measured peak 1.002x the
+        # payload; 1.25x while the check built a boolean mask of it
         data = np.random.default_rng(10).standard_normal((96, 96, 64)).astype(np.float32)
         path = tmp_path / "l2.ispf"
         save_features(FeatureMap(data, level=2), path)
@@ -86,7 +88,7 @@ class TestFeatureFiles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * data.nbytes, f"peak {peak / 1e6:.2f} MB"
+        assert peak < 1.1 * data.nbytes, f"peak {peak / 1e6:.2f} MB"
         assert loaded.data.flags.writeable and loaded.data.flags.owndata
         np.testing.assert_array_equal(loaded.data, data)
 

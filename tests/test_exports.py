@@ -66,3 +66,21 @@ def test_no_module_reads_another_modules_private_names():
         for read in _private_reads(ast.parse(path.read_text()))
     ]
     assert not offenders, offenders
+
+
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_imports_resolve(demo):
+    # the demos are parsed, not run: a deleted public name they import fails here
+    missing = []
+    for node in ast.walk(ast.parse(demo.read_text())):
+        if isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").split(".")[0] == "hiwin":
+            mod = importlib.import_module(node.module)
+            missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(mod, a.name)]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "hiwin":
+                    importlib.import_module(alias.name)
+    assert not missing, missing

@@ -7,6 +7,7 @@ checkpoint) also refuse that file with bytes appended.  PPM keeps trailing
 bytes legal, as a netpbm file may hold a sequence of images.
 """
 
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -176,6 +177,45 @@ def test_writer_refuses_or_reader_loads_back_equal(tmp_path, fmt, mutation):
                 f.write(bytes(seed + 1))
             with pytest.raises(DataFormatError, match=f"file has {seed + 1} trailing bytes"):
                 read(path)
+
+
+FIRST, LAST = 1234.5, -6789.25  # markers: a payload's first and last entry
+
+
+def write_marked(fmt, path):
+    """A valid ``fmt`` file whose payload (checkpoint: one tensor's) starts
+    with FIRST and ends with LAST."""
+    rng = np.random.default_rng(0)
+    if fmt == "ispf":
+        data = rng.standard_normal((3, 4, 5)).astype(np.float32)
+        data.flat[0], data.flat[-1] = FIRST, LAST
+        save_features(FeatureMap(data, level=1), path)
+    elif fmt == "toks":
+        overview, global_map = rng.standard_normal((2, 2, 2, 3)).astype(np.float32)
+        overview.flat[0], global_map.flat[-1] = FIRST, LAST  # the overview is written first
+        save_tokens(AssembledTokens(global_map=global_map, overview=overview, rows=1, cols=1), path)
+    else:
+        vdim, down = VdimParams.init(d_proj=4, seed=0), DownsamplerParams.init(4, seed=0)
+        proj_w = vdim.levels[1].proj_w
+        proj_w.flat[0], proj_w.flat[-1] = FIRST, LAST
+        save_checkpoint(path, vdim, down)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", ["first", "last"])
+@pytest.mark.parametrize("fmt", ["ispf", "toks", "checkpoint"])
+def test_reader_refuses_a_non_finite_first_or_last_entry(tmp_path, fmt, entry, bad):
+    # the writers refuse NaN and inf, so the value is patched into the file
+    path = tmp_path / f"marked.{fmt}"
+    write_marked(fmt, path)
+    blob = bytearray(path.read_bytes())
+    marker = struct.pack("<f", FIRST if entry == "first" else LAST)
+    assert blob.count(marker) == 1
+    at = blob.index(marker)
+    blob[at : at + 4] = struct.pack("<f", bad)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(NumericalError, match="holds non-finite values"):
+        FORMATS[fmt][1](path)
 
 
 def test_header_round_trip_and_refusals(tmp_path):

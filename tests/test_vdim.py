@@ -17,7 +17,6 @@ from hiwin.vdim import (
     VdimParams,
     attention_downsample,
     build_isp,
-    jbu_kernel_weights,
     jbu_upsample,
     mlr_objective,
     pretrain_vdim,
@@ -115,7 +114,8 @@ class TestJbuUpsample:
         guide = Image(rng.uniform(0, 1, (12, 10, 3)).astype(np.float32))
         params = VdimParams.init(d_proj=8, seed=4)
         for level in range(2):
-            w = jbu_kernel_weights(guide, params, level)
+            lk = params.levels[level]
+            w = ad.guided_weights(guide.decoded(), lk.proj_w, lk.proj_b, lk.log_sigma_dist, lk.log_sigma_sim)[0]
             assert w.shape == (12, 10, 49)
             np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
 
