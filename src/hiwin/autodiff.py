@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import NumericalError, resize_matrix, softmax as _softmax
+from .numerics import NumericalError, resize_matrix, resize_taps, softmax as _softmax
 
 __all__ = [
     "NumericalError",
@@ -52,10 +52,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
 
     def item(self) -> float:
         return float(self.data)
@@ -395,12 +391,6 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     return _node(out, operands, vjp)
 
 
-def _band(rows: np.ndarray) -> tuple[int, int]:
-    """The span [lo, hi) of source cells that some row of a resize matrix reads."""
-    cols = np.flatnonzero(rows.any(axis=0))
-    return int(cols[0]), int(cols[-1]) + 1
-
-
 def window_pool(f, gamma, beta, sal_w, sal_b, image_hw: tuple[int, int], patch: int) -> Tensor:
     """Saliency-weighted window pooling of a bilinearly lifted map, fused.
 
@@ -424,6 +414,7 @@ def window_pool(f, gamma, beta, sal_w, sal_b, image_hw: tuple[int, int], patch: 
         raise ValueError(f"image dims {iw}x{ih} are not multiples of patch {patch}")
     nh, nw = ih // patch, iw // patch
     rm, cm = resize_matrix(h, ih), resize_matrix(w, iw)
+    i0, i1, _ = resize_taps(h, ih)
     cm3 = cm.reshape(nw, patch, w)  # column taps of each window column
     v = gamma.data * sal_w.data
     scores = rm @ (f.data @ v) @ cm.T
@@ -431,9 +422,9 @@ def window_pool(f, gamma, beta, sal_w, sal_b, image_hw: tuple[int, int], patch: 
     rows = []  # per window row: its band [lo, hi) of source rows, row taps and M there, (nw, hi - lo, w)
     pooled = np.empty((nh, nw, c), dtype=np.float64)
     for a in range(nh):
-        taps = rm[a * patch : (a + 1) * patch]
-        lo, hi = _band(taps)
-        taps = taps[:, lo:hi]
+        # the taps never decrease, and i1 == i0 wherever frac == 0
+        lo, hi = i0[a * patch], i1[(a + 1) * patch - 1] + 1
+        taps = rm[a * patch : (a + 1) * patch, lo:hi]
         # t[b, j, p]: column j of window (a, b) pushed back through row taps
         t = np.tensordot(att[a], taps, axes=(0, 0))
         mat = np.matmul(t.transpose(0, 2, 1), cm3)

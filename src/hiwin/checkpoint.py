@@ -11,8 +11,9 @@ q/k/v/output projection weights and biases) with the same tensor encoding.
 No byte may follow.  Reordering a field of these dataclasses changes the
 format.
 
-The format holds exactly two detail-injection levels (three pyramid levels
-for the level embeddings): the header does not record the depth, so
+The format holds exactly ``vdim.LEVELS`` (two) detail-injection levels, the
+depth that ``VdimParams.init`` and ``DownsamplerParams.init`` build (three
+pyramid levels for the level embeddings): the header does not record it, so
 ``save_checkpoint`` refuses any other depth before it writes anything, as
 it does any header or tensor that the loader's own checks would refuse.  It
 records no geometry either: the guided-upsampling radius 3 (a 7x7 window)
@@ -35,14 +36,13 @@ from typing import BinaryIO, Iterable
 import numpy as np
 
 from .formats import DataFormatError, Header, check_room, expect_end, nonzero_dims, read_tensor, tensor_record
-from .vdim import DownsamplerParams, VdimParams, trainable_arrays
+from .vdim import LEVELS, DownsamplerParams, VdimParams, trainable_arrays
 from .window_attn import AttnParams, HiwinConfig
 
 __all__ = ["Checkpoint", "load_checkpoint", "save_checkpoint"]
 
 VDIM = Header(b"VDIM", "d_proj", "channels")
 HATT = Header(b"HATT", "N", "heads", "channels")
-LEVELS = 2  # detail-injection levels of every checkpoint
 Tensors = Iterable[tuple[str, np.ndarray]]
 
 
@@ -86,7 +86,7 @@ def _attn_arrays(attn: AttnParams) -> list[tuple[str, np.ndarray]]:
 
 def _vdim_template(d_proj: int, channels: int) -> tuple[VdimParams, DownsamplerParams]:
     """Parameters of the shapes that a VDIM header of d_proj and C fixes."""
-    return VdimParams.init(d_proj, levels=LEVELS), DownsamplerParams.init(channels, levels=LEVELS)
+    return VdimParams.init(d_proj), DownsamplerParams.init(channels)
 
 
 def _attn_template(grid_side: int, channels: int) -> AttnParams:

@@ -211,10 +211,8 @@ def gradient_image(size: int, rng: np.random.Generator) -> Image:
     return Image(c0 + (c1 - c0) * d[:, :, None])
 
 
-def checkerboard_image(size: int, cell: int, rng: np.random.Generator | None = None) -> Image:
+def checkerboard_image(size: int, cell: int, rng: np.random.Generator) -> Image:
     """Alternating cells with guaranteed contrast between the two colors."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     c0 = rng.uniform(0.0, 0.35, 3)
     c1 = rng.uniform(0.65, 1.0, 3)
     yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")

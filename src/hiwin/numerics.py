@@ -4,10 +4,12 @@ optimizer, gradient checks, and the PCA feature renderer.
 Everything here works on plain ndarrays.  Every bilinear lookup in the
 package, in whole-map resizes as in RoI samples, takes its taps from
 :func:`bilinear_taps` (half-pixel centers, clamped to the edge, two taps per
-axis).  :func:`bilinear_resize` and the RoI sampler of
-:mod:`hiwin.window_attn` apply them with :func:`lerp`, one axis at a time;
-:func:`resize_matrix` writes them into dense matrices: those with which
-``autodiff.window_pool`` lifts saliency scores, and the one from which
+axis); :func:`resize_taps` are those of a whole-axis resize.
+:func:`bilinear_resize` and the RoI sampler of :mod:`hiwin.window_attn`
+apply them with :func:`lerp`, one axis at a time; :func:`resize_matrix`
+writes a resize's taps into a dense matrix: those with which
+``autodiff.window_pool`` lifts saliency scores (it reads each window row's
+source band off the taps themselves), and the one from which
 ``autodiff.guided_upsample`` takes the taps of its 2x lift, in training as
 in inference.  The scalar references are
 :func:`hiwin.selfcheck.scalar_bilinear_at` and ``tests/helpers.scalar_resize``.
@@ -38,6 +40,7 @@ __all__ = [
     "lerp",
     "pca_rgb",
     "resize_matrix",
+    "resize_taps",
     "softmax",
 ]
 
@@ -78,7 +81,7 @@ def lerp(a: np.ndarray, taps: _Taps, axis: int) -> np.ndarray:
     return out
 
 
-def _resize_taps(n_in: int, n_out: int) -> _Taps:
+def resize_taps(n_in: int, n_out: int) -> _Taps:
     """Taps of an align-corners=false resize: output sample i reads the
     source at ``(i + 0.5) * n_in / n_out`` in half-pixel coordinates."""
     return bilinear_taps((np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out), n_in)
@@ -87,7 +90,7 @@ def _resize_taps(n_in: int, n_out: int) -> _Taps:
 def resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     """1-D bilinear interpolation matrix of shape (n_out, n_in).
 
-    Row i holds the two taps of :func:`_resize_taps`, so constant inputs
+    Row i holds the two taps of :func:`resize_taps`, so constant inputs
     are preserved exactly and ``n_out == n_in`` yields the identity.  It is
     dense because ``autodiff.window_pool`` applies it and its transpose to
     whole score maps, and ``autodiff.guided_upsample`` reads its 2x taps
@@ -95,11 +98,11 @@ def resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     """
     if n_in < 1 or n_out < 1:
         raise ValueError("resize_matrix requires positive sizes")
-    i0, i1, frac = _resize_taps(n_in, n_out)
+    i0, i1, frac = resize_taps(n_in, n_out)
     m = np.zeros((n_out, n_in), dtype=np.float64)
     rows = np.arange(n_out)
-    np.add.at(m, (rows, i0), 1.0 - frac)
-    np.add.at(m, (rows, i1), frac)
+    m[rows, i0] = 1.0 - frac
+    m[rows, i1] += frac
     return m
 
 
@@ -129,7 +132,7 @@ _BLOCK = 1 << 15  # output entries per block of bilinear_resize
 
 
 def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resample an (H, W, C) or (H, W) array to (out_h, out_w).
+    """Resample an (H, W, C) array to (out_h, out_w).
 
     The output is filled in blocks of whole rows, about ``_BLOCK`` entries
     each.  A block reads the span of source rows its taps name; of those,
@@ -143,8 +146,6 @@ def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     exact copy of the values.
     """
     src = np.asarray(src)
-    if src.ndim == 2:
-        return bilinear_resize(src[:, :, None], out_h, out_w)[:, :, 0]
     if src.ndim != 3:
         raise ValueError("bilinear_resize expects an (H, W, C) array")
     h, w, c = src.shape
@@ -155,8 +156,8 @@ def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     if (out_h, out_w) == (h, w):
         values = decode_codes(src)
         return values.copy() if values is src else values
-    i0, i1, frac = _resize_taps(h, out_h)
-    cols = _resize_taps(w, out_w)
+    i0, i1, frac = resize_taps(h, out_h)
+    cols = resize_taps(w, out_w)
     out = np.empty((out_h, out_w, c), dtype=decode_codes(src[:0, :0]).dtype)  # the values' dtype
     step = max(1, _BLOCK // (out_w * c))
     for a in range(0, out_h, step):

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .encoder import EncoderSpec, encode
 from .image_io import Image, build_image_pyramid
 from .numerics import bilinear_resize
-from .slicing import SliceLayout, compute_slice_layout, extract_slices
+from .slicing import MAX_SLICES, SliceLayout, compute_slice_layout, extract_slices
 from .token_org import AssembledTokens, assemble
 from .vdim import FeaturePyramid, VdimParams, build_isp
 from .window_attn import (
@@ -50,7 +51,7 @@ class PipelineConfig:
     encoder: EncoderSpec = field(default_factory=EncoderSpec)
     hiwin: HiwinConfig = field(default_factory=HiwinConfig)
     threads: int = 1
-    max_slices: int = 6
+    max_slices: ClassVar[int] = MAX_SLICES
 
 
 @dataclass
@@ -58,8 +59,6 @@ class PipelineResult:
     tokens: AssembledTokens
     layout: SliceLayout
     grid: tuple[int, int]
-    slice_maps: list[TokenMap]
-    overview_map: TokenMap
 
 
 def init_mlp_weight(channels: int, seed: int = 0) -> np.ndarray:
@@ -101,7 +100,7 @@ def project_tokens(
         return compress(isp, attn, config)
     if projector == "mlp":
         if mlp_weight is None:
-            mlp_weight = init_mlp_weight(config.channels, seed=0)
+            raise ValueError("the mlp projector needs an mlp_weight")
         return baseline_mlp(isp, config.grid_side, mlp_weight)
     if projector == "resampler":
         return baseline_resampler(isp, attn, config)
@@ -160,10 +159,4 @@ def run_pipeline(
     tokens = assemble(slice_maps, layout, overview_map)
     first = slices[0]
     grid = select_grid(first.width // config.encoder.patch, first.height // config.encoder.patch)
-    return PipelineResult(
-        tokens=tokens,
-        layout=layout,
-        grid=grid,
-        slice_maps=slice_maps,
-        overview_map=overview_map,
-    )
+    return PipelineResult(tokens=tokens, layout=layout, grid=grid)

@@ -18,6 +18,7 @@ from .image_io import Image, resize_image, snap_to_patch
 __all__ = ["SliceLayout", "compute_slice_layout", "extract_slices"]
 
 OVERVIEW_SIDE = 336
+MAX_SLICES = 6
 MIN_SLICE_SIDE = 56
 
 
@@ -40,7 +41,7 @@ class SliceLayout:
         return self.rows * self.cols
 
 
-def compute_slice_layout(width: int, height: int, max_slices: int = 6) -> SliceLayout:
+def compute_slice_layout(width: int, height: int, max_slices: int = MAX_SLICES) -> SliceLayout:
     """Choose the slice grid for an image of the given pixel dims.
 
     The candidate slice counts are the area-ideal count and its neighbors;

@@ -74,6 +74,8 @@ __all__ = [
     "trainable_arrays",
 ]
 
+LEVELS = 2  # detail-injection steps of the pyramid, and of every checkpoint
+
 
 @dataclass
 class LevelKernel:
@@ -104,7 +106,7 @@ class VdimParams:
         return self.levels[0].proj_w.shape[1]
 
     @classmethod
-    def init(cls, d_proj: int = 32, seed: int = 0, levels: int = 2) -> "VdimParams":
+    def init(cls, d_proj: int = 32, seed: int = 0) -> "VdimParams":
         rng = np.random.default_rng(seed)
         kernels = [
             LevelKernel(
@@ -113,7 +115,7 @@ class VdimParams:
                 log_sigma_dist=np.zeros(()),
                 log_sigma_sim=np.zeros(()),
             )
-            for _ in range(levels)
+            for _ in range(LEVELS)
         ]
         return cls(levels=kernels)
 
@@ -141,7 +143,7 @@ class DownsamplerParams:
         return self.levels[0].gamma.shape[0]
 
     @classmethod
-    def init(cls, channels: int, seed: int = 0, levels: int = 2) -> "DownsamplerParams":
+    def init(cls, channels: int, seed: int = 0) -> "DownsamplerParams":
         rng = np.random.default_rng(seed)
         downs = [
             LevelDown(
@@ -150,7 +152,7 @@ class DownsamplerParams:
                 sal_w=rng.uniform(-0.1, 0.1, channels),
                 sal_b=np.zeros(()),
             )
-            for _ in range(levels)
+            for _ in range(LEVELS)
         ]
         return cls(levels=downs)
 
@@ -192,22 +194,19 @@ def trainable_arrays(
     return out
 
 
-def jbu_upsample(
-    f_level: FeatureMap, guide: Image, params: VdimParams, level: int | None = None
-) -> FeatureMap:
+def jbu_upsample(f_level: FeatureMap, guide: Image, params: VdimParams, level: int) -> FeatureMap:
     """Double a feature map's resolution under guidance-image control with
-    ``autodiff.guided_upsample``.
+    ``autodiff.guided_upsample``, by the kernel ``params.levels[level]``.
 
     ``guide`` must have exactly twice the feature map's dims (it is the
     pyramid image at the target resolution); the op refuses any other.
     """
-    lvl = f_level.level if level is None else level
-    if lvl < 0 or lvl >= len(params.levels):
-        raise ValueError(f"no upsampling kernel for source level {lvl}")
+    if level < 0 or level >= len(params.levels):
+        raise ValueError(f"no upsampling kernel for source level {level}")
     out = ad.guided_upsample(
-        f_level.data.astype(np.float64), guide.decoded().astype(np.float64), *_leaves(params.levels[lvl])
+        f_level.data.astype(np.float64), guide.decoded().astype(np.float64), *_leaves(params.levels[level])
     )
-    return FeatureMap(out.data.astype(np.float32), level=lvl + 1, origin=f_level.origin)
+    return FeatureMap(out.data.astype(np.float32), level=level + 1, origin=f_level.origin)
 
 
 def attention_downsample(

@@ -174,7 +174,7 @@ _BLAS_PROBE = textwrap.dedent(
     lss = ad.Tensor(np.array(-0.2), requires_grad=True)
     params = (feats, proj_w, proj_b, lsd, lss)
     out = ad.guided_upsample(feats, guide, proj_w, proj_b, lsd, lss)
-    weighted_sum(out, rng.uniform(0.5, 1.5, out.shape)).backward()
+    weighted_sum(out, rng.uniform(0.5, 1.5, out.data.shape)).backward()
     digest = hashlib.sha256(out.data.tobytes())
     for t in params:
         digest.update(t.grad.tobytes())

@@ -84,3 +84,28 @@ def test_demo_imports_resolve(demo):
                 if alias.name.split(".")[0] == "hiwin":
                     importlib.import_module(alias.name)
     assert not missing, missing
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """The names a module reads, as loaded names and as attributes, leaving
+    out each top-level function's or class's reads of its own name."""
+    found = set()
+    for top in tree.body:
+        reads = {node.id for node in ast.walk(top) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        reads |= {node.attr for node in ast.walk(top) if isinstance(node, ast.Attribute)}
+        found |= reads - {getattr(top, "name", None)}
+    return found
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # code the library never calls is deleted, not tested; the package
+    # re-export is an import, not a read, so it keeps no name alive
+    root = Path(__file__).parent.parent
+    callers = [
+        path
+        for path in sorted((root / "src" / "hiwin").glob("*.py")) + sorted((root / "perfbench").glob("*.py")) + DEMOS
+        if not path.name.startswith("test_")
+    ]
+    reads = set().union(*(_reads(ast.parse(path.read_text())) for path in callers))
+    unused = [f"{m}.{name}" for m in MODULES for name in importlib.import_module(m).__all__ if name not in reads]
+    assert not unused, unused

@@ -156,7 +156,7 @@ class TestSynthCorpus:
             np.testing.assert_array_equal(x.pixels, y.pixels)
 
     def test_checkerboard_cells_differ(self):
-        img = checkerboard_image(32, 8)
+        img = checkerboard_image(32, 8, np.random.default_rng(0))
         assert not np.array_equal(img.pixels[0, 0], img.pixels[8, 0])
         assert not np.array_equal(img.pixels[0, 0], img.pixels[0, 8])
 

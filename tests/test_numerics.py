@@ -93,14 +93,14 @@ class TestBilinearResize:
         want = scalar_resize(values, *out_hw).astype(np.float32)
         assert np.array_equal(bilinear_resize(codes, *out_hw), want)
 
-    @pytest.mark.parametrize("shape, dtype", [((11, 6), np.float64), ((11, 6, 2), np.float32)], ids=["2-D", "float32"])
+    @pytest.mark.parametrize("shape, dtype", [((11, 6, 1), np.float64), ((11, 6, 2), np.float32)], ids=["one-channel", "float32"])
     def test_floats_match_the_scalar_oracle_exactly(self, shape, dtype, monkeypatch):
         monkeypatch.setattr(numerics, "_BLOCK", 20)
         src = np.random.default_rng(9).standard_normal(shape).astype(dtype)
         out = bilinear_resize(src, 8, 5)
         assert out.dtype == dtype
-        want = scalar_resize(src.astype(np.float64).reshape(shape[:2] + (-1,)), 8, 5)
-        assert np.array_equal(out, want.reshape(out.shape).astype(dtype))
+        want = scalar_resize(src.astype(np.float64), 8, 5)
+        assert np.array_equal(out, want.astype(dtype))
 
     def test_a_slice_sized_crop_resizes_in_little_memory(self):
         # a 12 MP photo's slice crop, a strided view, to its 336x336 slice:
@@ -116,6 +116,10 @@ class TestBilinearResize:
             tracemalloc.stop()
         assert out.shape == (336, 336, 3) and out.dtype == np.float32
         assert peak < 6 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_a_2d_array_is_refused(self):
+        with pytest.raises(ValueError, match=r"expects an \(H, W, C\) array"):
+            bilinear_resize(np.zeros((4, 4)), 2, 2)
 
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError):

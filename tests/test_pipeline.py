@@ -93,6 +93,10 @@ class TestBaselines:
         }
         assert set(shapes.values()) == {(4, 4, 8)}
 
+    def test_mlp_without_a_weight_is_refused(self):
+        with pytest.raises(ValueError, match="mlp_weight"):
+            project_tokens(constant_isp(), "mlp", None, HiwinConfig(grid_side=4, channels=8))
+
     def test_unknown_projector_rejected(self):
         with pytest.raises(ValueError):
             project_tokens(constant_isp(), "unknown", None, HiwinConfig(channels=8))
@@ -327,9 +331,10 @@ class TestCheckpoint:
         # the header does not record the depth, so the loader could not
         # read such a file back
         path = tmp_path / "depth.ckpt"
-        for vdim_levels, down_levels, part in ((levels, 2, "detail-injection"), (2, levels, "downsampler")):
-            vdim = VdimParams.init(d_proj=6, seed=16, levels=vdim_levels)
-            down = DownsamplerParams.init(8, seed=16, levels=down_levels)
+        vdim, down = VdimParams.init(d_proj=6, seed=16), DownsamplerParams.init(8, seed=16)
+        other_vdim = VdimParams(levels=vdim.levels[:1] * levels)
+        other_down = DownsamplerParams(levels=down.levels[:1] * levels)
+        for v, d, part in ((other_vdim, down, "detail-injection"), (vdim, other_down, "downsampler")):
             with pytest.raises(ValueError, match=f"the {part} model has {levels}"):
-                save_checkpoint(path, vdim, down)
+                save_checkpoint(path, v, d)
             assert not path.exists()

@@ -48,7 +48,7 @@ class TestJbuUpsample:
     def test_constancy(self):
         f0 = FeatureMap(np.full((8, 8, 6), 0.7, dtype=np.float32), level=0)
         guide = Image(np.full((16, 16, 3), 0.5))
-        out = jbu_upsample(f0, guide, VdimParams.init(d_proj=8, seed=1))
+        out = jbu_upsample(f0, guide, VdimParams.init(d_proj=8, seed=1), level=0)
         assert out.data.shape == (16, 16, 6)
         assert out.level == 1
         np.testing.assert_allclose(out.data, 0.7, atol=1e-6)
@@ -57,7 +57,7 @@ class TestJbuUpsample:
         rng = np.random.default_rng(0)
         f0 = FeatureMap(rng.standard_normal((8, 8, 4)).astype(np.float32))
         guide = Image(rng.uniform(0, 1, (16, 16, 3)).astype(np.float32))
-        out = jbu_upsample(f0, guide, VdimParams.init(d_proj=8, seed=0))
+        out = jbu_upsample(f0, guide, VdimParams.init(d_proj=8, seed=0), level=0)
         assert out.data.shape == (16, 16, 4)
 
     def test_peak_memory_of_a_level_2_upsample(self):
@@ -71,7 +71,7 @@ class TestJbuUpsample:
         params = VdimParams.init(d_proj=32, seed=0)
         tracemalloc.start()
         try:
-            out = jbu_upsample(f1, guide, params)
+            out = jbu_upsample(f1, guide, params, level=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -81,7 +81,7 @@ class TestJbuUpsample:
     def test_dim_mismatch_rejected(self):
         f0 = FeatureMap(np.zeros((8, 8, 4), dtype=np.float32))
         with pytest.raises(ValueError, match="guide dims 16x20 do not match 2x feature dims 16x16"):
-            jbu_upsample(f0, Image(np.zeros((20, 16, 3))), VdimParams.init(seed=0))
+            jbu_upsample(f0, Image(np.zeros((20, 16, 3))), VdimParams.init(seed=0), level=0)
 
     def test_wide_spatial_kernel_on_uniform_guide_is_local_mean(self):
         # sigma_dist -> inf and a uniform guide reduce the kernel to a plain
@@ -91,7 +91,7 @@ class TestJbuUpsample:
         guide = Image(np.full((10, 12, 3), 0.25))
         params = VdimParams.init(d_proj=8, seed=3)
         params.levels[0].log_sigma_dist[...] = np.log(1e8)
-        out = jbu_upsample(f0, guide, params)
+        out = jbu_upsample(f0, guide, params, level=0)
         want = oracle_upsample(f0, guide, params)
         np.testing.assert_allclose(out.data, want, atol=1e-5)
         up = scalar_resize(f0.data, 10, 12)
@@ -106,7 +106,7 @@ class TestJbuUpsample:
         params = VdimParams.init(d_proj=8, seed=6)
         params.levels[0].log_sigma_dist[...] = 0.4
         params.levels[0].log_sigma_sim[...] = -0.3
-        out = jbu_upsample(f0, guide, params)
+        out = jbu_upsample(f0, guide, params, level=0)
         np.testing.assert_allclose(out.data, oracle_upsample(f0, guide, params), atol=1e-5)
 
     def test_kernel_weights_sum_to_one(self):
