@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import NumericalError, resize_matrix, resize_taps, softmax as _softmax
+from .numerics import NumericalError, resize_matrix, resize_taps, row_blocks, softmax as _softmax
 
 __all__ = [
     "NumericalError",
@@ -80,7 +80,6 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
 RADIUS = 3  # guided-upsampling window radius (7x7); checkpoints do not record it
 _K = 2 * RADIUS + 1
 _TILE = 8  # cells per banded tile of guided_upsample
-_BLOCK_ELEMS = 1 << 15  # float64 entries per row block of guided_upsample (256 KiB)
 # the window offsets (dy, dx), as start corners in an edge-padded map, in
 # row-major order: the order of the weight axis K
 _DY, _DX = np.divmod(np.arange(_K * _K), _K)
@@ -131,20 +130,6 @@ _FINE = _bands((_K, _TILE + 2 * RADIUS), _TILE, _DY, np.arange(_TILE)[:, None] +
 _COARSE = _bands((_CK, _TILE + 2 * _PAD), 2 * _TILE, _CA, np.arange(2 * _TILE)[:, None] // 2 + _CB)
 
 
-def _row_blocks(h: int, row_elems: int) -> list[tuple[int, int]]:
-    """Ranges of the h rows of a map, each about ``_BLOCK_ELEMS`` entries of
-    an operand that holds ``row_elems`` entries per row.
-
-    :func:`guided_upsample` loops over these blocks so that each block's
-    operands stay in cache, sized by the banded products' per-row patches
-    or bands.  Every cell is computed by the same operations in any block,
-    and the VJP's overlap-add sums each cell's source rows in the same
-    order, so results do not depend on the block size.
-    """
-    rows = max(1, _BLOCK_ELEMS // row_elems)
-    return [(y0, min(y0 + rows, h)) for y0 in range(0, h, rows)]
-
-
 def _edge_index(n: int, pad: int) -> np.ndarray:
     """Source cells of the n + 2 * ``pad`` cells of an axis edge-padded by ``pad``."""
     return np.clip(np.arange(-pad, n + pad), 0, n - 1)
@@ -179,15 +164,15 @@ def _tiled(src: np.ndarray, bands: _Bands, h: int, n: int):
     ``B @ patch`` and either of its transposes, and drops ``patches`` before
     it asks for the next block, whose patches then reuse that memory.
 
-    Blocks are sized by the larger per-row operand of a product: the
-    patches or the bands.
+    The blocks are the :func:`~hiwin.numerics.row_blocks` of the larger
+    per-row operand of a product: the patches or the bands.
     """
     kh, kw = bands.window
     c = src.shape[-1]
     src = _zero_pad(src, (n - 1) * _TILE + kw)
     # (., ., C, kh, kw) view of every tile's source window
     windows = np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(0, 1))[:, ::_TILE]
-    for y0, y1 in _row_blocks(h, n * kh * kw * max(c, bands.cells)):
+    for y0, y1 in row_blocks(h, n * kh * kw * max(c, bands.cells)):
         yield y0, y1, windows[y0:y1, :n].transpose(0, 1, 3, 4, 2).reshape(y1 - y0, 1, n, kh * kw, c)
 
 
@@ -304,6 +289,8 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     gives the composite weights' gradient ``dWc``, which goes back as
     ``dw = Ry dWc Rx^T``, and ``B^T @ g_tile`` the patch's gradient, which
     is overlap-added onto the padded map, whose padding is then folded back.
+    Each cell sees the same operations in any row block, and the overlap-add
+    sums its source rows in one order: the bits do not depend on block size.
 
     The projection is linear in the pixel, so the similarity logits go
     through the 4x4 Gram ``A = M M^T`` of ``M = [proj_w; proj_b]`` and only

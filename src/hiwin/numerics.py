@@ -1,5 +1,5 @@
-"""Dense-array numerics: the bilinear sampling rule, stable softmax,
-optimizer, gradient checks, and the PCA feature renderer.
+"""Dense-array numerics: the bilinear sampling rule, the row-block cutter,
+stable softmax, optimizer, gradient checks, and the PCA feature renderer.
 
 Everything here works on plain ndarrays.  Every bilinear lookup in the
 package, in whole-map resizes as in RoI samples, takes its taps from
@@ -16,6 +16,8 @@ in inference.  The scalar references are
 Interpolation runs in float64; results are cast back to the caller's dtype,
 except that 8-bit image codes resize to float32 values through
 :func:`decode_codes`, the one rule that turns a code into a value.
+:func:`row_blocks` cuts every memory-bounded loop of the package: those of
+:func:`bilinear_resize`, ``window_attn.assemble_kv`` and ``autodiff.guided_upsample``.
 """
 
 from __future__ import annotations
@@ -30,17 +32,20 @@ if TYPE_CHECKING:
 
 __all__ = [
     "AdamState",
+    "BLOCK_ELEMS",
     "NumericalError",
     "adam_step",
     "bilinear_resize",
     "bilinear_taps",
     "decode_codes",
+    "fd_grads",
     "gather_taps",
     "grad_check",
     "lerp",
     "pca_rgb",
     "resize_matrix",
     "resize_taps",
+    "row_blocks",
     "softmax",
 ]
 
@@ -128,16 +133,23 @@ def gather_taps(src: np.ndarray, taps: _Taps, axis: int) -> tuple[np.ndarray, _T
     return np.take(src, np.flatnonzero(read), axis=axis), (new_index[i0], new_index[i1], frac)
 
 
-_BLOCK = 1 << 15  # output entries per block of bilinear_resize
+BLOCK_ELEMS = 1 << 15  # entries per row block (256 KiB of float64)
+
+
+def row_blocks(n: int, row_elems: int) -> list[tuple[int, int]]:
+    """Ranges ``(a, b)`` that cut n rows of ``row_elems`` entries each into
+    blocks of about :data:`BLOCK_ELEMS` entries, at least one row each."""
+    rows = max(1, BLOCK_ELEMS // row_elems)
+    return [(a, min(a + rows, n)) for a in range(0, n, rows)]
 
 
 def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resample an (H, W, C) array to (out_h, out_w).
 
-    The output is filled in blocks of whole rows, about ``_BLOCK`` entries
-    each.  A block reads the span of source rows its taps name; of those,
-    the rows and columns the taps read are gathered first (a downscale by
-    more than 2 skips cells), then :func:`decode_codes` turns them into
+    The output is filled in the :func:`row_blocks` of its rows.  A block
+    reads the span of source rows its taps name; of those, the rows and
+    columns the taps read are gathered first (a downscale by more than 2
+    skips cells), then :func:`decode_codes` turns them into
     values, then two :func:`lerp` passes, columns then rows, read them.  No
     resampling matrix and no float copy of the whole input are built, and
     every output cell sees the same float64 arithmetic whichever cells were
@@ -159,9 +171,7 @@ def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     i0, i1, frac = resize_taps(h, out_h)
     cols = resize_taps(w, out_w)
     out = np.empty((out_h, out_w, c), dtype=decode_codes(src[:0, :0]).dtype)  # the values' dtype
-    step = max(1, _BLOCK // (out_w * c))
-    for a in range(0, out_h, step):
-        b = min(a + step, out_h)
+    for a, b in row_blocks(out_h, out_w * c):
         lo, hi = i0[a], i1[b - 1] + 1  # the taps of a resize never decrease
         block, rows = gather_taps(src[lo:hi], (i0[a:b] - lo, i1[a:b] - lo, frac[a:b]), axis=0)
         block, block_cols = gather_taps(block, cols, axis=1)
@@ -178,20 +188,42 @@ def softmax(x: np.ndarray, axis: int | tuple[int, ...] = -1) -> np.ndarray:
     return e
 
 
+def fd_grads(f: Callable[[Sequence[Tensor]], Tensor], params: Sequence[Tensor], h: float) -> list[np.ndarray]:
+    """Central differences of the scalar ``f(params)``, an array shaped like
+    each param.  Each entry is nudged by ±h in place, so ``f`` must be a pure
+    function of the params' values; a non-finite nudge raises."""
+    grads = []
+    for p in params:
+        flat = p.data.reshape(-1)
+        fd = np.empty(flat.size)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + h
+            f_hi = float(f(params).data)
+            flat[i] = keep - h
+            f_lo = float(f(params).data)
+            flat[i] = keep
+            if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
+                raise NumericalError("grad_check: perturbed objective is not finite")
+            fd[i] = (f_hi - f_lo) / (2.0 * h)
+        grads.append(fd.reshape(p.data.shape))
+    return grads
+
+
 def grad_check(
     f: Callable[[Sequence[Tensor]], Tensor],
     params: Sequence[Tensor],
     h: float = 1e-5,
 ) -> float:
-    """Max relative error between backprop and central finite differences.
+    """Max relative error between backprop and the central finite
+    differences of :func:`fd_grads`.
 
-    ``f`` is re-evaluated with each parameter entry nudged by ±h, so it must
-    be a pure function of the params' current values.  The relative error for
-    one entry is ``|analytic - fd| / max(|analytic|, |fd|, floor)``, where
-    ``floor`` is 1e-3 times the largest analytic gradient magnitude over all
-    params (at least 1e-12): an entry a thousand times smaller than the
-    largest is judged against that scale, not against its own finite-
-    difference rounding noise.
+    The relative error for one entry is
+    ``|analytic - fd| / max(|analytic|, |fd|, floor)``, where ``floor`` is
+    1e-3 times the largest analytic gradient magnitude over all params (at
+    least 1e-12): an entry a thousand times smaller than the largest is
+    judged against that scale, not against its own finite-difference
+    rounding noise.
     """
     if h <= 0:
         raise ValueError("grad_check requires h > 0")
@@ -208,20 +240,9 @@ def grad_check(
     ]
     floor = max([1e-12] + [1e-3 * float(np.abs(a).max()) for a in analytics if a.size])
     worst = 0.0
-    for p, analytic in zip(params, analytics):
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + h
-            f_hi = float(f(params).data)
-            flat[i] = keep - h
-            f_lo = float(f(params).data)
-            flat[i] = keep
-            if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
-                raise NumericalError("grad_check: perturbed objective is not finite")
-            fd = (f_hi - f_lo) / (2.0 * h)
-            denom = max(abs(analytic[i]), abs(fd), floor)
-            worst = max(worst, abs(analytic[i] - fd) / denom)
+    for analytic, fd in zip(analytics, fd_grads(f, params, h)):
+        for a, d in zip(analytic, fd.reshape(-1)):
+            worst = max(worst, abs(a - d) / max(abs(a), abs(d), floor))
     return worst
 
 

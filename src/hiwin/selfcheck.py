@@ -6,13 +6,15 @@ written scalar reference, or against finite differences.  They are cheap
 enough to run on every install.  The references (:func:`scalar_bilinear_at`,
 :func:`scalar_roi_align`, :func:`scalar_window_box`,
 :func:`scalar_grid_choice`, :func:`scalar_cross_attention`) are plain
-per-element loops or written-out formulas; the test suite compares the
+per-element loops or written-out formulas; the window write-outs are built
+from them: :func:`scalar_window_values` (the RoI samples of each window box
+at every level), :func:`scalar_window_keys` (values + level embedding +
+zeta) and :func:`scalar_window_queries`.  The test suite compares the
 library against these same functions.  The window-sampling check compares
-the value rows of :func:`~hiwin.window_attn.assemble_kv`, the RoI samples of
-every window of every level, with :func:`scalar_roi_align` of each
-written-out window box.  The window-attention check compares the tokens of
+the value rows of :func:`~hiwin.window_attn.assemble_kv` with the written-out
+values; the window-attention check compares the tokens of
 :func:`~hiwin.window_attn.compress` with :func:`scalar_cross_attention` of
-each window over keys written out as values + level embedding + zeta.
+the written-out queries over the written-out keys and values.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ __all__ = [
     "scalar_grid_choice",
     "scalar_roi_align",
     "scalar_window_box",
+    "scalar_window_keys",
+    "scalar_window_queries",
+    "scalar_window_values",
 ]
 
 
@@ -113,10 +118,42 @@ def scalar_window_box(height: int, width: int, n: int, i: int, j: int) -> tuple[
     return (j * width / n, i * height / n, (j + 1) * width / n, (i + 1) * height / n)
 
 
+def scalar_window_values(levels, n: int, grid: tuple[int, int]) -> np.ndarray:
+    """The (n^2, levels*S, C) values of the n x n windows of the feature maps
+    ``levels``, window (i, j) in row ``i * n + j``: :func:`scalar_roi_align`
+    of its :func:`scalar_window_box` at each level, in level order."""
+    windows = [
+        np.concatenate([scalar_roi_align(f.data, scalar_window_box(f.height, f.width, n, i, j), grid) for f in levels])
+        for i in range(n) for j in range(n)
+    ]
+    return np.stack(windows).reshape(n * n, -1, levels[0].channels)
+
+
+def scalar_window_keys(values: np.ndarray, level_emb: np.ndarray, n: int, grid: tuple[int, int]) -> np.ndarray:
+    """The keys of (n^2, levels*S, C) window ``values`` written out: each
+    level block plus that level's embedding plus zeta, the positional
+    embedding of each window's nominal bin centres in [0, 1]^2."""
+    rw, rh = grid
+    points = [
+        ((j + (v + 0.5) / rw) / n, (i + (u + 0.5) / rh) / n)
+        for i in range(n) for j in range(n) for u in range(rh) for v in range(rw)
+    ]
+    zeta = position_embedding_2d(np.array(points).reshape(n * n, 1, rw * rh, 2), values.shape[-1])
+    by_level = values.reshape(n * n, -1, rw * rh, values.shape[-1])  # (window, level, sample, C)
+    return (by_level + level_emb[: by_level.shape[1], None] + zeta).reshape(values.shape)
+
+
+def scalar_window_queries(queries: np.ndarray, n: int) -> np.ndarray:
+    """The (n^2, 1, C) queries of the n x n windows: each window's learnable
+    query in ``queries`` (n, n, C) plus the embedding of its centre."""
+    centres = [((j + 0.5) / n, (i + 0.5) / n) for i in range(n) for j in range(n)]
+    return (queries.reshape(n * n, -1) + position_embedding_2d(np.array(centres), queries.shape[-1]))[:, None]
+
+
 def check_window_sampling(trials: int = 50, seed: int = 0) -> tuple[bool, str]:
-    """``assemble_kv``'s value rows against :func:`scalar_roi_align` of each
-    window's box, over random level dims, window counts n and grids; n
-    above a level's side gives windows narrower than one cell."""
+    """``assemble_kv``'s value rows against :func:`scalar_window_values`,
+    over random level dims, window counts n and grids; n above a level's
+    side gives windows narrower than one cell."""
     rng = np.random.default_rng(seed)
     worst, boxes = 0.0, 0
     for _ in range(trials):
@@ -126,11 +163,7 @@ def check_window_sampling(trials: int = 50, seed: int = 0) -> tuple[bool, str]:
         levels = [FeatureMap(rng.standard_normal((h << l, w << l, 4)), level=l) for l in range(2)]
         params = AttnParams.init(HiwinConfig(grid_side=n, channels=4), levels=2)
         _, got = assemble_kv(FeaturePyramid(levels), n, grid, params)
-        for i in range(n):
-            for j in range(n):
-                boxes_ij = [scalar_window_box(f.height, f.width, n, i, j) for f in levels]
-                want = np.concatenate([scalar_roi_align(f.data, b, grid) for f, b in zip(levels, boxes_ij)])
-                worst = max(worst, float(np.abs(got[i * n + j] - want.reshape(-1, 4)).max()))
+        worst = max(worst, float(np.abs(got - scalar_window_values(levels, n, grid)).max()))
         boxes += n * n * len(levels)
     ok = worst <= 1e-6
     return ok, f"{boxes} window boxes, max deviation {worst:.2e} from the scalar reference"
@@ -168,13 +201,12 @@ def scalar_cross_attention(q, k, v, params, heads: int):
 
 
 def check_window_attention(trials: int = 20, seed: int = 0) -> tuple[bool, str]:
-    """``compress``'s tokens against :func:`scalar_cross_attention` of each
-    window's query over keys written out as values + level embedding + zeta:
-    the values are :func:`scalar_roi_align` of the window's box at every
-    level, zeta the positional embedding of each sample's nominal bin
-    centre.  Level dims, n, heads, biases and level embeddings are random;
-    n above a level's side gives windows narrower than one cell, and
-    non-square maps choose non-square grids."""
+    """``compress``'s tokens against :func:`scalar_cross_attention`, over
+    the n^2 windows as groups, of :func:`scalar_window_queries` over
+    :func:`scalar_window_keys` of :func:`scalar_window_values`.  Level dims,
+    n, heads, biases and level embeddings are random; n above a level's
+    side gives windows narrower than one cell, and non-square maps choose
+    non-square grids."""
     rng = np.random.default_rng(seed)
     worst, windows, c = 0.0, 0, 8
     for _ in range(trials):
@@ -188,18 +220,11 @@ def check_window_attention(trials: int = 20, seed: int = 0) -> tuple[bool, str]:
         params.level_emb = rng.uniform(-1.0, 1.0, (3, c))
         levels = [FeatureMap(rng.standard_normal((h << l, w << l, c)), level=l) for l in range(3)]
         got = compress(FeaturePyramid(levels), params, config).data
-        rw, rh = scalar_grid_choice(w, h)
-        for i in range(n):
-            for j in range(n):
-                boxes = [scalar_window_box(f.height, f.width, n, i, j) for f in levels]
-                values = [scalar_roi_align(f.data, b, (rw, rh)).reshape(-1, c) for f, b in zip(levels, boxes)]
-                points = [((j + (v + 0.5) / rw) / n, (i + (u + 0.5) / rh) / n) for u in range(rh) for v in range(rw)]
-                zeta = position_embedding_2d(np.array(points), c)
-                keys = np.concatenate([vals + emb + zeta for vals, emb in zip(values, params.level_emb)])
-                centre = position_embedding_2d(np.array([[(j + 0.5) / n, (i + 0.5) / n]]), c)
-                q = params.queries[i, j] + centre
-                want, _ = scalar_cross_attention(q[None], keys[None], np.concatenate(values)[None], params, heads)
-                worst = max(worst, float(np.abs(got[i, j] - want[0, 0]).max()))
+        grid = scalar_grid_choice(w, h)
+        values = scalar_window_values(levels, n, grid)
+        keys = scalar_window_keys(values, params.level_emb, n, grid)
+        want, _ = scalar_cross_attention(scalar_window_queries(params.queries, n), keys, values, params, heads)
+        worst = max(worst, float(np.abs(got.reshape(n * n, c) - want[:, 0]).max()))
         windows += n * n
     ok = worst <= 1e-6
     return ok, f"{windows} windows, max deviation {worst:.2e} from attention over written-out keys"

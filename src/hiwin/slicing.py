@@ -51,19 +51,15 @@ def compute_slice_layout(width: int, height: int, max_slices: int = MAX_SLICES) 
     """
     if width < MIN_SLICE_SIDE or height < MIN_SLICE_SIDE:
         raise ValueError(f"image dims {width}x{height} below minimum {MIN_SLICE_SIDE}")
+    if max_slices < 1:
+        raise ValueError(f"max_slices must be at least 1, got {max_slices}")
     ideal = min(max(math.ceil(width * height / OVERVIEW_SIDE**2), 1), max_slices)
-    counts = sorted({n for n in (ideal - 1, ideal, ideal + 1) if 1 <= n <= max_slices})
-    best = None
-    for n in counts:
-        for cols in range(1, n + 1):
-            if n % cols:
-                continue
-            rows = n // cols
-            score = -abs(math.log(width * rows / (height * cols)))
-            key = (-score, n, cols)
-            if best is None or key < best[0]:
-                best = (key, cols, rows)
-    _, cols, rows = best
+    _, n, cols = min(
+        (abs(math.log(width * (n // cols) / (height * cols))), n, cols)
+        for n in (ideal - 1, ideal, ideal + 1) if 1 <= n <= max_slices
+        for cols in range(1, n + 1) if n % cols == 0
+    )
+    rows = n // cols
     xs = [i * width // cols for i in range(cols + 1)]
     ys = [i * height // rows for i in range(rows + 1)]
     rects = []

@@ -53,7 +53,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .numerics import bilinear_taps, gather_taps, lerp, softmax
+from .numerics import bilinear_taps, gather_taps, lerp, row_blocks, softmax
 from .vdim import FeaturePyramid
 
 __all__ = [
@@ -151,17 +151,12 @@ def select_grid(width: float, height: float) -> tuple[int, int]:
     matches the map.
 
     Score is ``-|log(width/height) - log(r_w/r_h)|``; ties keep the earliest
-    proposal in list order.
+    proposal in list order, as ``max`` does.
     """
     if width <= 0 or height <= 0:
         raise ValueError("select_grid requires positive dims")
     target = np.log(width / height)
-    best_score, best = None, None
-    for rw, rh in PROPOSALS:
-        score = -abs(target - np.log(rw / rh))
-        if best_score is None or score > best_score:
-            best_score, best = score, (rw, rh)
-    return best
+    return max(PROPOSALS, key=lambda g: -abs(target - np.log(g[0] / g[1])))
 
 
 def _bin_centers(lo: np.ndarray, hi: np.ndarray, r: int, size: int) -> np.ndarray:
@@ -226,9 +221,6 @@ def _sample_embedding(n: int, grid: tuple[int, int], channels: int) -> np.ndarra
     return zeta
 
 
-_BLOCK = 1 << 15  # sampled entries per block of assemble_kv
-
-
 def assemble_kv(
     isp: FeaturePyramid, n: int, grid: tuple[int, int], params: AttnParams
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -241,10 +233,11 @@ def assemble_kv(
 
     Window (i, j) of each level spans column ``j`` and row ``i`` of the
     uniform n-way split of that level's own width and height.  Values are
-    the raw samples.  Each level is sampled in blocks of whole window rows,
-    about ``_BLOCK`` sampled entries each: a block gathers only the map rows
-    its taps read, lerps them along x, then along y, and writes the result,
-    through a transposed view, into its place in the value array.  Zeta is
+    the raw samples.  Each level is sampled in the
+    :func:`~hiwin.numerics.row_blocks` of its window rows: a block gathers
+    only the map rows its taps read, lerps them along x, then along y, and
+    writes the result, through a transposed view, into its place in the
+    value array.  Zeta is
     the positional embedding of each sample point's normalized coordinate;
     it depends only on (n, grid, C), so it is computed once per geometry.
     """
@@ -258,14 +251,12 @@ def assemble_kv(
             f"needs {levels} or more rows of {c}"
         )
     v = np.empty((n, n, levels, rh, rw, c), dtype=np.float64)
-    step = max(1, _BLOCK // (rh * n * rw * c))  # window rows per block
     for lvl, fmap in enumerate(isp.levels):
         h, w = fmap.height, fmap.width
         cols = bilinear_taps(_bin_centers(*_spans(w, n), rw, w).reshape(-1), w)  # column j, bin v
         i0, i1, frac = bilinear_taps(_bin_centers(*_spans(h, n), rh, h), h)  # (row i, bin u)
         out = v[:, :, lvl].transpose(0, 2, 1, 3, 4)  # (i, u, j, v, C)
-        for a in range(0, n, step):
-            b = min(a + step, n)
+        for a, b in row_blocks(n, rh * n * rw * c):
             block_taps = (i0[a:b].ravel(), i1[a:b].ravel(), frac[a:b].ravel())
             rows, row_taps = gather_taps(fmap.data, block_taps, axis=0)
             out[a:b] = lerp(lerp(rows, cols, axis=1), row_taps, axis=0).reshape(b - a, rh, n, rw, c)

@@ -1,6 +1,7 @@
 """Scalar reference implementations of the resize, guided-upsampling,
 attention-downsampling and reconstruction-loss paths, shared by the test
-modules, and the weighted sum that reduces an op's output to a scalar.
+modules, the weighted sum that reduces an op's output to a scalar, and the
+window mask of the locality tests.
 
 These are written as plain per-element loops, independent of the vectorized
 library paths they check.  The bilinear-lookup, RoI-align, window-box,
@@ -15,7 +16,9 @@ import math
 import numpy as np
 
 from hiwin import autodiff as ad
-from hiwin.selfcheck import scalar_bilinear_at
+from hiwin.encoder import FeatureMap
+from hiwin.selfcheck import scalar_bilinear_at, scalar_window_box
+from hiwin.vdim import FeaturePyramid
 
 
 def weighted_sum(t, w) -> ad.Tensor:
@@ -136,3 +139,18 @@ def scalar_recon_loss(pooled, base: np.ndarray) -> float:
             squares += (float(a) - float(b)) ** 2
         total += squares / base.size
     return 0.5 * total
+
+
+def zero_outside_window(isp, n, index):
+    """Copy of the pyramid with features zeroed outside window (i, j) of the
+    n x n windows of every level."""
+    i, j = index
+    levels = []
+    for fmap in isp.levels:
+        x0, y0, x1, y1 = scalar_window_box(fmap.height, fmap.width, n, i, j)
+        masked = np.zeros_like(fmap.data)
+        ys, ye = int(np.floor(y0)), int(np.ceil(y1))
+        xs, xe = int(np.floor(x0)), int(np.ceil(x1))
+        masked[ys:ye, xs:xe] = fmap.data[ys:ye, xs:xe]
+        levels.append(FeatureMap(masked, level=fmap.level, origin=fmap.origin))
+    return FeaturePyramid(levels=levels, origin=isp.origin)

@@ -15,7 +15,7 @@ from hiwin.encoder import EncoderSpec, FeatureMap, encode, load_features
 from hiwin.image_io import Image, build_image_pyramid, load_ppm, save_ppm, synth_corpus
 from hiwin.numerics import grad_check
 from hiwin.pipeline import PipelineConfig, baseline_resampler, run_pipeline
-from hiwin.selfcheck import check_grid_selection, check_window_sampling, scalar_window_box
+from hiwin.selfcheck import check_grid_selection, check_window_sampling
 from hiwin.slicing import compute_slice_layout
 from hiwin.vdim import (
     DownsamplerParams,
@@ -32,6 +32,8 @@ from hiwin.window_attn import (
     compress,
     cross_attention,
 )
+
+from helpers import zero_outside_window
 
 
 def criterion(name):
@@ -151,15 +153,7 @@ def test_ac6_locality():
     full = compress(isp, params, config)
     for _ in range(20):
         i, j = int(rng.integers(0, 12)), int(rng.integers(0, 12))
-        masked_levels = []
-        for fmap in isp.levels:
-            x0, y0, x1, y1 = scalar_window_box(fmap.height, fmap.width, 12, i, j)
-            data = np.zeros_like(fmap.data)
-            ys, ye = int(np.floor(y0)), int(np.ceil(y1))
-            xs, xe = int(np.floor(x0)), int(np.ceil(x1))
-            data[ys:ye, xs:xe] = fmap.data[ys:ye, xs:xe]
-            masked_levels.append(FeatureMap(data, level=fmap.level))
-        masked = compress(FeaturePyramid(levels=masked_levels), params, config)
+        masked = compress(zero_outside_window(isp, 12, (i, j)), params, config)
         assert np.array_equal(full.data[i, j], masked.data[i, j])
 
         perturbed_levels = []

@@ -10,30 +10,13 @@ import numpy as np
 import pytest
 
 import hiwin
-from hiwin import autodiff as ad
+from hiwin import autodiff as ad, numerics
 from hiwin.autodiff import NumericalError, Tensor
+from hiwin.numerics import fd_grads
 
 from helpers import scalar_attention_downsample, scalar_guided_upsample, scalar_recon_loss, weighted_sum
 
 T = ad._TILE  # map columns per banded tile of guided_upsample (2T output columns)
-
-
-def fd_grads(build, params, h=1e-6):
-    """Central-difference gradients of build() w.r.t. every param entry."""
-    grads = []
-    for p in params:
-        flat = p.data.reshape(-1)
-        g = np.zeros(flat.size)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + h
-            hi = build().item()
-            flat[i] = keep - h
-            lo = build().item()
-            flat[i] = keep
-            g[i] = (hi - lo) / (2 * h)
-        grads.append(g.reshape(p.data.shape))
-    return grads
 
 
 def check_op(build, params, tol=1e-6):
@@ -41,8 +24,7 @@ def check_op(build, params, tol=1e-6):
     for p in params:
         p.grad = None
     out.backward()
-    numeric = fd_grads(build, params)
-    for p, fd in zip(params, numeric):
+    for p, fd in zip(params, fd_grads(lambda _: build(), params, h=1e-6)):
         got = p.grad if p.grad is not None else np.zeros_like(p.data)
         np.testing.assert_allclose(got, fd, rtol=tol, atol=tol)
 
@@ -123,16 +105,16 @@ def test_guided_upsample_bits_do_not_depend_on_the_block_size(hwc, monkeypatch):
     guide = rng.uniform(0, 1, (2 * h, 2 * w, 3))
     arrays = [rng.standard_normal((h, w, c)), rng.standard_normal((3, 8)), rng.standard_normal(8), 0.3, -0.2]
     weights = rng.uniform(0.5, 1.5, (2 * h, 2 * w, c))
-    blocks, row_blocks = [], ad._row_blocks
+    blocks, row_blocks = [], ad.row_blocks
 
     def counted_row_blocks(*args):
         blocks.append(row_blocks(*args))
         return blocks[-1]
 
-    monkeypatch.setattr(ad, "_row_blocks", counted_row_blocks)
+    monkeypatch.setattr(ad, "row_blocks", counted_row_blocks)
     runs = []
-    for block_elems in (ad._BLOCK_ELEMS, 1):
-        monkeypatch.setattr(ad, "_BLOCK_ELEMS", block_elems)
+    for block_elems in (numerics.BLOCK_ELEMS, 1):
+        monkeypatch.setattr(numerics, "BLOCK_ELEMS", block_elems)
         params = [Tensor(a, requires_grad=True) for a in arrays]
         out = ad.guided_upsample(params[0], guide, *params[1:])
         weighted_sum(out, weights).backward()

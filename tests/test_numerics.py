@@ -79,15 +79,15 @@ class TestBilinearResize:
     @pytest.mark.parametrize(
         "src_hw, view, out_hw, block",
         [
-            ((40, 50), np.s_[3:37, 5:47:2], (9, 8), numerics._BLOCK),  # strided crop view
-            ((7, 9), np.s_[:, :], (23, 31), numerics._BLOCK),  # upscale
+            ((40, 50), np.s_[3:37, 5:47:2], (9, 8), numerics.BLOCK_ELEMS),  # strided crop view
+            ((7, 9), np.s_[:, :], (23, 31), numerics.BLOCK_ELEMS),  # upscale
             ((30, 20), np.s_[:, :], (17, 13), 100),  # blocks of 2 rows, the last one short
             ((30, 20), np.s_[:, :], (13, 45), 100),  # a row wider than a block
         ],
         ids=["strided-crop", "upscale", "ragged-last-block", "row-wider-than-block"],
     )
     def test_codes_match_the_scalar_oracle_exactly(self, src_hw, view, out_hw, block, monkeypatch):
-        monkeypatch.setattr(numerics, "_BLOCK", block)
+        monkeypatch.setattr(numerics, "BLOCK_ELEMS", block)
         codes = np.random.default_rng(sum(src_hw)).integers(0, 256, src_hw + (3,), dtype=np.uint8)[view]
         values = (codes.astype(np.float32) / np.float32(255.0)).astype(np.float64)  # the oracle runs in float64
         want = scalar_resize(values, *out_hw).astype(np.float32)
@@ -95,7 +95,7 @@ class TestBilinearResize:
 
     @pytest.mark.parametrize("shape, dtype", [((11, 6, 1), np.float64), ((11, 6, 2), np.float32)], ids=["one-channel", "float32"])
     def test_floats_match_the_scalar_oracle_exactly(self, shape, dtype, monkeypatch):
-        monkeypatch.setattr(numerics, "_BLOCK", 20)
+        monkeypatch.setattr(numerics, "BLOCK_ELEMS", 20)
         src = np.random.default_rng(9).standard_normal(shape).astype(dtype)
         out = bilinear_resize(src, 8, 5)
         assert out.dtype == dtype

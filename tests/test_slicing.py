@@ -53,6 +53,11 @@ class TestLayoutSelection:
         with pytest.raises(ValueError):
             compute_slice_layout(40, 336)
 
+    @pytest.mark.parametrize("max_slices", [0, -1])
+    def test_max_slices_below_one_is_named(self, max_slices):
+        with pytest.raises(ValueError, match=rf"max_slices must be at least 1, got {max_slices}"):
+            compute_slice_layout(1008, 672, max_slices)
+
     @given(st.integers(56, 1400), st.integers(56, 1400))
     @settings(max_examples=60, deadline=None)
     def test_tiling_and_budget(self, w, h):

@@ -1,17 +1,17 @@
 """Grid selection, RoI sampling, key assembly over each level's windows, and
 the window-restricted cross-attention.  The keys are checked through the
-attention that scores them, against the scalar oracle over keys written out
-as values + level embedding + zeta."""
+attention that scores them, against the scalar oracle over the keys that
+selfcheck.scalar_window_keys writes out as values + level embedding + zeta."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hiwin import window_attn
+from hiwin import numerics, window_attn
 from hiwin.encoder import FeatureMap
 from hiwin.numerics import softmax
-from hiwin.selfcheck import scalar_cross_attention, scalar_roi_align, scalar_window_box
+from hiwin.selfcheck import scalar_cross_attention, scalar_window_keys, scalar_window_queries, scalar_window_values
 from hiwin.vdim import FeaturePyramid
 from hiwin.window_attn import (
     AttnParams,
@@ -19,9 +19,10 @@ from hiwin.window_attn import (
     assemble_kv,
     compress,
     cross_attention,
-    position_embedding_2d,
     select_grid,
 )
+
+from helpers import zero_outside_window
 
 
 def random_pyramid(seed, base_h=24, base_w=24, channels=8, origin="overview"):
@@ -50,19 +51,10 @@ class TestSelectGrid:
 
 
 def value_rows_and_oracle(isp, n, grid):
-    """assemble_kv's values, and the same rows from scalar_roi_align of each
-    window's written-out box, both (n^2, levels*S, C)."""
-    c = isp.channels
-    _, v = assemble_kv(isp, n, grid, AttnParams.init(HiwinConfig(grid_side=n, channels=c)))
-    want = np.stack([
-        np.concatenate([
-            scalar_roi_align(f.data, scalar_window_box(f.height, f.width, n, i, j), grid).reshape(-1, c)
-            for f in isp.levels
-        ])
-        for i in range(n)
-        for j in range(n)
-    ])
-    return v, want
+    """assemble_kv's values, and scalar_window_values of the same windows,
+    both (n^2, levels*S, C)."""
+    _, v = assemble_kv(isp, n, grid, AttnParams.init(HiwinConfig(grid_side=n, channels=isp.channels)))
+    return v, scalar_window_values(isp.levels, n, grid)
 
 
 class TestWindows:
@@ -141,31 +133,6 @@ class TestRoiAlign:
             np.testing.assert_allclose(v, want, rtol=0, atol=1e-12)
 
 
-def written_out_keys(v, params, n, grid):
-    """The (n^2, levels*S, C) keys of value rows ``v``: each level block plus
-    that level's embedding plus zeta, the embedding of each window's nominal
-    bin centres in [0, 1]^2."""
-    rw, rh = grid
-    s, c = rw * rh, v.shape[-1]
-    cell = np.arange(n, dtype=np.float64)
-    bx = (np.arange(rw, dtype=np.float64) + 0.5) / rw
-    by = (np.arange(rh, dtype=np.float64) + 0.5) / rh
-    coords = np.empty((n, n, rh, rw, 2))
-    coords[..., 0] = (cell[None, :, None, None] + bx) / n
-    coords[..., 1] = (cell[:, None, None, None] + by[:, None]) / n
-    zeta = position_embedding_2d(coords.reshape(n * n, s, 2), c)
-    blocks = [v[:, lvl * s : (lvl + 1) * s] + params.level_emb[lvl] + zeta for lvl in range(v.shape[1] // s)]
-    return np.concatenate(blocks, axis=1)
-
-
-def window_queries(params, n):
-    """compress's (n^2, 1, C) queries: each window's learnable query plus the
-    embedding of its centre."""
-    c = params.queries.shape[-1]
-    centres = [((j + 0.5) / n, (i + 0.5) / n) for i in range(n) for j in range(n)]
-    return (params.queries.reshape(n * n, c) + position_embedding_2d(np.array(centres), c))[:, None]
-
-
 def random_biases(params, seed):
     """Nonzero biases, so that the folded scores must cancel the key bias."""
     rng = np.random.default_rng(seed)
@@ -183,7 +150,8 @@ class TestAssembleKv:
         assert [t.shape for t in keys] == [(144, 3, 9, 8), (1, 3, 1, 8), (144, 1, 9, 8)]
         assert v.shape == (144, 27, 8)
         assert np.shares_memory(keys[0], v)
-        _, att = cross_attention(window_queries(params, 12), keys, v, params, config.heads, return_weights=True)
+        q = scalar_window_queries(params.queries, 12)
+        _, att = cross_attention(q, keys, v, params, config.heads, return_weights=True)
         assert att.shape == (144, 4, 1, 27)
 
     def test_value_rows_equal_scalar_roi_align_of_each_window(self):
@@ -199,11 +167,11 @@ class TestAssembleKv:
         isp = random_pyramid(sum(base_hw), *base_hw, channels=c)
         params = random_biases(AttnParams.init(HiwinConfig(grid_side=n, channels=c), seed=3), 3)
         keys, v = assemble_kv(isp, n, grid, params)
-        k = written_out_keys(v, params, n, grid)
+        k = scalar_window_keys(v, params.level_emb, n, grid)
         # the addends sum, bit for bit, to the written-out keys
         assert np.array_equal(sum(keys).reshape(k.shape), k)
         # scored addend by addend, they give the oracle's attention over those keys
-        q = window_queries(params, n)
+        q = scalar_window_queries(params.queries, n)
         out, att = cross_attention(q, keys, v, params, 4, return_weights=True)
         want_out, want_att = scalar_cross_attention(q, k, v, params, 4)
         np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
@@ -233,9 +201,9 @@ class TestAssembleKv:
         params = AttnParams.init(config, seed=1)
         params.level_emb[:] = 0.0
         keys, v = assemble_kv(isp, 3, (2, 2), params)
-        q = window_queries(params, 3)
+        q = scalar_window_queries(params.queries, 3)
         _, att = cross_attention(q, keys, v, params, config.heads, return_weights=True)
-        _, want = scalar_cross_attention(q, written_out_keys(v, params, 3, (2, 2)), v, params, config.heads)
+        _, want = scalar_cross_attention(q, scalar_window_keys(v, params.level_emb, 3, (2, 2)), v, params, config.heads)
         np.testing.assert_allclose(att, want, rtol=0, atol=1e-12)
         blocks = att[1 * 3 + 2, :, 0].reshape(config.heads, 3, 4)
         np.testing.assert_allclose(blocks[:, 1], blocks[:, 0], atol=1e-6)
@@ -251,12 +219,12 @@ class TestAssembleKv:
         params = AttnParams.init(config, seed=2)
         swapped = AttnParams.init(config, seed=2)
         swapped.level_emb[[1, 2]] = params.level_emb[[2, 1]]
-        q = window_queries(params, 3)
+        q = scalar_window_queries(params.queries, 3)
         logs = []
         for p in (params, swapped):
             keys, v = assemble_kv(isp, 3, (2, 2), p)
             _, att = cross_attention(q, keys, v, p, config.heads, return_weights=True)
-            _, want = scalar_cross_attention(q, written_out_keys(v, p, 3, (2, 2)), v, p, config.heads)
+            _, want = scalar_cross_attention(q, scalar_window_keys(v, p.level_emb, 3, (2, 2)), v, p, config.heads)
             np.testing.assert_allclose(att, want, rtol=0, atol=1e-12)
             logs.append(np.log(att[0, :, 0]).reshape(config.heads, 3, 4))  # window 0: (head, level, sample)
         shift = logs[1] - logs[0]
@@ -275,10 +243,10 @@ class TestAssembleKv:
         isp = random_pyramid(sum(base_hw), *base_hw, channels=c)
         grid = select_grid(base_hw[1], base_hw[0])
         params = AttnParams.init(HiwinConfig(channels=c))
-        step = window_attn._BLOCK // (grid[0] * grid[1] * n * c)  # window rows per block
+        step = numerics.BLOCK_ELEMS // (grid[0] * grid[1] * n * c)  # window rows per block
         assert 1 < step < n and n % step, "the default blocks must end in a ragged one"
         _, default = assemble_kv(isp, n, grid, params)
-        monkeypatch.setattr(window_attn, "_BLOCK", 1)
+        monkeypatch.setattr(numerics, "BLOCK_ELEMS", 1)
         _, one_row = assemble_kv(isp, n, grid, params)
         assert np.array_equal(one_row, default)
 
@@ -330,12 +298,9 @@ class TestCompress:
         assert grid == (3, 3)
         # the one window is each whole level: values are its RoI samples, and
         # keys add the level's embedding and the embedding of each bin centre
-        v = np.concatenate([scalar_roi_align(f.data, (0, 0, f.width, f.height), grid).reshape(9, 4) for f in levels])
-        centres = [((b + 0.5) / 3, (a + 0.5) / 3) for a in range(3) for b in range(3)]
-        zeta = position_embedding_2d(np.array(centres), 4)
-        k = v + np.repeat(params.level_emb, 9, axis=0) + np.tile(zeta, (3, 1))
-
-        q = params.queries.reshape(1, 4) + position_embedding_2d(np.array([[0.5, 0.5]]), 4)
+        v = scalar_window_values(levels, 1, grid)[0]
+        k = scalar_window_keys(v[None], params.level_emb, 1, grid)[0]
+        q = scalar_window_queries(params.queries, 1)[0]
         qp = q @ params.wq + params.bq
         kp = k @ params.wk + params.bk
         vp = v @ params.wv + params.bv
@@ -399,21 +364,6 @@ class TestCompress:
         assert not cached.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             cached += 1.0
-
-
-def zero_outside_window(isp, n, index):
-    """Copy of the pyramid with features zeroed outside window (i, j) of the
-    n x n windows of every level."""
-    i, j = index
-    levels = []
-    for fmap in isp.levels:
-        x0, y0, x1, y1 = scalar_window_box(fmap.height, fmap.width, n, i, j)
-        masked = np.zeros_like(fmap.data)
-        ys, ye = int(np.floor(y0)), int(np.ceil(y1))
-        xs, xe = int(np.floor(x0)), int(np.ceil(x1))
-        masked[ys:ye, xs:xe] = fmap.data[ys:ye, xs:xe]
-        levels.append(FeatureMap(masked, level=fmap.level, origin=fmap.origin))
-    return FeaturePyramid(levels=levels, origin=isp.origin)
 
 
 class TestLocality:
