@@ -2,7 +2,7 @@
 
 A :class:`Tensor` wraps a float64 ndarray and, for derived values, records a
 closure mapping the output gradient back onto the operands (define-by-run).
-``backward()`` walks the recorded graph once in reverse topological order and
+``backward()`` runs the recorded closures once, newest node first, and
 accumulates gradients into every leaf created with ``requires_grad=True``.
 
 The training graph is three fused ops with hand-written VJPs:
@@ -16,6 +16,7 @@ finite-difference checks need 64-bit accumulation to reach their tolerances.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 
+_created = itertools.count()
+
+
 class Tensor:
     """float64 array node in the differentiation graph.
 
@@ -44,7 +48,7 @@ class Tensor:
     read ``.grad`` off the leaves.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -52,6 +56,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
+        self._seq = next(_created)  # creation number: above every operand's
 
     def item(self) -> float:
         return float(self.data)
@@ -466,43 +471,32 @@ def recon_loss(pooled, base) -> Tensor:
 
 
 def backward(out: Tensor) -> None:
-    """Accumulate d(out)/d(leaf) into ``.grad`` of every trainable leaf."""
+    """Accumulate d(out)/d(leaf) into ``.grad`` of every trainable leaf.
+
+    The nodes reachable from ``out`` through parents that require grad are
+    gathered with a stack, then run in decreasing creation number: an op's
+    output is built after its operands, so each node runs after every node
+    that reads it, once it holds its whole gradient.  Each VJP returns one
+    array per operand; a leaf reused by several operands sums their shares.
+    """
     if out.data.shape != ():
         raise ValueError("backward() requires a scalar output")
     if not np.isfinite(out.data):
         raise NumericalError("backward() called on a non-finite value")
     if not out.requires_grad:
         return
-
-    order: list[Tensor] = []
-    visited = {id(out)}
-    stack: list[tuple[Tensor, object]] = [(out, iter(out._parents))]
+    nodes, stack = {out._seq: out}, [out]
     while stack:
-        node, it = stack[-1]
-        advanced = False
-        for parent in it:
-            if parent.requires_grad and id(parent) not in visited:
-                visited.add(id(parent))
-                stack.append((parent, iter(parent._parents)))
-                advanced = True
-                break
-        if not advanced:
-            order.append(node)
-            stack.pop()
-
-    grads: dict[int, np.ndarray] = {id(out): np.ones((), dtype=np.float64)}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+        for parent in stack.pop()._parents:
+            if parent.requires_grad and parent._seq not in nodes:
+                nodes[parent._seq] = parent
+                stack.append(parent)
+    grads = {out._seq: np.ones((), dtype=np.float64)}
+    for seq in sorted(nodes, reverse=True):
+        node, g = nodes[seq], grads.pop(seq)
         if node._vjp is None:
             node.grad = g if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
-            if not parent.requires_grad or pg is None:
-                continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
+            if parent.requires_grad:
+                grads[parent._seq] = grads[parent._seq] + pg if parent._seq in grads else pg

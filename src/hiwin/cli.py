@@ -191,7 +191,7 @@ def _run_and_save(args, projector: str) -> int:
     save_tokens(result.tokens, args.out)
     sequence = flatten(result.tokens)
     save_index(sequence, f"{args.out}.idx")
-    if projector == "hiwin" and getattr(args, "command", "") == "pipeline":
+    if args.command == "pipeline":
         print(f"layout: {result.layout.cols}x{result.layout.rows}")
         print(f"grid: {result.grid[0]}x{result.grid[1]}")
     print(f"tokens: {sequence.tokens.shape[0]}")

@@ -223,7 +223,9 @@ def grad_check(
     1e-3 times the largest analytic gradient magnitude over all params (at
     least 1e-12): an entry a thousand times smaller than the largest is
     judged against that scale, not against its own finite-difference
-    rounding noise.
+    rounding noise.  It is one float64 array expression over every entry
+    of every param, so a NaN or infinite analytic gradient makes the result
+    NaN, which no tolerance passes.
     """
     if h <= 0:
         raise ValueError("grad_check requires h > 0")
@@ -234,16 +236,14 @@ def grad_check(
         p.grad = None
     out.backward()
 
-    analytics = [
-        np.zeros(p.data.size) if p.grad is None else np.asarray(p.grad, dtype=np.float64).reshape(-1)
-        for p in params
-    ]
-    floor = max([1e-12] + [1e-3 * float(np.abs(a).max()) for a in analytics if a.size])
-    worst = 0.0
-    for analytic, fd in zip(analytics, fd_grads(f, params, h)):
-        for a, d in zip(analytic, fd.reshape(-1)):
-            worst = max(worst, abs(a - d) / max(abs(a), abs(d), floor))
-    return worst
+    analytic = np.concatenate(
+        [np.zeros(p.data.size) if p.grad is None else np.ravel(p.grad) for p in params]
+    )
+    fd = np.concatenate([d.reshape(-1) for d in fd_grads(f, params, h)])
+    floor = max(1e-12, 1e-3 * np.abs(analytic).max())
+    with np.errstate(invalid="ignore"):  # an infinite entry reads inf / inf = NaN
+        err = np.abs(analytic - fd) / np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), floor)
+    return float(err.max())
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator floor

@@ -85,7 +85,7 @@ def baseline_resampler(
     c = isp.channels
     feats = np.concatenate([f.data.reshape(-1, c) for f in isp.levels]).astype(np.float64)
     q = params.queries.reshape(n * n, c).astype(np.float64)
-    out = cross_attention(q[None], feats[None], feats[None], params, config.heads)
+    out, _ = cross_attention(q[None], feats[None], feats[None], params, config.heads)
     return TokenMap(out.reshape(n, n, c).astype(np.float32), origin=isp.origin)
 
 

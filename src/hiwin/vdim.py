@@ -12,34 +12,22 @@ times a Gaussian decay, renormalized to sum to 1 per cell.  A level's
 weights are ``autodiff.guided_weights`` of its guide and its
 :class:`LevelKernel` fields.  Lift and average are the single fused op
 ``autodiff.guided_upsample``, which inference and training both run; its
-window radius is the constant ``autodiff.RADIUS``.  The lift is never
-built: both steps are linear, so each output cell's 7x7 weights fold
-through the lift taps into 5x5 weights on the map itself, edge-padded by 2,
-as Kopf et al.'s joint bilateral upsampling sums over the low-resolution
-pixels.  The projection is linear in the RGB pixel, so the scores are
-``g_a (M M^T) g_b^T`` for homogeneous pixels ``g = [r, g, b, 1]`` and
-``M = [proj_w; proj_b]``: the op scores neighbors through that 4x4 Gram,
-never building a map of projected pixels.  Every window operation of the
-op is a loop over row blocks of short tiles of cells; each tile reads its
-source window as one patch and takes a banded matrix product with it.  In
-the mix, two output rows and 16 output columns read one 5-row patch of
-the map.  No per-cell stack of neighbors is built.
+window radius is the constant ``autodiff.RADIUS``, and its docstring tells
+how it computes them without building the lift.
 
 The downsampler inverts the scale change for training.  It is defined on
 the high level bilinearly lifted to full image resolution and split into
 14x14 windows (one per base-level cell): each window is reduced by a
 saliency-weighted average (1x1 conv saliency, softmax over the window,
-learnable per-channel affine on the features).  The single fused op
-``autodiff.window_pool`` computes it without the lift.  The saliency is
-linear in the features, so only a one-channel score map is lifted, and each
-window's softmax weights are pushed back through the resize taps onto the
-few source rows they read.  The saliency bias ``sal_b`` shifts every score
-of a window alike, which the softmax ignores: its gradient is exactly zero,
-so training leaves it at its initial 0.  It stays a parameter so that the
-checkpoint format does not change.  The reconstruction loss is half the sum
-over levels of the mean squared difference between each level's reduction
-and the base map; it is the fused op ``autodiff.recon_loss``, whose graph
-:func:`mlr_objective` builds after the pyramid and the reductions.
+learnable per-channel affine on the features).  It is the fused op
+``autodiff.window_pool``, which does not build the lift either.  The
+saliency bias ``sal_b`` shifts every score of a window alike, which the
+softmax ignores: its gradient is exactly zero, so training leaves it at its
+initial 0.  It stays a parameter so that the checkpoint format does not
+change.  The reconstruction loss is half the sum over levels of the mean
+squared difference between each level's reduction and the base map; it is
+the fused op ``autodiff.recon_loss``, whose graph :func:`mlr_objective`
+builds after the pyramid and the reductions.
 
 Both sigma parameters are stored in log space so their effective values stay
 strictly positive.  Training runs entirely in float64; stored feature maps
@@ -331,8 +319,7 @@ def pretrain_vdim(
             ad.backward(loss)
             loss_sum += loss.item()
             for acc, t in zip(grad_sum, flat):
-                if t.grad is not None:
-                    acc += t.grad
+                acc += t.grad
         if steps:
             grads = [g / batch for g in grad_sum]
             for target, updated in zip(arrays, adam_step(arrays, grads, state)):

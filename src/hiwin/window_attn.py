@@ -288,16 +288,15 @@ def cross_attention(
     v: np.ndarray,
     params: AttnParams,
     heads: int,
-    return_weights: bool = False,
-):
+) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head scaled dot-product attention with output projection, over
     groups: ``q`` is (G, Q, C) and ``v`` is (G, L, C), and the Q queries of
     group g attend over the L keys of group g.  ``k`` is the (G, L, C) keys,
     or a tuple of addends whose broadcast sum they are, each of shape
     (G or 1, L1, ..., C) with ``L1 * ... = L`` in the values' order, as
-    :func:`assemble_kv` gives them.  Returns the (G, Q, C) outputs and, with
-    ``return_weights``, the (G, heads, Q, L) attention weights.  A ``heads``
-    below 1, or one that does not divide C, raises ``ValueError``.
+    :func:`assemble_kv` gives them.  Returns the (G, Q, C) outputs and the
+    (G, heads, Q, L) attention weights.  A ``heads`` below 1, or one that
+    does not divide C, raises ``ValueError``.
 
     The operand shapes choose the order of the products.  Projecting every
     key and value costs ``2 L C^2 + 2 Q L C`` multiply-adds per group (the
@@ -343,7 +342,7 @@ def cross_attention(
         ctx = att @ vh
     ctx = ctx.transpose(0, 2, 1, 3).reshape(g, nq, c)
     out = _linear(ctx, params.wo, params.bo).reshape(g, nq, c)
-    return (out, att) if return_weights else out
+    return out, att
 
 
 def compress(isp: FeaturePyramid, params: AttnParams, config: HiwinConfig) -> TokenMap:
@@ -367,5 +366,5 @@ def compress(isp: FeaturePyramid, params: AttnParams, config: HiwinConfig) -> To
     grid = select_grid(base.width, base.height)
     keys, v = assemble_kv(isp, n, grid, params)
     q = params.queries.reshape(n * n, -1) + _sample_embedding(n, (1, 1), base.channels)[:, 0]
-    out = cross_attention(q[:, None], keys, v, params, config.heads)
+    out, _ = cross_attention(q[:, None], keys, v, params, config.heads)
     return TokenMap(out.reshape(n, n, -1).astype(np.float32), origin=isp.origin)

@@ -193,7 +193,7 @@ def test_ac8_normalization():
     params = AttnParams.init(config, seed=8)
     q = rng.standard_normal((20, 1, 8))
     k = rng.standard_normal((20, 9, 8))
-    _, att = cross_attention(q, k, k, params, config.heads, return_weights=True)
+    _, att = cross_attention(q, k, k, params, config.heads)
     assert np.abs(att.sum(axis=-1) - 1.0).max() <= 1e-6
 
     # guided-upsampling kernel weights (similarity softmax times spatial decay,

@@ -230,6 +230,22 @@ class TestGradCheck:
         assert grad_check(objective(False), params, h=1e-5) < 1e-6
         assert grad_check(objective(True), params, h=1e-5) > 1e-4
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_a_non_finite_gradient_entry_fails(self, bad):
+        # sum(x^2) at x = (1, 2) with a VJP of (bad, 2 * x1): the finite
+        # entry alone reads 6.6e-12, so a check that skips the bad one passes
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+
+        def f(params):
+            t = params[0]
+
+            def vjp(g):
+                return (g * np.array([bad, 2 * t.data[1]]),)
+
+            return ad._node(np.asarray((t.data * t.data).sum()), (t,), vjp)
+
+        assert not grad_check(f, [x]) < 1e-4
+
 
 class TestAdam:
     def test_zero_grad_is_identity(self):

@@ -151,7 +151,7 @@ class TestAssembleKv:
         assert v.shape == (144, 27, 8)
         assert np.shares_memory(keys[0], v)
         q = scalar_window_queries(params.queries, 12)
-        _, att = cross_attention(q, keys, v, params, config.heads, return_weights=True)
+        _, att = cross_attention(q, keys, v, params, config.heads)
         assert att.shape == (144, 4, 1, 27)
 
     def test_value_rows_equal_scalar_roi_align_of_each_window(self):
@@ -172,7 +172,7 @@ class TestAssembleKv:
         assert np.array_equal(sum(keys).reshape(k.shape), k)
         # scored addend by addend, they give the oracle's attention over those keys
         q = scalar_window_queries(params.queries, n)
-        out, att = cross_attention(q, keys, v, params, 4, return_weights=True)
+        out, att = cross_attention(q, keys, v, params, 4)
         want_out, want_att = scalar_cross_attention(q, k, v, params, 4)
         np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
         np.testing.assert_allclose(att, want_att, rtol=0, atol=1e-12)
@@ -202,7 +202,7 @@ class TestAssembleKv:
         params.level_emb[:] = 0.0
         keys, v = assemble_kv(isp, 3, (2, 2), params)
         q = scalar_window_queries(params.queries, 3)
-        _, att = cross_attention(q, keys, v, params, config.heads, return_weights=True)
+        _, att = cross_attention(q, keys, v, params, config.heads)
         _, want = scalar_cross_attention(q, scalar_window_keys(v, params.level_emb, 3, (2, 2)), v, params, config.heads)
         np.testing.assert_allclose(att, want, rtol=0, atol=1e-12)
         blocks = att[1 * 3 + 2, :, 0].reshape(config.heads, 3, 4)
@@ -223,7 +223,7 @@ class TestAssembleKv:
         logs = []
         for p in (params, swapped):
             keys, v = assemble_kv(isp, 3, (2, 2), p)
-            _, att = cross_attention(q, keys, v, p, config.heads, return_weights=True)
+            _, att = cross_attention(q, keys, v, p, config.heads)
             _, want = scalar_cross_attention(q, scalar_window_keys(v, p.level_emb, 3, (2, 2)), v, p, config.heads)
             np.testing.assert_allclose(att, want, rtol=0, atol=1e-12)
             logs.append(np.log(att[0, :, 0]).reshape(config.heads, 3, 4))  # window 0: (head, level, sample)
@@ -402,7 +402,7 @@ class TestAttentionWeights:
         q = rng.standard_normal((10, 1, 8))
         k = rng.standard_normal((10, 6, 8))
         v = rng.standard_normal((10, 6, 8))
-        _, att = cross_attention(q, k, v, params, config.heads, return_weights=True)
+        _, att = cross_attention(q, k, v, params, config.heads)
         np.testing.assert_allclose(att.sum(axis=-1), 1.0, atol=1e-6)
 
     @pytest.mark.parametrize(
@@ -421,7 +421,7 @@ class TestAttentionWeights:
         q = rng.standard_normal((g, nq, c))
         k = rng.standard_normal((g, l, c))
         v = rng.standard_normal((g, l, c))
-        out, att = cross_attention(q, k, v, params, heads, return_weights=True)
+        out, att = cross_attention(q, k, v, params, heads)
         want_out, want_att = scalar_cross_attention(q, k, v, params, heads)
         np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
         np.testing.assert_allclose(att, want_att, rtol=0, atol=1e-12)
@@ -443,7 +443,7 @@ class TestAttentionWeights:
         q = rng.standard_normal((5, 8))
         shared = rng.standard_normal((7, 8))
         tiled = np.broadcast_to(shared, (5, 7, 8))
-        a = cross_attention(q[None], shared[None], shared[None], params, config.heads)
-        b = cross_attention(q[:, None], tiled, tiled, params, config.heads)
+        a, _ = cross_attention(q[None], shared[None], shared[None], params, config.heads)
+        b, _ = cross_attention(q[:, None], tiled, tiled, params, config.heads)
         assert a.shape == (1, 5, 8) and b.shape == (5, 1, 8)
         np.testing.assert_allclose(a[0], b[:, 0], atol=1e-10)
