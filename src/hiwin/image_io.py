@@ -1,10 +1,12 @@
 """Image loading/saving, the synthetic training corpus, and image pyramids.
 
 An image holds either float32 values in [0, 1] or 8-bit codes (uint8).
-:func:`load_ppm` keeps a file's codes as a view on its bytes, and
-:func:`save_ppm` writes codes unchanged.  Codes become values by one rule,
-``float32(code) / 255`` (:func:`hiwin.numerics.decode_codes`): resizes decode
-only the cells their taps read, and :meth:`Image.decoded` decodes a whole
+:func:`load_ppm` reads a file's header only: its image's codes are a
+:class:`PpmCodes`, which reads rows from the file when a resize asks for
+them, so no whole-file buffer is kept.  :func:`save_ppm` writes codes
+unchanged.  Codes become values by one rule, ``float32(code) / 255``
+(:func:`hiwin.numerics.decode_codes`): resizes read and decode only the
+cells their taps read, and :meth:`Image.decoded` decodes a whole
 image for arithmetic that wants values (the encoder and the guided
 upsampler take their pixels through it).  The only required on-disk format is
 binary PPM (P6, maxval 255), chosen because round trips are bit-exact and
@@ -15,8 +17,8 @@ blur across levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
+import os
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .numerics import bilinear_resize, decode_codes
 __all__ = [
     "Image",
     "ImagePyramid",
+    "PpmCodes",
     "PpmDepthError",
     "PpmError",
     "build_image_pyramid",
@@ -60,16 +63,17 @@ class PpmDepthError(PpmError):
 class Image:
     """One RGB image of float32 values in [0, 1] or of 8-bit codes.
 
-    A uint8 array holds codes and is kept as given, with no scan.  Any other
-    array becomes float32 clamped to [0, 1]; a float32 array already in
-    range is kept as given, not copied.
+    A uint8 array, or a loaded file's :class:`PpmCodes`, holds codes and is
+    kept as given, with no scan or read.  Any other array becomes float32
+    clamped to [0, 1]; a float32 array already in range is kept as given,
+    not copied.
     """
 
-    pixels: np.ndarray
+    pixels: np.ndarray | PpmCodes
 
     def __post_init__(self):
-        p = np.asarray(self.pixels)
-        if p.dtype != np.uint8:
+        p = self.pixels
+        if getattr(p, "dtype", None) != np.uint8:
             p = np.asarray(p, dtype=np.float32)
         if p.ndim != 3 or p.shape[2] != 3 or p.shape[0] < 1 or p.shape[1] < 1:
             raise ValueError("Image requires an (H, W, 3) array with H, W >= 1")
@@ -79,7 +83,7 @@ class Image:
 
     def decoded(self) -> np.ndarray:
         """The float32 values: the pixels themselves, or the decoded codes."""
-        return decode_codes(self.pixels)
+        return decode_codes(np.asarray(self.pixels))
 
     @property
     def height(self) -> int:
@@ -102,70 +106,180 @@ class ImagePyramid:
                 raise ValueError("pyramid level dims must double at every step")
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int, int]:
+def _signature(st: os.stat_result) -> tuple[int, int, int]:
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+@dataclass(frozen=True)
+class PpmCodes:
+    """The (H, W, 3) 8-bit codes of a PPM file's payload, read on demand.
+
+    It offers the part of an array that :class:`Image` and
+    :func:`~hiwin.numerics.bilinear_resize` use: ``shape``, ``ndim`` and
+    ``dtype``; a basic slice of rows and columns, a crop that reads nothing;
+    ``take(rows, axis=0)``, which reads those rows of the crop; and
+    ``np.asarray``, which reads them all.  A read opens the file and reads
+    each run of consecutive rows in one ``os.preadv``, from the run's first
+    crop cell to its last (no shared file position, so threads may read one
+    image at once); the crop's columns are a view on those rows.  A file
+    whose inode, size or ``mtime_ns`` differ from those at load, or that
+    reads short, raises :class:`DataFormatError` naming it.
+    """
+
+    path: str
+    offset: int  # of the payload in the file
+    width: int  # of the file's rows
+    signature: tuple[int, int, int]  # of the file at load (:func:`_signature`)
+    rows: range
+    cols: range
+
+    dtype = np.dtype(np.uint8)
+    ndim = 3
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return len(self.rows), len(self.cols), 3
+
+    def __getitem__(self, key) -> PpmCodes:
+        keys = key if isinstance(key, tuple) else (key,)
+        if not 1 <= len(keys) <= 2 or not all(isinstance(k, slice) for k in keys):
+            raise IndexError("PPM codes are cropped by slices of rows and columns only")
+        rows = self.rows[keys[0]]
+        cols = self.cols[keys[1]] if len(keys) == 2 else self.cols
+        if rows.step != 1 or cols.step != 1:
+            raise IndexError("PPM codes are cropped with a step of 1 only")
+        return replace(self, rows=rows, cols=cols)
+
+    def take(self, indices, axis: int = 0) -> np.ndarray:
+        """The rows ``indices`` (1-D, or a slice) of the crop, read from the file."""
+        if axis != 0:
+            raise ValueError("PPM codes are taken by rows only")
+        rows = np.arange(self.rows.start, self.rows.stop)[indices]
+        out = np.empty((rows.size, self.width, 3), dtype=np.uint8)
+        flat = out.reshape(-1)
+        breaks = (np.flatnonzero(rows[1:] - rows[:-1] != 1) + 1).tolist()  # where later runs start
+        starts = [0, *breaks] if rows.size else []
+        first = rows.tolist()
+        stride, x0, x1 = 3 * self.width, 3 * self.cols.start, 3 * self.cols.stop
+        want = got = 0
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            for a, b in zip(starts, [*breaks, rows.size]):
+                # the run's bytes from its first crop cell to its last
+                span = flat[a * stride + x0 : (b - 1) * stride + x1]
+                want += span.size
+                got += _pread_into(fd, span, self.offset + first[a] * stride + x0)
+            st = os.fstat(fd)
+        finally:
+            os.close(fd)
+        if got != want or _signature(st) != self.signature:
+            raise DataFormatError(f"{self.path}: the PPM file changed after it was loaded")
+        return out[:, self.cols.start : self.cols.stop]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        codes = self.take(slice(None))
+        return codes if dtype is None else codes.astype(dtype, copy=False)
+
+
+def _pread_into(fd: int, buf: np.ndarray, offset: int) -> int:
+    """Fill the 1-D uint8 ``buf`` from byte ``offset`` of ``fd``; the bytes
+    read, fewer only at the end of the file."""
+    done = 0
+    while done < buf.size:
+        n = os.preadv(fd, [buf[done:]], offset + done)
+        if n == 0:
+            break
+        done += n
+    return done
+
+
+class _Head:
+    """The start of an open file, read in doubling chunks as the header
+    parse asks for bytes."""
+
+    def __init__(self, f):
+        self.f = f
+        self.data = b""
+        self.eof = False
+
+    def has(self, pos: int) -> bool:
+        while pos >= len(self.data) and not self.eof:
+            chunk = self.f.read(max(4096, len(self.data)))
+            self.eof = not chunk
+            self.data += chunk
+        return pos < len(self.data)
+
+
+def _next_token(head: _Head, pos: int) -> tuple[bytes, int, int]:
     """Scan past whitespace/comments; returns (token, token_start, next_pos)."""
-    n = len(data)
-    while pos < n:
-        c = data[pos]
+    while head.has(pos):
+        c = head.data[pos]
         if c in _WHITESPACE:
             pos += 1
         elif c == ord("#"):
-            while pos < n and data[pos] not in b"\r\n":
+            while head.has(pos) and head.data[pos] not in b"\r\n":
                 pos += 1
         else:
             break
-    if pos >= n:
+    if not head.has(pos):
         raise PpmError("unexpected end of header", pos)
     start = pos
-    while pos < n and data[pos] not in _WHITESPACE and data[pos] != ord("#"):
+    while head.has(pos) and head.data[pos] not in _WHITESPACE and head.data[pos] != ord("#"):
         pos += 1
-    return data[start:pos], start, pos
+    return head.data[start:pos], start, pos
 
 
-def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    token, start, pos = _next_token(data, pos)
+def _header_int(head: _Head, pos: int, what: str) -> tuple[int, int]:
+    token, start, pos = _next_token(head, pos)
     if not token.isdigit():
         raise PpmError(f"invalid {what} {token!r}", start)
     return int(token), pos
 
 
 def load_ppm(path) -> Image:
-    """Read a binary P6 PPM with 8-bit channels; the image holds its codes,
-    a view on the file's bytes."""
-    data = Path(path).read_bytes()
-    magic, start, pos = _next_token(data, 0)
-    if magic != b"P6":
-        raise PpmError(f"invalid magic {magic!r}, expected P6", start)
-    width, pos = _header_int(data, pos, "width")
-    height, pos = _header_int(data, pos, "height")
-    maxval_start = pos
-    maxval, pos = _header_int(data, pos, "maxval")
-    if maxval != 255:
-        raise PpmDepthError(f"unsupported maxval {maxval}, only 255 is readable", maxval_start)
-    if width < 1 or height < 1:
-        raise PpmError(f"degenerate dimensions {width}x{height}", start)
-    if pos >= len(data) or data[pos] not in _WHITESPACE:
-        raise PpmError("missing single whitespace after maxval", pos)
-    pos += 1
+    """Open a binary P6 PPM with 8-bit channels.  The header, of any length,
+    is parsed and the file checked to hold the whole payload; the image's
+    codes are a :class:`PpmCodes` that reads them from the file on demand."""
+    path = os.fspath(path)
+    with open(path, "rb") as f:
+        head = _Head(f)
+        magic, start, pos = _next_token(head, 0)
+        if magic != b"P6":
+            raise PpmError(f"invalid magic {magic!r}, expected P6", start)
+        width, pos = _header_int(head, pos, "width")
+        height, pos = _header_int(head, pos, "height")
+        maxval_start = pos
+        maxval, pos = _header_int(head, pos, "maxval")
+        if maxval != 255:
+            raise PpmDepthError(f"unsupported maxval {maxval}, only 255 is readable", maxval_start)
+        if width < 1 or height < 1:
+            raise PpmError(f"degenerate dimensions {width}x{height}", start)
+        if not head.has(pos) or head.data[pos] not in _WHITESPACE:
+            raise PpmError("missing single whitespace after maxval", pos)
+        pos += 1
+        st = os.fstat(f.fileno())
     expected = width * height * 3
-    if len(data) - pos < expected:
+    if st.st_size - pos < expected:
         raise PpmError(
-            f"truncated pixel data: expected {expected} bytes, got {len(data) - pos}",
-            len(data),
+            f"truncated pixel data: expected {expected} bytes, got {st.st_size - pos}",
+            st.st_size,
         )
-    return Image(np.frombuffer(data, np.uint8, count=expected, offset=pos).reshape(height, width, 3))
+    return Image(PpmCodes(path, pos, width, _signature(st), range(height), range(width)))
 
 
 def save_ppm(image: Image, path) -> None:
-    """Write a canonical binary P6 PPM (8-bit, no comments); codes are
-    written unchanged, values rounded to the nearest code.  NaN or inf
-    values raise :class:`~hiwin.numerics.NumericalError` before the file is
-    opened."""
+    """Write a canonical binary P6 PPM (8-bit, no comments): the header, then
+    the codes' own buffer.  Codes are written unchanged, values rounded to
+    the nearest code.  NaN or inf values raise
+    :class:`~hiwin.numerics.NumericalError` before the file is opened."""
     header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
     codes = image.pixels
     if codes.dtype != np.uint8:
         codes = np.rint(np.clip(finite_f4(codes, "PPM image"), 0.0, 1.0) * 255.0).astype(np.uint8)
-    Path(path).write_bytes(header + codes.tobytes())
+    codes = np.ascontiguousarray(codes)
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(codes)
 
 
 def resize_image(image: Image, out_w: int, out_h: int) -> Image:

@@ -121,16 +121,23 @@ def decode_codes(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tapped_cells(taps: _Taps, n: int) -> tuple[np.ndarray, _Taps]:
+    """The cells of an n-cell axis that ``taps`` read, in increasing order,
+    and the taps remapped to them."""
+    i0, i1, frac = taps
+    read = np.zeros(n, dtype=bool)
+    read[i0] = read[i1] = True
+    new_index = np.cumsum(read) - 1
+    return np.flatnonzero(read), (new_index[i0], new_index[i1], frac)
+
+
 def gather_taps(src: np.ndarray, taps: _Taps, axis: int) -> tuple[np.ndarray, _Taps]:
     """The cells of ``src`` along ``axis`` that ``taps`` read, and the taps
-    remapped to them; ``src`` and ``taps`` as given if every cell is read."""
-    i0, i1, frac = taps
-    read = np.zeros(src.shape[axis], dtype=bool)
-    read[i0] = read[i1] = True
-    if read.all():
-        return src, taps
-    new_index = np.cumsum(read) - 1
-    return np.take(src, np.flatnonzero(read), axis=axis), (new_index[i0], new_index[i1], frac)
+    remapped to them; ``src`` itself if every cell is read."""
+    cells, remapped = _tapped_cells(taps, src.shape[axis])
+    if cells.size == src.shape[axis]:
+        return src, remapped
+    return np.take(src, cells, axis=axis), remapped
 
 
 BLOCK_ELEMS = 1 << 15  # entries per row block (256 KiB of float64)
@@ -143,38 +150,41 @@ def row_blocks(n: int, row_elems: int) -> list[tuple[int, int]]:
     return [(a, min(a + rows, n)) for a in range(0, n, rows)]
 
 
-def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resample an (H, W, C) array to (out_h, out_w).
+def bilinear_resize(src, out_h: int, out_w: int) -> np.ndarray:
+    """Resample an (H, W, C) source to (out_h, out_w).
 
+    The source is an array, or an object with an array's ``shape``, ``ndim``
+    and ``dtype``, a basic slice of rows, a ``take(rows, axis=0)`` that
+    returns those rows as an array, and ``np.asarray``: a loaded PPM's
+    :class:`~hiwin.image_io.PpmCodes`, which reads only the rows asked for.
     The output is filled in the :func:`row_blocks` of its rows.  A block
-    reads the span of source rows its taps name; of those, the rows and
-    columns the taps read are gathered first (a downscale by more than 2
-    skips cells), then :func:`decode_codes` turns them into
-    values, then two :func:`lerp` passes, columns then rows, read them.  No
-    resampling matrix and no float copy of the whole input are built, and
-    every output cell sees the same float64 arithmetic whichever cells were
-    gathered.  A uint8 input holds 8-bit image codes and resizes to float32;
-    any other dtype is kept.  Identical input and output dims return an
-    exact copy of the values.
+    takes, from the span of source rows its taps name, only the rows they
+    read, then gathers the columns they read (a downscale by more than 2
+    skips cells), then :func:`decode_codes` turns them into values, then two
+    :func:`lerp` passes, columns then rows, read them.  No resampling matrix
+    and no float copy of the whole input are built, and every output cell
+    sees the same float64 arithmetic whichever cells were gathered.  A uint8 source holds
+    8-bit image codes and resizes to float32; any other dtype is kept.
+    Identical input and output dims return an exact copy of the values.
     """
-    src = np.asarray(src)
     if src.ndim != 3:
         raise ValueError("bilinear_resize expects an (H, W, C) array")
     h, w, c = src.shape
-    if src.size == 0 or h < 1 or w < 1:
+    if min(src.shape) < 1:
         raise ValueError("bilinear_resize: zero-size input")
     if out_h < 1 or out_w < 1:
         raise ValueError("bilinear_resize: output dims must be positive")
     if (out_h, out_w) == (h, w):
-        values = decode_codes(src)
+        values = decode_codes(np.asarray(src))
         return values.copy() if values is src else values
     i0, i1, frac = resize_taps(h, out_h)
     cols = resize_taps(w, out_w)
-    out = np.empty((out_h, out_w, c), dtype=decode_codes(src[:0, :0]).dtype)  # the values' dtype
+    out = np.empty((out_h, out_w, c), dtype=decode_codes(np.empty(0, src.dtype)).dtype)  # the values' dtype
     for a, b in row_blocks(out_h, out_w * c):
         lo, hi = i0[a], i1[b - 1] + 1  # the taps of a resize never decrease
-        block, rows = gather_taps(src[lo:hi], (i0[a:b] - lo, i1[a:b] - lo, frac[a:b]), axis=0)
-        block, block_cols = gather_taps(block, cols, axis=1)
+        cells, rows = _tapped_cells((i0[a:b] - lo, i1[a:b] - lo, frac[a:b]), hi - lo)
+        # take from the span, not from src: an array's take copies a strided source whole first
+        block, block_cols = gather_taps(src[lo:hi].take(cells, axis=0), cols, axis=1)
         out[a:b] = lerp(lerp(decode_codes(block), block_cols, axis=1), rows, axis=0)
     return out
 

@@ -125,8 +125,9 @@ def run_pipeline(
     """Slice, encode, build pyramids, compress, and assemble one image.
 
     The ``mlp`` projector's weight is :func:`init_mlp_weight` drawn from the
-    encoder's seed.  A caller that keeps no reference to ``image`` lets its
-    pixels go once slicing is done, before the units run.  A
+    encoder's seed.  An in-memory image whose caller keeps no reference to
+    it is freed once slicing is done, before the units run; a loaded PPM
+    holds no pixels, since slicing reads its rows from the file.  A
     ``FloatingPointError`` raised under the caller's ``np.errstate`` names
     the unit it came from.
     """

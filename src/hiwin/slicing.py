@@ -75,8 +75,9 @@ def compute_slice_layout(width: int, height: int, max_slices: int = MAX_SLICES) 
 def extract_slices(image: Image, layout: SliceLayout) -> tuple[list[Image], Image]:
     """Crop and resize every slice; also produce the 336x336 overview.
 
-    Crops are views.  Slices and overview are float32 whichever kind of
-    pixels ``image`` holds; 8-bit codes are decoded only where a resize
+    Crops are views, or for a loaded PPM crops of its file that read
+    nothing.  Slices and overview are float32 whichever kind of pixels
+    ``image`` holds; 8-bit codes are read and decoded only where a resize
     tap reads them.
     """
     if layout.rects[-1][2] != image.width or layout.rects[-1][3] != image.height:

@@ -1,13 +1,18 @@
 """PPM parsing/writing, image pyramids, and the synthetic corpus."""
 
+import os
+import re
+import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiwin.formats import DataFormatError
 from hiwin.image_io import (
     Image,
     PpmDepthError,
@@ -20,6 +25,17 @@ from hiwin.image_io import (
     synth_corpus,
 )
 from hiwin.numerics import NumericalError
+from hiwin.slicing import compute_slice_layout, extract_slices
+
+
+def write_ppm(path, raw, comment=b""):
+    h, w, _ = raw.shape
+    path.write_bytes(b"P6\n" + comment + f"{w} {h}\n255\n".encode() + raw.tobytes())
+    return path
+
+
+def random_codes(h, w, seed=0):
+    return np.random.default_rng(seed).integers(0, 256, (h, w, 3), dtype=np.uint8)
 
 
 class TestPpm:
@@ -62,6 +78,66 @@ class TestPpm:
         img = load_ppm(path)
         assert (img.height, img.width) == (1, 2)
 
+    @pytest.mark.parametrize("length", [4090, 100 * 1024], ids=["width-across-4-KiB", "100-KiB"])
+    def test_a_long_header_comment_loads(self, tmp_path, length):
+        # the header is read in growing chunks; at 4090 the width token
+        # straddles the first 4 KiB chunk
+        raw = random_codes(1, 10)
+        img = load_ppm(write_ppm(tmp_path / "long.ppm", raw, b"#" + b"x" * length + b"\n"))
+        np.testing.assert_array_equal(np.asarray(img.pixels), raw)
+
+    def test_codes_read_from_the_file_equal_the_payload(self, tmp_path):
+        raw = random_codes(9, 7, seed=4)
+        codes = load_ppm(write_ppm(tmp_path / "p.ppm", raw, b"# hand-made\n")).pixels
+        np.testing.assert_array_equal(np.asarray(codes), raw)
+        np.testing.assert_array_equal(np.asarray(codes[2:8, 1:5]), raw[2:8, 1:5])
+        rows = [4, 0, 1, 1, 5]
+        np.testing.assert_array_equal(codes[2:8, 1:5].take(rows, axis=0), raw[2:8, 1:5].take(rows, axis=0))
+
+    def test_threads_read_one_image_at_once(self, tmp_path):
+        # reads share no file position, so concurrent takes cannot
+        # interleave a seek of one with the read of another
+        raw = random_codes(64, 40, seed=5)
+        codes = load_ppm(write_ppm(tmp_path / "c.ppm", raw)).pixels[3:60, 5:31]
+        want = raw[3:60, 5:31]
+        picks = [np.arange(k, 57, 4 + k) for k in range(8)]
+
+        def read(k):
+            return all(np.array_equal(codes.take(picks[k], axis=0), want[picks[k]]) for _ in range(25))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(read, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(results)
+
+    def test_a_file_truncated_after_load_is_refused_when_read(self, tmp_path):
+        path = write_ppm(tmp_path / "t.ppm", random_codes(112, 112))
+        img = load_ppm(path)
+        os.truncate(path, path.stat().st_size - 100)
+        with pytest.raises(DataFormatError, match=re.escape(str(path))):
+            extract_slices(img, compute_slice_layout(img.width, img.height))
+
+    @pytest.mark.parametrize("change", ["inode", "mtime"])
+    def test_a_file_replaced_after_load_is_refused_when_read(self, tmp_path, change):
+        path = write_ppm(tmp_path / "r.ppm", random_codes(112, 112))
+        img = load_ppm(path)
+        before = path.stat()
+        if change == "inode":  # another file of the same size and mtime
+            other = write_ppm(tmp_path / "other.ppm", random_codes(112, 112, seed=1))
+            os.utime(other, ns=(before.st_atime_ns, before.st_mtime_ns))
+            os.replace(other, path)
+        else:  # the same inode rewritten
+            write_ppm(path, random_codes(112, 112, seed=1))
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+        after = path.stat()
+        assert after.st_size == before.st_size and (after.st_ino == before.st_ino) == (change == "mtime")
+        with pytest.raises(DataFormatError, match=re.escape(str(path))):
+            extract_slices(img, compute_slice_layout(img.width, img.height))
+
     def test_sixteen_bit_rejected(self, tmp_path):
         path = tmp_path / "deep.ppm"
         path.write_bytes(b"P6\n1 1\n65535\n\x00\x00\x00\x00\x00\x00")
@@ -81,26 +157,40 @@ class TestPpm:
         with pytest.raises(PpmError) as err:
             load_ppm(path)
         assert "expected 12 bytes, got 3" in str(err.value)
+        assert err.value.offset == 14
 
     def test_peak_memory_of_a_large_photo(self, tmp_path):
-        # the image is a view on the file bytes (8.7 MiB; measured peak 8.73
-        # MiB); a copy of the payload would push the peak past 17 MiB and a
-        # float32 decode past 43 MiB
+        # loading reads the header and holds no payload (measured peak 9.4
+        # KiB); a view on the whole file's bytes peaked at 8.73 MiB
         w, h = 2016, 1512
-        raw = np.random.default_rng(2).integers(0, 256, (h, w, 3), dtype=np.uint8)
-        path = tmp_path / "big.ppm"
-        path.write_bytes(f"P6\n{w} {h}\n255\n".encode() + raw.tobytes())
+        raw = random_codes(h, w, seed=2)
+        path = write_ppm(tmp_path / "big.ppm", raw)
         tracemalloc.start()
         try:
             img = load_ppm(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2**20
+        assert peak < 2**20
         np.testing.assert_array_equal(img.pixels, raw)
         decoded = img.decoded()
         assert decoded.dtype == np.float32
         assert decoded.tobytes() == (raw.astype(np.float32) / 255.0).tobytes()
+
+    def test_saving_codes_allocates_little_beyond_the_image(self, tmp_path):
+        # the header, then the codes' own buffer (measured peak 0 MiB);
+        # ``header + codes.tobytes()`` allocated 17.4 MiB
+        raw = random_codes(1512, 2016, seed=3)
+        img = Image(raw)
+        path = tmp_path / "s.ppm"
+        tracemalloc.start()
+        try:
+            save_ppm(img, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert path.read_bytes() == b"P6\n2016 1512\n255\n" + raw.tobytes()
 
     @given(
         h=st.integers(1, 6), w=st.integers(1, 6), seed=st.integers(0, 2**32 - 1)
