@@ -186,7 +186,6 @@ def cmd_build_isp(args) -> int:
 
 def _run_and_save(args, projector: str) -> int:
     ckpt, config, attn = _load_setup(args)
-    # no local keeps the image, so run_pipeline frees the file bytes after slicing
     result = run_pipeline(load_ppm(args.image), ckpt.vdim, attn, config, projector=projector)
     save_tokens(result.tokens, args.out)
     sequence = flatten(result.tokens)

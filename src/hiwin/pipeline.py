@@ -3,9 +3,11 @@
 (plain MLP on downsampled features, global resampler) kept surface-compatible
 with the window-attention projector so outputs can be compared like for like.
 
-Per-slice work is independent; with ``threads > 1`` slices are processed by
-a thread pool and reassembled in slice order, so results are identical to
-the serial run.
+Per-unit work is independent: each unit (the overview or one slice) cuts
+its own slice from the image, builds its pyramid and projects its tokens,
+then drops the slice, so only the units in flight hold pixels.  With
+``threads > 1`` the same task runs on a thread pool and the token maps are
+reassembled in unit order, so results are identical to the serial run.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .encoder import EncoderSpec, encode
 from .image_io import Image, build_image_pyramid
 from .numerics import bilinear_resize
-from .slicing import MAX_SLICES, SliceLayout, compute_slice_layout, extract_slices
+from .slicing import MAX_SLICES, SliceLayout, UnitJob, compute_slice_layout, cut_unit, unit_jobs
 from .token_org import AssembledTokens, assemble
 from .vdim import FeaturePyramid, VdimParams, build_isp
 from .window_attn import (
@@ -125,39 +127,33 @@ def run_pipeline(
     """Slice, encode, build pyramids, compress, and assemble one image.
 
     The ``mlp`` projector's weight is :func:`init_mlp_weight` drawn from the
-    encoder's seed.  An in-memory image whose caller keeps no reference to
-    it is freed once slicing is done, before the units run; a loaded PPM
-    holds no pixels, since slicing reads its rows from the file.  A
-    ``FloatingPointError`` raised under the caller's ``np.errstate`` names
-    the unit it came from.
+    encoder's seed.  Each unit cuts its own slice when it starts and drops
+    it when it ends, so ``image`` stays referenced until the last unit
+    ends; a loaded PPM holds no pixels, since each unit reads the rows its
+    resizes tap from the file.  A ``FloatingPointError`` raised under the
+    caller's ``np.errstate`` names the unit it came from.
     """
     layout = compute_slice_layout(image.width, image.height, config.max_slices)
-    slices, overview = extract_slices(image, layout)
-    del image
-    units = [("overview", overview)] + [
-        (f"slice:{i}", img) for i, img in enumerate(slices)
-    ]
-
     mlp_weight = init_mlp_weight(config.hiwin.channels, seed=config.encoder.seed) if projector == "mlp" else None
     errstate = np.geterr()  # pool threads start from numpy's default policy, not the caller's
 
-    def work(item: tuple[str, Image]) -> TokenMap:
-        origin, img = item
+    def work(job: UnitJob) -> TokenMap:
         with np.errstate(**errstate):
             try:
-                isp = unit_pyramid(img, origin, vdim, config)
+                isp = unit_pyramid(cut_unit(image, job), job.origin, vdim, config)
                 return project_tokens(isp, projector, attn, config.hiwin, mlp_weight)
             except FloatingPointError as e:
-                raise FloatingPointError(f"{e} in unit {origin}") from e
+                raise FloatingPointError(f"{e} in unit {job.origin}") from e
 
+    jobs = unit_jobs(layout)
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            maps = list(pool.map(work, units))
+            maps = list(pool.map(work, jobs))
     else:
-        maps = [work(u) for u in units]
+        maps = [work(job) for job in jobs]
 
     overview_map, slice_maps = maps[0], maps[1:]
     tokens = assemble(slice_maps, layout, overview_map)
-    first = slices[0]
-    grid = select_grid(first.width // config.encoder.patch, first.height // config.encoder.patch)
+    w, h = layout.slice_dims[0]
+    grid = select_grid(w // config.encoder.patch, h // config.encoder.patch)
     return PipelineResult(tokens=tokens, layout=layout, grid=grid)

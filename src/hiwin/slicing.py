@@ -6,6 +6,9 @@ grid factorizations of that count (give or take one), the grid whose slices
 are closest to square wins, scored by the absolute log aspect ratio.  Crops
 use integer pixel boundaries that tile the input exactly; each crop is then
 resized so both sides are multiples of 14 (the encoder patch), capped at 336.
+Each unit (the overview, then every slice) is one :class:`UnitJob`, cut from
+the image by :func:`cut_unit` alone, so a pipeline unit can cut its own
+slice when it starts.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 from .image_io import Image, resize_image, snap_to_patch
 
-__all__ = ["SliceLayout", "compute_slice_layout", "extract_slices"]
+__all__ = ["SliceLayout", "UnitJob", "compute_slice_layout", "cut_unit", "extract_slices", "unit_jobs"]
 
 OVERVIEW_SIDE = 336
 MAX_SLICES = 6
@@ -72,20 +75,41 @@ def compute_slice_layout(width: int, height: int, max_slices: int = MAX_SLICES) 
     return SliceLayout(rows=rows, cols=cols, rects=rects, slice_dims=dims)
 
 
-def extract_slices(image: Image, layout: SliceLayout) -> tuple[list[Image], Image]:
-    """Crop and resize every slice; also produce the 336x336 overview.
+@dataclass(frozen=True)
+class UnitJob:
+    """One unit of a layout: its ``origin`` name, its crop ``rect`` (x0, y0,
+    x1, y1) in original-image pixels and its target ``dims`` (w, h)."""
 
-    Crops are views, or for a loaded PPM crops of its file that read
-    nothing.  Slices and overview are float32 whichever kind of pixels
-    ``image`` holds; 8-bit codes are read and decoded only where a resize
-    tap reads them.
+    origin: str
+    rect: tuple[int, int, int, int]
+    dims: tuple[int, int]
+
+
+def unit_jobs(layout: SliceLayout) -> list[UnitJob]:
+    """The overview's job (the whole image at 336x336), then each slice's in
+    layout order, named ``overview`` and ``slice:i``."""
+    whole = (0, 0, layout.rects[-1][2], layout.rects[-1][3])
+    return [UnitJob("overview", whole, (OVERVIEW_SIDE, OVERVIEW_SIDE))] + [
+        UnitJob(f"slice:{i}", rect, dims) for i, (rect, dims) in enumerate(zip(layout.rects, layout.slice_dims))
+    ]
+
+
+def cut_unit(image: Image, job: UnitJob) -> Image:
+    """Crop ``job.rect`` and resize it to ``job.dims``.
+
+    The crop is a view, or for a loaded PPM a crop of its file that reads
+    nothing.  The result is float32 whichever kind of pixels ``image``
+    holds; 8-bit codes are read and decoded only where a resize tap reads
+    them.
     """
+    x0, y0, x1, y1 = job.rect
+    return resize_image(Image(image.pixels[y0:y1, x0:x1]), *job.dims)
+
+
+def extract_slices(image: Image, layout: SliceLayout) -> tuple[list[Image], Image]:
+    """Every slice and the 336x336 overview, each cut by :func:`cut_unit`
+    from its job in :func:`unit_jobs`; all of them are held at once."""
     if layout.rects[-1][2] != image.width or layout.rects[-1][3] != image.height:
         raise ValueError("layout was computed for different image dims")
-    slices = []
-    for rect, (w, h) in zip(layout.rects, layout.slice_dims):
-        x0, y0, x1, y1 = rect
-        crop = Image(image.pixels[y0:y1, x0:x1])
-        slices.append(resize_image(crop, w, h))
-    overview = resize_image(image, OVERVIEW_SIDE, OVERVIEW_SIDE)
+    overview, *slices = [cut_unit(image, job) for job in unit_jobs(layout)]
     return slices, overview

@@ -356,12 +356,8 @@ def test_zero_threads_is_usage_error(command, ckpt, image_336, tmp_path, capsys)
     assert not out.exists()
 
 
-def test_pipeline_peak_memory_of_a_large_photo(tmp_path, capsys):
-    # a loaded image reads the rows its resizes tap from the file, so no
-    # whole-file buffer exists: measured peak 22.4 MiB, set by a unit's
-    # feature pyramid over the slices held (45.3 MiB while the 36.6 MB of
-    # file bytes lived through slicing; 77.2 MiB while they lived through
-    # the units)
+def _pipeline_peak(tmp_path, capsys, threads):
+    """Traced peak of ``hiwin pipeline`` on a seeded 4032x3024 photo, C=64."""
     w, h = 4032, 3024
     raw = np.random.default_rng(2).integers(0, 256, (h, w, 3), dtype=np.uint8)
     image = tmp_path / "big.ppm"
@@ -370,15 +366,32 @@ def test_pipeline_peak_memory_of_a_large_photo(tmp_path, capsys):
     path = tmp_path / "c64.ckpt"
     attn = AttnParams.init(HiwinConfig(channels=64), seed=0)
     save_checkpoint(path, VdimParams.init(d_proj=32, seed=0), DownsamplerParams.init(64, seed=0), attn=attn)
+    argv = ["pipeline", "--image", str(image), "--ckpt", str(path), "--out", str(tmp_path / "o.toks")]
     tracemalloc.start()
     try:
-        code = main(["pipeline", "--image", str(image), "--ckpt", str(path), "--out", str(tmp_path / "o.toks")])
+        code = main(argv + ["--threads", str(threads)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0
     assert "tokens: 1008" in capsys.readouterr().out
-    assert peak < 30 * 2**20
+    return peak
+
+
+def test_pipeline_peak_memory_of_a_large_photo(tmp_path, capsys):
+    # each unit cuts its own slice and a loaded image reads only the rows
+    # its resizes tap, so one unit's pixels and feature pyramid set the
+    # peak: measured 14.7 MiB (22.4 MiB while every slice lived through
+    # the units; 45.3 MiB while the 36.6 MB of file bytes lived through
+    # slicing; 77.2 MiB while they lived through the units)
+    assert _pipeline_peak(tmp_path, capsys, threads=1) < 18 * 2**20
+
+
+def test_pipeline_peak_memory_of_a_large_photo_on_two_threads(tmp_path, capsys):
+    # each extra worker keeps one more unit in flight: the bound is the
+    # 1-thread bound plus one unit's feature pyramid peak, 18 + 12 = 30 MiB;
+    # measured 26.5 MiB (33.0 MiB while every slice lived through the units)
+    assert _pipeline_peak(tmp_path, capsys, threads=2) < 30 * 2**20
 
 
 def small_params(grid_side=12, attn_channels=8):

@@ -1,7 +1,9 @@
 """End-to-end runs, the reference projectors, and checkpoint round trips."""
 
+import os
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from hiwin.checkpoint import load_checkpoint, save_checkpoint
 from hiwin.encoder import EncoderSpec, FeatureMap
 from hiwin.formats import DataFormatError, read_tensor
-from hiwin.image_io import Image, synth_corpus
+from hiwin.image_io import Image, load_ppm, save_ppm, synth_corpus
 from hiwin.numerics import NumericalError, bilinear_resize
 from hiwin.pipeline import (
     PipelineConfig,
@@ -21,7 +23,7 @@ from hiwin.pipeline import (
 )
 from hiwin.token_org import flatten
 from hiwin.vdim import DownsamplerParams, FeaturePyramid, VdimParams, trainable_arrays
-from hiwin.window_attn import AttnParams, HiwinConfig
+from hiwin.window_attn import AttnParams, HiwinConfig, select_grid
 
 
 def small_config(channels=8, threads=1):
@@ -79,6 +81,41 @@ class TestRunPipeline:
         b = run_pipeline(big, vdim, attn, threaded_cfg)
         np.testing.assert_array_equal(a.tokens.global_map, b.tokens.global_map)
         np.testing.assert_array_equal(a.tokens.overview, b.tokens.overview)
+
+    def test_grid_follows_the_first_slice_not_the_overview(self):
+        # 1008x504 cuts 3x2 slices of 336x252, whose 24x18 patches select a
+        # (3, 2) pooling grid; the 336x336 overview would select (3, 3)
+        img = synth_corpus(4, 1, 336)[0]
+        wide = Image(bilinear_resize(img.pixels, 504, 1008))
+        config = small_config()
+        result = run_pipeline(wide, VdimParams.init(d_proj=8, seed=0), AttnParams.init(config.hiwin, seed=0), config)
+        w, h = result.layout.slice_dims[0]
+        assert (w, h) == (336, 252)
+        assert result.grid == select_grid(w // 14, h // 14) == (3, 2)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("change", ["truncated", "replaced"])
+    def test_a_file_changed_after_load_is_refused_inside_the_units(self, tmp_path, change, threads):
+        # each unit reads its slice's rows from the file, on pool threads
+        # too: the loader's error reaches the caller as it is, and every
+        # pool thread is joined
+        rng = np.random.default_rng(5)
+        path = tmp_path / "p.ppm"
+        save_ppm(Image(rng.integers(0, 256, (504, 700, 3), dtype=np.uint8)), path)
+        img = load_ppm(path)
+        if change == "truncated":
+            os.truncate(path, path.stat().st_size - 100)
+        else:
+            other = tmp_path / "other.ppm"
+            save_ppm(Image(rng.integers(0, 256, (504, 700, 3), dtype=np.uint8)), other)
+            os.replace(other, path)
+        config = small_config(threads=threads)
+        running = set(threading.enumerate())
+        with pytest.raises(DataFormatError) as err:
+            run_pipeline(img, VdimParams.init(d_proj=8, seed=0), AttnParams.init(config.hiwin, seed=0), config)
+        assert type(err.value) is DataFormatError
+        assert str(err.value) == f"{path}: the PPM file changed after it was loaded"
+        assert set(threading.enumerate()) == running
 
 
 class TestBaselines:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiwin.image_io import Image
-from hiwin.slicing import compute_slice_layout, extract_slices
+from hiwin.image_io import Image, load_ppm, resize_image, save_ppm
+from hiwin.slicing import compute_slice_layout, cut_unit, extract_slices, unit_jobs
 
 
 def enumerate_best(width, height, max_slices=6):
@@ -140,6 +140,28 @@ class TestExtractSlices:
         floats = Image(codes.astype(np.float32) / 255.0)
         want_slices, want_overview = extract_slices(floats, layout)
         for got, want in zip(slices + [overview], want_slices + [want_overview]):
+            assert got.pixels.dtype == want.pixels.dtype == np.float32
+            assert got.pixels.tobytes() == want.pixels.tobytes()
+
+    @pytest.mark.parametrize("width, height", [(1008, 672), (300, 330)])
+    def test_each_unit_cut_alone_equals_extract_slices(self, width, height, tmp_path):
+        # the pipeline cuts one unit at a time: its jobs name the overview
+        # (the whole image, resized as it is) and then each slice, and each
+        # job's cut is byte-equal to what extract_slices returns for it
+        rng = np.random.default_rng(6)
+        path = tmp_path / "u.ppm"
+        save_ppm(Image(rng.integers(0, 256, (height, width, 3), dtype=np.uint8)), path)
+        img = load_ppm(path)
+        layout = compute_slice_layout(width, height)
+        slices, overview = extract_slices(img, layout)
+        assert len(slices) == layout.count == (6 if width == 1008 else 1)
+        jobs = unit_jobs(layout)
+        assert [job.origin for job in jobs] == ["overview"] + [f"slice:{i}" for i in range(layout.count)]
+        assert [job.rect for job in jobs[1:]] == layout.rects
+        assert overview.pixels.tobytes() == resize_image(img, 336, 336).pixels.tobytes()
+        for job, want in zip(jobs, [overview] + slices):
+            got = cut_unit(img, job)
+            assert (got.width, got.height) == job.dims
             assert got.pixels.dtype == want.pixels.dtype == np.float32
             assert got.pixels.tobytes() == want.pixels.tobytes()
 
