@@ -46,7 +46,7 @@ print("wrote /tmp/pyramid_input.ppm and /tmp/pyramid_level{0,1,2}.ppm")
 # the upsampling kernel adapts to the guidance image: weights spread wide in
 # flat regions and concentrate near edges
 lk = vdim.levels[0]
-weights = guided_weights(pyramid.levels[1].decoded(), lk.proj_w, lk.proj_b, lk.log_sigma_dist, lk.log_sigma_sim)[0]
+weights = guided_weights(pyramid.levels[1].decoded(), lk.proj_w, lk.proj_b, lk.log_sigma_dist, lk.log_sigma_sim)
 entropy = -(weights * np.log(weights + 1e-12)).sum(axis=-1)
 print(f"kernel entropy over the image: min {entropy.min():.2f}, "
       f"max {entropy.max():.2f} (uniform would be {np.log(49):.2f})")

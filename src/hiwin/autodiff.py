@@ -12,6 +12,8 @@ pooled maps.  All of them are vectorized and rely on numpy's fixed reduction
 order, so repeated runs on the same inputs produce bit-identical values and
 gradients.  Data is promoted to float64 on entry; loss evaluation and
 finite-difference checks need 64-bit accumulation to reach their tolerances.
+A :func:`guided_upsample` call with no operand that requires grad
+(inference) records nothing and returns its output as a float32 array.
 """
 
 from __future__ import annotations
@@ -140,6 +142,12 @@ def _edge_index(n: int, pad: int) -> np.ndarray:
     return np.clip(np.arange(-pad, n + pad), 0, n - 1)
 
 
+def _edge_pad(a: np.ndarray, pad: int) -> np.ndarray:
+    """``a`` (h, w, ...) edge-padded by ``pad`` cells on both axes."""
+    h, w = a.shape[:2]
+    return a[_edge_index(h, pad)][:, _edge_index(w, pad)]
+
+
 def _fold_edges(a: np.ndarray, pad: int) -> np.ndarray:
     """The adjoint of edge padding by ``pad``: each cell of the map gets the
     sum of ``a`` over the padded cells that copy it."""
@@ -161,24 +169,31 @@ def _zero_pad(a: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _tiled(src: np.ndarray, bands: _Bands, h: int, n: int):
-    """Yield ``(y0, y1, patches)`` for the row blocks of h output rows of n
-    tiles each, as laid out by ``bands``; ``patches`` (rows, 1, n, patch
-    rows, C) holds each tile's source window of ``src``, zero past its right
-    edge, with a phase axis to broadcast over.  A caller may take
+def _windows(src: np.ndarray, bands: _Bands, n: int) -> np.ndarray:
+    """The (rows, n, kh, kw, C) view of the source window of each of the n
+    tiles of every output row of ``src``, as laid out by ``bands``, zero
+    past its right edge."""
+    kh, kw = bands.window
+    src = _zero_pad(src, (n - 1) * _TILE + kw)
+    windows = np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(0, 1))[:, ::_TILE]
+    return windows[:, :n].transpose(0, 1, 3, 4, 2)
+
+
+def _tiled(windows: np.ndarray, bands: _Bands, lo: int, hi: int):
+    """Yield ``(y0, y1, patches)`` for the row blocks of output rows
+    ``lo .. hi - 1`` of the :func:`_windows` ``windows``; ``patches``
+    (rows, 1, n, patch rows, C) holds each tile's source window, flattened
+    row-major, with a phase axis to broadcast over.  A caller may take
     ``B @ patch`` and either of its transposes, and drops ``patches`` before
     it asks for the next block, whose patches then reuse that memory.
 
     The blocks are the :func:`~hiwin.numerics.row_blocks` of the larger
     per-row operand of a product: the patches or the bands.
     """
-    kh, kw = bands.window
-    c = src.shape[-1]
-    src = _zero_pad(src, (n - 1) * _TILE + kw)
-    # (., ., C, kh, kw) view of every tile's source window
-    windows = np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(0, 1))[:, ::_TILE]
-    for y0, y1 in row_blocks(h, n * kh * kw * max(c, bands.cells)):
-        yield y0, y1, windows[y0:y1, :n].transpose(0, 1, 3, 4, 2).reshape(y1 - y0, 1, n, kh * kw, c)
+    _, n, kh, kw, c = windows.shape
+    for a, b in row_blocks(hi - lo, n * kh * kw * max(c, bands.cells)):
+        y0, y1 = lo + a, lo + b
+        yield y0, y1, windows[y0:y1].reshape(b - a, 1, n, kh * kw, c)
 
 
 def _scatter(tiles: np.ndarray, bands: _Bands) -> np.ndarray:
@@ -197,79 +212,129 @@ def _gather(band: np.ndarray, bands: _Bands) -> np.ndarray:
     return band.reshape(band.shape[:3] + (-1,))[..., bands.index]
 
 
-def _banded_mix(weights: np.ndarray, src_pad: np.ndarray) -> np.ndarray:
+def _banded_mix(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
     """(H, W, C) ``out[y, x] = sum_k weights[y, x, k] * src_pad[y + dy, x + dx]``
-    for (H, W, K) weights and a source (H + 2r, W + 2r, C) edge-padded by r."""
+    for (H, W, K) weights and the :func:`_windows` of a source
+    (H + 2r, W + 2r, C) edge-padded by r."""
     h, w = weights.shape[:2]
-    n = -(-w // _TILE)
+    n = windows.shape[1]
     tiles = _zero_pad(weights, n * _TILE).reshape(h, 1, n, -1)
-    out = np.empty((h, 1, n, _TILE, src_pad.shape[-1]), dtype=np.float64)
-    for y0, y1, patches in _tiled(src_pad, _FINE, h, n):
+    out = np.empty((h, 1, n, _TILE, windows.shape[-1]), dtype=np.float64)
+    for y0, y1, patches in _tiled(windows, _FINE, 0, h):
         np.matmul(_scatter(tiles[y0:y1], _FINE), patches, out=out[y0:y1])
         del patches
     return out.reshape(h, n * _TILE, -1)[:, :w]
 
 
-def _window_dots(a: np.ndarray, src_pad: np.ndarray) -> np.ndarray:
-    """(H, W, K) dot products of each cell of ``a`` (H, W, C) with the cells
-    of its window in ``src_pad``: ``out[y, x, k] = a[y, x] . src_pad[y + dy, x + dx]``.
-    The transpose of :func:`_banded_mix`: ``a_tile @ patch.T`` fills each
+def _window_dots(a: np.ndarray, windows: np.ndarray, lo: int, out=None) -> np.ndarray:
+    """(R, W, K) dot products of each cell of ``a`` (R, W, C), the rows
+    ``lo .. lo + R - 1`` of a map, with the cells of its window in the
+    :func:`_windows` ``windows`` of ``src_pad``:
+    ``out[i, x, k] = a[i, x] . src_pad[lo + i + dy, x + dx]``, as a view of
+    ``out``, an (R, 1, n, _TILE * K) buffer that is made if not given.  The
+    transpose of :func:`_banded_mix`: ``a_tile @ patch.T`` fills each
     tile's band, and :func:`_gather` picks each cell's taps from it."""
     h, w = a.shape[:2]
-    n = -(-w // _TILE)
+    n = windows.shape[1]
     tiles = _zero_pad(a, n * _TILE).reshape(h, 1, n, _TILE, -1)
-    out = np.empty((h, 1, n, _TILE * _K * _K), dtype=np.float64)
-    for y0, y1, patches in _tiled(src_pad, _FINE, h, n):
-        out[y0:y1] = _gather(np.matmul(tiles[y0:y1], patches.swapaxes(-1, -2)), _FINE)
+    if out is None:
+        out = np.empty((h, 1, n, _TILE * _K * _K), dtype=np.float64)
+    for y0, y1, patches in _tiled(windows, _FINE, lo, lo + h):
+        out[y0 - lo : y1 - lo] = _gather(np.matmul(tiles[y0 - lo : y1 - lo], patches.swapaxes(-1, -2)), _FINE)
         del patches
     return out.reshape(h, n * _TILE, -1)[:, :w]
 
 
-def _composite(weights: np.ndarray, y0: int, y1: int, width: int) -> np.ndarray:
-    """(rows, 2, ``width``, _CK^2) composite weights of output rows
-    2 * y0 .. 2 * y1 - 1, their row parity on axis 1, from the (H, W, K)
-    ``weights``; zero past column W."""
-    rows, w = y1 - y0, weights.shape[1] // 2
-    out = np.zeros((rows, 2, width, _CK * _CK), dtype=np.float64)
-    cells = weights[2 * y0 : 2 * y1].reshape(rows, 2, w, 2, -1)
-    for p in (0, 1):
-        for q in (0, 1):
-            np.matmul(cells[:, p, :, q], _COMPOSE[p][q], out=out[:, p, q : 2 * w : 2])
-    return out
+def _homogeneous(guide: np.ndarray) -> np.ndarray:
+    """The homogeneous guide pixels [r, g, b, 1]."""
+    return np.concatenate([guide, np.ones(guide.shape[:2] + (1,))], axis=-1)
 
 
-def guided_weights(guide: np.ndarray, proj_w, proj_b, log_sigma_dist, log_sigma_sim):
-    """Window weights of the guided upsampler and what their VJP needs.
+def _guide_windows(guide: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The homogeneous guide edge-padded by ``RADIUS``, and its
+    :func:`_windows`: what the weights of every row read."""
+    g_hat_pad = _edge_pad(_homogeneous(guide), RADIUS)
+    return g_hat_pad, _windows(g_hat_pad, _FINE, -(-guide.shape[1] // _TILE))
 
-    Returns ``(weights, logits, g_hat, g_hat_pad)``.  ``weights`` (H, W, K)
-    sum to 1 over each cell's 7x7 window of edge-clamped neighbors, in
-    row-major offset order.  ``logits`` (H, W, K) are the dot products of
-    each cell's projected guide pixel ``g_hat @ M`` with those of its
-    neighbors, over ``sigma_sim^2``; ``g_hat`` = [r, g, b, 1] is the
-    (H, W, 4) homogeneous guide, ``g_hat_pad`` its edge pad and
-    ``M = [proj_w; proj_b]``, so the logits are ``g_hat A g_hat_pad^T`` with
-    the 4x4 Gram ``A = M M^T``.  The joint-bilateral kernel, a similarity
-    softmax times the spatial decay ``exp(-|dxy|^2 / (2 sigma_dist^2))``
-    renormalized per cell, is built in place as one softmax over K, since
-    the similarity normalizer cancels:
-    ``weights = softmax(logits - |dxy|^2 / (2 sigma_dist^2))``.
-    """
-    h, w = guide.shape[:2]
-    g_hat = np.concatenate([guide, np.ones((h, w, 1))], axis=-1)
-    m = np.vstack([proj_w, proj_b])
-    g_hat_pad = g_hat[_edge_index(h, RADIUS)][:, _edge_index(w, RADIUS)]
-    logits = _window_dots(g_hat @ (m @ m.T), g_hat_pad)
+
+def _weights_at(g_hat_pad, g_windows, gram, log_sigma_dist, log_sigma_sim, lo: int, hi: int, out=None):
+    """The (R, W, K) weights of :func:`guided_weights` at the guide rows
+    ``lo .. hi - 1``, from :func:`_guide_windows` and the 4x4 Gram
+    ``gram``.  ``out``, if given, is a pair of arrays that receive the
+    weights and the logits, the latter laid out as by :func:`_window_dots`."""
+    w = g_hat_pad.shape[1] - 2 * RADIUS
+    g_hat = g_hat_pad[lo + RADIUS : hi + RADIUS, RADIUS : RADIUS + w]
+    weights_out, logits_out = (None, None) if out is None else out
+    logits = _window_dots(g_hat @ gram, g_windows, lo, logits_out)
     sigma_sim = np.exp(log_sigma_sim)
     logits /= sigma_sim * sigma_sim
     sigma_dist = np.exp(log_sigma_dist)
-    weights = logits - (0.5 * _DIST2) / (sigma_dist * sigma_dist)
+    weights = np.subtract(logits, (0.5 * _DIST2) / (sigma_dist * sigma_dist), out=weights_out)
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
-    return weights, logits, g_hat, g_hat_pad
+    return weights
 
 
-def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim) -> Tensor:
+def guided_weights(guide: np.ndarray, proj_w, proj_b, log_sigma_dist, log_sigma_sim) -> np.ndarray:
+    """Window weights of the guided upsampler, (H, W, K) for an (H, W, 3)
+    guide.
+
+    The weights sum to 1 over each cell's 7x7 window of edge-clamped
+    neighbors, in row-major offset order.  Their logits are the dot
+    products of each cell's projected guide pixel ``g_hat @ M`` with those
+    of its neighbors, over ``sigma_sim^2``, where ``g_hat`` = [r, g, b, 1]
+    is the homogeneous guide and ``M = [proj_w; proj_b]``: the logits are
+    ``g_hat A g_hat^T`` over each window, with the 4x4 Gram ``A = M M^T``.
+    The joint-bilateral kernel, a similarity softmax times the spatial
+    decay ``exp(-|dxy|^2 / (2 sigma_dist^2))`` renormalized per cell, is
+    one softmax over K, since the similarity normalizer cancels:
+    ``weights = softmax(logits - |dxy|^2 / (2 sigma_dist^2))``.
+
+    A row's weights depend on its own window alone.  :func:`guided_upsample`
+    runs the same kernel on one block of rows at a time and builds no
+    whole-map weights at inference; this function builds them whole.
+    """
+    m = np.vstack([proj_w, proj_b])
+    return _weights_at(*_guide_windows(guide), m @ m.T, log_sigma_dist, log_sigma_sim, 0, guide.shape[0])
+
+
+def _mix_bands(weights: np.ndarray, n: int) -> np.ndarray:
+    """The (rows, 2, n, 2 * _TILE, patch rows) bands of the 2x mix of
+    output rows 2i and 2i + 1, from their (rows, 2, 2w, K) ``weights``: each
+    weight mapped to its composite weights ``Ry[p]^T w Rx[q]``, zero past
+    column 2w, and scattered into its tile's band."""
+    rows, _, w2 = weights.shape[:3]
+    composite = np.zeros((rows, 2, n * 2 * _TILE, _CK * _CK), dtype=np.float64)
+    cells = weights.reshape(rows, 2, w2 // 2, 2, -1)
+    for p in (0, 1):
+        for q in (0, 1):
+            np.matmul(cells[:, p, :, q], _COMPOSE[p][q], out=composite[:, p, q:w2:2])
+    return _scatter(composite.reshape(rows, 2, n, -1), _COARSE)
+
+
+def _forward(out, f_windows, g_hat_pad, g_windows, gram, log_sigma_dist, log_sigma_sim, keep=None) -> None:
+    """Write the upsample into ``out`` (2h, 2w, C), cast to its dtype, from
+    the :func:`_windows` of the map edge-padded by ``_PAD``, those of
+    :func:`_guide_windows` and the 4x4 Gram, in blocks of ``_TILE`` coarse
+    rows.  A block builds the weights of its output rows, then mixes them
+    in the row blocks of :func:`_tiled`, each building its own bands.
+    ``keep``, if given, is a pair of whole-map arrays, (2h, 2w, K) and
+    (2h, 1, n, _TILE * K), that receive the weights and the logits."""
+    h, w2, c = out.shape[0] // 2, out.shape[1], out.shape[2]
+    n = f_windows.shape[1]
+    for lo in range(0, h, _TILE):
+        hi = min(lo + _TILE, h)
+        kept = None if keep is None else tuple(a[2 * lo : 2 * hi] for a in keep)
+        weights = _weights_at(g_hat_pad, g_windows, gram, log_sigma_dist, log_sigma_sim, 2 * lo, 2 * hi, kept)
+        weights = weights.reshape(hi - lo, 2, w2, -1)
+        for y0, y1, patches in _tiled(f_windows, _COARSE, lo, hi):
+            bands = _mix_bands(weights[y0 - lo : y1 - lo], n)
+            out[2 * y0 : 2 * y1] = np.matmul(bands, patches).reshape(2 * (y1 - y0), -1, c)[:, :w2]
+            del bands, patches  # before the next block's patches are cut
+
+
+def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim):
     """Joint bilateral 2x upsampling of a feature map to its guide's grid, fused.
 
     ``feats`` (h, w, C) is the feature map and ``guide`` (2h, 2w, 3) the
@@ -278,7 +343,16 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     (y, x) is the weighted sum over its 7x7 window, the cell's edge-clamped
     neighbors, of the bilinear 2x lift of ``feats`` (align-corners false),
     with the joint-bilateral weights ``w`` of :func:`guided_weights`.  Any
-    other ratio of guide to map raises ``ValueError``.
+    other ratio of guide to map raises ``ValueError``.  With an operand that
+    requires grad, the result is a float64 :class:`Tensor` node; otherwise
+    it is the float32 (2h, 2w, C) array.
+
+    At inference the output is computed in blocks of ``_TILE`` coarse
+    rows: a block builds the weights and bands of its output rows, then
+    mixes them and writes them into the float32 output, so no (2h, 2w, K)
+    array is built, and its window dots and softmax spread their per-call
+    cost over ``2 * _TILE`` rows.  Training runs the same kernel on the
+    whole map as one block, whose weights and logits it keeps for the VJP.
 
     The lift is never built.  Both steps are linear, so the mix reads the
     map edge-padded by 2 through the (5, 5) composite weights
@@ -287,15 +361,15 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     parity p and q: constants taken from ``resize_matrix``.  Every window
     operation loops over the row blocks of :func:`_tiled`, with a banded
     product per tile of cells.  Output rows 2i and 2i + 1 and the 2T
-    columns of a tile read one (5, T + 4) coarse patch, and each row block
-    builds the composite weights it mixes.  The VJP makes one more pass
-    over the same patches, rebuilds each tile's band ``B`` and takes both
-    transposes of the forward's ``out = B @ patch``: ``g_tile @ patch.T``
-    gives the composite weights' gradient ``dWc``, which goes back as
-    ``dw = Ry dWc Rx^T``, and ``B^T @ g_tile`` the patch's gradient, which
-    is overlap-added onto the padded map, whose padding is then folded back.
-    Each cell sees the same operations in any row block, and the overlap-add
-    sums its source rows in one order: the bits do not depend on block size.
+    columns of a tile read one (5, T + 4) coarse patch.  The VJP makes one
+    more pass over the same patches, rebuilds each tile's band ``B`` and
+    takes both transposes of the forward's ``out = B @ patch``:
+    ``g_tile @ patch.T`` gives the composite weights' gradient ``dWc``,
+    which goes back as ``dw = Ry dWc Rx^T``, and ``B^T @ g_tile`` the
+    patch's gradient, which is overlap-added onto the padded map, whose
+    padding is then folded back.  Each cell sees the same operations in any
+    row block, and the overlap-add sums its source rows in one order: the
+    bits do not depend on block size.
 
     The projection is linear in the pixel, so the similarity logits go
     through the 4x4 Gram ``A = M M^T`` of ``M = [proj_w; proj_b]`` and only
@@ -303,8 +377,7 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     logits are window dots (``a_tile @ patch.T``) and the Gram gradient a
     banded mix (``B @ patch``) on the guide's grid.  No (H, W, K, C)
     neighbor array is built.  Gradients flow to every operand but
-    ``guide``; without one that requires grad, the logits are dropped
-    before the mix and no VJP recorded.
+    ``guide``.
     """
     feats, proj_w, proj_b = as_tensor(feats), as_tensor(proj_w), as_tensor(proj_b)
     lsd, lss = as_tensor(log_sigma_dist), as_tensor(log_sigma_sim)
@@ -319,21 +392,21 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
             f"guide dims {guide.shape[1]}x{guide.shape[0]} do not match 2x feature dims "
             f"{2 * w}x{2 * h} of the {w}x{h} map"
         )
-    n = -(-w // _TILE)  # tiles per row: _TILE map, 2 * _TILE output columns
-    f_pad = feats.data[_edge_index(h, _PAD)][:, _edge_index(w, _PAD)]
     operands = (feats, proj_w, proj_b, lsd, lss)
-    weights, logits, g_hat, g_hat_pad = guided_weights(guide, proj_w.data, proj_b.data, lsd.data, lss.data)
-    if not any(p.requires_grad for p in operands):
-        logits = g_hat = g_hat_pad = None  # inference keeps only the weights through the mix
-    out = np.empty((h, 2, n, 2 * _TILE, c), dtype=np.float64)
-
-    def band_of(y0, y1):  # each row block builds the composite weights it mixes, as bands
-        return _scatter(_composite(weights, y0, y1, n * 2 * _TILE).reshape(y1 - y0, 2, n, -1), _COARSE)
-
-    for y0, y1, patches in _tiled(f_pad, _COARSE, h, n):
-        np.matmul(band_of(y0, y1), patches, out=out[y0:y1])
-        del patches
-    out = np.ascontiguousarray(out.reshape(2 * h, -1, c)[:, : 2 * w])
+    n = -(-w // _TILE)  # tiles per row: _TILE map, 2 * _TILE output columns
+    m = np.vstack([proj_w.data, proj_b.data])
+    f_windows = _windows(_edge_pad(feats.data, _PAD), _COARSE, n)
+    g_hat_pad, g_windows = _guide_windows(guide)
+    args = (f_windows, g_hat_pad, g_windows, m @ m.T, lsd.data, lss.data)
+    train = any(p.requires_grad for p in operands)
+    out = np.empty((2 * h, 2 * w, c), dtype=np.float64 if train else np.float32)
+    if not train:
+        _forward(out, *args)
+        return out
+    weights = np.empty((2 * h, 2 * w, _K * _K), dtype=np.float64)
+    logits = np.empty((2 * h, 1, g_windows.shape[1], _TILE * _K * _K), dtype=np.float64)
+    _forward(out, *args, keep=(weights, logits))
+    logits = logits.reshape(2 * h, -1, _K * _K)[:, : 2 * w]  # as _window_dots returns them
 
     def vjp(g):
         # one pass over the forward's patches takes both transposes of each
@@ -345,7 +418,7 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
         # map: a tile's _TILE main columns, then its 2 * _PAD overhang
         # columns, which are the next tile's first ones
         g_pad = np.zeros((h + 2 * _PAD, n + 1, _TILE, c), dtype=np.float64)
-        for y0, y1, patches in _tiled(f_pad, _COARSE, h, n):
+        for y0, y1, patches in _tiled(f_windows, _COARSE, 0, h):
             rows, g_tile = y1 - y0, g_tiles[y0:y1]
             dots = _gather(np.matmul(g_tile, patches.swapaxes(-1, -2)), _COARSE)
             dots = dots.reshape(rows, 2, -1, _CK * _CK)
@@ -354,7 +427,7 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
                 for q in (0, 1):
                     np.matmul(dots[:, p, q : 2 * w : 2], _COMPOSE[p][q].T, out=cells[:, p, :, q])
             del dots, patches
-            band = band_of(y0, y1).swapaxes(-1, -2)
+            band = _mix_bands(weights[2 * y0 : 2 * y1].reshape(rows, 2, 2 * w, -1), n).swapaxes(-1, -2)
             g_patch = np.matmul(band[:, 0], g_tile[:, 0])  # one phase at a time: no (2, ...) product
             g_patch += np.matmul(band[:, 1], g_tile[:, 1])
             g_patch = g_patch.reshape(rows, n, _CK, _TILE + 2 * _PAD, c)
@@ -376,8 +449,8 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
         g_dots = g_logits / (sigma_sim * sigma_sim)
         # dots = g_hat A g_hat_pad^T, so dA = g_hat^T (window sum of g_dots
         # over g_hat_pad) and, with A = M M^T, dM = (dA + dA^T) M
-        g_gram = g_hat.reshape(-1, 4).T @ _banded_mix(g_dots, g_hat_pad).reshape(-1, 4)
-        g_m = (g_gram + g_gram.T) @ np.vstack([proj_w.data, proj_b.data])
+        g_gram = _homogeneous(guide).reshape(-1, 4).T @ _banded_mix(g_dots, g_windows).reshape(-1, 4)
+        g_m = (g_gram + g_gram.T) @ m
         return g_feats, g_m[:3], g_m[3], np.asarray(g_lsd), np.asarray(g_lss)
 
     return _node(out, operands, vjp)

@@ -187,14 +187,15 @@ def jbu_upsample(f_level: FeatureMap, guide: Image, params: VdimParams, level: i
     ``autodiff.guided_upsample``, by the kernel ``params.levels[level]``.
 
     ``guide`` must have exactly twice the feature map's dims (it is the
-    pyramid image at the target resolution); the op refuses any other.
+    pyramid image at the target resolution); the op refuses any other.  The
+    op writes its float32 output itself, one block of rows at a time.
     """
     if level < 0 or level >= len(params.levels):
         raise ValueError(f"no upsampling kernel for source level {level}")
     out = ad.guided_upsample(
         f_level.data.astype(np.float64), guide.decoded().astype(np.float64), *_leaves(params.levels[level])
     )
-    return FeatureMap(out.data.astype(np.float32), level=level + 1, origin=f_level.origin)
+    return FeatureMap(out, level=level + 1, origin=f_level.origin)
 
 
 def attention_downsample(

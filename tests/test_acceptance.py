@@ -202,7 +202,7 @@ def test_ac8_normalization():
     vdim = VdimParams.init(d_proj=8, seed=8)
     for level in range(2):
         lk = vdim.levels[level]
-        w = guided_weights(guide.decoded(), lk.proj_w, lk.proj_b, lk.log_sigma_dist, lk.log_sigma_sim)[0]
+        w = guided_weights(guide.decoded(), lk.proj_w, lk.proj_b, lk.log_sigma_dist, lk.log_sigma_sim)
         assert np.abs(w.sum(axis=-1) - 1.0).max() <= 1e-6
 
     # downsampler window softmax: with identity affine, a constant-one input

@@ -77,7 +77,8 @@ def test_guided_upsample_values_and_grad(feats_hw, guide_hw):
 
 
 def test_guided_mix_output_does_not_depend_on_requires_grad():
-    # inference drops the logits and records no VJP, but runs the same kernels
+    # inference drops the logits, records no VJP and writes float32, but runs
+    # the same kernels: its output is the float64 output cast
     rng = np.random.default_rng(7)
     guide = rng.uniform(0, 1, (6, 2 * T + 6, 3))
     arrays = [
@@ -87,24 +88,25 @@ def test_guided_mix_output_does_not_depend_on_requires_grad():
         np.array(0.4),
         np.array(-0.1),
     ]
-    outs = []
-    for trainable in (True, False):
-        feats, *params = [Tensor(a, requires_grad=trainable) for a in arrays]
-        out = ad.guided_upsample(feats, guide, *params)
-        assert out.requires_grad is trainable and (out._vjp is not None) is trainable
-        outs.append(out.data.tobytes())
-    assert outs[0] == outs[1]
+    feats, *params = [Tensor(a, requires_grad=True) for a in arrays]
+    trained = ad.guided_upsample(feats, guide, *params)
+    assert trained.requires_grad and trained._vjp is not None and trained.data.dtype == np.float64
+    inferred = ad.guided_upsample(arrays[0], guide, *arrays[1:])
+    assert isinstance(inferred, np.ndarray) and inferred.dtype == np.float32
+    assert inferred.tobytes() == trained.data.astype(np.float32).tobytes()
 
 
 @pytest.mark.parametrize("hwc", [(13, 19, 16), (20, 27, 64)])
 def test_guided_upsample_bits_do_not_depend_on_the_block_size(hwc, monkeypatch):
     # several row blocks at the default size, several tiles and a ragged last
-    # tile; one row per block takes every block boundary there is
+    # tile; one row per block takes every block boundary there is.
+    # Inference writes the float64 forward's bits cast to float32
     h, w, c = hwc
     rng = np.random.default_rng(21)
     guide = rng.uniform(0, 1, (2 * h, 2 * w, 3))
     arrays = [rng.standard_normal((h, w, c)), rng.standard_normal((3, 8)), rng.standard_normal(8), 0.3, -0.2]
     weights = rng.uniform(0.5, 1.5, (2 * h, 2 * w, c))
+    assert h > T and h % T  # several forward blocks of T coarse rows, the last ragged
     blocks, row_blocks = [], ad.row_blocks
 
     def counted_row_blocks(*args):
@@ -119,8 +121,12 @@ def test_guided_upsample_bits_do_not_depend_on_the_block_size(hwc, monkeypatch):
         out = ad.guided_upsample(params[0], guide, *params[1:])
         weighted_sum(out, weights).backward()
         runs.append([out.data] + [p.grad for p in params])
-        if block_elems > 1:  # every banded pass cuts the map into several blocks
-            assert all(len(b) > 1 for b in blocks) and w % T
+        if block_elems > 1:  # the forward runs in blocks of T coarse rows, and
+            # both banded passes of the VJP cut the whole map into several blocks
+            whole = [b for b in blocks if b[-1][1] in (h, 2 * h)]
+            assert len(whole) == 2 and all(len(b) > 1 for b in whole) and w % T
+        inferred = ad.guided_upsample(arrays[0], guide, *arrays[1:])
+        assert inferred.tobytes() == out.data.astype(np.float32).tobytes()
     for default, one_row in zip(*runs):
         np.testing.assert_array_equal(default, one_row)
 

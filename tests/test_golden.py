@@ -187,27 +187,34 @@ def test_inference_outputs_match_their_golden_digests(entry, written):
     _compare(entry, written, [f for f in written if f not in TRAINING_FIELDS])
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="Write this machine's entry of golden.json.")
-    parser.add_argument("--replace", action="store_true", help="overwrite fields whose digests changed")
-    args = parser.parse_args(argv)
-    key = machine_key()
-    entries = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+def write_entry(table: Path, key: str, new: dict[str, str], replace: bool) -> int:
+    """Add the fields of ``new`` that the entry ``key`` of the JSON file
+    ``table`` lacks, printing each.  A field there that ``new`` would change
+    is printed too; without ``replace`` nothing is then written and 1 is
+    returned."""
+    entries = json.loads(table.read_text()) if table.exists() else {}
     old = entries.get(key, {})
-    with tempfile.TemporaryDirectory() as tmp:
-        new = digests(Path(tmp))
     changed = [f for f in new if f in old and old[f] != new[f]]
     for f in new:
         if f not in old:
             print(f"{key}: add {f} = {new[f]}")
         elif f in changed:
             print(f"{key}: change {f} from {old[f]} to {new[f]}")
-    if changed and not args.replace:
+    if changed and not replace:
         print(f"{len(changed)} existing field(s) would change; pass --replace to overwrite them", file=sys.stderr)
         return 1
     entries[key] = {**old, **new}
-    GOLDEN.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
+    table.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Write this machine's entry of golden.json.")
+    parser.add_argument("--replace", action="store_true", help="overwrite fields whose digests changed")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        new = digests(Path(tmp))
+    return write_entry(GOLDEN, machine_key(), new, args.replace)
 
 
 if __name__ == "__main__":

@@ -1,0 +1,140 @@
+"""Golden float64 digests of the guided upsampler.
+
+Every artifact ``golden.json`` pins is float32 or a 10-digit loss line, so a
+kernel change can move float64 bits and still pass it.  ``golden_f64.json``
+pins the sha256 of seeded float64 arrays:
+
+- ``guided_upsample``'s output and the gradients of all five operands, on a
+  ragged 13x19x16 map (several tiles, a ragged last one) and on the
+  48x48x64 map of a unit's level-2 step;
+- one 336x336 unit's level-2 output in float64, before the cast to float32:
+  the unit's level 1 from ``build_isp``, lifted by the level-2 kernel.
+
+The OpenBLAS kernels and numpy's SIMD dispatch both change float64 bits, so
+the key adds to ``golden.json``'s the OpenBLAS core name and numpy's
+enabled CPU features.  On a key or a field the table lacks the test skips.
+Run this file as a script to write the entry of the running machine, as
+``tests/test_golden.py`` writes its own:
+
+    PYTHONPATH=src python tests/test_golden_f64.py [--replace]
+"""
+
+from __future__ import annotations
+
+import argparse
+import ctypes
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import hiwin
+from test_golden import machine_key, write_entry
+
+TABLE = Path(__file__).with_name("golden_f64.json")
+WRITE = "PYTHONPATH=src python tests/test_golden_f64.py"
+
+# prints a JSON object of field -> sha256, computed in a fresh process whose
+# BLAS pool is pinned as the CLI pins it
+_PROBE = """
+import hashlib, json
+import hiwin
+import numpy as np
+from hiwin import autodiff as ad
+from hiwin.encoder import EncoderSpec, encode
+from hiwin.image_io import build_image_pyramid, synth_corpus
+from hiwin.vdim import VdimParams, build_isp
+from helpers import weighted_sum
+
+sha = lambda a: hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+out = {}
+for name, (h, w, c, d) in {"ragged": (13, 19, 16, 8), "48x48x64": (48, 48, 64, 32)}.items():
+    rng = np.random.default_rng([11, h, w, c])
+    guide = rng.uniform(0, 1, (2 * h, 2 * w, 3))
+    arrays = [rng.standard_normal((h, w, c)), rng.standard_normal((3, d)), rng.standard_normal(d), 0.3, -0.2]
+    params = [ad.Tensor(a, requires_grad=True) for a in arrays]
+    up = ad.guided_upsample(params[0], guide, *params[1:])
+    weighted_sum(up, rng.uniform(0.5, 1.5, up.data.shape)).backward()
+    out[f"upsample_{name}_out_sha256"] = sha(up.data)
+    for field, p in zip(("feats", "proj_w", "proj_b", "log_sigma_dist", "log_sigma_sim"), params):
+        out[f"upsample_{name}_grad_{field}_sha256"] = sha(p.grad)
+img = synth_corpus(0, 1, 336)[0]
+pyramid = build_image_pyramid(img)
+vdim = VdimParams.init(d_proj=32, seed=0)
+isp = build_isp(encode(img, EncoderSpec(channels=64, seed=0)), pyramid, vdim)
+lk = vdim.levels[1]
+kernel = [ad.Tensor(a, requires_grad=True) for a in (lk.proj_w, lk.proj_b, lk.log_sigma_dist, lk.log_sigma_sim)]
+l2 = ad.guided_upsample(isp.levels[1].data.astype(np.float64), pyramid.levels[2].decoded().astype(np.float64), *kernel)
+out["unit336_l2_f64_sha256"] = sha(l2.data)
+print(json.dumps(out))
+"""
+
+
+def openblas_core() -> str | None:
+    """The core name the loaded OpenBLAS dispatches to, asked through its
+    own API; None where no OpenBLAS is mapped or the maps cannot be read."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    libs = {line.split()[-1] for line in maps.splitlines() if "openblas" in line.lower() and ".so" in line}
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return None
+
+
+def table_key() -> str:
+    """``golden.json``'s key, the OpenBLAS core and numpy's enabled CPU
+    features (those ``NPY_DISABLE_CPU_FEATURES`` leaves on)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:  # numpy before 2.0
+        from numpy.core._multiarray_umath import __cpu_features__ as features
+    enabled = " ".join(sorted(f for f, on in features.items() if on))
+    return f"{machine_key()} | core {openblas_core()} | {enabled}"
+
+
+def digests() -> dict[str, str]:
+    src = str(Path(hiwin.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(Path(__file__).parent)])},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(done.stderr)
+    return json.loads(done.stdout)
+
+
+def test_float64_upsample_bits_match_their_golden_digests():
+    key = table_key()
+    entry = json.loads(TABLE.read_text()).get(key)
+    if entry is None:
+        pytest.skip(f"golden_f64.json has no entry for {key!r}; `{WRITE}` writes it")
+    written = digests()
+    missing = [f for f in written if f not in entry]
+    if missing:
+        pytest.skip(f"golden_f64.json's entry for this machine lacks {missing}; `{WRITE}` adds them")
+    assert written == {f: entry[f] for f in written}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Write this machine's entry of golden_f64.json.")
+    parser.add_argument("--replace", action="store_true", help="overwrite fields whose digests changed")
+    args = parser.parse_args(argv)
+    return write_entry(TABLE, table_key(), digests(), args.replace)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
