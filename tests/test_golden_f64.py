@@ -8,7 +8,12 @@ pins the sha256 of seeded float64 arrays:
   ragged 13x19x16 map (several tiles, a ragged last one) and on the
   48x48x64 map of a unit's level-2 step;
 - one 336x336 unit's level-2 output in float64, before the cast to float32:
-  the unit's level 1 from ``build_isp``, lifted by the level-2 kernel.
+  the unit's level 1 from ``build_isp``, lifted by the level-2 kernel;
+- ``window_pool``'s output and the gradients of its five operands on the
+  32x32x64 map of an AC-4 level 2 (112x112 images, 14x14 windows);
+- the 16 float64 parameter arrays and ``repr`` of the losses after 10 AC-4
+  ``pretrain_vdim`` steps, called as the CLI calls it, without ``workers``:
+  on a machine with two or more cores that is the worker path.
 
 The OpenBLAS kernels and numpy's SIMD dispatch both change float64 bits, so
 the key adds to ``golden.json``'s the OpenBLAS core name and numpy's
@@ -47,7 +52,7 @@ import numpy as np
 from hiwin import autodiff as ad
 from hiwin.encoder import EncoderSpec, encode
 from hiwin.image_io import build_image_pyramid, synth_corpus
-from hiwin.vdim import VdimParams, build_isp
+from hiwin.vdim import DownsamplerParams, VdimParams, build_isp, pretrain_vdim, trainable_arrays
 from helpers import weighted_sum
 
 sha = lambda a: hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
@@ -70,6 +75,19 @@ lk = vdim.levels[1]
 kernel = [ad.Tensor(a, requires_grad=True) for a in (lk.proj_w, lk.proj_b, lk.log_sigma_dist, lk.log_sigma_sim)]
 l2 = ad.guided_upsample(isp.levels[1].data.astype(np.float64), pyramid.levels[2].decoded().astype(np.float64), *kernel)
 out["unit336_l2_f64_sha256"] = sha(l2.data)
+rng = np.random.default_rng([12, 32, 32, 64])
+arrays = [rng.standard_normal((32, 32, 64)), rng.uniform(0.5, 1.5, 64), rng.standard_normal(64), rng.standard_normal(64), 0.1]
+params = [ad.Tensor(a, requires_grad=True) for a in arrays]
+pooled = ad.window_pool(*params, (112, 112), 14)
+weighted_sum(pooled, rng.uniform(0.5, 1.5, pooled.data.shape)).backward()
+out["window_pool_32x32x64_out_sha256"] = sha(pooled.data)
+for field, p in zip(("feats", "gamma", "beta", "sal_w", "sal_b"), params):
+    out[f"window_pool_32x32x64_grad_{field}_sha256"] = sha(p.grad)
+vdim, down = VdimParams.init(d_proj=32, seed=0), DownsamplerParams.init(64, seed=0)
+result = pretrain_vdim(synth_corpus(0, 32, 112), EncoderSpec(channels=64, seed=0), vdim, down, steps=10, lr=1e-3, batch=4)
+for name, a in trainable_arrays(vdim, down):
+    out[f"train10_{name}_sha256"] = sha(a)
+out["train10_losses_repr_sha256"] = hashlib.sha256(repr(result.losses).encode()).hexdigest()
 print(json.dumps(out))
 """
 
