@@ -4,8 +4,10 @@ visual tokens via hierarchical window attention.
 
 Importing the package pins the BLAS pools of numpy to one thread, unless the
 variable is already set: ``--threads`` and ``PipelineConfig.threads`` own
-parallelism, and a BLAS pool per worker would oversubscribe the cores.  It
-takes effect only if numpy was not imported before ``hiwin``.
+inference parallelism, training spreads each step's batch items over forked
+worker processes (``pretrain_vdim``'s ``workers``), and a BLAS pool per
+worker would oversubscribe the cores.  It takes effect only if numpy was not
+imported before ``hiwin``.
 
 On glibc it also fixes the allocator's mmap threshold at 32 MiB and its trim
 threshold at 64 MiB, unless ``MALLOC_MMAP_THRESHOLD_`` or

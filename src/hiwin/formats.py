@@ -17,6 +17,7 @@ from .numerics import NumericalError
 __all__ = [
     "DataFormatError",
     "Header",
+    "all_finite",
     "check_room",
     "check_shape",
     "expect_end",
@@ -102,13 +103,17 @@ class Header:
         return found
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether ``arr`` holds no NaN or inf, checked without a mask: ``min``
+    and ``max`` both propagate NaN, and an inf is one of them."""
+    return not arr.size or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 def finite_f4(arr, what: str) -> np.ndarray:
     """``arr`` as the little-endian float32 a file stores; NaN or inf there
-    raises :class:`~hiwin.numerics.NumericalError` naming ``what``.  The
-    check builds no mask: ``min`` and ``max`` both propagate NaN, and an inf
-    is one of them."""
+    raises :class:`~hiwin.numerics.NumericalError` naming ``what``."""
     out = np.asarray(arr, dtype="<f4")
-    if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
+    if not all_finite(out):
         raise NumericalError(f"{what} holds non-finite values")
     return out
 

@@ -31,11 +31,16 @@ builds after the pyramid and the reductions.
 
 Both sigma parameters are stored in log space so their effective values stay
 strictly positive.  Training runs entirely in float64; stored feature maps
-remain float32.
+remain float32.  ``pretrain_vdim`` spreads the items of each batch over
+forked worker processes and sums their losses and gradients in item order,
+so any worker count gives the serial loop's bits.
 """
 
 from __future__ import annotations
 
+import ctypes
+import math
+import os
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Sequence
 
@@ -267,6 +272,58 @@ class TrainResult:
     losses: list[float]
 
 
+def _train_item(item: tuple[FeatureMap, ImagePyramid], vdim: VdimParams, down: DownsamplerParams):
+    """One batch item's loss and its gradients in :func:`trainable_arrays`
+    order; the gradients are None when the loss is not finite."""
+    flat, objective = mlr_objective(*item, vdim, down)
+    loss = objective(flat)
+    if not np.isfinite(loss.data):
+        return loss.item(), None
+    ad.backward(loss)
+    return loss.item(), [t.grad for t in flat]
+
+
+_PR_SET_PDEATHSIG = 1
+_worker_state: tuple | None = None  # a training worker's forked (prepared, vdim, down)
+
+
+def _init_worker(creator: int, prepared: list, vdim: VdimParams, down: DownsamplerParams) -> None:
+    """Set up a forked training worker: it is killed when the process that
+    created it dies, leaves Ctrl-C to that process, and keeps its forked
+    copies of the corpus and the parameters."""
+    import signal  # here, as it adds 0.5 ms to ``import hiwin``
+
+    global _worker_state
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)  # Linux only
+    if prctl is not None:
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != creator:  # it died before the signal was armed
+        os._exit(1)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _worker_state = (prepared, vdim, down)
+
+
+def _worker_item(task: tuple[int, list[np.ndarray]]):
+    """``_train_item`` of one prepared item in a training worker, after the
+    step's parameter values are copied into the worker's arrays."""
+    index, values = task
+    prepared, vdim, down = _worker_state
+    for (_, target), value in zip(trainable_arrays(vdim, down), values):
+        target[...] = value
+    return _train_item(prepared[index], vdim, down)
+
+
+def _on_workers(pool, step: int, tasks: list, chunksize: int):
+    """Each task's ``_worker_item`` result, in order; a worker that died
+    ends the step with ``ChildProcessError`` naming it."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        yield from pool.map(_worker_item, tasks, chunksize=chunksize)
+    except BrokenProcessPool as e:
+        raise ChildProcessError(f"a training worker ended at step {step} before it returned its items") from e
+
+
 def pretrain_vdim(
     corpus: Sequence[Image],
     encoder_spec: EncoderSpec,
@@ -276,6 +333,7 @@ def pretrain_vdim(
     lr: float = 1e-3,
     batch: int = 4,
     on_step: Callable[[int, float], None] | None = None,
+    workers: int | None = None,
 ) -> TrainResult:
     """Jointly fit the upsampling kernels and downsamplers on a frozen encoder.
 
@@ -286,6 +344,16 @@ def pretrain_vdim(
     with each entry as soon as it is known; a non-finite batch item loss
     raises :class:`NumericalError` naming its step.  Parameters are updated
     in place and also returned.
+
+    ``workers`` processes share each step's batch items.  None means
+    ``min(batch, usable cores)``, so ``taskset`` limits it, or 1 where the
+    ``fork`` start method does not exist.  The workers are forked once per
+    call, after the corpus is encoded and inside the caller's
+    ``np.errstate``.  Each item's loss and gradients come back to this
+    process, which sums them in item order, so losses and parameters are
+    the same bits for any worker count.  A worker's error reaches the caller
+    as it was raised; a worker that dies ends the call with
+    ``ChildProcessError`` naming the step.  No worker outlives the call.
     """
     if not corpus:
         raise ValueError("pretrain_vdim requires a non-empty corpus")
@@ -297,6 +365,12 @@ def pretrain_vdim(
         raise ValueError(
             f"encoder channels {encoder_spec.channels} != downsampler channels {down.channels}"
         )
+    if workers is None:
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(batch, cores) if hasattr(os, "fork") else 1
+    elif workers < 1 or (workers > 1 and not hasattr(os, "fork")):
+        raise ValueError(f"pretrain_vdim needs workers >= 1, and 1 where fork does not exist, got {workers}")
+    workers = min(workers, batch)
     prepared = [
         (
             encode(img, encoder_spec, origin=f"corpus:{i}"),
@@ -307,26 +381,44 @@ def pretrain_vdim(
     arrays = [a for _, a in trainable_arrays(vdim, down)]
     state = AdamState.for_params(arrays, lr=lr)
     losses: list[float] = []
-    for i in range(max(steps, 1)):
-        step = i + 1 if steps else 0
-        grad_sum = [np.zeros_like(a) for a in arrays]
-        loss_sum = 0.0
-        for k in range(batch):
-            f0, pyramid = prepared[(i * batch + k) % len(prepared)]
-            flat, objective = mlr_objective(f0, pyramid, vdim, down)
-            loss = objective(flat)
-            if not np.isfinite(loss.data):
-                raise NumericalError(f"non-finite training loss at step {step}")
-            ad.backward(loss)
-            loss_sum += loss.item()
-            for acc, t in zip(grad_sum, flat):
-                acc += t.grad
-        if steps:
-            grads = [g / batch for g in grad_sum]
-            for target, updated in zip(arrays, adam_step(arrays, grads, state)):
-                target[...] = updated
-        losses.append(loss_sum / batch)
-        if on_step is not None:
-            on_step(step, losses[-1])
+    pool = None
+    if workers > 1:
+        # imported here, as they add about 10 ms to ``import hiwin``
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the workers fork at its first task and share the corpus copy-on-write
+        pool = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(os.getpid(), prepared, vdim, down),
+        )
+    try:
+        for i in range(max(steps, 1)):
+            step = i + 1 if steps else 0
+            items = [(i * batch + k) % len(prepared) for k in range(batch)]
+            if pool is None:
+                results = (_train_item(prepared[j], vdim, down) for j in items)
+            else:  # a task is pickled before its result arrives, so before the update
+                results = _on_workers(pool, step, [(j, arrays) for j in items], math.ceil(batch / workers))
+            grad_sum = [np.zeros_like(a) for a in arrays]
+            loss_sum = 0.0
+            for loss, grads in results:
+                if grads is None:
+                    raise NumericalError(f"non-finite training loss at step {step}")
+                loss_sum += loss
+                for acc, g in zip(grad_sum, grads):
+                    acc += g
+            if steps:
+                grads = [g / batch for g in grad_sum]
+                for target, updated in zip(arrays, adam_step(arrays, grads, state)):
+                    target[...] = updated
+            losses.append(loss_sum / batch)
+            if on_step is not None:
+                on_step(step, losses[-1])
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     return TrainResult(vdim=vdim, down=down, losses=losses)

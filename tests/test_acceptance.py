@@ -104,17 +104,17 @@ def test_ac3_gradient_suite():
 
 @criterion("AC-4 detail-injection training")
 def test_ac4_training():
-    def run():
+    def run(workers=None):
         corpus = synth_corpus(7, 32, 112)
         spec = EncoderSpec(channels=64, seed=7)
         vdim = VdimParams.init(d_proj=32, seed=7)
         down = DownsamplerParams.init(64, seed=7)
-        return pretrain_vdim(corpus, spec, vdim, down, steps=300, lr=1e-3, batch=4)
+        return pretrain_vdim(corpus, spec, vdim, down, steps=300, lr=1e-3, batch=4, workers=workers)
 
     start = time.perf_counter()
     first = run()
     elapsed = time.perf_counter() - start
-    second = run()
+    second = run(workers=1)  # the serial loop: the default ran the items on workers
     ratio = first.losses[-1] / first.losses[0]
     assert len(first.losses) == 300
     assert ratio <= 0.6

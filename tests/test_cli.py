@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hiwin
-from hiwin import checkpoint, formats
+from hiwin import checkpoint, cli, formats
 from hiwin.checkpoint import save_checkpoint
 from hiwin.cli import main
 from hiwin.encoder import FeatureMap, save_features
@@ -92,6 +92,18 @@ def test_pretrain_prints_each_loss_when_its_step_ends(tmp_path):
         proc.kill()
         proc.communicate(timeout=60)
     assert first.split()[0] == "1"
+
+
+def test_a_dead_training_worker_exits_3_without_a_traceback(tmp_path, capsys, monkeypatch):
+    def dead_worker(*args, **kwargs):
+        raise ChildProcessError("a training worker ended at step 2 before it returned its items")
+
+    monkeypatch.setattr(cli, "pretrain_vdim", dead_worker)
+    argv = ["pretrain-vdim", "--corpus", "synthetic", "--count", "2", "--size", "56", "--channels", "4"]
+    assert main(argv + ["--out", str(tmp_path / "d.ckpt")]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: a training worker ended at step 2 before it returned its items\n"
+    assert not (tmp_path / "d.ckpt").exists()
 
 
 def test_zero_step_pretrain_prints_initial_loss(tmp_path, capsys):

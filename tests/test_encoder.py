@@ -61,6 +61,15 @@ class TestEncode:
         with pytest.raises(ValueError, match="FeatureMap values must be finite"):
             FeatureMap(data)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", [0, -1], ids=["first", "last"])
+    def test_feature_map_refuses_a_non_finite_first_or_last_entry(self, entry, bad):
+        # the check reads min and max, not a mask: each must see every kind
+        data = np.ones((2, 3, 4), dtype=np.float32)
+        data.flat[entry] = bad
+        with pytest.raises(ValueError, match="FeatureMap values must be finite"):
+            FeatureMap(data)
+
 
 class TestFeatureFiles:
     def test_roundtrip_bit_identical(self, tmp_path):

@@ -1,13 +1,20 @@
 """Guided upsampling, the attention downsampler, the reconstruction loss,
 and the training loop."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hiwin
 from hiwin import autodiff as ad
 from hiwin.autodiff import RADIUS
+from hiwin.checkpoint import save_checkpoint
 from hiwin.encoder import EncoderSpec, FeatureMap, encode
 from hiwin.image_io import Image, build_image_pyramid, synth_corpus
 from hiwin.numerics import NumericalError, grad_check
@@ -285,12 +292,38 @@ class TestBuildIsp:
             np.testing.assert_allclose(fmap.data, want, atol=1e-6)
 
 
+# kills a training worker when step 1 ends; prints the error and the
+# children left
+_KILL_A_WORKER = """
+import multiprocessing
+import hiwin
+from hiwin.encoder import EncoderSpec
+from hiwin.image_io import synth_corpus
+from hiwin.vdim import DownsamplerParams, VdimParams, pretrain_vdim
+
+def on_step(step, loss):
+    if step == 1:
+        worker = multiprocessing.active_children()[0]
+        worker.kill()
+        worker.join()
+
+try:
+    pretrain_vdim(
+        synth_corpus(5, 8, 56), EncoderSpec(channels=6, seed=5), VdimParams.init(d_proj=4, seed=5),
+        DownsamplerParams.init(6, seed=5), steps=4, batch=2, on_step=on_step, workers=2,
+    )
+except ChildProcessError as e:
+    print(e)
+print(multiprocessing.active_children())
+"""
+
+
 class TestPretrain:
-    def small_setup(self):
-        corpus = synth_corpus(5, 8, 56)
-        spec = EncoderSpec(channels=6, seed=5)
-        vdim = VdimParams.init(d_proj=4, seed=5)
-        down = DownsamplerParams.init(6, seed=5)
+    def small_setup(self, seed=5):
+        corpus = synth_corpus(seed, 8, 56)
+        spec = EncoderSpec(channels=6, seed=seed)
+        vdim = VdimParams.init(d_proj=4, seed=seed)
+        down = DownsamplerParams.init(6, seed=seed)
         return corpus, spec, vdim, down
 
     def test_zero_steps(self):
@@ -388,9 +421,80 @@ class TestPretrain:
         vdim, down = VdimParams.init(d_proj=32, seed=0), DownsamplerParams.init(64, seed=0)
         tracemalloc.start()
         try:
-            result = pretrain_vdim(corpus, spec, vdim, down, steps=2)
+            # one process: tracemalloc does not see a worker's graph
+            result = pretrain_vdim(corpus, spec, vdim, down, steps=2, workers=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(result.losses) == 2
         assert peak < 8.4 * 2**20
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    @pytest.mark.parametrize("seed", [5, 9])
+    def test_workers_give_the_serial_bits(self, tmp_path, seed, steps):
+        # batch 3 on 2 workers: chunks of 2 and 1 items
+        runs = []
+        for workers in (1, 2):
+            corpus, spec, vdim, down = self.small_setup(seed)
+            result = pretrain_vdim(corpus, spec, vdim, down, steps=steps, batch=3, workers=workers)
+            assert multiprocessing.active_children() == []
+            path = tmp_path / f"w{workers}.ckpt"
+            save_checkpoint(path, vdim, down)
+            runs.append((result.losses, [a for _, a in trainable_arrays(vdim, down)], path.read_bytes()))
+        (losses_1, arrays_1, ckpt_1), (losses_2, arrays_2, ckpt_2) = runs
+        assert losses_1 == losses_2
+        assert all(np.array_equal(a, b) for a, b in zip(arrays_1, arrays_2))
+        assert ckpt_1 == ckpt_2
+
+    def test_a_worker_error_reaches_the_caller_as_raised(self):
+        # the workers are forked inside the caller's errstate, here the CLI's
+        raised = []
+        for workers in (1, 2):
+            corpus, spec, vdim, down = self.small_setup()
+            vdim.levels[1].log_sigma_sim[...] = -400.0
+            errstate = np.errstate(over="raise", invalid="raise", divide="raise", under="ignore")
+            with pytest.raises(ArithmeticError) as info, errstate:
+                pretrain_vdim(corpus, spec, vdim, down, steps=2, batch=2, workers=workers)
+            assert multiprocessing.active_children() == []
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+
+    def test_a_killed_worker_ends_the_call_naming_its_step(self):
+        # in a subprocess, so that a hang fails on the timeout
+        src = str(Path(hiwin.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", _KILL_A_WORKER],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        error, children = done.stdout.splitlines()
+        assert error.startswith("a training worker ended at step 2")
+        assert children == "[]"
+
+    @pytest.mark.parametrize("cores, batch, want", [(1, 3, 0), (2, 3, 2), (8, 3, 3)])
+    def test_default_workers_are_the_usable_cores_up_to_the_batch(self, monkeypatch, cores, batch, want):
+        corpus, spec, vdim, down = self.small_setup()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        seen = []
+        on_step = lambda step, loss: seen.append(len(multiprocessing.active_children()))
+        pretrain_vdim(corpus, spec, vdim, down, steps=1, batch=batch, on_step=on_step)
+        assert seen == [want]
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        corpus, spec, vdim, down = self.small_setup()
+        with pytest.raises(ValueError, match="workers >= 1"):
+            pretrain_vdim(corpus, spec, vdim, down, steps=1, workers=workers)
+
+    def test_without_fork_one_worker_runs_and_more_are_refused(self, monkeypatch):
+        corpus, spec, vdim, down = self.small_setup()
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(ValueError, match="where fork does not exist, got 2"):
+            pretrain_vdim(corpus, spec, vdim, down, steps=1, batch=2, workers=2)
+        seen = []
+        on_step = lambda step, loss: seen.append(multiprocessing.active_children())
+        pretrain_vdim(corpus, spec, vdim, down, steps=1, batch=2, on_step=on_step)
+        assert seen == [[]]
