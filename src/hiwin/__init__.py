@@ -5,7 +5,7 @@ visual tokens via hierarchical window attention.
 Importing the package pins the BLAS pools of numpy to one thread, unless the
 variable is already set: ``--threads`` and ``PipelineConfig.threads`` own
 inference parallelism, training spreads each step's batch items over forked
-worker processes (``pretrain_vdim``'s ``workers``), and a BLAS pool per
+worker processes (one per usable core, on Linux), and a BLAS pool per
 worker would oversubscribe the cores.  It takes effect only if numpy was not
 imported before ``hiwin``.
 

@@ -4,9 +4,10 @@ Subcommands: ``pretrain-vdim``, ``build-isp``, ``compress``, ``pipeline``,
 ``visualize``, ``selftest``.  Configuration is flags-only; the single
 environment input is ``HIWIN_SEED``, overridden by ``--seed``; a value that
 is not an integer of at least 0 is a usage error.  ``--threads`` owns
-inference parallelism.  ``pretrain-vdim`` has no such flag: it spreads each
-step's batch items over one forked process per usable core, up to
-``--batch``, and its results are the same for any count.  The package
+inference parallelism.  ``pretrain-vdim`` has no such flag: on Linux it
+spreads each step's batch items over forked processes, one per usable core
+that gets a share of ``--batch``, and its results are the same for any
+count.  The package
 import pins BLAS to one thread unless the environment sets it.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error or an input too

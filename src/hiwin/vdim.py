@@ -41,6 +41,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Sequence
 
@@ -294,9 +295,7 @@ def _init_worker(creator: int, prepared: list, vdim: VdimParams, down: Downsampl
     import signal  # here, as it adds 0.5 ms to ``import hiwin``
 
     global _worker_state
-    prctl = getattr(ctypes.CDLL(None), "prctl", None)  # Linux only
-    if prctl is not None:
-        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
     if os.getppid() != creator:  # it died before the signal was armed
         os._exit(1)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -324,6 +323,17 @@ def _on_workers(pool, step: int, tasks: list, chunksize: int):
         raise ChildProcessError(f"a training worker ended at step {step} before it returned its items") from e
 
 
+def _training_workers(batch: int) -> int:
+    """The processes that share a step's ``batch`` items: 1 off Linux,
+    where ``fork`` may be missing or unsafe and no death signal ends the
+    workers of a killed parent; on Linux the usable cores, cut so that
+    each worker gets one chunk of ``ceil(batch / workers)`` items."""
+    if sys.platform != "linux":
+        return 1
+    per_worker = math.ceil(batch / len(os.sched_getaffinity(0)))
+    return math.ceil(batch / per_worker)
+
+
 def pretrain_vdim(
     corpus: Sequence[Image],
     encoder_spec: EncoderSpec,
@@ -333,7 +343,6 @@ def pretrain_vdim(
     lr: float = 1e-3,
     batch: int = 4,
     on_step: Callable[[int, float], None] | None = None,
-    workers: int | None = None,
 ) -> TrainResult:
     """Jointly fit the upsampling kernels and downsamplers on a frozen encoder.
 
@@ -345,15 +354,16 @@ def pretrain_vdim(
     raises :class:`NumericalError` naming its step.  Parameters are updated
     in place and also returned.
 
-    ``workers`` processes share each step's batch items.  None means
-    ``min(batch, usable cores)``, so ``taskset`` limits it, or 1 where the
-    ``fork`` start method does not exist.  The workers are forked once per
-    call, after the corpus is encoded and inside the caller's
-    ``np.errstate``.  Each item's loss and gradients come back to this
-    process, which sums them in item order, so losses and parameters are
-    the same bits for any worker count.  A worker's error reaches the caller
-    as it was raised; a worker that dies ends the call with
-    ``ChildProcessError`` naming the step.  No worker outlives the call.
+    On Linux the usable cores share each step's batch items, one forked
+    worker process per chunk of ``ceil(batch / cores)`` items, so
+    ``taskset`` limits them; elsewhere the items run in this process.  The
+    workers are forked once per call, after the corpus is encoded and
+    inside the caller's ``np.errstate``.  Each item's loss and gradients
+    come back to this process, which sums them in item order, so losses
+    and parameters are the same bits for any worker count.  A worker's
+    error reaches the caller as it was raised; a worker that dies ends the
+    call with ``ChildProcessError`` naming the step.  No worker outlives
+    the call.
     """
     if not corpus:
         raise ValueError("pretrain_vdim requires a non-empty corpus")
@@ -365,12 +375,7 @@ def pretrain_vdim(
         raise ValueError(
             f"encoder channels {encoder_spec.channels} != downsampler channels {down.channels}"
         )
-    if workers is None:
-        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        workers = min(batch, cores) if hasattr(os, "fork") else 1
-    elif workers < 1 or (workers > 1 and not hasattr(os, "fork")):
-        raise ValueError(f"pretrain_vdim needs workers >= 1, and 1 where fork does not exist, got {workers}")
-    workers = min(workers, batch)
+    workers = _training_workers(batch)
     prepared = [
         (
             encode(img, encoder_spec, origin=f"corpus:{i}"),

@@ -5,7 +5,9 @@ to see the lines; the full 300-step training criterion dominates the runtime
 """
 
 import functools
+import os
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -104,17 +106,18 @@ def test_ac3_gradient_suite():
 
 @criterion("AC-4 detail-injection training")
 def test_ac4_training():
-    def run(workers=None):
+    def run():
         corpus = synth_corpus(7, 32, 112)
         spec = EncoderSpec(channels=64, seed=7)
         vdim = VdimParams.init(d_proj=32, seed=7)
         down = DownsamplerParams.init(64, seed=7)
-        return pretrain_vdim(corpus, spec, vdim, down, steps=300, lr=1e-3, batch=4, workers=workers)
+        return pretrain_vdim(corpus, spec, vdim, down, steps=300, lr=1e-3, batch=4)
 
     start = time.perf_counter()
     first = run()
     elapsed = time.perf_counter() - start
-    second = run(workers=1)  # the serial loop: the default ran the items on workers
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}):
+        second = run()  # one core: the serial loop, where the first run used workers
     ratio = first.losses[-1] / first.losses[0]
     assert len(first.losses) == 300
     assert ratio <= 0.6

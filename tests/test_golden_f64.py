@@ -12,8 +12,8 @@ pins the sha256 of seeded float64 arrays:
 - ``window_pool``'s output and the gradients of its five operands on the
   32x32x64 map of an AC-4 level 2 (112x112 images, 14x14 windows);
 - the 16 float64 parameter arrays and ``repr`` of the losses after 10 AC-4
-  ``pretrain_vdim`` steps, called as the CLI calls it, without ``workers``:
-  on a machine with two or more cores that is the worker path.
+  ``pretrain_vdim`` steps, called as the CLI calls it: on a Linux machine
+  with two or more usable cores that is the worker path.
 
 The OpenBLAS kernels and numpy's SIMD dispatch both change float64 bits, so
 the key adds to ``golden.json``'s the OpenBLAS core name and numpy's

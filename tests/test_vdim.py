@@ -296,6 +296,7 @@ class TestBuildIsp:
 # children left
 _KILL_A_WORKER = """
 import multiprocessing
+import os
 import hiwin
 from hiwin.encoder import EncoderSpec
 from hiwin.image_io import synth_corpus
@@ -307,10 +308,11 @@ def on_step(step, loss):
         worker.kill()
         worker.join()
 
+os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any machine
 try:
     pretrain_vdim(
         synth_corpus(5, 8, 56), EncoderSpec(channels=6, seed=5), VdimParams.init(d_proj=4, seed=5),
-        DownsamplerParams.init(6, seed=5), steps=4, batch=2, on_step=on_step, workers=2,
+        DownsamplerParams.init(6, seed=5), steps=4, batch=2, on_step=on_step,
     )
 except ChildProcessError as e:
     print(e)
@@ -405,7 +407,7 @@ class TestPretrain:
         with pytest.raises(ValueError):
             pretrain_vdim(corpus, spec, vdim, DownsamplerParams.init(7, seed=0), steps=1)
 
-    def test_peak_memory_of_two_ac4_steps(self):
+    def test_peak_memory_of_two_ac4_steps(self, monkeypatch):
         # the AC-4 configuration: 32 images of 112x112, C=64, d_proj=32,
         # batch 4; guards against the (H, W, d_proj) projection maps, the
         # temporaries of the guided_upsample VJP and float64 copies of the
@@ -421,8 +423,9 @@ class TestPretrain:
         vdim, down = VdimParams.init(d_proj=32, seed=0), DownsamplerParams.init(64, seed=0)
         tracemalloc.start()
         try:
-            # one process: tracemalloc does not see a worker's graph
-            result = pretrain_vdim(corpus, spec, vdim, down, steps=2, workers=1)
+            # one core, so one process: tracemalloc does not see a worker's graph
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            result = pretrain_vdim(corpus, spec, vdim, down, steps=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -431,12 +434,13 @@ class TestPretrain:
 
     @pytest.mark.parametrize("steps", [0, 3])
     @pytest.mark.parametrize("seed", [5, 9])
-    def test_workers_give_the_serial_bits(self, tmp_path, seed, steps):
-        # batch 3 on 2 workers: chunks of 2 and 1 items
+    def test_workers_give_the_serial_bits(self, tmp_path, monkeypatch, seed, steps):
+        # batch 3 on 2 cores: two workers, with chunks of 2 and 1 items
         runs = []
         for workers in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
             corpus, spec, vdim, down = self.small_setup(seed)
-            result = pretrain_vdim(corpus, spec, vdim, down, steps=steps, batch=3, workers=workers)
+            result = pretrain_vdim(corpus, spec, vdim, down, steps=steps, batch=3)
             assert multiprocessing.active_children() == []
             path = tmp_path / f"w{workers}.ckpt"
             save_checkpoint(path, vdim, down)
@@ -446,15 +450,16 @@ class TestPretrain:
         assert all(np.array_equal(a, b) for a, b in zip(arrays_1, arrays_2))
         assert ckpt_1 == ckpt_2
 
-    def test_a_worker_error_reaches_the_caller_as_raised(self):
+    def test_a_worker_error_reaches_the_caller_as_raised(self, monkeypatch):
         # the workers are forked inside the caller's errstate, here the CLI's
         raised = []
         for workers in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
             corpus, spec, vdim, down = self.small_setup()
             vdim.levels[1].log_sigma_sim[...] = -400.0
             errstate = np.errstate(over="raise", invalid="raise", divide="raise", under="ignore")
             with pytest.raises(ArithmeticError) as info, errstate:
-                pretrain_vdim(corpus, spec, vdim, down, steps=2, batch=2, workers=workers)
+                pretrain_vdim(corpus, spec, vdim, down, steps=2, batch=2)
             assert multiprocessing.active_children() == []
             raised.append((type(info.value), str(info.value)))
         assert raised[0] == raised[1]
@@ -474,26 +479,25 @@ class TestPretrain:
         assert error.startswith("a training worker ended at step 2")
         assert children == "[]"
 
-    @pytest.mark.parametrize("cores, batch, want", [(1, 3, 0), (2, 3, 2), (8, 3, 3)])
-    def test_default_workers_are_the_usable_cores_up_to_the_batch(self, monkeypatch, cores, batch, want):
+    @pytest.mark.parametrize(
+        "cores, batch, want",
+        # one per chunk of ceil(batch / cores) items: 4 on 3 cores is 2 + 2
+        [(1, 3, 0), (2, 3, 2), (8, 3, 3), (3, 4, 2), (4, 5, 3), (2, 8, 2)],
+    )
+    def test_default_workers_are_the_usable_cores_that_get_a_chunk(self, monkeypatch, cores, batch, want):
         corpus, spec, vdim, down = self.small_setup()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         seen = []
         on_step = lambda step, loss: seen.append(len(multiprocessing.active_children()))
         pretrain_vdim(corpus, spec, vdim, down, steps=1, batch=batch, on_step=on_step)
         assert seen == [want]
 
-    @pytest.mark.parametrize("workers", [0, -2])
-    def test_workers_below_one_rejected(self, workers):
+    @pytest.mark.parametrize("platform", ["darwin", "win32", "freebsd14"])
+    def test_off_linux_the_items_run_in_the_calling_process(self, monkeypatch, platform):
+        # no fork pool where fork may be unsafe and no death signal exists
         corpus, spec, vdim, down = self.small_setup()
-        with pytest.raises(ValueError, match="workers >= 1"):
-            pretrain_vdim(corpus, spec, vdim, down, steps=1, workers=workers)
-
-    def test_without_fork_one_worker_runs_and_more_are_refused(self, monkeypatch):
-        corpus, spec, vdim, down = self.small_setup()
-        monkeypatch.delattr(os, "fork")
-        with pytest.raises(ValueError, match="where fork does not exist, got 2"):
-            pretrain_vdim(corpus, spec, vdim, down, steps=1, batch=2, workers=2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(sys, "platform", platform)
         seen = []
         on_step = lambda step, loss: seen.append(multiprocessing.active_children())
         pretrain_vdim(corpus, spec, vdim, down, steps=1, batch=2, on_step=on_step)
