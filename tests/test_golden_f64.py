@@ -9,6 +9,12 @@ pins the sha256 of seeded float64 arrays:
   48x48x64 map of a unit's level-2 step;
 - one 336x336 unit's level-2 output in float64, before the cast to float32:
   the unit's level 1 from ``build_isp``, lifted by the level-2 kernel;
+- ``assemble_kv``'s float64 values for that unit's ``build_isp`` pyramid,
+  N=12 and the (3, 3) grid every 336x336 unit selects;
+- ``recon_loss``'s output and the gradients of its two maps at the AC-4
+  base shape, 8x8x64;
+- ``bilinear_resize`` of a uint8 image (downscaled by more than 2, so
+  columns are skipped) and of a float64 map (upscaled);
 - ``window_pool``'s output and the gradients of its five operands on the
   32x32x64 map of an AC-4 level 2 (112x112 images, 14x14 windows);
 - the 16 float64 parameter arrays and ``repr`` of the losses after 10 AC-4
@@ -52,7 +58,9 @@ import numpy as np
 from hiwin import autodiff as ad
 from hiwin.encoder import EncoderSpec, encode
 from hiwin.image_io import build_image_pyramid, synth_corpus
+from hiwin.numerics import bilinear_resize
 from hiwin.vdim import DownsamplerParams, VdimParams, build_isp, pretrain_vdim, trainable_arrays
+from hiwin.window_attn import AttnParams, HiwinConfig, assemble_kv
 from helpers import weighted_sum
 
 sha = lambda a: hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
@@ -75,6 +83,20 @@ lk = vdim.levels[1]
 kernel = [ad.Tensor(a, requires_grad=True) for a in (lk.proj_w, lk.proj_b, lk.log_sigma_dist, lk.log_sigma_sim)]
 l2 = ad.guided_upsample(isp.levels[1].data.astype(np.float64), pyramid.levels[2].decoded().astype(np.float64), *kernel)
 out["unit336_l2_f64_sha256"] = sha(l2.data)
+_, values = assemble_kv(isp, 12, (3, 3), AttnParams.init(HiwinConfig(channels=64), seed=0))
+out["unit336_kv_values_sha256"] = sha(values)
+rng = np.random.default_rng([13, 8, 8, 64])
+base, *maps = (rng.standard_normal((8, 8, 64)) for _ in range(3))
+params = [ad.Tensor(a, requires_grad=True) for a in maps]
+loss = ad.recon_loss(params, base)
+loss.backward()
+out["recon_loss_8x8x64_out_sha256"] = sha(loss.data)
+for i, p in enumerate(params):
+    out[f"recon_loss_8x8x64_grad_map{i}_sha256"] = sha(p.grad)
+rng = np.random.default_rng([14, 300, 400])
+codes = rng.integers(0, 256, (300, 400, 3), dtype=np.uint8)
+out["resize_uint8_300x400_to_112x168_sha256"] = sha(bilinear_resize(codes, 112, 168))
+out["resize_f64_37x29x16_to_80x61_sha256"] = sha(bilinear_resize(rng.standard_normal((37, 29, 16)), 80, 61))
 rng = np.random.default_rng([12, 32, 32, 64])
 arrays = [rng.standard_normal((32, 32, 64)), rng.uniform(0.5, 1.5, 64), rng.standard_normal(64), rng.standard_normal(64), 0.1]
 params = [ad.Tensor(a, requires_grad=True) for a in arrays]
