@@ -188,7 +188,10 @@ def _tiled(windows: np.ndarray, bands: _Bands, lo: int, hi: int):
     it asks for the next block, whose patches then reuse that memory.
 
     The blocks are the :func:`~hiwin.numerics.row_blocks` of the larger
-    per-row operand of a product: the patches or the bands.
+    per-row operand of a product: the patches or the bands.  At inference
+    the weights and the mix ask for the rows of one block of ``_TILE``
+    coarse rows at a time; in training they, the VJP and
+    :func:`guided_weights` ask for the whole map.
     """
     _, n, kh, kw, c = windows.shape
     for a, b in row_blocks(hi - lo, n * kh * kw * max(c, bands.cells)):
@@ -226,54 +229,44 @@ def _banded_mix(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
     return out.reshape(h, n * _TILE, -1)[:, :w]
 
 
-def _window_dots(a: np.ndarray, windows: np.ndarray, lo: int, out=None) -> np.ndarray:
+def _window_dots(a: np.ndarray, windows: np.ndarray, lo: int) -> np.ndarray:
     """(R, W, K) dot products of each cell of ``a`` (R, W, C), the rows
     ``lo .. lo + R - 1`` of a map, with the cells of its window in the
     :func:`_windows` ``windows`` of ``src_pad``:
-    ``out[i, x, k] = a[i, x] . src_pad[lo + i + dy, x + dx]``, as a view of
-    ``out``, an (R, 1, n, _TILE * K) buffer that is made if not given.  The
+    ``out[i, x, k] = a[i, x] . src_pad[lo + i + dy, x + dx]``.  The
     transpose of :func:`_banded_mix`: ``a_tile @ patch.T`` fills each
     tile's band, and :func:`_gather` picks each cell's taps from it."""
     h, w = a.shape[:2]
     n = windows.shape[1]
     tiles = _zero_pad(a, n * _TILE).reshape(h, 1, n, _TILE, -1)
-    if out is None:
-        out = np.empty((h, 1, n, _TILE * _K * _K), dtype=np.float64)
+    out = np.empty((h, 1, n, _TILE * _K * _K), dtype=np.float64)
     for y0, y1, patches in _tiled(windows, _FINE, lo, lo + h):
         out[y0 - lo : y1 - lo] = _gather(np.matmul(tiles[y0 - lo : y1 - lo], patches.swapaxes(-1, -2)), _FINE)
         del patches
     return out.reshape(h, n * _TILE, -1)[:, :w]
 
 
-def _homogeneous(guide: np.ndarray) -> np.ndarray:
-    """The homogeneous guide pixels [r, g, b, 1]."""
-    return np.concatenate([guide, np.ones(guide.shape[:2] + (1,))], axis=-1)
-
-
 def _guide_windows(guide: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The homogeneous guide edge-padded by ``RADIUS``, and its
-    :func:`_windows`: what the weights of every row read."""
-    g_hat_pad = _edge_pad(_homogeneous(guide), RADIUS)
+    """The homogeneous guide [r, g, b, 1] edge-padded by ``RADIUS``, and
+    its :func:`_windows`: what the weights of every row read."""
+    g_hat_pad = _edge_pad(np.concatenate([guide, np.ones(guide.shape[:2] + (1,))], axis=-1), RADIUS)
     return g_hat_pad, _windows(g_hat_pad, _FINE, -(-guide.shape[1] // _TILE))
 
 
-def _weights_at(g_hat_pad, g_windows, gram, log_sigma_dist, log_sigma_sim, lo: int, hi: int, out=None):
+def _weights_at(g_hat_pad, g_windows, gram, log_sigma_dist, log_sigma_sim, lo: int, hi: int):
     """The (R, W, K) weights of :func:`guided_weights` at the guide rows
-    ``lo .. hi - 1``, from :func:`_guide_windows` and the 4x4 Gram
-    ``gram``.  ``out``, if given, is a pair of arrays that receive the
-    weights and the logits, the latter laid out as by :func:`_window_dots`."""
-    w = g_hat_pad.shape[1] - 2 * RADIUS
-    g_hat = g_hat_pad[lo + RADIUS : hi + RADIUS, RADIUS : RADIUS + w]
-    weights_out, logits_out = (None, None) if out is None else out
-    logits = _window_dots(g_hat @ gram, g_windows, lo, logits_out)
+    ``lo .. hi - 1`` and their logits, from :func:`_guide_windows` and the
+    4x4 Gram ``gram``."""
+    g_hat = g_hat_pad[lo + RADIUS : hi + RADIUS, RADIUS:-RADIUS]
+    logits = _window_dots(g_hat @ gram, g_windows, lo)
     sigma_sim = np.exp(log_sigma_sim)
     logits /= sigma_sim * sigma_sim
     sigma_dist = np.exp(log_sigma_dist)
-    weights = np.subtract(logits, (0.5 * _DIST2) / (sigma_dist * sigma_dist), out=weights_out)
+    weights = logits - (0.5 * _DIST2) / (sigma_dist * sigma_dist)
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
-    return weights
+    return weights, logits
 
 
 def guided_weights(guide: np.ndarray, proj_w, proj_b, log_sigma_dist, log_sigma_sim) -> np.ndarray:
@@ -291,12 +284,13 @@ def guided_weights(guide: np.ndarray, proj_w, proj_b, log_sigma_dist, log_sigma_
     one softmax over K, since the similarity normalizer cancels:
     ``weights = softmax(logits - |dxy|^2 / (2 sigma_dist^2))``.
 
-    A row's weights depend on its own window alone.  :func:`guided_upsample`
-    runs the same kernel on one block of rows at a time and builds no
-    whole-map weights at inference; this function builds them whole.
+    A row's weights depend on its own window alone.  At inference
+    :func:`guided_upsample` runs the same kernel on one block of rows at a
+    time and builds no whole-map weights; this function and training build
+    them whole.
     """
     m = np.vstack([proj_w, proj_b])
-    return _weights_at(*_guide_windows(guide), m @ m.T, log_sigma_dist, log_sigma_sim, 0, guide.shape[0])
+    return _weights_at(*_guide_windows(guide), m @ m.T, log_sigma_dist, log_sigma_sim, 0, guide.shape[0])[0]
 
 
 def _mix_bands(weights: np.ndarray, n: int) -> np.ndarray:
@@ -313,25 +307,22 @@ def _mix_bands(weights: np.ndarray, n: int) -> np.ndarray:
     return _scatter(composite.reshape(rows, 2, n, -1), _COARSE)
 
 
-def _forward(out, f_windows, g_hat_pad, g_windows, gram, log_sigma_dist, log_sigma_sim, keep=None) -> None:
-    """Write the upsample into ``out`` (2h, 2w, C), cast to its dtype, from
-    the :func:`_windows` of the map edge-padded by ``_PAD``, those of
-    :func:`_guide_windows` and the 4x4 Gram, in blocks of ``_TILE`` coarse
-    rows.  A block builds the weights of its output rows, then mixes them
-    in the row blocks of :func:`_tiled`, each building its own bands.
-    ``keep``, if given, is a pair of whole-map arrays, (2h, 2w, K) and
-    (2h, 1, n, _TILE * K), that receive the weights and the logits."""
-    h, w2, c = out.shape[0] // 2, out.shape[1], out.shape[2]
+def _mix(out, f_windows, weights, lo: int) -> None:
+    """Write the 2x mix of the coarse rows ``lo .. lo + R - 1`` into their
+    output rows of ``out`` (2h, 2w, C), cast to its dtype, from the
+    :func:`_windows` of the map edge-padded by ``_PAD`` and the (2R, 2w, K)
+    weights of those output rows, in the row blocks of :func:`_tiled`, each
+    building its own bands.  Inference mixes each block of ``_TILE`` coarse
+    rows as soon as its weights are built; training mixes the whole map's
+    weights at once."""
+    w2, c = out.shape[1:]
     n = f_windows.shape[1]
-    for lo in range(0, h, _TILE):
-        hi = min(lo + _TILE, h)
-        kept = None if keep is None else tuple(a[2 * lo : 2 * hi] for a in keep)
-        weights = _weights_at(g_hat_pad, g_windows, gram, log_sigma_dist, log_sigma_sim, 2 * lo, 2 * hi, kept)
-        weights = weights.reshape(hi - lo, 2, w2, -1)
-        for y0, y1, patches in _tiled(f_windows, _COARSE, lo, hi):
-            bands = _mix_bands(weights[y0 - lo : y1 - lo], n)
-            out[2 * y0 : 2 * y1] = np.matmul(bands, patches).reshape(2 * (y1 - y0), -1, c)[:, :w2]
-            del bands, patches  # before the next block's patches are cut
+    hi = lo + weights.shape[0] // 2
+    weights = weights.reshape(hi - lo, 2, w2, -1)
+    for y0, y1, patches in _tiled(f_windows, _COARSE, lo, hi):
+        bands = _mix_bands(weights[y0 - lo : y1 - lo], n)
+        out[2 * y0 : 2 * y1] = np.matmul(bands, patches).reshape(2 * (y1 - y0), -1, c)[:, :w2]
+        del bands, patches  # before the next block's patches are cut
 
 
 def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim):
@@ -348,11 +339,13 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     it is the float32 (2h, 2w, C) array.
 
     At inference the output is computed in blocks of ``_TILE`` coarse
-    rows: a block builds the weights and bands of its output rows, then
-    mixes them and writes them into the float32 output, so no (2h, 2w, K)
-    array is built, and its window dots and softmax spread their per-call
-    cost over ``2 * _TILE`` rows.  Training runs the same kernel on the
-    whole map as one block, whose weights and logits it keeps for the VJP.
+    rows: a block builds the weights of its output rows, drops their
+    logits, then mixes them with :func:`_mix` into the float32 output, so
+    no (2h, 2w, K) array is built, and its window dots and softmax spread
+    their per-call cost over ``2 * _TILE`` rows.  Training builds the
+    weights and logits of the whole map at once, as :func:`guided_weights`
+    does, keeps them for the VJP and mixes them with the same
+    :func:`_mix` into a float64 output.
 
     The lift is never built.  Both steps are linear, so the mix reads the
     map edge-padded by 2 through the (5, 5) composite weights
@@ -397,16 +390,16 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     m = np.vstack([proj_w.data, proj_b.data])
     f_windows = _windows(_edge_pad(feats.data, _PAD), _COARSE, n)
     g_hat_pad, g_windows = _guide_windows(guide)
-    args = (f_windows, g_hat_pad, g_windows, m @ m.T, lsd.data, lss.data)
-    train = any(p.requires_grad for p in operands)
-    out = np.empty((2 * h, 2 * w, c), dtype=np.float64 if train else np.float32)
-    if not train:
-        _forward(out, *args)
+    kernel = (g_hat_pad, g_windows, m @ m.T, lsd.data, lss.data)
+    if not any(p.requires_grad for p in operands):
+        out = np.empty((2 * h, 2 * w, c), dtype=np.float32)
+        for lo in range(0, h, _TILE):
+            hi = min(lo + _TILE, h)
+            _mix(out, f_windows, _weights_at(*kernel, 2 * lo, 2 * hi)[0], lo)  # logits freed before the mix
         return out
-    weights = np.empty((2 * h, 2 * w, _K * _K), dtype=np.float64)
-    logits = np.empty((2 * h, 1, g_windows.shape[1], _TILE * _K * _K), dtype=np.float64)
-    _forward(out, *args, keep=(weights, logits))
-    logits = logits.reshape(2 * h, -1, _K * _K)[:, : 2 * w]  # as _window_dots returns them
+    weights, logits = _weights_at(*kernel, 0, 2 * h)
+    out = np.empty((2 * h, 2 * w, c), dtype=np.float64)
+    _mix(out, f_windows, weights, 0)
 
     def vjp(g):
         # one pass over the forward's patches takes both transposes of each
@@ -449,7 +442,8 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
         g_dots = g_logits / (sigma_sim * sigma_sim)
         # dots = g_hat A g_hat_pad^T, so dA = g_hat^T (window sum of g_dots
         # over g_hat_pad) and, with A = M M^T, dM = (dA + dA^T) M
-        g_gram = _homogeneous(guide).reshape(-1, 4).T @ _banded_mix(g_dots, g_windows).reshape(-1, 4)
+        g_hat = g_hat_pad[RADIUS:-RADIUS, RADIUS:-RADIUS].reshape(-1, 4)
+        g_gram = g_hat.T @ _banded_mix(g_dots, g_windows).reshape(-1, 4)
         g_m = (g_gram + g_gram.T) @ m
         return g_feats, g_m[:3], g_m[3], np.asarray(g_lsd), np.asarray(g_lss)
 

@@ -31,9 +31,10 @@ builds after the pyramid and the reductions.
 
 Both sigma parameters are stored in log space so their effective values stay
 strictly positive.  Training runs entirely in float64; stored feature maps
-remain float32.  ``pretrain_vdim`` spreads the items of each batch over
-forked worker processes and sums their losses and gradients in item order,
-so any worker count gives the serial loop's bits.
+remain float32.  On Linux ``pretrain_vdim`` spreads the items of each batch
+over forked worker processes, elsewhere it runs them in one process; it sums
+their losses and gradients in item order, so any worker count gives the
+serial loop's bits.
 """
 
 from __future__ import annotations
@@ -198,9 +199,7 @@ def jbu_upsample(f_level: FeatureMap, guide: Image, params: VdimParams, level: i
     """
     if level < 0 or level >= len(params.levels):
         raise ValueError(f"no upsampling kernel for source level {level}")
-    out = ad.guided_upsample(
-        f_level.data.astype(np.float64), guide.decoded().astype(np.float64), *_leaves(params.levels[level])
-    )
+    out = ad.guided_upsample(f_level.data, guide.decoded(), *_leaves(params.levels[level]))
     return FeatureMap(out, level=level + 1, origin=f_level.origin)
 
 
@@ -215,7 +214,7 @@ def attention_downsample(
     if f_high.level < 1 or f_high.level - 1 >= len(params.levels):
         raise ValueError(f"no downsampler for level {f_high.level}")
     dp = _leaves(params.levels[f_high.level - 1])
-    out = ad.window_pool(Tensor(f_high.data.astype(np.float64)), *dp, tuple(image_dims), params.patch)
+    out = ad.window_pool(f_high.data, *dp, tuple(image_dims), params.patch)
     return FeatureMap(out.data.astype(np.float32), level=0, origin=f_high.origin)
 
 
@@ -323,15 +322,16 @@ def _on_workers(pool, step: int, tasks: list, chunksize: int):
         raise ChildProcessError(f"a training worker ended at step {step} before it returned its items") from e
 
 
-def _training_workers(batch: int) -> int:
-    """The processes that share a step's ``batch`` items: 1 off Linux,
-    where ``fork`` may be missing or unsafe and no death signal ends the
-    workers of a killed parent; on Linux the usable cores, cut so that
-    each worker gets one chunk of ``ceil(batch / workers)`` items."""
+def _training_workers(batch: int) -> tuple[int, int]:
+    """The processes that share a step's ``batch`` items, and the items
+    each gets: one process off Linux, where ``fork`` may be missing or
+    unsafe and no death signal ends the workers of a killed parent; on
+    Linux chunks of ``ceil(batch / cores)`` items over the usable cores,
+    one worker per chunk."""
     if sys.platform != "linux":
-        return 1
-    per_worker = math.ceil(batch / len(os.sched_getaffinity(0)))
-    return math.ceil(batch / per_worker)
+        return 1, batch
+    chunk = math.ceil(batch / len(os.sched_getaffinity(0)))
+    return math.ceil(batch / chunk), chunk
 
 
 def pretrain_vdim(
@@ -375,7 +375,7 @@ def pretrain_vdim(
         raise ValueError(
             f"encoder channels {encoder_spec.channels} != downsampler channels {down.channels}"
         )
-    workers = _training_workers(batch)
+    workers, chunk = _training_workers(batch)
     prepared = [
         (
             encode(img, encoder_spec, origin=f"corpus:{i}"),
@@ -406,7 +406,7 @@ def pretrain_vdim(
             if pool is None:
                 results = (_train_item(prepared[j], vdim, down) for j in items)
             else:  # a task is pickled before its result arrives, so before the update
-                results = _on_workers(pool, step, [(j, arrays) for j in items], math.ceil(batch / workers))
+                results = _on_workers(pool, step, [(j, arrays) for j in items], chunk)
             grad_sum = [np.zeros_like(a) for a in arrays]
             loss_sum = 0.0
             for loss, grads in results:

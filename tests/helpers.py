@@ -1,7 +1,7 @@
 """Scalar reference implementations of the resize, guided-upsampling,
 attention-downsampling and reconstruction-loss paths, shared by the test
-modules, the weighted sum that reduces an op's output to a scalar, and the
-window mask of the locality tests.
+modules, the weighted sum that reduces an op's output to a scalar, the
+window mask of the locality tests and the traced peak of the memory guards.
 
 These are written as plain per-element loops, independent of the vectorized
 library paths they check.  The bilinear-lookup, RoI-align, window-box,
@@ -12,6 +12,7 @@ where ``selftest`` uses them too.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -28,6 +29,18 @@ def weighted_sum(t, w) -> ad.Tensor:
     t = ad.as_tensor(t)
     w = np.asarray(w, dtype=np.float64)
     return ad._node(np.asarray((t.data * w).sum()), (t,), lambda g: (g * w,))
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the peak bytes that tracemalloc traced while
+    it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def scalar_resize(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -100,13 +100,14 @@ def test_guided_mix_output_does_not_depend_on_requires_grad():
 def test_guided_upsample_bits_do_not_depend_on_the_block_size(hwc, monkeypatch):
     # several row blocks at the default size, several tiles and a ragged last
     # tile; one row per block takes every block boundary there is.
-    # Inference writes the float64 forward's bits cast to float32
+    # Inference, in blocks of T coarse rows, writes the bits of the float64
+    # forward, one whole-map block, cast to float32
     h, w, c = hwc
     rng = np.random.default_rng(21)
     guide = rng.uniform(0, 1, (2 * h, 2 * w, 3))
     arrays = [rng.standard_normal((h, w, c)), rng.standard_normal((3, 8)), rng.standard_normal(8), 0.3, -0.2]
     weights = rng.uniform(0.5, 1.5, (2 * h, 2 * w, c))
-    assert h > T and h % T  # several forward blocks of T coarse rows, the last ragged
+    assert h > T and h % T  # several inference blocks of T coarse rows, the last ragged
     blocks, row_blocks = [], ad.row_blocks
 
     def counted_row_blocks(*args):
@@ -121,10 +122,10 @@ def test_guided_upsample_bits_do_not_depend_on_the_block_size(hwc, monkeypatch):
         out = ad.guided_upsample(params[0], guide, *params[1:])
         weighted_sum(out, weights).backward()
         runs.append([out.data] + [p.grad for p in params])
-        if block_elems > 1:  # the forward runs in blocks of T coarse rows, and
+        if block_elems > 1:  # the training forward's window dots and mix, and
             # both banded passes of the VJP cut the whole map into several blocks
             whole = [b for b in blocks if b[-1][1] in (h, 2 * h)]
-            assert len(whole) == 2 and all(len(b) > 1 for b in whole) and w % T
+            assert len(whole) == 4 and all(len(b) > 1 for b in whole) and w % T
         inferred = ad.guided_upsample(arrays[0], guide, *arrays[1:])
         assert inferred.tobytes() == out.data.astype(np.float32).tobytes()
     for default, one_row in zip(*runs):

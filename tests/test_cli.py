@@ -6,7 +6,6 @@ import struct
 import subprocess
 import sys
 import threading
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -23,6 +22,8 @@ from hiwin.numerics import bilinear_resize
 from hiwin.token_org import load_tokens
 from hiwin.vdim import DownsamplerParams, VdimParams
 from hiwin.window_attn import AttnParams, HiwinConfig
+
+from helpers import traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -379,12 +380,7 @@ def _pipeline_peak(tmp_path, capsys, threads):
     attn = AttnParams.init(HiwinConfig(channels=64), seed=0)
     save_checkpoint(path, VdimParams.init(d_proj=32, seed=0), DownsamplerParams.init(64, seed=0), attn=attn)
     argv = ["pipeline", "--image", str(image), "--ckpt", str(path), "--out", str(tmp_path / "o.toks")]
-    tracemalloc.start()
-    try:
-        code = main(argv + ["--threads", str(threads)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main(argv + ["--threads", str(threads)]))
     assert code == 0
     assert "tokens: 1008" in capsys.readouterr().out
     return peak

@@ -1,7 +1,5 @@
 """Synthetic encoder behavior and the ISPF feature-file format."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,8 @@ from hiwin import encoder
 from hiwin.encoder import EncoderSpec, FeatureMap, encode, load_features, save_features
 from hiwin.formats import DataFormatError
 from hiwin.image_io import Image
+
+from helpers import traced_peak
 
 
 class TestEncode:
@@ -91,12 +91,7 @@ class TestFeatureFiles:
         data = np.random.default_rng(10).standard_normal((96, 96, 64)).astype(np.float32)
         path = tmp_path / "l2.ispf"
         save_features(FeatureMap(data, level=2), path)
-        tracemalloc.start()
-        try:
-            loaded = load_features(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        loaded, peak = traced_peak(lambda: load_features(path))
         assert peak < 1.1 * data.nbytes, f"peak {peak / 1e6:.2f} MB"
         assert loaded.data.flags.writeable and loaded.data.flags.owndata
         np.testing.assert_array_equal(loaded.data, data)

@@ -4,7 +4,6 @@ import os
 import re
 import sys
 import time
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,6 +25,8 @@ from hiwin.image_io import (
 )
 from hiwin.numerics import NumericalError
 from hiwin.slicing import compute_slice_layout, extract_slices
+
+from helpers import traced_peak
 
 
 def write_ppm(path, raw, comment=b""):
@@ -165,12 +166,7 @@ class TestPpm:
         w, h = 2016, 1512
         raw = random_codes(h, w, seed=2)
         path = write_ppm(tmp_path / "big.ppm", raw)
-        tracemalloc.start()
-        try:
-            img = load_ppm(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        img, peak = traced_peak(lambda: load_ppm(path))
         assert peak < 2**20
         np.testing.assert_array_equal(img.pixels, raw)
         decoded = img.decoded()
@@ -183,12 +179,7 @@ class TestPpm:
         raw = random_codes(1512, 2016, seed=3)
         img = Image(raw)
         path = tmp_path / "s.ppm"
-        tracemalloc.start()
-        try:
-            save_ppm(img, path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: save_ppm(img, path))
         assert peak < 2**20
         assert path.read_bytes() == b"P6\n2016 1512\n255\n" + raw.tobytes()
 

@@ -1,7 +1,5 @@
 """Resampling, softmax, gradient-check, Adam, and PCA behavior."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +19,7 @@ from hiwin.numerics import (
     softmax,
 )
 
-from helpers import scalar_resize, weighted_sum
+from helpers import scalar_resize, traced_peak, weighted_sum
 
 
 class TestBilinearResize:
@@ -108,12 +106,7 @@ class TestBilinearResize:
         # above the input; blocks of rows hold about 3.5 MB
         photo = np.random.default_rng(0).integers(0, 256, (1600, 1500, 3), dtype=np.uint8)
         crop = photo[40:1552, 100:1444]
-        tracemalloc.start()
-        try:
-            out = bilinear_resize(crop, 336, 336)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: bilinear_resize(crop, 336, 336))
         assert out.shape == (336, 336, 3) and out.dtype == np.float32
         assert peak < 6 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 

@@ -1,7 +1,6 @@
 """Slice-grid selection, cropping, and tiling invariants."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,8 @@ from hypothesis import strategies as st
 
 from hiwin.image_io import Image, load_ppm, resize_image, save_ppm
 from hiwin.slicing import compute_slice_layout, cut_unit, extract_slices, unit_jobs
+
+from helpers import traced_peak
 
 
 def enumerate_best(width, height, max_slices=6):
@@ -114,12 +115,7 @@ class TestExtractSlices:
         rng = np.random.default_rng(4)
         img = Image(rng.uniform(0, 1, (1512, 2016, 3)).astype(np.float32))
         layout = compute_slice_layout(2016, 1512)
-        tracemalloc.start()
-        try:
-            extract_slices(img, layout)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: extract_slices(img, layout))
         assert peak < 34 * 2**20
 
     @pytest.mark.parametrize("width, height", [(4032, 3024), (3024, 4032)])
@@ -130,12 +126,7 @@ class TestExtractSlices:
         rng = np.random.default_rng(5)
         codes = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
         layout = compute_slice_layout(width, height)
-        tracemalloc.start()
-        try:
-            slices, overview = extract_slices(Image(codes), layout)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (slices, overview), peak = traced_peak(lambda: extract_slices(Image(codes), layout))
         assert peak < 32 * 2**20
         floats = Image(codes.astype(np.float32) / 255.0)
         want_slices, want_overview = extract_slices(floats, layout)

@@ -5,7 +5,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from hiwin.vdim import (
     trainable_arrays,
 )
 
-from helpers import scalar_guided_upsample, scalar_resize
+from helpers import scalar_guided_upsample, scalar_resize, traced_peak
 
 
 def oracle_upsample(f0: FeatureMap, guide: Image, params: VdimParams) -> np.ndarray:
@@ -69,24 +68,23 @@ class TestJbuUpsample:
 
     def test_peak_memory_of_a_level_2_upsample(self):
         # one inference step of the pyramid, 48x48x64 to 96x96x64: guards
-        # against a whole map of weights, a float64 output, a lift of the
-        # map or a whole map of composite weights coming back: measured
-        # peak 7.03 MiB, the weights and bands built per block of 8 coarse
-        # rows into a float32 output; 10.91 MiB with the whole (96, 96, 49)
-        # float64 weights and a float64 output; 15.09 MiB while the map was
-        # lifted onto the padded 102x102 grid and 49 lifted cells mixed
+        # against a block's logits living through its mix, a whole map of
+        # weights, a float64 output, a lift of the map or a whole map of
+        # composite weights coming back: measured peak 6.46 MiB, the
+        # weights and bands built per block of 8 coarse rows into a float32
+        # output, a block's logits freed before its mix and its weights
+        # after it; 7.03 MiB while a block's weights lived on through the
+        # next block's window dots; 7.61 MiB with a block's logits alive
+        # through its mix; 10.91 MiB with the whole (96, 96, 49) float64
+        # weights and a float64 output; 15.09 MiB while the map was lifted
+        # onto the padded 102x102 grid and 49 lifted cells mixed
         rng = np.random.default_rng(0)
         f1 = FeatureMap(rng.standard_normal((48, 48, 64)).astype(np.float32), level=1)
         guide = Image(rng.uniform(0, 1, (96, 96, 3)).astype(np.float32))
         params = VdimParams.init(d_proj=32, seed=0)
-        tracemalloc.start()
-        try:
-            out = jbu_upsample(f1, guide, params, level=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: jbu_upsample(f1, guide, params, level=1))
         assert out.data.shape == (96, 96, 64)
-        assert peak < 8.5 * 2**20
+        assert peak < 7.4 * 2**20
 
     def test_dim_mismatch_rejected(self):
         f0 = FeatureMap(np.zeros((8, 8, 4), dtype=np.float32))
@@ -169,12 +167,7 @@ class TestAttentionDownsample:
         rng = np.random.default_rng(9)
         fmap = FeatureMap(rng.standard_normal((96, 96, 64)).astype(np.float32), level=2)
         params = DownsamplerParams.init(64, seed=9)
-        tracemalloc.start()
-        try:
-            out = attention_downsample(fmap, (336, 336), params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: attention_downsample(fmap, (336, 336), params))
         assert out.data.shape == (24, 24, 64)
         assert peak < 64 * 2**20
 
@@ -264,21 +257,17 @@ class TestBuildIsp:
 
     def test_peak_memory_of_one_unit(self):
         # one block of weights and the float32 output at level 2: measured
-        # peak 7.59 MiB; 11.47 MiB with the whole (96, 96, 49) float64
-        # weights and a float64 output; 15.7 MiB with them and the padded
-        # lift; 27.6 MiB while the similarity softmax, its logits and an
-        # edge pad of the unpadded lift were alive together.  A per-cell
-        # neighbor stack, (96, 96, 49, 64) float64, would be 231 MB
+        # peak 7.02 MiB; 7.59 MiB while a block's weights lived on through
+        # the next block's window dots; 11.47 MiB with the whole (96, 96,
+        # 49) float64 weights and a float64 output; 15.7 MiB with them and
+        # the padded lift; 27.6 MiB while the similarity softmax, its
+        # logits and an edge pad of the unpadded lift were alive together.
+        # A per-cell neighbor stack, (96, 96, 49, 64) float64, would be 231 MB
         img = synth_corpus(0, 1, 336)[0]
         pyramid = build_image_pyramid(img)
         f0 = encode(img, EncoderSpec(channels=64, seed=0))
         params = VdimParams.init(d_proj=32, seed=0)
-        tracemalloc.start()
-        try:
-            build_isp(f0, pyramid, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: build_isp(f0, pyramid, params))
         assert peak < 9.5 * 2**20
 
     def test_constant_chain(self):
@@ -421,14 +410,9 @@ class TestPretrain:
         corpus = synth_corpus(0, 32, 112)
         spec = EncoderSpec(channels=64, seed=0)
         vdim, down = VdimParams.init(d_proj=32, seed=0), DownsamplerParams.init(64, seed=0)
-        tracemalloc.start()
-        try:
-            # one core, so one process: tracemalloc does not see a worker's graph
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-            result = pretrain_vdim(corpus, spec, vdim, down, steps=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # one core, so one process: tracemalloc does not see a worker's graph
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        result, peak = traced_peak(lambda: pretrain_vdim(corpus, spec, vdim, down, steps=2))
         assert len(result.losses) == 2
         assert peak < 8.4 * 2**20
 

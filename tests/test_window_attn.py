@@ -3,8 +3,6 @@ the window-restricted cross-attention.  The keys are checked through the
 attention that scores them, against the scalar oracle over the keys that
 selfcheck.scalar_window_keys writes out as values + level embedding + zeta."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -22,7 +20,7 @@ from hiwin.window_attn import (
     select_grid,
 )
 
-from helpers import zero_outside_window
+from helpers import traced_peak, zero_outside_window
 
 
 def random_pyramid(seed, base_h=24, base_w=24, channels=8, origin="overview"):
@@ -257,12 +255,7 @@ class TestAssembleKv:
         config = HiwinConfig(channels=64)
         params = AttnParams.init(config, seed=15)
         compress(isp, params, config)  # the per-geometry embeddings are cached
-        tracemalloc.start()
-        try:
-            compress(isp, params, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: compress(isp, params, config))
         assert peak < 5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
