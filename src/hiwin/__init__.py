@@ -3,11 +3,11 @@ pyramid from patch-encoder features and compresses it into a fixed grid of
 visual tokens via hierarchical window attention.
 
 Importing the package pins the BLAS pools of numpy to one thread, unless the
-variable is already set: ``--threads`` and ``PipelineConfig.threads`` own
-inference parallelism, training spreads each step's batch items over forked
-worker processes (one per usable core, on Linux), and a BLAS pool per
-worker would oversubscribe the cores.  It takes effect only if numpy was not
-imported before ``hiwin``.
+variable is already set: inference runs its units on a pool of
+``PipelineConfig.threads`` threads (one per usable core by default),
+training spreads each step's batch items over forked worker processes (one
+per usable core, on Linux), and a BLAS pool per worker would oversubscribe
+the cores.  It takes effect only if numpy was not imported before ``hiwin``.
 
 On glibc it also fixes the allocator's mmap threshold at 32 MiB and its trim
 threshold at 64 MiB, unless ``MALLOC_MMAP_THRESHOLD_`` or
@@ -44,7 +44,6 @@ from .image_io import (
     build_image_pyramid,
     load_ppm,
     resize_image,
-    resize_to_patch_multiple,
     save_ppm,
     synth_corpus,
 )
@@ -58,7 +57,7 @@ from .pipeline import (
     project_tokens,
     run_pipeline,
 )
-from .slicing import SliceLayout, compute_slice_layout, extract_slices
+from .slicing import SliceLayout, compute_slice_layout, extract_slices, resize_to_patch_multiple
 from .token_org import (
     AssembledTokens,
     TokenSequence,

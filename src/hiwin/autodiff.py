@@ -392,6 +392,7 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     g_hat_pad, g_windows = _guide_windows(guide)
     kernel = (g_hat_pad, g_windows, m @ m.T, lsd.data, lss.data)
     if not any(p.requires_grad for p in operands):
+        del feats, operands  # the map's float64 copy: only its padded copy is read
         out = np.empty((2 * h, 2 * w, c), dtype=np.float32)
         for lo in range(0, h, _TILE):
             hi = min(lo + _TILE, h)

@@ -3,12 +3,12 @@
 Subcommands: ``pretrain-vdim``, ``build-isp``, ``compress``, ``pipeline``,
 ``visualize``, ``selftest``.  Configuration is flags-only; the single
 environment input is ``HIWIN_SEED``, overridden by ``--seed``; a value that
-is not an integer of at least 0 is a usage error.  ``--threads`` owns
-inference parallelism.  ``pretrain-vdim`` has no such flag: on Linux it
-spreads each step's batch items over forked processes, one per usable core
-that gets a share of ``--batch``, and its results are the same for any
-count.  The package
-import pins BLAS to one thread unless the environment sets it.
+is not an integer of at least 0 is a usage error.  No flag sets the
+parallelism: ``compress`` and ``pipeline`` run an image's units on one
+thread per usable core, and on Linux ``pretrain-vdim`` spreads each step's
+batch items over forked processes, one per usable core that gets a share of
+``--batch``; ``taskset`` limits both, and no result depends on the count.
+The package import pins BLAS to one thread unless the environment sets it.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error or an input too
 large for memory, 4 numerical failure.  Each command runs with numpy's
@@ -30,10 +30,11 @@ from .autodiff import NumericalError
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncoderSpec, load_features, save_features
 from .formats import DataFormatError
-from .image_io import Image, load_ppm, resize_to_patch_multiple, save_ppm, synth_corpus
+from .image_io import Image, load_ppm, save_ppm, synth_corpus
 from .numerics import pca_rgb
 from .pipeline import PROJECTORS, PipelineConfig, run_pipeline, unit_pyramid
 from .selfcheck import run_all
+from .slicing import resize_to_patch_multiple
 from .token_org import flatten, save_index, save_tokens
 from .vdim import DownsamplerParams, VdimParams, pretrain_vdim
 from .window_attn import AttnParams, HiwinConfig
@@ -115,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--projector", choices=PROJECTORS, default="hiwin")
     p.add_argument("--out", required=True, help="TOKS output path")
-    p.add_argument("--threads", type=_int_flag(1), default=1, help="worker threads (>= 1)")
     _add_seed(p)
     p.set_defaults(func=cmd_compress)
 
@@ -123,9 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True, help="TOKS output path")
-    p.add_argument("--threads", type=_int_flag(1), default=1, help="worker threads (>= 1)")
     _add_seed(p)
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(func=cmd_compress, projector="hiwin")
 
     p = sub.add_parser("visualize", help="render an ISPF feature file to PPM via PCA")
     p.add_argument("--features", required=True)
@@ -169,7 +168,6 @@ def _load_setup(args):
     config = PipelineConfig(
         encoder=EncoderSpec(channels=ckpt.channels, seed=args.seed),
         hiwin=HiwinConfig(grid_side=ckpt.grid_side, channels=ckpt.channels, heads=ckpt.heads),
-        threads=getattr(args, "threads", 1),
     )
     attn = ckpt.attn
     if attn is None:
@@ -187,9 +185,10 @@ def cmd_build_isp(args) -> int:
     return 0
 
 
-def _run_and_save(args, projector: str) -> int:
+def cmd_compress(args) -> int:
+    """``compress``; ``pipeline`` is it with the hiwin projector, and also prints the layout and grid."""
     ckpt, config, attn = _load_setup(args)
-    result = run_pipeline(load_ppm(args.image), ckpt.vdim, attn, config, projector=projector)
+    result = run_pipeline(load_ppm(args.image), ckpt.vdim, attn, config, projector=args.projector)
     save_tokens(result.tokens, args.out)
     sequence = flatten(result.tokens)
     save_index(sequence, f"{args.out}.idx")
@@ -198,14 +197,6 @@ def _run_and_save(args, projector: str) -> int:
         print(f"grid: {result.grid[0]}x{result.grid[1]}")
     print(f"tokens: {sequence.tokens.shape[0]}")
     return 0
-
-
-def cmd_compress(args) -> int:
-    return _run_and_save(args, args.projector)
-
-
-def cmd_pipeline(args) -> int:
-    return _run_and_save(args, "hiwin")
 
 
 def cmd_visualize(args) -> int:

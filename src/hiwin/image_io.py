@@ -37,9 +37,7 @@ __all__ = [
     "load_ppm",
     "rectangles_image",
     "resize_image",
-    "resize_to_patch_multiple",
     "save_ppm",
-    "snap_to_patch",
     "strokes_image",
     "synth_corpus",
 ]
@@ -284,17 +282,6 @@ def save_ppm(image: Image, path) -> None:
 
 def resize_image(image: Image, out_w: int, out_h: int) -> Image:
     return Image(bilinear_resize(image.pixels, out_h, out_w))
-
-
-def snap_to_patch(side: int) -> int:
-    """The multiple of the 14-pixel encoder patch nearest to ``side``,
-    clamped to [56, 336]."""
-    return int(np.clip(round(side / 14), 4, 24)) * 14
-
-
-def resize_to_patch_multiple(image: Image) -> Image:
-    """Resize so each side is :func:`snap_to_patch` of itself."""
-    return resize_image(image, snap_to_patch(image.width), snap_to_patch(image.height))
 
 
 def build_image_pyramid(image: Image, patch: int = 14, levels: int = 3) -> ImagePyramid:

@@ -5,13 +5,15 @@ with the window-attention projector so outputs can be compared like for like.
 
 Per-unit work is independent: each unit (the overview or one slice) cuts
 its own slice from the image, builds its pyramid and projects its tokens,
-then drops the slice, so only the units in flight hold pixels.  With
-``threads > 1`` the same task runs on a thread pool and the token maps are
-reassembled in unit order, so results are identical to the serial run.
+then drops the slice, so only the units in flight hold pixels.  The units
+run on a pool of ``PipelineConfig.threads`` threads, by default one per
+usable core, and the token maps are reassembled in unit order, so results
+are identical for any count.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -48,11 +50,16 @@ __all__ = [
 PROJECTORS = ("hiwin", "mlp", "resampler")
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on, which ``taskset`` limits."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 @dataclass
 class PipelineConfig:
     encoder: EncoderSpec = field(default_factory=EncoderSpec)
     hiwin: HiwinConfig = field(default_factory=HiwinConfig)
-    threads: int = 1
+    threads: int = field(default_factory=_usable_cores)
     max_slices: ClassVar[int] = MAX_SLICES
 
 
@@ -131,8 +138,11 @@ def run_pipeline(
     it when it ends, so ``image`` stays referenced until the last unit
     ends; a loaded PPM holds no pixels, since each unit reads the rows its
     resizes tap from the file.  A ``FloatingPointError`` raised under the
-    caller's ``np.errstate`` names the unit it came from.
+    caller's ``np.errstate`` names the unit it came from.  A ``threads``
+    below 1 raises ``ValueError``.
     """
+    if config.threads < 1:
+        raise ValueError(f"PipelineConfig.threads must be at least 1, got {config.threads}")
     layout = compute_slice_layout(image.width, image.height, config.max_slices)
     mlp_weight = init_mlp_weight(config.hiwin.channels, seed=config.encoder.seed) if projector == "mlp" else None
     errstate = np.geterr()  # pool threads start from numpy's default policy, not the caller's
@@ -145,15 +155,11 @@ def run_pipeline(
             except FloatingPointError as e:
                 raise FloatingPointError(f"{e} in unit {job.origin}") from e
 
-    jobs = unit_jobs(layout)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            maps = list(pool.map(work, jobs))
-    else:
-        maps = [work(job) for job in jobs]
+    # at most one thread per unit; a unit that raises cancels the queued ones
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        maps = list(pool.map(work, unit_jobs(layout)))
 
-    overview_map, slice_maps = maps[0], maps[1:]
-    tokens = assemble(slice_maps, layout, overview_map)
+    tokens = assemble(maps[1:], layout, maps[0])  # the overview's map comes first
     w, h = layout.slice_dims[0]
     grid = select_grid(w // config.encoder.patch, h // config.encoder.patch)
     return PipelineResult(tokens=tokens, layout=layout, grid=grid)

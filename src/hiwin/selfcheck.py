@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .encoder import FeatureMap
-from .image_io import synth_corpus
+from .image_io import build_image_pyramid, synth_corpus
 from .numerics import grad_check
 from .vdim import DownsamplerParams, FeaturePyramid, VdimParams, mlr_objective
 from .window_attn import (
@@ -36,7 +36,6 @@ from .window_attn import (
     position_embedding_2d,
     select_grid,
 )
-from . import image_io
 
 __all__ = [
     "check_grid_selection",
@@ -232,7 +231,7 @@ def check_window_attention(trials: int = 20, seed: int = 0) -> tuple[bool, str]:
 
 def check_gradients(seed: int = 0) -> tuple[bool, str]:
     image = synth_corpus(seed, 1, 56)[0]
-    pyramid = image_io.build_image_pyramid(image)
+    pyramid = build_image_pyramid(image)
     channels, d_proj = 5, 6
     rng = np.random.default_rng(seed)
     f0 = FeatureMap(rng.standard_normal((4, 4, channels)).astype(np.float32))

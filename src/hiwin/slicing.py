@@ -5,7 +5,7 @@ The slice count targets one slice per 336x336 tile of input area; among the
 grid factorizations of that count (give or take one), the grid whose slices
 are closest to square wins, scored by the absolute log aspect ratio.  Crops
 use integer pixel boundaries that tile the input exactly; each crop is then
-resized so both sides are multiples of 14 (the encoder patch), capped at 336.
+resized to sides of :func:`snap_to_patch`: multiples of 14 in [56, 336].
 Each unit (the overview, then every slice) is one :class:`UnitJob`, cut from
 the image by :func:`cut_unit` alone, so a pipeline unit can cut its own
 slice when it starts.
@@ -16,13 +16,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .image_io import Image, resize_image, snap_to_patch
+from .encoder import EncoderSpec
+from .image_io import Image, resize_image
 
-__all__ = ["SliceLayout", "UnitJob", "compute_slice_layout", "cut_unit", "extract_slices", "unit_jobs"]
+__all__ = [
+    "SliceLayout",
+    "UnitJob",
+    "compute_slice_layout",
+    "cut_unit",
+    "extract_slices",
+    "resize_to_patch_multiple",
+    "snap_to_patch",
+    "unit_jobs",
+]
 
 OVERVIEW_SIDE = 336
 MAX_SLICES = 6
 MIN_SLICE_SIDE = 56
+
+
+def snap_to_patch(side: int) -> int:
+    """The multiple of the encoder patch nearest to ``side``, clamped to
+    [``MIN_SLICE_SIDE``, ``OVERVIEW_SIDE``]."""
+    p = EncoderSpec.patch
+    return min(max(round(side / p), MIN_SLICE_SIDE // p), OVERVIEW_SIDE // p) * p
+
+
+def resize_to_patch_multiple(image: Image) -> Image:
+    """Resize so each side is :func:`snap_to_patch` of itself."""
+    return resize_image(image, snap_to_patch(image.width), snap_to_patch(image.height))
 
 
 @dataclass
@@ -65,13 +87,8 @@ def compute_slice_layout(width: int, height: int, max_slices: int = MAX_SLICES) 
     rows = n // cols
     xs = [i * width // cols for i in range(cols + 1)]
     ys = [i * height // rows for i in range(rows + 1)]
-    rects = []
-    dims = []
-    for i in range(rows):
-        for j in range(cols):
-            rect = (xs[j], ys[i], xs[j + 1], ys[i + 1])
-            rects.append(rect)
-            dims.append((snap_to_patch(rect[2] - rect[0]), snap_to_patch(rect[3] - rect[1])))
+    rects = [(xs[j], ys[i], xs[j + 1], ys[i + 1]) for i in range(rows) for j in range(cols)]
+    dims = [(snap_to_patch(x1 - x0), snap_to_patch(y1 - y0)) for x0, y0, x1, y1 in rects]
     return SliceLayout(rows=rows, cols=cols, rects=rects, slice_dims=dims)
 
 

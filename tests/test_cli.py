@@ -171,15 +171,17 @@ def test_pipeline_reports_layout_and_grid(ckpt, tmp_path, capsys):
     assert "tokens: 1008" in printed
 
 
-def test_two_threads_write_the_tokens_one_thread_writes(ckpt, tmp_path):
-    # the units share the cached attention embeddings across the pool
+def test_two_threads_write_the_tokens_one_thread_writes(ckpt, tmp_path, monkeypatch):
+    # the units share the cached attention embeddings across the pool,
+    # which has one thread per usable core
     img = synth_corpus(4, 1, 336)[0]
     path = tmp_path / "big.ppm"
     save_ppm(Image(bilinear_resize(img.pixels, 672, 1008)), path)
     written = []
-    for threads in ("1", "2"):
+    for threads in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(threads)), raising=False)
         out = tmp_path / f"t{threads}.toks"
-        argv = ["pipeline", "--image", str(path), "--ckpt", str(ckpt), "--out", str(out), "--threads", threads]
+        argv = ["pipeline", "--image", str(path), "--ckpt", str(ckpt), "--out", str(out)]
         assert main(argv) == 0
         written.append((out.read_bytes(), Path(f"{out}.idx").read_bytes()))
     assert written[0] == written[1]
@@ -361,16 +363,19 @@ def test_out_of_range_lr_is_usage_error_naming_it(value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["compress", "pipeline"])
-def test_zero_threads_is_usage_error(command, ckpt, image_336, tmp_path, capsys):
+def test_threads_is_an_unknown_argument(command, ckpt, image_336, tmp_path, capsys):
+    # the usable cores set the thread count; no flag does
     out = tmp_path / "t.toks"
-    argv = [command, "--image", str(image_336), "--ckpt", str(ckpt), "--out", str(out), "--threads", "0"]
+    argv = [command, "--image", str(image_336), "--ckpt", str(ckpt), "--out", str(out), "--threads", "2"]
     assert main(argv) == 2
-    assert "argument --threads: must be at least 1, got 0" in capsys.readouterr().err
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     assert not out.exists()
 
 
-def _pipeline_peak(tmp_path, capsys, threads):
-    """Traced peak of ``hiwin pipeline`` on a seeded 4032x3024 photo, C=64."""
+def _pipeline_peak(tmp_path, capsys, monkeypatch, cores):
+    """Traced peak of ``hiwin pipeline`` on a seeded 4032x3024 photo, C=64,
+    with ``cores`` usable cores, so as many units in flight at most."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
     w, h = 4032, 3024
     raw = np.random.default_rng(2).integers(0, 256, (h, w, 3), dtype=np.uint8)
     image = tmp_path / "big.ppm"
@@ -380,29 +385,41 @@ def _pipeline_peak(tmp_path, capsys, threads):
     attn = AttnParams.init(HiwinConfig(channels=64), seed=0)
     save_checkpoint(path, VdimParams.init(d_proj=32, seed=0), DownsamplerParams.init(64, seed=0), attn=attn)
     argv = ["pipeline", "--image", str(image), "--ckpt", str(path), "--out", str(tmp_path / "o.toks")]
-    code, peak = traced_peak(lambda: main(argv + ["--threads", str(threads)]))
+    code, peak = traced_peak(lambda: main(argv))
     assert code == 0
     assert "tokens: 1008" in capsys.readouterr().out
     return peak
 
 
-def test_pipeline_peak_memory_of_a_large_photo(tmp_path, capsys):
+def test_pipeline_peak_memory_of_a_large_photo(tmp_path, capsys, monkeypatch):
     # each unit cuts its own slice and a loaded image reads only the rows
     # its resizes tap, so one unit's pixels and feature pyramid set the
-    # peak: measured 10.5 MiB with the level-2 weights built per block
-    # (14.4-14.7 MiB with the whole (96, 96, 49) float64 weights; 22.4 MiB
+    # peak: measured 9.1 MiB with the level-2 weights built per block and
+    # each upsample's unpadded float64 map freed before its blocks (10.3
+    # MiB with that map kept; 10.5 MiB while a block's weights outlived its
+    # mix; 14.4-14.7 MiB with the whole (96, 96, 49) float64 weights; 22.4 MiB
     # while every slice lived through the units; 45.3 MiB while the 36.6 MB
     # of file bytes lived through slicing; 77.2 MiB while they lived
     # through the units)
-    assert _pipeline_peak(tmp_path, capsys, threads=1) < 12.5 * 2**20
+    assert _pipeline_peak(tmp_path, capsys, monkeypatch, cores=1) < 12.5 * 2**20
 
 
-def test_pipeline_peak_memory_of_a_large_photo_on_two_threads(tmp_path, capsys):
+def test_pipeline_peak_memory_of_a_large_photo_on_two_threads(tmp_path, capsys, monkeypatch):
     # each extra worker keeps one more unit in flight: the bound is the
     # 1-thread bound plus one unit's feature pyramid bound, 12.5 + 9.5 =
-    # 22 MiB; measured 18.7 MiB (26.5 MiB with the whole level-2 weights;
-    # 33.0 MiB while every slice lived through the units)
-    assert _pipeline_peak(tmp_path, capsys, threads=2) < 22 * 2**20
+    # 22 MiB; measured 15.4 MiB (17.6 MiB with each upsample's unpadded
+    # float64 map kept; 18.7 MiB while a block's weights outlived its mix;
+    # 26.5 MiB with the whole level-2 weights; 33.0 MiB while every slice
+    # lived through the units)
+    assert _pipeline_peak(tmp_path, capsys, monkeypatch, cores=2) < 22 * 2**20
+
+
+def test_pipeline_peak_memory_of_a_large_photo_with_every_unit_in_flight(tmp_path, capsys, monkeypatch):
+    # seven cores run all seven units (the overview and six slices) at
+    # once: the bound is the 1-thread bound plus six one-unit bounds,
+    # 12.5 + 6 * 9.5 = 69.5 MiB; measured 51.0-51.5 MiB (56.9-59.1 MiB
+    # with each upsample's unpadded float64 map kept)
+    assert _pipeline_peak(tmp_path, capsys, monkeypatch, cores=7) < 69.5 * 2**20
 
 
 def small_params(grid_side=12, attn_channels=8):
@@ -461,8 +478,9 @@ _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     "user, want", [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])]
 )
 def test_import_pins_blas_threads_unless_set(user, want):
-    # --threads owns parallelism: a fresh process that imports hiwin first
-    # gets single-threaded BLAS, and a value the user set is kept
+    # hiwin's unit threads and training processes own parallelism: a fresh
+    # process that imports hiwin first gets single-threaded BLAS, and a
+    # value the user set is kept
     src = str(Path(hiwin.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
     env.update(user, PYTHONPATH=src)
@@ -542,8 +560,8 @@ def test_tokens_that_overflow_float32_exit_4_and_write_nothing(image_336, tmp_pa
     assert not out.exists() and not Path(f"{out}.idx").exists()
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_a_diverged_similarity_width_exits_4_and_writes_nothing(threads, image_336, tmp_path, capsys):
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_diverged_similarity_width_exits_4_and_writes_nothing(cores, image_336, tmp_path, capsys, monkeypatch):
     # it printed two raw RuntimeWarnings, then exited 3 on a non-finite
     # FeatureMap; a pool thread does not inherit the command's errstate
     vdim = VdimParams.init(d_proj=32, seed=0)
@@ -552,7 +570,8 @@ def test_a_diverged_similarity_width_exits_4_and_writes_nothing(threads, image_3
     path = tmp_path / "narrow.ckpt"
     save_checkpoint(path, vdim, DownsamplerParams.init(64, seed=0), attn=attn)
     out = tmp_path / "narrow.toks"
-    argv = ["pipeline", "--image", str(image_336), "--ckpt", str(path), "--out", str(out), "--threads", threads]
+    argv = ["pipeline", "--image", str(image_336), "--ckpt", str(path), "--out", str(out)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning numpy still printed would fail here
         assert main(argv) == 4

@@ -11,10 +11,10 @@ of its stdout loss lines:
 The 24-step checkpoint then drives the inference commands on seeded PPMs,
 each pinned by the sha256 of every file it writes and of its stdout where
 that names no path: ``pipeline`` TOKS, ``.idx`` and stdout on three image
-sizes (``--threads 1`` and ``2`` must write the same bytes), ``compress`` with
-the two baseline projectors, ``build-isp``'s three ISPF files and the
-``visualize`` PPM of level 2.  So a change that alters an output bit
-anywhere fails here.
+sizes (on 1 and on 2 usable cores, which must write the same bytes),
+``compress`` with the two baseline projectors, ``build-isp``'s three ISPF
+files and the ``visualize`` PPM of level 2.  So a change that alters an
+output bit anywhere fails here.
 
 BLAS kernels may round differently on another CPU or build, so
 ``golden.json`` keys its entries by numpy version, BLAS name and version, and
@@ -68,14 +68,19 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# runs each JSON argv list read from stdin through ``hiwin.cli.main`` and
+# runs each JSON [cores, argv] pair read from stdin through
+# ``hiwin.cli.main``, with ``cores`` usable cores where it is not null, and
 # writes each command's stdout as one JSON string line
 _BATCH = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
+from unittest import mock
 from hiwin.cli import main
-for argv in json.load(sys.stdin):
+for cores, argv in json.load(sys.stdin):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    cpus = contextlib.nullcontext()
+    if cores is not None:
+        cpus = mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores)), create=True)
+    with cpus, contextlib.redirect_stdout(out):
         code = main(argv)
     if code:
         sys.exit(f"hiwin {' '.join(argv)} exited {code}")
@@ -83,9 +88,10 @@ for argv in json.load(sys.stdin):
 """
 
 
-def _hiwin(commands: list[list[str]]) -> list[bytes]:
-    """The stdout of each ``hiwin`` command, run in order in one fresh
-    process, so that the BLAS pool is pinned as the CLI pins it."""
+def _hiwin(commands: list[tuple[int | None, list[str]]]) -> list[bytes]:
+    """The stdout of each ``hiwin`` command, given with the usable cores it
+    sees (None: those of the machine), run in order in one fresh process,
+    so that the BLAS pool is pinned as the CLI pins it."""
     src = str(Path(hiwin.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", _BATCH],
@@ -109,47 +115,47 @@ def write_photo(path: Path, width: int, height: int) -> None:
 
 def digests(tmp: Path) -> dict[str, str]:
     """sha256 of every pinned output, by field name.  Raises
-    ``AssertionError`` if ``pipeline --threads 2`` writes other bytes than
-    ``--threads 1``."""
+    ``AssertionError`` if ``pipeline`` writes other bytes on 2 usable cores
+    than on 1."""
     ckpt = tmp / "golden.ckpt"
     photos = {size: tmp / f"photo-{size}.ppm" for size in PHOTOS}
     for size, path in photos.items():
         write_photo(path, *PHOTOS[size])
-    runs = []  # (argv, {field: file it writes}, field of its stdout or None)
+    runs = []  # (cores, argv, {field: file it writes}, field of its stdout or None)
     for prefix, args in TRAINING.items():
         out = tmp / f"{prefix}golden.ckpt"
         argv = ["pretrain-vdim", "--corpus", "synthetic", *args, "--out", str(out)]
-        runs.append((argv, {f"{prefix}checkpoint": out}, f"{prefix}stdout"))
+        runs.append((None, argv, {f"{prefix}checkpoint": out}, f"{prefix}stdout"))
     tokens = [
-        (f"pipeline_{size}{t}", ["pipeline", "--image", str(photos[size]), "--threads", t])
+        (f"pipeline_{size}{cores}", cores, ["pipeline", "--image", str(photos[size])])
         for size in PHOTOS
-        for t in "12"
+        for cores in (1, 2)
     ]
     tokens += [
-        (f"compress_{p}", ["compress", "--projector", p, "--image", str(photos["1008x672"])])
+        (f"compress_{p}", None, ["compress", "--projector", p, "--image", str(photos["1008x672"])])
         for p in ("mlp", "resampler")
     ]
-    for name, argv in tokens:
+    for name, cores, argv in tokens:
         toks = tmp / f"{name}.toks"
         files = {f"{name}_toks": toks, f"{name}_idx": Path(f"{toks}.idx")}
-        runs.append(([*argv, "--ckpt", str(ckpt), "--out", str(toks)], files, f"{name}_stdout"))
+        runs.append((cores, [*argv, "--ckpt", str(ckpt), "--out", str(toks)], files, f"{name}_stdout"))
     isp = tmp / "isp"
     levels = {f"build_isp_l{level}": Path(f"{isp}.l{level}.ispf") for level in range(3)}
     argv = ["build-isp", "--image", str(photos["700x500"]), "--ckpt", str(ckpt), "--out-prefix", str(isp)]
-    runs.append((argv, levels, None))
+    runs.append((None, argv, levels, None))
     rendered = tmp / "l2.ppm"
     argv = ["visualize", "--features", str(levels["build_isp_l2"]), "--out", str(rendered)]
-    runs.append((argv, {"visualize_l2": rendered}, None))
+    runs.append((None, argv, {"visualize_l2": rendered}, None))
 
     out = {}
-    for (_, files, stdout_field), stdout in zip(runs, _hiwin([argv for argv, _, _ in runs])):
+    for (_, _, files, stdout_field), stdout in zip(runs, _hiwin([(cores, argv) for cores, argv, _, _ in runs])):
         if stdout_field:  # build-isp and visualize print the paths they write
             out[stdout_field] = stdout
         out.update((field, path.read_bytes()) for field, path in files.items())
     for size in PHOTOS:
         for f in ("toks", "idx", "stdout"):
             one, two = out.pop(f"pipeline_{size}1_{f}"), out.pop(f"pipeline_{size}2_{f}")
-            assert one == two, f"pipeline on {size} writes another {f} with --threads 2 than with 1"
+            assert one == two, f"pipeline on {size} writes another {f} on 2 usable cores than on 1"
             out[f"pipeline_{size}_{f}"] = one
     return {f"{field}_sha256": _sha(data) for field, data in out.items()}
 

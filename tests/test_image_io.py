@@ -19,12 +19,11 @@ from hiwin.image_io import (
     build_image_pyramid,
     checkerboard_image,
     load_ppm,
-    resize_to_patch_multiple,
     save_ppm,
     synth_corpus,
 )
 from hiwin.numerics import NumericalError
-from hiwin.slicing import compute_slice_layout, extract_slices
+from hiwin.slicing import compute_slice_layout, extract_slices, resize_to_patch_multiple
 
 from helpers import traced_peak
 

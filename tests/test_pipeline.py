@@ -82,6 +82,22 @@ class TestRunPipeline:
         np.testing.assert_array_equal(a.tokens.global_map, b.tokens.global_map)
         np.testing.assert_array_equal(a.tokens.overview, b.tokens.overview)
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_fewer_than_one_thread_is_refused(self, threads):
+        # it ran the units serially before the pool became the one loop
+        img = synth_corpus(0, 1, 336)[0]
+        config = small_config(threads=threads)
+        with pytest.raises(ValueError, match=rf"PipelineConfig.threads must be at least 1, got {threads}"):
+            run_pipeline(img, VdimParams.init(d_proj=8, seed=0), AttnParams.init(config.hiwin, seed=0), config)
+
+    def test_threads_default_to_the_usable_cores(self, monkeypatch):
+        # taskset narrows the affinity set; without one, the CPU count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert PipelineConfig().threads == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert PipelineConfig().threads == 5
+
     def test_grid_follows_the_first_slice_not_the_overview(self):
         # 1008x504 cuts 3x2 slices of 336x252, whose 24x18 patches select a
         # (3, 2) pooling grid; the 336x336 overview would select (3, 3)
