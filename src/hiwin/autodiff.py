@@ -13,7 +13,8 @@ order, so repeated runs on the same inputs produce bit-identical values and
 gradients.  Data is promoted to float64 on entry; loss evaluation and
 finite-difference checks need 64-bit accumulation to reach their tolerances.
 A :func:`guided_upsample` call with no operand that requires grad
-(inference) records nothing and returns its output as a float32 array.
+(inference) records nothing, reads its map in the map's own dtype, and
+returns its output as a float32 array.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def _zero_pad(a: np.ndarray, width: int) -> np.ndarray:
     """``a`` (H, W, ...) with zero columns appended up to ``width``."""
     if a.shape[1] >= width:
         return a
-    out = np.zeros((a.shape[0], width) + a.shape[2:], dtype=np.float64)
+    out = np.zeros((a.shape[0], width) + a.shape[2:], dtype=a.dtype)
     out[:, : a.shape[1]] = a
     return out
 
@@ -183,7 +184,8 @@ def _tiled(windows: np.ndarray, bands: _Bands, lo: int, hi: int):
     """Yield ``(y0, y1, patches)`` for the row blocks of output rows
     ``lo .. hi - 1`` of the :func:`_windows` ``windows``; ``patches``
     (rows, 1, n, patch rows, C) holds each tile's source window, flattened
-    row-major, with a phase axis to broadcast over.  A caller may take
+    row-major, in float64 whatever the source's dtype, with a phase axis to
+    broadcast over.  A caller may take
     ``B @ patch`` and either of its transposes, and drops ``patches`` before
     it asks for the next block, whose patches then reuse that memory.
 
@@ -196,7 +198,8 @@ def _tiled(windows: np.ndarray, bands: _Bands, lo: int, hi: int):
     _, n, kh, kw, c = windows.shape
     for a, b in row_blocks(hi - lo, n * kh * kw * max(c, bands.cells)):
         y0, y1 = lo + a, lo + b
-        yield y0, y1, windows[y0:y1].reshape(b - a, 1, n, kh * kw, c)
+        patches = np.ascontiguousarray(windows[y0:y1], dtype=np.float64)
+        yield y0, y1, patches.reshape(b - a, 1, n, kh * kw, c)
 
 
 def _scatter(tiles: np.ndarray, bands: _Bands) -> np.ndarray:
@@ -342,7 +345,10 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     rows: a block builds the weights of its output rows, drops their
     logits, then mixes them with :func:`_mix` into the float32 output, so
     no (2h, 2w, K) array is built, and its window dots and softmax spread
-    their per-call cost over ``2 * _TILE`` rows.  Training builds the
+    their per-call cost over ``2 * _TILE`` rows.  The map is edge-padded in
+    its own dtype, and only each block's patches are cast to float64, so
+    no float64 copy of the map is built; the products see the same float64
+    operands either way.  Training builds the
     weights and logits of the whole map at once, as :func:`guided_weights`
     does, keeps them for the VJP and mixes them with the same
     :func:`_mix` into a float64 output.
@@ -372,27 +378,29 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     neighbor array is built.  Gradients flow to every operand but
     ``guide``.
     """
-    feats, proj_w, proj_b = as_tensor(feats), as_tensor(proj_w), as_tensor(proj_b)
+    proj_w, proj_b = as_tensor(proj_w), as_tensor(proj_b)
     lsd, lss = as_tensor(log_sigma_dist), as_tensor(log_sigma_sim)
+    grad = any(isinstance(p, Tensor) and p.requires_grad for p in (feats, proj_w, proj_b, lsd, lss))
+    if grad:
+        feats = as_tensor(feats)
+    fmap = feats.data if isinstance(feats, Tensor) else np.asarray(feats)  # at inference, as given
     guide = np.asarray(guide, dtype=np.float64)
-    if guide.ndim != 3 or guide.shape[2] != 3 or feats.data.ndim != 3:
+    if guide.ndim != 3 or guide.shape[2] != 3 or fmap.ndim != 3:
         raise ValueError("guided_upsample expects an (h', w', C) map and an (H, W, 3) guide")
     if proj_b.data.ndim != 1 or proj_w.data.shape != (3, proj_b.data.size):
         raise ValueError("guided_upsample expects a (3, D) proj_w and a (D,) proj_b")
-    h, w, c = feats.data.shape
+    h, w, c = fmap.shape
     if guide.shape[:2] != (2 * h, 2 * w):
         raise ValueError(
             f"guide dims {guide.shape[1]}x{guide.shape[0]} do not match 2x feature dims "
             f"{2 * w}x{2 * h} of the {w}x{h} map"
         )
-    operands = (feats, proj_w, proj_b, lsd, lss)
     n = -(-w // _TILE)  # tiles per row: _TILE map, 2 * _TILE output columns
     m = np.vstack([proj_w.data, proj_b.data])
-    f_windows = _windows(_edge_pad(feats.data, _PAD), _COARSE, n)
+    f_windows = _windows(_edge_pad(fmap, _PAD), _COARSE, n)
     g_hat_pad, g_windows = _guide_windows(guide)
     kernel = (g_hat_pad, g_windows, m @ m.T, lsd.data, lss.data)
-    if not any(p.requires_grad for p in operands):
-        del feats, operands  # the map's float64 copy: only its padded copy is read
+    if not grad:
         out = np.empty((2 * h, 2 * w, c), dtype=np.float32)
         for lo in range(0, h, _TILE):
             hi = min(lo + _TILE, h)
@@ -448,7 +456,7 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
         g_m = (g_gram + g_gram.T) @ m
         return g_feats, g_m[:3], g_m[3], np.asarray(g_lsd), np.asarray(g_lss)
 
-    return _node(out, operands, vjp)
+    return _node(out, (feats, proj_w, proj_b, lsd, lss), vjp)
 
 
 def window_pool(f, gamma, beta, sal_w, sal_b, image_hw: tuple[int, int], patch: int) -> Tensor:

@@ -103,13 +103,10 @@ def encode(image: Image, spec: EncoderSpec, origin: str = "overview") -> Feature
             f"image dims {image.width}x{image.height} are not multiples of patch {p}"
         )
     nh, nw = image.height // p, image.width // p
-    patches = (
-        image.decoded()
-        .astype(np.float64)
-        .reshape(nh, p, nw, p, 3)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(nh, nw, p * p * 3)
-    )
+    # one float64 copy of the pixels, written in patch order: the cast
+    # comes with the transpose's copy, not before it
+    patches = np.empty((nh, nw, p * p * 3), dtype=np.float64)
+    patches.reshape(nh, nw, p, p, 3)[...] = image.decoded().reshape(nh, p, nw, p, 3).transpose(0, 2, 1, 3, 4)
     feats = np.tanh(patches @ _patch_projection(spec.seed, spec.channels))
     return FeatureMap(feats.astype(np.float32), level=0, origin=origin)
 

@@ -4,8 +4,9 @@
 with the window-attention projector so outputs can be compared like for like.
 
 Per-unit work is independent: each unit (the overview or one slice) cuts
-its own slice from the image, builds its pyramid and projects its tokens,
-then drops the slice, so only the units in flight hold pixels.  The units
+its own slice from the image, encodes it and drops it, then builds its
+pyramid and projects its tokens, so only the units in flight that have not
+yet encoded hold pixels.  The units
 run on a pool of ``PipelineConfig.threads`` threads, by default one per
 usable core, and the token maps are reassembled in unit order, so results
 are identical for any count.
@@ -118,9 +119,12 @@ def project_tokens(
 
 def unit_pyramid(image: Image, origin: str, vdim: VdimParams, config: PipelineConfig) -> FeaturePyramid:
     """One unit's feature pyramid: its encoding grown by ``build_isp`` under
-    the unit's guidance pyramid."""
+    the unit's guidance pyramid.  The unit's pixels are dropped once
+    encoded, so a caller that hands over its only reference to ``image``
+    frees them before the pyramid grows."""
     pyramid = build_image_pyramid(image, patch=config.encoder.patch, levels=len(vdim.levels) + 1)
     f0 = encode(image, config.encoder, origin=origin)
+    del image
     return build_isp(f0, pyramid, vdim)
 
 
@@ -135,7 +139,7 @@ def run_pipeline(
 
     The ``mlp`` projector's weight is :func:`init_mlp_weight` drawn from the
     encoder's seed.  Each unit cuts its own slice when it starts and drops
-    it when it ends, so ``image`` stays referenced until the last unit
+    it once encoded, while ``image`` stays referenced until the last unit
     ends; a loaded PPM holds no pixels, since each unit reads the rows its
     resizes tap from the file.  A ``FloatingPointError`` raised under the
     caller's ``np.errstate`` names the unit it came from.  A ``threads``

@@ -24,7 +24,11 @@ and zeta, the positional embedding of each sample point; :func:`assemble_kv`
 hands them over as those three addends and never builds their sum, and the
 folded query scores each addend on its own, so the level and position terms
 cost one product over L levels and one over S sample points, not a pass
-over a key array.
+over a key array.  :func:`compress` samples and attends its windows a block
+of window rows at a time, so no value array of every window is built; the
+products that span every window (the query projections and the level
+embedding's scores) are taken once, and the tokens' bits do not depend on
+the blocks.
 
 RoI sampling convention: each window box is clamped to map bounds and split
 into r_h x r_w bins; one bilinear sample is taken per bin at the bin center,
@@ -221,15 +225,33 @@ def _sample_embedding(n: int, grid: tuple[int, int], channels: int) -> np.ndarra
     return zeta
 
 
+@lru_cache(maxsize=32)
+def _window_taps(size: int, n: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only :func:`~hiwin.numerics.bilinear_taps` ``(i0, i1, frac)``,
+    each (n, r), of the r bin centres of each of the n uniform windows
+    along an axis of ``size`` cells.  They depend only on (size, n, r), so
+    they are computed once per geometry, as zeta is."""
+    taps = bilinear_taps(_bin_centers(*_spans(size, n), r, size), size)
+    for t in taps:
+        t.flags.writeable = False
+    return taps
+
+
 def assemble_kv(
-    isp: FeaturePyramid, n: int, grid: tuple[int, int], params: AttnParams
+    isp: FeaturePyramid,
+    n: int,
+    grid: tuple[int, int],
+    params: AttnParams,
+    rows: tuple[int, int] | None = None,
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Keys and values for the n x n windows of every level, rows in window
-    order ``i * n + j``: the (n^2, levels*S, C) values, and the keys as the
-    three addends whose broadcast sum they are, ``(values, level embedding,
-    zeta)`` of shapes (n^2, levels, S, C), (1, levels, 1, C) and
-    (n^2, 1, S, C).  The first addend is a view of the value array; their
-    sum is never built (:func:`cross_attention` scores each addend).
+    """Keys and values for the n x n windows of every level, or, given
+    ``rows = (a, b)``, for those of window rows ``a .. b - 1`` only, rows in
+    window order ``i * n + j``: the (W, levels*S, C) values of those W
+    windows, and the keys as the three addends whose broadcast sum they
+    are, ``(values, level embedding, zeta)`` of shapes (W, levels, S, C),
+    (1, levels, 1, C) and (W, 1, S, C).  The first addend is a view of the
+    value array; their sum is never built (:func:`cross_attention` scores
+    each addend).
 
     Window (i, j) of each level spans column ``j`` and row ``i`` of the
     uniform n-way split of that level's own width and height.  Values are
@@ -237,9 +259,10 @@ def assemble_kv(
     :func:`~hiwin.numerics.row_blocks` of its window rows: a block gathers
     only the map rows its taps read, lerps them along x, then along y, and
     writes the result, through a transposed view, into its place in the
-    value array.  Zeta is
-    the positional embedding of each sample point's normalized coordinate;
-    it depends only on (n, grid, C), so it is computed once per geometry.
+    value array.  Each window's samples are the same whichever rows are
+    asked for.  Zeta is the positional embedding of each sample point's
+    normalized coordinate; it and each level's taps depend only on the
+    geometry, so they are computed once per geometry.
     """
     rw, rh = grid
     c = isp.channels
@@ -250,19 +273,21 @@ def assemble_kv(
             f"AttnParams.level_emb has shape {emb.shape}; a {levels}-level pyramid of {c} channels "
             f"needs {levels} or more rows of {c}"
         )
-    v = np.empty((n, n, levels, rh, rw, c), dtype=np.float64)
+    first, last = (0, n) if rows is None else rows
+    v = np.empty((last - first, n, levels, rh, rw, c), dtype=np.float64)
     for lvl, fmap in enumerate(isp.levels):
         h, w = fmap.height, fmap.width
-        cols = bilinear_taps(_bin_centers(*_spans(w, n), rw, w).reshape(-1), w)  # column j, bin v
-        i0, i1, frac = bilinear_taps(_bin_centers(*_spans(h, n), rh, h), h)  # (row i, bin u)
+        cols = tuple(t.reshape(-1) for t in _window_taps(w, n, rw))  # column j, bin v
+        i0, i1, frac = (t[first:last] for t in _window_taps(h, n, rh))  # (row i, bin u)
         out = v[:, :, lvl].transpose(0, 2, 1, 3, 4)  # (i, u, j, v, C)
-        for a, b in row_blocks(n, rh * n * rw * c):
+        for a, b in row_blocks(last - first, rh * n * rw * c):
             block_taps = (i0[a:b].ravel(), i1[a:b].ravel(), frac[a:b].ravel())
-            rows, row_taps = gather_taps(fmap.data, block_taps, axis=0)
-            out[a:b] = lerp(lerp(rows, cols, axis=1), row_taps, axis=0).reshape(b - a, rh, n, rw, c)
-    v = v.reshape(n * n, levels, rh * rw, c)
-    keys = (v, emb[None, :levels, None], _sample_embedding(n, tuple(grid), c)[:, None])
-    return keys, v.reshape(n * n, -1, c)
+            gathered, row_taps = gather_taps(fmap.data, block_taps, axis=0)
+            out[a:b] = lerp(lerp(gathered, cols, axis=1), row_taps, axis=0).reshape(b - a, rh, n, rw, c)
+    v = v.reshape(-1, levels, rh * rw, c)
+    zeta = _sample_embedding(n, tuple(grid), c)[first * n : last * n, None]
+    keys = (v, emb[None, :levels, None], zeta)
+    return keys, v.reshape(len(v), -1, c)
 
 
 def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -280,6 +305,78 @@ def _addend_scores(u: np.ndarray, t: np.ndarray) -> np.ndarray:
     g, m, c = u.shape
     part = u.reshape(t.shape[0], -1, c) @ t.reshape(t.shape[0], -1, c).transpose(0, 2, 1)
     return part.reshape((g, m) + t.shape[1:-1])
+
+
+class _Attention:
+    """Multi-head attention of the (G, Q, C) queries ``q`` over keys and
+    values handed over a block of groups at a time: :meth:`context` attends
+    the groups of one block, and :meth:`output` projects the contexts of
+    every group.  A ``heads`` below 1, or one that does not divide C,
+    raises ``ValueError``.
+
+    What does not depend on a block's keys and values is computed once,
+    over every group: the query projection, the folded key projection, and
+    the scores of each key addend of one group, which every block shares.
+    So each group sees the same products whatever the blocks, and its bits
+    do not depend on them; a product over the rows of every group, such as
+    a shared addend's, may round differently when taken over fewer rows.
+    """
+
+    def __init__(self, q: np.ndarray, params: AttnParams, heads: int):
+        g, nq, c = q.shape
+        if heads < 1:
+            raise ValueError(f"heads must be a positive integer, got {heads}")
+        if c % heads:
+            raise ValueError(f"channels {c} not divisible by heads {heads}")
+        self.params, self.heads, self.shape = params, heads, q.shape
+        self.qh = _linear(q, params.wq, params.bq).reshape(g, nq, heads, c // heads).transpose(0, 2, 1, 3)
+        self.u = None  # the folded queries of every group, once a block folds
+        self.shared = {}  # position of a one-group addend -> its scores over every group
+
+    def _scores(self, i: int, t: np.ndarray, a: int, b: int) -> np.ndarray:
+        """The folded scores of groups ``a .. b - 1`` against key addend
+        ``t``, the i-th of a block's addends."""
+        if t.shape[0] == 1:
+            if i not in self.shared:
+                self.shared[i] = _addend_scores(self.u, t)
+            return self.shared[i][a:b]
+        return _addend_scores(self.u[a:b], t)
+
+    def context(self, a: int, b: int, k, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (b - a, Q, C) contexts of groups ``a .. b - 1``, before the
+        output projection, and their (b - a, heads, Q, L) weights, over
+        those groups' keys ``k`` and (b - a, L, C) values ``v``, given as
+        :func:`cross_attention` takes them."""
+        params, heads = self.params, self.heads
+        g_all, nq, c = self.shape
+        g, dk, l = b - a, c // heads, v.shape[1]
+        addends = (k,) if isinstance(k, np.ndarray) else k
+        key_rows = sum(math.prod(t.shape[1:-1]) for t in addends)
+        fold = nq * (2 * c + heads * (l + key_rows) - 2 * l) < 2 * l * c
+        if fold:
+            if self.u is None:
+                wk = params.wk.reshape(c, heads, dk).transpose(1, 2, 0)
+                self.u = (self.qh @ wk).reshape(g_all, heads * nq, c)
+            scores = reduce(np.add, (self._scores(i, t, a, b) for i, t in enumerate(addends)))
+            scores = scores.reshape(g, heads, nq, l)
+        else:
+            k = reduce(np.add, addends).reshape(g, l, c)
+            kh = _linear(k, params.wk, params.bk).reshape(g, l, heads, dk).transpose(0, 2, 3, 1)
+            vh = _linear(v, params.wv, params.bv).reshape(g, l, heads, dk).transpose(0, 2, 1, 3)
+            scores = self.qh[a:b] @ kh  # (G, heads, Q, L)
+        scores = scores / np.sqrt(dk)  # a shared addend's scores stay as they are
+        att = softmax(scores, axis=-1)
+        if fold:
+            ctx = (att.reshape(g, heads * nq, l) @ v).reshape(g, heads, nq, c)
+            ctx = ctx @ params.wv.reshape(c, heads, dk).transpose(1, 0, 2)
+            ctx += params.bv.reshape(heads, 1, dk)
+        else:
+            ctx = att @ vh
+        return ctx.transpose(0, 2, 1, 3).reshape(g, nq, c), att
+
+    def output(self, ctx: np.ndarray) -> np.ndarray:
+        """The (G, Q, C) outputs of the contexts of every group."""
+        return _linear(ctx, self.params.wo, self.params.bo).reshape(self.shape)
 
 
 def cross_attention(
@@ -312,37 +409,12 @@ def cross_attention(
     through ``W_v,h``, and ``b_v,h`` is added once, since each row of
     weights sums to 1.  :func:`compress` (one query per window) folds; the
     resampler baseline (N^2 queries over every pyramid feature) projects.
-    Each product is one batched GEMM.
+    Each product is one batched GEMM.  :func:`compress` runs the same
+    attention over its windows a block of window rows at a time.
     """
-    g, nq, c = q.shape
-    if heads < 1:
-        raise ValueError(f"heads must be a positive integer, got {heads}")
-    if c % heads:
-        raise ValueError(f"channels {c} not divisible by heads {heads}")
-    dk, l = c // heads, v.shape[1]
-    qh = _linear(q, params.wq, params.bq).reshape(g, nq, heads, dk).transpose(0, 2, 1, 3)
-    addends = (k,) if isinstance(k, np.ndarray) else k
-    key_rows = sum(math.prod(t.shape[1:-1]) for t in addends)
-    fold = nq * (2 * c + heads * (l + key_rows) - 2 * l) < 2 * l * c
-    if fold:
-        u = (qh @ params.wk.reshape(c, heads, dk).transpose(1, 2, 0)).reshape(g, heads * nq, c)
-        scores = reduce(np.add, (_addend_scores(u, t) for t in addends)).reshape(g, heads, nq, l)
-    else:
-        k = reduce(np.add, addends).reshape(g, l, c)
-        kh = _linear(k, params.wk, params.bk).reshape(g, l, heads, dk).transpose(0, 2, 3, 1)
-        vh = _linear(v, params.wv, params.bv).reshape(g, l, heads, dk).transpose(0, 2, 1, 3)
-        scores = qh @ kh  # (G, heads, Q, L)
-    scores /= np.sqrt(dk)
-    att = softmax(scores, axis=-1)
-    if fold:
-        a = (att.reshape(g, heads * nq, l) @ v).reshape(g, heads, nq, c)
-        ctx = a @ params.wv.reshape(c, heads, dk).transpose(1, 0, 2)
-        ctx += params.bv.reshape(heads, 1, dk)
-    else:
-        ctx = att @ vh
-    ctx = ctx.transpose(0, 2, 1, 3).reshape(g, nq, c)
-    out = _linear(ctx, params.wo, params.bo).reshape(g, nq, c)
-    return out, att
+    attn = _Attention(q, params, heads)
+    ctx, att = attn.context(0, q.shape[0], k, v)
+    return attn.output(ctx), att
 
 
 def compress(isp: FeaturePyramid, params: AttnParams, config: HiwinConfig) -> TokenMap:
@@ -352,7 +424,10 @@ def compress(isp: FeaturePyramid, params: AttnParams, config: HiwinConfig) -> To
     attends only to the cross-level RoI samples of its own window, the same
     normalized region of every level.  The queries carry the positional
     embedding of their window centres, which, like the keys' zeta, is
-    computed once per geometry.  Queries that are
+    computed once per geometry.  The windows are sampled and attended in
+    the :func:`~hiwin.numerics.row_blocks` of their window rows, each block
+    dropped before the next is sampled; the output projection runs once,
+    over every window's context.  Queries that are
     not (N, N, C), or fewer level embeddings than the pyramid has levels,
     raise a ``ValueError`` naming the field.
     """
@@ -364,7 +439,13 @@ def compress(isp: FeaturePyramid, params: AttnParams, config: HiwinConfig) -> To
             f"({n}, {n}, {base.channels}) for grid side {n} and {base.channels} channels"
         )
     grid = select_grid(base.width, base.height)
-    keys, v = assemble_kv(isp, n, grid, params)
     q = params.queries.reshape(n * n, -1) + _sample_embedding(n, (1, 1), base.channels)[:, 0]
-    out, _ = cross_attention(q[:, None], keys, v, params, config.heads)
+    attn = _Attention(q[:, None], params, config.heads)
+    ctx = np.empty((n * n, 1, base.channels))
+    # blocks of twice a window row's samples of one level: lerp holds two float64 arrays of them
+    for a, b in row_blocks(n, 2 * n * grid[0] * grid[1] * base.channels):
+        keys, v = assemble_kv(isp, n, grid, params, (a, b))
+        ctx[a * n : b * n] = attn.context(a * n, b * n, keys, v)[0]
+        del keys, v  # before the next block's values are sampled
+    out = attn.output(ctx)
     return TokenMap(out.reshape(n, n, -1).astype(np.float32), origin=isp.origin)

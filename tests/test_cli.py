@@ -392,34 +392,40 @@ def _pipeline_peak(tmp_path, capsys, monkeypatch, cores):
 
 
 def test_pipeline_peak_memory_of_a_large_photo(tmp_path, capsys, monkeypatch):
-    # each unit cuts its own slice and a loaded image reads only the rows
-    # its resizes tap, so one unit's pixels and feature pyramid set the
-    # peak: measured 9.1 MiB with the level-2 weights built per block and
-    # each upsample's unpadded float64 map freed before its blocks (10.3
-    # MiB with that map kept; 10.5 MiB while a block's weights outlived its
-    # mix; 14.4-14.7 MiB with the whole (96, 96, 49) float64 weights; 22.4 MiB
-    # while every slice lived through the units; 45.3 MiB while the 36.6 MB
-    # of file bytes lived through slicing; 77.2 MiB while they lived
-    # through the units)
-    assert _pipeline_peak(tmp_path, capsys, monkeypatch, cores=1) < 12.5 * 2**20
+    # each unit cuts its own slice and drops it once encoded, and a loaded
+    # image reads only the rows its resizes tap, so one unit's feature
+    # pyramid sets the peak: measured 7.0 MiB in a fresh process (6.0 MiB
+    # after a first run) with the level-2 upsample reading its float32 map,
+    # encode making one float64 copy of the slice and compress sampling
+    # blocks of window rows; 9.0 MiB (8.7 MiB after other tests) while the
+    # slice lived through build_isp, encode copied it twice in float64, the
+    # upsamples padded float64 maps and compress sampled every window at
+    # once; 10.3 MiB with each upsample's unpadded float64 map kept; 10.5
+    # MiB while a block's weights outlived its mix; 14.4-14.7 MiB with the
+    # whole (96, 96, 49) float64 weights; 22.4 MiB while every slice lived
+    # through the units; 45.3 MiB while the 36.6 MB of file bytes lived
+    # through slicing; 77.2 MiB while they lived through the units
+    assert _pipeline_peak(tmp_path, capsys, monkeypatch, cores=1) < 7.5 * 2**20
 
 
 def test_pipeline_peak_memory_of_a_large_photo_on_two_threads(tmp_path, capsys, monkeypatch):
     # each extra worker keeps one more unit in flight: the bound is the
-    # 1-thread bound plus one unit's feature pyramid bound, 12.5 + 9.5 =
-    # 22 MiB; measured 15.4 MiB (17.6 MiB with each upsample's unpadded
-    # float64 map kept; 18.7 MiB while a block's weights outlived its mix;
-    # 26.5 MiB with the whole level-2 weights; 33.0 MiB while every slice
-    # lived through the units)
-    assert _pipeline_peak(tmp_path, capsys, monkeypatch, cores=2) < 22 * 2**20
+    # 1-thread bound plus one unit's feature pyramid bound
+    # (test_vdim's TestBuildIsp), 7.5 + 5.6 = 13.1 MiB; measured 12.3-12.5
+    # MiB (16.4 MiB before the changes listed in the 1-thread test; 17.6
+    # MiB with each upsample's unpadded float64 map kept; 18.7 MiB while a
+    # block's weights outlived its mix; 26.5 MiB with the whole level-2
+    # weights; 33.0 MiB while every slice lived through the units)
+    assert _pipeline_peak(tmp_path, capsys, monkeypatch, cores=2) < 13.1 * 2**20
 
 
 def test_pipeline_peak_memory_of_a_large_photo_with_every_unit_in_flight(tmp_path, capsys, monkeypatch):
     # seven cores run all seven units (the overview and six slices) at
     # once: the bound is the 1-thread bound plus six one-unit bounds,
-    # 12.5 + 6 * 9.5 = 69.5 MiB; measured 51.0-51.5 MiB (56.9-59.1 MiB
-    # with each upsample's unpadded float64 map kept)
-    assert _pipeline_peak(tmp_path, capsys, monkeypatch, cores=7) < 69.5 * 2**20
+    # 7.5 + 6 * 5.6 = 41.1 MiB; measured 37.4-38.2 MiB (51.0-51.5 MiB
+    # before the changes listed in the 1-thread test; 56.9-59.1 MiB with
+    # each upsample's unpadded float64 map kept)
+    assert _pipeline_peak(tmp_path, capsys, monkeypatch, cores=7) < 41.1 * 2**20
 
 
 def small_params(grid_side=12, attn_channels=8):

@@ -11,7 +11,9 @@ pins the sha256 of seeded float64 arrays:
   the unit's level 1 from ``build_isp``, lifted by the level-2 kernel;
 - ``assemble_kv``'s float64 values for that unit's ``build_isp`` pyramid,
   N=12 and the (3, 3) grid every 336x336 unit selects, and the float64
-  tokens ``compress`` attends from them before its cast to float32;
+  tokens ``compress`` attends from them, a block of window rows at a time,
+  before its cast to float32: the output projection of every window's
+  context, in window order;
 - ``recon_loss``'s output and the gradients of its two maps at the AC-4
   base shape, 8x8x64;
 - ``bilinear_resize`` of a uint8 image (downscaled by more than 2, so
@@ -86,14 +88,15 @@ l2 = ad.guided_upsample(isp.levels[1].data.astype(np.float64), pyramid.levels[2]
 out["unit336_l2_f64_sha256"] = sha(l2.data)
 _, values = assemble_kv(isp, 12, (3, 3), AttnParams.init(HiwinConfig(channels=64), seed=0))
 out["unit336_kv_values_sha256"] = sha(values)
-attended, cross_attention = [], window_attn.cross_attention
-def capture(*args):  # compress's float64 tokens, before its float32 cast
-    attended.append(cross_attention(*args)[0])
-    assert attended[0].dtype == np.float64
-    return attended[0], None
-window_attn.cross_attention = capture
+attended, output = [], window_attn._Attention.output
+def capture(self, ctx):  # compress's float64 tokens of every window, before its float32 cast
+    attended.append(output(self, ctx))
+    assert attended[-1].dtype == np.float64
+    return attended[-1]
+window_attn._Attention.output = capture
 window_attn.compress(isp, AttnParams.init(HiwinConfig(channels=64), seed=0), HiwinConfig(channels=64))
-window_attn.cross_attention = cross_attention
+window_attn._Attention.output = output
+assert len(attended) == 1
 out["unit336_compress_f64_sha256"] = sha(attended[0])
 rng = np.random.default_rng([13, 8, 8, 64])
 base, *maps = (rng.standard_normal((8, 8, 64)) for _ in range(3))

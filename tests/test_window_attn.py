@@ -248,15 +248,43 @@ class TestAssembleKv:
         _, one_row = assemble_kv(isp, n, grid, params)
         assert np.array_equal(one_row, default)
 
-    def test_one_compress_stays_under_5_mib(self):
-        # 24/48/96 x 64: the value array is 2 MB; scoring the key addends
-        # builds no key array, and no level's rows are gathered whole
+    def test_peak_memory_of_one_compress(self):
+        # 24/48/96 x 64: scoring the key addends builds no key array, no
+        # level's rows are gathered whole, and the windows are sampled and
+        # attended in blocks of 2 window rows, so no value array of every
+        # window (2 MB) is built: measured peak 1.64 MiB; 2.2 MiB with
+        # blocks of 3 window rows, 2.76 MiB with blocks of 4 and 3.73 MiB
+        # with one block of all 12; 3.52 MiB while the whole value array
+        # was sampled before any window attended
         isp = random_pyramid(15, channels=64)
         config = HiwinConfig(channels=64)
         params = AttnParams.init(config, seed=15)
-        compress(isp, params, config)  # the per-geometry embeddings are cached
+        compress(isp, params, config)  # the per-geometry embeddings and taps are cached
         _, peak = traced_peak(lambda: compress(isp, params, config))
-        assert peak < 5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        assert peak < 1.8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_a_range_of_window_rows_gives_those_rows_of_every_window(self):
+        n, c = 12, 8
+        isp = random_pyramid(31, 24, 18, channels=c)
+        grid = select_grid(18, 24)
+        params = AttnParams.init(HiwinConfig(channels=c))
+        keys, v = assemble_kv(isp, n, grid, params)
+        for a, b in [(0, 1), (3, 5), (11, 12), (0, 12)]:
+            part_keys, part_v = assemble_kv(isp, n, grid, params, (a, b))
+            assert np.array_equal(part_v, v[a * n : b * n])
+            assert np.array_equal(part_keys[0], keys[0][a * n : b * n])
+            assert np.array_equal(part_keys[1], keys[1])  # the level embedding, shared
+            assert np.array_equal(part_keys[2], keys[2][a * n : b * n])
+
+    def test_cached_window_taps_are_read_only_and_equal_a_fresh_build(self):
+        for size, n, r in [(24, 12, 3), (96, 12, 3), (18, 12, 2), (5, 8, 4), (1, 3, 2)]:
+            cached = window_attn._window_taps(size, n, r)
+            centres = window_attn._bin_centers(*window_attn._spans(size, n), r, size)
+            fresh = numerics.bilinear_taps(centres, size)
+            assert window_attn._window_taps(size, n, r) is cached
+            for got, want in zip(cached, fresh):
+                assert not got.flags.writeable
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestCompress:
@@ -338,8 +366,8 @@ class TestCompress:
             compress(random_pyramid(0, 6, 6, channels=4), params, config)
 
     def test_interleaved_geometries_match_fresh_calls(self):
-        # the per-geometry embeddings are cached; a cache filled by other
-        # geometries must give the bits a cold cache gives
+        # the per-geometry embeddings and taps are cached; a cache filled
+        # by other geometries must give the bits a cold cache gives
         cases = [
             (HiwinConfig(grid_side=n, channels=c, heads=2), random_pyramid(seed, h, w, channels=c))
             for seed, (n, c, h, w) in enumerate([(4, 8, 8, 8), (3, 8, 6, 12), (4, 4, 12, 8), (2, 8, 8, 8)])
@@ -347,6 +375,7 @@ class TestCompress:
         fresh = []
         for config, isp in cases:
             window_attn._sample_embedding.cache_clear()
+            window_attn._window_taps.cache_clear()
             fresh.append(compress(isp, AttnParams.init(config, seed=1), config).data)
         for index in (0, 1, 2, 3, 1, 0, 3, 2, 0):
             config, isp = cases[index]
@@ -357,6 +386,48 @@ class TestCompress:
         assert not cached.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             cached += 1.0
+
+
+class TestCompressBlocks:
+    """``compress`` samples and attends a block of window rows at a time;
+    its float64 tokens must not depend on the blocks.  Float32 tokens are
+    not enough: a product over every window, such as the level
+    embedding's scores, can round differently over fewer rows and still
+    give the same float32 tokens."""
+
+    @staticmethod
+    def tokens(isp, params, config, monkeypatch, rows=None):
+        """``compress``'s float64 tokens of every window, before its float32
+        cast, with blocks of ``rows`` window rows (the default blocks for
+        None), and whether its attention folded the key projection."""
+        if rows is not None:
+            blocks = lambda n, row_elems: [(a, min(a + rows, n)) for a in range(0, n, rows)]
+            monkeypatch.setattr(window_attn, "row_blocks", blocks)
+        got, output = [], window_attn._Attention.output
+
+        def capture(self, ctx):
+            got.append((output(self, ctx), self.u is not None))
+            return got[-1][0]
+
+        monkeypatch.setattr(window_attn._Attention, "output", capture)
+        compress(isp, params, config)
+        monkeypatch.undo()
+        ((tokens, folded),) = got
+        return tokens, folded
+
+    @pytest.mark.parametrize("base_hw", [(24, 24), (24, 18), (18, 24), (4, 4)])
+    @pytest.mark.parametrize("channels, heads", [(64, 4), (4, 2), (4, 4)])
+    def test_float64_tokens_do_not_depend_on_the_blocks(self, base_hw, channels, heads, monkeypatch):
+        rng = np.random.default_rng([*base_hw, channels, heads])
+        config = HiwinConfig(channels=channels, heads=heads)
+        params = AttnParams.init(config, seed=int(rng.integers(1000)))
+        params.level_emb = rng.uniform(-1.0, 1.0, (3, channels))
+        isp = random_pyramid(int(rng.integers(1000)), *base_hw, channels=channels)
+        whole, folded = self.tokens(isp, params, config, monkeypatch, rows=12)
+        # one query over a few keys folds, but not with 4 heads of 1 channel
+        assert folded == ((channels, heads) != (4, 4))
+        for rows in (None, 1, 2):
+            assert np.array_equal(self.tokens(isp, params, config, monkeypatch, rows)[0], whole), rows
 
 
 class TestLocality:
