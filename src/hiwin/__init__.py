@@ -3,11 +3,10 @@ pyramid from patch-encoder features and compresses it into a fixed grid of
 visual tokens via hierarchical window attention.
 
 Importing the package pins the BLAS pools of numpy to one thread, unless the
-variable is already set: inference runs its units on a pool of
-``PipelineConfig.threads`` threads (one per usable core by default),
-training spreads each step's batch items over forked worker processes (one
-per usable core, on Linux), and a BLAS pool per worker would oversubscribe
-the cores.  It takes effect only if numpy was not imported before ``hiwin``.
+variable is already set: inference units and training batch items run on
+forked worker processes (``hiwin.workers``), one per usable core at most,
+and a BLAS pool per worker would oversubscribe the cores.  It takes effect
+only if numpy was not imported before ``hiwin``.
 
 On glibc it also fixes the allocator's mmap threshold at 32 MiB and its trim
 threshold at 64 MiB, unless ``MALLOC_MMAP_THRESHOLD_`` or

@@ -4,11 +4,10 @@ Subcommands: ``pretrain-vdim``, ``build-isp``, ``compress``, ``pipeline``,
 ``visualize``, ``selftest``.  Configuration is flags-only; the single
 environment input is ``HIWIN_SEED``, overridden by ``--seed``; a value that
 is not an integer of at least 0 is a usage error.  No flag sets the
-parallelism: ``compress`` and ``pipeline`` run an image's units on one
-thread per usable core, and on Linux ``pretrain-vdim`` spreads each step's
-batch items over forked processes, one per usable core that gets a share of
-``--batch``; ``taskset`` limits both, and no result depends on the count.
-The package import pins BLAS to one thread unless the environment sets it.
+parallelism: the usable cores share an image's units or a training step's
+batch items (:mod:`hiwin.workers`), so ``taskset`` limits them, and no
+result depends on the count.  The package import pins BLAS to one thread
+unless the environment sets it.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error or an input too
 large for memory, 4 numerical failure.  Each command runs with numpy's

@@ -6,16 +6,14 @@ with the window-attention projector so outputs can be compared like for like.
 Per-unit work is independent: each unit (the overview or one slice) cuts
 its own slice from the image, encodes it and drops it, then builds its
 pyramid and projects its tokens, so only the units in flight that have not
-yet encoded hold pixels.  The units
-run on a pool of ``PipelineConfig.threads`` threads, by default one per
-usable core, and the token maps are reassembled in unit order, so results
-are identical for any count.
+yet encoded hold pixels.  The units run on forked worker processes, at
+most ``PipelineConfig.threads`` in flight (by default the usable cores), and
+their token maps are reassembled in unit order, so results are identical
+for any count.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -35,6 +33,7 @@ from .window_attn import (
     cross_attention,
     select_grid,
 )
+from .workers import forked, usable_cores
 
 __all__ = [
     "PROJECTORS",
@@ -51,16 +50,11 @@ __all__ = [
 PROJECTORS = ("hiwin", "mlp", "resampler")
 
 
-def _usable_cores() -> int:
-    """The cores this process may run on, which ``taskset`` limits."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 @dataclass
 class PipelineConfig:
     encoder: EncoderSpec = field(default_factory=EncoderSpec)
     hiwin: HiwinConfig = field(default_factory=HiwinConfig)
-    threads: int = field(default_factory=_usable_cores)
+    threads: int = field(default_factory=usable_cores)
     max_slices: ClassVar[int] = MAX_SLICES
 
 
@@ -128,6 +122,15 @@ def unit_pyramid(image: Image, origin: str, vdim: VdimParams, config: PipelineCo
     return build_isp(f0, pyramid, vdim)
 
 
+def _unit_tokens(state: tuple, job: UnitJob) -> TokenMap:
+    image, vdim, attn, config, projector, mlp_weight = state
+    try:
+        isp = unit_pyramid(cut_unit(image, job), job.origin, vdim, config)
+        return project_tokens(isp, projector, attn, config.hiwin, mlp_weight)
+    except FloatingPointError as e:
+        raise FloatingPointError(f"{e} in unit {job.origin}") from e
+
+
 def run_pipeline(
     image: Image,
     vdim: VdimParams,
@@ -141,27 +144,21 @@ def run_pipeline(
     encoder's seed.  Each unit cuts its own slice when it starts and drops
     it once encoded, while ``image`` stays referenced until the last unit
     ends; a loaded PPM holds no pixels, since each unit reads the rows its
-    resizes tap from the file.  A ``FloatingPointError`` raised under the
-    caller's ``np.errstate`` names the unit it came from.  A ``threads``
-    below 1 raises ``ValueError``.
+    resizes tap from the file.  The units run through
+    :func:`hiwin.workers.forked`, ``config.threads`` in flight at most; a
+    ``FloatingPointError`` names its unit, and a dead worker's
+    ``ChildProcessError`` the first unit whose tokens did not arrive.  A
+    ``threads`` below 1 raises ``ValueError``.
     """
     if config.threads < 1:
         raise ValueError(f"PipelineConfig.threads must be at least 1, got {config.threads}")
     layout = compute_slice_layout(image.width, image.height, config.max_slices)
     mlp_weight = init_mlp_weight(config.hiwin.channels, seed=config.encoder.seed) if projector == "mlp" else None
-    errstate = np.geterr()  # pool threads start from numpy's default policy, not the caller's
-
-    def work(job: UnitJob) -> TokenMap:
-        with np.errstate(**errstate):
-            try:
-                isp = unit_pyramid(cut_unit(image, job), job.origin, vdim, config)
-                return project_tokens(isp, projector, attn, config.hiwin, mlp_weight)
-            except FloatingPointError as e:
-                raise FloatingPointError(f"{e} in unit {job.origin}") from e
-
-    # at most one thread per unit; a unit that raises cancels the queued ones
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        maps = list(pool.map(work, unit_jobs(layout)))
+    jobs = unit_jobs(layout)
+    state = (image, vdim, attn, config, projector, mlp_weight)
+    with forked(state, len(jobs), config.threads) as run:
+        lost = lambda i: f"a unit worker ended before it returned the tokens of unit {jobs[i].origin}"
+        maps = list(run(_unit_tokens, jobs, lost))
 
     tokens = assemble(maps[1:], layout, maps[0])  # the overview's map comes first
     w, h = layout.slice_dims[0]

@@ -31,18 +31,13 @@ builds after the pyramid and the reductions.
 
 Both sigma parameters are stored in log space so their effective values stay
 strictly positive.  Training runs entirely in float64; stored feature maps
-remain float32.  On Linux ``pretrain_vdim`` spreads the items of each batch
-over forked worker processes, elsewhere it runs them in one process; it sums
-their losses and gradients in item order, so any worker count gives the
-serial loop's bits.
+remain float32.  ``pretrain_vdim`` runs the items of each batch through
+:func:`hiwin.workers.forked`, and sums their losses and gradients in item
+order, so any worker count gives the serial loop's bits.
 """
 
 from __future__ import annotations
 
-import ctypes
-import math
-import os
-import sys
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Sequence
 
@@ -53,6 +48,7 @@ from .autodiff import NumericalError, Tensor
 from .encoder import EncoderSpec, FeatureMap, encode
 from .image_io import Image, ImagePyramid, build_image_pyramid
 from .numerics import AdamState, adam_step
+from .workers import forked, usable_cores
 
 __all__ = [
     "DownsamplerParams",
@@ -272,66 +268,20 @@ class TrainResult:
     losses: list[float]
 
 
-def _train_item(item: tuple[FeatureMap, ImagePyramid], vdim: VdimParams, down: DownsamplerParams):
+def _train_item(state: tuple, task: tuple[int, list[np.ndarray]]):
     """One batch item's loss and its gradients in :func:`trainable_arrays`
-    order; the gradients are None when the loss is not finite."""
-    flat, objective = mlr_objective(*item, vdim, down)
+    order, once the step's parameter values are copied into ``state``'s;
+    the gradients are None when the loss is not finite."""
+    prepared, vdim, down = state
+    index, values = task
+    for (_, target), value in zip(trainable_arrays(vdim, down), values):
+        target[...] = value
+    flat, objective = mlr_objective(*prepared[index], vdim, down)
     loss = objective(flat)
     if not np.isfinite(loss.data):
         return loss.item(), None
     ad.backward(loss)
     return loss.item(), [t.grad for t in flat]
-
-
-_PR_SET_PDEATHSIG = 1
-_worker_state: tuple | None = None  # a training worker's forked (prepared, vdim, down)
-
-
-def _init_worker(creator: int, prepared: list, vdim: VdimParams, down: DownsamplerParams) -> None:
-    """Set up a forked training worker: it is killed when the process that
-    created it dies, leaves Ctrl-C to that process, and keeps its forked
-    copies of the corpus and the parameters."""
-    import signal  # here, as it adds 0.5 ms to ``import hiwin``
-
-    global _worker_state
-    ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-    if os.getppid() != creator:  # it died before the signal was armed
-        os._exit(1)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _worker_state = (prepared, vdim, down)
-
-
-def _worker_item(task: tuple[int, list[np.ndarray]]):
-    """``_train_item`` of one prepared item in a training worker, after the
-    step's parameter values are copied into the worker's arrays."""
-    index, values = task
-    prepared, vdim, down = _worker_state
-    for (_, target), value in zip(trainable_arrays(vdim, down), values):
-        target[...] = value
-    return _train_item(prepared[index], vdim, down)
-
-
-def _on_workers(pool, step: int, tasks: list, chunksize: int):
-    """Each task's ``_worker_item`` result, in order; a worker that died
-    ends the step with ``ChildProcessError`` naming it."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        yield from pool.map(_worker_item, tasks, chunksize=chunksize)
-    except BrokenProcessPool as e:
-        raise ChildProcessError(f"a training worker ended at step {step} before it returned its items") from e
-
-
-def _training_workers(batch: int) -> tuple[int, int]:
-    """The processes that share a step's ``batch`` items, and the items
-    each gets: one process off Linux, where ``fork`` may be missing or
-    unsafe and no death signal ends the workers of a killed parent; on
-    Linux chunks of ``ceil(batch / cores)`` items over the usable cores,
-    one worker per chunk."""
-    if sys.platform != "linux":
-        return 1, batch
-    chunk = math.ceil(batch / len(os.sched_getaffinity(0)))
-    return math.ceil(batch / chunk), chunk
 
 
 def pretrain_vdim(
@@ -354,16 +304,11 @@ def pretrain_vdim(
     raises :class:`NumericalError` naming its step.  Parameters are updated
     in place and also returned.
 
-    On Linux the usable cores share each step's batch items, one forked
-    worker process per chunk of ``ceil(batch / cores)`` items, so
-    ``taskset`` limits them; elsewhere the items run in this process.  The
-    workers are forked once per call, after the corpus is encoded and
-    inside the caller's ``np.errstate``.  Each item's loss and gradients
-    come back to this process, which sums them in item order, so losses
-    and parameters are the same bits for any worker count.  A worker's
-    error reaches the caller as it was raised; a worker that dies ends the
-    call with ``ChildProcessError`` naming the step.  No worker outlives
-    the call.
+    Each step's batch items run through :func:`hiwin.workers.forked` on the
+    usable cores, whose workers fork once per call, after the corpus is
+    encoded.  This process sums their losses and gradients in item order,
+    so losses and parameters are the same bits for any worker count.  A
+    worker that dies ends the call with ``ChildProcessError`` naming the step.
     """
     if not corpus:
         raise ValueError("pretrain_vdim requires a non-empty corpus")
@@ -375,7 +320,6 @@ def pretrain_vdim(
         raise ValueError(
             f"encoder channels {encoder_spec.channels} != downsampler channels {down.channels}"
         )
-    workers, chunk = _training_workers(batch)
     prepared = [
         (
             encode(img, encoder_spec, origin=f"corpus:{i}"),
@@ -386,30 +330,16 @@ def pretrain_vdim(
     arrays = [a for _, a in trainable_arrays(vdim, down)]
     state = AdamState.for_params(arrays, lr=lr)
     losses: list[float] = []
-    pool = None
-    if workers > 1:
-        # imported here, as they add about 10 ms to ``import hiwin``
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the workers fork at its first task and share the corpus copy-on-write
-        pool = ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(os.getpid(), prepared, vdim, down),
-        )
-    try:
+    # the workers share the encoded corpus copy-on-write
+    with forked((prepared, vdim, down), batch, usable_cores()) as run:
         for i in range(max(steps, 1)):
             step = i + 1 if steps else 0
-            items = [(i * batch + k) % len(prepared) for k in range(batch)]
-            if pool is None:
-                results = (_train_item(prepared[j], vdim, down) for j in items)
-            else:  # a task is pickled before its result arrives, so before the update
-                results = _on_workers(pool, step, [(j, arrays) for j in items], chunk)
+            # a task is pickled before its result arrives, so before the update
+            tasks = [((i * batch + k) % len(prepared), arrays) for k in range(batch)]
+            lost = f"a training worker ended at step {step} before it returned its items"
             grad_sum = [np.zeros_like(a) for a in arrays]
             loss_sum = 0.0
-            for loss, grads in results:
+            for loss, grads in run(_train_item, tasks, lambda _: lost):
                 if grads is None:
                     raise NumericalError(f"non-finite training loss at step {step}")
                 loss_sum += loss
@@ -422,8 +352,5 @@ def pretrain_vdim(
             losses.append(loss_sum / batch)
             if on_step is not None:
                 on_step(step, losses[-1])
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
 
     return TrainResult(vdim=vdim, down=down, losses=losses)

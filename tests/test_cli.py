@@ -172,8 +172,8 @@ def test_pipeline_reports_layout_and_grid(ckpt, tmp_path, capsys):
 
 
 def test_two_threads_write_the_tokens_one_thread_writes(ckpt, tmp_path, monkeypatch):
-    # the units share the cached attention embeddings across the pool,
-    # which has one thread per usable core
+    # each worker fills its own caches of the attention embeddings and
+    # taps; one usable core runs the units in this process
     img = synth_corpus(4, 1, 336)[0]
     path = tmp_path / "big.ppm"
     save_ppm(Image(bilinear_resize(img.pixels, 672, 1008)), path)
@@ -372,10 +372,8 @@ def test_threads_is_an_unknown_argument(command, ckpt, image_336, tmp_path, caps
     assert not out.exists()
 
 
-def _pipeline_peak(tmp_path, capsys, monkeypatch, cores):
-    """Traced peak of ``hiwin pipeline`` on a seeded 4032x3024 photo, C=64,
-    with ``cores`` usable cores, so as many units in flight at most."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+def _large_photo_argv(tmp_path):
+    """``hiwin pipeline`` on a seeded 4032x3024 photo, C=64."""
     w, h = 4032, 3024
     raw = np.random.default_rng(2).integers(0, 256, (h, w, 3), dtype=np.uint8)
     image = tmp_path / "big.ppm"
@@ -384,15 +382,12 @@ def _pipeline_peak(tmp_path, capsys, monkeypatch, cores):
     path = tmp_path / "c64.ckpt"
     attn = AttnParams.init(HiwinConfig(channels=64), seed=0)
     save_checkpoint(path, VdimParams.init(d_proj=32, seed=0), DownsamplerParams.init(64, seed=0), attn=attn)
-    argv = ["pipeline", "--image", str(image), "--ckpt", str(path), "--out", str(tmp_path / "o.toks")]
-    code, peak = traced_peak(lambda: main(argv))
-    assert code == 0
-    assert "tokens: 1008" in capsys.readouterr().out
-    return peak
+    return ["pipeline", "--image", str(image), "--ckpt", str(path), "--out", str(tmp_path / "o.toks")]
 
 
 def test_pipeline_peak_memory_of_a_large_photo(tmp_path, capsys, monkeypatch):
-    # each unit cuts its own slice and drops it once encoded, and a loaded
+    # one usable core runs the units in this process, one at a time; each
+    # unit cuts its own slice and drops it once encoded, and a loaded
     # image reads only the rows its resizes tap, so one unit's feature
     # pyramid sets the peak: measured 7.0 MiB in a fresh process (6.0 MiB
     # after a first run) with the level-2 upsample reading its float32 map,
@@ -405,27 +400,68 @@ def test_pipeline_peak_memory_of_a_large_photo(tmp_path, capsys, monkeypatch):
     # whole (96, 96, 49) float64 weights; 22.4 MiB while every slice lived
     # through the units; 45.3 MiB while the 36.6 MB of file bytes lived
     # through slicing; 77.2 MiB while they lived through the units
-    assert _pipeline_peak(tmp_path, capsys, monkeypatch, cores=1) < 7.5 * 2**20
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    argv = _large_photo_argv(tmp_path)
+    code, peak = traced_peak(lambda: main(argv))
+    assert code == 0
+    assert "tokens: 1008" in capsys.readouterr().out
+    assert peak < 7.5 * 2**20
 
 
-def test_pipeline_peak_memory_of_a_large_photo_on_two_threads(tmp_path, capsys, monkeypatch):
-    # each extra worker keeps one more unit in flight: the bound is the
-    # 1-thread bound plus one unit's feature pyramid bound
-    # (test_vdim's TestBuildIsp), 7.5 + 5.6 = 13.1 MiB; measured 12.3-12.5
-    # MiB (16.4 MiB before the changes listed in the 1-thread test; 17.6
-    # MiB with each upsample's unpadded float64 map kept; 18.7 MiB while a
-    # block's weights outlived its mix; 26.5 MiB with the whole level-2
-    # weights; 33.0 MiB while every slice lived through the units)
-    assert _pipeline_peak(tmp_path, capsys, monkeypatch, cores=2) < 13.1 * 2**20
+# runs ``hiwin pipeline`` on the usable cores given first; prints the
+# process's RSS before the call, its workers' max RSS (RUSAGE_CHILDREN) and
+# its own traced peak, in bytes
+_PIPELINE_MEMORY = """
+import os, resource, sys, tracemalloc
+from hiwin.cli import main
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+rss = int(open("/proc/self/statm").read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+tracemalloc.start()
+assert main(sys.argv[2:]) == 0
+peak = tracemalloc.get_traced_memory()[1]
+print(rss, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024, peak)
+"""
 
 
-def test_pipeline_peak_memory_of_a_large_photo_with_every_unit_in_flight(tmp_path, capsys, monkeypatch):
+def _pipeline_memory(tmp_path, cores):
+    """The workers' max RSS above the RSS of a fresh process before it runs
+    ``hiwin pipeline`` on the large photo, and that process's traced peak."""
+    src = str(Path(hiwin.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _PIPELINE_MEMORY, str(cores)] + _large_photo_argv(tmp_path),
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "tokens: 1008" in done.stdout
+    rss, workers, peak = map(int, done.stdout.splitlines()[-1].split())
+    return workers - rss, peak
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="units run on forked workers on Linux only")
+def test_pipeline_peak_memory_of_a_large_photo_on_two_workers(tmp_path):
+    # two workers with four and three units, one unit in flight each, so a
+    # worker holds one unit's working set above the process it forked
+    # from: measured 9.6-10.2 MiB above the parent's RSS before the call,
+    # 17.8-18.2 MiB while a worker kept every unit's pyramid alive. The
+    # parent runs no unit: measured traced peak 3.27 MiB (12.3-13.3 MiB
+    # while two pool threads of the parent ran the units)
+    above, peak = _pipeline_memory(tmp_path, cores=2)
+    assert above < 13 * 2**20
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="units run on forked workers on Linux only")
+def test_pipeline_peak_memory_of_a_large_photo_with_every_unit_in_flight(tmp_path):
     # seven cores run all seven units (the overview and six slices) at
-    # once: the bound is the 1-thread bound plus six one-unit bounds,
-    # 7.5 + 6 * 5.6 = 41.1 MiB; measured 37.4-38.2 MiB (51.0-51.5 MiB
-    # before the changes listed in the 1-thread test; 56.9-59.1 MiB with
-    # each upsample's unpadded float64 map kept)
-    assert _pipeline_peak(tmp_path, capsys, monkeypatch, cores=7) < 41.1 * 2**20
+    # once, one per worker: measured 8.3 MiB above the parent's RSS before
+    # the call, and a parent traced peak of 3.28 MiB (37.4-38.2 MiB while
+    # seven pool threads of the parent ran the units)
+    above, peak = _pipeline_memory(tmp_path, cores=7)
+    assert above < 11 * 2**20
+    assert peak < 4 * 2**20
 
 
 def small_params(grid_side=12, attn_channels=8):
@@ -484,7 +520,7 @@ _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     "user, want", [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])]
 )
 def test_import_pins_blas_threads_unless_set(user, want):
-    # hiwin's unit threads and training processes own parallelism: a fresh
+    # hiwin's unit and training worker processes own parallelism: a fresh
     # process that imports hiwin first gets single-threaded BLAS, and a
     # value the user set is kept
     src = str(Path(hiwin.__file__).resolve().parents[1])
@@ -569,7 +605,7 @@ def test_tokens_that_overflow_float32_exit_4_and_write_nothing(image_336, tmp_pa
 @pytest.mark.parametrize("cores", [1, 2])
 def test_a_diverged_similarity_width_exits_4_and_writes_nothing(cores, image_336, tmp_path, capsys, monkeypatch):
     # it printed two raw RuntimeWarnings, then exited 3 on a non-finite
-    # FeatureMap; a pool thread does not inherit the command's errstate
+    # FeatureMap; the workers fork inside the command's errstate
     vdim = VdimParams.init(d_proj=32, seed=0)
     vdim.levels[1].log_sigma_sim[...] = -400.0  # sigma_sim^2 underflows to 0
     attn = AttnParams.init(HiwinConfig(channels=64), seed=0)
@@ -583,7 +619,7 @@ def test_a_diverged_similarity_width_exits_4_and_writes_nothing(cores, image_336
         assert main(argv) == 4
     err = capsys.readouterr().err
     assert "numerical failure in pipeline: divide by zero encountered in divide" in err
-    # pool.map raises the first failing unit in unit order, whatever the thread count
+    # the first failing unit in unit order is raised, whatever the worker count
     assert err.rstrip().endswith("in unit overview")
     assert not out.exists() and not Path(f"{out}.idx").exists()
 

@@ -3,11 +3,17 @@
 import os
 import re
 import struct
-import threading
+import subprocess
+import sys
+import time
+from concurrent.futures.process import _RemoteTraceback
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hiwin
+from hiwin import pipeline
 from hiwin.checkpoint import load_checkpoint, save_checkpoint
 from hiwin.encoder import EncoderSpec, FeatureMap
 from hiwin.formats import DataFormatError, read_tensor
@@ -42,6 +48,54 @@ def constant_isp(value=0.4, channels=8, base=4):
         for l in range(3)
     ]
     return FeaturePyramid(levels=levels)
+
+
+# kills the second of two unit workers in its first unit, slice:3, once the
+# first worker has returned the overview's and slice:0-2's tokens; runs
+# run_pipeline, then ``hiwin pipeline``, printing each error or exit code
+# and the children left
+_KILL_A_UNIT_WORKER = """
+import multiprocessing, os, signal, sys, time
+from hiwin import pipeline
+from hiwin.checkpoint import save_checkpoint
+from hiwin.cli import main
+from hiwin.encoder import EncoderSpec
+from hiwin.image_io import Image, save_ppm, synth_corpus
+from hiwin.numerics import bilinear_resize
+from hiwin.vdim import DownsamplerParams, VdimParams
+from hiwin.window_attn import AttnParams, HiwinConfig
+
+returned = os.path.join(sys.argv[1], "returned")
+project = pipeline.project_tokens
+
+def project_tokens(isp, *args):
+    if isp.origin == "slice:3":
+        while not os.path.exists(returned):
+            time.sleep(0.01)
+        time.sleep(0.5)  # the first worker's tokens reach the caller
+        os.kill(os.getpid(), signal.SIGKILL)
+    tokens = project(isp, *args)
+    if isp.origin == "slice:2":
+        open(returned, "w").close()
+    return tokens
+
+pipeline.project_tokens = project_tokens
+os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any machine
+image = Image(bilinear_resize(synth_corpus(3, 1, 336)[0].pixels, 672, 1008))
+config = pipeline.PipelineConfig(encoder=EncoderSpec(channels=8, seed=0), hiwin=HiwinConfig(channels=8))
+vdim, attn = VdimParams.init(d_proj=8, seed=0), AttnParams.init(config.hiwin, seed=0)
+try:
+    pipeline.run_pipeline(image, vdim, attn, config)
+except ChildProcessError as e:
+    print(e)
+print(multiprocessing.active_children())
+os.remove(returned)
+ppm, ckpt = os.path.join(sys.argv[1], "big.ppm"), os.path.join(sys.argv[1], "c8.ckpt")
+save_ppm(image, ppm)
+save_checkpoint(ckpt, vdim, DownsamplerParams.init(8, seed=0), attn=attn)
+print(main(["pipeline", "--image", ppm, "--ckpt", ckpt, "--out", os.path.join(sys.argv[1], "o.toks")]))
+print(multiprocessing.active_children())
+"""
 
 
 class TestRunPipeline:
@@ -90,13 +144,56 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match=rf"PipelineConfig.threads must be at least 1, got {threads}"):
             run_pipeline(img, VdimParams.init(d_proj=8, seed=0), AttnParams.init(config.hiwin, seed=0), config)
 
-    def test_threads_default_to_the_usable_cores(self, monkeypatch):
-        # taskset narrows the affinity set; without one, the CPU count
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        assert PipelineConfig().threads == 3
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert PipelineConfig().threads == 5
+    def unit_pids(self, tmp_path, monkeypatch, size, threads):
+        """The process that projected each unit of an image of ``size``
+        (width, height), with ``threads`` units in flight at most."""
+        pids = tmp_path / "pids"
+        project = pipeline.project_tokens
+
+        def recorded(isp, *args):  # inherited by the forked workers
+            with open(pids, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            time.sleep(0.05)  # no worker ends its chunk before the others start
+            return project(isp, *args)
+
+        monkeypatch.setattr(pipeline, "project_tokens", recorded)
+        img = Image(bilinear_resize(synth_corpus(6, 1, 336)[0].pixels, size[1], size[0]))
+        config = small_config(threads=threads)
+        run_pipeline(img, VdimParams.init(d_proj=8, seed=0), AttnParams.init(config.hiwin, seed=0), config)
+        return [int(pid) for pid in pids.read_text().split()]
+
+    @pytest.mark.parametrize(
+        "size, units, threads, want",
+        # one worker per chunk of ceil(units / threads) units: 7 units on 2
+        # threads are 4 + 3; one thread runs them in this process
+        [((1008, 672), 7, 2, 2), ((336, 336), 2, 8, 2), ((1008, 672), 7, 1, 0)],
+    )
+    def test_units_run_on_one_worker_per_chunk(self, tmp_path, monkeypatch, size, units, threads, want):
+        pids = self.unit_pids(tmp_path, monkeypatch, size, threads)
+        assert len(pids) == units
+        assert len(set(pids) - {os.getpid()}) == want
+        assert (os.getpid() in pids) == (want == 0)
+
+    @pytest.mark.parametrize("platform", ["darwin", "win32", "freebsd14"])
+    def test_off_linux_the_units_run_in_the_calling_process(self, tmp_path, monkeypatch, platform):
+        # no fork pool where fork may be unsafe and no death signal exists
+        monkeypatch.setattr(sys, "platform", platform)
+        assert set(self.unit_pids(tmp_path, monkeypatch, (1008, 672), threads=2)) == {os.getpid()}
+
+    def test_a_killed_unit_worker_ends_the_call_naming_the_first_unit_not_returned(self, tmp_path):
+        # in a subprocess, so that a hang fails on the timeout
+        src = str(Path(hiwin.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", _KILL_A_UNIT_WORKER, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        error = "a unit worker ended before it returned the tokens of unit slice:3"
+        assert done.stdout.splitlines() == [error, "[]", "3", "[]"]
+        assert done.stderr == f"error: {error}\n"
 
     def test_grid_follows_the_first_slice_not_the_overview(self):
         # 1008x504 cuts 3x2 slices of 336x252, whose 24x18 patches select a
@@ -112,9 +209,8 @@ class TestRunPipeline:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("change", ["truncated", "replaced"])
     def test_a_file_changed_after_load_is_refused_inside_the_units(self, tmp_path, change, threads):
-        # each unit reads its slice's rows from the file, on pool threads
-        # too: the loader's error reaches the caller as it is, and every
-        # pool thread is joined
+        # each unit reads its slice's rows from the file, in a forked worker
+        # too: the loader's error reaches the caller as it is
         rng = np.random.default_rng(5)
         path = tmp_path / "p.ppm"
         save_ppm(Image(rng.integers(0, 256, (504, 700, 3), dtype=np.uint8)), path)
@@ -126,12 +222,12 @@ class TestRunPipeline:
             save_ppm(Image(rng.integers(0, 256, (504, 700, 3), dtype=np.uint8)), other)
             os.replace(other, path)
         config = small_config(threads=threads)
-        running = set(threading.enumerate())
         with pytest.raises(DataFormatError) as err:
             run_pipeline(img, VdimParams.init(d_proj=8, seed=0), AttnParams.init(config.hiwin, seed=0), config)
         assert type(err.value) is DataFormatError
         assert str(err.value) == f"{path}: the PPM file changed after it was loaded"
-        assert set(threading.enumerate()) == running
+        # a worker's error carries the worker's traceback as its cause
+        assert (type(err.value.__cause__) is _RemoteTraceback) == (threads > 1)
 
 
 class TestBaselines:
