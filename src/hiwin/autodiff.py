@@ -191,9 +191,9 @@ def _tiled(windows: np.ndarray, bands: _Bands, lo: int, hi: int):
 
     The blocks are the :func:`~hiwin.numerics.row_blocks` of the larger
     per-row operand of a product: the patches or the bands.  At inference
-    the weights and the mix ask for the rows of one block of ``_TILE``
-    coarse rows at a time; in training they, the VJP and
-    :func:`guided_weights` ask for the whole map.
+    the weights and the mix ask for the rows of one block of coarse rows
+    at a time; in training they, the VJP and :func:`guided_weights` ask for
+    the whole map.
     """
     _, n, kh, kw, c = windows.shape
     for a, b in row_blocks(hi - lo, n * kh * kw * max(c, bands.cells)):
@@ -315,9 +315,9 @@ def _mix(out, f_windows, weights, lo: int) -> None:
     output rows of ``out`` (2h, 2w, C), cast to its dtype, from the
     :func:`_windows` of the map edge-padded by ``_PAD`` and the (2R, 2w, K)
     weights of those output rows, in the row blocks of :func:`_tiled`, each
-    building its own bands.  Inference mixes each block of ``_TILE`` coarse
-    rows as soon as its weights are built; training mixes the whole map's
-    weights at once."""
+    building its own bands.  Inference mixes each block of coarse rows as
+    soon as its weights are built; training mixes the whole map's weights
+    at once."""
     w2, c = out.shape[1:]
     n = f_windows.shape[1]
     hi = lo + weights.shape[0] // 2
@@ -341,17 +341,19 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     requires grad, the result is a float64 :class:`Tensor` node; otherwise
     it is the float32 (2h, 2w, C) array.
 
-    At inference the output is computed in blocks of ``_TILE`` coarse
-    rows: a block builds the weights of its output rows, drops their
-    logits, then mixes them with :func:`_mix` into the float32 output, so
-    no (2h, 2w, K) array is built, and its window dots and softmax spread
-    their per-call cost over ``2 * _TILE`` rows.  The map is edge-padded in
-    its own dtype, and only each block's patches are cast to float64, so
-    no float64 copy of the map is built; the products see the same float64
-    operands either way.  Training builds the
-    weights and logits of the whole map at once, as :func:`guided_weights`
-    does, keeps them for the VJP and mixes them with the same
-    :func:`_mix` into a float64 output.
+    At inference the output is computed in the
+    :func:`~hiwin.numerics.row_blocks` of the coarse rows, sized by one
+    coarse row's weights (``2 * 2w * K`` entries): 3 rows of a 48-wide map,
+    6 of a 24-wide one.  A block builds the weights of its output rows,
+    drops their logits, then mixes them with :func:`_mix` into the float32
+    output, so no (2h, 2w, K) array is built, and its window dots and
+    softmax spread their per-call cost over the block's rows.  The map is
+    edge-padded in its own dtype, and only each block's patches are cast to
+    float64, so no float64 copy of the map is built; the products see the
+    same float64 operands either way.  Training builds the weights and
+    logits of the whole map at once, as :func:`guided_weights` does, keeps
+    them for the VJP and mixes them with the same :func:`_mix` into a
+    float64 output.
 
     The lift is never built.  Both steps are linear, so the mix reads the
     map edge-padded by 2 through the (5, 5) composite weights
@@ -399,11 +401,11 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     m = np.vstack([proj_w.data, proj_b.data])
     f_windows = _windows(_edge_pad(fmap, _PAD), _COARSE, n)
     g_hat_pad, g_windows = _guide_windows(guide)
+    del guide  # the weights and the VJP read only the padded homogeneous guide
     kernel = (g_hat_pad, g_windows, m @ m.T, lsd.data, lss.data)
     if not grad:
         out = np.empty((2 * h, 2 * w, c), dtype=np.float32)
-        for lo in range(0, h, _TILE):
-            hi = min(lo + _TILE, h)
+        for lo, hi in row_blocks(h, 2 * 2 * w * _K * _K):  # sized by one coarse row's weights
             _mix(out, f_windows, _weights_at(*kernel, 2 * lo, 2 * hi)[0], lo)  # logits freed before the mix
         return out
     weights, logits = _weights_at(*kernel, 0, 2 * h)

@@ -8,11 +8,13 @@ enough to run on every install.  The references (:func:`scalar_bilinear_at`,
 :func:`scalar_grid_choice`, :func:`scalar_cross_attention`) are plain
 per-element loops or written-out formulas; the window write-outs are built
 from them: :func:`scalar_window_values` (the RoI samples of each window box
-at every level), :func:`scalar_window_keys` (values + level embedding +
+at every level), :func:`scalar_window_zeta` (the positional embedding of
+each sample point), :func:`scalar_window_keys` (values + level embedding +
 zeta) and :func:`scalar_window_queries`.  The test suite compares the
 library against these same functions.  The window-sampling check compares
 the value rows of :func:`~hiwin.window_attn.assemble_kv` with the written-out
-values; the window-attention check compares the tokens of
+values and its zeta addend, bit for bit, with the written-out zeta; the
+window-attention check compares the tokens of
 :func:`~hiwin.window_attn.compress` with :func:`scalar_cross_attention` of
 the written-out queries over the written-out keys and values.
 """
@@ -51,6 +53,7 @@ __all__ = [
     "scalar_window_keys",
     "scalar_window_queries",
     "scalar_window_values",
+    "scalar_window_zeta",
 ]
 
 
@@ -128,17 +131,24 @@ def scalar_window_values(levels, n: int, grid: tuple[int, int]) -> np.ndarray:
     return np.stack(windows).reshape(n * n, -1, levels[0].channels)
 
 
-def scalar_window_keys(values: np.ndarray, level_emb: np.ndarray, n: int, grid: tuple[int, int]) -> np.ndarray:
-    """The keys of (n^2, levels*S, C) window ``values`` written out: each
-    level block plus that level's embedding plus zeta, the positional
-    embedding of each window's nominal bin centres in [0, 1]^2."""
+def scalar_window_zeta(n: int, grid: tuple[int, int], channels: int) -> np.ndarray:
+    """zeta written out, (n^2, S, C): the positional embedding of each
+    window's nominal bin centres in [0, 1]^2, one point at a time."""
     rw, rh = grid
     points = [
         ((j + (v + 0.5) / rw) / n, (i + (u + 0.5) / rh) / n)
         for i in range(n) for j in range(n) for u in range(rh) for v in range(rw)
     ]
-    zeta = position_embedding_2d(np.array(points).reshape(n * n, 1, rw * rh, 2), values.shape[-1])
-    by_level = values.reshape(n * n, -1, rw * rh, values.shape[-1])  # (window, level, sample, C)
+    return position_embedding_2d(np.array(points).reshape(n * n, rw * rh, 2), channels)
+
+
+def scalar_window_keys(values: np.ndarray, level_emb: np.ndarray, n: int, grid: tuple[int, int]) -> np.ndarray:
+    """The keys of (n^2, levels*S, C) window ``values`` written out: each
+    level block plus that level's embedding plus
+    :func:`scalar_window_zeta`."""
+    c = values.shape[-1]
+    zeta = scalar_window_zeta(n, grid, c)[:, None]
+    by_level = values.reshape(n * n, -1, grid[0] * grid[1], c)  # (window, level, sample, C)
     return (by_level + level_emb[: by_level.shape[1], None] + zeta).reshape(values.shape)
 
 
@@ -151,21 +161,28 @@ def scalar_window_queries(queries: np.ndarray, n: int) -> np.ndarray:
 
 def check_window_sampling(trials: int = 50, seed: int = 0) -> tuple[bool, str]:
     """``assemble_kv``'s value rows against :func:`scalar_window_values`,
-    over random level dims, window counts n and grids; n above a level's
-    side gives windows narrower than one cell."""
+    and its zeta addend against :func:`scalar_window_zeta`, which it must
+    equal bit for bit, over random level dims, window counts n and grids,
+    for every window row and for a random range of them (a block, as
+    ``compress`` asks for); n above a level's side gives windows narrower
+    than one cell."""
     rng = np.random.default_rng(seed)
-    worst, boxes = 0.0, 0
+    worst, boxes, zeta_off = 0.0, 0, 0
     for _ in range(trials):
         h, w = (int(d) for d in rng.integers(1, 17, 2))
         n = int(rng.integers(1, 9))
         grid = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
         levels = [FeatureMap(rng.standard_normal((h << l, w << l, 4)), level=l) for l in range(2)]
         params = AttnParams.init(HiwinConfig(grid_side=n, channels=4), levels=2)
-        _, got = assemble_kv(FeaturePyramid(levels), n, grid, params)
-        worst = max(worst, float(np.abs(got - scalar_window_values(levels, n, grid)).max()))
-        boxes += n * n * len(levels)
-    ok = worst <= 1e-6
-    return ok, f"{boxes} window boxes, max deviation {worst:.2e} from the scalar reference"
+        values, zeta = scalar_window_values(levels, n, grid), scalar_window_zeta(n, grid, 4)
+        first = int(rng.integers(0, n))
+        for a, b in ((0, n), (first, int(rng.integers(first + 1, n + 1)))):
+            keys, got = assemble_kv(FeaturePyramid(levels), n, grid, params, (a, b))
+            worst = max(worst, float(np.abs(got - values[a * n : b * n]).max()))
+            zeta_off += int(np.count_nonzero(keys[2][:, 0] != zeta[a * n : b * n]))
+            boxes += (b - a) * n * len(levels)
+    ok = worst <= 1e-6 and zeta_off == 0
+    return ok, f"{boxes} window boxes, max deviation {worst:.2e} from the scalar reference, {zeta_off} zeta entries off"
 
 
 def scalar_cross_attention(q, k, v, params, heads: int):

@@ -20,8 +20,11 @@ read by one query, as in every window, the key and value projections are
 folded into the query and the weighted sum instead of being applied to each
 sample; the resampler's shared keys and values are projected once.  A
 window's keys are its values plus two additive terms, the level embedding
-and zeta, the positional embedding of each sample point; :func:`assemble_kv`
-hands them over as those three addends and never builds their sum, and the
+and zeta, the positional embedding of each sample point.  Zeta is
+separable: its x half depends only on a sample's column and its y half only
+on its row, so it is kept as two small per-axis tables per geometry and
+written out for one block of windows at a time.  :func:`assemble_kv` hands
+the keys over as those three addends and never builds their sum, and the
 folded query scores each addend on its own, so the level and position terms
 cost one product over L levels and one over S sample points, not a pass
 over a key array.  :func:`compress` samples and attends its windows a block
@@ -41,12 +44,13 @@ applied by :func:`hiwin.numerics.lerp` along x, then y.  Bin centers are
 separable, and each level's windows form a grid, so each level is sampled
 over the sample columns and rows of all its windows, in blocks of whole
 window rows written straight into the value array (:func:`assemble_kv`);
-no single-box sampler is kept.  The scalar references
-for this rule, the window boxes and the grid choice are in
-:mod:`hiwin.selfcheck`, with the attention reference: its
-``window-sampling`` check compares :func:`assemble_kv`'s value rows with
-them, and its ``window-attention`` check compares :func:`compress` with
-attention over written-out keys; ``selftest`` and the tests both use them.
+no single-box sampler is kept.  The scalar references for this rule, the
+window boxes, zeta and the grid choice are in :mod:`hiwin.selfcheck`, with
+the attention reference: its ``window-sampling`` check compares
+:func:`assemble_kv`'s value rows with them and its zeta, bit for bit, with
+the written-out zeta, and its ``window-attention`` check compares
+:func:`compress` with attention over written-out keys; ``selftest`` and the
+tests both use them.
 """
 
 from __future__ import annotations
@@ -196,33 +200,34 @@ def position_embedding_2d(coords: np.ndarray, channels: int) -> np.ndarray:
     return np.concatenate([np.sin(ax), np.cos(ax), np.sin(ay), np.cos(ay)], axis=-1)
 
 
-def _nominal_sample_coords(n: int, grid: tuple[int, int]) -> np.ndarray:
-    """Normalized [0,1]^2 bin-center positions, (n^2, S, 2).
-
-    These are the unclamped sample locations, identical at every level by
-    construction, so the positional embedding of a sample point does not
-    depend on which level it was drawn from.
-    """
-    rw, rh = grid
-    ij = np.arange(n, dtype=np.float64)
-    bx = (np.arange(rw, dtype=np.float64) + 0.5) / rw
-    by = (np.arange(rh, dtype=np.float64) + 0.5) / rh
-    x = (ij[None, :, None, None] + bx[None, None, None, :]) / n  # (1, n, 1, rw)
-    y = (ij[:, None, None, None] + by[None, None, :, None]) / n  # (n, 1, rh, 1)
-    pts = np.empty((n, n, rh, rw, 2), dtype=np.float64)
-    pts[..., 0] = x
-    pts[..., 1] = y
-    return pts.reshape(n * n, rh * rw, 2)
-
-
 @lru_cache(maxsize=8)
-def _sample_embedding(n: int, grid: tuple[int, int], channels: int) -> np.ndarray:
-    """zeta: the read-only (n^2, S, C) positional embedding of the nominal
-    sample points, the same at every level.  At a 1x1 grid the one sample
-    point of a window is its centre, where its query sits."""
-    zeta = position_embedding_2d(_nominal_sample_coords(n, grid), channels)
-    zeta.flags.writeable = False
-    return zeta
+def _axis_embeddings(n: int, grid: tuple[int, int], channels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only halves of zeta: the x half of
+    :func:`position_embedding_2d` at the normalized bin-centre columns of
+    the n windows, (n * r_w, C/2), and its y half at their rows, (n * r_h,
+    C/2).  The nominal sample points, the same at every level, are these
+    columns crossed with these rows."""
+    half = channels // 2
+    tables = []
+    for r, part in zip(grid, (slice(None, half), slice(half, None))):
+        centres = (np.arange(n, dtype=np.float64)[:, None] + (np.arange(r, dtype=np.float64) + 0.5) / r) / n
+        table = position_embedding_2d(np.repeat(centres.reshape(-1, 1), 2, axis=1), channels)[:, part].copy()
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
+
+
+def _zeta(n: int, grid: tuple[int, int], channels: int, first: int, last: int) -> np.ndarray:
+    """zeta of the windows of window rows ``first .. last - 1``, (W, 1, S,
+    C): the two tables of :func:`_axis_embeddings` broadcast against each
+    other, each by one assignment.  At a 1x1 grid each window's one sample
+    point is its centre, where its query sits."""
+    rw, rh = grid
+    x_table, y_table = _axis_embeddings(n, grid, channels)
+    zeta = np.empty((last - first, n, rh, rw, channels), dtype=np.float64)
+    zeta[..., : channels // 2] = x_table.reshape(n, 1, rw, -1)  # column j, bin v
+    zeta[..., channels // 2 :] = y_table.reshape(n, rh, 1, -1)[first:last, None]  # row i, bin u
+    return zeta.reshape(-1, 1, rh * rw, channels)
 
 
 @lru_cache(maxsize=32)
@@ -230,7 +235,7 @@ def _window_taps(size: int, n: int, r: int) -> tuple[np.ndarray, np.ndarray, np.
     """The read-only :func:`~hiwin.numerics.bilinear_taps` ``(i0, i1, frac)``,
     each (n, r), of the r bin centres of each of the n uniform windows
     along an axis of ``size`` cells.  They depend only on (size, n, r), so
-    they are computed once per geometry, as zeta is."""
+    they are computed once per geometry, as zeta's tables are."""
     taps = bilinear_taps(_bin_centers(*_spans(size, n), r, size), size)
     for t in taps:
         t.flags.writeable = False
@@ -261,10 +266,21 @@ def assemble_kv(
     writes the result, through a transposed view, into its place in the
     value array.  Each window's samples are the same whichever rows are
     asked for.  Zeta is the positional embedding of each sample point's
-    normalized coordinate; it and each level's taps depend only on the
-    geometry, so they are computed once per geometry.
+    normalized coordinate, written for the rows asked for by :func:`_zeta`
+    from two per-axis tables.  Those tables and each level's taps depend
+    only on the geometry, so they are computed once per geometry.  An
+    ``n`` below 1, a ``grid`` entry below 1, or ``rows`` outside
+    ``0 <= a < b <= n`` raises ``ValueError`` naming it, before anything
+    is built.
     """
     rw, rh = grid
+    first, last = (0, n) if rows is None else rows
+    if n < 1:
+        raise ValueError(f"assemble_kv needs n >= 1 windows per side, got n={n}")
+    if rw < 1 or rh < 1:
+        raise ValueError(f"assemble_kv needs a grid of positive (r_w, r_h), got grid={tuple(grid)}")
+    if not 0 <= first < last <= n:
+        raise ValueError(f"assemble_kv needs rows=(a, b) with 0 <= a < b <= n={n}, got rows={tuple(rows)}")
     c = isp.channels
     levels = len(isp.levels)
     emb = params.level_emb
@@ -273,7 +289,6 @@ def assemble_kv(
             f"AttnParams.level_emb has shape {emb.shape}; a {levels}-level pyramid of {c} channels "
             f"needs {levels} or more rows of {c}"
         )
-    first, last = (0, n) if rows is None else rows
     v = np.empty((last - first, n, levels, rh, rw, c), dtype=np.float64)
     for lvl, fmap in enumerate(isp.levels):
         h, w = fmap.height, fmap.width
@@ -285,8 +300,7 @@ def assemble_kv(
             gathered, row_taps = gather_taps(fmap.data, block_taps, axis=0)
             out[a:b] = lerp(lerp(gathered, cols, axis=1), row_taps, axis=0).reshape(b - a, rh, n, rw, c)
     v = v.reshape(-1, levels, rh * rw, c)
-    zeta = _sample_embedding(n, tuple(grid), c)[first * n : last * n, None]
-    keys = (v, emb[None, :levels, None], zeta)
+    keys = (v, emb[None, :levels, None], _zeta(n, tuple(grid), c, first, last))
     return keys, v.reshape(len(v), -1, c)
 
 
@@ -423,11 +437,11 @@ def compress(isp: FeaturePyramid, params: AttnParams, config: HiwinConfig) -> To
     One pooling grid is selected from the level-0 dims; each query token
     attends only to the cross-level RoI samples of its own window, the same
     normalized region of every level.  The queries carry the positional
-    embedding of their window centres, which, like the keys' zeta, is
-    computed once per geometry.  The windows are sampled and attended in
-    the :func:`~hiwin.numerics.row_blocks` of their window rows, each block
-    dropped before the next is sampled; the output projection runs once,
-    over every window's context.  Queries that are
+    embedding of their window centres, zeta of a 1x1 grid, built from
+    per-axis tables as the keys' zeta is.  The windows are sampled and
+    attended in the :func:`~hiwin.numerics.row_blocks` of their window
+    rows, each block dropped before the next is sampled; the output
+    projection runs once, over every window's context.  Queries that are
     not (N, N, C), or fewer level embeddings than the pyramid has levels,
     raise a ``ValueError`` naming the field.
     """
@@ -439,7 +453,7 @@ def compress(isp: FeaturePyramid, params: AttnParams, config: HiwinConfig) -> To
             f"({n}, {n}, {base.channels}) for grid side {n} and {base.channels} channels"
         )
     grid = select_grid(base.width, base.height)
-    q = params.queries.reshape(n * n, -1) + _sample_embedding(n, (1, 1), base.channels)[:, 0]
+    q = params.queries.reshape(n * n, -1) + _zeta(n, (1, 1), base.channels, 0, n)[:, 0, 0]
     attn = _Attention(q[:, None], params, config.heads)
     ctx = np.empty((n * n, 1, base.channels))
     # blocks of twice a window row's samples of one level: lerp holds two float64 arrays of them

@@ -100,14 +100,15 @@ def test_guided_mix_output_does_not_depend_on_requires_grad():
 def test_guided_upsample_bits_do_not_depend_on_the_block_size(hwc, monkeypatch):
     # several row blocks at the default size, several tiles and a ragged last
     # tile; one row per block takes every block boundary there is.
-    # Inference, in blocks of T coarse rows, writes the bits of the float64
-    # forward, one whole-map block, cast to float32
+    # Inference, in the row blocks of one coarse row's weights, writes the
+    # bits of the float64 forward, one whole-map block, cast to float32
     h, w, c = hwc
     rng = np.random.default_rng(21)
     guide = rng.uniform(0, 1, (2 * h, 2 * w, 3))
     arrays = [rng.standard_normal((h, w, c)), rng.standard_normal((3, 8)), rng.standard_normal(8), 0.3, -0.2]
     weights = rng.uniform(0.5, 1.5, (2 * h, 2 * w, c))
-    assert h > T and h % T  # several inference blocks of T coarse rows, the last ragged
+    rows = numerics.BLOCK_ELEMS // (2 * 2 * w * ad._K * ad._K)  # coarse rows per inference block
+    assert h > rows and h % rows  # several inference blocks, the last ragged
     blocks, row_blocks = [], ad.row_blocks
 
     def counted_row_blocks(*args):

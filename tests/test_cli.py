@@ -389,10 +389,14 @@ def test_pipeline_peak_memory_of_a_large_photo(tmp_path, capsys, monkeypatch):
     # one usable core runs the units in this process, one at a time; each
     # unit cuts its own slice and drops it once encoded, and a loaded
     # image reads only the rows its resizes tap, so one unit's feature
-    # pyramid sets the peak: measured 7.0 MiB in a fresh process (6.0 MiB
-    # after a first run) with the level-2 upsample reading its float32 map,
-    # encode making one float64 copy of the slice and compress sampling
-    # blocks of window rows; 9.0 MiB (8.7 MiB after other tests) while the
+    # pyramid sets the peak: measured 5.57 MiB in a fresh process (5.54
+    # MiB after other tests) with zeta kept as two per-axis tables and the
+    # level-2 upsample dropping its float64 guide and mixing blocks of 3
+    # coarse rows; 7.0 MiB in a fresh process (6.99 MiB after other tests,
+    # 6.0 MiB after a first run) with a cached (n^2, S, C) zeta, the guide
+    # kept and blocks of 8 coarse rows, the level-2 upsample reading its
+    # float32 map, encode making one float64 copy of the slice and
+    # compress sampling blocks of window rows; 9.0 MiB (8.7 MiB after other tests) while the
     # slice lived through build_isp, encode copied it twice in float64, the
     # upsamples padded float64 maps and compress sampled every window at
     # once; 10.3 MiB with each upsample's unpadded float64 map kept; 10.5
@@ -405,7 +409,7 @@ def test_pipeline_peak_memory_of_a_large_photo(tmp_path, capsys, monkeypatch):
     code, peak = traced_peak(lambda: main(argv))
     assert code == 0
     assert "tokens: 1008" in capsys.readouterr().out
-    assert peak < 7.5 * 2**20
+    assert peak < 6.0 * 2**20
 
 
 # runs ``hiwin pipeline`` on the usable cores given first; prints the

@@ -70,11 +70,15 @@ class TestJbuUpsample:
         # one inference step of the pyramid, 48x48x64 to 96x96x64: guards
         # against a float64 copy of the map, a block's logits living
         # through its mix, a whole map of weights, a float64 output, a lift
-        # of the map or a whole map of composite weights coming back:
-        # measured peak 4.67 MiB, the float32 map edge-padded as it is and
-        # each block's patches cast to float64, the weights and bands built
-        # per block of 8 coarse rows into a float32 output, a block's
-        # logits freed before its mix and its weights after it; 5.33 MiB
+        # of the map, a whole map of composite weights, the float64 guide
+        # or blocks of more coarse rows than one row_blocks block coming
+        # back: measured peak 3.90 MiB, the float32 map edge-padded as it
+        # is and each block's patches cast to float64, the float64 guide
+        # dropped once padded, the weights and bands built per block of 3
+        # coarse rows (the row_blocks of one coarse row's weights) into a
+        # float32 output, a block's logits freed before its mix and its
+        # weights after it; 4.67 MiB with the guide kept and blocks of 8
+        # coarse rows; 5.33 MiB
         # while the map was padded in float64, its unpadded float64 copy
         # freed before the blocks; 6.46 MiB while that copy lived through the blocks;
         # 7.03 MiB while a block's weights lived on through the
@@ -88,7 +92,7 @@ class TestJbuUpsample:
         params = VdimParams.init(d_proj=32, seed=0)
         out, peak = traced_peak(lambda: jbu_upsample(f1, guide, params, level=1))
         assert out.data.shape == (96, 96, 64)
-        assert peak < 5.0 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        assert peak < 4.2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_dim_mismatch_rejected(self):
         f0 = FeatureMap(np.zeros((8, 8, 4), dtype=np.float32))
@@ -260,8 +264,10 @@ class TestBuildIsp:
         assert [(m.height, m.width) for m in isp.levels] == [(16, 24), (32, 48), (64, 96)]
 
     def test_peak_memory_of_one_unit(self):
-        # one block of weights and the float32 output at level 2, and no
-        # float64 copy of a level: measured peak 5.24 MiB; 5.89 MiB while
+        # one block of 3 coarse rows' weights and the float32 output at
+        # level 2, and no float64 copy of a level or of a dropped guide:
+        # measured peak 4.47 MiB; 5.24 MiB with blocks of 8 coarse rows and
+        # the float64 guide kept; 5.89 MiB while
         # each upsample padded a float64 copy of its map; 7.02 MiB while
         # that map's unpadded float64 copy lived through the blocks and
         # 7.59 MiB while a block's weights lived on through
@@ -275,7 +281,7 @@ class TestBuildIsp:
         f0 = encode(img, EncoderSpec(channels=64, seed=0))
         params = VdimParams.init(d_proj=32, seed=0)
         _, peak = traced_peak(lambda: build_isp(f0, pyramid, params))
-        assert peak < 5.6 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        assert peak < 4.8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_constant_chain(self):
         img = Image(np.full((112, 112, 3), 0.5))

@@ -9,7 +9,13 @@ import pytest
 from hiwin import numerics, window_attn
 from hiwin.encoder import FeatureMap
 from hiwin.numerics import softmax
-from hiwin.selfcheck import scalar_cross_attention, scalar_window_keys, scalar_window_queries, scalar_window_values
+from hiwin.selfcheck import (
+    scalar_cross_attention,
+    scalar_window_keys,
+    scalar_window_queries,
+    scalar_window_values,
+    scalar_window_zeta,
+)
 from hiwin.vdim import FeaturePyramid
 from hiwin.window_attn import (
     AttnParams,
@@ -276,6 +282,42 @@ class TestAssembleKv:
             assert np.array_equal(part_keys[1], keys[1])  # the level embedding, shared
             assert np.array_equal(part_keys[2], keys[2][a * n : b * n])
 
+    @pytest.mark.parametrize("c", [4, 64])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    @pytest.mark.parametrize("grid", window_attn.PROPOSALS)
+    def test_zeta_of_every_block_is_the_written_out_zeta(self, grid, n, c):
+        # every split into blocks of r window rows that row_blocks can give,
+        # r = 1 .. n (r = n is the whole map): each block's zeta addend is
+        # its rows of scalar_window_zeta, bit for bit
+        isp = random_pyramid(n, 2, 2, channels=c)
+        params = AttnParams.init(HiwinConfig(grid_side=n, channels=c))
+        want = scalar_window_zeta(n, grid, c)[:, None]
+        for r in range(1, n + 1):
+            for a in range(0, n, r):
+                b = min(a + r, n)
+                zeta = assemble_kv(isp, n, grid, params, (a, b))[0][2]
+                assert zeta.shape == (b * n - a * n, 1, grid[0] * grid[1], c)
+                assert np.array_equal(zeta, want[a * n : b * n])
+
+    @pytest.mark.parametrize(
+        "n, grid, rows, name",
+        [
+            (3, (3, 3), (2, 1), "rows"),
+            (3, (3, 3), (0, 5), "rows"),
+            (3, (3, 3), (-1, 2), "rows"),
+            (3, (3, 3), (1, 1), "rows"),
+            (3, (0, 3), None, "grid"),
+            (3, (3, -1), None, "grid"),
+            (0, (3, 3), None, "n"),
+        ],
+        ids=["reversed-rows", "rows-past-n", "negative-row", "empty-rows", "zero-grid", "negative-grid", "zero-n"],
+    )
+    def test_bad_geometry_is_named(self, n, grid, rows, name):
+        isp = random_pyramid(0, 6, 6, channels=4)
+        params = AttnParams.init(HiwinConfig(grid_side=3, channels=4))
+        with pytest.raises(ValueError, match=rf"assemble_kv needs .* got {name}="):
+            assemble_kv(isp, n, grid, params, rows)
+
     def test_cached_window_taps_are_read_only_and_equal_a_fresh_build(self):
         for size, n, r in [(24, 12, 3), (96, 12, 3), (18, 12, 2), (5, 8, 4), (1, 3, 2)]:
             cached = window_attn._window_taps(size, n, r)
@@ -366,26 +408,47 @@ class TestCompress:
             compress(random_pyramid(0, 6, 6, channels=4), params, config)
 
     def test_interleaved_geometries_match_fresh_calls(self):
-        # the per-geometry embeddings and taps are cached; a cache filled
-        # by other geometries must give the bits a cold cache gives
+        # the per-geometry embedding tables and taps are cached; a cache
+        # filled by other geometries must give the bits a cold cache gives
         cases = [
             (HiwinConfig(grid_side=n, channels=c, heads=2), random_pyramid(seed, h, w, channels=c))
             for seed, (n, c, h, w) in enumerate([(4, 8, 8, 8), (3, 8, 6, 12), (4, 4, 12, 8), (2, 8, 8, 8)])
         ]
         fresh = []
         for config, isp in cases:
-            window_attn._sample_embedding.cache_clear()
+            window_attn._axis_embeddings.cache_clear()
             window_attn._window_taps.cache_clear()
             fresh.append(compress(isp, AttnParams.init(config, seed=1), config).data)
         for index in (0, 1, 2, 3, 1, 0, 3, 2, 0):
             config, isp = cases[index]
             assert np.array_equal(compress(isp, AttnParams.init(config, seed=1), config).data, fresh[index])
 
-    def test_cached_embeddings_are_read_only(self):
-        cached = window_attn._sample_embedding(3, (3, 3), 4)
-        assert not cached.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            cached += 1.0
+    @pytest.mark.parametrize("n, grid, c", [(3, (3, 3), 4), (12, (2, 4), 64), (5, (1, 1), 8)])
+    def test_cached_embeddings_are_read_only(self, n, grid, c):
+        tables = window_attn._axis_embeddings(n, grid, c)
+        assert window_attn._axis_embeddings(n, grid, c) is tables
+        assert [t.shape for t in tables] == [(n * grid[0], c // 2), (n * grid[1], c // 2)]
+        for cached in tables:
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                cached += 1.0
+
+    @pytest.mark.parametrize("c", [4, 64])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_query_embedding_is_the_written_out_window_centres(self, n, c, monkeypatch):
+        # the queries compress attends with, captured as _Attention gets
+        # them, equal scalar_window_queries bit for bit
+        seen, init = [], window_attn._Attention.__init__
+
+        def recording(self, q, *args):
+            seen.append(q.copy())
+            init(self, q, *args)
+
+        monkeypatch.setattr(window_attn._Attention, "__init__", recording)
+        config = HiwinConfig(grid_side=n, channels=c)
+        params = AttnParams.init(config, seed=n)
+        compress(random_pyramid(n, 6, 6, channels=c), params, config)
+        assert len(seen) == 1 and np.array_equal(seen[0], scalar_window_queries(params.queries, n))
 
 
 class TestCompressBlocks:
