@@ -33,6 +33,7 @@ __all__ = [
     "as_tensor",
     "backward",
     "guided_upsample",
+    "guided_upsample_rows",
     "guided_weights",
     "recon_loss",
     "window_pool",
@@ -138,15 +139,15 @@ _FINE = _bands((_K, _TILE + 2 * RADIUS), _TILE, _DY, np.arange(_TILE)[:, None] +
 _COARSE = _bands((_CK, _TILE + 2 * _PAD), 2 * _TILE, _CA, np.arange(2 * _TILE)[:, None] // 2 + _CB)
 
 
-def _edge_index(n: int, pad: int) -> np.ndarray:
-    """Source cells of the n + 2 * ``pad`` cells of an axis edge-padded by ``pad``."""
-    return np.clip(np.arange(-pad, n + pad), 0, n - 1)
+def _edge_index(n: int, pad: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Source cells of the cells ``lo - pad .. hi + pad - 1`` of an n-cell axis edge-padded by ``pad``."""
+    return np.clip(np.arange(lo - pad, (n if hi is None else hi) + pad), 0, n - 1)
 
 
-def _edge_pad(a: np.ndarray, pad: int) -> np.ndarray:
-    """``a`` (h, w, ...) edge-padded by ``pad`` cells on both axes."""
+def _edge_pad(a: np.ndarray, pad: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """The rows ``lo .. hi - 1`` (all by default) of ``a`` (h, w, ...) edge-padded by ``pad`` cells on both axes."""
     h, w = a.shape[:2]
-    return a[_edge_index(h, pad)][:, _edge_index(w, pad)]
+    return a[_edge_index(h, pad, lo, hi)][:, _edge_index(w, pad)]
 
 
 def _fold_edges(a: np.ndarray, pad: int) -> np.ndarray:
@@ -249,10 +250,11 @@ def _window_dots(a: np.ndarray, windows: np.ndarray, lo: int) -> np.ndarray:
     return out.reshape(h, n * _TILE, -1)[:, :w]
 
 
-def _guide_windows(guide: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The homogeneous guide [r, g, b, 1] edge-padded by ``RADIUS``, and
-    its :func:`_windows`: what the weights of every row read."""
-    g_hat_pad = _edge_pad(np.concatenate([guide, np.ones(guide.shape[:2] + (1,))], axis=-1), RADIUS)
+def _guide_windows(guide: np.ndarray, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``lo .. hi - 1`` of the float64 homogeneous guide [r, g, b, 1]
+    edge-padded by ``RADIUS``, and their :func:`_windows`: what those rows' weights read."""
+    pad = _edge_pad(guide, RADIUS, lo, hi)
+    g_hat_pad = np.concatenate([pad, np.ones(pad.shape[:2] + (1,))], axis=-1)
     return g_hat_pad, _windows(g_hat_pad, _FINE, -(-guide.shape[1] // _TILE))
 
 
@@ -328,6 +330,20 @@ def _mix(out, f_windows, weights, lo: int) -> None:
         del bands, patches  # before the next block's patches are cut
 
 
+def guided_upsample_rows(out, feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim, lo: int, hi: int) -> None:
+    """Write the output rows ``2 lo .. 2 hi - 1`` of the inference
+    :func:`guided_upsample` into ``out`` (2 (hi - lo), 2w, C), cast to its
+    dtype, from unchecked operands (float64 kernel arrays).  Only the map
+    and guide rows those rows read are edge-padded.  A row depends only on
+    its window, so its bits do not depend on the rows asked for."""
+    w = feats.shape[1]
+    m = np.vstack([proj_w, proj_b])
+    f_windows = _windows(_edge_pad(feats, _PAD, lo, hi), _COARSE, -(-w // _TILE))
+    kernel = (*_guide_windows(guide, 2 * lo, 2 * hi), m @ m.T, log_sigma_dist, log_sigma_sim)
+    for a, b in row_blocks(hi - lo, 2 * 2 * w * _K * _K):  # sized by one coarse row's weights
+        _mix(out, f_windows, _weights_at(*kernel, 2 * a, 2 * b)[0], a)  # logits freed before the mix
+
+
 def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim):
     """Joint bilateral 2x upsampling of a feature map to its guide's grid, fused.
 
@@ -341,8 +357,8 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     requires grad, the result is a float64 :class:`Tensor` node; otherwise
     it is the float32 (2h, 2w, C) array.
 
-    At inference the output is computed in the
-    :func:`~hiwin.numerics.row_blocks` of the coarse rows, sized by one
+    At inference :func:`guided_upsample_rows` writes every output row, in
+    the :func:`~hiwin.numerics.row_blocks` of the coarse rows, sized by one
     coarse row's weights (``2 * 2w * K`` entries): 3 rows of a 48-wide map,
     6 of a 24-wide one.  A block builds the weights of its output rows,
     drops their logits, then mixes them with :func:`_mix` into the float32
@@ -386,7 +402,7 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     if grad:
         feats = as_tensor(feats)
     fmap = feats.data if isinstance(feats, Tensor) else np.asarray(feats)  # at inference, as given
-    guide = np.asarray(guide, dtype=np.float64)
+    guide = np.asarray(guide)  # cast to float64 as it is padded
     if guide.ndim != 3 or guide.shape[2] != 3 or fmap.ndim != 3:
         raise ValueError("guided_upsample expects an (h', w', C) map and an (H, W, 3) guide")
     if proj_b.data.ndim != 1 or proj_w.data.shape != (3, proj_b.data.size):
@@ -397,18 +413,16 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
             f"guide dims {guide.shape[1]}x{guide.shape[0]} do not match 2x feature dims "
             f"{2 * w}x{2 * h} of the {w}x{h} map"
         )
+    if not grad:
+        out = np.empty((2 * h, 2 * w, c), dtype=np.float32)
+        guided_upsample_rows(out, fmap, guide, proj_w.data, proj_b.data, lsd.data, lss.data, 0, h)
+        return out
     n = -(-w // _TILE)  # tiles per row: _TILE map, 2 * _TILE output columns
     m = np.vstack([proj_w.data, proj_b.data])
     f_windows = _windows(_edge_pad(fmap, _PAD), _COARSE, n)
     g_hat_pad, g_windows = _guide_windows(guide)
     del guide  # the weights and the VJP read only the padded homogeneous guide
-    kernel = (g_hat_pad, g_windows, m @ m.T, lsd.data, lss.data)
-    if not grad:
-        out = np.empty((2 * h, 2 * w, c), dtype=np.float32)
-        for lo, hi in row_blocks(h, 2 * 2 * w * _K * _K):  # sized by one coarse row's weights
-            _mix(out, f_windows, _weights_at(*kernel, 2 * lo, 2 * hi)[0], lo)  # logits freed before the mix
-        return out
-    weights, logits = _weights_at(*kernel, 0, 2 * h)
+    weights, logits = _weights_at(g_hat_pad, g_windows, m @ m.T, lsd.data, lss.data, 0, 2 * h)
     out = np.empty((2 * h, 2 * w, c), dtype=np.float64)
     _mix(out, f_windows, weights, 0)
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from .formats import DataFormatError, Header, all_finite, expect_end, finite_f4, nonzero_dims, read_f4
 from .image_io import Image
+from .numerics import row_blocks
 
 __all__ = [
     "EncoderSpec",
@@ -42,7 +43,10 @@ ISPF = Header(b"ISPF", "level", "height", "width", "channels")
 
 @dataclass
 class FeatureMap:
-    """Dense (h, w, C) float32 feature grid tagged with pyramid level and origin."""
+    """Dense (h, w, C) float32 feature grid tagged with pyramid level and
+    origin.  ``data`` may be a row source (the top level of
+    ``vdim.build_isp``): an array's ``shape``, ``ndim`` and ``dtype``, a
+    ``take(rows, axis=0)`` and ``np.asarray``, which whole-map readers use."""
 
     data: np.ndarray
     level: int = 0
@@ -59,7 +63,8 @@ class FeatureMap:
     @classmethod
     def _of_checked(cls, data: np.ndarray, level: int, origin: str) -> "FeatureMap":
         """A map of an (h, w, C) float32 array whose reader has already
-        refused non-finite values, built without scanning it again."""
+        refused non-finite values, or of a row source that refuses them in
+        every row it computes, built without scanning it."""
         fmap = cls.__new__(cls)
         fmap.data, fmap.level, fmap.origin = data, level, origin
         return fmap
@@ -103,12 +108,17 @@ def encode(image: Image, spec: EncoderSpec, origin: str = "overview") -> Feature
             f"image dims {image.width}x{image.height} are not multiples of patch {p}"
         )
     nh, nw = image.height // p, image.width // p
-    # one float64 copy of the pixels, written in patch order: the cast
-    # comes with the transpose's copy, not before it
-    patches = np.empty((nh, nw, p * p * 3), dtype=np.float64)
-    patches.reshape(nh, nw, p, p, 3)[...] = image.decoded().reshape(nh, p, nw, p, 3).transpose(0, 2, 1, 3, 4)
-    feats = np.tanh(patches @ _patch_projection(spec.seed, spec.channels))
-    return FeatureMap(feats.astype(np.float32), level=0, origin=origin)
+    pixels = image.decoded()
+    projection = _patch_projection(spec.seed, spec.channels)
+    feats = np.empty((nh, nw, spec.channels), dtype=np.float32)
+    # one block of patch rows at a time, cast to float64 by the transpose's
+    # copy; the stacked product is one GEMM per patch row, whatever the block
+    for a, b in row_blocks(nh, nw * p * p * 3):
+        block = pixels[a * p : b * p].reshape(b - a, p, nw, p, 3).transpose(0, 2, 1, 3, 4)
+        patches = np.empty((b - a, nw, p * p * 3), dtype=np.float64)
+        patches.reshape(b - a, nw, p, p, 3)[...] = block
+        feats[a:b] = np.tanh(patches @ projection)
+    return FeatureMap(feats, level=0, origin=origin)
 
 
 def save_features(fmap: FeatureMap, path) -> None:

@@ -17,7 +17,8 @@ Interpolation runs in float64; results are cast back to the caller's dtype,
 except that 8-bit image codes resize to float32 values through
 :func:`decode_codes`, the one rule that turns a code into a value.
 :func:`row_blocks` cuts every memory-bounded loop of the package: those of
-:func:`bilinear_resize`, ``window_attn.assemble_kv`` and ``autodiff.guided_upsample``.
+:func:`bilinear_resize`, ``window_attn.assemble_kv``, ``autodiff.guided_upsample``
+and ``encoder.encode``.
 """
 
 from __future__ import annotations
@@ -131,11 +132,12 @@ def _tapped_cells(taps: _Taps, n: int) -> tuple[np.ndarray, _Taps]:
     return np.flatnonzero(read), (new_index[i0], new_index[i1], frac)
 
 
-def gather_taps(src: np.ndarray, taps: _Taps, axis: int) -> tuple[np.ndarray, _Taps]:
+def gather_taps(src, taps: _Taps, axis: int) -> tuple[np.ndarray, _Taps]:
     """The cells of ``src`` along ``axis`` that ``taps`` read, and the taps
-    remapped to them; ``src`` itself if every cell is read."""
+    remapped to them; an array ``src`` itself if every cell is read, while
+    a row source (``vdim.build_isp``) is always asked, once."""
     cells, remapped = _tapped_cells(taps, src.shape[axis])
-    if cells.size == src.shape[axis]:
+    if cells.size == src.shape[axis] and isinstance(src, np.ndarray):
         return src, remapped
     return np.take(src, cells, axis=axis), remapped
 

@@ -6,7 +6,8 @@ with the window-attention projector so outputs can be compared like for like.
 Per-unit work is independent: each unit (the overview or one slice) cuts
 its own slice from the image, encodes it and drops it, then builds its
 pyramid and projects its tokens, so only the units in flight that have not
-yet encoded hold pixels.  The units run on forked worker processes, at
+yet encoded hold pixels.  The pyramid's top level is computed by rows as
+the projector reads them, so ``compress`` never holds it whole.  The units run on forked worker processes, at
 most ``PipelineConfig.threads`` in flight (by default the usable cores), and
 their token maps are reassembled in unit order, so results are identical
 for any count.
@@ -74,8 +75,7 @@ def init_mlp_weight(channels: int, seed: int = 0) -> np.ndarray:
 def baseline_mlp(isp: FeaturePyramid, n: int, weight: np.ndarray) -> TokenMap:
     """Reference projector: bilinearly downsample the finest level to N x N,
     then apply one linear map."""
-    top = isp.levels[-1]
-    small = bilinear_resize(top.data.astype(np.float64), n, n)
+    small = bilinear_resize(np.asarray(isp.levels[-1].data, dtype=np.float64), n, n)
     out = small.reshape(n * n, -1) @ weight
     return TokenMap(out.reshape(n, n, -1).astype(np.float32), origin=isp.origin)
 
@@ -87,7 +87,7 @@ def baseline_resampler(
     with no windows and no spatial or level embeddings."""
     n = config.grid_side
     c = isp.channels
-    feats = np.concatenate([f.data.reshape(-1, c) for f in isp.levels]).astype(np.float64)
+    feats = np.concatenate([np.asarray(f.data).reshape(-1, c) for f in isp.levels]).astype(np.float64)
     q = params.queries.reshape(n * n, c).astype(np.float64)
     out, _ = cross_attention(q[None], feats[None], feats[None], params, config.heads)
     return TokenMap(out.reshape(n, n, c).astype(np.float32), origin=isp.origin)

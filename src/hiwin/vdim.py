@@ -46,6 +46,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NumericalError, Tensor
 from .encoder import EncoderSpec, FeatureMap, encode
+from .formats import all_finite
 from .image_io import Image, ImagePyramid, build_image_pyramid
 from .numerics import AdamState, adam_step
 from .workers import forked, usable_cores
@@ -214,10 +215,57 @@ def attention_downsample(
     return FeatureMap(out.data.astype(np.float32), level=0, origin=f_high.origin)
 
 
+class _UpsampledRows:
+    """The float32 (2h, 2w, C) map that :func:`jbu_upsample` returns for
+    the array ``feats`` under ``guide`` by ``kernel``, computed anew each
+    time rows are asked for: by ``take(rows, axis=0)`` (``np.take`` forwards
+    ``out`` and ``mode``, which must keep their defaults) or all of them by
+    ``np.asarray``.  Each run of the coarse rows asked for is one
+    ``autodiff.guided_upsample_rows`` call.  A computed row holding NaN or
+    inf raises the ``ValueError`` of :class:`FeatureMap`."""
+
+    ndim = 3
+    dtype = np.dtype(np.float32)
+
+    def __init__(self, feats: np.ndarray, guide: np.ndarray, kernel: LevelKernel):
+        self.feats, self.guide = feats, guide
+        self.kernel = [t.data for t in _leaves(kernel)]  # float64, as guided_upsample reads them
+        h, w, c = feats.shape
+        self.shape = (2 * h, 2 * w, c)
+
+    def _runs(self, runs: list[tuple[int, int]]) -> np.ndarray:
+        """The output rows of the runs ``(lo, hi)`` of coarse rows, in order."""
+        out = np.empty((2 * sum(hi - lo for lo, hi in runs),) + self.shape[1:], dtype=np.float32)
+        at = 0
+        for lo, hi in runs:
+            ad.guided_upsample_rows(out[at : at + 2 * (hi - lo)], self.feats, self.guide, *self.kernel, lo, hi)
+            at += 2 * (hi - lo)
+        if not all_finite(out):
+            raise ValueError("FeatureMap values must be finite")
+        return out
+
+    def take(self, indices, axis: int = 0, out=None, mode: str = "raise") -> np.ndarray:
+        if axis != 0 or out is not None or mode != "raise":
+            raise ValueError("upsampled rows are taken along axis 0 only, into a new array")
+        rows = np.arange(self.shape[0])[indices]
+        coarse = np.zeros(self.shape[0] // 2, dtype=bool)  # a mask, not np.unique, which imports numpy.ma
+        coarse[rows // 2] = True
+        edges = np.diff(coarse.astype(np.int8), prepend=0, append=0)
+        computed = self._runs(list(zip(np.flatnonzero(edges > 0).tolist(), np.flatnonzero(edges < 0).tolist())))
+        return computed[2 * (np.cumsum(coarse) - 1)[rows // 2] + rows % 2]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = self._runs([(0, self.shape[0] // 2)])
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
 def build_isp(
     f0: FeatureMap, pyramid: ImagePyramid, params: VdimParams
 ) -> FeaturePyramid:
-    """Grow the full feature pyramid from the base map and its guidance images."""
+    """Grow the full feature pyramid from the base map and its guidance
+    images.  The top level's ``data`` is a row source that computes only
+    the rows it is asked for, so window attention, which reads a band of
+    window rows at a time, never holds the whole level."""
     need = len(params.levels) + 1
     if len(pyramid.levels) < need:
         raise ValueError(f"image pyramid has {len(pyramid.levels)} levels, need {need}")
@@ -225,8 +273,11 @@ def build_isp(
     if (base_img.height, base_img.width) != (f0.height, f0.width):
         raise ValueError("pyramid level 0 dims must equal the base feature dims")
     levels = [FeatureMap(f0.data, level=0, origin=f0.origin)]
-    for lvl in range(len(params.levels)):
+    for lvl in range(len(params.levels) - 1):
         levels.append(jbu_upsample(levels[-1], pyramid.levels[lvl + 1], params, level=lvl))
+    top = len(params.levels)  # its guide's dims are twice the map's, as the pyramid's double
+    rows = _UpsampledRows(levels[-1].data, pyramid.levels[top].decoded(), params.levels[top - 1])
+    levels.append(FeatureMap._of_checked(rows, top, f0.origin))
     return FeaturePyramid(levels=levels, origin=f0.origin)
 
 

@@ -264,8 +264,9 @@ def assemble_kv(
     :func:`~hiwin.numerics.row_blocks` of its window rows: a block gathers
     only the map rows its taps read, lerps them along x, then along y, and
     writes the result, through a transposed view, into its place in the
-    value array.  Each window's samples are the same whichever rows are
-    asked for.  Zeta is the positional embedding of each sample point's
+    value array; a level whose ``data`` is a row source (the top level of
+    ``vdim.build_isp``) computes only those rows.  Each window's samples are
+    the same whichever rows are asked for.  Zeta is the positional embedding of each sample point's
     normalized coordinate, written for the rows asked for by :func:`_zeta`
     from two per-axis tables.  Those tables and each level's taps depend
     only on the geometry, so they are computed once per geometry.  An

@@ -21,6 +21,7 @@ from hiwin.vdim import (
     DownsamplerParams,
     FeaturePyramid,
     VdimParams,
+    _UpsampledRows,
     attention_downsample,
     build_isp,
     jbu_upsample,
@@ -28,6 +29,7 @@ from hiwin.vdim import (
     pretrain_vdim,
     trainable_arrays,
 )
+from hiwin.window_attn import PROPOSALS, AttnParams, HiwinConfig, assemble_kv
 
 from helpers import scalar_guided_upsample, scalar_resize, traced_peak
 
@@ -264,9 +266,12 @@ class TestBuildIsp:
         assert [(m.height, m.width) for m in isp.levels] == [(16, 24), (32, 48), (64, 96)]
 
     def test_peak_memory_of_one_unit(self):
-        # one block of 3 coarse rows' weights and the float32 output at
-        # level 2, and no float64 copy of a level or of a dropped guide:
-        # measured peak 4.47 MiB; 5.24 MiB with blocks of 8 coarse rows and
+        # level 2 is a row source, computed only when compress reads it, so
+        # level 1 (one block of 6 coarse rows' weights and its float32
+        # output) sets the peak: measured 1.52 MiB; 4.47 MiB with level 2
+        # built whole from blocks of 3 coarse rows' weights into a float32
+        # output, with no float64 copy of a level or of a dropped guide;
+        # 5.24 MiB with blocks of 8 coarse rows and
         # the float64 guide kept; 5.89 MiB while
         # each upsample padded a float64 copy of its map; 7.02 MiB while
         # that map's unpadded float64 copy lived through the blocks and
@@ -281,7 +286,7 @@ class TestBuildIsp:
         f0 = encode(img, EncoderSpec(channels=64, seed=0))
         params = VdimParams.init(d_proj=32, seed=0)
         _, peak = traced_peak(lambda: build_isp(f0, pyramid, params))
-        assert peak < 4.8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        assert peak < 1.7 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_constant_chain(self):
         img = Image(np.full((112, 112, 3), 0.5))
@@ -292,6 +297,115 @@ class TestBuildIsp:
         for fmap in isp.levels:
             want = np.broadcast_to(ref, fmap.data.shape)
             np.testing.assert_allclose(fmap.data, want, atol=1e-6)
+
+
+def rows_and_eager(h, w, c, seed=0):
+    """A row source of the level-2 kernel over a random (h, w, C) map, and
+    the array that :func:`jbu_upsample` returns for the same map."""
+    rng = np.random.default_rng(seed)
+    f1 = FeatureMap(rng.standard_normal((h, w, c)).astype(np.float32), level=1)
+    guide = Image(rng.uniform(0, 1, (2 * h, 2 * w, 3)).astype(np.float32))
+    params = VdimParams.init(d_proj=8, seed=seed)
+    return _UpsampledRows(f1.data, guide.decoded(), params.levels[1]), jbu_upsample(f1, guide, params, level=1).data
+
+
+def lazy_and_eager_pyramids(size, channels, seed=0):
+    """``build_isp`` of a random size x size image, and the same pyramid
+    with its top level upsampled whole by :func:`jbu_upsample`."""
+    img = Image(np.random.default_rng(seed).uniform(0, 1, (size, size, 3)).astype(np.float32))
+    pyramid = build_image_pyramid(img)
+    params = VdimParams.init(d_proj=8, seed=seed)
+    lazy = build_isp(encode(img, EncoderSpec(channels=channels, seed=seed)), pyramid, params)
+    top = jbu_upsample(lazy.levels[1], pyramid.levels[2], params, level=1)
+    return lazy, FeaturePyramid(lazy.levels[:2] + [top], origin=lazy.origin)
+
+
+# odd heights, and widths that are not a multiple of the upsampler's tile
+MAP_SIZES = [(5, 7), (9, 13), (16, 24), (48, 48)]
+
+
+class TestUpsampledRows:
+    @pytest.mark.parametrize("c", [4, 64])
+    @pytest.mark.parametrize("hw", MAP_SIZES)
+    def test_every_single_row_is_the_eager_row(self, hw, c):
+        rows, eager = rows_and_eager(*hw, c)
+        for y in range(eager.shape[0]):
+            assert np.array_equal(rows.take([y], axis=0), eager[[y]])
+
+    @pytest.mark.parametrize("c", [4, 64])
+    @pytest.mark.parametrize("hw", MAP_SIZES)
+    def test_random_row_sets_are_the_eager_rows(self, hw, c):
+        rows, eager = rows_and_eager(*hw, c, seed=1)
+        rng = np.random.default_rng(hw[0] * c)
+        for _ in range(8):
+            picked = rng.integers(0, eager.shape[0], rng.integers(1, 2 * eager.shape[0]))
+            # unsorted with duplicates, sorted with duplicates, sorted and unique
+            for asked in (picked, np.sort(picked), np.flatnonzero(np.isin(np.arange(eager.shape[0]), picked))):
+                assert np.array_equal(np.take(rows, asked, axis=0), eager[asked])
+
+    @pytest.mark.parametrize("c", [4, 64])
+    @pytest.mark.parametrize("hw", MAP_SIZES)
+    def test_asarray_is_the_eager_map(self, hw, c):
+        rows, eager = rows_and_eager(*hw, c, seed=2)
+        assert (rows.shape, rows.ndim, rows.dtype) == (eager.shape, 3, np.float32)
+        whole = np.asarray(rows)
+        assert whole.dtype == np.float32 and np.array_equal(whole, eager)
+        assert np.array_equal(np.asarray(rows, dtype=np.float64), eager.astype(np.float64))
+
+    @pytest.mark.parametrize("n", [5, 12])
+    @pytest.mark.parametrize("grid", PROPOSALS)
+    def test_the_rows_assemble_kv_asks_for_are_the_eager_rows(self, grid, n, monkeypatch):
+        # every split into blocks of r window rows, r = 1 .. n; at n = 5 a
+        # window's rows end mid coarse row
+        lazy, eager = lazy_and_eager_pyramids(336, channels=8, seed=3)
+        params = AttnParams.init(HiwinConfig(channels=8), seed=3)
+        top, take, asked = eager.levels[-1].data, _UpsampledRows.take, []
+
+        def checked_take(self, indices, *args, **kwargs):
+            got = take(self, indices, *args, **kwargs)
+            asked.append(indices)
+            assert np.array_equal(got, top[indices])
+            return got
+
+        monkeypatch.setattr(_UpsampledRows, "take", checked_take)
+        for r in range(1, n + 1):
+            for a in range(0, n, r):
+                rows = (a, min(a + r, n))
+                _, got = assemble_kv(lazy, n, grid, params, rows)
+                assert np.array_equal(got, assemble_kv(eager, n, grid, params, rows)[1])
+        assert len(asked) == sum(-(-n // r) for r in range(1, n + 1))  # one take per block
+
+    def test_assemble_kv_of_every_row_asks_the_row_source(self, monkeypatch):
+        # 42x42 pixels: a 12x12 top level, one row per window row at n = 12,
+        # every row tapped
+        lazy, eager = lazy_and_eager_pyramids(42, channels=4, seed=4)
+        params = AttnParams.init(HiwinConfig(channels=4), seed=4)
+        asked, take = [], _UpsampledRows.take
+
+        def recorded_take(self, indices, *args, **kwargs):
+            asked.append(indices)
+            return take(self, indices, *args, **kwargs)
+
+        monkeypatch.setattr(_UpsampledRows, "take", recorded_take)
+        keys, values = assemble_kv(lazy, 12, (3, 3), params)
+        want_keys, want_values = assemble_kv(eager, 12, (3, 3), params)
+        assert [list(rows) for rows in asked] == [list(range(12))]
+        assert np.array_equal(values, want_values)
+        assert all(np.array_equal(k, w) for k, w in zip(keys, want_keys))
+
+    def test_a_non_finite_row_raises_the_feature_map_error(self):
+        params = VdimParams.init(d_proj=8, seed=5)
+        params.levels[1].log_sigma_sim[...] = -400.0  # sigma_sim^2 underflows to 0
+        rng = np.random.default_rng(5)
+        f1 = FeatureMap(rng.standard_normal((5, 7, 4)).astype(np.float32), level=1)
+        guide = Image(rng.uniform(0, 1, (10, 14, 3)).astype(np.float32))
+        rows = _UpsampledRows(f1.data, guide.decoded(), params.levels[1])
+        with pytest.raises(ValueError) as want, np.errstate(all="ignore"):
+            jbu_upsample(f1, guide, params, level=1)  # the eager map's FeatureMap refuses it
+        for read in (lambda: rows.take([3], axis=0), lambda: np.asarray(rows)):
+            with pytest.raises(ValueError) as got, np.errstate(all="ignore"):
+                read()
+            assert str(got.value) == str(want.value)
 
 
 # kills a training worker when step 1 ends; prints the error and the
