@@ -12,9 +12,9 @@ pooled maps.  All of them are vectorized and rely on numpy's fixed reduction
 order, so repeated runs on the same inputs produce bit-identical values and
 gradients.  Data is promoted to float64 on entry; loss evaluation and
 finite-difference checks need 64-bit accumulation to reach their tolerances.
-A :func:`guided_upsample` call with no operand that requires grad
-(inference) records nothing, reads its map in the map's own dtype, and
-returns its output as a float32 array.
+This is the training graph only: inference reads the guided upsampler's
+rows through :mod:`hiwin.vdim`'s row source, which runs the same kernels
+by :func:`guided_upsample_rows`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "backward",
+    "check_guided_operands",
     "guided_upsample",
     "guided_upsample_rows",
     "guided_weights",
@@ -191,10 +192,10 @@ def _tiled(windows: np.ndarray, bands: _Bands, lo: int, hi: int):
     it asks for the next block, whose patches then reuse that memory.
 
     The blocks are the :func:`~hiwin.numerics.row_blocks` of the larger
-    per-row operand of a product: the patches or the bands.  At inference
-    the weights and the mix ask for the rows of one block of coarse rows
-    at a time; in training they, the VJP and :func:`guided_weights` ask for
-    the whole map.
+    per-row operand of a product: the patches or the bands.  In
+    :func:`guided_upsample_rows` the weights and the mix ask for the rows
+    of one block of coarse rows at a time; in training they, the VJP and
+    :func:`guided_weights` ask for the whole map.
     """
     _, n, kh, kw, c = windows.shape
     for a, b in row_blocks(hi - lo, n * kh * kw * max(c, bands.cells)):
@@ -289,10 +290,10 @@ def guided_weights(guide: np.ndarray, proj_w, proj_b, log_sigma_dist, log_sigma_
     one softmax over K, since the similarity normalizer cancels:
     ``weights = softmax(logits - |dxy|^2 / (2 sigma_dist^2))``.
 
-    A row's weights depend on its own window alone.  At inference
-    :func:`guided_upsample` runs the same kernel on one block of rows at a
-    time and builds no whole-map weights; this function and training build
-    them whole.
+    A row's weights depend on its own window alone.
+    :func:`guided_upsample_rows` runs the same kernel on one block of rows
+    at a time and builds no whole-map weights; this function and training
+    build them whole.
     """
     m = np.vstack([proj_w, proj_b])
     return _weights_at(*_guide_windows(guide), m @ m.T, log_sigma_dist, log_sigma_sim, 0, guide.shape[0])[0]
@@ -317,9 +318,9 @@ def _mix(out, f_windows, weights, lo: int) -> None:
     output rows of ``out`` (2h, 2w, C), cast to its dtype, from the
     :func:`_windows` of the map edge-padded by ``_PAD`` and the (2R, 2w, K)
     weights of those output rows, in the row blocks of :func:`_tiled`, each
-    building its own bands.  Inference mixes each block of coarse rows as
-    soon as its weights are built; training mixes the whole map's weights
-    at once."""
+    building its own bands.  :func:`guided_upsample_rows` mixes each block
+    of coarse rows as soon as its weights are built; training mixes the
+    whole map's weights at once."""
     w2, c = out.shape[1:]
     n = f_windows.shape[1]
     hi = lo + weights.shape[0] // 2
@@ -330,12 +331,35 @@ def _mix(out, f_windows, weights, lo: int) -> None:
         del bands, patches  # before the next block's patches are cut
 
 
+def check_guided_operands(feats: np.ndarray, guide: np.ndarray, proj_w: np.ndarray, proj_b: np.ndarray) -> None:
+    """Refuse with ``ValueError`` a map that is not (h, w, C), a guide that
+    is not (2h, 2w, 3), or a projection that is not a (3, D) ``proj_w`` and
+    a (D,) ``proj_b``: the operand checks of both guided-upsampler entries."""
+    if guide.ndim != 3 or guide.shape[2] != 3 or feats.ndim != 3:
+        raise ValueError("guided_upsample expects an (h', w', C) map and an (H, W, 3) guide")
+    if proj_b.ndim != 1 or proj_w.shape != (3, proj_b.size):
+        raise ValueError("guided_upsample expects a (3, D) proj_w and a (D,) proj_b")
+    h, w = feats.shape[:2]
+    if guide.shape[:2] != (2 * h, 2 * w):
+        raise ValueError(
+            f"guide dims {guide.shape[1]}x{guide.shape[0]} do not match 2x feature dims "
+            f"{2 * w}x{2 * h} of the {w}x{h} map"
+        )
+
+
 def guided_upsample_rows(out, feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim, lo: int, hi: int) -> None:
-    """Write the output rows ``2 lo .. 2 hi - 1`` of the inference
-    :func:`guided_upsample` into ``out`` (2 (hi - lo), 2w, C), cast to its
-    dtype, from unchecked operands (float64 kernel arrays).  Only the map
-    and guide rows those rows read are edge-padded.  A row depends only on
-    its window, so its bits do not depend on the rows asked for."""
+    """Write the output rows ``2 lo .. 2 hi - 1`` of :func:`guided_upsample`
+    into ``out`` (2 (hi - lo), 2w, C), cast to its dtype, from operands that
+    :func:`check_guided_operands` passed (float64 kernel arrays): the
+    inference kernel, which only ``vdim``'s row source calls.  Only the map
+    and guide rows those rows read are edge-padded, the map in its own
+    dtype, and only each block's patches are cast to float64.  The blocks
+    are the :func:`~hiwin.numerics.row_blocks` of the coarse rows sized by
+    one coarse row's weights (``2 * 2w * K`` entries: 3 rows of a 48-wide
+    map); each builds its output rows' weights, drops their logits and
+    mixes them with :func:`_mix`, so no (2h, 2w, K) array is built.  A row
+    depends only on its window, so its bits, training's cast to ``out``'s
+    dtype, do not depend on the rows asked for."""
     w = feats.shape[1]
     m = np.vstack([proj_w, proj_b])
     f_windows = _windows(_edge_pad(feats, _PAD, lo, hi), _COARSE, -(-w // _TILE))
@@ -352,24 +376,14 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     project its pixels and the two log-sigmas are scalars.  Output cell
     (y, x) is the weighted sum over its 7x7 window, the cell's edge-clamped
     neighbors, of the bilinear 2x lift of ``feats`` (align-corners false),
-    with the joint-bilateral weights ``w`` of :func:`guided_weights`.  Any
-    other ratio of guide to map raises ``ValueError``.  With an operand that
-    requires grad, the result is a float64 :class:`Tensor` node; otherwise
-    it is the float32 (2h, 2w, C) array.
-
-    At inference :func:`guided_upsample_rows` writes every output row, in
-    the :func:`~hiwin.numerics.row_blocks` of the coarse rows, sized by one
-    coarse row's weights (``2 * 2w * K`` entries): 3 rows of a 48-wide map,
-    6 of a 24-wide one.  A block builds the weights of its output rows,
-    drops their logits, then mixes them with :func:`_mix` into the float32
-    output, so no (2h, 2w, K) array is built, and its window dots and
-    softmax spread their per-call cost over the block's rows.  The map is
-    edge-padded in its own dtype, and only each block's patches are cast to
-    float64, so no float64 copy of the map is built; the products see the
-    same float64 operands either way.  Training builds the weights and
-    logits of the whole map at once, as :func:`guided_weights` does, keeps
-    them for the VJP and mixes them with the same :func:`_mix` into a
-    float64 output.
+    with the joint-bilateral weights ``w`` of :func:`guided_weights`.
+    :func:`check_guided_operands` refuses any other ratio of guide to map.
+    The result is the float64 (2h, 2w, C) :class:`Tensor`, a graph node
+    when an operand requires grad.  This is the training op: inference
+    reads the same kernels' rows through :func:`guided_upsample_rows`.  It
+    builds the weights and logits of the whole map at once, as
+    :func:`guided_weights` does, keeps them for the VJP and mixes them with
+    the :func:`_mix` that :func:`guided_upsample_rows` runs per block.
 
     The lift is never built.  Both steps are linear, so the mix reads the
     map edge-padded by 2 through the (5, 5) composite weights
@@ -396,30 +410,14 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     neighbor array is built.  Gradients flow to every operand but
     ``guide``.
     """
-    proj_w, proj_b = as_tensor(proj_w), as_tensor(proj_b)
+    feats, proj_w, proj_b = as_tensor(feats), as_tensor(proj_w), as_tensor(proj_b)
     lsd, lss = as_tensor(log_sigma_dist), as_tensor(log_sigma_sim)
-    grad = any(isinstance(p, Tensor) and p.requires_grad for p in (feats, proj_w, proj_b, lsd, lss))
-    if grad:
-        feats = as_tensor(feats)
-    fmap = feats.data if isinstance(feats, Tensor) else np.asarray(feats)  # at inference, as given
     guide = np.asarray(guide)  # cast to float64 as it is padded
-    if guide.ndim != 3 or guide.shape[2] != 3 or fmap.ndim != 3:
-        raise ValueError("guided_upsample expects an (h', w', C) map and an (H, W, 3) guide")
-    if proj_b.data.ndim != 1 or proj_w.data.shape != (3, proj_b.data.size):
-        raise ValueError("guided_upsample expects a (3, D) proj_w and a (D,) proj_b")
-    h, w, c = fmap.shape
-    if guide.shape[:2] != (2 * h, 2 * w):
-        raise ValueError(
-            f"guide dims {guide.shape[1]}x{guide.shape[0]} do not match 2x feature dims "
-            f"{2 * w}x{2 * h} of the {w}x{h} map"
-        )
-    if not grad:
-        out = np.empty((2 * h, 2 * w, c), dtype=np.float32)
-        guided_upsample_rows(out, fmap, guide, proj_w.data, proj_b.data, lsd.data, lss.data, 0, h)
-        return out
+    check_guided_operands(feats.data, guide, proj_w.data, proj_b.data)
+    h, w, c = feats.data.shape
     n = -(-w // _TILE)  # tiles per row: _TILE map, 2 * _TILE output columns
     m = np.vstack([proj_w.data, proj_b.data])
-    f_windows = _windows(_edge_pad(fmap, _PAD), _COARSE, n)
+    f_windows = _windows(_edge_pad(feats.data, _PAD), _COARSE, n)
     g_hat_pad, g_windows = _guide_windows(guide)
     del guide  # the weights and the VJP read only the padded homogeneous guide
     weights, logits = _weights_at(g_hat_pad, g_windows, m @ m.T, lsd.data, lss.data, 0, 2 * h)

@@ -6,19 +6,20 @@ package, in whole-map resizes as in RoI samples, takes its taps from
 :func:`bilinear_taps` (half-pixel centers, clamped to the edge, two taps per
 axis); :func:`resize_taps` are those of a whole-axis resize.
 :func:`bilinear_resize` and the RoI sampler of :mod:`hiwin.window_attn`
-apply them with :func:`lerp`, one axis at a time; :func:`resize_matrix`
-writes a resize's taps into a dense matrix: those with which
-``autodiff.window_pool`` lifts saliency scores (it reads each window row's
-source band off the taps themselves), and the one from which
-``autodiff.guided_upsample`` takes the taps of its 2x lift, in training as
-in inference.  The scalar references are
-:func:`hiwin.selfcheck.scalar_bilinear_at` and ``tests/helpers.scalar_resize``.
+read the cells they tap by :func:`gather_taps` and apply the taps with
+:func:`lerp`, one axis at a time; :func:`resize_matrix` writes a resize's
+taps into a dense matrix: those with which ``autodiff.window_pool`` lifts
+saliency scores (it reads each window row's source band off the taps
+themselves), and the one from which the guided upsampler's kernels in
+``autodiff`` take the taps of its 2x lift, in training as in inference.
+The scalar references are :func:`hiwin.selfcheck.scalar_bilinear_at` and
+``tests/helpers.scalar_resize``.
 Interpolation runs in float64; results are cast back to the caller's dtype,
 except that 8-bit image codes resize to float32 values through
 :func:`decode_codes`, the one rule that turns a code into a value.
 :func:`row_blocks` cuts every memory-bounded loop of the package: those of
-:func:`bilinear_resize`, ``window_attn.assemble_kv``, ``autodiff.guided_upsample``
-and ``encoder.encode``.
+:func:`bilinear_resize`, ``window_attn.compress``, the guided upsampler's
+kernels in ``autodiff`` and ``encoder.encode``.
 """
 
 from __future__ import annotations
@@ -122,24 +123,19 @@ def decode_codes(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tapped_cells(taps: _Taps, n: int) -> tuple[np.ndarray, _Taps]:
-    """The cells of an n-cell axis that ``taps`` read, in increasing order,
-    and the taps remapped to them."""
+def gather_taps(src, taps: _Taps, axis: int) -> tuple[np.ndarray, _Taps]:
+    """The cells of ``src`` along ``axis`` that ``taps`` read, in increasing
+    order, and the taps remapped to them: an array ``src`` itself if every
+    cell is read, else ``src.take(cells, axis=axis)``, asked once; a row
+    source (``PpmCodes``, ``vdim.build_isp``'s top level) is always asked."""
     i0, i1, frac = taps
-    read = np.zeros(n, dtype=bool)
+    read = np.zeros(src.shape[axis], dtype=bool)
     read[i0] = read[i1] = True
     new_index = np.cumsum(read) - 1
-    return np.flatnonzero(read), (new_index[i0], new_index[i1], frac)
-
-
-def gather_taps(src, taps: _Taps, axis: int) -> tuple[np.ndarray, _Taps]:
-    """The cells of ``src`` along ``axis`` that ``taps`` read, and the taps
-    remapped to them; an array ``src`` itself if every cell is read, while
-    a row source (``vdim.build_isp``) is always asked, once."""
-    cells, remapped = _tapped_cells(taps, src.shape[axis])
-    if cells.size == src.shape[axis] and isinstance(src, np.ndarray):
+    remapped = (new_index[i0], new_index[i1], frac)
+    if new_index[-1] == read.size - 1 and isinstance(src, np.ndarray):  # every cell is read
         return src, remapped
-    return np.take(src, cells, axis=axis), remapped
+    return src.take(np.flatnonzero(read), axis=axis), remapped
 
 
 BLOCK_ELEMS = 1 << 15  # entries per row block (256 KiB of float64)
@@ -160,13 +156,14 @@ def bilinear_resize(src, out_h: int, out_w: int) -> np.ndarray:
     returns those rows as an array, and ``np.asarray``: a loaded PPM's
     :class:`~hiwin.image_io.PpmCodes`, which reads only the rows asked for.
     The output is filled in the :func:`row_blocks` of its rows.  A block
-    takes, from the span of source rows its taps name, only the rows they
-    read, then gathers the columns they read (a downscale by more than 2
-    skips cells), then :func:`decode_codes` turns them into values, then two
-    :func:`lerp` passes, columns then rows, read them.  No resampling matrix
-    and no float copy of the whole input are built, and every output cell
-    sees the same float64 arithmetic whichever cells were gathered.  A uint8 source holds
-    8-bit image codes and resizes to float32; any other dtype is kept.
+    gathers by :func:`gather_taps`, from the span of source rows its taps
+    name, the rows they read, then the columns they read (a downscale by
+    more than 2 skips cells), then :func:`decode_codes` turns them into
+    values, then two :func:`lerp` passes, columns then rows, read them.  No
+    resampling matrix and no float copy of the whole input are built, and
+    every output cell sees the same float64 arithmetic whichever cells were
+    gathered.  A uint8 source holds 8-bit image codes and resizes to
+    float32; any other dtype is kept.
     Identical input and output dims return an exact copy of the values.
     """
     if src.ndim != 3:
@@ -184,9 +181,9 @@ def bilinear_resize(src, out_h: int, out_w: int) -> np.ndarray:
     out = np.empty((out_h, out_w, c), dtype=decode_codes(np.empty(0, src.dtype)).dtype)  # the values' dtype
     for a, b in row_blocks(out_h, out_w * c):
         lo, hi = i0[a], i1[b - 1] + 1  # the taps of a resize never decrease
-        cells, rows = _tapped_cells((i0[a:b] - lo, i1[a:b] - lo, frac[a:b]), hi - lo)
-        # take from the span, not from src: an array's take copies a strided source whole first
-        block, block_cols = gather_taps(src[lo:hi].take(cells, axis=0), cols, axis=1)
+        # gather from the span, not from src: an array's take copies a strided source whole first
+        block, rows = gather_taps(src[lo:hi], (i0[a:b] - lo, i1[a:b] - lo, frac[a:b]), axis=0)
+        block, block_cols = gather_taps(block, cols, axis=1)
         out[a:b] = lerp(lerp(decode_codes(block), block_cols, axis=1), rows, axis=0)
     return out
 

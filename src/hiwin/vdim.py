@@ -11,9 +11,10 @@ minus the spatial term ``|dxy|^2 / (2 sigma_dist^2)``: a similarity softmax
 times a Gaussian decay, renormalized to sum to 1 per cell.  A level's
 weights are ``autodiff.guided_weights`` of its guide and its
 :class:`LevelKernel` fields.  Lift and average are the single fused op
-``autodiff.guided_upsample``, which inference and training both run; its
-window radius is the constant ``autodiff.RADIUS``, and its docstring tells
-how it computes them without building the lift.
+``autodiff.guided_upsample``, which inference and training both run:
+inference through its kernels' one row source, :class:`_UpsampledRows`.
+Its window radius is the constant ``autodiff.RADIUS``, and its docstring
+tells how it computes them without building the lift.
 
 The downsampler inverts the scale change for training.  It is defined on
 the high level bilinearly lifted to full image resolution and split into
@@ -187,17 +188,16 @@ def trainable_arrays(
 
 
 def jbu_upsample(f_level: FeatureMap, guide: Image, params: VdimParams, level: int) -> FeatureMap:
-    """Double a feature map's resolution under guidance-image control with
-    ``autodiff.guided_upsample``, by the kernel ``params.levels[level]``.
+    """Double a feature map's resolution under guidance-image control, by
+    the kernel ``params.levels[level]``: every row of an :class:`_UpsampledRows`.
 
     ``guide`` must have exactly twice the feature map's dims (it is the
-    pyramid image at the target resolution); the op refuses any other.  The
-    op writes its float32 output itself, one block of rows at a time.
+    pyramid image at the target resolution); the row source refuses any other.
     """
     if level < 0 or level >= len(params.levels):
         raise ValueError(f"no upsampling kernel for source level {level}")
-    out = ad.guided_upsample(f_level.data, guide.decoded(), *_leaves(params.levels[level]))
-    return FeatureMap(out, level=level + 1, origin=f_level.origin)
+    rows = _UpsampledRows(f_level.data, guide.decoded(), params.levels[level])
+    return FeatureMap._of_checked(np.asarray(rows), level + 1, f_level.origin)
 
 
 def attention_downsample(
@@ -216,13 +216,12 @@ def attention_downsample(
 
 
 class _UpsampledRows:
-    """The float32 (2h, 2w, C) map that :func:`jbu_upsample` returns for
-    the array ``feats`` under ``guide`` by ``kernel``, computed anew each
-    time rows are asked for: by ``take(rows, axis=0)`` (``np.take`` forwards
-    ``out`` and ``mode``, which must keep their defaults) or all of them by
-    ``np.asarray``.  Each run of the coarse rows asked for is one
-    ``autodiff.guided_upsample_rows`` call.  A computed row holding NaN or
-    inf raises the ``ValueError`` of :class:`FeatureMap`."""
+    """The one inference entry to ``autodiff.guided_upsample``: its output
+    for the array ``feats`` under ``guide`` by ``kernel``, cast to float32,
+    computed anew each time rows are asked for: by ``take(rows, axis=0)``,
+    or all of them by ``np.asarray``.  Each run of the coarse rows asked
+    for is one ``autodiff.guided_upsample_rows`` call.  A computed row
+    holding NaN or inf raises the ``ValueError`` of :class:`FeatureMap`."""
 
     ndim = 3
     dtype = np.dtype(np.float32)
@@ -230,6 +229,7 @@ class _UpsampledRows:
     def __init__(self, feats: np.ndarray, guide: np.ndarray, kernel: LevelKernel):
         self.feats, self.guide = feats, guide
         self.kernel = [t.data for t in _leaves(kernel)]  # float64, as guided_upsample reads them
+        ad.check_guided_operands(feats, guide, *self.kernel[:2])
         h, w, c = feats.shape
         self.shape = (2 * h, 2 * w, c)
 
@@ -244,9 +244,9 @@ class _UpsampledRows:
             raise ValueError("FeatureMap values must be finite")
         return out
 
-    def take(self, indices, axis: int = 0, out=None, mode: str = "raise") -> np.ndarray:
-        if axis != 0 or out is not None or mode != "raise":
-            raise ValueError("upsampled rows are taken along axis 0 only, into a new array")
+    def take(self, indices, axis: int = 0) -> np.ndarray:
+        if axis != 0:
+            raise ValueError("upsampled rows are taken along axis 0 only")
         rows = np.arange(self.shape[0])[indices]
         coarse = np.zeros(self.shape[0] // 2, dtype=bool)  # a mask, not np.unique, which imports numpy.ma
         coarse[rows // 2] = True
@@ -263,9 +263,10 @@ def build_isp(
     f0: FeatureMap, pyramid: ImagePyramid, params: VdimParams
 ) -> FeaturePyramid:
     """Grow the full feature pyramid from the base map and its guidance
-    images.  The top level's ``data`` is a row source that computes only
-    the rows it is asked for, so window attention, which reads a band of
-    window rows at a time, never holds the whole level."""
+    images, each level the :class:`_UpsampledRows` of the one below, read
+    whole below the top.  The top level's ``data`` is the row source, so
+    window attention, which reads a band of window rows at a time, never
+    holds the whole level."""
     need = len(params.levels) + 1
     if len(pyramid.levels) < need:
         raise ValueError(f"image pyramid has {len(pyramid.levels)} levels, need {need}")
@@ -273,11 +274,10 @@ def build_isp(
     if (base_img.height, base_img.width) != (f0.height, f0.width):
         raise ValueError("pyramid level 0 dims must equal the base feature dims")
     levels = [FeatureMap(f0.data, level=0, origin=f0.origin)]
-    for lvl in range(len(params.levels) - 1):
-        levels.append(jbu_upsample(levels[-1], pyramid.levels[lvl + 1], params, level=lvl))
-    top = len(params.levels)  # its guide's dims are twice the map's, as the pyramid's double
-    rows = _UpsampledRows(levels[-1].data, pyramid.levels[top].decoded(), params.levels[top - 1])
-    levels.append(FeatureMap._of_checked(rows, top, f0.origin))
+    for lvl, kernel in enumerate(params.levels, start=1):
+        rows = _UpsampledRows(levels[-1].data, pyramid.levels[lvl].decoded(), kernel)
+        data = rows if lvl == len(params.levels) else np.asarray(rows)
+        levels.append(FeatureMap._of_checked(data, lvl, f0.origin))
     return FeaturePyramid(levels=levels, origin=f0.origin)
 
 

@@ -42,9 +42,9 @@ half-pixel centers: cell (p, q) is centered at (q + 0.5, p + 0.5).  The
 lookups use the package's one bilinear rule, :func:`hiwin.numerics.bilinear_taps`
 applied by :func:`hiwin.numerics.lerp` along x, then y.  Bin centers are
 separable, and each level's windows form a grid, so each level is sampled
-over the sample columns and rows of all its windows, in blocks of whole
-window rows written straight into the value array (:func:`assemble_kv`);
-no single-box sampler is kept.  The scalar references for this rule, the
+over the sample columns and rows of all the windows asked for, in one
+gather written straight into the value array (:func:`assemble_kv`); no
+single-box sampler is kept.  The scalar references for this rule, the
 window boxes, zeta and the grid choice are in :mod:`hiwin.selfcheck`, with
 the attention reference: its ``window-sampling`` check compares
 :func:`assemble_kv`'s value rows with them and its zeta, bit for bit, with
@@ -260,13 +260,14 @@ def assemble_kv(
 
     Window (i, j) of each level spans column ``j`` and row ``i`` of the
     uniform n-way split of that level's own width and height.  Values are
-    the raw samples.  Each level is sampled in the
-    :func:`~hiwin.numerics.row_blocks` of its window rows: a block gathers
-    only the map rows its taps read, lerps them along x, then along y, and
-    writes the result, through a transposed view, into its place in the
-    value array; a level whose ``data`` is a row source (the top level of
-    ``vdim.build_isp``) computes only those rows.  Each window's samples are
-    the same whichever rows are asked for.  Zeta is the positional embedding of each sample point's
+    the raw samples.  Each level gathers by
+    :func:`~hiwin.numerics.gather_taps` only the map rows the taps of the
+    window rows asked for read (a row source, the top level of
+    ``vdim.build_isp``, computes only those), lerps them along x, then
+    along y, and writes the result into the value array in the expression
+    that computes it; :func:`compress` asks for a block of window rows at a
+    time.  Each window's samples are the same whichever rows are asked
+    for.  Zeta is the positional embedding of each sample point's
     normalized coordinate, written for the rows asked for by :func:`_zeta`
     from two per-axis tables.  Those tables and each level's taps depend
     only on the geometry, so they are computed once per geometry.  An
@@ -292,14 +293,11 @@ def assemble_kv(
         )
     v = np.empty((last - first, n, levels, rh, rw, c), dtype=np.float64)
     for lvl, fmap in enumerate(isp.levels):
-        h, w = fmap.height, fmap.width
-        cols = tuple(t.reshape(-1) for t in _window_taps(w, n, rw))  # column j, bin v
-        i0, i1, frac = (t[first:last] for t in _window_taps(h, n, rh))  # (row i, bin u)
-        out = v[:, :, lvl].transpose(0, 2, 1, 3, 4)  # (i, u, j, v, C)
-        for a, b in row_blocks(last - first, rh * n * rw * c):
-            block_taps = (i0[a:b].ravel(), i1[a:b].ravel(), frac[a:b].ravel())
-            gathered, row_taps = gather_taps(fmap.data, block_taps, axis=0)
-            out[a:b] = lerp(lerp(gathered, cols, axis=1), row_taps, axis=0).reshape(b - a, rh, n, rw, c)
+        cols = tuple(t.reshape(-1) for t in _window_taps(fmap.width, n, rw))  # column j, bin v
+        row_bins = tuple(t[first:last].reshape(-1) for t in _window_taps(fmap.height, n, rh))  # row i, bin u
+        gathered, row_taps = gather_taps(fmap.data, row_bins, axis=0)
+        # (i, u, j, v, C) samples, written to (i, j, u, v, C)
+        v[:, :, lvl] = lerp(lerp(gathered, cols, axis=1), row_taps, axis=0).reshape(-1, rh, n, rw, c).swapaxes(1, 2)
     v = v.reshape(-1, levels, rh * rw, c)
     keys = (v, emb[None, :levels, None], _zeta(n, tuple(grid), c, first, last))
     return keys, v.reshape(len(v), -1, c)

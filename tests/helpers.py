@@ -1,7 +1,8 @@
 """Scalar reference implementations of the resize, guided-upsampling,
 attention-downsampling and reconstruction-loss paths, shared by the test
 modules, the weighted sum that reduces an op's output to a scalar, the
-window mask of the locality tests and the traced peak of the memory guards.
+window mask of the locality tests, the traced peak of the memory guards and
+the call count of the call-count guard.
 
 These are written as plain per-element loops, independent of the vectorized
 library paths they check.  The bilinear-lookup, RoI-align, window-box,
@@ -12,6 +13,8 @@ where ``selftest`` uses them too.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -41,6 +44,26 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def counted_calls(fn):
+    """``fn()``'s result and the number of Python function calls and C
+    calls made while it ran, in this thread and any it starts, as
+    ``sys.setprofile`` and ``threading.setprofile`` report them."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    threading.setprofile(count)
+    sys.setprofile(count)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    return result, calls
 
 
 def scalar_resize(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

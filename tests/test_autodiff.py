@@ -12,7 +12,10 @@ import pytest
 import hiwin
 from hiwin import autodiff as ad, numerics
 from hiwin.autodiff import NumericalError, Tensor
+from hiwin.encoder import FeatureMap
+from hiwin.image_io import Image
 from hiwin.numerics import fd_grads
+from hiwin.vdim import LevelKernel, VdimParams, _UpsampledRows, jbu_upsample
 
 from helpers import scalar_attention_downsample, scalar_guided_upsample, scalar_recon_loss, weighted_sum
 
@@ -77,31 +80,36 @@ def test_guided_upsample_values_and_grad(feats_hw, guide_hw):
 
 
 def test_guided_mix_output_does_not_depend_on_requires_grad():
-    # inference drops the logits, records no VJP and writes float32, but runs
-    # the same kernels: its output is the float64 output cast
+    # inference, jbu_upsample through the row source, drops the logits and
+    # writes float32, but runs the same kernels: its output is the training
+    # op's float64 output cast.  The op on plain arrays records no VJP
     rng = np.random.default_rng(7)
-    guide = rng.uniform(0, 1, (6, 2 * T + 6, 3))
+    guide = Image(rng.uniform(0, 1, (6, 2 * T + 6, 3)))
     arrays = [
-        rng.standard_normal((3, T + 3, 4)),
+        rng.standard_normal((3, T + 3, 4)).astype(np.float32),
         rng.standard_normal((3, 5)),
         rng.standard_normal(5),
         np.array(0.4),
         np.array(-0.1),
     ]
     feats, *params = [Tensor(a, requires_grad=True) for a in arrays]
-    trained = ad.guided_upsample(feats, guide, *params)
+    trained = ad.guided_upsample(feats, guide.decoded(), *params)
     assert trained.requires_grad and trained._vjp is not None and trained.data.dtype == np.float64
-    inferred = ad.guided_upsample(arrays[0], guide, *arrays[1:])
-    assert isinstance(inferred, np.ndarray) and inferred.dtype == np.float32
-    assert inferred.tobytes() == trained.data.astype(np.float32).tobytes()
+    plain = ad.guided_upsample(arrays[0], guide.decoded(), *arrays[1:])
+    assert isinstance(plain, Tensor) and not plain.requires_grad and plain._vjp is None
+    assert plain.data.tobytes() == trained.data.tobytes()
+    inferred = jbu_upsample(FeatureMap(arrays[0]), guide, VdimParams([LevelKernel(*arrays[1:])]), level=0)
+    assert inferred.data.dtype == np.float32
+    assert inferred.data.tobytes() == trained.data.astype(np.float32).tobytes()
 
 
 @pytest.mark.parametrize("hwc", [(13, 19, 16), (20, 27, 64)])
 def test_guided_upsample_bits_do_not_depend_on_the_block_size(hwc, monkeypatch):
     # several row blocks at the default size, several tiles and a ragged last
     # tile; one row per block takes every block boundary there is.
-    # Inference, in the row blocks of one coarse row's weights, writes the
-    # bits of the float64 forward, one whole-map block, cast to float32
+    # Inference, the row source read whole in the row blocks of one coarse
+    # row's weights, writes the bits of the float64 forward, one whole-map
+    # block, cast to float32
     h, w, c = hwc
     rng = np.random.default_rng(21)
     guide = rng.uniform(0, 1, (2 * h, 2 * w, 3))
@@ -127,25 +135,40 @@ def test_guided_upsample_bits_do_not_depend_on_the_block_size(hwc, monkeypatch):
             # both banded passes of the VJP cut the whole map into several blocks
             whole = [b for b in blocks if b[-1][1] in (h, 2 * h)]
             assert len(whole) == 4 and all(len(b) > 1 for b in whole) and w % T
-        inferred = ad.guided_upsample(arrays[0], guide, *arrays[1:])
+        inferred = np.asarray(_UpsampledRows(arrays[0], guide, LevelKernel(*arrays[1:])))
         assert inferred.tobytes() == out.data.astype(np.float32).tobytes()
     for default, one_row in zip(*runs):
         np.testing.assert_array_equal(default, one_row)
 
 
+# the two entries to the guided upsampler: the training op, and the row
+# source that inference reads
+ENTRIES = [
+    pytest.param(
+        lambda feats, guide: ad.guided_upsample(feats, guide, np.zeros((3, 2)), np.zeros(2), 0.0, 0.0), id="op"
+    ),
+    pytest.param(
+        lambda feats, guide: _UpsampledRows(feats, guide, LevelKernel(np.zeros((3, 2)), np.zeros(2), 0.0, 0.0)),
+        id="rows",
+    ),
+]
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
 @pytest.mark.parametrize("shape", [(4, 5), (4, 5, 4)], ids=["grey", "four-channel"])
-def test_guided_upsample_rejects_a_guide_that_is_not_rgb(shape):
+def test_guided_upsample_rejects_a_guide_that_is_not_rgb(shape, entry):
     with pytest.raises(ValueError, match=r"\(H, W, 3\) guide"):
-        ad.guided_upsample(np.zeros((2, 3, 2)), np.zeros(shape), np.zeros((3, 2)), np.zeros(2), 0.0, 0.0)
+        entry(np.zeros((2, 3, 2)), np.zeros(shape))
 
 
+@pytest.mark.parametrize("entry", ENTRIES)
 @pytest.mark.parametrize(
     "guide_hw", [(3, 4), (9, 12), (6, 7), (5, 8)], ids=["same-size", "3x", "one-column-off", "one-row-off"]
 )
-def test_guided_upsample_rejects_any_ratio_but_2x(guide_hw):
+def test_guided_upsample_rejects_any_ratio_but_2x(guide_hw, entry):
     gh, gw = guide_hw
     with pytest.raises(ValueError, match=rf"guide dims {gw}x{gh} do not match 2x feature dims 8x6 of the 4x3 map"):
-        ad.guided_upsample(np.zeros((3, 4, 2)), np.zeros(guide_hw + (3,)), np.zeros((3, 2)), np.zeros(2), 0.0, 0.0)
+        entry(np.zeros((3, 4, 2)), np.zeros(guide_hw + (3,)))
 
 
 _BLAS_PROBE = textwrap.dedent(

@@ -1,6 +1,7 @@
 """End-to-end runs, the reference projectors, and checkpoint round trips."""
 
 import os
+import platform
 import re
 import struct
 import subprocess
@@ -30,6 +31,13 @@ from hiwin.pipeline import (
 from hiwin.token_org import flatten
 from hiwin.vdim import DownsamplerParams, FeaturePyramid, VdimParams, trainable_arrays
 from hiwin.window_attn import AttnParams, HiwinConfig, select_grid
+
+from helpers import counted_calls
+
+
+# (Python, numpy) versions -> the bound of
+# TestRunPipeline.test_calls_per_unit_of_a_warm_336x336_photo
+CALLS_PER_UNIT = {("3.11.7", "2.4.6"): 5_350}
 
 
 def small_config(channels=8, threads=1):
@@ -194,6 +202,29 @@ class TestRunPipeline:
         error = "a unit worker ended before it returned the tokens of unit slice:3"
         assert done.stdout.splitlines() == [error, "[]", "3", "[]"]
         assert done.stderr == f"error: {error}\n"
+
+    def test_calls_per_unit_of_a_warm_336x336_photo(self, tmp_path):
+        # every Python and C call of one warm run_pipeline over a loaded
+        # 336x336 photo (the overview and one slice) at one thread, per
+        # unit: measured 5,278 per unit; 5,472 while inference entered the
+        # guided upsampler through the eager op as well as the row source,
+        # three routines worked out which cells the taps read, gathers
+        # went through np.take and assemble_kv looped over row blocks of
+        # its own.  The count depends on numpy's Python layer, so the
+        # bound holds for the versions it was measured on
+        bound = CALLS_PER_UNIT.get((platform.python_version(), np.__version__))
+        if bound is None:
+            pytest.skip(f"no call-count bound for Python {platform.python_version()} and numpy {np.__version__}")
+        path = tmp_path / "photo.ppm"
+        save_ppm(synth_corpus(7, 1, 336)[0], path)
+        img = load_ppm(path)
+        config = PipelineConfig(encoder=EncoderSpec(channels=64, seed=0), hiwin=HiwinConfig(channels=64), threads=1)
+        vdim, attn = VdimParams.init(d_proj=32, seed=0), AttnParams.init(config.hiwin, seed=0)
+        run_pipeline(img, vdim, attn, config)  # the cached projections, taps and tables are built
+        result, calls = counted_calls(lambda: run_pipeline(img, vdim, attn, config))
+        units = result.layout.count + 1  # the slices and the overview
+        assert units == 2
+        assert calls / units < bound, f"{calls / units:.0f} calls per unit"
 
     def test_grid_follows_the_first_slice_not_the_overview(self):
         # 1008x504 cuts 3x2 slices of 336x252, whose 24x18 patches select a

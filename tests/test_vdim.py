@@ -299,24 +299,32 @@ class TestBuildIsp:
             np.testing.assert_allclose(fmap.data, want, atol=1e-6)
 
 
+def trained_upsample(f: FeatureMap, guide: Image, params: VdimParams) -> np.ndarray:
+    """The training op's float64 output for ``f``'s kernel, cast to float32:
+    the whole map, computed independently of the inference row source."""
+    lk = params.levels[f.level]
+    out = ad.guided_upsample(f.data, guide.decoded(), lk.proj_w, lk.proj_b, lk.log_sigma_dist, lk.log_sigma_sim)
+    return out.data.astype(np.float32)
+
+
 def rows_and_eager(h, w, c, seed=0):
     """A row source of the level-2 kernel over a random (h, w, C) map, and
-    the array that :func:`jbu_upsample` returns for the same map."""
+    :func:`trained_upsample` of the same map."""
     rng = np.random.default_rng(seed)
     f1 = FeatureMap(rng.standard_normal((h, w, c)).astype(np.float32), level=1)
     guide = Image(rng.uniform(0, 1, (2 * h, 2 * w, 3)).astype(np.float32))
     params = VdimParams.init(d_proj=8, seed=seed)
-    return _UpsampledRows(f1.data, guide.decoded(), params.levels[1]), jbu_upsample(f1, guide, params, level=1).data
+    return _UpsampledRows(f1.data, guide.decoded(), params.levels[1]), trained_upsample(f1, guide, params)
 
 
 def lazy_and_eager_pyramids(size, channels, seed=0):
     """``build_isp`` of a random size x size image, and the same pyramid
-    with its top level upsampled whole by :func:`jbu_upsample`."""
+    with its top level :func:`trained_upsample` of level 1."""
     img = Image(np.random.default_rng(seed).uniform(0, 1, (size, size, 3)).astype(np.float32))
     pyramid = build_image_pyramid(img)
     params = VdimParams.init(d_proj=8, seed=seed)
     lazy = build_isp(encode(img, EncoderSpec(channels=channels, seed=seed)), pyramid, params)
-    top = jbu_upsample(lazy.levels[1], pyramid.levels[2], params, level=1)
+    top = FeatureMap(trained_upsample(lazy.levels[1], pyramid.levels[2], params), level=2, origin=lazy.origin)
     return lazy, FeaturePyramid(lazy.levels[:2] + [top], origin=lazy.origin)
 
 
@@ -341,7 +349,7 @@ class TestUpsampledRows:
             picked = rng.integers(0, eager.shape[0], rng.integers(1, 2 * eager.shape[0]))
             # unsorted with duplicates, sorted with duplicates, sorted and unique
             for asked in (picked, np.sort(picked), np.flatnonzero(np.isin(np.arange(eager.shape[0]), picked))):
-                assert np.array_equal(np.take(rows, asked, axis=0), eager[asked])
+                assert np.array_equal(rows.take(asked, axis=0), eager[asked])
 
     @pytest.mark.parametrize("c", [4, 64])
     @pytest.mark.parametrize("hw", MAP_SIZES)
@@ -401,8 +409,9 @@ class TestUpsampledRows:
         guide = Image(rng.uniform(0, 1, (10, 14, 3)).astype(np.float32))
         rows = _UpsampledRows(f1.data, guide.decoded(), params.levels[1])
         with pytest.raises(ValueError) as want, np.errstate(all="ignore"):
-            jbu_upsample(f1, guide, params, level=1)  # the eager map's FeatureMap refuses it
-        for read in (lambda: rows.take([3], axis=0), lambda: np.asarray(rows)):
+            FeatureMap(trained_upsample(f1, guide, params), level=2)  # the whole map's FeatureMap refuses it
+        reads = (lambda: rows.take([3], axis=0), lambda: np.asarray(rows), lambda: jbu_upsample(f1, guide, params, 1))
+        for read in reads:
             with pytest.raises(ValueError) as got, np.errstate(all="ignore"):
                 read()
             assert str(got.value) == str(want.value)

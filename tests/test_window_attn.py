@@ -242,19 +242,6 @@ class TestAssembleKv:
         np.testing.assert_allclose(offsets[:, 1], want, atol=1e-6)
         np.testing.assert_allclose(offsets[:, 2], -want, atol=1e-6)
 
-    @pytest.mark.parametrize("base_hw", [(7, 9), (24, 4), (17, 23)])
-    def test_value_bits_do_not_depend_on_the_block_size(self, base_hw, monkeypatch):
-        n, c = 12, 64
-        isp = random_pyramid(sum(base_hw), *base_hw, channels=c)
-        grid = select_grid(base_hw[1], base_hw[0])
-        params = AttnParams.init(HiwinConfig(channels=c))
-        step = numerics.BLOCK_ELEMS // (grid[0] * grid[1] * n * c)  # window rows per block
-        assert 1 < step < n and n % step, "the default blocks must end in a ragged one"
-        _, default = assemble_kv(isp, n, grid, params)
-        monkeypatch.setattr(numerics, "BLOCK_ELEMS", 1)
-        _, one_row = assemble_kv(isp, n, grid, params)
-        assert np.array_equal(one_row, default)
-
     def test_peak_memory_of_one_compress(self):
         # 24/48/96 x 64: scoring the key addends builds no key array, no
         # level's rows are gathered whole, and the windows are sampled and
