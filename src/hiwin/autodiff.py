@@ -13,13 +13,15 @@ order, so repeated runs on the same inputs produce bit-identical values and
 gradients.  Data is promoted to float64 on entry; loss evaluation and
 finite-difference checks need 64-bit accumulation to reach their tolerances.
 This is the training graph only: inference reads the guided upsampler's
-rows through :mod:`hiwin.vdim`'s row source, which runs the same kernels
-by :func:`guided_upsample_rows`.
+cells through :mod:`hiwin.vdim`'s cell source, which runs the same kernels
+by :func:`guided_upsample_rows`, at the asked cells only.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -27,11 +29,13 @@ import numpy as np
 from .numerics import NumericalError, resize_matrix, resize_taps, row_blocks, softmax as _softmax
 
 __all__ = [
+    "CellLayout",
     "NumericalError",
     "RADIUS",
     "Tensor",
     "as_tensor",
     "backward",
+    "cell_layout",
     "check_guided_operands",
     "guided_upsample",
     "guided_upsample_rows",
@@ -193,15 +197,16 @@ def _tiled(windows: np.ndarray, bands: _Bands, lo: int, hi: int):
 
     The blocks are the :func:`~hiwin.numerics.row_blocks` of the larger
     per-row operand of a product: the patches or the bands.  In
-    :func:`guided_upsample_rows` the weights and the mix ask for the rows
-    of one block of coarse rows at a time; in training they, the VJP and
-    :func:`guided_weights` ask for the whole map.
+    :func:`guided_upsample_rows` the window dots and the mix ask for the
+    rows of one block of coarse rows at a time; in training they, the VJP
+    and :func:`guided_weights` ask for the whole map.
     """
     _, n, kh, kw, c = windows.shape
     for a, b in row_blocks(hi - lo, n * kh * kw * max(c, bands.cells)):
         y0, y1 = lo + a, lo + b
         patches = np.ascontiguousarray(windows[y0:y1], dtype=np.float64)
         yield y0, y1, patches.reshape(b - a, 1, n, kh * kw, c)
+        del patches  # before the next block's are cut, as the caller has dropped its view
 
 
 def _scatter(tiles: np.ndarray, bands: _Bands) -> np.ndarray:
@@ -234,21 +239,28 @@ def _banded_mix(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
     return out.reshape(h, n * _TILE, -1)[:, :w]
 
 
-def _window_dots(a: np.ndarray, windows: np.ndarray, lo: int) -> np.ndarray:
+def _window_dots(a: np.ndarray, windows: np.ndarray, lo: int, taps: np.ndarray | None = None) -> np.ndarray:
     """(R, W, K) dot products of each cell of ``a`` (R, W, C), the rows
     ``lo .. lo + R - 1`` of a map, with the cells of its window in the
     :func:`_windows` ``windows`` of ``src_pad``:
     ``out[i, x, k] = a[i, x] . src_pad[lo + i + dy, x + dx]``.  The
     transpose of :func:`_banded_mix`: ``a_tile @ patch.T`` fills each
-    tile's band, and :func:`_gather` picks each cell's taps from it."""
+    tile's band, and :func:`_gather` picks each cell's taps from it, or,
+    given a :class:`CellLayout`'s ``taps``, only its columns' taps: (R,
+    columns, K)."""
     h, w = a.shape[:2]
     n = windows.shape[1]
     tiles = _zero_pad(a, n * _TILE).reshape(h, 1, n, _TILE, -1)
-    out = np.empty((h, 1, n, _TILE * _K * _K), dtype=np.float64)
+    out = np.empty((h, 1, n, _TILE * _K * _K) if taps is None else (h, taps.size), dtype=np.float64)
     for y0, y1, patches in _tiled(windows, _FINE, lo, lo + h):
-        out[y0 - lo : y1 - lo] = _gather(np.matmul(tiles[y0 - lo : y1 - lo], patches.swapaxes(-1, -2)), _FINE)
+        dots = np.matmul(tiles[y0 - lo : y1 - lo], patches.swapaxes(-1, -2))
         del patches
-    return out.reshape(h, n * _TILE, -1)[:, :w]
+        if taps is None:
+            out[y0 - lo : y1 - lo] = _gather(dots, _FINE)
+        else:  # mode="clip" writes to out unbuffered
+            dots.reshape(y1 - y0, -1).take(taps, axis=1, out=out[y0 - lo : y1 - lo], mode="clip")
+        del dots  # before the next block's are multiplied
+    return out.reshape(h, n * _TILE, -1)[:, :w] if taps is None else out.reshape(h, -1, _K * _K)
 
 
 def _guide_windows(guide: np.ndarray, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -265,6 +277,12 @@ def _weights_at(g_hat_pad, g_windows, gram, log_sigma_dist, log_sigma_sim, lo: i
     4x4 Gram ``gram``."""
     g_hat = g_hat_pad[lo + RADIUS : hi + RADIUS, RADIUS:-RADIUS]
     logits = _window_dots(g_hat @ gram, g_windows, lo)
+    return _softmax_weights(logits, log_sigma_dist, log_sigma_sim), logits
+
+
+def _softmax_weights(logits, log_sigma_dist, log_sigma_sim) -> np.ndarray:
+    """The (..., K) weights of the (..., K) window dots ``logits``, which
+    are scaled in place into the similarity logits: one softmax per cell."""
     sigma_sim = np.exp(log_sigma_sim)
     logits /= sigma_sim * sigma_sim
     sigma_dist = np.exp(log_sigma_dist)
@@ -272,7 +290,7 @@ def _weights_at(g_hat_pad, g_windows, gram, log_sigma_dist, log_sigma_sim, lo: i
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
-    return weights, logits
+    return weights
 
 
 def guided_weights(guide: np.ndarray, proj_w, proj_b, log_sigma_dist, log_sigma_sim) -> np.ndarray:
@@ -290,10 +308,10 @@ def guided_weights(guide: np.ndarray, proj_w, proj_b, log_sigma_dist, log_sigma_
     one softmax over K, since the similarity normalizer cancels:
     ``weights = softmax(logits - |dxy|^2 / (2 sigma_dist^2))``.
 
-    A row's weights depend on its own window alone.
+    A cell's weights depend on its own window alone.
     :func:`guided_upsample_rows` runs the same kernel on one block of rows
-    at a time and builds no whole-map weights; this function and training
-    build them whole.
+    at a time and takes the softmax at the asked cells only; this function
+    and training build the weights whole.
     """
     m = np.vstack([proj_w, proj_b])
     return _weights_at(*_guide_windows(guide), m @ m.T, log_sigma_dist, log_sigma_sim, 0, guide.shape[0])[0]
@@ -313,24 +331,6 @@ def _mix_bands(weights: np.ndarray, n: int) -> np.ndarray:
     return _scatter(composite.reshape(rows, 2, n, -1), _COARSE)
 
 
-def _mix(out, f_windows, weights, lo: int) -> None:
-    """Write the 2x mix of the coarse rows ``lo .. lo + R - 1`` into their
-    output rows of ``out`` (2h, 2w, C), cast to its dtype, from the
-    :func:`_windows` of the map edge-padded by ``_PAD`` and the (2R, 2w, K)
-    weights of those output rows, in the row blocks of :func:`_tiled`, each
-    building its own bands.  :func:`guided_upsample_rows` mixes each block
-    of coarse rows as soon as its weights are built; training mixes the
-    whole map's weights at once."""
-    w2, c = out.shape[1:]
-    n = f_windows.shape[1]
-    hi = lo + weights.shape[0] // 2
-    weights = weights.reshape(hi - lo, 2, w2, -1)
-    for y0, y1, patches in _tiled(f_windows, _COARSE, lo, hi):
-        bands = _mix_bands(weights[y0 - lo : y1 - lo], n)
-        out[2 * y0 : 2 * y1] = np.matmul(bands, patches).reshape(2 * (y1 - y0), -1, c)[:, :w2]
-        del bands, patches  # before the next block's patches are cut
-
-
 def check_guided_operands(feats: np.ndarray, guide: np.ndarray, proj_w: np.ndarray, proj_b: np.ndarray) -> None:
     """Refuse with ``ValueError`` a map that is not (h, w, C), a guide that
     is not (2h, 2w, 3), or a projection that is not a (3, D) ``proj_w`` and
@@ -347,25 +347,126 @@ def check_guided_operands(feats: np.ndarray, guide: np.ndarray, proj_w: np.ndarr
         )
 
 
-def guided_upsample_rows(out, feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim, lo: int, hi: int) -> None:
-    """Write the output rows ``2 lo .. 2 hi - 1`` of :func:`guided_upsample`
-    into ``out`` (2 (hi - lo), 2w, C), cast to its dtype, from operands that
+class CellLayout(NamedTuple):
+    """Where :func:`guided_upsample_rows` finds and puts the asked columns
+    ``cols`` (sorted, unique) of an output row.
+
+    A column's weights are its K window dots in the row's tiles of
+    :func:`_window_dots`, at ``taps`` of the row's flat dots.  The mix keeps
+    the ``n`` tiles of ``2 * _TILE`` output cells of
+    :func:`guided_upsample` and mixes ``cells`` cells of each: the tile's
+    asked columns, then repeats of one of them, whose results are dropped,
+    up to one count for every tile.  Entry i of the row's flat (n, cells,
+    patch rows) bands is entry ``bands[i]`` of the row's flat (2w, _CK^2)
+    composite weights, or zero where it is their length.  Asked column i is
+    mixed cell ``picks[i]`` of the row."""
+
+    cols: np.ndarray
+    cells: int
+    taps: np.ndarray
+    bands: np.ndarray
+    picks: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def cell_layout(width: int, cols: tuple[int, ...]) -> CellLayout:
+    """The read-only :class:`CellLayout` of the output columns ``cols``
+    (sorted, unique) of the 2x upsample of a map ``width`` cells wide.  It
+    depends only on them, so it is computed once per geometry."""
+    cols = np.array(cols, dtype=np.int64)
+    span, patch = 2 * _TILE, _COARSE.window[0] * _COARSE.window[1]
+    n = -(-width // _TILE)
+    starts = span * np.arange(n)
+    tile = cols // span
+    first = np.searchsorted(cols, starts)  # of each tile's asked columns
+    counts = np.bincount(tile, minlength=n)
+    # at least 2: a product of one row is a vector product, which rounds differently
+    cells = max(2, int(counts.max()))
+    slots = np.repeat(np.where(counts > 0, cols[np.minimum(first, cols.size - 1)], starts)[:, None], cells, axis=1)
+    rank = np.arange(cols.size) - first[tile]
+    slots[tile, rank] = cols
+    # slot s of tile t holds the taps of its cell's row of _COARSE's band,
+    # moved to row s of the tile's band; every other entry reads the zero
+    # past a row's composite weights
+    local = slots - starts[:, None]
+    shift = np.arange(cells) - local + np.arange(n)[:, None] * cells
+    at = _COARSE.index.reshape(span, -1)[local] + (shift * patch)[..., None]
+    bands = np.full(n * cells * patch, 2 * width * _CK * _CK)
+    bands[at.reshape(-1)] = (slots[..., None] * (_CK * _CK) + np.arange(_CK * _CK)).reshape(-1)
+    fine = _FINE.index.reshape(_TILE, -1)  # a tile's cells' taps in its (_TILE, patch rows) dots
+    taps = (cols // _TILE * _TILE * _FINE.window[0] * _FINE.window[1])[:, None] + fine[cols % _TILE]
+    layout = CellLayout(cols, cells, taps.reshape(-1), bands, tile * cells + rank)
+    for a in (layout.cols, layout.taps, layout.bands, layout.picks):
+        a.flags.writeable = False
+    return layout
+
+
+def guided_upsample_rows(
+    out, feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim, rows: np.ndarray, layout: CellLayout
+) -> None:
+    """Write the cells of the output rows ``rows`` (sorted, unique) and the
+    columns of ``layout`` of :func:`guided_upsample` into ``out`` (rows,
+    columns, C), cast to its dtype, from operands that
     :func:`check_guided_operands` passed (float64 kernel arrays): the
-    inference kernel, which only ``vdim``'s row source calls.  Only the map
-    and guide rows those rows read are edge-padded, the map in its own
-    dtype, and only each block's patches are cast to float64.  The blocks
-    are the :func:`~hiwin.numerics.row_blocks` of the coarse rows sized by
-    one coarse row's weights (``2 * 2w * K`` entries: 3 rows of a 48-wide
-    map); each builds its output rows' weights, drops their logits and
-    mixes them with :func:`_mix`, so no (2h, 2w, K) array is built.  A row
-    depends only on its window, so its bits, training's cast to ``out``'s
-    dtype, do not depend on the rows asked for."""
-    w = feats.shape[1]
+    inference kernel, which only ``vdim``'s cell source calls.
+
+    Only the map and guide rows those rows read are edge-padded, the map
+    in its own dtype.  The coarse rows between the first and the last
+    asked are cut into the :func:`~hiwin.numerics.row_blocks` sized by one
+    coarse row's weights (``2 * 2w * K`` entries: 3 rows of a 48-wide map);
+    a block that holds no asked row is skipped.  A block takes the window
+    dots of its output rows' guide tiles as training does, and the softmax
+    weights only at the asked cells.  Their composite weights are the same
+    per-row products as training's, over rows of weights that are zero at
+    the cells not asked, so a coarse row's phase that is not asked gets a
+    zero band.  The bands hold only each tile's asked cells
+    (:class:`CellLayout`); they mix the float64 patches of one
+    :func:`_tiled` block of coarse rows at a time.  Each cell sees the same
+    operations in products of the same shapes as in training, but for the
+    count of a band's cells, which does not change a cell's bits: its bits,
+    training's cast to ``out``'s dtype, do not depend on the cells asked
+    for."""
+    w, c = feats.shape[1:]
+    lo, hi = rows[0] // 2, rows[-1] // 2 + 1
+    n, a_cols = -(-w // _TILE), layout.cols.size
     m = np.vstack([proj_w, proj_b])
-    f_windows = _windows(_edge_pad(feats, _PAD, lo, hi), _COARSE, -(-w // _TILE))
-    kernel = (*_guide_windows(guide, 2 * lo, 2 * hi), m @ m.T, log_sigma_dist, log_sigma_sim)
-    for a, b in row_blocks(hi - lo, 2 * 2 * w * _K * _K):  # sized by one coarse row's weights
-        _mix(out, f_windows, _weights_at(*kernel, 2 * a, 2 * b)[0], a)  # logits freed before the mix
+    gram = m @ m.T
+    f_windows = _windows(_edge_pad(feats, _PAD, lo, hi), _COARSE, n)
+    g_hat_pad, g_windows = _guide_windows(guide, 2 * lo, 2 * hi)
+    blocks = row_blocks(hi - lo, 2 * 2 * w * _K * _K)  # sized by one coarse row's weights
+    ends = np.searchsorted(rows, 2 * (lo + np.array([b for _, b in blocks]))).tolist()
+    # the asked columns, as the mixed cells of a row
+    picks = slice(a_cols) if layout.picks[-1] == a_cols - 1 else layout.picks
+    for (a, b), first, last in zip(blocks, [0, *ends], ends):
+        if first == last:
+            continue
+        asked = rows[first:last] - 2 * (lo + a)  # the block's asked rows, from its first output row
+        every = asked.size == 2 * (b - a)
+        g_hat = g_hat_pad[2 * a + RADIUS : 2 * b + RADIUS, RADIUS:-RADIUS]
+        logits = _window_dots(g_hat @ gram, g_windows, 2 * a, layout.taps)
+        weights = _softmax_weights(logits if every else logits[asked], log_sigma_dist, log_sigma_sim)
+        del logits
+        if not every or a_cols < 2 * w:  # rows of weights, zero at the cells not asked
+            asked_weights, weights = weights, np.zeros((2 * (b - a), 2 * w, _K * _K))
+            weights[asked[:, None], layout.cols] = asked_weights
+            del asked_weights
+        weights = weights.reshape(b - a, 2, w, 2, -1)
+        composite = np.empty((b - a, 2, 2 * w * _CK * _CK + 1))  # and the zero that padding reads
+        composite[..., -1] = 0.0
+        cells = composite[..., :-1].reshape(weights.shape[:-1] + (-1,))
+        for p in (0, 1):
+            for q in (0, 1):
+                np.matmul(weights[:, p, :, q], _COMPOSE[p][q], out=cells[:, p, :, q])
+        del weights, cells
+        at = asked.tolist()
+        for y0, y1, patches in _tiled(f_windows, _COARSE, a, b):
+            bands = composite[y0 - a : y1 - a].take(layout.bands, axis=2)
+            mixed = np.matmul(bands.reshape(y1 - y0, 2, n, layout.cells, -1), patches).reshape(2 * (y1 - y0), -1, c)
+            del bands, patches  # before the next block's patches are cut
+            k0, k1 = bisect_left(at, 2 * (y0 - a)), bisect_left(at, 2 * (y1 - a))
+            out[first + k0 : first + k1] = (mixed if every else mixed[asked[k0:k1] - 2 * (y0 - a)])[:, picks]
+            del mixed
+        del composite  # before the next block's weights are built
 
 
 def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim):
@@ -380,10 +481,11 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     :func:`check_guided_operands` refuses any other ratio of guide to map.
     The result is the float64 (2h, 2w, C) :class:`Tensor`, a graph node
     when an operand requires grad.  This is the training op: inference
-    reads the same kernels' rows through :func:`guided_upsample_rows`.  It
-    builds the weights and logits of the whole map at once, as
-    :func:`guided_weights` does, keeps them for the VJP and mixes them with
-    the :func:`_mix` that :func:`guided_upsample_rows` runs per block.
+    reads the same kernels' cells through :func:`guided_upsample_rows`.
+    It builds the weights and logits of the whole map at once, as
+    :func:`guided_weights` does, keeps them for the VJP and mixes them in
+    the row blocks of :func:`_tiled`, each building its own bands
+    (:func:`_mix_bands`).
 
     The lift is never built.  Both steps are linear, so the mix reads the
     map edge-padded by 2 through the (5, 5) composite weights
@@ -422,7 +524,10 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     del guide  # the weights and the VJP read only the padded homogeneous guide
     weights, logits = _weights_at(g_hat_pad, g_windows, m @ m.T, lsd.data, lss.data, 0, 2 * h)
     out = np.empty((2 * h, 2 * w, c), dtype=np.float64)
-    _mix(out, f_windows, weights, 0)
+    for y0, y1, patches in _tiled(f_windows, _COARSE, 0, h):
+        bands = _mix_bands(weights[2 * y0 : 2 * y1].reshape(y1 - y0, 2, 2 * w, -1), n)
+        out[2 * y0 : 2 * y1] = np.matmul(bands, patches).reshape(2 * (y1 - y0), -1, c)[:, : 2 * w]
+        del bands, patches  # before the next block's patches are cut
 
     def vjp(g):
         # one pass over the forward's patches takes both transposes of each

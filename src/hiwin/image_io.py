@@ -5,8 +5,9 @@ An image holds either float32 values in [0, 1] or 8-bit codes (uint8).
 :class:`PpmCodes`, which reads rows from the file when a resize asks for
 them, so no whole-file buffer is kept.  :func:`save_ppm` writes codes
 unchanged.  Codes become values by one rule, ``float32(code) / 255``
-(:func:`hiwin.numerics.decode_codes`): resizes read and decode only the
-cells their taps read, and :meth:`Image.decoded` decodes a whole
+(:func:`hiwin.numerics.decode_codes`): resizes read only the rows their
+taps read, take each column tap's codes from them by one flat gather, and
+decode only the codes they take, and :meth:`Image.decoded` decodes a whole
 image for arithmetic that wants values (the encoder and the guided
 upsampler take their pixels through it).  The only required on-disk format is
 binary PPM (P6, maxval 255), chosen because round trips are bit-exact and
@@ -115,13 +116,16 @@ class PpmCodes:
     It offers the part of an array that :class:`Image` and
     :func:`~hiwin.numerics.bilinear_resize` use: ``shape``, ``ndim`` and
     ``dtype``; a basic slice of rows and columns, a crop that reads nothing;
-    ``take(rows, axis=0)``, which reads those rows of the crop; and
+    ``read_rows(rows)``, which reads those rows of the crop into rows of the
+    file's width and gives the crop's first column in them, so that a
+    resize's flat column taps address them with no copy of the crop;
+    ``take(rows, axis=0)``, the crop's columns of those rows, a view; and
     ``np.asarray``, which reads them all.  A read opens the file and reads
     each run of consecutive rows in one ``os.preadv``, from the run's first
     crop cell to its last (no shared file position, so threads may read one
-    image at once); the crop's columns are a view on those rows.  A file
-    whose inode, size or ``mtime_ns`` differ from those at load, or that
-    reads short, raises :class:`DataFormatError` naming it.
+    image at once).  A file whose inode, size or ``mtime_ns`` differ from
+    those at load, or that reads short, raises :class:`DataFormatError`
+    naming it.
     """
 
     path: str
@@ -148,14 +152,13 @@ class PpmCodes:
             raise IndexError("PPM codes are cropped with a step of 1 only")
         return replace(self, rows=rows, cols=cols)
 
-    def take(self, indices, axis: int = 0) -> np.ndarray:
-        """The rows ``indices`` (1-D, or a slice) of the crop, read from the file."""
-        if axis != 0:
-            raise ValueError("PPM codes are taken by rows only")
+    def read_rows(self, indices) -> tuple[np.ndarray, int]:
+        """The rows ``indices`` (1-D, or a slice) of the crop, read from the
+        file at the file's width, and the crop's first column in them."""
         rows = np.arange(self.rows.start, self.rows.stop)[indices]
         out = np.empty((rows.size, self.width, 3), dtype=np.uint8)
         flat = out.reshape(-1)
-        breaks = (np.flatnonzero(rows[1:] - rows[:-1] != 1) + 1).tolist()  # where later runs start
+        breaks = ((rows[1:] - rows[:-1] != 1).nonzero()[0] + 1).tolist()  # where later runs start
         starts = [0, *breaks] if rows.size else []
         first = rows.tolist()
         stride, x0, x1 = 3 * self.width, 3 * self.cols.start, 3 * self.cols.stop
@@ -172,7 +175,14 @@ class PpmCodes:
             os.close(fd)
         if got != want or _signature(st) != self.signature:
             raise DataFormatError(f"{self.path}: the PPM file changed after it was loaded")
-        return out[:, self.cols.start : self.cols.stop]
+        return out, self.cols.start
+
+    def take(self, indices, axis: int = 0) -> np.ndarray:
+        """The rows ``indices`` (1-D, or a slice) of the crop, read from the file."""
+        if axis != 0:
+            raise ValueError("PPM codes are taken by rows only")
+        rows, first = self.read_rows(indices)
+        return rows[:, first : first + len(self.cols)]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         codes = self.take(slice(None))

@@ -5,9 +5,16 @@ Everything here works on plain ndarrays.  Every bilinear lookup in the
 package, in whole-map resizes as in RoI samples, takes its taps from
 :func:`bilinear_taps` (half-pixel centers, clamped to the edge, two taps per
 axis); :func:`resize_taps` are those of a whole-axis resize.
-:func:`bilinear_resize` and the RoI sampler of :mod:`hiwin.window_attn`
-read the cells they tap by :func:`gather_taps` and apply the taps with
-:func:`lerp`, one axis at a time; :func:`resize_matrix` writes a resize's
+:func:`gather_taps` is the one step that reads only the cells a set of
+taps names: the RoI sampler of :mod:`hiwin.window_attn` reads each level's
+tapped rows by it, and the top pyramid level's tapped columns too, which
+that level then computes alone; :func:`bilinear_resize` reads a map's
+tapped rows and columns by it.  An image of a few channels is read by flat
+gathers instead: each tapped row once, and each column tap of a block of
+rows by one flat take of ``cell * C + channel`` entries, which address a
+loaded PPM's rows at the file's width directly.  :func:`lerp` applies the
+taps, one axis at a time, decoding 8-bit codes only where it takes them;
+:func:`resize_matrix` writes a resize's
 taps into a dense matrix: those with which ``autodiff.window_pool`` lifts
 saliency scores (it reads each window row's source band off the taps
 themselves), and the one from which the guided upsampler's kernels in
@@ -76,13 +83,14 @@ def bilinear_taps(coords, size: int) -> _Taps:
 
 def lerp(a: np.ndarray, taps: _Taps, axis: int) -> np.ndarray:
     """Apply 1-D :func:`bilinear_taps` along ``axis`` of ``a``, in float64:
-    ``(1 - frac) * a[i0] + frac * a[i1]``, each tap cast to float64 once
-    and weighted in place."""
+    ``(1 - frac) * a[i0] + frac * a[i1]``, each tap's cells taken, turned
+    into values by :func:`decode_codes`, cast to float64 once and weighted
+    in place."""
     i0, i1, frac = taps
     f = frac.reshape(frac.shape + (1,) * (a.ndim - axis - 1))
-    out = np.take(a, i0, axis=axis).astype(np.float64, copy=False)
+    out = decode_codes(a.take(i0, axis=axis)).astype(np.float64, copy=False)
     out *= 1 - f
-    upper = np.take(a, i1, axis=axis).astype(np.float64, copy=False)
+    upper = decode_codes(a.take(i1, axis=axis)).astype(np.float64, copy=False)
     upper *= f
     out += upper
     return out
@@ -123,19 +131,26 @@ def decode_codes(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tapped(taps: _Taps, size: int) -> tuple[np.ndarray, _Taps]:
+    """The cells of an axis of ``size`` cells that ``taps`` read, in
+    increasing order, and the taps remapped to them."""
+    i0, i1, frac = taps
+    read = np.zeros(size, dtype=bool)
+    read[i0] = read[i1] = True
+    new_index = np.cumsum(read) - 1
+    return read.nonzero()[0], (new_index[i0], new_index[i1], frac)
+
+
 def gather_taps(src, taps: _Taps, axis: int) -> tuple[np.ndarray, _Taps]:
     """The cells of ``src`` along ``axis`` that ``taps`` read, in increasing
     order, and the taps remapped to them: an array ``src`` itself if every
-    cell is read, else ``src.take(cells, axis=axis)``, asked once; a row
-    source (``PpmCodes``, ``vdim.build_isp``'s top level) is always asked."""
-    i0, i1, frac = taps
-    read = np.zeros(src.shape[axis], dtype=bool)
-    read[i0] = read[i1] = True
-    new_index = np.cumsum(read) - 1
-    remapped = (new_index[i0], new_index[i1], frac)
-    if new_index[-1] == read.size - 1 and isinstance(src, np.ndarray):  # every cell is read
+    cell is read, else ``src.take(cells, axis=axis)``, asked once; a cell
+    source (``vdim.build_isp``'s top level and its blocks of rows) is
+    always asked, and computes only the cells asked."""
+    cells, remapped = _tapped(taps, src.shape[axis])
+    if cells.size == src.shape[axis] and isinstance(src, np.ndarray):  # every cell is read
         return src, remapped
-    return src.take(np.flatnonzero(read), axis=axis), remapped
+    return src.take(cells, axis=axis), remapped
 
 
 BLOCK_ELEMS = 1 << 15  # entries per row block (256 KiB of float64)
@@ -148,23 +163,34 @@ def row_blocks(n: int, row_elems: int) -> list[tuple[int, int]]:
     return [(a, min(a + rows, n)) for a in range(0, n, rows)]
 
 
+_FLAT_CHANNELS = 4  # up to this many channels, a column tap is one flat take of bytes
+
+
 def bilinear_resize(src, out_h: int, out_w: int) -> np.ndarray:
     """Resample an (H, W, C) source to (out_h, out_w).
 
     The source is an array, or an object with an array's ``shape``, ``ndim``
-    and ``dtype``, a basic slice of rows, a ``take(rows, axis=0)`` that
-    returns those rows as an array, and ``np.asarray``: a loaded PPM's
+    and ``dtype``, a basic slice of rows, a ``read_rows(indices)`` that returns
+    those rows as an array at the full width of a wider image, with the
+    source's first column, and ``np.asarray``: a loaded PPM's
     :class:`~hiwin.image_io.PpmCodes`, which reads only the rows asked for.
     The output is filled in the :func:`row_blocks` of its rows.  A block
-    gathers by :func:`gather_taps`, from the span of source rows its taps
-    name, the rows they read, then the columns they read (a downscale by
-    more than 2 skips cells), then :func:`decode_codes` turns them into
-    values, then two :func:`lerp` passes, columns then rows, read them.  No
-    resampling matrix and no float copy of the whole input are built, and
-    every output cell sees the same float64 arithmetic whichever cells were
-    gathered.  A uint8 source holds 8-bit image codes and resizes to
-    float32; any other dtype is kept.
-    Identical input and output dims return an exact copy of the values.
+    reads, from the span of source rows its taps name, only the rows they
+    read; then two :func:`lerp` passes, columns then rows, read them, and
+    decode 8-bit codes into values (:func:`decode_codes`) only where they
+    take them.  An image of up to 4 channels takes each column tap of a
+    block with one flat take of ``cell * C + channel`` entries of its
+    rows, which address an array's rows, gathered as C-ordered copies, or
+    a PPM's rows at the file's width as they were read; a block holds the
+    float64 columns of two source rows per output row, so blocks are half
+    as tall as a map's.  A map of more channels gathers the columns its
+    taps read by :func:`gather_taps` (a downscale by more than 2 skips
+    cells) and lerps along the column axis.  No resampling matrix and no
+    float copy of the whole input are built, and every output cell sees
+    the same float64 arithmetic whichever cells were gathered.  A uint8
+    source holds 8-bit image codes and resizes to float32; any other dtype
+    is kept.  Identical input and output dims return an exact copy of the
+    values.
     """
     if src.ndim != 3:
         raise ValueError("bilinear_resize expects an (H, W, C) array")
@@ -177,14 +203,28 @@ def bilinear_resize(src, out_h: int, out_w: int) -> np.ndarray:
         values = decode_codes(np.asarray(src))
         return values.copy() if values is src else values
     i0, i1, frac = resize_taps(h, out_h)
-    cols = resize_taps(w, out_w)
+    flat = c <= _FLAT_CHANNELS
+    cols = None if flat else resize_taps(w, out_w)  # a flat source's, once its first block is read
     out = np.empty((out_h, out_w, c), dtype=decode_codes(np.empty(0, src.dtype)).dtype)  # the values' dtype
-    for a, b in row_blocks(out_h, out_w * c):
+    for a, b in row_blocks(out_h, (2 if flat else 1) * out_w * c):
         lo, hi = i0[a], i1[b - 1] + 1  # the taps of a resize never decrease
-        # gather from the span, not from src: an array's take copies a strided source whole first
-        block, rows = gather_taps(src[lo:hi], (i0[a:b] - lo, i1[a:b] - lo, frac[a:b]), axis=0)
-        block, block_cols = gather_taps(block, cols, axis=1)
-        out[a:b] = lerp(lerp(decode_codes(block), block_cols, axis=1), rows, axis=0)
+        rows = (i0[a:b] - lo, i1[a:b] - lo, frac[a:b])
+        if flat:
+            cells, rows = _tapped(rows, hi - lo)
+            # a strided array's fancy index copies only the cells it names
+            block, first = (src[lo + cells], 0) if isinstance(src, np.ndarray) else src.read_rows(lo + cells)
+            if cols is None:  # entry (first + i) * C + ch of a row read is channel ch of the source's cell i
+                i0c, i1c, fc = resize_taps(w, out_w)
+                channel = np.arange(c)
+                i0c, i1c = ((first + i[:, None]) * c + channel for i in (i0c, i1c))
+                cols = (i0c.ravel(), i1c.ravel(), fc.repeat(c))
+            block = lerp(block.reshape(cells.size, -1), cols, axis=1)
+            block = block.reshape(cells.size, out_w, c)
+        else:
+            block, rows = gather_taps(src[lo:hi], rows, axis=0)
+            block, block_cols = gather_taps(block, cols, axis=1)
+            block = lerp(block, block_cols, axis=1)
+        out[a:b] = lerp(block, rows, axis=0)
     return out
 
 

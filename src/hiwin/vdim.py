@@ -12,7 +12,8 @@ times a Gaussian decay, renormalized to sum to 1 per cell.  A level's
 weights are ``autodiff.guided_weights`` of its guide and its
 :class:`LevelKernel` fields.  Lift and average are the single fused op
 ``autodiff.guided_upsample``, which inference and training both run:
-inference through its kernels' one row source, :class:`_UpsampledRows`.
+inference through its kernels' one cell source, :class:`_UpsampledRows`,
+which computes only the cells asked for.
 Its window radius is the constant ``autodiff.RADIUS``, and its docstring
 tells how it computes them without building the lift.
 
@@ -189,10 +190,10 @@ def trainable_arrays(
 
 def jbu_upsample(f_level: FeatureMap, guide: Image, params: VdimParams, level: int) -> FeatureMap:
     """Double a feature map's resolution under guidance-image control, by
-    the kernel ``params.levels[level]``: every row of an :class:`_UpsampledRows`.
+    the kernel ``params.levels[level]``: every cell of an :class:`_UpsampledRows`.
 
     ``guide`` must have exactly twice the feature map's dims (it is the
-    pyramid image at the target resolution); the row source refuses any other.
+    pyramid image at the target resolution); the cell source refuses any other.
     """
     if level < 0 or level >= len(params.levels):
         raise ValueError(f"no upsampling kernel for source level {level}")
@@ -218,10 +219,14 @@ def attention_downsample(
 class _UpsampledRows:
     """The one inference entry to ``autodiff.guided_upsample``: its output
     for the array ``feats`` under ``guide`` by ``kernel``, cast to float32,
-    computed anew each time rows are asked for: by ``take(rows, axis=0)``,
-    or all of them by ``np.asarray``.  Each run of the coarse rows asked
-    for is one ``autodiff.guided_upsample_rows`` call.  A computed row
-    holding NaN or inf raises the ``ValueError`` of :class:`FeatureMap`."""
+    a cell source that computes anew, at each ask, only the cells asked
+    for.  ``take(rows, axis=0)`` is a lazy block of those rows, itself a
+    cell source; ``take(cols, axis=1)`` computes the block's cells in those
+    columns, and ``np.asarray`` all of its cells, by one
+    ``autodiff.guided_upsample_rows`` call over the sorted distinct rows
+    and columns asked (their ``autodiff.cell_layout`` is cached).  A
+    computed cell holding NaN or inf raises the ``ValueError`` of
+    :class:`FeatureMap`."""
 
     ndim = 3
     dtype = np.dtype(np.float32)
@@ -231,32 +236,47 @@ class _UpsampledRows:
         self.kernel = [t.data for t in _leaves(kernel)]  # float64, as guided_upsample reads them
         ad.check_guided_operands(feats, guide, *self.kernel[:2])
         h, w, c = feats.shape
+        self.rows = np.arange(2 * h)
         self.shape = (2 * h, 2 * w, c)
 
-    def _runs(self, runs: list[tuple[int, int]]) -> np.ndarray:
-        """The output rows of the runs ``(lo, hi)`` of coarse rows, in order."""
-        out = np.empty((2 * sum(hi - lo for lo, hi in runs),) + self.shape[1:], dtype=np.float32)
-        at = 0
-        for lo, hi in runs:
-            ad.guided_upsample_rows(out[at : at + 2 * (hi - lo)], self.feats, self.guide, *self.kernel, lo, hi)
-            at += 2 * (hi - lo)
+    def _cells(self, cols: np.ndarray) -> np.ndarray:
+        """The block's cells in the columns ``cols``, in the order asked."""
+        rows, row_at = _distinct(self.rows, 2 * self.feats.shape[0])
+        cols, col_at = _distinct(cols, self.shape[1])
+        out = np.empty((rows.size, cols.size, self.shape[2]), dtype=np.float32)
+        layout = ad.cell_layout(self.feats.shape[1], tuple(cols.tolist()))
+        ad.guided_upsample_rows(out, self.feats, self.guide, *self.kernel, rows, layout)
         if not all_finite(out):
             raise ValueError("FeatureMap values must be finite")
-        return out
+        if row_at is not None:
+            out = out[row_at]
+        return out if col_at is None else out[:, col_at]
 
-    def take(self, indices, axis: int = 0) -> np.ndarray:
+    def take(self, indices, axis: int = 0):
+        if axis == 1:
+            return self._cells(np.arange(self.shape[1])[indices])
         if axis != 0:
-            raise ValueError("upsampled rows are taken along axis 0 only")
-        rows = np.arange(self.shape[0])[indices]
-        coarse = np.zeros(self.shape[0] // 2, dtype=bool)  # a mask, not np.unique, which imports numpy.ma
-        coarse[rows // 2] = True
-        edges = np.diff(coarse.astype(np.int8), prepend=0, append=0)
-        computed = self._runs(list(zip(np.flatnonzero(edges > 0).tolist(), np.flatnonzero(edges < 0).tolist())))
-        return computed[2 * (np.cumsum(coarse) - 1)[rows // 2] + rows % 2]
+            raise ValueError("upsampled cells are taken along axis 0 or 1")
+        block = object.__new__(_UpsampledRows)
+        block.__dict__.update(self.__dict__, rows=self.rows[indices])
+        block.shape = (block.rows.size,) + self.shape[1:]
+        return block
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        out = self._runs([(0, self.shape[0] // 2)])
+        out = self._cells(np.arange(self.shape[1]))
         return out if dtype is None else out.astype(dtype, copy=False)
+
+
+def _distinct(indices: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The sorted distinct cells of ``indices`` on an axis of ``size``
+    cells, and where each index finds its cell among them: None when they
+    are the indices themselves."""
+    read = np.zeros(size, dtype=bool)  # a mask, not np.unique, which imports numpy.ma
+    read[indices] = True
+    cells = read.nonzero()[0]
+    if cells.size == indices.size and (cells == indices).all():
+        return cells, None
+    return cells, (np.cumsum(read) - 1)[indices]
 
 
 def build_isp(
@@ -264,16 +284,17 @@ def build_isp(
 ) -> FeaturePyramid:
     """Grow the full feature pyramid from the base map and its guidance
     images, each level the :class:`_UpsampledRows` of the one below, read
-    whole below the top.  The top level's ``data`` is the row source, so
-    window attention, which reads a band of window rows at a time, never
-    holds the whole level."""
+    whole below the top.  The top level's ``data`` is the cell source, so
+    window attention, which reads the tapped cells of a band of window rows
+    at a time, never computes or holds the whole level.  The base map is
+    kept as ``encode`` checked it, with no second scan."""
     need = len(params.levels) + 1
     if len(pyramid.levels) < need:
         raise ValueError(f"image pyramid has {len(pyramid.levels)} levels, need {need}")
     base_img = pyramid.levels[0]
     if (base_img.height, base_img.width) != (f0.height, f0.width):
         raise ValueError("pyramid level 0 dims must equal the base feature dims")
-    levels = [FeatureMap(f0.data, level=0, origin=f0.origin)]
+    levels = [FeatureMap._of_checked(f0.data, 0, f0.origin)]  # encode refused non-finite values
     for lvl, kernel in enumerate(params.levels, start=1):
         rows = _UpsampledRows(levels[-1].data, pyramid.levels[lvl].decoded(), kernel)
         data = rows if lvl == len(params.levels) else np.asarray(rows)

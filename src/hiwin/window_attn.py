@@ -262,14 +262,16 @@ def assemble_kv(
     uniform n-way split of that level's own width and height.  Values are
     the raw samples.  Each level gathers by
     :func:`~hiwin.numerics.gather_taps` only the map rows the taps of the
-    window rows asked for read (a row source, the top level of
-    ``vdim.build_isp``, computes only those), lerps them along x, then
-    along y, and writes the result into the value array in the expression
-    that computes it; :func:`compress` asks for a block of window rows at a
-    time.  Each window's samples are the same whichever rows are asked
-    for.  Zeta is the positional embedding of each sample point's
-    normalized coordinate, written for the rows asked for by :func:`_zeta`
-    from two per-axis tables.  Those tables and each level's taps depend
+    window rows asked for read, lerps them along x, then along y, and
+    writes the result into the value array in the expression that computes
+    it.  A cell source, the top level of ``vdim.build_isp``, gives a lazy
+    block of those rows, and is asked by a second ``gather_taps`` for the
+    columns the taps read: it computes only those cells.  An array level
+    is lerped along x as it is, with no column copy.  :func:`compress`
+    asks for a block of window rows at a time.  Each window's samples are
+    the same whichever rows are asked for.  Zeta is the positional
+    embedding of each sample point's normalized coordinate, written for
+    the rows asked for by :func:`_zeta` from two per-axis tables.  Those tables and each level's taps depend
     only on the geometry, so they are computed once per geometry.  An
     ``n`` below 1, a ``grid`` entry below 1, or ``rows`` outside
     ``0 <= a < b <= n`` raises ``ValueError`` naming it, before anything
@@ -296,6 +298,8 @@ def assemble_kv(
         cols = tuple(t.reshape(-1) for t in _window_taps(fmap.width, n, rw))  # column j, bin v
         row_bins = tuple(t[first:last].reshape(-1) for t in _window_taps(fmap.height, n, rh))  # row i, bin u
         gathered, row_taps = gather_taps(fmap.data, row_bins, axis=0)
+        if not isinstance(gathered, np.ndarray):  # a cell source's block: computes only the columns read
+            gathered, cols = gather_taps(gathered, cols, axis=1)
         # (i, u, j, v, C) samples, written to (i, j, u, v, C)
         v[:, :, lvl] = lerp(lerp(gathered, cols, axis=1), row_taps, axis=0).reshape(-1, rh, n, rw, c).swapaxes(1, 2)
     v = v.reshape(-1, levels, rh * rw, c)

@@ -80,7 +80,7 @@ def test_guided_upsample_values_and_grad(feats_hw, guide_hw):
 
 
 def test_guided_mix_output_does_not_depend_on_requires_grad():
-    # inference, jbu_upsample through the row source, drops the logits and
+    # inference, jbu_upsample through the cell source, drops the logits and
     # writes float32, but runs the same kernels: its output is the training
     # op's float64 output cast.  The op on plain arrays records no VJP
     rng = np.random.default_rng(7)
@@ -107,7 +107,7 @@ def test_guided_mix_output_does_not_depend_on_requires_grad():
 def test_guided_upsample_bits_do_not_depend_on_the_block_size(hwc, monkeypatch):
     # several row blocks at the default size, several tiles and a ragged last
     # tile; one row per block takes every block boundary there is.
-    # Inference, the row source read whole in the row blocks of one coarse
+    # Inference, the cell source read whole in the row blocks of one coarse
     # row's weights, writes the bits of the float64 forward, one whole-map
     # block, cast to float32
     h, w, c = hwc
@@ -141,7 +141,7 @@ def test_guided_upsample_bits_do_not_depend_on_the_block_size(hwc, monkeypatch):
         np.testing.assert_array_equal(default, one_row)
 
 
-# the two entries to the guided upsampler: the training op, and the row
+# the two entries to the guided upsampler: the training op, and the cell
 # source that inference reads
 ENTRIES = [
     pytest.param(

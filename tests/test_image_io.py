@@ -93,6 +93,10 @@ class TestPpm:
         np.testing.assert_array_equal(np.asarray(codes[2:8, 1:5]), raw[2:8, 1:5])
         rows = [4, 0, 1, 1, 5]
         np.testing.assert_array_equal(codes[2:8, 1:5].take(rows, axis=0), raw[2:8, 1:5].take(rows, axis=0))
+        # the same rows at the file's width, the crop's columns from its first
+        wide, first = codes[2:8, 1:5].read_rows(rows)
+        assert wide.shape == (5, 7, 3) and wide.flags.c_contiguous and first == 1
+        np.testing.assert_array_equal(wide[:, first : first + 4], raw[2:8, 1:5].take(rows, axis=0))
 
     def test_threads_read_one_image_at_once(self, tmp_path):
         # reads share no file position, so concurrent takes cannot

@@ -91,7 +91,11 @@ class TestBilinearResize:
         want = scalar_resize(values, *out_hw).astype(np.float32)
         assert np.array_equal(bilinear_resize(codes, *out_hw), want)
 
-    @pytest.mark.parametrize("shape, dtype", [((11, 6, 1), np.float64), ((11, 6, 2), np.float32)], ids=["one-channel", "float32"])
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [((11, 6, 1), np.float64), ((11, 6, 2), np.float32), ((11, 6, 8), np.float32)],
+        ids=["one-channel", "float32", "eight-channel"],  # flat column taps up to 4 channels, axis lerps above
+    )
     def test_floats_match_the_scalar_oracle_exactly(self, shape, dtype, monkeypatch):
         monkeypatch.setattr(numerics, "BLOCK_ELEMS", 20)
         src = np.random.default_rng(9).standard_normal(shape).astype(dtype)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hiwin
-from hiwin import pipeline
+from hiwin import autodiff, pipeline, vdim, window_attn
 from hiwin.checkpoint import load_checkpoint, save_checkpoint
 from hiwin.encoder import EncoderSpec, FeatureMap
 from hiwin.formats import DataFormatError, read_tensor
@@ -35,9 +35,9 @@ from hiwin.window_attn import AttnParams, HiwinConfig, select_grid
 from helpers import counted_calls
 
 
-# (Python, numpy) versions -> the bound of
-# TestRunPipeline.test_calls_per_unit_of_a_warm_336x336_photo
-CALLS_PER_UNIT = {("3.11.7", "2.4.6"): 5_350}
+# (Python, numpy) versions -> (width, height) of a photo -> the bound of
+# TestRunPipeline.test_calls_per_unit_of_a_warm_photo
+CALLS_PER_UNIT = {("3.11.7", "2.4.6"): {(336, 336): 4_620, (1008, 672): 4_730, (4032, 3024): 6_200}}
 
 
 def small_config(channels=8, threads=1):
@@ -64,7 +64,7 @@ def constant_isp(value=0.4, channels=8, base=4):
 # and the children left
 _KILL_A_UNIT_WORKER = """
 import multiprocessing, os, signal, sys, time
-from hiwin import pipeline
+from hiwin import autodiff, pipeline, vdim, window_attn
 from hiwin.checkpoint import save_checkpoint
 from hiwin.cli import main
 from hiwin.encoder import EncoderSpec
@@ -203,28 +203,75 @@ class TestRunPipeline:
         assert done.stdout.splitlines() == [error, "[]", "3", "[]"]
         assert done.stderr == f"error: {error}\n"
 
-    def test_calls_per_unit_of_a_warm_336x336_photo(self, tmp_path):
+    @pytest.mark.parametrize("size", [(336, 336), (1008, 672), (4032, 3024)], ids=lambda s: "%dx%d" % s)
+    def test_calls_per_unit_of_a_warm_photo(self, tmp_path, size):
         # every Python and C call of one warm run_pipeline over a loaded
-        # 336x336 photo (the overview and one slice) at one thread, per
-        # unit: measured 5,278 per unit; 5,472 while inference entered the
-        # guided upsampler through the eager op as well as the row source,
-        # three routines worked out which cells the taps read, gathers
-        # went through np.take and assemble_kv looped over row blocks of
-        # its own.  The count depends on numpy's Python layer, so the
-        # bound holds for the versions it was measured on
-        bound = CALLS_PER_UNIT.get((platform.python_version(), np.__version__))
+        # photo at one thread, per unit (the overview and each slice):
+        # measured 4,484, 4,594 and 6,012 per unit at 336x336, 1008x672 and
+        # 4032x3024; 5,278, 5,440 and 7,175 while the top pyramid level
+        # computed every column of the rows its taps read and the slice cut
+        # took each block's columns along the axis of a copy of the crop's
+        # rows; 5,472 at 336x336 while inference entered the guided
+        # upsampler through the eager op as well as the row source, three
+        # routines worked out which cells the taps read, gathers went
+        # through np.take and assemble_kv looped over row blocks of its
+        # own.  The count depends on numpy's Python layer, so the bounds
+        # hold for the versions they were measured on
+        bound = CALLS_PER_UNIT.get((platform.python_version(), np.__version__), {}).get(size)
         if bound is None:
             pytest.skip(f"no call-count bound for Python {platform.python_version()} and numpy {np.__version__}")
+        width, height = size
         path = tmp_path / "photo.ppm"
-        save_ppm(synth_corpus(7, 1, 336)[0], path)
+        if size == (336, 336):
+            save_ppm(synth_corpus(7, 1, 336)[0], path)
+        else:
+            save_ppm(Image(np.random.default_rng(7).integers(0, 256, (height, width, 3), dtype=np.uint8)), path)
         img = load_ppm(path)
         config = PipelineConfig(encoder=EncoderSpec(channels=64, seed=0), hiwin=HiwinConfig(channels=64), threads=1)
         vdim, attn = VdimParams.init(d_proj=32, seed=0), AttnParams.init(config.hiwin, seed=0)
         run_pipeline(img, vdim, attn, config)  # the cached projections, taps and tables are built
         result, calls = counted_calls(lambda: run_pipeline(img, vdim, attn, config))
         units = result.layout.count + 1  # the slices and the overview
-        assert units == 2
+        assert units == {336: 2, 1008: 7, 4032: 7}[width]
         assert calls / units < bound, f"{calls / units:.0f} calls per unit"
+
+    def test_the_top_level_computes_only_the_cells_its_taps_read(self, tmp_path, monkeypatch):
+        # one warm 336x336 run, two units at grid (3, 3): the RoI taps of each
+        # unit's 96x96 top level read 72 of its rows and 72 of its columns.
+        # compress asks for them a block of window rows at a time, and the
+        # kernel computes each of those 72x72 cells once, and no other; the
+        # top level is never read whole
+        path = tmp_path / "photo.ppm"
+        save_ppm(synth_corpus(7, 1, 336)[0], path)
+        img = load_ppm(path)
+        config = PipelineConfig(encoder=EncoderSpec(channels=64, seed=0), hiwin=HiwinConfig(channels=64), threads=1)
+        params, attn = VdimParams.init(d_proj=32, seed=0), AttnParams.init(config.hiwin, seed=0)
+        want = run_pipeline(img, params, attn, config)
+        computed, read_whole = [], []
+        kernel, whole = autodiff.guided_upsample_rows, vdim._UpsampledRows.__array__
+
+        def recorded_kernel(out, feats, *args):
+            rows, layout = args[-2:]
+            if feats.shape[:2] == (48, 48):  # level 1, the top level's source
+                computed.append((rows, layout.cols))
+            return kernel(out, feats, *args)
+
+        def recorded_whole(self, *args, **kwargs):
+            read_whole.append(self.shape)
+            return whole(self, *args, **kwargs)
+
+        monkeypatch.setattr(autodiff, "guided_upsample_rows", recorded_kernel)
+        monkeypatch.setattr(vdim._UpsampledRows, "__array__", recorded_whole)
+        result = run_pipeline(img, params, attn, config)
+        assert result.grid == (3, 3) and result.layout.count + 1 == 2
+        assert np.array_equal(result.tokens.global_map, want.tokens.global_map)
+        assert np.array_equal(result.tokens.overview, want.tokens.overview)
+        i0, i1, _ = window_attn._window_taps(96, 12, 3)
+        tapped = np.union1d(i0, i1)
+        assert tapped.size == 72
+        assert all(np.array_equal(cols, tapped) for _, cols in computed)
+        assert np.array_equal(np.sort(np.concatenate([rows for rows, _ in computed])), np.repeat(tapped, 2))
+        assert read_whole == [(48, 48, 64)] * 2  # level 1 of each unit; never the top level
 
     def test_grid_follows_the_first_slice_not_the_overview(self):
         # 1008x504 cuts 3x2 slices of 336x252, whose 24x18 patches select a

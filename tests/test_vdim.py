@@ -74,12 +74,16 @@ class TestJbuUpsample:
         # through its mix, a whole map of weights, a float64 output, a lift
         # of the map, a whole map of composite weights, the float64 guide
         # or blocks of more coarse rows than one row_blocks block coming
-        # back: measured peak 3.90 MiB, the float32 map edge-padded as it
+        # back: measured peak 3.92 MiB, the float32 map edge-padded as it
         # is and each block's patches cast to float64, the float64 guide
-        # dropped once padded, the weights and bands built per block of 3
-        # coarse rows (the row_blocks of one coarse row's weights) into a
-        # float32 output, a block's logits freed before its mix and its
-        # weights after it; 4.67 MiB with the guide kept and blocks of 8
+        # dropped once padded, the weights and composite weights built per
+        # block of 3 coarse rows (the row_blocks of one coarse row's
+        # weights), the bands per block of the mix, into a float32 output,
+        # a block's logits freed before its composite weights and those
+        # after its mix; 4.10 MiB while each block of window dots lived
+        # through the next one's product; 3.90 MiB with the weights built
+        # per block of 3 coarse rows and the bands per block of the mix;
+        # 4.67 MiB with the guide kept and blocks of 8
         # coarse rows; 5.33 MiB
         # while the map was padded in float64, its unpadded float64 copy
         # freed before the blocks; 6.46 MiB while that copy lived through the blocks;
@@ -266,9 +270,11 @@ class TestBuildIsp:
         assert [(m.height, m.width) for m in isp.levels] == [(16, 24), (32, 48), (64, 96)]
 
     def test_peak_memory_of_one_unit(self):
-        # level 2 is a row source, computed only when compress reads it, so
+        # level 2 is a cell source, computed only when compress reads it, so
         # level 1 (one block of 6 coarse rows' weights and its float32
-        # output) sets the peak: measured 1.52 MiB; 4.47 MiB with level 2
+        # output) sets the peak: measured 1.47 MiB; 1.52 MiB while each
+        # block of window dots lived through the next one's product and the
+        # map was scanned a second time; 4.47 MiB with level 2
         # built whole from blocks of 3 coarse rows' weights into a float32
         # output, with no float64 copy of a level or of a dropped guide;
         # 5.24 MiB with blocks of 8 coarse rows and
@@ -301,14 +307,14 @@ class TestBuildIsp:
 
 def trained_upsample(f: FeatureMap, guide: Image, params: VdimParams) -> np.ndarray:
     """The training op's float64 output for ``f``'s kernel, cast to float32:
-    the whole map, computed independently of the inference row source."""
+    the whole map, computed independently of the inference cell source."""
     lk = params.levels[f.level]
     out = ad.guided_upsample(f.data, guide.decoded(), lk.proj_w, lk.proj_b, lk.log_sigma_dist, lk.log_sigma_sim)
     return out.data.astype(np.float32)
 
 
 def rows_and_eager(h, w, c, seed=0):
-    """A row source of the level-2 kernel over a random (h, w, C) map, and
+    """A cell source of the level-2 kernel over a random (h, w, C) map, and
     :func:`trained_upsample` of the same map."""
     rng = np.random.default_rng(seed)
     f1 = FeatureMap(rng.standard_normal((h, w, c)).astype(np.float32), level=1)
@@ -332,85 +338,106 @@ def lazy_and_eager_pyramids(size, channels, seed=0):
 MAP_SIZES = [(5, 7), (9, 13), (16, 24), (48, 48)]
 
 
+def asked_indices(rng, size):
+    """Index sets of an axis of ``size`` cells: unsorted with repeats, the
+    same sorted, and sorted and unique."""
+    picked = rng.integers(0, size, rng.integers(1, 2 * size))
+    return picked, np.sort(picked), np.flatnonzero(np.isin(np.arange(size), picked))
+
+
 class TestUpsampledRows:
     @pytest.mark.parametrize("c", [4, 64])
     @pytest.mark.parametrize("hw", MAP_SIZES)
-    def test_every_single_row_is_the_eager_row(self, hw, c):
-        rows, eager = rows_and_eager(*hw, c)
+    def test_every_single_row_and_column_is_the_eager_one(self, hw, c):
+        cells, eager = rows_and_eager(*hw, c)
+        every_col = np.arange(eager.shape[1])
         for y in range(eager.shape[0]):
-            assert np.array_equal(rows.take([y], axis=0), eager[[y]])
+            assert np.array_equal(cells.take([y], axis=0).take(every_col, axis=1), eager[[y]])
+        for x in range(eager.shape[1]):
+            assert np.array_equal(np.asarray(cells.take([x], axis=1)), eager[:, [x]])
 
     @pytest.mark.parametrize("c", [4, 64])
     @pytest.mark.parametrize("hw", MAP_SIZES)
-    def test_random_row_sets_are_the_eager_rows(self, hw, c):
-        rows, eager = rows_and_eager(*hw, c, seed=1)
+    def test_random_cell_sets_are_the_eager_cells(self, hw, c):
+        cells, eager = rows_and_eager(*hw, c, seed=1)
         rng = np.random.default_rng(hw[0] * c)
         for _ in range(8):
-            picked = rng.integers(0, eager.shape[0], rng.integers(1, 2 * eager.shape[0]))
-            # unsorted with duplicates, sorted with duplicates, sorted and unique
-            for asked in (picked, np.sort(picked), np.flatnonzero(np.isin(np.arange(eager.shape[0]), picked))):
-                assert np.array_equal(rows.take(asked, axis=0), eager[asked])
+            for rows, cols in zip(asked_indices(rng, eager.shape[0]), asked_indices(rng, eager.shape[1])):
+                block = cells.take(rows, axis=0)
+                assert block.shape == (rows.size,) + eager.shape[1:]
+                assert np.array_equal(block.take(cols, axis=1), eager[rows][:, cols])
 
     @pytest.mark.parametrize("c", [4, 64])
     @pytest.mark.parametrize("hw", MAP_SIZES)
     def test_asarray_is_the_eager_map(self, hw, c):
-        rows, eager = rows_and_eager(*hw, c, seed=2)
-        assert (rows.shape, rows.ndim, rows.dtype) == (eager.shape, 3, np.float32)
-        whole = np.asarray(rows)
+        cells, eager = rows_and_eager(*hw, c, seed=2)
+        assert (cells.shape, cells.ndim, cells.dtype) == (eager.shape, 3, np.float32)
+        whole = np.asarray(cells)
         assert whole.dtype == np.float32 and np.array_equal(whole, eager)
-        assert np.array_equal(np.asarray(rows, dtype=np.float64), eager.astype(np.float64))
+        assert np.array_equal(np.asarray(cells, dtype=np.float64), eager.astype(np.float64))
+        rows = np.arange(0, eager.shape[0], 3)
+        assert np.array_equal(np.asarray(cells.take(rows, axis=0)), eager[rows])
 
     @pytest.mark.parametrize("n", [5, 12])
     @pytest.mark.parametrize("grid", PROPOSALS)
-    def test_the_rows_assemble_kv_asks_for_are_the_eager_rows(self, grid, n, monkeypatch):
+    def test_the_cells_assemble_kv_asks_for_are_the_eager_cells(self, grid, n, monkeypatch):
         # every split into blocks of r window rows, r = 1 .. n; at n = 5 a
-        # window's rows end mid coarse row
+        # window's rows end mid coarse row.  Each block asks its rows, then
+        # their columns, and computes only those cells
         lazy, eager = lazy_and_eager_pyramids(336, channels=8, seed=3)
         params = AttnParams.init(HiwinConfig(channels=8), seed=3)
         top, take, asked = eager.levels[-1].data, _UpsampledRows.take, []
 
-        def checked_take(self, indices, *args, **kwargs):
-            got = take(self, indices, *args, **kwargs)
-            asked.append(indices)
-            assert np.array_equal(got, top[indices])
+        def checked_take(self, indices, axis=0):
+            got = take(self, indices, axis)
+            if axis == 1:
+                asked.append((self.rows, indices))
+                assert np.array_equal(got, top[self.rows][:, indices])
             return got
 
         monkeypatch.setattr(_UpsampledRows, "take", checked_take)
         for r in range(1, n + 1):
             for a in range(0, n, r):
                 rows = (a, min(a + r, n))
-                _, got = assemble_kv(lazy, n, grid, params, rows)
-                assert np.array_equal(got, assemble_kv(eager, n, grid, params, rows)[1])
-        assert len(asked) == sum(-(-n // r) for r in range(1, n + 1))  # one take per block
+                keys, got = assemble_kv(lazy, n, grid, params, rows)
+                want_keys, want = assemble_kv(eager, n, grid, params, rows)
+                assert np.array_equal(got, want)
+                assert all(np.array_equal(k, w) for k, w in zip(keys, want_keys))
+        assert len(asked) == sum(-(-n // r) for r in range(1, n + 1))  # one ask of cells per block
 
-    def test_assemble_kv_of_every_row_asks_the_row_source(self, monkeypatch):
-        # 42x42 pixels: a 12x12 top level, one row per window row at n = 12,
-        # every row tapped
+    def test_assemble_kv_of_every_cell_asks_the_cell_source(self, monkeypatch):
+        # 42x42 pixels: a 12x12 top level, one row and column per window at
+        # n = 12, every cell tapped
         lazy, eager = lazy_and_eager_pyramids(42, channels=4, seed=4)
         params = AttnParams.init(HiwinConfig(channels=4), seed=4)
         asked, take = [], _UpsampledRows.take
 
-        def recorded_take(self, indices, *args, **kwargs):
-            asked.append(indices)
-            return take(self, indices, *args, **kwargs)
+        def recorded_take(self, indices, axis=0):
+            asked.append((axis, list(indices)))
+            return take(self, indices, axis)
 
         monkeypatch.setattr(_UpsampledRows, "take", recorded_take)
         keys, values = assemble_kv(lazy, 12, (3, 3), params)
         want_keys, want_values = assemble_kv(eager, 12, (3, 3), params)
-        assert [list(rows) for rows in asked] == [list(range(12))]
+        assert asked == [(0, list(range(12))), (1, list(range(12)))]
         assert np.array_equal(values, want_values)
         assert all(np.array_equal(k, w) for k, w in zip(keys, want_keys))
 
-    def test_a_non_finite_row_raises_the_feature_map_error(self):
+    def test_a_non_finite_cell_raises_the_feature_map_error(self):
         params = VdimParams.init(d_proj=8, seed=5)
         params.levels[1].log_sigma_sim[...] = -400.0  # sigma_sim^2 underflows to 0
         rng = np.random.default_rng(5)
         f1 = FeatureMap(rng.standard_normal((5, 7, 4)).astype(np.float32), level=1)
         guide = Image(rng.uniform(0, 1, (10, 14, 3)).astype(np.float32))
-        rows = _UpsampledRows(f1.data, guide.decoded(), params.levels[1])
+        cells = _UpsampledRows(f1.data, guide.decoded(), params.levels[1])
         with pytest.raises(ValueError) as want, np.errstate(all="ignore"):
             FeatureMap(trained_upsample(f1, guide, params), level=2)  # the whole map's FeatureMap refuses it
-        reads = (lambda: rows.take([3], axis=0), lambda: np.asarray(rows), lambda: jbu_upsample(f1, guide, params, 1))
+        reads = (
+            lambda: cells.take([3], axis=0).take([2, 5], axis=1),
+            lambda: np.asarray(cells.take([3], axis=0)),
+            lambda: np.asarray(cells),
+            lambda: jbu_upsample(f1, guide, params, 1),
+        )
         for read in reads:
             with pytest.raises(ValueError) as got, np.errstate(all="ignore"):
                 read()

@@ -259,8 +259,9 @@ class TestAssembleKv:
 
     def test_peak_memory_of_a_build_isp_pyramid_and_its_compress(self):
         # one 336x336 unit at C=64: build_isp leaves its 96x96 top level a
-        # row source, and each block of window rows computes only the rows
-        # it samples: measured peak 2.76 MiB; 4.47 MiB while build_isp
+        # cell source, and each block of window rows computes only the
+        # cells it samples: measured peak 2.37 MiB; 2.76 MiB while it
+        # computed every column of the rows it samples; 4.47 MiB while build_isp
         # built the whole top level (2.36 MB) and compress read it
         img = synth_corpus(0, 1, 336)[0]
         pyramid = build_image_pyramid(img)
