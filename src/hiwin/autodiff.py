@@ -317,17 +317,24 @@ def guided_weights(guide: np.ndarray, proj_w, proj_b, log_sigma_dist, log_sigma_
     return _weights_at(*_guide_windows(guide), m @ m.T, log_sigma_dist, log_sigma_sim, 0, guide.shape[0])[0]
 
 
-def _mix_bands(weights: np.ndarray, n: int) -> np.ndarray:
-    """The (rows, 2, n, 2 * _TILE, patch rows) bands of the 2x mix of
-    output rows 2i and 2i + 1, from their (rows, 2, 2w, K) ``weights``: each
-    weight mapped to its composite weights ``Ry[p]^T w Rx[q]``, zero past
-    column 2w, and scattered into its tile's band."""
-    rows, _, w2 = weights.shape[:3]
-    composite = np.zeros((rows, 2, n * 2 * _TILE, _CK * _CK), dtype=np.float64)
-    cells = weights.reshape(rows, 2, w2 // 2, 2, -1)
+def _compose(weights: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` (rows, 2, w, 2, _CK^2) the composite weights
+    ``Ry[p]^T w Rx[q]`` of the (rows, 2, w, 2, K) ``weights`` of output
+    rows 2i + p and columns 2j + q: one product over the w cells of a row
+    per parity (p, q), the shapes that fix a cell's bits."""
     for p in (0, 1):
         for q in (0, 1):
-            np.matmul(cells[:, p, :, q], _COMPOSE[p][q], out=composite[:, p, q:w2:2])
+            np.matmul(weights[:, p, :, q], _COMPOSE[p][q], out=out[:, p, :, q])
+
+
+def _mix_bands(weights: np.ndarray, n: int) -> np.ndarray:
+    """The (rows, 2, n, 2 * _TILE, patch rows) bands of the 2x mix of
+    output rows 2i and 2i + 1, from their (rows, 2, 2w, K) ``weights``: their
+    :func:`_compose` weights, zero past column 2w, scattered into each
+    tile's band."""
+    rows, _, w2 = weights.shape[:3]
+    composite = np.zeros((rows, 2, n * 2 * _TILE, _CK * _CK), dtype=np.float64)
+    _compose(weights.reshape(rows, 2, w2 // 2, 2, -1), composite[:, :, :w2].reshape(rows, 2, w2 // 2, 2, -1))
     return _scatter(composite.reshape(rows, 2, n, -1), _COARSE)
 
 
@@ -450,14 +457,10 @@ def guided_upsample_rows(
             asked_weights, weights = weights, np.zeros((2 * (b - a), 2 * w, _K * _K))
             weights[asked[:, None], layout.cols] = asked_weights
             del asked_weights
-        weights = weights.reshape(b - a, 2, w, 2, -1)
         composite = np.empty((b - a, 2, 2 * w * _CK * _CK + 1))  # and the zero that padding reads
         composite[..., -1] = 0.0
-        cells = composite[..., :-1].reshape(weights.shape[:-1] + (-1,))
-        for p in (0, 1):
-            for q in (0, 1):
-                np.matmul(weights[:, p, :, q], _COMPOSE[p][q], out=cells[:, p, :, q])
-        del weights, cells
+        _compose(weights.reshape(b - a, 2, w, 2, -1), composite[..., :-1].reshape(b - a, 2, w, 2, -1))
+        del weights
         at = asked.tolist()
         for y0, y1, patches in _tiled(f_windows, _COARSE, a, b):
             bands = composite[y0 - a : y1 - a].take(layout.bands, axis=2)

@@ -8,16 +8,14 @@ axis); :func:`resize_taps` are those of a whole-axis resize.
 :func:`gather_taps` is the one step that reads only the cells a set of
 taps names: the RoI sampler of :mod:`hiwin.window_attn` reads each level's
 tapped rows by it, and the top pyramid level's tapped columns too, which
-that level then computes alone; :func:`bilinear_resize` reads a map's
-tapped rows and columns by it.  An image of a few channels is read by flat
-gathers instead: each tapped row once, and each column tap of a block of
-rows by one flat take of ``cell * C + channel`` entries, which address a
-loaded PPM's rows at the file's width directly.  :func:`lerp` applies the
-taps, one axis at a time, decoding 8-bit codes only where it takes them;
-:func:`resize_matrix` writes a resize's
-taps into a dense matrix: those with which ``autodiff.window_pool`` lifts
-saliency scores (it reads each window row's source band off the taps
-themselves), and the one from which the guided upsampler's kernels in
+that level then computes alone.  :func:`bilinear_resize` reads each tapped
+row once, and each column tap of a block of rows by one flat take of
+``cell * C + channel`` entries, which address a loaded PPM's rows at the
+file's width directly.  :func:`lerp` applies the taps, one axis at a
+time, decoding 8-bit codes only where it takes them; :func:`resize_matrix`
+writes a resize's taps into a dense matrix: those with which
+``autodiff.window_pool`` lifts saliency scores (it reads each window row's
+source band off the taps themselves), and the one from which the guided upsampler's kernels in
 ``autodiff`` take the taps of its 2x lift, in training as in inference.
 The scalar references are :func:`hiwin.selfcheck.scalar_bilinear_at` and
 ``tests/helpers.scalar_resize``.
@@ -47,6 +45,7 @@ __all__ = [
     "bilinear_resize",
     "bilinear_taps",
     "decode_codes",
+    "distinct_cells",
     "fd_grads",
     "gather_taps",
     "grad_check",
@@ -131,14 +130,22 @@ def decode_codes(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def distinct_cells(size: int, *indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct cells that the integer arrays ``indices`` name on
+    an axis of ``size`` cells, and the (size,) table of each named cell's
+    position among them."""
+    read = np.zeros(size, dtype=bool)  # a mask, not np.unique, which imports numpy.ma
+    for i in indices:
+        read[i] = True
+    return read.nonzero()[0], read.cumsum() - 1
+
+
 def _tapped(taps: _Taps, size: int) -> tuple[np.ndarray, _Taps]:
     """The cells of an axis of ``size`` cells that ``taps`` read, in
     increasing order, and the taps remapped to them."""
     i0, i1, frac = taps
-    read = np.zeros(size, dtype=bool)
-    read[i0] = read[i1] = True
-    new_index = np.cumsum(read) - 1
-    return read.nonzero()[0], (new_index[i0], new_index[i1], frac)
+    cells, at = distinct_cells(size, i0, i1)
+    return cells, (at[i0], at[i1], frac)
 
 
 def gather_taps(src, taps: _Taps, axis: int) -> tuple[np.ndarray, _Taps]:
@@ -163,34 +170,28 @@ def row_blocks(n: int, row_elems: int) -> list[tuple[int, int]]:
     return [(a, min(a + rows, n)) for a in range(0, n, rows)]
 
 
-_FLAT_CHANNELS = 4  # up to this many channels, a column tap is one flat take of bytes
-
-
 def bilinear_resize(src, out_h: int, out_w: int) -> np.ndarray:
     """Resample an (H, W, C) source to (out_h, out_w).
 
     The source is an array, or an object with an array's ``shape``, ``ndim``
-    and ``dtype``, a basic slice of rows, a ``read_rows(indices)`` that returns
-    those rows as an array at the full width of a wider image, with the
-    source's first column, and ``np.asarray``: a loaded PPM's
+    and ``dtype``, a ``read_rows(indices)`` that returns those rows as an
+    array at the full width of a wider image, with the source's first
+    column, and ``np.asarray``: a loaded PPM's
     :class:`~hiwin.image_io.PpmCodes`, which reads only the rows asked for.
     The output is filled in the :func:`row_blocks` of its rows.  A block
     reads, from the span of source rows its taps name, only the rows they
     read; then two :func:`lerp` passes, columns then rows, read them, and
     decode 8-bit codes into values (:func:`decode_codes`) only where they
-    take them.  An image of up to 4 channels takes each column tap of a
-    block with one flat take of ``cell * C + channel`` entries of its
-    rows, which address an array's rows, gathered as C-ordered copies, or
-    a PPM's rows at the file's width as they were read; a block holds the
-    float64 columns of two source rows per output row, so blocks are half
-    as tall as a map's.  A map of more channels gathers the columns its
-    taps read by :func:`gather_taps` (a downscale by more than 2 skips
-    cells) and lerps along the column axis.  No resampling matrix and no
-    float copy of the whole input are built, and every output cell sees
-    the same float64 arithmetic whichever cells were gathered.  A uint8
-    source holds 8-bit image codes and resizes to float32; any other dtype
-    is kept.  Identical input and output dims return an exact copy of the
-    values.
+    take them.  Each column tap of a block is one flat take of
+    ``cell * C + channel`` entries of its rows, which address an array's
+    rows, gathered as C-ordered copies, or a PPM's rows at the file's width
+    as they were read; a block holds the float64 columns of two source rows
+    per output row, so blocks are half as tall as a map's.  No resampling
+    matrix and no float copy of the whole input are built, and every output
+    cell sees the same float64 arithmetic whichever cells were gathered.  A
+    uint8 source holds 8-bit image codes and resizes to float32; any other
+    dtype is kept.  Identical input and output dims return an exact copy of
+    the values.
     """
     if src.ndim != 3:
         raise ValueError("bilinear_resize expects an (H, W, C) array")
@@ -203,27 +204,19 @@ def bilinear_resize(src, out_h: int, out_w: int) -> np.ndarray:
         values = decode_codes(np.asarray(src))
         return values.copy() if values is src else values
     i0, i1, frac = resize_taps(h, out_h)
-    flat = c <= _FLAT_CHANNELS
-    cols = None if flat else resize_taps(w, out_w)  # a flat source's, once its first block is read
+    cols = None  # the column taps, addressed once the first block is read
     out = np.empty((out_h, out_w, c), dtype=decode_codes(np.empty(0, src.dtype)).dtype)  # the values' dtype
-    for a, b in row_blocks(out_h, (2 if flat else 1) * out_w * c):
+    for a, b in row_blocks(out_h, 2 * out_w * c):
         lo, hi = i0[a], i1[b - 1] + 1  # the taps of a resize never decrease
-        rows = (i0[a:b] - lo, i1[a:b] - lo, frac[a:b])
-        if flat:
-            cells, rows = _tapped(rows, hi - lo)
-            # a strided array's fancy index copies only the cells it names
-            block, first = (src[lo + cells], 0) if isinstance(src, np.ndarray) else src.read_rows(lo + cells)
-            if cols is None:  # entry (first + i) * C + ch of a row read is channel ch of the source's cell i
-                i0c, i1c, fc = resize_taps(w, out_w)
-                channel = np.arange(c)
-                i0c, i1c = ((first + i[:, None]) * c + channel for i in (i0c, i1c))
-                cols = (i0c.ravel(), i1c.ravel(), fc.repeat(c))
-            block = lerp(block.reshape(cells.size, -1), cols, axis=1)
-            block = block.reshape(cells.size, out_w, c)
-        else:
-            block, rows = gather_taps(src[lo:hi], rows, axis=0)
-            block, block_cols = gather_taps(block, cols, axis=1)
-            block = lerp(block, block_cols, axis=1)
+        cells, rows = _tapped((i0[a:b] - lo, i1[a:b] - lo, frac[a:b]), hi - lo)
+        # a strided array's fancy index copies only the cells it names
+        block, first = (src[lo + cells], 0) if isinstance(src, np.ndarray) else src.read_rows(lo + cells)
+        if cols is None:  # entry (first + i) * C + ch of a row read is channel ch of the source's cell i
+            i0c, i1c, fc = resize_taps(w, out_w)
+            channel = np.arange(c)
+            i0c, i1c = ((first + i[:, None]) * c + channel for i in (i0c, i1c))
+            cols = (i0c.ravel(), i1c.ravel(), fc.repeat(c))
+        block = lerp(block.reshape(cells.size, -1), cols, axis=1).reshape(cells.size, out_w, c)
         out[a:b] = lerp(block, rows, axis=0)
     return out
 

@@ -50,7 +50,7 @@ from .autodiff import NumericalError, Tensor
 from .encoder import EncoderSpec, FeatureMap, encode
 from .formats import all_finite
 from .image_io import Image, ImagePyramid, build_image_pyramid
-from .numerics import AdamState, adam_step
+from .numerics import AdamState, adam_step, distinct_cells
 from .workers import forked, usable_cores
 
 __all__ = [
@@ -271,12 +271,8 @@ def _distinct(indices: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray | 
     """The sorted distinct cells of ``indices`` on an axis of ``size``
     cells, and where each index finds its cell among them: None when they
     are the indices themselves."""
-    read = np.zeros(size, dtype=bool)  # a mask, not np.unique, which imports numpy.ma
-    read[indices] = True
-    cells = read.nonzero()[0]
-    if cells.size == indices.size and (cells == indices).all():
-        return cells, None
-    return cells, (np.cumsum(read) - 1)[indices]
+    cells, at = distinct_cells(size, indices)
+    return cells, None if cells.size == indices.size and (cells == indices).all() else at[indices]
 
 
 def build_isp(

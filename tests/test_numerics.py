@@ -94,7 +94,7 @@ class TestBilinearResize:
     @pytest.mark.parametrize(
         "shape, dtype",
         [((11, 6, 1), np.float64), ((11, 6, 2), np.float32), ((11, 6, 8), np.float32)],
-        ids=["one-channel", "float32", "eight-channel"],  # flat column taps up to 4 channels, axis lerps above
+        ids=["one-channel", "float32", "eight-channel"],
     )
     def test_floats_match_the_scalar_oracle_exactly(self, shape, dtype, monkeypatch):
         monkeypatch.setattr(numerics, "BLOCK_ELEMS", 20)

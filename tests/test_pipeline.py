@@ -64,7 +64,7 @@ def constant_isp(value=0.4, channels=8, base=4):
 # and the children left
 _KILL_A_UNIT_WORKER = """
 import multiprocessing, os, signal, sys, time
-from hiwin import autodiff, pipeline, vdim, window_attn
+from hiwin import pipeline
 from hiwin.checkpoint import save_checkpoint
 from hiwin.cli import main
 from hiwin.encoder import EncoderSpec
@@ -207,7 +207,7 @@ class TestRunPipeline:
     def test_calls_per_unit_of_a_warm_photo(self, tmp_path, size):
         # every Python and C call of one warm run_pipeline over a loaded
         # photo at one thread, per unit (the overview and each slice):
-        # measured 4,484, 4,594 and 6,012 per unit at 336x336, 1008x672 and
+        # measured 4,459, 4,561 and 5,927 per unit at 336x336, 1008x672 and
         # 4032x3024; 5,278, 5,440 and 7,175 while the top pyramid level
         # computed every column of the rows its taps read and the slice cut
         # took each block's columns along the axis of a copy of the crop's
