@@ -13,8 +13,8 @@ order, so repeated runs on the same inputs produce bit-identical values and
 gradients.  Data is promoted to float64 on entry; loss evaluation and
 finite-difference checks need 64-bit accumulation to reach their tolerances.
 This is the training graph only: inference reads the guided upsampler's
-cells through :mod:`hiwin.vdim`'s cell source, which runs the same kernels
-by :func:`guided_upsample_rows`, at the asked cells only.
+cells through :mod:`hiwin.vdim`'s ``_UpsampledLevel``, which runs the same
+kernels by :func:`guided_upsample_rows`, at the asked cells only.
 """
 
 from __future__ import annotations
@@ -415,7 +415,7 @@ def guided_upsample_rows(
     columns of ``layout`` of :func:`guided_upsample` into ``out`` (rows,
     columns, C), cast to its dtype, from operands that
     :func:`check_guided_operands` passed (float64 kernel arrays): the
-    inference kernel, which only ``vdim``'s cell source calls.
+    inference kernel, which only ``vdim._UpsampledLevel.cells`` calls.
 
     Only the map and guide rows those rows read are edge-padded, the map
     in its own dtype.  The coarse rows between the first and the last

@@ -44,11 +44,11 @@ ISPF = Header(b"ISPF", "level", "height", "width", "channels")
 @dataclass
 class FeatureMap:
     """Dense (h, w, C) float32 feature grid tagged with pyramid level and
-    origin.  ``data`` may be a cell source (the top level of
-    ``vdim.build_isp``): an array's ``shape``, ``ndim`` and ``dtype``, a
-    ``take(rows, axis=0)`` that gives a lazy block of rows, whose
-    ``take(cols, axis=1)`` computes its cells in those columns, and
-    ``np.asarray``, which whole-map readers use."""
+    origin.  ``data`` may instead be the top level of ``vdim.build_isp``,
+    which computes its cells only when asked: it has an array's ``shape``;
+    ``cells(rows, cols)``, the (rows, cols, C) cells of sorted distinct rows
+    and columns, which ``window_attn.assemble_kv`` asks; and ``np.asarray``,
+    which whole-map readers use."""
 
     data: np.ndarray
     level: int = 0
@@ -65,7 +65,7 @@ class FeatureMap:
     @classmethod
     def _of_checked(cls, data: np.ndarray, level: int, origin: str) -> "FeatureMap":
         """A map of an (h, w, C) float32 array whose reader has already
-        refused non-finite values, or of a cell source that refuses them in
+        refused non-finite values, or of a top level that refuses them in
         every cell it computes, built without scanning it."""
         fmap = cls.__new__(cls)
         fmap.data, fmap.level, fmap.origin = data, level, origin

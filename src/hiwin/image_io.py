@@ -118,8 +118,7 @@ class PpmCodes:
     ``dtype``; a basic slice of rows and columns, a crop that reads nothing;
     ``read_rows(rows)``, which reads those rows of the crop into rows of the
     file's width and gives the crop's first column in them, so that a
-    resize's flat column taps address them with no copy of the crop;
-    ``take(rows, axis=0)``, the crop's columns of those rows, a view; and
+    resize's flat column taps address them with no copy of the crop; and
     ``np.asarray``, which reads them all.  A read opens the file and reads
     each run of consecutive rows in one ``os.preadv``, from the run's first
     crop cell to its last (no shared file position, so threads may read one
@@ -177,15 +176,9 @@ class PpmCodes:
             raise DataFormatError(f"{self.path}: the PPM file changed after it was loaded")
         return out, self.cols.start
 
-    def take(self, indices, axis: int = 0) -> np.ndarray:
-        """The rows ``indices`` (1-D, or a slice) of the crop, read from the file."""
-        if axis != 0:
-            raise ValueError("PPM codes are taken by rows only")
-        rows, first = self.read_rows(indices)
-        return rows[:, first : first + len(self.cols)]
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        codes = self.take(slice(None))
+        rows, first = self.read_rows(slice(None))
+        codes = rows[:, first : first + len(self.cols)]
         return codes if dtype is None else codes.astype(dtype, copy=False)
 
 

@@ -5,10 +5,10 @@ Everything here works on plain ndarrays.  Every bilinear lookup in the
 package, in whole-map resizes as in RoI samples, takes its taps from
 :func:`bilinear_taps` (half-pixel centers, clamped to the edge, two taps per
 axis); :func:`resize_taps` are those of a whole-axis resize.
-:func:`gather_taps` is the one step that reads only the cells a set of
-taps names: the RoI sampler of :mod:`hiwin.window_attn` reads each level's
-tapped rows by it, and the top pyramid level's tapped columns too, which
-that level then computes alone.  :func:`bilinear_resize` reads each tapped
+:func:`tapped` names the sorted distinct cells a set of taps reads, and
+remaps the taps to them: the RoI sampler of :mod:`hiwin.window_attn`
+gathers each level's tapped rows by it, and asks the top pyramid level for
+its tapped cells alone.  :func:`bilinear_resize` reads each tapped
 row once, and each column tap of a block of rows by one flat take of
 ``cell * C + channel`` entries, which address a loaded PPM's rows at the
 file's width directly.  :func:`lerp` applies the taps, one axis at a
@@ -45,9 +45,7 @@ __all__ = [
     "bilinear_resize",
     "bilinear_taps",
     "decode_codes",
-    "distinct_cells",
     "fd_grads",
-    "gather_taps",
     "grad_check",
     "lerp",
     "pca_rgb",
@@ -55,6 +53,7 @@ __all__ = [
     "resize_taps",
     "row_blocks",
     "softmax",
+    "tapped",
 ]
 
 
@@ -130,34 +129,15 @@ def decode_codes(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def distinct_cells(size: int, *indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct cells that the integer arrays ``indices`` name on
-    an axis of ``size`` cells, and the (size,) table of each named cell's
-    position among them."""
-    read = np.zeros(size, dtype=bool)  # a mask, not np.unique, which imports numpy.ma
-    for i in indices:
-        read[i] = True
-    return read.nonzero()[0], read.cumsum() - 1
-
-
-def _tapped(taps: _Taps, size: int) -> tuple[np.ndarray, _Taps]:
-    """The cells of an axis of ``size`` cells that ``taps`` read, in
-    increasing order, and the taps remapped to them."""
+def tapped(taps: _Taps, size: int) -> tuple[np.ndarray, _Taps]:
+    """The cells of an axis of ``size`` cells that ``taps`` read, sorted and
+    distinct, and the taps remapped to them."""
     i0, i1, frac = taps
-    cells, at = distinct_cells(size, i0, i1)
-    return cells, (at[i0], at[i1], frac)
-
-
-def gather_taps(src, taps: _Taps, axis: int) -> tuple[np.ndarray, _Taps]:
-    """The cells of ``src`` along ``axis`` that ``taps`` read, in increasing
-    order, and the taps remapped to them: an array ``src`` itself if every
-    cell is read, else ``src.take(cells, axis=axis)``, asked once; a cell
-    source (``vdim.build_isp``'s top level and its blocks of rows) is
-    always asked, and computes only the cells asked."""
-    cells, remapped = _tapped(taps, src.shape[axis])
-    if cells.size == src.shape[axis] and isinstance(src, np.ndarray):  # every cell is read
-        return src, remapped
-    return src.take(cells, axis=axis), remapped
+    read = np.zeros(size, dtype=bool)  # a mask, not np.unique, which imports numpy.ma
+    read[i0] = True
+    read[i1] = True
+    at = read.cumsum() - 1
+    return read.nonzero()[0], (at[i0], at[i1], frac)
 
 
 BLOCK_ELEMS = 1 << 15  # entries per row block (256 KiB of float64)
@@ -208,7 +188,7 @@ def bilinear_resize(src, out_h: int, out_w: int) -> np.ndarray:
     out = np.empty((out_h, out_w, c), dtype=decode_codes(np.empty(0, src.dtype)).dtype)  # the values' dtype
     for a, b in row_blocks(out_h, 2 * out_w * c):
         lo, hi = i0[a], i1[b - 1] + 1  # the taps of a resize never decrease
-        cells, rows = _tapped((i0[a:b] - lo, i1[a:b] - lo, frac[a:b]), hi - lo)
+        cells, rows = tapped((i0[a:b] - lo, i1[a:b] - lo, frac[a:b]), hi - lo)
         # a strided array's fancy index copies only the cells it names
         block, first = (src[lo + cells], 0) if isinstance(src, np.ndarray) else src.read_rows(lo + cells)
         if cols is None:  # entry (first + i) * C + ch of a row read is channel ch of the source's cell i

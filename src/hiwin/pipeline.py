@@ -6,11 +6,12 @@ with the window-attention projector so outputs can be compared like for like.
 Per-unit work is independent: each unit (the overview or one slice) cuts
 its own slice from the image, encodes it and drops it, then builds its
 pyramid and projects its tokens, so only the units in flight that have not
-yet encoded hold pixels.  The pyramid's top level is computed by rows as
-the projector reads them, so ``compress`` never holds it whole.  The units run on forked worker processes, at
-most ``PipelineConfig.threads`` in flight (by default the usable cores), and
-their token maps are reassembled in unit order, so results are identical
-for any count.
+yet encoded hold pixels.  The pyramid's top level computes only the cells
+that the projector's RoI samples tap, a block of window rows at a time, so
+``compress`` never holds it whole.  The units run on forked worker
+processes, at most ``PipelineConfig.threads`` in flight (by default the
+usable cores), and their token maps are reassembled in unit order, so
+results are identical for any count.
 """
 
 from __future__ import annotations

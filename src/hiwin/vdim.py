@@ -12,8 +12,8 @@ times a Gaussian decay, renormalized to sum to 1 per cell.  A level's
 weights are ``autodiff.guided_weights`` of its guide and its
 :class:`LevelKernel` fields.  Lift and average are the single fused op
 ``autodiff.guided_upsample``, which inference and training both run:
-inference through its kernels' one cell source, :class:`_UpsampledRows`,
-which computes only the cells asked for.
+inference through :class:`_UpsampledLevel`, whose one ask,
+``cells(rows, cols)``, computes only the cells asked for.
 Its window radius is the constant ``autodiff.RADIUS``, and its docstring
 tells how it computes them without building the lift.
 
@@ -50,7 +50,7 @@ from .autodiff import NumericalError, Tensor
 from .encoder import EncoderSpec, FeatureMap, encode
 from .formats import all_finite
 from .image_io import Image, ImagePyramid, build_image_pyramid
-from .numerics import AdamState, adam_step, distinct_cells
+from .numerics import AdamState, adam_step
 from .workers import forked, usable_cores
 
 __all__ = [
@@ -190,15 +190,15 @@ def trainable_arrays(
 
 def jbu_upsample(f_level: FeatureMap, guide: Image, params: VdimParams, level: int) -> FeatureMap:
     """Double a feature map's resolution under guidance-image control, by
-    the kernel ``params.levels[level]``: every cell of an :class:`_UpsampledRows`.
+    the kernel ``params.levels[level]``: every cell of an :class:`_UpsampledLevel`.
 
     ``guide`` must have exactly twice the feature map's dims (it is the
-    pyramid image at the target resolution); the cell source refuses any other.
+    pyramid image at the target resolution); the level refuses any other.
     """
     if level < 0 or level >= len(params.levels):
         raise ValueError(f"no upsampling kernel for source level {level}")
-    rows = _UpsampledRows(f_level.data, guide.decoded(), params.levels[level])
-    return FeatureMap._of_checked(np.asarray(rows), level + 1, f_level.origin)
+    up = _UpsampledLevel(f_level.data, guide.decoded(), params.levels[level])
+    return FeatureMap._of_checked(np.asarray(up), level + 1, f_level.origin)
 
 
 def attention_downsample(
@@ -216,74 +216,47 @@ def attention_downsample(
     return FeatureMap(out.data.astype(np.float32), level=0, origin=f_high.origin)
 
 
-class _UpsampledRows:
+class _UpsampledLevel:
     """The one inference entry to ``autodiff.guided_upsample``: its output
     for the array ``feats`` under ``guide`` by ``kernel``, cast to float32,
-    a cell source that computes anew, at each ask, only the cells asked
-    for.  ``take(rows, axis=0)`` is a lazy block of those rows, itself a
-    cell source; ``take(cols, axis=1)`` computes the block's cells in those
-    columns, and ``np.asarray`` all of its cells, by one
-    ``autodiff.guided_upsample_rows`` call over the sorted distinct rows
-    and columns asked (their ``autodiff.cell_layout`` is cached).  A
-    computed cell holding NaN or inf raises the ``ValueError`` of
-    :class:`FeatureMap`."""
-
-    ndim = 3
-    dtype = np.dtype(np.float32)
+    computed anew at each ask, and only at the cells asked for.
+    ``cells(rows, cols)`` computes the cells of the sorted distinct rows
+    and columns asked by one ``autodiff.guided_upsample_rows`` call (their
+    ``autodiff.cell_layout`` is cached); ``np.asarray`` is the cells of
+    every row and column.  A computed cell holding NaN or inf raises the
+    ``ValueError`` of :class:`FeatureMap`."""
 
     def __init__(self, feats: np.ndarray, guide: np.ndarray, kernel: LevelKernel):
         self.feats, self.guide = feats, guide
         self.kernel = [t.data for t in _leaves(kernel)]  # float64, as guided_upsample reads them
         ad.check_guided_operands(feats, guide, *self.kernel[:2])
         h, w, c = feats.shape
-        self.rows = np.arange(2 * h)
         self.shape = (2 * h, 2 * w, c)
 
-    def _cells(self, cols: np.ndarray) -> np.ndarray:
-        """The block's cells in the columns ``cols``, in the order asked."""
-        rows, row_at = _distinct(self.rows, 2 * self.feats.shape[0])
-        cols, col_at = _distinct(cols, self.shape[1])
+    def cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The (rows, cols, C) cells of the sorted distinct ``rows`` and ``cols``."""
         out = np.empty((rows.size, cols.size, self.shape[2]), dtype=np.float32)
         layout = ad.cell_layout(self.feats.shape[1], tuple(cols.tolist()))
         ad.guided_upsample_rows(out, self.feats, self.guide, *self.kernel, rows, layout)
         if not all_finite(out):
             raise ValueError("FeatureMap values must be finite")
-        if row_at is not None:
-            out = out[row_at]
-        return out if col_at is None else out[:, col_at]
-
-    def take(self, indices, axis: int = 0):
-        if axis == 1:
-            return self._cells(np.arange(self.shape[1])[indices])
-        if axis != 0:
-            raise ValueError("upsampled cells are taken along axis 0 or 1")
-        block = object.__new__(_UpsampledRows)
-        block.__dict__.update(self.__dict__, rows=self.rows[indices])
-        block.shape = (block.rows.size,) + self.shape[1:]
-        return block
+        return out
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        out = self._cells(np.arange(self.shape[1]))
+        out = self.cells(np.arange(self.shape[0]), np.arange(self.shape[1]))
         return out if dtype is None else out.astype(dtype, copy=False)
-
-
-def _distinct(indices: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The sorted distinct cells of ``indices`` on an axis of ``size``
-    cells, and where each index finds its cell among them: None when they
-    are the indices themselves."""
-    cells, at = distinct_cells(size, indices)
-    return cells, None if cells.size == indices.size and (cells == indices).all() else at[indices]
 
 
 def build_isp(
     f0: FeatureMap, pyramid: ImagePyramid, params: VdimParams
 ) -> FeaturePyramid:
     """Grow the full feature pyramid from the base map and its guidance
-    images, each level the :class:`_UpsampledRows` of the one below, read
-    whole below the top.  The top level's ``data`` is the cell source, so
-    window attention, which reads the tapped cells of a band of window rows
-    at a time, never computes or holds the whole level.  The base map is
-    kept as ``encode`` checked it, with no second scan."""
+    images, each level the :class:`_UpsampledLevel` of the one below, read
+    whole below the top.  The top level's ``data`` is that
+    :class:`_UpsampledLevel` itself, so window attention, which asks for the
+    tapped cells of a band of window rows at a time, never computes or holds
+    the whole level.  The base map is kept as ``encode`` checked it, with no
+    second scan."""
     need = len(params.levels) + 1
     if len(pyramid.levels) < need:
         raise ValueError(f"image pyramid has {len(pyramid.levels)} levels, need {need}")
@@ -292,8 +265,8 @@ def build_isp(
         raise ValueError("pyramid level 0 dims must equal the base feature dims")
     levels = [FeatureMap._of_checked(f0.data, 0, f0.origin)]  # encode refused non-finite values
     for lvl, kernel in enumerate(params.levels, start=1):
-        rows = _UpsampledRows(levels[-1].data, pyramid.levels[lvl].decoded(), kernel)
-        data = rows if lvl == len(params.levels) else np.asarray(rows)
+        up = _UpsampledLevel(levels[-1].data, pyramid.levels[lvl].decoded(), kernel)
+        data = up if lvl == len(params.levels) else np.asarray(up)
         levels.append(FeatureMap._of_checked(data, lvl, f0.origin))
     return FeaturePyramid(levels=levels, origin=f0.origin)
 

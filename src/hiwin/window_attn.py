@@ -61,7 +61,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .numerics import bilinear_taps, gather_taps, lerp, row_blocks, softmax
+from .numerics import bilinear_taps, lerp, row_blocks, softmax, tapped
 from .vdim import FeaturePyramid
 
 __all__ = [
@@ -260,18 +260,20 @@ def assemble_kv(
 
     Window (i, j) of each level spans column ``j`` and row ``i`` of the
     uniform n-way split of that level's own width and height.  Values are
-    the raw samples.  Each level gathers by
-    :func:`~hiwin.numerics.gather_taps` only the map rows the taps of the
-    window rows asked for read, lerps them along x, then along y, and
-    writes the result into the value array in the expression that computes
-    it.  A cell source, the top level of ``vdim.build_isp``, gives a lazy
-    block of those rows, and is asked by a second ``gather_taps`` for the
-    columns the taps read: it computes only those cells.  An array level
-    is lerped along x as it is, with no column copy.  :func:`compress`
-    asks for a block of window rows at a time.  Each window's samples are
-    the same whichever rows are asked for.  Zeta is the positional
-    embedding of each sample point's normalized coordinate, written for
-    the rows asked for by :func:`_zeta` from two per-axis tables.  Those tables and each level's taps depend
+    the raw samples.  Each level reads only the map rows that the taps of
+    the window rows asked for read (:func:`~hiwin.numerics.tapped`), lerps
+    them along x, then along y, and writes the result into the value array
+    in the expression that computes it.  This is the one place that tells
+    the two kinds of level apart.  An array level gives its tapped rows, or
+    itself if every row is tapped, and is lerped along x as it is, with no
+    column copy.  The top level of ``vdim.build_isp`` is asked once, by
+    ``cells(rows, cols)``, for the cells of its tapped rows and columns,
+    and computes only those; each level's rows are dropped before the next
+    level is asked.  :func:`compress` asks for a block of window rows at a
+    time.  Each window's samples are the same whichever rows are asked
+    for.  Zeta is the positional embedding of each sample point's
+    normalized coordinate, written for the rows asked for by :func:`_zeta`
+    from two per-axis tables.  Those tables and each level's taps depend
     only on the geometry, so they are computed once per geometry.  An
     ``n`` below 1, a ``grid`` entry below 1, or ``rows`` outside
     ``0 <= a < b <= n`` raises ``ValueError`` naming it, before anything
@@ -297,11 +299,15 @@ def assemble_kv(
     for lvl, fmap in enumerate(isp.levels):
         cols = tuple(t.reshape(-1) for t in _window_taps(fmap.width, n, rw))  # column j, bin v
         row_bins = tuple(t[first:last].reshape(-1) for t in _window_taps(fmap.height, n, rh))  # row i, bin u
-        gathered, row_taps = gather_taps(fmap.data, row_bins, axis=0)
-        if not isinstance(gathered, np.ndarray):  # a cell source's block: computes only the columns read
-            gathered, cols = gather_taps(gathered, cols, axis=1)
+        tapped_rows, row_taps = tapped(row_bins, fmap.height)
+        if isinstance(fmap.data, np.ndarray):  # lerped along x as it is, with no column copy
+            gathered = fmap.data if tapped_rows.size == fmap.height else fmap.data.take(tapped_rows, axis=0)
+        else:  # the top level of vdim.build_isp: it computes only the tapped cells
+            tapped_cols, cols = tapped(cols, fmap.width)
+            gathered = fmap.data.cells(tapped_rows, tapped_cols)
         # (i, u, j, v, C) samples, written to (i, j, u, v, C)
         v[:, :, lvl] = lerp(lerp(gathered, cols, axis=1), row_taps, axis=0).reshape(-1, rh, n, rw, c).swapaxes(1, 2)
+        del gathered  # before the next level is asked
     v = v.reshape(-1, levels, rh * rw, c)
     keys = (v, emb[None, :levels, None], _zeta(n, tuple(grid), c, first, last))
     return keys, v.reshape(len(v), -1, c)

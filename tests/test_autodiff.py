@@ -15,7 +15,7 @@ from hiwin.autodiff import NumericalError, Tensor
 from hiwin.encoder import FeatureMap
 from hiwin.image_io import Image
 from hiwin.numerics import fd_grads
-from hiwin.vdim import LevelKernel, VdimParams, _UpsampledRows, jbu_upsample
+from hiwin.vdim import LevelKernel, VdimParams, _UpsampledLevel, jbu_upsample
 
 from helpers import scalar_attention_downsample, scalar_guided_upsample, scalar_recon_loss, weighted_sum
 
@@ -80,7 +80,7 @@ def test_guided_upsample_values_and_grad(feats_hw, guide_hw):
 
 
 def test_guided_mix_output_does_not_depend_on_requires_grad():
-    # inference, jbu_upsample through the cell source, drops the logits and
+    # inference, jbu_upsample through the upsampled level, drops the logits and
     # writes float32, but runs the same kernels: its output is the training
     # op's float64 output cast.  The op on plain arrays records no VJP
     rng = np.random.default_rng(7)
@@ -107,7 +107,7 @@ def test_guided_mix_output_does_not_depend_on_requires_grad():
 def test_guided_upsample_bits_do_not_depend_on_the_block_size(hwc, monkeypatch):
     # several row blocks at the default size, several tiles and a ragged last
     # tile; one row per block takes every block boundary there is.
-    # Inference, the cell source read whole in the row blocks of one coarse
+    # Inference, the upsampled level read whole in the row blocks of one coarse
     # row's weights, writes the bits of the float64 forward, one whole-map
     # block, cast to float32
     h, w, c = hwc
@@ -135,7 +135,7 @@ def test_guided_upsample_bits_do_not_depend_on_the_block_size(hwc, monkeypatch):
             # both banded passes of the VJP cut the whole map into several blocks
             whole = [b for b in blocks if b[-1][1] in (h, 2 * h)]
             assert len(whole) == 4 and all(len(b) > 1 for b in whole) and w % T
-        inferred = np.asarray(_UpsampledRows(arrays[0], guide, LevelKernel(*arrays[1:])))
+        inferred = np.asarray(_UpsampledLevel(arrays[0], guide, LevelKernel(*arrays[1:])))
         assert inferred.tobytes() == out.data.astype(np.float32).tobytes()
     for default, one_row in zip(*runs):
         np.testing.assert_array_equal(default, one_row)
@@ -148,7 +148,7 @@ ENTRIES = [
         lambda feats, guide: ad.guided_upsample(feats, guide, np.zeros((3, 2)), np.zeros(2), 0.0, 0.0), id="op"
     ),
     pytest.param(
-        lambda feats, guide: _UpsampledRows(feats, guide, LevelKernel(np.zeros((3, 2)), np.zeros(2), 0.0, 0.0)),
+        lambda feats, guide: _UpsampledLevel(feats, guide, LevelKernel(np.zeros((3, 2)), np.zeros(2), 0.0, 0.0)),
         id="rows",
     ),
 ]

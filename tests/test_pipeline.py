@@ -37,7 +37,7 @@ from helpers import counted_calls
 
 # (Python, numpy) versions -> (width, height) of a photo -> the bound of
 # TestRunPipeline.test_calls_per_unit_of_a_warm_photo
-CALLS_PER_UNIT = {("3.11.7", "2.4.6"): {(336, 336): 4_620, (1008, 672): 4_730, (4032, 3024): 6_200}}
+CALLS_PER_UNIT = {("3.11.7", "2.4.6"): {(336, 336): 4_420, (1008, 672): 4_520, (4032, 3024): 5_880}}
 
 
 def small_config(channels=8, threads=1):
@@ -207,8 +207,10 @@ class TestRunPipeline:
     def test_calls_per_unit_of_a_warm_photo(self, tmp_path, size):
         # every Python and C call of one warm run_pipeline over a loaded
         # photo at one thread, per unit (the overview and each slice):
-        # measured 4,459, 4,561 and 5,927 per unit at 336x336, 1008x672 and
-        # 4032x3024; 5,278, 5,440 and 7,175 while the top pyramid level
+        # measured 4,299, 4,398 and 5,747 per unit at 336x336, 1008x672 and
+        # 4032x3024; 4,459, 4,561 and 5,927 while the top pyramid level was
+        # asked for a lazy block of rows, then for its columns, and sorted
+        # and remapped the indices asked; 5,278, 5,440 and 7,175 while it
         # computed every column of the rows its taps read and the slice cut
         # took each block's columns along the axis of a copy of the crop's
         # rows; 5,472 at 336x336 while inference entered the guided
@@ -248,7 +250,7 @@ class TestRunPipeline:
         params, attn = VdimParams.init(d_proj=32, seed=0), AttnParams.init(config.hiwin, seed=0)
         want = run_pipeline(img, params, attn, config)
         computed, read_whole = [], []
-        kernel, whole = autodiff.guided_upsample_rows, vdim._UpsampledRows.__array__
+        kernel, whole = autodiff.guided_upsample_rows, vdim._UpsampledLevel.__array__
 
         def recorded_kernel(out, feats, *args):
             rows, layout = args[-2:]
@@ -261,7 +263,7 @@ class TestRunPipeline:
             return whole(self, *args, **kwargs)
 
         monkeypatch.setattr(autodiff, "guided_upsample_rows", recorded_kernel)
-        monkeypatch.setattr(vdim._UpsampledRows, "__array__", recorded_whole)
+        monkeypatch.setattr(vdim._UpsampledLevel, "__array__", recorded_whole)
         result = run_pipeline(img, params, attn, config)
         assert result.grid == (3, 3) and result.layout.count + 1 == 2
         assert np.array_equal(result.tokens.global_map, want.tokens.global_map)

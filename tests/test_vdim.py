@@ -12,6 +12,7 @@ import pytest
 
 import hiwin
 from hiwin import autodiff as ad
+from hiwin import window_attn
 from hiwin.autodiff import RADIUS
 from hiwin.checkpoint import save_checkpoint
 from hiwin.encoder import EncoderSpec, FeatureMap, encode
@@ -21,7 +22,7 @@ from hiwin.vdim import (
     DownsamplerParams,
     FeaturePyramid,
     VdimParams,
-    _UpsampledRows,
+    _UpsampledLevel,
     attention_downsample,
     build_isp,
     jbu_upsample,
@@ -270,7 +271,7 @@ class TestBuildIsp:
         assert [(m.height, m.width) for m in isp.levels] == [(16, 24), (32, 48), (64, 96)]
 
     def test_peak_memory_of_one_unit(self):
-        # level 2 is a cell source, computed only when compress reads it, so
+        # level 2 is computed only at the cells compress asks for, so
         # level 1 (one block of 6 coarse rows' weights and its float32
         # output) sets the peak: measured 1.47 MiB; 1.52 MiB while each
         # block of window dots lived through the next one's product and the
@@ -307,20 +308,20 @@ class TestBuildIsp:
 
 def trained_upsample(f: FeatureMap, guide: Image, params: VdimParams) -> np.ndarray:
     """The training op's float64 output for ``f``'s kernel, cast to float32:
-    the whole map, computed independently of the inference cell source."""
+    the whole map, computed independently of the inference kernel."""
     lk = params.levels[f.level]
     out = ad.guided_upsample(f.data, guide.decoded(), lk.proj_w, lk.proj_b, lk.log_sigma_dist, lk.log_sigma_sim)
     return out.data.astype(np.float32)
 
 
-def rows_and_eager(h, w, c, seed=0):
-    """A cell source of the level-2 kernel over a random (h, w, C) map, and
-    :func:`trained_upsample` of the same map."""
+def level_and_eager(h, w, c, seed=0):
+    """An upsampled level of the level-2 kernel over a random (h, w, C) map,
+    and :func:`trained_upsample` of the same map."""
     rng = np.random.default_rng(seed)
     f1 = FeatureMap(rng.standard_normal((h, w, c)).astype(np.float32), level=1)
     guide = Image(rng.uniform(0, 1, (2 * h, 2 * w, 3)).astype(np.float32))
     params = VdimParams.init(d_proj=8, seed=seed)
-    return _UpsampledRows(f1.data, guide.decoded(), params.levels[1]), trained_upsample(f1, guide, params)
+    return _UpsampledLevel(f1.data, guide.decoded(), params.levels[1]), trained_upsample(f1, guide, params)
 
 
 def lazy_and_eager_pyramids(size, channels, seed=0):
@@ -339,87 +340,96 @@ MAP_SIZES = [(5, 7), (9, 13), (16, 24), (48, 48)]
 
 
 def asked_indices(rng, size):
-    """Index sets of an axis of ``size`` cells: unsorted with repeats, the
-    same sorted, and sorted and unique."""
-    picked = rng.integers(0, size, rng.integers(1, 2 * size))
-    return picked, np.sort(picked), np.flatnonzero(np.isin(np.arange(size), picked))
+    """A random non-empty set of sorted distinct cells of an axis of ``size`` cells."""
+    return np.unique(rng.integers(0, size, rng.integers(1, 2 * size)))
 
 
-class TestUpsampledRows:
+def taps_read(size, n, r, first=0, last=None):
+    """The sorted distinct cells that the taps of windows ``first .. last - 1``
+    read along an axis of ``size`` cells cut into n windows of r bins."""
+    i0, i1, _ = window_attn._window_taps(size, n, r)
+    return np.union1d(i0[first:last], i1[first:last])
+
+
+class TestUpsampledLevel:
     @pytest.mark.parametrize("c", [4, 64])
     @pytest.mark.parametrize("hw", MAP_SIZES)
     def test_every_single_row_and_column_is_the_eager_one(self, hw, c):
-        cells, eager = rows_and_eager(*hw, c)
-        every_col = np.arange(eager.shape[1])
-        for y in range(eager.shape[0]):
-            assert np.array_equal(cells.take([y], axis=0).take(every_col, axis=1), eager[[y]])
-        for x in range(eager.shape[1]):
-            assert np.array_equal(np.asarray(cells.take([x], axis=1)), eager[:, [x]])
+        level, eager = level_and_eager(*hw, c)
+        every_row, every_col = np.arange(eager.shape[0]), np.arange(eager.shape[1])
+        for y in every_row:
+            assert np.array_equal(level.cells(np.array([y]), every_col), eager[[y]])
+        for x in every_col:
+            assert np.array_equal(level.cells(every_row, np.array([x])), eager[:, [x]])
 
     @pytest.mark.parametrize("c", [4, 64])
     @pytest.mark.parametrize("hw", MAP_SIZES)
     def test_random_cell_sets_are_the_eager_cells(self, hw, c):
-        cells, eager = rows_and_eager(*hw, c, seed=1)
+        level, eager = level_and_eager(*hw, c, seed=1)
         rng = np.random.default_rng(hw[0] * c)
-        for _ in range(8):
-            for rows, cols in zip(asked_indices(rng, eager.shape[0]), asked_indices(rng, eager.shape[1])):
-                block = cells.take(rows, axis=0)
-                assert block.shape == (rows.size,) + eager.shape[1:]
-                assert np.array_equal(block.take(cols, axis=1), eager[rows][:, cols])
+        for _ in range(24):
+            rows, cols = asked_indices(rng, eager.shape[0]), asked_indices(rng, eager.shape[1])
+            got = level.cells(rows, cols)
+            assert got.shape == (rows.size, cols.size, c) and got.dtype == np.float32
+            assert np.array_equal(got, eager[rows][:, cols])
 
     @pytest.mark.parametrize("c", [4, 64])
     @pytest.mark.parametrize("hw", MAP_SIZES)
     def test_asarray_is_the_eager_map(self, hw, c):
-        cells, eager = rows_and_eager(*hw, c, seed=2)
-        assert (cells.shape, cells.ndim, cells.dtype) == (eager.shape, 3, np.float32)
-        whole = np.asarray(cells)
+        level, eager = level_and_eager(*hw, c, seed=2)
+        assert level.shape == eager.shape
+        whole = np.asarray(level)
         assert whole.dtype == np.float32 and np.array_equal(whole, eager)
-        assert np.array_equal(np.asarray(cells, dtype=np.float64), eager.astype(np.float64))
+        assert np.array_equal(np.asarray(level, dtype=np.float64), eager.astype(np.float64))
         rows = np.arange(0, eager.shape[0], 3)
-        assert np.array_equal(np.asarray(cells.take(rows, axis=0)), eager[rows])
+        assert np.array_equal(level.cells(rows, np.arange(eager.shape[1])), eager[rows])
 
     @pytest.mark.parametrize("n", [5, 12])
     @pytest.mark.parametrize("grid", PROPOSALS)
     def test_the_cells_assemble_kv_asks_for_are_the_eager_cells(self, grid, n, monkeypatch):
         # every split into blocks of r window rows, r = 1 .. n; at n = 5 a
-        # window's rows end mid coarse row.  Each block asks its rows, then
-        # their columns, and computes only those cells
+        # window's rows end mid coarse row.  Each block asks the top level
+        # once, for exactly the cells its taps read
         lazy, eager = lazy_and_eager_pyramids(336, channels=8, seed=3)
         params = AttnParams.init(HiwinConfig(channels=8), seed=3)
-        top, take, asked = eager.levels[-1].data, _UpsampledRows.take, []
+        top, cells, asked = eager.levels[-1].data, _UpsampledLevel.cells, []
 
-        def checked_take(self, indices, axis=0):
-            got = take(self, indices, axis)
-            if axis == 1:
-                asked.append((self.rows, indices))
-                assert np.array_equal(got, top[self.rows][:, indices])
+        def checked_cells(self, rows, cols):
+            got = cells(self, rows, cols)
+            asked.append((rows, cols))
+            assert np.array_equal(got, top[rows][:, cols])
             return got
 
-        monkeypatch.setattr(_UpsampledRows, "take", checked_take)
+        monkeypatch.setattr(_UpsampledLevel, "cells", checked_cells)
+        (height, width, _), (rw, rh) = top.shape, grid
         for r in range(1, n + 1):
             for a in range(0, n, r):
                 rows = (a, min(a + r, n))
+                before = len(asked)
                 keys, got = assemble_kv(lazy, n, grid, params, rows)
                 want_keys, want = assemble_kv(eager, n, grid, params, rows)
                 assert np.array_equal(got, want)
                 assert all(np.array_equal(k, w) for k, w in zip(keys, want_keys))
-        assert len(asked) == sum(-(-n // r) for r in range(1, n + 1))  # one ask of cells per block
+                assert len(asked) == before + 1
+                asked_rows, asked_cols = asked[-1]
+                assert np.array_equal(asked_rows, taps_read(height, n, rh, *rows))
+                assert np.array_equal(asked_cols, taps_read(width, n, rw))
 
-    def test_assemble_kv_of_every_cell_asks_the_cell_source(self, monkeypatch):
+    def test_assemble_kv_of_every_cell_asks_for_every_cell_once(self, monkeypatch):
         # 42x42 pixels: a 12x12 top level, one row and column per window at
         # n = 12, every cell tapped
         lazy, eager = lazy_and_eager_pyramids(42, channels=4, seed=4)
         params = AttnParams.init(HiwinConfig(channels=4), seed=4)
-        asked, take = [], _UpsampledRows.take
+        asked, cells = [], _UpsampledLevel.cells
 
-        def recorded_take(self, indices, axis=0):
-            asked.append((axis, list(indices)))
-            return take(self, indices, axis)
+        def recorded_cells(self, rows, cols):
+            asked.append((rows.tolist(), cols.tolist()))
+            return cells(self, rows, cols)
 
-        monkeypatch.setattr(_UpsampledRows, "take", recorded_take)
+        monkeypatch.setattr(_UpsampledLevel, "cells", recorded_cells)
         keys, values = assemble_kv(lazy, 12, (3, 3), params)
         want_keys, want_values = assemble_kv(eager, 12, (3, 3), params)
-        assert asked == [(0, list(range(12))), (1, list(range(12)))]
+        assert asked == [(list(range(12)), list(range(12)))]
         assert np.array_equal(values, want_values)
         assert all(np.array_equal(k, w) for k, w in zip(keys, want_keys))
 
@@ -429,13 +439,13 @@ class TestUpsampledRows:
         rng = np.random.default_rng(5)
         f1 = FeatureMap(rng.standard_normal((5, 7, 4)).astype(np.float32), level=1)
         guide = Image(rng.uniform(0, 1, (10, 14, 3)).astype(np.float32))
-        cells = _UpsampledRows(f1.data, guide.decoded(), params.levels[1])
+        level = _UpsampledLevel(f1.data, guide.decoded(), params.levels[1])
         with pytest.raises(ValueError) as want, np.errstate(all="ignore"):
             FeatureMap(trained_upsample(f1, guide, params), level=2)  # the whole map's FeatureMap refuses it
         reads = (
-            lambda: cells.take([3], axis=0).take([2, 5], axis=1),
-            lambda: np.asarray(cells.take([3], axis=0)),
-            lambda: np.asarray(cells),
+            lambda: level.cells(np.array([3]), np.array([2, 5])),
+            lambda: level.cells(np.array([3]), np.arange(14)),
+            lambda: np.asarray(level),
             lambda: jbu_upsample(f1, guide, params, 1),
         )
         for read in reads:
