@@ -144,9 +144,13 @@ _FINE = _bands((_K, _TILE + 2 * RADIUS), _TILE, _DY, np.arange(_TILE)[:, None] +
 _COARSE = _bands((_CK, _TILE + 2 * _PAD), 2 * _TILE, _CA, np.arange(2 * _TILE)[:, None] // 2 + _CB)
 
 
+@lru_cache(maxsize=64)
 def _edge_index(n: int, pad: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Source cells of the cells ``lo - pad .. hi + pad - 1`` of an n-cell axis edge-padded by ``pad``."""
-    return np.clip(np.arange(lo - pad, (n if hi is None else hi) + pad), 0, n - 1)
+    """Source cells of the cells ``lo - pad .. hi + pad - 1`` of an n-cell
+    axis edge-padded by ``pad``, read-only: computed once per geometry."""
+    index = np.clip(np.arange(lo - pad, (n if hi is None else hi) + pad), 0, n - 1)
+    index.flags.writeable = False
+    return index
 
 
 def _edge_pad(a: np.ndarray, pad: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -581,6 +585,25 @@ def guided_upsample(feats, guide, proj_w, proj_b, log_sigma_dist, log_sigma_sim)
     return _node(out, (feats, proj_w, proj_b, lsd, lss), vjp)
 
 
+@lru_cache(maxsize=8)
+def _pool_layout(h: int, w: int, ih: int, iw: int, patch: int) -> tuple:
+    """What :func:`window_pool` of an (h, w) map lifted to (ih, iw) reads
+    that depends only on those shapes, computed once per shape and
+    read-only: the resize matrices ``rm`` (ih, h) and ``cm`` (iw, w), the
+    column taps ``cm3`` of each window column (iw/patch, patch, w), and each
+    window row's band ``lo .. hi - 1`` of source rows with its row taps
+    there, (patch, hi - lo)."""
+    rm, cm = resize_matrix(h, ih), resize_matrix(w, iw)
+    rm.flags.writeable = cm.flags.writeable = False
+    i0, i1, _ = resize_taps(h, ih)
+    rows = []
+    for a in range(ih // patch):
+        # the taps never decrease, and i1 == i0 wherever frac == 0
+        lo, hi = int(i0[a * patch]), int(i1[(a + 1) * patch - 1]) + 1
+        rows.append((lo, hi, rm[a * patch : (a + 1) * patch, lo:hi]))
+    return rm, cm, cm.reshape(iw // patch, patch, w), tuple(rows)
+
+
 def window_pool(f, gamma, beta, sal_w, sal_b, image_hw: tuple[int, int], patch: int) -> Tensor:
     """Saliency-weighted window pooling of a bilinearly lifted map, fused.
 
@@ -595,6 +618,9 @@ def window_pool(f, gamma, beta, sal_w, sal_b, image_hw: tuple[int, int], patch: 
     holds its softmax weights pushed back through the resize taps.  A
     window row reads a band of a few source rows, so ``M`` is kept per
     window row as an (iw/patch, band, w) block and applied with one matmul.
+    The resize matrices and bands come from :func:`_pool_layout`, and each
+    contraction over the row taps is the ``np.dot`` that ``np.tensordot``
+    would make of the same operands, without its wrapper.
     ``sal_b`` cannot change the output; its gradient is exactly zero.
     """
     f, gamma, beta, sal_w, sal_b = (as_tensor(t) for t in (f, gamma, beta, sal_w, sal_b))
@@ -603,34 +629,28 @@ def window_pool(f, gamma, beta, sal_w, sal_b, image_hw: tuple[int, int], patch: 
     if ih % patch or iw % patch:
         raise ValueError(f"image dims {iw}x{ih} are not multiples of patch {patch}")
     nh, nw = ih // patch, iw // patch
-    rm, cm = resize_matrix(h, ih), resize_matrix(w, iw)
-    i0, i1, _ = resize_taps(h, ih)
-    cm3 = cm.reshape(nw, patch, w)  # column taps of each window column
+    rm, cm, cm3, rows = _pool_layout(h, w, ih, iw, patch)
     v = gamma.data * sal_w.data
     scores = rm @ (f.data @ v) @ cm.T
     att = _softmax(scores.reshape(nh, patch, nw, patch), axis=(1, 3))
-    rows = []  # per window row: its band [lo, hi) of source rows, row taps and M there, (nw, hi - lo, w)
+    mats = []  # per window row: M on its band of source rows, (nw, hi - lo, w)
     pooled = np.empty((nh, nw, c), dtype=np.float64)
-    for a in range(nh):
-        # the taps never decrease, and i1 == i0 wherever frac == 0
-        lo, hi = i0[a * patch], i1[(a + 1) * patch - 1] + 1
-        taps = rm[a * patch : (a + 1) * patch, lo:hi]
+    for a, (lo, hi, taps) in enumerate(rows):
         # t[b, j, p]: column j of window (a, b) pushed back through row taps
-        t = np.tensordot(att[a], taps, axes=(0, 0))
-        mat = np.matmul(t.transpose(0, 2, 1), cm3)
-        rows.append((lo, hi, taps, mat))
-        pooled[a] = mat.reshape(nw, -1) @ f.data[lo:hi].reshape(-1, c)
+        t = np.dot(att[a].transpose(1, 2, 0).reshape(nw * patch, patch), taps).reshape(nw, patch, hi - lo)
+        mats.append(np.matmul(t.transpose(0, 2, 1), cm3))
+        pooled[a] = mats[a].reshape(nw, -1) @ f.data[lo:hi].reshape(-1, c)
     out = gamma.data * pooled + beta.data
 
     def vjp(g):
         g_pooled = g * gamma.data
         g_f = np.zeros_like(f.data)
         g_att = np.empty_like(att)
-        for a, (lo, hi, taps, mat) in enumerate(rows):
+        for a, ((lo, hi, taps), mat) in enumerate(zip(rows, mats)):
             g_f[lo:hi] += (mat.reshape(nw, -1).T @ g_pooled[a]).reshape(hi - lo, w, c)
             g_mat = (g_pooled[a] @ f.data[lo:hi].reshape(-1, c).T).reshape(mat.shape)
             g_t = np.matmul(cm3, g_mat.transpose(0, 2, 1))  # (nw, patch, hi - lo)
-            g_att[a] = np.tensordot(taps, g_t, axes=(1, 2))
+            g_att[a] = np.dot(taps, g_t.transpose(2, 0, 1).reshape(hi - lo, nw * patch)).reshape(patch, nw, patch)
         g_scores = att * (g_att - (g_att * att).sum(axis=(1, 3), keepdims=True))
         g_s = rm.T @ g_scores.reshape(ih, iw) @ cm
         g_v = f.data.reshape(-1, c).T @ g_s.reshape(-1)

@@ -9,8 +9,10 @@ batch items (:mod:`hiwin.workers`), so ``taskset`` limits them, and no
 result depends on the count.  The package import pins BLAS to one thread
 unless the environment sets it.
 
-Exit codes: 0 success, 2 usage error, 3 data/format error or an input too
-large for memory, 4 numerical failure.  Each command runs with numpy's
+Exit codes: 0 success, 2 usage error, 3 data/format error, an input too
+large for memory or an output that cannot be written, 4 numerical failure.
+``pretrain-vdim``, ``compress`` and ``pipeline`` refuse an ``--out`` they
+could not write before their work starts.  Each command runs with numpy's
 overflow, invalid-value and divide-by-zero warnings raised as errors, so
 such a failure exits 4 naming the command instead of printing a warning.
 Diagnostics go to standard error.
@@ -147,7 +149,21 @@ def _load_corpus(args) -> list[Image]:
     return [resize_to_patch_multiple(load_ppm(p)) for p in paths]
 
 
+def _refuse_unwritable(path: str) -> None:
+    """Raise OSError naming ``path`` if a command could not write it once
+    its work is done: a directory, a file this process may not write, or a
+    new file in a directory that is missing or not writable.  Nothing is
+    created or truncated."""
+    parent = os.path.dirname(path) or "."
+    if os.path.exists(path):
+        if os.path.isdir(path) or not os.access(path, os.W_OK):
+            raise OSError(f"cannot write {path}: it is a directory or not writable")
+    elif not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
+        raise OSError(f"cannot write {path}: {parent} is not a writable directory")
+
+
 def cmd_pretrain(args) -> int:
+    _refuse_unwritable(args.out)  # before the steps, whose weights would be lost
     corpus = _load_corpus(args)
     spec = EncoderSpec(channels=args.channels, seed=args.seed)
     vdim = VdimParams.init(d_proj=args.d_proj, seed=args.seed)
@@ -186,6 +202,7 @@ def cmd_build_isp(args) -> int:
 
 def cmd_compress(args) -> int:
     """``compress``; ``pipeline`` is it with the hiwin projector, and also prints the layout and grid."""
+    _refuse_unwritable(args.out)
     ckpt, config, attn = _load_setup(args)
     result = run_pipeline(load_ppm(args.image), ckpt.vdim, attn, config, projector=args.projector)
     save_tokens(result.tokens, args.out)

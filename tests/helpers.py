@@ -1,8 +1,9 @@
 """Scalar reference implementations of the resize, guided-upsampling,
 attention-downsampling and reconstruction-loss paths, shared by the test
 modules, the weighted sum that reduces an op's output to a scalar, the
-window mask of the locality tests, the traced peak of the memory guards and
-the call count of the call-count guard.
+window mask of the locality tests, the traced peak of the memory guards,
+the call count of the call-count guard and the children that the worker
+tests count.
 
 These are written as plain per-element loops, independent of the vectorized
 library paths they check.  The bilinear-lookup, RoI-align, window-box,
@@ -13,6 +14,7 @@ where ``selftest`` uses them too.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -64,6 +66,27 @@ def counted_calls(fn):
         sys.setprofile(None)
         threading.setprofile(None)
     return result, calls
+
+
+def children() -> list[int]:
+    """The pids of this process's children, exited ones not yet reaped
+    included, from each of its threads' ``/proc/self/task/<tid>/children``:
+    every child, however it was started."""
+    found = []
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/children") as f:
+                found += map(int, f.read().split())
+        except FileNotFoundError:  # the thread ended while the list was read
+            continue
+    return sorted(found)
+
+
+def exited(pid: int) -> bool:
+    """Whether the child ``pid`` has exited and waits to be reaped, by then
+    with every file it held closed."""
+    with open(f"/proc/{pid}/stat") as f:
+        return f.read().rpartition(")")[2].split()[0] == "Z"
 
 
 def scalar_resize(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -235,6 +235,39 @@ def test_window_pool_values_and_grad(h, w, image_hw, patch):
     assert np.array_equal(sal_b.grad, 0.0)
 
 
+@pytest.mark.parametrize("h, w, image_hw, patch", [(3, 5, (12, 20), 4), (7, 3, (42, 28), 14), (16, 32, (112, 224), 14)])
+def test_window_pool_layout_is_built_once_per_shape_read_only(h, w, image_hw, patch):
+    ih, iw = image_hw
+    cached = ad._pool_layout(h, w, ih, iw, patch)
+    assert ad._pool_layout(h, w, ih, iw, patch) is cached
+    fresh = ad._pool_layout.__wrapped__(h, w, ih, iw, patch)
+    rm, cm, cm3, rows = cached
+    assert np.array_equal(rm, fresh[0]) and np.array_equal(cm, fresh[1]) and np.array_equal(cm3, fresh[2])
+    assert np.array_equal(rm, numerics.resize_matrix(h, ih)) and np.array_equal(cm, numerics.resize_matrix(w, iw))
+    assert cm3.shape == (iw // patch, patch, w)
+    assert len(rows) == len(fresh[3]) == ih // patch
+    for a, ((lo, hi, taps), (f_lo, f_hi, f_taps)) in enumerate(zip(rows, fresh[3])):
+        assert (lo, hi) == (f_lo, f_hi) and np.array_equal(taps, f_taps)
+        # a window row's band holds every row tap of its pixel rows
+        band = rm[a * patch : (a + 1) * patch]
+        assert np.array_equal(taps, band[:, lo:hi]) and not band[:, :lo].any() and not band[:, hi:].any()
+    for arr in (rm, cm, cm3, *(taps for _, _, taps in rows)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 1.0
+
+
+@pytest.mark.parametrize("n, pad, lo, hi", [(5, 2, 0, None), (48, 3, 6, 12), (1, 3, 0, 1), (96, 3, 90, 96)])
+def test_edge_index_is_built_once_per_geometry_read_only(n, pad, lo, hi):
+    index = ad._edge_index(n, pad, lo, hi)
+    assert ad._edge_index(n, pad, lo, hi) is index
+    want = [min(max(i, 0), n - 1) for i in range(lo - pad, (n if hi is None else hi) + pad)]
+    assert index.tolist() == want
+    assert np.array_equal(index, ad._edge_index.__wrapped__(n, pad, lo, hi))
+    with pytest.raises(ValueError, match="read-only"):
+        index += 1
+
+
 @pytest.mark.parametrize("maps", [1, 2, 3])
 def test_recon_loss_values_and_grad(maps):
     base = np.random.default_rng(24).uniform(-1, 1, (3, 2, 4))  # a constant of the op

@@ -107,6 +107,37 @@ def test_a_dead_training_worker_exits_3_without_a_traceback(tmp_path, capsys, mo
     assert not (tmp_path / "d.ckpt").exists()
 
 
+def test_pretrain_refuses_an_unwritable_out_before_the_first_step(tmp_path):
+    # the trained weights were lost: the checkpoint's directory was found
+    # missing only when it was written, after every step
+    src = str(Path(hiwin.__file__).resolve().parents[1])
+    out = tmp_path / "missing" / "ck.bin"
+    argv = [
+        sys.executable, "-m", "hiwin.cli", "pretrain-vdim", "--corpus", "synthetic", "--count", "2",
+        "--size", "56", "--channels", "4", "--d-proj", "4", "--steps", "60", "--batch", "2", "--out", str(out),
+    ]
+    done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3
+    assert done.stderr == f"error: cannot write {out}: {out.parent} is not a writable directory\n"
+    assert done.stdout == ""
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["compress", "pipeline", "pretrain-vdim"])
+def test_an_out_that_is_a_directory_exits_3_before_the_work(command, ckpt, image_336, tmp_path, capsys, monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr(cli, "run_pipeline", work)
+    monkeypatch.setattr(cli, "pretrain_vdim", work)
+    if command == "pretrain-vdim":
+        argv = [command, "--corpus", "synthetic", "--count", "2", "--size", "56", "--channels", "4"]
+    else:
+        argv = [command, "--image", str(image_336), "--ckpt", str(ckpt)]
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path}: it is a directory or not writable\n"
+
+
 def test_zero_step_pretrain_prints_initial_loss(tmp_path, capsys):
     code = main(
         [

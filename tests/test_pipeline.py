@@ -7,7 +7,6 @@ import struct
 import subprocess
 import sys
 import time
-from concurrent.futures.process import _RemoteTraceback
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +30,9 @@ from hiwin.pipeline import (
 from hiwin.token_org import flatten
 from hiwin.vdim import DownsamplerParams, FeaturePyramid, VdimParams, trainable_arrays
 from hiwin.window_attn import AttnParams, HiwinConfig, select_grid
+from hiwin.workers import WorkerTraceback
 
-from helpers import counted_calls
+from helpers import children, counted_calls
 
 
 # (Python, numpy) versions -> (width, height) of a photo -> the bound of
@@ -63,7 +63,7 @@ def constant_isp(value=0.4, channels=8, base=4):
 # run_pipeline, then ``hiwin pipeline``, printing each error or exit code
 # and the children left
 _KILL_A_UNIT_WORKER = """
-import multiprocessing, os, signal, sys, time
+import os, signal, sys, time
 from hiwin import pipeline
 from hiwin.checkpoint import save_checkpoint
 from hiwin.cli import main
@@ -72,6 +72,7 @@ from hiwin.image_io import Image, save_ppm, synth_corpus
 from hiwin.numerics import bilinear_resize
 from hiwin.vdim import DownsamplerParams, VdimParams
 from hiwin.window_attn import AttnParams, HiwinConfig
+from helpers import children
 
 returned = os.path.join(sys.argv[1], "returned")
 project = pipeline.project_tokens
@@ -96,13 +97,13 @@ try:
     pipeline.run_pipeline(image, vdim, attn, config)
 except ChildProcessError as e:
     print(e)
-print(multiprocessing.active_children())
+print(children())
 os.remove(returned)
 ppm, ckpt = os.path.join(sys.argv[1], "big.ppm"), os.path.join(sys.argv[1], "c8.ckpt")
 save_ppm(image, ppm)
 save_checkpoint(ckpt, vdim, DownsamplerParams.init(8, seed=0), attn=attn)
 print(main(["pipeline", "--image", ppm, "--ckpt", ckpt, "--out", os.path.join(sys.argv[1], "o.toks")]))
-print(multiprocessing.active_children())
+print(children())
 """
 
 
@@ -193,7 +194,7 @@ class TestRunPipeline:
         src = str(Path(hiwin.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-c", _KILL_A_UNIT_WORKER, str(tmp_path)],
-            env={**os.environ, "PYTHONPATH": src},
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(Path(__file__).parent)])},
             capture_output=True,
             text=True,
             timeout=120,
@@ -307,7 +308,11 @@ class TestRunPipeline:
         assert type(err.value) is DataFormatError
         assert str(err.value) == f"{path}: the PPM file changed after it was loaded"
         # a worker's error carries the worker's traceback as its cause
-        assert (type(err.value.__cause__) is _RemoteTraceback) == (threads > 1)
+        assert (type(err.value.__cause__) is WorkerTraceback) == (threads > 1)
+        if threads > 1:
+            trace = str(err.value.__cause__)
+            assert trace.startswith("Traceback (most recent call last):")
+            assert trace.endswith(f"DataFormatError: {err.value}\n")
 
 
 class TestBaselines:
