@@ -145,10 +145,10 @@ _COARSE = _bands((_CK, _TILE + 2 * _PAD), 2 * _TILE, _CA, np.arange(2 * _TILE)[:
 
 
 @lru_cache(maxsize=64)
-def _edge_index(n: int, pad: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Source cells of the cells ``lo - pad .. hi + pad - 1`` of an n-cell
-    axis edge-padded by ``pad``, read-only: computed once per geometry."""
-    index = np.clip(np.arange(lo - pad, (n if hi is None else hi) + pad), 0, n - 1)
+def _edge_index(n: int, pad: int) -> np.ndarray:
+    """Source cells of the cells ``-pad .. n + pad - 1`` of an n-cell axis
+    edge-padded by ``pad``, read-only: computed once per geometry."""
+    index = np.clip(np.arange(-pad, n + pad), 0, n - 1)
     index.flags.writeable = False
     return index
 
@@ -156,7 +156,7 @@ def _edge_index(n: int, pad: int, lo: int = 0, hi: int | None = None) -> np.ndar
 def _edge_pad(a: np.ndarray, pad: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """The rows ``lo .. hi - 1`` (all by default) of ``a`` (h, w, ...) edge-padded by ``pad`` cells on both axes."""
     h, w = a.shape[:2]
-    return a[_edge_index(h, pad, lo, hi)][:, _edge_index(w, pad)]
+    return a[_edge_index(h, pad)[lo : (h if hi is None else hi) + 2 * pad]][:, _edge_index(w, pad)]
 
 
 def _fold_edges(a: np.ndarray, pad: int) -> np.ndarray:

@@ -11,10 +11,10 @@ unless the environment sets it.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, an input too
 large for memory or an output that cannot be written, 4 numerical failure.
-``pretrain-vdim``, ``compress`` and ``pipeline`` refuse an ``--out`` they
-could not write before their work starts.  Each command runs with numpy's
-overflow, invalid-value and divide-by-zero warnings raised as errors, so
-such a failure exits 4 naming the command instead of printing a warning.
+A command refuses an output file it could not write before its work
+starts.  Each command runs with numpy's overflow, invalid-value and
+divide-by-zero warnings raised as errors, so such a failure exits 4 naming
+the command instead of printing a warning.
 Diagnostics go to standard error.
 """
 
@@ -192,11 +192,13 @@ def _load_setup(args):
 
 def cmd_build_isp(args) -> int:
     ckpt, config, _ = _load_setup(args)
+    paths = [f"{args.out_prefix}.l{level}.ispf" for level in range(len(ckpt.vdim.levels) + 1)]
+    for path in paths:
+        _refuse_unwritable(path)
     isp = unit_pyramid(resize_to_patch_multiple(load_ppm(args.image)), "overview", ckpt.vdim, config)
-    for level, fmap in enumerate(isp.levels):
-        path = f"{args.out_prefix}.l{level}.ispf"
+    for fmap, path in zip(isp.levels, paths):
         save_features(fmap, path)
-        print(f"level{level}: {fmap.width}x{fmap.height}x{fmap.channels} -> {path}")
+        print(f"level{fmap.level}: {fmap.width}x{fmap.height}x{fmap.channels} -> {path}")
     return 0
 
 
@@ -216,6 +218,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_visualize(args) -> int:
+    _refuse_unwritable(args.out)
     fmap = load_features(args.features)
     rendered = pca_rgb(fmap.data)
     save_ppm(Image(rendered), args.out)

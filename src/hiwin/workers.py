@@ -2,12 +2,12 @@
 items and inference units both run through :func:`forked`.
 
 A worker is a plain ``os.fork`` of the caller with two pipes: each ``run``
-writes a worker its chunk of tasks on the task pipe, and the worker writes
+pickles a worker its chunk of tasks on the task pipe, and the worker pickles
 back the chunk's results, or the error that ended it, on the result pipe.
-Each is one message, pickled behind an 8-byte length.  No pool, queue or
-management thread sits between them, and ``multiprocessing`` and
-``concurrent.futures`` (about 10 ms of imports per process) are never
-loaded.
+Pickle frames each message, so a message cut short by a worker's death reads
+as truncated.  No pool, queue or management thread sits between them, and
+``multiprocessing`` and ``concurrent.futures`` (about 10 ms of imports per
+process) are never loaded.
 """
 
 import ctypes
@@ -15,13 +15,12 @@ import math
 import os
 import pickle
 import sys
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Sequence
+from contextlib import contextmanager, suppress
+from typing import IO, Any, Callable, Iterator, Sequence
 
 __all__ = ["WorkerTraceback", "forked", "usable_cores"]
 
 _PR_SET_PDEATHSIG = 1
-_state: Any = None  # a worker's forked copy of the caller's state
 
 
 class WorkerTraceback(Exception):
@@ -35,55 +34,24 @@ def usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _init_worker(creator: int, state: Any) -> None:
-    """Set up a forked worker: it is killed when the process that created
-    it dies, leaves Ctrl-C to that process, and keeps its forked copy of
-    the caller's state."""
+def _serve(creator: int, state: Any, tasks: IO[bytes], results: IO[bytes]) -> None:
+    """A forked worker's loop.  It is killed when the process that created
+    it dies and leaves Ctrl-C to that process.  Until its task pipe closes,
+    it runs each chunk of tasks that arrives and writes back ``(results,
+    None)`` at its end, one message that wakes the caller once, or ``(error,
+    traceback)`` of the first task that raised, or of results that cannot be
+    pickled.  Each reply is pickled whole before it is written, so none is
+    left half written but by the worker's death."""
     import signal  # here, as it adds 0.5 ms to ``import hiwin``
 
-    global _state
     ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
     if os.getppid() != creator:  # it died before the signal was armed
-        os._exit(1)
+        return
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _state = state
-
-
-def _write(fd: int, data: bytes) -> None:
-    """Write ``data`` to the pipe ``fd`` behind its length."""
-    for part in (len(data).to_bytes(8, "little"), data):
-        view = memoryview(part)
-        while view:
-            view = view[os.write(fd, view) :]
-
-
-def _read(fd: int, size: int) -> memoryview:
-    buf, got = memoryview(bytearray(size)), 0
-    while got < size:
-        n = os.readv(fd, [buf[got:]])
-        if not n:
-            raise EOFError("the writer closed the pipe")
-        got += n
-    return buf
-
-
-def _recv(fd: int) -> Any:
-    """The next object pickled and written to ``fd``; EOFError if its writer is gone first."""
-    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
-
-
-def _serve(tasks: int, results: int) -> None:
-    """A worker's loop, until its task pipe closes: run each chunk of tasks
-    that arrives and write back ``(results, None)`` at its end, one message
-    that wakes the caller once, or ``(error, traceback)`` of the first task
-    that raised, or of results that cannot be pickled."""
     while True:
+        fn, chunk = pickle.load(tasks)  # EOFError once the task pipe closes
         try:
-            fn, chunk = _recv(tasks)
-        except EOFError:
-            return
-        try:
-            data = pickle.dumps(([fn(_state, task) for task in chunk], None), pickle.HIGHEST_PROTOCOL)
+            data = pickle.dumps(([fn(state, task) for task in chunk], None), pickle.HIGHEST_PROTOCOL)
         except BaseException as e:
             import traceback
 
@@ -92,7 +60,8 @@ def _serve(tasks: int, results: int) -> None:
                 data = pickle.dumps((e, error), pickle.HIGHEST_PROTOCOL)
             except Exception:  # an error that cannot be pickled goes as its text
                 data = pickle.dumps((RuntimeError(repr(e)), error), pickle.HIGHEST_PROTOCOL)
-        _write(results, data)
+        results.write(data)
+        results.flush()
 
 
 @contextmanager
@@ -100,8 +69,8 @@ def forked(state: Any, items: int, cores: int) -> Iterator[Callable]:
     """Yield ``run(fn, tasks, lost)``, which yields ``fn(state, task)`` of a
     module-level ``fn`` for each of the ``items`` tasks, in order.
 
-    On Linux one worker per chunk of ``ceil(items / cores)`` tasks forks at
-    the first ``run``, inside the caller's ``np.errstate``, and keeps its
+    On Linux one worker per chunk of ``ceil(items / cores)`` tasks forks as
+    the block is entered, inside the caller's ``np.errstate``, and keeps its
     copy of ``state``; chunk k of every ``run`` goes to worker k.  With one
     chunk, or elsewhere, where ``fork`` may be unsafe and no death signal
     ends the workers of a killed parent, the tasks run in this process.  A
@@ -109,8 +78,8 @@ def forked(state: Any, items: int, cores: int) -> Iterator[Callable]:
     :class:`WorkerTraceback` cause; a dead worker raises
     ``ChildProcessError(lost(i))``, ``i`` the first task whose result did
     not arrive.  A ``run`` is consumed whole before the next starts.  No
-    worker outlives the block: an idle one leaves when its task pipe
-    closes, one still busy on an error path is killed, and each is reaped.
+    worker outlives the block: on every way out each one, idle or busy, is
+    killed and reaped, since none holds anything to save.
     """
     chunk = math.ceil(items / cores)
     if sys.platform != "linux" or chunk >= items:
@@ -121,9 +90,29 @@ def forked(state: Any, items: int, cores: int) -> Iterator[Callable]:
         yield run
         return
 
-    workers: list[list[int]] = []  # [pid, task pipe, result pipe, 1 while its chunk's results are pending]
+    workers: list[tuple[int, IO[bytes], IO[bytes]]] = []  # (pid, task writer, result reader)
 
-    def start() -> None:
+    def run(fn: Callable, tasks: Sequence, lost: Callable[[int], str]) -> Iterator:
+        starts = range(0, len(tasks), chunk)
+        try:
+            for (_, to, _), k in zip(workers, starts):
+                pickle.dump((fn, tasks[k : k + chunk]), to, pickle.HIGHEST_PROTOCOL)
+                to.flush()
+        except BrokenPipeError as e:
+            raise ChildProcessError(lost(0)) from e
+        arrived = 0
+        for _, _, back in workers[: len(starts)]:
+            try:
+                results, error = pickle.load(back)
+            except (EOFError, pickle.UnpicklingError) as e:  # it died before or while it wrote
+                raise ChildProcessError(lost(arrived)) from e
+            if error is not None:
+                raise results from WorkerTraceback(error)
+            for result in results:
+                yield result
+                arrived += 1
+
+    try:
         creator = os.getpid()
         for _ in range(math.ceil(items / chunk)):
             task_r, task_w = os.pipe()
@@ -135,52 +124,22 @@ def forked(state: Any, items: int, cores: int) -> Iterator[Callable]:
                     os.close(fd)
                 raise
             if pid == 0:  # a worker leaves only by os._exit, never by the caller's exit path
-                code = 1
                 try:
-                    for fd in [task_w, result_r] + [fd for w in workers for fd in w[1:3]]:
+                    for fd in [task_w, result_r] + [f.fileno() for w in workers for f in w[1:]]:
                         os.close(fd)  # so that each task pipe's EOF reaches its worker
-                    _init_worker(creator, state)
-                    _serve(task_r, result_w)
-                    code = 0
+                    _serve(creator, state, os.fdopen(task_r, "rb"), os.fdopen(result_w, "wb"))
                 finally:
-                    os._exit(code)
+                    os._exit(1)
             os.close(task_r)
             os.close(result_w)
-            workers.append([pid, task_w, result_r, 0])
-
-    def run(fn: Callable, tasks: Sequence, lost: Callable[[int], str]) -> Iterator:
-        if not workers:
-            start()
-        try:
-            for w, k in zip(workers, range(0, len(tasks), chunk)):
-                w[3] = 1
-                _write(w[1], pickle.dumps((fn, tasks[k : k + chunk]), pickle.HIGHEST_PROTOCOL))
-        except BrokenPipeError as e:
-            raise ChildProcessError(lost(0)) from e
-        arrived = 0
-        for w in workers:
-            if not w[3]:
-                continue
-            try:
-                results, error = _recv(w[2])
-            except EOFError as e:
-                raise ChildProcessError(lost(arrived)) from e
-            w[3] = 0
-            if error is not None:
-                raise results from WorkerTraceback(error)
-            for result in results:
-                yield result
-                arrived += 1
-
-    try:
+            workers.append((pid, os.fdopen(task_w, "wb"), os.fdopen(result_r, "rb")))
         yield run
     finally:
         import signal
 
-        for pid, task_w, result_r, busy in workers:
-            os.close(task_w)  # an idle worker reads EOF and leaves
-            if busy:
-                os.kill(pid, signal.SIGKILL)
-            os.close(result_r)
-        for pid, *_ in workers:
+        for pid, to, back in workers:
+            os.kill(pid, signal.SIGKILL)
+            with suppress(BrokenPipeError):  # the unsent bytes of a dead worker's task
+                to.close()
+            back.close()
             os.waitpid(pid, 0)

@@ -259,13 +259,16 @@ def test_window_pool_layout_is_built_once_per_shape_read_only(h, w, image_hw, pa
 
 @pytest.mark.parametrize("n, pad, lo, hi", [(5, 2, 0, None), (48, 3, 6, 12), (1, 3, 0, 1), (96, 3, 90, 96)])
 def test_edge_index_is_built_once_per_geometry_read_only(n, pad, lo, hi):
-    index = ad._edge_index(n, pad, lo, hi)
-    assert ad._edge_index(n, pad, lo, hi) is index
-    want = [min(max(i, 0), n - 1) for i in range(lo - pad, (n if hi is None else hi) + pad)]
-    assert index.tolist() == want
-    assert np.array_equal(index, ad._edge_index.__wrapped__(n, pad, lo, hi))
+    # one index per axis length and pad; a row block's rows are a slice of it
+    index = ad._edge_index(n, pad)
+    assert ad._edge_index(n, pad) is index
+    assert index.tolist() == [min(max(i, 0), n - 1) for i in range(-pad, n + pad)]
     with pytest.raises(ValueError, match="read-only"):
         index += 1
+    a = np.arange(n * 2).reshape(n, 2)
+    rows = [min(max(i, 0), n - 1) for i in range(lo - pad, (n if hi is None else hi) + pad)]
+    cols = [min(max(j, 0), 1) for j in range(-pad, 2 + pad)]
+    assert np.array_equal(ad._edge_pad(a, pad, lo, hi), a[rows][:, cols])
 
 
 @pytest.mark.parametrize("maps", [1, 2, 3])

@@ -123,19 +123,29 @@ def test_pretrain_refuses_an_unwritable_out_before_the_first_step(tmp_path):
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("command", ["compress", "pipeline", "pretrain-vdim"])
+@pytest.mark.parametrize("command", ["compress", "pipeline", "pretrain-vdim", "build-isp", "visualize"])
 def test_an_out_that_is_a_directory_exits_3_before_the_work(command, ckpt, image_336, tmp_path, capsys, monkeypatch):
     def work(*args, **kwargs):
         raise AssertionError("the work started")
 
-    monkeypatch.setattr(cli, "run_pipeline", work)
-    monkeypatch.setattr(cli, "pretrain_vdim", work)
+    for name in ("run_pipeline", "pretrain_vdim", "unit_pyramid", "pca_rgb"):
+        monkeypatch.setattr(cli, name, work)
+    out = tmp_path
     if command == "pretrain-vdim":
-        argv = [command, "--corpus", "synthetic", "--count", "2", "--size", "56", "--channels", "4"]
+        argv = [command, "--corpus", "synthetic", "--count", "2", "--size", "56", "--channels", "4", "--out", str(out)]
+    elif command == "build-isp":
+        out = tmp_path / "feat.l2.ispf"  # the last level's file, written after the others
+        out.mkdir()
+        argv = [command, "--image", str(image_336), "--ckpt", str(ckpt), "--out-prefix", str(tmp_path / "feat")]
+    elif command == "visualize":
+        features = tmp_path / "f.ispf"
+        save_features(FeatureMap(np.ones((2, 3, 4), dtype=np.float32)), features)
+        argv = [command, "--features", str(features), "--out", str(out)]
     else:
-        argv = [command, "--image", str(image_336), "--ckpt", str(ckpt)]
-    assert main(argv + ["--out", str(tmp_path)]) == 3
-    assert capsys.readouterr().err == f"error: cannot write {tmp_path}: it is a directory or not writable\n"
+        argv = [command, "--image", str(image_336), "--ckpt", str(ckpt), "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: cannot write {out}: it is a directory or not writable\n"
+    assert not (tmp_path / "feat.l0.ispf").exists()
 
 
 def test_zero_step_pretrain_prints_initial_loss(tmp_path, capsys):

@@ -3,6 +3,7 @@ workers, and the forked workers themselves: results in task order, errors
 as raised, dead workers named, and every worker reaped on every way out."""
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -90,6 +91,70 @@ def test_a_dead_worker_names_the_first_task_whose_result_did_not_arrive(task, fi
         # the next run finds the dead worker's task pipe broken
         with pytest.raises(ChildProcessError, match="^lost 0$"):
             list(run(exit_at, list(range(7)), lambda i: f"lost {i}"))
+
+
+def unpicklable_result(state, task):
+    return lambda: task
+
+
+def unpicklable_error(state, task):
+    class LocalError(Exception):
+        pass
+
+    if task == state:
+        raise LocalError(f"task {task}")
+    return task
+
+
+def test_a_result_that_cannot_be_pickled_is_raised_with_its_traceback_as_the_cause():
+    with pytest.raises(AttributeError, match="^Can't pickle local object") as err, forked(0, 4, 2) as run:
+        list(run(unpicklable_result, list(range(4)), str))
+    assert type(err.value.__cause__) is WorkerTraceback
+    assert str(err.value.__cause__).startswith("Traceback (most recent call last):")
+
+
+def test_an_error_that_cannot_be_pickled_arrives_as_its_repr():
+    with pytest.raises(RuntimeError) as err, forked(3, 4, 2) as run:
+        list(run(unpicklable_error, list(range(4)), str))
+    assert str(err.value) == "LocalError('task 3')"
+    cause = err.value.__cause__
+    assert type(cause) is WorkerTraceback
+    assert str(cause).startswith("Traceback (most recent call last):")
+    assert str(cause).endswith("LocalError: task 3\n")
+
+
+def reversed_bytes(state, task):
+    return task[::-1], os.getpid()
+
+
+def test_a_megabyte_task_and_result_round_trip_intact():
+    # each message is far larger than a pipe's 64 KB buffer
+    tasks = [os.urandom(1 << 20), os.urandom(1 << 20)]
+    with forked(None, 2, 2) as run:
+        results = list(run(reversed_bytes, tasks, str))
+    assert [r for r, _ in results] == [t[::-1] for t in tasks]
+    assert results[0][1] != results[1][1]
+
+
+def test_a_worker_killed_while_it_writes_its_result_names_its_chunk():
+    # worker 1 blocks writing its 1 MB result until the caller reads it, and
+    # dies with part of it in the pipe: the caller reads a message cut short
+    tasks = [os.urandom(1 << 20) for _ in range(4)]
+    with forked(None, 4, 2) as run:
+        results = run(reversed_bytes, tasks, lambda i: f"lost {i}")
+        first = [next(results) for _ in range(2)]  # worker 0's chunk
+        assert [r for r, _ in first] == [t[::-1] for t in tasks[:2]]
+        (pid,) = [pid for pid in children() if pid != first[0][1]]
+        deadline = time.monotonic() + 30
+        while not Path(f"/proc/{pid}/wchan").read_text().endswith("pipe_write"):
+            assert time.monotonic() < deadline, "worker 1 never blocked on its result pipe"
+            time.sleep(0.01)
+        os.kill(pid, signal.SIGKILL)
+        while not exited(pid):
+            time.sleep(0.01)
+        with pytest.raises(ChildProcessError, match="^lost 2$") as err:
+            next(results)
+    assert type(err.value.__cause__) is pickle.UnpicklingError
 
 
 def leave_the_block(leave):
