@@ -204,12 +204,14 @@ def cmd_build_isp(args) -> int:
 
 def cmd_compress(args) -> int:
     """``compress``; ``pipeline`` is it with the hiwin projector, and also prints the layout and grid."""
-    _refuse_unwritable(args.out)
+    index = f"{args.out}.idx"
+    for path in (args.out, index):
+        _refuse_unwritable(path)
     ckpt, config, attn = _load_setup(args)
     result = run_pipeline(load_ppm(args.image), ckpt.vdim, attn, config, projector=args.projector)
     save_tokens(result.tokens, args.out)
     sequence = flatten(result.tokens)
-    save_index(sequence, f"{args.out}.idx")
+    save_index(sequence, index)
     if args.command == "pipeline":
         print(f"layout: {result.layout.cols}x{result.layout.rows}")
         print(f"grid: {result.grid[0]}x{result.grid[1]}")

@@ -13,25 +13,24 @@ map.  Each learnable query attends only to the RoI samples of its own
 window, concatenated across levels, so a token depends on exactly its
 window's content.
 
-:func:`cross_attention` serves both attention projectors: :func:`compress`
-passes one group of one query per window, the resampler baseline one group
-of all N*N queries over every pyramid feature.  Where each key and value is
-read by one query, as in every window, the key and value projections are
-folded into the query and the weighted sum instead of being applied to each
-sample; the resampler's shared keys and values are projected once.  A
-window's keys are its values plus two additive terms, the level embedding
-and zeta, the positional embedding of each sample point.  Zeta is
-separable: its x half depends only on a sample's column and its y half only
-on its row, so it is kept as two small per-axis tables per geometry and
-written out for one block of windows at a time.  :func:`assemble_kv` hands
-the keys over as those three addends and never builds their sum, and the
-folded query scores each addend on its own, so the level and position terms
-cost one product over L levels and one over S sample points, not a pass
-over a key array.  :func:`compress` samples and attends its windows a block
-of window rows at a time, so no value array of every window is built; the
-products that span every window (the query projections and the level
-embedding's scores) are taken once, and the tokens' bits do not depend on
-the blocks.
+The two attention projectors never share a shape, so each has its own
+product order.  :func:`compress` attends one query per window, and each key
+and value is read by one query, so the key and value projections are folded
+into the query and the weighted sum instead of being applied to each
+sample.  :func:`cross_attention`, for the resampler baseline, whose N*N
+queries share every pyramid feature, projects them once.  A window's keys
+are its values plus two additive terms, the level embedding and zeta, the
+positional embedding of each sample point.  Zeta is separable: its x half
+depends only on a sample's column and its y half only on its row, so it is
+kept as two small per-axis tables per geometry and written out for one
+block of windows at a time.  :func:`assemble_kv` hands the keys over as
+those three addends and never builds their sum, and the folded query scores
+each addend on its own, so the level and position terms cost one product
+over L levels and one over S sample points, not a pass over a key
+array.  :func:`compress` samples and attends its windows a block of window
+rows at a time, so no value array of every window is built; the products
+that span every window (the folded queries and the level embedding's
+scores) are taken once, and the tokens' bits do not depend on the blocks.
 
 RoI sampling convention: each window box is clamped to map bounds and split
 into r_h x r_w bins; one bilinear sample is taken per bin at the bin center,
@@ -55,9 +54,8 @@ tests both use them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -255,8 +253,8 @@ def assemble_kv(
     windows, and the keys as the three addends whose broadcast sum they
     are, ``(values, level embedding, zeta)`` of shapes (W, levels, S, C),
     (1, levels, 1, C) and (W, 1, S, C).  The first addend is a view of the
-    value array; their sum is never built (:func:`cross_attention` scores
-    each addend).
+    value array; their sum is never built (:func:`compress`'s attention
+    scores each addend).
 
     Window (i, j) of each level spans column ``j`` and row ``i`` of the
     uniform n-way split of that level's own width and height.  Values are
@@ -330,114 +328,92 @@ def _addend_scores(u: np.ndarray, t: np.ndarray) -> np.ndarray:
     return part.reshape((g, m) + t.shape[1:-1])
 
 
-class _Attention:
-    """Multi-head attention of the (G, Q, C) queries ``q`` over keys and
-    values handed over a block of groups at a time: :meth:`context` attends
-    the groups of one block, and :meth:`output` projects the contexts of
-    every group.  A ``heads`` below 1, or one that does not divide C,
-    raises ``ValueError``.
+def _head_dim(c: int, heads: int) -> int:
+    """The channels of each of ``heads`` heads over C channels.  A ``heads``
+    below 1, or one that does not divide C, raises ``ValueError``."""
+    if heads < 1:
+        raise ValueError(f"heads must be a positive integer, got {heads}")
+    if c % heads:
+        raise ValueError(f"channels {c} not divisible by heads {heads}")
+    return c // heads
 
-    What does not depend on a block's keys and values is computed once,
-    over every group: the query projection, the folded key projection, and
-    the scores of each key addend of one group, which every block shares.
-    So each group sees the same products whatever the blocks, and its bits
-    do not depend on them; a product over the rows of every group, such as
-    a shared addend's, may round differently when taken over fewer rows.
+
+class _WindowAttention:
+    """Multi-head attention of the (W, C) queries ``q``, one per window,
+    over the keys and values of their own windows, handed over a block of
+    windows at a time: :meth:`context` attends the windows of one block,
+    and :meth:`output` projects the contexts of every window.
+
+    Each key and value is read by one query, so the key and value
+    projections are folded into the query and the weighted sum instead of
+    being applied to each sample.  Head h scores key k as
+    ``(qh W_k,h^T) . k``, addend by addend: the ``qh . b_k,h`` term of
+    ``qh . (k W_k,h + b_k,h)`` is the same for every key of a window, and
+    the softmax cancels it.  The weights sum the raw values, the sum goes
+    through ``W_v,h``, and ``b_v,h`` is added once, since each row of
+    weights sums to 1.  The folded queries ``u`` are computed once, over
+    every window, and so are the level embedding's scores, which every
+    block shares.  So each window sees the same products whatever the
+    blocks, and its bits do not depend on them; a product over the rows
+    of every window, such as the level embedding's, may round differently
+    when taken over fewer rows.
     """
 
     def __init__(self, q: np.ndarray, params: AttnParams, heads: int):
-        g, nq, c = q.shape
-        if heads < 1:
-            raise ValueError(f"heads must be a positive integer, got {heads}")
-        if c % heads:
-            raise ValueError(f"channels {c} not divisible by heads {heads}")
-        self.params, self.heads, self.shape = params, heads, q.shape
-        self.qh = _linear(q, params.wq, params.bq).reshape(g, nq, heads, c // heads).transpose(0, 2, 1, 3)
-        self.u = None  # the folded queries of every group, once a block folds
-        self.shared = {}  # position of a one-group addend -> its scores over every group
+        w, c = q.shape
+        dk = _head_dim(c, heads)
+        self.params, self.heads = params, heads
+        qh = _linear(q, params.wq, params.bq).reshape(w, 1, heads, dk).transpose(0, 2, 1, 3)
+        self.u = (qh @ params.wk.reshape(c, heads, dk).transpose(1, 2, 0)).reshape(w, heads, c)
+        self.level = None  # the level embedding's scores over every window, at the first block
 
-    def _scores(self, i: int, t: np.ndarray, a: int, b: int) -> np.ndarray:
-        """The folded scores of groups ``a .. b - 1`` against key addend
-        ``t``, the i-th of a block's addends."""
-        if t.shape[0] == 1:
-            if i not in self.shared:
-                self.shared[i] = _addend_scores(self.u, t)
-            return self.shared[i][a:b]
-        return _addend_scores(self.u[a:b], t)
-
-    def context(self, a: int, b: int, k, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (b - a, Q, C) contexts of groups ``a .. b - 1``, before the
-        output projection, and their (b - a, heads, Q, L) weights, over
-        those groups' keys ``k`` and (b - a, L, C) values ``v``, given as
-        :func:`cross_attention` takes them."""
+    def context(self, a: int, b: int, keys: tuple[np.ndarray, ...], v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (b - a, C) contexts of windows ``a .. b - 1``, before the
+        output projection, and their (b - a, heads, 1, L) weights, over
+        those windows' keys, the three addends of :func:`assemble_kv`, and
+        (b - a, L, C) values ``v``."""
         params, heads = self.params, self.heads
-        g_all, nq, c = self.shape
-        g, dk, l = b - a, c // heads, v.shape[1]
-        addends = (k,) if isinstance(k, np.ndarray) else k
-        key_rows = sum(math.prod(t.shape[1:-1]) for t in addends)
-        fold = nq * (2 * c + heads * (l + key_rows) - 2 * l) < 2 * l * c
-        if fold:
-            if self.u is None:
-                wk = params.wk.reshape(c, heads, dk).transpose(1, 2, 0)
-                self.u = (self.qh @ wk).reshape(g_all, heads * nq, c)
-            scores = reduce(np.add, (self._scores(i, t, a, b) for i, t in enumerate(addends)))
-            scores = scores.reshape(g, heads, nq, l)
-        else:
-            k = reduce(np.add, addends).reshape(g, l, c)
-            kh = _linear(k, params.wk, params.bk).reshape(g, l, heads, dk).transpose(0, 2, 3, 1)
-            vh = _linear(v, params.wv, params.bv).reshape(g, l, heads, dk).transpose(0, 2, 1, 3)
-            scores = self.qh[a:b] @ kh  # (G, heads, Q, L)
-        scores = scores / np.sqrt(dk)  # a shared addend's scores stay as they are
-        att = softmax(scores, axis=-1)
-        if fold:
-            ctx = (att.reshape(g, heads * nq, l) @ v).reshape(g, heads, nq, c)
-            ctx = ctx @ params.wv.reshape(c, heads, dk).transpose(1, 0, 2)
-            ctx += params.bv.reshape(heads, 1, dk)
-        else:
-            ctx = att @ vh
-        return ctx.transpose(0, 2, 1, 3).reshape(g, nq, c), att
+        g, l, c = b - a, v.shape[1], v.shape[2]
+        dk = c // heads
+        values, emb, zeta = keys
+        if self.level is None:
+            self.level = _addend_scores(self.u, emb)
+        u = self.u[a:b]
+        scores = _addend_scores(u, values) + self.level[a:b] + _addend_scores(u, zeta)
+        att = softmax(scores.reshape(g, heads, 1, l) / np.sqrt(dk), axis=-1)
+        ctx = (att.reshape(g, heads, l) @ v).reshape(g, heads, 1, c)
+        ctx = ctx @ params.wv.reshape(c, heads, dk).transpose(1, 0, 2)
+        ctx += params.bv.reshape(heads, 1, dk)
+        return ctx.transpose(0, 2, 1, 3).reshape(g, c), att
 
     def output(self, ctx: np.ndarray) -> np.ndarray:
-        """The (G, Q, C) outputs of the contexts of every group."""
-        return _linear(ctx, self.params.wo, self.params.bo).reshape(self.shape)
+        """The (W, C) outputs of the contexts of every window."""
+        return _linear(ctx, self.params.wo, self.params.bo)
 
 
 def cross_attention(
-    q: np.ndarray,
-    k: np.ndarray | tuple[np.ndarray, ...],
-    v: np.ndarray,
-    params: AttnParams,
-    heads: int,
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, params: AttnParams, heads: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head scaled dot-product attention with output projection, over
-    groups: ``q`` is (G, Q, C) and ``v`` is (G, L, C), and the Q queries of
-    group g attend over the L keys of group g.  ``k`` is the (G, L, C) keys,
-    or a tuple of addends whose broadcast sum they are, each of shape
-    (G or 1, L1, ..., C) with ``L1 * ... = L`` in the values' order, as
-    :func:`assemble_kv` gives them.  Returns the (G, Q, C) outputs and the
-    (G, heads, Q, L) attention weights.  A ``heads`` below 1, or one that
-    does not divide C, raises ``ValueError``.
+    groups: ``q`` is (G, Q, C), ``k`` and ``v`` are (G, L, C), and the Q
+    queries of group g attend over the L keys of group g.  Returns the (G,
+    Q, C) outputs and the (G, heads, Q, L) attention weights.  A ``heads``
+    below 1, or one that does not divide C, raises ``ValueError``.
 
-    The operand shapes choose the order of the products.  Projecting every
-    key and value costs ``2 L C^2 + 2 Q L C`` multiply-adds per group (the
-    addends are summed first).  Folding the key and value projections into
-    the queries costs ``2 Q C^2 + heads Q C (L + K)``, where K counts the key
-    rows scored per group: L for a key array, and for addends the sum of
-    their L1 * ... (values, L levels and S points for :func:`assemble_kv`'s).
-    Folding is done when that is less, i.e. when
-    ``Q * (2 C + heads (L + K) - 2 L) < 2 L C``.  Folded, head h scores key k
-    as ``(qh W_k,h^T) . k``, addend by addend: the ``qh . b_k,h`` term of
-    ``qh . (k W_k,h + b_k,h)`` is the same for every key of a row, and the
-    softmax cancels it.  The weights sum the raw values, the sum goes
-    through ``W_v,h``, and ``b_v,h`` is added once, since each row of
-    weights sums to 1.  :func:`compress` (one query per window) folds; the
-    resampler baseline (N^2 queries over every pyramid feature) projects.
-    Each product is one batched GEMM.  :func:`compress` runs the same
-    attention over its windows a block of window rows at a time.
+    The queries, keys and values are each projected once, in one GEMM, as
+    the resampler baseline needs: its N^2 queries share every key and
+    value.  :func:`compress`, whose keys and values are each read by one
+    query, folds the projections into its queries instead.
     """
-    attn = _Attention(q, params, heads)
-    ctx, att = attn.context(0, q.shape[0], k, v)
-    return attn.output(ctx), att
+    g, nq, c = q.shape
+    l = k.shape[1]
+    dk = _head_dim(c, heads)
+    qh = _linear(q, params.wq, params.bq).reshape(g, nq, heads, dk).transpose(0, 2, 1, 3)
+    kh = _linear(k, params.wk, params.bk).reshape(g, l, heads, dk).transpose(0, 2, 3, 1)
+    vh = _linear(v, params.wv, params.bv).reshape(g, l, heads, dk).transpose(0, 2, 1, 3)
+    att = softmax(qh @ kh / np.sqrt(dk), axis=-1)  # (G, heads, Q, L)
+    ctx = (att @ vh).transpose(0, 2, 1, 3).reshape(g, nq, c)
+    return _linear(ctx, params.wo, params.bo).reshape(g, nq, c), att
 
 
 def compress(isp: FeaturePyramid, params: AttnParams, config: HiwinConfig) -> TokenMap:
@@ -463,8 +439,8 @@ def compress(isp: FeaturePyramid, params: AttnParams, config: HiwinConfig) -> To
         )
     grid = select_grid(base.width, base.height)
     q = params.queries.reshape(n * n, -1) + _zeta(n, (1, 1), base.channels, 0, n)[:, 0, 0]
-    attn = _Attention(q[:, None], params, config.heads)
-    ctx = np.empty((n * n, 1, base.channels))
+    attn = _WindowAttention(q, params, config.heads)
+    ctx = np.empty((n * n, base.channels))
     # blocks of twice a window row's samples of one level: lerp holds two float64 arrays of them
     for a, b in row_blocks(n, 2 * n * grid[0] * grid[1] * base.channels):
         keys, v = assemble_kv(isp, n, grid, params, (a, b))

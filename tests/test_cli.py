@@ -123,7 +123,9 @@ def test_pretrain_refuses_an_unwritable_out_before_the_first_step(tmp_path):
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("command", ["compress", "pipeline", "pretrain-vdim", "build-isp", "visualize"])
+@pytest.mark.parametrize(
+    "command", ["compress", "pipeline", "pipeline-idx", "pretrain-vdim", "build-isp", "visualize"]
+)
 def test_an_out_that_is_a_directory_exits_3_before_the_work(command, ckpt, image_336, tmp_path, capsys, monkeypatch):
     def work(*args, **kwargs):
         raise AssertionError("the work started")
@@ -141,11 +143,16 @@ def test_an_out_that_is_a_directory_exits_3_before_the_work(command, ckpt, image
         features = tmp_path / "f.ispf"
         save_features(FeatureMap(np.ones((2, 3, 4), dtype=np.float32)), features)
         argv = [command, "--features", str(features), "--out", str(out)]
+    elif command == "pipeline-idx":
+        out = tmp_path / "q.toks.idx"  # the index, written after the tokens
+        out.mkdir()
+        argv = ["pipeline", "--image", str(image_336), "--ckpt", str(ckpt), "--out", str(tmp_path / "q.toks")]
     else:
         argv = [command, "--image", str(image_336), "--ckpt", str(ckpt), "--out", str(out)]
     assert main(argv) == 3
     assert capsys.readouterr().err == f"error: cannot write {out}: it is a directory or not writable\n"
     assert not (tmp_path / "feat.l0.ispf").exists()
+    assert not (tmp_path / "q.toks").exists()
 
 
 def test_zero_step_pretrain_prints_initial_loss(tmp_path, capsys):

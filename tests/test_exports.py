@@ -109,3 +109,36 @@ def test_every_export_has_a_caller_outside_the_tests():
     reads = set().union(*(_reads(ast.parse(path.read_text())) for path in callers))
     unused = [f"{m}.{name}" for m in MODULES for name in importlib.import_module(m).__all__ if name not in reads]
     assert not unused, unused
+
+
+def _unread_imports(tree: ast.Module, reexports: bool) -> list[str]:
+    """The names a module imports and never reads as a loaded name, apart
+    from ``__future__`` imports, names in its ``__all__`` and, where
+    ``reexports``, the relative imports a package re-exports."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__" and not (reexports and node.level):
+            bound.update(a.asname or a.name for a in node.names)
+    reads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = {
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+    return sorted(bound - reads - exported)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # an import read only inside a script run as a subprocess is dead in
+    # the module that holds the script
+    root = Path(__file__).parent.parent
+    paths = [path for d in ("src/hiwin", "tests", "demos") for path in sorted((root / d).glob("*.py"))]
+    offenders = [
+        f"{path.relative_to(root)}: {name}"
+        for path in paths
+        for name in _unread_imports(ast.parse(path.read_text()), reexports=path.name == "__init__.py")
+    ]
+    assert not offenders, offenders

@@ -43,7 +43,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import hiwin
@@ -88,14 +87,14 @@ l2 = ad.guided_upsample(isp.levels[1].data.astype(np.float64), pyramid.levels[2]
 out["unit336_l2_f64_sha256"] = sha(l2.data)
 _, values = assemble_kv(isp, 12, (3, 3), AttnParams.init(HiwinConfig(channels=64), seed=0))
 out["unit336_kv_values_sha256"] = sha(values)
-attended, output = [], window_attn._Attention.output
+attended, output = [], window_attn._WindowAttention.output
 def capture(self, ctx):  # compress's float64 tokens of every window, before its float32 cast
     attended.append(output(self, ctx))
     assert attended[-1].dtype == np.float64
     return attended[-1]
-window_attn._Attention.output = capture
+window_attn._WindowAttention.output = capture
 window_attn.compress(isp, AttnParams.init(HiwinConfig(channels=64), seed=0), HiwinConfig(channels=64))
-window_attn._Attention.output = output
+window_attn._WindowAttention.output = output
 assert len(attended) == 1
 out["unit336_compress_f64_sha256"] = sha(attended[0])
 rng = np.random.default_rng([13, 8, 8, 64])

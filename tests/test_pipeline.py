@@ -32,7 +32,7 @@ from hiwin.vdim import DownsamplerParams, FeaturePyramid, VdimParams, trainable_
 from hiwin.window_attn import AttnParams, HiwinConfig, select_grid
 from hiwin.workers import WorkerTraceback
 
-from helpers import children, counted_calls
+from helpers import counted_calls
 
 
 # (Python, numpy) versions -> (width, height) of a photo -> the bound of
