@@ -284,13 +284,15 @@ def _weights_at(g_hat_pad, g_windows, gram, log_sigma_dist, log_sigma_sim, lo: i
     return _softmax_weights(logits, log_sigma_dist, log_sigma_sim), logits
 
 
-def _softmax_weights(logits, log_sigma_dist, log_sigma_sim) -> np.ndarray:
+def _softmax_weights(logits, log_sigma_dist, log_sigma_sim, out: np.ndarray | None = None) -> np.ndarray:
     """The (..., K) weights of the (..., K) window dots ``logits``, which
-    are scaled in place into the similarity logits: one softmax per cell."""
+    are scaled in place into the similarity logits: one softmax per cell.
+    The weights are written into ``out``, which may be ``logits`` itself,
+    or, with no ``out``, into a new array, and the logits are kept."""
     sigma_sim = np.exp(log_sigma_sim)
     logits /= sigma_sim * sigma_sim
     sigma_dist = np.exp(log_sigma_dist)
-    weights = logits - (0.5 * _DIST2) / (sigma_dist * sigma_dist)
+    weights = np.subtract(logits, (0.5 * _DIST2) / (sigma_dist * sigma_dist), out=out)
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
@@ -427,7 +429,8 @@ def guided_upsample_rows(
     coarse row's weights (``2 * 2w * K`` entries: 3 rows of a 48-wide map);
     a block that holds no asked row is skipped.  A block takes the window
     dots of its output rows' guide tiles as training does, and the softmax
-    weights only at the asked cells.  Their composite weights are the same
+    weights only at the asked cells, written over their logits, which
+    training keeps for its VJP.  Their composite weights are the same
     per-row products as training's, over rows of weights that are zero at
     the cells not asked, so a coarse row's phase that is not asked gets a
     zero band.  The bands hold only each tile's asked cells
@@ -455,7 +458,8 @@ def guided_upsample_rows(
         every = asked.size == 2 * (b - a)
         g_hat = g_hat_pad[2 * a + RADIUS : 2 * b + RADIUS, RADIUS:-RADIUS]
         logits = _window_dots(g_hat @ gram, g_windows, 2 * a, layout.taps)
-        weights = _softmax_weights(logits if every else logits[asked], log_sigma_dist, log_sigma_sim)
+        logits = logits if every else logits[asked]
+        weights = _softmax_weights(logits, log_sigma_dist, log_sigma_sim, out=logits)
         del logits
         if not every or a_cols < 2 * w:  # rows of weights, zero at the cells not asked
             asked_weights, weights = weights, np.zeros((2 * (b - a), 2 * w, _K * _K))

@@ -5,7 +5,8 @@ non-overlapping 14x14 patches, applies a fixed seeded linear map, and
 squashes with tanh.  It is a pure function of (pixels, seed, channels), so a
 constant image yields a spatially constant map.  Real features exported from
 elsewhere come in as ISPF files: :func:`load_features` reads each level once,
-straight into its array, and scans it for NaN once; a
+straight into its array, and scans it for NaN once, and
+:func:`save_features` writes a map's own float32 buffer, with no copy; a
 :class:`~hiwin.vdim.FeaturePyramid` of them goes straight to compression.
 The patch projection is drawn once per (seed, channels) and kept read-only.
 
@@ -128,10 +129,10 @@ def save_features(fmap: FeatureMap, path) -> None:
     header = ISPF.pack(level=fmap.level, **dims)
     what = f"ISPF level-{fmap.level} map"
     nonzero_dims(what, ValueError, **dims)
-    data = finite_f4(fmap.data, what)
+    data = np.ascontiguousarray(finite_f4(fmap.data, what))
     with open(path, "wb") as f:
         f.write(header)
-        f.write(data.tobytes())
+        f.write(data)  # the map's own buffer, not a copy of it
 
 
 def load_features(path) -> FeatureMap:

@@ -165,10 +165,13 @@ def bilinear_resize(src, out_h: int, out_w: int) -> np.ndarray:
     take them.  Each column tap of a block is one flat take of
     ``cell * C + channel`` entries of its rows, which address an array's
     rows, gathered as C-ordered copies, or a PPM's rows at the file's width
-    as they were read; a block holds the float64 columns of two source rows
-    per output row, so blocks are half as tall as a map's.  No resampling
-    matrix and no float copy of the whole input are built, and every output
-    cell sees the same float64 arithmetic whichever cells were gathered.  A
+    as they were read.  A block's budget of :data:`BLOCK_ELEMS` float64
+    entries counts, per output row, the float64 columns of its two source
+    rows and, for an array, the bytes of the rows it gathers at the
+    source's width, ``min(2, H / out_h)`` of them; a PPM's rows, read at
+    the file's width, are not counted.  No resampling matrix and no float
+    copy of the whole input are built, and every output cell sees the same
+    float64 arithmetic whichever cells were gathered.  A
     uint8 source holds 8-bit image codes and resizes to float32; any other
     dtype is kept.  Identical input and output dims return an exact copy of
     the values.
@@ -186,7 +189,10 @@ def bilinear_resize(src, out_h: int, out_w: int) -> np.ndarray:
     i0, i1, frac = resize_taps(h, out_h)
     cols = None  # the column taps, addressed once the first block is read
     out = np.empty((out_h, out_w, c), dtype=decode_codes(np.empty(0, src.dtype)).dtype)  # the values' dtype
-    for a, b in row_blocks(out_h, 2 * out_w * c):
+    # an array's rows are gathered as copies at its width, min(2, h / out_h) of them per output
+    # row, counted in the float64 entries that their bytes would fill
+    gathered = min(2 * out_h, h) * w * src.dtype.itemsize // (8 * out_h) if isinstance(src, np.ndarray) else 0
+    for a, b in row_blocks(out_h, (2 * out_w + gathered) * c):
         lo, hi = i0[a], i1[b - 1] + 1  # the taps of a resize never decrease
         cells, rows = tapped((i0[a:b] - lo, i1[a:b] - lo, frac[a:b]), hi - lo)
         # a strided array's fancy index copies only the cells it names

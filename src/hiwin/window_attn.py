@@ -266,8 +266,10 @@ def assemble_kv(
     itself if every row is tapped, and is lerped along x as it is, with no
     column copy.  The top level of ``vdim.build_isp`` is asked once, by
     ``cells(rows, cols)``, for the cells of its tapped rows and columns,
-    and computes only those; each level's rows are dropped before the next
-    level is asked.  :func:`compress` asks for a block of window rows at a
+    and computes only those.  It is sampled first, before the value array
+    exists, so that its ask, a block's largest working set, never sits
+    beside that array; each level's rows are dropped before the next level
+    is asked.  :func:`compress` asks for a block of window rows at a
     time.  Each window's samples are the same whichever rows are asked
     for.  Zeta is the positional embedding of each sample point's
     normalized coordinate, written for the rows asked for by :func:`_zeta`
@@ -293,8 +295,9 @@ def assemble_kv(
             f"AttnParams.level_emb has shape {emb.shape}; a {levels}-level pyramid of {c} channels "
             f"needs {levels} or more rows of {c}"
         )
-    v = np.empty((last - first, n, levels, rh, rw, c), dtype=np.float64)
-    for lvl, fmap in enumerate(isp.levels):
+    v = None  # allocated once the first level is sampled: a level computed on demand goes first
+    for lvl in sorted(range(levels), key=lambda lvl: isinstance(isp.levels[lvl].data, np.ndarray)):
+        fmap = isp.levels[lvl]
         cols = tuple(t.reshape(-1) for t in _window_taps(fmap.width, n, rw))  # column j, bin v
         row_bins = tuple(t[first:last].reshape(-1) for t in _window_taps(fmap.height, n, rh))  # row i, bin u
         tapped_rows, row_taps = tapped(row_bins, fmap.height)
@@ -303,9 +306,12 @@ def assemble_kv(
         else:  # the top level of vdim.build_isp: it computes only the tapped cells
             tapped_cols, cols = tapped(cols, fmap.width)
             gathered = fmap.data.cells(tapped_rows, tapped_cols)
+        part = lerp(lerp(gathered, cols, axis=1), row_taps, axis=0)
+        if v is None:
+            v = np.empty((last - first, n, levels, rh, rw, c), dtype=np.float64)
         # (i, u, j, v, C) samples, written to (i, j, u, v, C)
-        v[:, :, lvl] = lerp(lerp(gathered, cols, axis=1), row_taps, axis=0).reshape(-1, rh, n, rw, c).swapaxes(1, 2)
-        del gathered  # before the next level is asked
+        v[:, :, lvl] = part.reshape(-1, rh, n, rw, c).swapaxes(1, 2)
+        del gathered, part  # before the next level is asked
     v = v.reshape(-1, levels, rh * rw, c)
     keys = (v, emb[None, :levels, None], _zeta(n, tuple(grid), c, first, last))
     return keys, v.reshape(len(v), -1, c)
@@ -423,9 +429,10 @@ def compress(isp: FeaturePyramid, params: AttnParams, config: HiwinConfig) -> To
     attends only to the cross-level RoI samples of its own window, the same
     normalized region of every level.  The queries carry the positional
     embedding of their window centres, zeta of a 1x1 grid, built from
-    per-axis tables as the keys' zeta is.  The windows are sampled and
-    attended in the :func:`~hiwin.numerics.row_blocks` of their window
-    rows, each block dropped before the next is sampled; the output
+    per-axis tables as the keys' zeta is, and dropped once the attention
+    has folded them.  The windows are sampled and attended in the
+    :func:`~hiwin.numerics.row_blocks` of their window rows, each block
+    dropped before the next is sampled; the output
     projection runs once, over every window's context.  Queries that are
     not (N, N, C), or fewer level embeddings than the pyramid has levels,
     raise a ``ValueError`` naming the field.
@@ -440,6 +447,7 @@ def compress(isp: FeaturePyramid, params: AttnParams, config: HiwinConfig) -> To
     grid = select_grid(base.width, base.height)
     q = params.queries.reshape(n * n, -1) + _zeta(n, (1, 1), base.channels, 0, n)[:, 0, 0]
     attn = _WindowAttention(q, params, config.heads)
+    del q  # folded into attn.u
     ctx = np.empty((n * n, base.channels))
     # blocks of twice a window row's samples of one level: lerp holds two float64 arrays of them
     for a, b in row_blocks(n, 2 * n * grid[0] * grid[1] * base.channels):

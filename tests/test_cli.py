@@ -16,11 +16,12 @@ import hiwin
 from hiwin import checkpoint, cli, formats
 from hiwin.checkpoint import save_checkpoint
 from hiwin.cli import main
-from hiwin.encoder import FeatureMap, save_features
+from hiwin.encoder import EncoderSpec, FeatureMap, save_features
 from hiwin.image_io import Image, load_ppm, save_ppm, synth_corpus
 from hiwin.numerics import bilinear_resize
+from hiwin.slicing import resize_to_patch_multiple
 from hiwin.token_org import load_tokens
-from hiwin.vdim import DownsamplerParams, VdimParams
+from hiwin.vdim import DownsamplerParams, VdimParams, pretrain_vdim
 from hiwin.window_attn import AttnParams, HiwinConfig
 
 from helpers import traced_peak
@@ -167,6 +168,39 @@ def test_zero_step_pretrain_prints_initial_loss(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 1
     assert lines[0].startswith("0 ")
+
+
+def test_pretrain_on_a_corpus_directory_trains_on_its_ppms_resized_to_patches(tmp_path, capsys):
+    # a.ppm is 56x56; b.ppm is 70x60, whose height is not a patch multiple
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    save_ppm(synth_corpus(4, 1, 56)[0], corpus / "a.ppm")
+    save_ppm(Image(bilinear_resize(synth_corpus(5, 1, 70)[0].pixels, 60, 70)), corpus / "b.ppm")
+    out = tmp_path / "dir.ckpt"
+    argv = [
+        "pretrain-vdim", "--corpus", str(corpus), "--channels", "4", "--d-proj", "4",
+        "--steps", "2", "--batch", "2", "--seed", "1", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    images = [resize_to_patch_multiple(load_ppm(corpus / name)) for name in ("a.ppm", "b.ppm")]
+    assert [(img.width, img.height) for img in images] == [(56, 56), (70, 56)]
+    want = pretrain_vdim(
+        images, EncoderSpec(channels=4, seed=1), VdimParams.init(d_proj=4, seed=1),
+        DownsamplerParams.init(4, seed=1), steps=2, lr=1e-3, batch=2,
+    )
+    assert capsys.readouterr().out == "".join(f"{k} {loss:.10g}\n" for k, loss in enumerate(want.losses, start=1))
+    save_checkpoint(tmp_path / "want.ckpt", want.vdim, want.down, attn=AttnParams.init(HiwinConfig(channels=4), seed=1))
+    assert out.read_bytes() == (tmp_path / "want.ckpt").read_bytes()
+
+
+def test_pretrain_on_an_empty_corpus_directory_exits_3_and_writes_nothing(tmp_path, capsys):
+    corpus = tmp_path / "empty"
+    corpus.mkdir()
+    out = tmp_path / "empty.ckpt"
+    argv = ["pretrain-vdim", "--corpus", str(corpus), "--channels", "4", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: no .ppm files in {corpus}\n"
+    assert not out.exists()
 
 
 def test_build_isp_writes_three_levels(ckpt, image_336, tmp_path, capsys):
@@ -438,9 +472,14 @@ def test_pipeline_peak_memory_of_a_large_photo(tmp_path, capsys, monkeypatch):
     # unit cuts its own slice and drops it once encoded, and a loaded
     # image reads only the rows its resizes tap; encode copies one block
     # of patch rows at a time and compress computes the top pyramid level
-    # one block of window rows at a time, so a unit's slice cut sets the
-    # peak: measured 4.01 MiB in a fresh process (3.96 MiB after other
-    # tests); 5.57 MiB in a fresh process (5.54 MiB after other tests),
+    # one block of window rows at a time, before the block's value array
+    # exists, so a unit's slice cut sets the peak: measured 3.26 MiB in a
+    # fresh process (3.13 MiB after other tests); 3.48 MiB (3.35 MiB) while
+    # the top level was asked beside that value array and compress's
+    # queries, the guidance pyramid's resize blocks counted only their
+    # output rows and the kernel's softmax wrote its weights beside its
+    # logits; 4.01 MiB (3.96 MiB) when a 4.3 MiB bound was set;
+    # 5.57 MiB in a fresh process (5.54 MiB after other tests),
     # set by one unit's feature pyramid, with the whole top level built,
     # encode copying the whole slice, zeta kept as two per-axis tables and the
     # level-2 upsample dropping its float64 guide and mixing blocks of 3
@@ -461,7 +500,7 @@ def test_pipeline_peak_memory_of_a_large_photo(tmp_path, capsys, monkeypatch):
     code, peak = traced_peak(lambda: main(argv))
     assert code == 0
     assert "tokens: 1008" in capsys.readouterr().out
-    assert peak < 4.3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert peak < 3.4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 # runs ``hiwin pipeline`` on the usable cores given first; prints the

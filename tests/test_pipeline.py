@@ -32,7 +32,7 @@ from hiwin.vdim import DownsamplerParams, FeaturePyramid, VdimParams, trainable_
 from hiwin.window_attn import AttnParams, HiwinConfig, select_grid
 from hiwin.workers import WorkerTraceback
 
-from helpers import counted_calls
+from helpers import counted_calls, traced_peak
 
 
 # (Python, numpy) versions -> (width, height) of a photo -> the bound of
@@ -208,10 +208,14 @@ class TestRunPipeline:
     def test_calls_per_unit_of_a_warm_photo(self, tmp_path, size):
         # every Python and C call of one warm run_pipeline over a loaded
         # photo at one thread, per unit (the overview and each slice):
-        # measured 4,299, 4,398 and 5,747 per unit at 336x336, 1008x672 and
-        # 4032x3024; 4,459, 4,561 and 5,927 while the top pyramid level was
-        # asked for a lazy block of rows, then for its columns, and sorted
-        # and remapped the indices asked; 5,278, 5,440 and 7,175 while it
+        # measured 4,004, 4,104 and 5,454 per unit at 336x336, 1008x672 and
+        # 4032x3024, with the guidance pyramid's resizes cut into 8 blocks
+        # that count the bytes of the rows they gather; 3,860, 3,960 and
+        # 5,309 with 4 blocks that counted only their output rows; 4,299,
+        # 4,398 and 5,747 when these bounds were set; 4,459, 4,561 and
+        # 5,927 while the top pyramid level was asked for a lazy block of
+        # rows, then for its columns, and sorted and remapped the indices
+        # asked; 5,278, 5,440 and 7,175 while it
         # computed every column of the rows its taps read and the slice cut
         # took each block's columns along the axis of a copy of the crop's
         # rows; 5,472 at 336x336 while inference entered the guided
@@ -237,6 +241,23 @@ class TestRunPipeline:
         units = result.layout.count + 1  # the slices and the overview
         assert units == {336: 2, 1008: 7, 4032: 7}[width]
         assert calls / units < bound, f"{calls / units:.0f} calls per unit"
+
+    def test_peak_memory_of_a_warm_photo(self, tmp_path):
+        # one warm run_pipeline over a loaded 1008x672 photo at one thread:
+        # its 7 units run one at a time in this process, so the peak is one
+        # unit's. The top level is asked before a compress block's value
+        # array exists, resize blocks count the rows they gather and the
+        # kernel's softmax writes its weights over its logits: measured 2.52
+        # MiB; 2.79 MiB without those three
+        path = tmp_path / "photo.ppm"
+        save_ppm(Image(np.random.default_rng(7).integers(0, 256, (672, 1008, 3), dtype=np.uint8)), path)
+        img = load_ppm(path)
+        config = PipelineConfig(encoder=EncoderSpec(channels=64, seed=0), hiwin=HiwinConfig(channels=64), threads=1)
+        vdim, attn = VdimParams.init(d_proj=32, seed=0), AttnParams.init(config.hiwin, seed=0)
+        run_pipeline(img, vdim, attn, config)  # the cached projections, taps and tables are built
+        result, peak = traced_peak(lambda: run_pipeline(img, vdim, attn, config))
+        assert result.layout.count + 1 == 7
+        assert peak < 2.65 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_the_top_level_computes_only_the_cells_its_taps_read(self, tmp_path, monkeypatch):
         # one warm 336x336 run, two units at grid (3, 3): the RoI taps of each

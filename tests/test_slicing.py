@@ -109,25 +109,32 @@ class TestExtractSlices:
         np.testing.assert_array_equal(rebuilt, img.pixels)
 
     def test_peak_memory_of_a_large_image(self):
-        # measured 29.5 MiB; holds only if resizes gather the cells their
-        # taps read (37.0 MiB without) and none makes a float64 copy of a
-        # whole crop or of the image
+        # measured 9.52 MiB with resize blocks sized by the bytes of the
+        # rows they gather as well as their output rows; 9.95 MiB with
+        # blocks sized by their output rows alone; 29.5 MiB when a 34 MiB
+        # bound was set; holds only if resizes gather the cells their taps
+        # read (37.0 MiB without) and none makes a float64 copy of a whole
+        # crop or of the image
         rng = np.random.default_rng(4)
         img = Image(rng.uniform(0, 1, (1512, 2016, 3)).astype(np.float32))
         layout = compute_slice_layout(2016, 1512)
         _, peak = traced_peak(lambda: extract_slices(img, layout))
-        assert peak < 34 * 2**20
+        assert peak < 9.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("width, height", [(4032, 3024), (3024, 4032)])
     def test_eight_bit_photo_slices_like_its_decoded_floats(self, width, height):
         # resizes gather and decode only the rows and columns their taps
         # read, so the codes of a 12 MP photo never become a float32 image
-        # (that alone would be 139.5 MiB); measured peaks 27.1 and 26.0 MiB
+        # (that alone would be 139.5 MiB); measured peaks 9.55 and 9.56 MiB
+        # with resize blocks sized by the bytes of the rows they gather as
+        # well as their output rows, 9.83 and 9.84 MiB with blocks sized by
+        # their output rows alone; 27.1 and 26.0 MiB when a 32 MiB bound
+        # was set
         rng = np.random.default_rng(5)
         codes = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
         layout = compute_slice_layout(width, height)
         (slices, overview), peak = traced_peak(lambda: extract_slices(Image(codes), layout))
-        assert peak < 32 * 2**20
+        assert peak < 9.7 * 2**20, f"peak {peak / 2**20:.2f} MiB"
         floats = Image(codes.astype(np.float32) / 255.0)
         want_slices, want_overview = extract_slices(floats, layout)
         for got, want in zip(slices + [overview], want_slices + [want_overview]):
